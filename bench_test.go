@@ -9,6 +9,7 @@ package tdbms
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -206,6 +207,7 @@ func buildAPIBench(b *testing.B, n int) *DB {
 // a hashed relation through the full TQuel engine.
 func BenchmarkHashedAccess(b *testing.B) {
 	db := buildAPIBench(b, 1024)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Exec(`retrieve (x.seq) where x.id = 500`); err != nil {
@@ -218,11 +220,111 @@ func BenchmarkHashedAccess(b *testing.B) {
 // non-key selection.
 func BenchmarkSequentialScan(b *testing.B) {
 	db := buildAPIBench(b, 1024)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Exec(`retrieve (x.seq) where x.amount = 4200 when x overlap "now"`); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// buildChainBench is the paper's update-count-8 database in miniature: a
+// temporal relation of n tuples, hashed or ISAM at 100 % loading, every
+// tuple replaced eight times, so each key's 17 versions share a 17-page
+// chain with seven other keys' (Figures 6–8). It returns the time just
+// after the fourth round, for as-of lookups.
+func buildChainBench(tb testing.TB, method string, n int) (*DB, time.Time) {
+	tb.Helper()
+	db := MustOpen(Options{Now: time.Date(1980, 1, 1, 0, 0, 0, 0, time.UTC)})
+	if _, err := db.Exec(`create persistent interval r (id = i4, amount = i4, seq = i4, string = c96)`); err != nil {
+		tb.Fatal(err)
+	}
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = []any{i + 1, (i % 97) * 100, 0, "payload"}
+	}
+	if _, err := db.Load("r", rows); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := db.Exec(fmt.Sprintf(`modify r to %s on id where fillfactor = 100
+	                                  range of x is r`, method)); err != nil {
+		tb.Fatal(err)
+	}
+	var mid time.Time
+	for round := 1; round <= 8; round++ {
+		db.AdvanceClock(time.Hour)
+		if _, err := db.Exec(`replace x (seq = x.seq + 1)`); err != nil {
+			tb.Fatal(err)
+		}
+		if round == 4 {
+			db.AdvanceClock(time.Hour)
+			mid = db.Now()
+		}
+	}
+	db.AdvanceClock(time.Hour)
+	return db, mid
+}
+
+// BenchmarkChainProbe measures the keyed lookup the paper's Figures 6–8
+// price at 17 pages: a current-state and a past-state (as of) retrieve of
+// one key, hashed and ISAM, each walking the key's whole overflow chain.
+func BenchmarkChainProbe(b *testing.B) {
+	for _, method := range []string{"hash", "isam"} {
+		db, mid := buildChainBench(b, method, 1024)
+		asOf := mid.Format("2006-01-02 15:04:05")
+		for _, q := range []struct{ name, text string }{
+			{"current", `retrieve (x.seq) where x.id = 500 when x overlap "now"`},
+			{"asof", fmt.Sprintf(`retrieve (x.seq) where x.id = 500 when x overlap %q as of %q`, asOf, asOf)},
+		} {
+			b.Run(method+"/"+q.name, func(b *testing.B) {
+				res, err := db.Exec(q.text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) != 1 {
+					b.Fatalf("%s returned %d rows, want 1", q.text, len(res.Rows))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.Exec(q.text); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(res.InputPages), "pages/op")
+			})
+		}
+	}
+}
+
+// TestHashedLookupAllocBudget fails when a warm hashed current lookup —
+// parse, plan, a 17-page chain walk, one result row — allocates more than
+// 16 KiB. The read path itself allocates nothing per page; what remains is
+// the statement's front end. At the commit before the budget existed the
+// same lookup cost 79 KiB, 64 of them one zeroed tuple chunk.
+func TestHashedLookupAllocBudget(t *testing.T) {
+	const budget = 16 << 10
+	db, _ := buildChainBench(t, "hash", 256)
+	const query = `retrieve (x.seq) where x.id = 100 when x overlap "now"`
+	lookup := func() {
+		if _, err := db.Exec(query); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookup() // warm: the session's arena and views exist from here on
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		lookup()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warm hashed current lookup: %d B/op, %d allocs/op",
+		perOp, (after.Mallocs-before.Mallocs)/runs)
+	if perOp > budget {
+		t.Fatalf("warm hashed current lookup allocates %d B/op, budget %d", perOp, budget)
 	}
 }
 

@@ -16,6 +16,9 @@
 //	errcheck     no silently discarded errors under internal/
 //	copylocks    no by-value copies of sync primitives or counter-bearing
 //	             buffer/storage types
+//	pagecopy     no by-value copies of page.Page outside internal/page,
+//	             internal/storage and internal/buffer: the read path is
+//	             copy-free
 //	lockscope    every Lock/RLock released on every return path of the
 //	             acquiring function, modulo defer
 //	latchorder   no lock-order cycles among engine latches; no blocking

@@ -114,3 +114,47 @@ func TestFilterRange(t *testing.T) {
 		t.Error("FilterRange.Close did not close the wrapped iterator")
 	}
 }
+
+// TestArenaRecycles pins the arena's contract: copies stay intact while
+// later copies start new chunks, Reset makes the next statement reuse the
+// same memory instead of allocating, and what Reset keeps is bounded.
+func TestArenaRecycles(t *testing.T) {
+	var a Arena
+	tup := make([]byte, 124)
+	var kept [][]byte
+	for i := 0; i < 100; i++ { // 12 KiB: several doubling chunks
+		tup[0] = byte(i)
+		kept = append(kept, a.Copy(tup))
+	}
+	for i, k := range kept {
+		if len(k) != len(tup) || k[0] != byte(i) {
+			t.Fatalf("copy %d damaged by later copies: len %d, first byte %d", i, len(k), k[0])
+		}
+	}
+	if grown := append(kept[0], 1); &grown[0] == &kept[0][0] {
+		t.Fatal("a copy has spare capacity: appending to it would overwrite its neighbour")
+	}
+
+	a.Reset()
+	statement := func() {
+		for i := 0; i < 100; i++ {
+			a.Copy(tup)
+		}
+		a.Reset()
+	}
+	if n := testing.AllocsPerRun(10, statement); n != 0 {
+		t.Fatalf("a statement the size of the last one allocates %.0f times", n)
+	}
+
+	for i := 0; i < 3*arenaKeep/len(tup); i++ {
+		a.Copy(tup)
+	}
+	a.Reset()
+	retained := 0
+	for _, c := range a.chunks {
+		retained += cap(c)
+	}
+	if retained > arenaKeep {
+		t.Fatalf("Reset retained %d bytes, bound %d", retained, arenaKeep)
+	}
+}

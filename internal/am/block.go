@@ -3,56 +3,147 @@ package am
 import "tdbms/internal/page"
 
 // Block is a page-at-a-time tuple delivery: one NextBlock call fetches the
-// page under the iterator's cursor once and decodes every qualifying tuple
-// still on it, instead of re-fetching the page per tuple the way Next does.
-// The tuples share one backing allocation per block; like Next's results
-// they are copies, valid after further iteration, so a consumer may hold
-// them as long as it likes.
+// page under the iterator's cursor once and offers the block every
+// candidate still on it, instead of re-fetching the page per tuple the way
+// Next does. The iterator reads the page in place; the block copies only
+// the tuples that survive Qual, so like Next's results its tuples are
+// copies, valid after further iteration — until the block's arena is
+// reset — and a consumer may hold them as long as that.
 type Block struct {
 	RIDs []page.RID
 	Tups [][]byte
-	buf  []byte
+	// Qual, when set, is shown every candidate in place: the slice aliases
+	// the page under the iterator's cursor and must not be kept or written.
+	// Only tuples it accepts are copied into the block.
+	Qual func(rid page.RID, tup []byte) (bool, error)
+	// Arena backs the block's tuples. A caller that runs many short scans
+	// shares one arena between their blocks and resets it when every tuple
+	// is dead; a nil Arena gives the block one of its own, never reset.
+	Arena *Arena
+
+	// offered counts the candidates shown to the block since Reset, whether
+	// or not Qual kept them. Walk paces itself by it, so the pages a scan
+	// fetches do not depend on how selective Qual is.
+	offered int
 }
 
-// blockChunk is the backing-array granularity: many blocks' tuples pack
-// into one chunk, so the per-block allocation cost is amortized away.
-const blockChunk = 1 << 16
-
-// Reset empties the block. The backing chunk is not dropped — consumers
-// may still hold tuples from previous fills, so Reset re-slices past the
-// occupied prefix and later Adds append into the chunk's unused tail.
+// Reset empties the block. Tuples from previous fills stay valid: the
+// arena is not touched.
 func (b *Block) Reset() {
 	b.RIDs = b.RIDs[:0]
 	b.Tups = b.Tups[:0]
-	b.buf = b.buf[len(b.buf):]
+	b.offered = 0
 }
 
 // Len is the number of tuples in the block.
 func (b *Block) Len() int { return len(b.Tups) }
 
-// Add appends a copy of tup. Chunks are never grown in place, so earlier
-// tuples keep pointing at their chunk when a new one is allocated.
-func (b *Block) Add(rid page.RID, tup []byte) {
-	if len(b.buf)+len(tup) > cap(b.buf) {
-		n := blockChunk
-		if len(tup) > n {
-			n = len(tup)
+// offer shows the block one candidate, in place, and copies it in if Qual
+// accepts it (or there is no Qual).
+func (b *Block) offer(rid page.RID, tup []byte) error {
+	b.offered++
+	if b.Qual != nil {
+		ok, err := b.Qual(rid, tup)
+		if err != nil || !ok {
+			return err
 		}
-		b.buf = make([]byte, 0, n)
 	}
-	start := len(b.buf)
-	b.buf = append(b.buf, tup...)
-	b.Tups = append(b.Tups, b.buf[start:len(b.buf):len(b.buf)])
+	if b.Arena == nil {
+		b.Arena = new(Arena)
+	}
+	b.Tups = append(b.Tups, b.Arena.Copy(tup))
 	b.RIDs = append(b.RIDs, rid)
+	return nil
+}
+
+// fill offers the block the live tuples of p (page id) that m accepts,
+// from slot *slot on, until max candidates have been offered or the page
+// runs out, leaving *slot where the next fill resumes. It reports whether
+// the page ran out.
+func (b *Block) fill(p *page.Page, id page.ID, slot *int, m *Match, max int) (bool, error) {
+	for b.offered < max {
+		s, tup, ok, err := m.Next(p, slot)
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			return true, nil
+		}
+		if err := b.offer(page.RID{Page: id, Slot: uint16(s)}, tup); err != nil {
+			return false, err
+		}
+	}
+	return *slot >= p.Slots(), nil
+}
+
+// Arena is the backing store of block tuples: a bump allocator over chunks
+// that start small and double, so a one-row answer costs a kilobyte and a
+// long scan a few allocations. Reset recycles the chunks for the next
+// statement without zeroing them.
+type Arena struct {
+	chunks [][]byte
+	n      int // chunks[:n] hold live tuples; chunks[n-1] is being filled
+}
+
+const (
+	arenaMinChunk = 1 << 10
+	arenaMaxChunk = 1 << 16
+	// arenaKeep bounds what Reset retains, so one large scan does not pin
+	// its peak for the rest of the session.
+	arenaKeep = 1 << 20
+)
+
+// Copy returns a copy of tup that stays valid until Reset. Chunks are
+// never grown in place, so earlier tuples keep pointing at their chunk
+// when a new one starts.
+func (a *Arena) Copy(tup []byte) []byte {
+	if a.n == 0 || len(a.chunks[a.n-1])+len(tup) > cap(a.chunks[a.n-1]) {
+		a.grow(len(tup))
+	}
+	c := a.chunks[a.n-1]
+	start := len(c)
+	c = append(c, tup...)
+	a.chunks[a.n-1] = c
+	return c[start:len(c):len(c)]
+}
+
+// grow starts the next chunk: a retained one when it is large enough, else
+// a new one twice the size of the last.
+func (a *Arena) grow(need int) {
+	if a.n < len(a.chunks) && cap(a.chunks[a.n]) >= need {
+		a.chunks[a.n] = a.chunks[a.n][:0]
+		a.n++
+		return
+	}
+	size := arenaMinChunk
+	if a.n > 0 {
+		size = min(2*cap(a.chunks[a.n-1]), arenaMaxChunk)
+	}
+	a.chunks = append(a.chunks[:a.n], make([]byte, 0, max(size, need)))
+	a.n++
+}
+
+// Reset invalidates every tuple handed out and keeps up to arenaKeep bytes
+// of chunks for reuse.
+func (a *Arena) Reset() {
+	kept, i := 0, 0
+	for i < len(a.chunks) && kept+cap(a.chunks[i]) <= arenaKeep {
+		kept += cap(a.chunks[i])
+		i++
+	}
+	clear(a.chunks[i:])
+	a.chunks = a.chunks[:i]
+	a.n = 0
 }
 
 // BlockIterator is optionally implemented by iterators that can deliver
-// tuples page-at-a-time. NextBlock resets blk and fills it with up to max
-// tuples from the page under the cursor, fetching that page exactly once;
-// it returns false only at exhaustion (with an empty block). A call that
-// stops at max mid-page leaves the cursor on that page, and the next call
-// re-fetches it — the same fetch the tuple protocol would issue on resume,
-// so the page-read accounting of a scan is identical under either
+// tuples page-at-a-time. NextBlock resets blk and offers it up to max
+// candidates from the page under the cursor, fetching that page exactly
+// once; it returns false only at exhaustion (with an empty block). A block
+// whose Qual rejected every candidate comes back empty with true. A call
+// that stops at max mid-page leaves the cursor on that page, and the next
+// call re-fetches it — the same fetch the tuple protocol would issue on
+// resume, so the page-read accounting of a scan is identical under either
 // protocol; only the per-tuple re-fetches within one page (buffer hits)
 // disappear. Next and NextBlock may be interleaved freely: both advance
 // the same cursor.

@@ -1,0 +1,198 @@
+package am
+
+import (
+	"bytes"
+
+	"tdbms/internal/page"
+)
+
+// Match is the key restriction an iterator applies to a page in place.
+// The zero value accepts every live tuple.
+type Match struct {
+	Key Key
+	// Filter restricts to Lo <= key <= Hi.
+	Filter bool
+	Lo, Hi int64
+	// Above is set once a key greater than Hi has been passed over; an
+	// ordered file's range probe ends its walk on it.
+	Above bool
+}
+
+// Equal returns the restriction key == k.
+func Equal(key Key, k int64) Match { return Match{Key: key, Filter: true, Lo: k, Hi: k} }
+
+// Next returns the next live tuple of p at or after slot *slot that the
+// restriction accepts, and moves *slot past it; ok is false when the page
+// has no more. The tuple aliases the page.
+func (m *Match) Next(p *page.Page, slot *int) (s int, tup []byte, ok bool, err error) {
+	for *slot < p.Slots() {
+		s = *slot
+		*slot++
+		tup, err = p.Get(s)
+		if err == page.ErrBadSlot {
+			continue
+		}
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if m.Filter {
+			k := m.Key.Extract(tup)
+			if k > m.Hi {
+				m.Above = true
+			}
+			if k < m.Lo || k > m.Hi {
+				continue
+			}
+		}
+		return s, tup, true, nil
+	}
+	return 0, nil, false, nil
+}
+
+// PageWalk is the part of a page-at-a-time iterator that differs between
+// access methods: which pages to visit, in what order. Walk supplies the
+// rest — the tuple and block protocols over the pages it is shown.
+type PageWalk interface {
+	// View fetches the page under the cursor, read-only, first moving the
+	// cursor on if the last page was left behind. It returns the page and
+	// its id, or a nil page when there is nothing more to visit. m is the
+	// walk's key restriction, for ordered files that end on m.Above.
+	View(m *Match) (*page.Page, page.ID, error)
+	// Leave moves the cursor off page p, onto its overflow successor if it
+	// has one.
+	Leave(p *page.Page)
+	// Close releases the position: View returns nil from now on.
+	Close()
+}
+
+// Walk is the Iterator and BlockIterator over a PageWalk. Both protocols
+// fetch the page under the cursor once per call and read it in place, so
+// a scan moves the buffer counters the same way whichever access method
+// it runs on: Next once per tuple, NextBlock once per page (or per max
+// candidates).
+type Walk struct {
+	pw   PageWalk
+	m    Match
+	slot int
+}
+
+// NewWalk iterates the tuples m accepts on the pages pw visits.
+func NewWalk(pw PageWalk, m Match) *Walk { return &Walk{pw: pw, m: m} }
+
+// Next implements Iterator.
+func (w *Walk) Next() (page.RID, []byte, bool, error) {
+	for {
+		p, id, err := w.pw.View(&w.m)
+		if p == nil || err != nil {
+			return page.NilRID, nil, false, err
+		}
+		s, t, ok, err := w.m.Next(p, &w.slot)
+		if err != nil {
+			return page.NilRID, nil, false, err
+		}
+		if ok {
+			return page.RID{Page: id, Slot: uint16(s)}, bytes.Clone(t), true, nil
+		}
+		w.pw.Leave(p)
+		w.slot = 0
+	}
+}
+
+// NextBlock implements BlockIterator.
+func (w *Walk) NextBlock(blk *Block, max int) (bool, error) {
+	blk.Reset()
+	if max < 1 {
+		max = 1
+	}
+	for {
+		p, id, err := w.pw.View(&w.m)
+		if p == nil || err != nil {
+			return false, err
+		}
+		done, err := blk.fill(p, id, &w.slot, &w.m, max)
+		if err != nil {
+			return false, err
+		}
+		if !done {
+			return true, nil // stopped at max; the cursor stays on this page
+		}
+		w.pw.Leave(p)
+		w.slot = 0
+		if blk.offered > 0 {
+			return true, nil
+		}
+	}
+}
+
+// Close implements Iterator.
+func (w *Walk) Close() error {
+	w.pw.Close()
+	return nil
+}
+
+// SetReadahead implements ReadaheadHinter, passing the hint to a page walk
+// that can use it.
+func (w *Walk) SetReadahead(n int) {
+	if h, ok := w.pw.(ReadaheadHinter); ok {
+		h.SetReadahead(n)
+	}
+}
+
+// PageViewer is the read-only side of a buffered file.
+type PageViewer interface {
+	View(id page.ID) (*page.Page, error)
+	ViewAhead(id page.ID, ahead int) (*page.Page, error)
+}
+
+// PrimaryScan is the PageWalk of a full scan over a file laid out as hash
+// and ISAM files are: pages 0..Primaries-1 are primary pages, each heading
+// an overflow chain, and the scan visits each primary page followed by its
+// chain. Only the primary pages are contiguous — overflow pages are chained
+// anywhere past them — so readahead is confined to the primary region.
+type PrimaryScan struct {
+	Buf       PageViewer
+	Primaries int
+
+	primary int     // pages below this have been started
+	cur     page.ID // page under the cursor, when chained
+	chained bool    // cur is valid: the scan is inside a chain
+	ahead   int
+	closed  bool
+}
+
+// SetReadahead implements ReadaheadHinter.
+func (w *PrimaryScan) SetReadahead(n int) { w.ahead = n }
+
+// View implements PageWalk.
+func (w *PrimaryScan) View(*Match) (*page.Page, page.ID, error) {
+	if w.closed {
+		return nil, page.Nil, nil
+	}
+	if !w.chained {
+		if w.primary >= w.Primaries {
+			return nil, page.Nil, nil
+		}
+		w.cur, w.chained = page.ID(w.primary), true
+		w.primary++
+	}
+	var p *page.Page
+	var err error
+	if ahead := w.ahead; ahead > 0 && int(w.cur) < w.Primaries {
+		if rest := w.Primaries - int(w.cur) - 1; ahead > rest {
+			ahead = rest
+		}
+		p, err = w.Buf.ViewAhead(w.cur, ahead)
+	} else {
+		p, err = w.Buf.View(w.cur)
+	}
+	return p, w.cur, err
+}
+
+// Leave implements PageWalk.
+func (w *PrimaryScan) Leave(p *page.Page) {
+	w.cur = p.Next()
+	w.chained = w.cur != page.Nil
+}
+
+// Close implements PageWalk.
+func (w *PrimaryScan) Close() { w.closed = true }

@@ -12,6 +12,14 @@
 // Flagged sites: by-value parameters and receivers, by-value call
 // arguments, assignments from an existing value, returns, and range
 // destinations. Taking a pointer is always fine.
+//
+// PageCopy applies the same site rules to page.Page and anything that
+// embeds one. A page is a kilobyte: the buffer manager's read path once
+// moved every page three times, one of them through a by-value argument
+// (`adopt(f.pg, id)`), and that was a seventh of a keyed lookup's CPU. The
+// suite binds it to every package but the three that own page memory —
+// internal/page, internal/storage, internal/buffer — where copying a page
+// is the job.
 package copylocks
 
 import (
@@ -29,20 +37,41 @@ var noCopyNamed = map[string]map[string]bool{
 	"tdbms/internal/storage": {"Mem": true, "Disk": true},
 }
 
+// pageNamed is PageCopy's no-copy set.
+var pageNamed = map[string]map[string]bool{"tdbms/internal/page": {"Page": true}}
+
 // Analyzer is the copylocks-plus check.
 var Analyzer = &analysis.Analyzer{
 	Name: "copylocks",
 	Doc:  "no by-value copies of sync primitives or counter-bearing storage/buffer types",
-	Run:  run,
+	Run: func(pass *analysis.Pass) {
+		run(pass, &checker{named: noCopyNamed, locks: true,
+			why: "use a pointer (copying forks counters/lock state)"})
+	},
 }
 
+// PageCopy flags by-value copies of page.Page.
+var PageCopy = &analysis.Analyzer{
+	Name: "pagecopy",
+	Doc:  "no by-value copies of page.Page outside the packages that own page memory",
+	Run: func(pass *analysis.Pass) {
+		run(pass, &checker{named: pageNamed,
+			why: "use a pointer (a page is 1 KiB; the read path is copy-free)"})
+	},
+}
+
+// checker applies the site rules for one set of no-copy types: the named
+// ones and, with locks set, vet's lock types.
 type checker struct {
-	pass *analysis.Pass
-	memo map[types.Type]bool
+	pass  *analysis.Pass
+	named map[string]map[string]bool
+	locks bool
+	why   string
+	memo  map[types.Type]bool
 }
 
-func run(pass *analysis.Pass) {
-	c := &checker{pass: pass, memo: map[types.Type]bool{}}
+func run(pass *analysis.Pass, c *checker) {
+	c.pass, c.memo = pass, map[types.Type]bool{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, c.inspect)
 	}
@@ -62,10 +91,10 @@ func (c *checker) noCopy(t types.Type) bool {
 func (c *checker) noCopyUncached(t types.Type) bool {
 	if named, ok := t.(*types.Named); ok {
 		obj := named.Obj()
-		if obj.Pkg() != nil && noCopyNamed[obj.Pkg().Path()][obj.Name()] {
+		if obj.Pkg() != nil && c.named[obj.Pkg().Path()][obj.Name()] {
 			return true
 		}
-		if hasPointerLock(t) {
+		if c.locks && hasPointerLock(t) {
 			return true
 		}
 	}
@@ -118,7 +147,7 @@ func (c *checker) copiesValue(expr ast.Expr) (types.Type, bool) {
 		return nil, false
 	}
 	tv, ok := c.pass.Info.Types[expr]
-	if !ok || tv.Type == nil {
+	if !ok || tv.Type == nil || tv.IsType() { // new(T) names a type, copies nothing
 		return nil, false
 	}
 	if !c.noCopy(tv.Type) {
@@ -204,6 +233,5 @@ func (c *checker) typeOf(expr ast.Expr) types.Type {
 }
 
 func (c *checker) report(pos token.Pos, what string, t types.Type) {
-	c.pass.Report(pos, "%s copies %s by value; use a pointer (copying forks counters/lock state)",
-		what, types.TypeString(t, nil))
+	c.pass.Report(pos, "%s copies %s by value; %s", what, types.TypeString(t, nil), c.why)
 }

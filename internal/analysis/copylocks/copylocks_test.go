@@ -14,3 +14,11 @@ func TestViolating(t *testing.T) {
 func TestClean(t *testing.T) {
 	analysistest.Run(t, copylocks.Analyzer, "testdata/clean.go")
 }
+
+func TestPageCopyViolating(t *testing.T) {
+	analysistest.Run(t, copylocks.PageCopy, "testdata/pagecopy_violating.go")
+}
+
+func TestPageCopyClean(t *testing.T) {
+	analysistest.Run(t, copylocks.PageCopy, "testdata/pagecopy_clean.go")
+}

@@ -57,6 +57,9 @@ func everywhere(modPath, pkgPath string) bool { return true }
 //     it, module-wide;
 //   - errcheck guards all of internal/;
 //   - copylocks guards the whole module, examples and commands included;
+//   - pagecopy keeps page.Page behind pointers everywhere but the three
+//     packages that own page memory (internal/page, internal/storage,
+//     internal/buffer), so the read path stays copy-free;
 //   - lockscope (module-wide) requires every Lock/RLock released on every
 //     return path of the acquiring function, modulo defer;
 //   - latchorder (module-wide) builds per-function held-latch sets,
@@ -76,6 +79,13 @@ var Checks = []Scoped{
 	{faultfscheck.Analyzer, everywhere},
 	{errcheck.Analyzer, underInternal},
 	{copylocks.Analyzer, everywhere},
+	{copylocks.PageCopy, func(modPath, pkgPath string) bool {
+		switch pkgPath {
+		case modPath + "/internal/page", modPath + "/internal/storage", modPath + "/internal/buffer":
+			return false
+		}
+		return true
+	}},
 	{lockscope.Analyzer, everywhere},
 	{latchorder.Analyzer, everywhere},
 	{errwrap.Analyzer, everywhere},

@@ -9,7 +9,7 @@
 //
 // The policy is configurable (NewWithPolicy, WithView): a pool may keep
 // several LRU frames, and sequential scans may prefetch a batch of pages
-// per miss (FetchAhead), so the buffer-sensitivity ablation can quantify
+// per miss (ViewAhead), so the buffer-sensitivity ablation can quantify
 // what the paper's single-frame policy filtered out. The default policy is
 // always Frames: 1, Readahead: 0 — the benchmark and every measured figure
 // run under it untouched.
@@ -19,11 +19,30 @@
 // handle onto that pool. Handles derived with WithAccount additionally
 // charge every fetch, hit, and flush to a per-session Account, so one
 // statement's I/O delta can be read without a global counter snapshot.
-// Because concurrent readers share (and contend for) the same frames, each
-// handle reads pages through a private scratch copy: the frame can be
-// evicted by another session the moment the pool mutex is released, but the
-// scratch stays valid until the handle's next operation — the same lifetime
-// the single-threaded contract always promised.
+//
+// A frame records which page it holds and where that page's image is; it
+// never needs an image of its own to count a hit or a miss. There are two
+// ways to fetch:
+//
+//   - View is the read-only fetch. It copies nothing. When the store keeps
+//     its pages resident at stable addresses (storage.Mem) the frame holds
+//     the store's own page, lent, and View returns that pointer. When the
+//     store cannot lend (a disk file, or any wrapper that must see every
+//     ReadPage) the page is read once into a pool-owned image that the
+//     frame and every handle viewing it share by reference count; the image
+//     is recycled when the last of them lets go. Which of the two happens
+//     is decided by what the store can do, never by the caller.
+//   - Fetch is the writer's fetch: it copies the page into the handle's
+//     private scratch, which the caller may modify and announce with
+//     MarkDirty. The modified scratch is copied into an image the frame
+//     owns alone, so a view is never written under its reader.
+//
+// A view stays valid until the handle's next buffer call. A lent page is
+// the store's memory, which a flush of that page overwrites in place, so
+// the caller must hold the relation's latch for as long as it reads one:
+// a page turns dirty only under the exclusive latch, a dirty page is served
+// from its frame's private image and never lent, and it is flushed before
+// that image is dropped. Hence no flush writes a page someone holds on loan.
 package buffer
 
 import (
@@ -43,7 +62,7 @@ type Stats struct {
 	Hits   int64 // page fetches satisfied by a frame
 	// ReadOps counts read operations issued to the backing file. A plain
 	// Fetch miss is one operation for one page, so under the single-frame
-	// measurement policy ReadOps always equals Reads; a FetchAhead batch
+	// measurement policy ReadOps always equals Reads; a ViewAhead batch
 	// reads several pages in one operation, so pooled scans show
 	// ReadOps < Reads.
 	ReadOps int64
@@ -70,13 +89,13 @@ func (s Stats) Sub(t Stats) Stats {
 }
 
 // Policy configures a handle's demands on its pool: how many LRU frames
-// the pool must keep and how far FetchAhead may prefetch past a missed
+// the pool must keep and how far ViewAhead may prefetch past a missed
 // page. The zero value normalizes to the paper's measurement policy.
 type Policy struct {
 	// Frames is the number of buffer frames. Values below 1 normalize to
 	// 1 — one frame per relation, the Section 5.1 measurement policy.
 	Frames int
-	// Readahead is the maximum number of pages FetchAhead may read past
+	// Readahead is the maximum number of pages ViewAhead may read past
 	// the requested one in a single batch. Zero disables prefetching; it
 	// is also capped at Frames-1 so a batch never evicts its own pages.
 	Readahead int
@@ -134,16 +153,45 @@ func (a *Account) Reset() {
 // Charge adds a delta measured elsewhere (the exclusive-lock DML path
 // brackets the global counters and charges the difference here).
 func (a *Account) Charge(d Stats) {
-	a.reads.Add(d.Reads)
-	a.writes.Add(d.Writes)
-	a.hits.Add(d.Hits)
-	a.readOps.Add(d.ReadOps)
+	// A fetch moves one or two counters; an atomic add of zero still
+	// costs a locked instruction.
+	if d.Reads != 0 {
+		a.reads.Add(d.Reads)
+	}
+	if d.Writes != 0 {
+		a.writes.Add(d.Writes)
+	}
+	if d.Hits != 0 {
+		a.hits.Add(d.Hits)
+	}
+	if d.ReadOps != 0 {
+		a.readOps.Add(d.ReadOps)
+	}
+}
+
+// lender is implemented by stores that keep every page resident at an
+// address that does not change while the file grows (storage.Mem): Lend
+// returns the page itself. Wrappers do not forward it, so a wrapped store
+// is read with ReadPage like any other.
+type lender interface {
+	Lend(id page.ID) (*page.Page, error)
+}
+
+// image is a page image owned by the pool. refs counts the frame holding
+// it plus the handles viewing it; it is written only while refs is 1, and
+// returns to the pool's free list when refs reaches 0. Guarded by pool.mu.
+type image struct {
+	pg   page.Page
+	refs int
 }
 
 // frame is one buffer slot.
 type frame struct {
-	id    page.ID
-	pg    page.Page
+	id page.ID
+	// pg is the resident image of page id: &img.pg when the pool owns it,
+	// else a page on loan from the store (clean by construction).
+	pg    *page.Page
+	img   *image
 	dirty bool
 	used  int64 // last-use tick for LRU
 	// lsn is nonzero while the frame's exact content is a committed image
@@ -155,7 +203,7 @@ type frame struct {
 }
 
 // view is one handle's private scratch page: the stable copy of the page
-// most recently fetched or allocated through that handle.
+// most recently fetched for writing or allocated through that handle.
 type view struct {
 	pg    page.Page
 	id    page.ID
@@ -167,9 +215,11 @@ type view struct {
 type pool struct {
 	name string
 	file storage.File
+	lend lender // file, when it can lend its pages; else nil
 
 	mu     sync.Mutex
 	frames []frame
+	free   []*image // images no frame or handle references
 	tick   int64
 	stats  Stats
 	// pending is the scratch most recently handed out by Fetch or Allocate
@@ -186,7 +236,8 @@ type pool struct {
 type Buffered struct {
 	p    *pool
 	acct *Account
-	v    *view
+	v    *view  // scratch of Fetch and Allocate, made on first use
+	held *image // image the handle's current view references, if pool-owned
 }
 
 // New wraps f in a single-frame buffer — the paper's measurement policy.
@@ -203,17 +254,18 @@ func NewWithFrames(name string, f storage.File, n int) *Buffered {
 func NewWithPolicy(name string, f storage.File, pol Policy) *Buffered {
 	pol = pol.Normalize()
 	p := &pool{name: name, file: f, frames: make([]frame, pol.Frames)}
+	p.lend, _ = f.(lender)
 	for i := range p.frames {
 		p.frames[i].id = page.Nil
 	}
-	return &Buffered{p: p, v: &view{id: page.Nil}}
+	return &Buffered{p: p}
 }
 
 // WithAccount returns a new handle on the same pool that charges its I/O to
 // a (in addition to the pool's global counters). Sessions derive their
 // read-graph handles this way.
 func (b *Buffered) WithAccount(a *Account) *Buffered {
-	return &Buffered{p: b.p, acct: a, v: &view{id: page.Nil}}
+	return &Buffered{p: b.p, acct: a}
 }
 
 // WithView is WithAccount plus a frame demand: the shared pool grows to at
@@ -230,7 +282,7 @@ func (b *Buffered) WithView(a *Account, pol Policy) *Buffered {
 		p.frames = append(p.frames, frame{id: page.Nil})
 	}
 	p.mu.Unlock()
-	return &Buffered{p: p, acct: a, v: &view{id: page.Nil}}
+	return &Buffered{p: p, acct: a}
 }
 
 // Account returns the account this handle charges, or nil for the root
@@ -264,6 +316,59 @@ func (p *pool) victim() *frame {
 	return v
 }
 
+// newImage takes an image off the free list, or makes one, for a single
+// owner. Its content is whatever it last held. Caller holds p.mu.
+func (p *pool) newImage() *image {
+	if n := len(p.free); n > 0 {
+		img := p.free[n-1]
+		p.free = p.free[:n-1]
+		img.refs = 1
+		return img
+	}
+	return &image{refs: 1}
+}
+
+// release drops one reference to img (nil is allowed), recycling the image
+// with the last. Caller holds p.mu.
+func (p *pool) release(img *image) {
+	if img == nil {
+		return
+	}
+	if img.refs--; img.refs == 0 {
+		p.free = append(p.free, img)
+	}
+}
+
+// own gives f an image no viewer shares, so it can be written. The image's
+// content is unspecified. Caller holds p.mu.
+func (p *pool) own(f *frame) {
+	if f.img != nil && f.img.refs == 1 {
+		return
+	}
+	p.release(f.img)
+	f.img = p.newImage()
+	f.pg = &f.img.pg
+}
+
+// private gives f an image no viewer shares, keeping the content: the step
+// before writing the resident image in place. Caller holds p.mu.
+func (p *pool) private(f *frame) {
+	if f.img != nil && f.img.refs == 1 {
+		return
+	}
+	cur := f.pg // on loan, or shared and therefore not recycled by own
+	p.own(f)
+	f.img.pg = *cur
+}
+
+// empty makes f hold no page. Caller holds p.mu and has flushed f.
+func (p *pool) empty(f *frame) {
+	p.release(f.img)
+	f.img, f.pg = nil, nil
+	f.id = page.Nil
+	f.dirty = false
+}
+
 // sync writes a dirty pending scratch back into its frame. Between the
 // operation that set pending and this sync no other pool operation has run,
 // so the frame still holds pending.id. Caller holds p.mu.
@@ -272,7 +377,8 @@ func (p *pool) sync() {
 		return
 	}
 	if f := p.lookup(p.pending.id); f != nil {
-		f.pg = p.pending.pg
+		p.own(f)
+		f.img.pg = p.pending.pg
 		f.dirty = true
 		f.lsn = 0 // content diverged from whatever image was logged
 	}
@@ -294,7 +400,7 @@ func (b *Buffered) charge(d Stats) {
 // transient errors) the retry repairs any partially-written page image.
 func (b *Buffered) flushFrame(f *frame) error {
 	if f.dirty && f.id != page.Nil {
-		if err := b.p.file.WritePage(f.id, &f.pg); err != nil {
+		if err := b.p.file.WritePage(f.id, f.pg); err != nil {
 			return fmt.Errorf("buffer %q: flush page %d: %w", b.p.name, f.id, err)
 		}
 		b.charge(Stats{Writes: 1})
@@ -304,67 +410,139 @@ func (b *Buffered) flushFrame(f *frame) error {
 	return nil
 }
 
+// begin opens a pool operation on this handle: the pending scratch is
+// synced, the handle's previous view is retired, and the LRU clock ticks.
+// Caller holds p.mu.
+func (b *Buffered) begin() {
+	p := b.p
+	p.sync()
+	p.release(b.held)
+	b.held = nil
+	p.tick++
+}
+
+// load makes the flushed frame f hold page id: on loan when the store
+// lends, else read into an image of the pool's. Caller holds p.mu.
+func (p *pool) load(f *frame, id page.ID) error {
+	p.empty(f)
+	if p.lend != nil {
+		pg, err := p.lend.Lend(id)
+		if err != nil {
+			return err
+		}
+		f.pg = pg
+	} else {
+		img := p.newImage()
+		if err := p.file.ReadPage(id, &img.pg); err != nil {
+			p.release(img)
+			return err
+		}
+		f.img, f.pg = img, &img.pg
+	}
+	f.id = id
+	return nil
+}
+
+// resident returns the frame holding page id, bringing the page in
+// (evicting and, if dirty, flushing the LRU occupant) on a miss. Caller
+// holds p.mu and has called begin.
+func (b *Buffered) resident(id page.ID) (*frame, error) {
+	p := b.p
+	if f := p.lookup(id); f != nil {
+		b.charge(Stats{Hits: 1})
+		f.used = p.tick
+		return f, nil
+	}
+	f := p.victim()
+	if err := b.flushFrame(f); err != nil {
+		return nil, err
+	}
+	if err := p.load(f, id); err != nil {
+		p.pending = nil
+		return nil, fmt.Errorf("buffer %q: read page %d: %w", p.name, id, err)
+	}
+	f.used = p.tick
+	b.charge(Stats{Reads: 1, ReadOps: 1})
+	return f, nil
+}
+
+// hold hands out f's image as the handle's view. No scratch is out from
+// this operation, so nothing is pending. Caller holds p.mu.
+func (b *Buffered) hold(f *frame) *page.Page {
+	if f.img != nil {
+		f.img.refs++
+		b.held = f.img
+	}
+	b.p.pending = nil
+	return f.pg
+}
+
+// View brings page id into a frame exactly as Fetch does — the same hit,
+// the same read, the same eviction — and returns the resident image itself,
+// which the caller must not modify. The pointer is valid until the next
+// call on this handle; see the package comment for what else the caller
+// must hold while reading through it.
+func (b *Buffered) View(id page.ID) (*page.Page, error) {
+	p := b.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b.begin()
+	f, err := b.resident(id)
+	if err != nil {
+		return nil, err
+	}
+	return b.hold(f), nil
+}
+
 // Fetch brings page id into a frame (evicting and, if dirty, flushing the
-// LRU occupant) and returns a pointer to the handle's stable copy of it.
-// The pointer is valid only until the next Fetch or Allocate on this
-// handle; modifications must be announced with MarkDirty before then.
+// LRU occupant) and returns a pointer to the handle's private copy of it.
+// The pointer is valid only until the next call on this handle;
+// modifications must be announced with MarkDirty before then.
 func (b *Buffered) Fetch(id page.ID) (*page.Page, error) {
 	p := b.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.sync()
-	p.tick++
-	f := p.lookup(id)
-	if f != nil {
-		b.charge(Stats{Hits: 1})
-		f.used = p.tick
-	} else {
-		f = p.victim()
-		if err := b.flushFrame(f); err != nil {
-			return nil, err
-		}
-		if err := p.file.ReadPage(id, &f.pg); err != nil {
-			f.id = page.Nil
-			p.pending = nil
-			return nil, fmt.Errorf("buffer %q: read page %d: %w", p.name, id, err)
-		}
-		f.id = id
-		f.used = p.tick
-		b.charge(Stats{Reads: 1, ReadOps: 1})
+	b.begin()
+	f, err := b.resident(id)
+	if err != nil {
+		return nil, err
 	}
-	return b.adopt(f.pg, id), nil
+	v := b.scratch()
+	v.pg = *f.pg
+	v.id = id
+	v.dirty = false
+	p.pending = v
+	return &v.pg, nil
 }
 
-// adopt installs a page image as the handle's stable scratch copy and
-// marks it pending. Caller holds p.mu.
-func (b *Buffered) adopt(pg page.Page, id page.ID) *page.Page {
-	b.v.pg = pg
-	b.v.id = id
-	b.v.dirty = false
-	b.p.pending = b.v
-	return &b.v.pg
+// scratch returns the handle's scratch page, making it on first use: a
+// handle that only ever views never pays for one.
+func (b *Buffered) scratch() *view {
+	if b.v == nil {
+		b.v = &view{id: page.Nil}
+	}
+	return b.v
 }
 
-// FetchAhead is Fetch with sequential prefetch: on a miss it reads the
+// ViewAhead is View with sequential prefetch: on a miss it reads the
 // requested page plus up to ahead following pages in one storage
 // operation, installing each in its own frame. The set of pages read is
 // identical to what per-page fetches of the same run would read — the
 // batch is capped by the file size, by the pool's frame count, and by the
 // first already-resident page, so Reads/Writes/Hits counters move exactly
-// as they would for Fetch; only ReadOps is smaller (one per batch).
+// as they would for View; only ReadOps is smaller (one per batch).
 // Pages deeper in the batch are installed as less recently used than the
 // requested page, so LRU consumes a run front-to-back. With ahead <= 0 or
-// a single-frame pool it degenerates to Fetch exactly.
-func (b *Buffered) FetchAhead(id page.ID, ahead int) (*page.Page, error) {
+// a single-frame pool it degenerates to View exactly.
+func (b *Buffered) ViewAhead(id page.ID, ahead int) (*page.Page, error) {
 	p := b.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.sync()
-	p.tick++
+	b.begin()
 	if f := p.lookup(id); f != nil {
 		b.charge(Stats{Hits: 1})
 		f.used = p.tick
-		return b.adopt(f.pg, id), nil
+		return b.hold(f), nil
 	}
 	// Size the batch: the requested page plus in-range, non-resident
 	// successors. Stopping at the first resident page keeps every page of
@@ -380,26 +558,51 @@ func (b *Buffered) FetchAhead(id page.ID, ahead int) (*page.Page, error) {
 	for n <= ahead && p.lookup(id+page.ID(n)) == nil {
 		n++
 	}
-	batch := make([]page.Page, n)
-	if err := p.file.ReadPages(id, batch); err != nil {
+	// Gather the run before evicting anything, so a failed read leaves the
+	// frames as they were. A store that cannot lend is read in one
+	// operation, as the wrappers beneath it expect.
+	src := make([]*page.Page, n)
+	var err error
+	if p.lend != nil {
+		for j := range src {
+			if src[j], err = p.lend.Lend(id + page.ID(j)); err != nil {
+				break
+			}
+		}
+	} else {
+		batch := make([]page.Page, n)
+		err = p.file.ReadPages(id, batch)
+		for j := range src {
+			src[j] = &batch[j]
+		}
+	}
+	if err != nil {
 		p.pending = nil
 		return nil, fmt.Errorf("buffer %q: read pages %d..%d: %w", p.name, id, int(id)+n-1, err)
 	}
 	// Install back-to-front so the requested page ends most recently used
 	// and every eviction picks a pre-existing frame (the fresh ticks are
 	// always newer).
+	var first *frame
 	for j := n - 1; j >= 0; j-- {
 		f := p.victim()
 		if err := b.flushFrame(f); err != nil {
 			return nil, err
 		}
-		f.pg = batch[j]
+		p.empty(f)
+		if p.lend != nil {
+			f.pg = src[j]
+		} else {
+			p.own(f)
+			f.img.pg = *src[j]
+		}
 		f.id = id + page.ID(j)
 		f.used = p.tick
 		p.tick++
+		first = f
 	}
 	b.charge(Stats{Reads: int64(n), ReadOps: 1})
-	return b.adopt(batch[0], id), nil
+	return b.hold(first), nil
 }
 
 // MarkDirty records that the most recently fetched page was modified; it
@@ -408,7 +611,7 @@ func (b *Buffered) MarkDirty() {
 	p := b.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pending == b.v && b.v.id != page.Nil {
+	if b.v != nil && p.pending == b.v && b.v.id != page.Nil {
 		b.v.dirty = true
 		return
 	}
@@ -424,6 +627,7 @@ func (b *Buffered) MarkDirty() {
 		}
 	}
 	if mru != nil {
+		p.private(mru) // a dirty frame owns its image: NoteLogged stamps it
 		mru.dirty = true
 		mru.lsn = 0
 	}
@@ -437,8 +641,7 @@ func (b *Buffered) Allocate() (page.ID, *page.Page, error) {
 	p := b.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.sync()
-	p.tick++
+	b.begin()
 	// Extend the file before flushing the victim: a caller may have linked
 	// the predicted new page ID into an overflow chain on a page now
 	// sitting dirty in a frame, and flushing that link to disk before the
@@ -452,16 +655,18 @@ func (b *Buffered) Allocate() (page.ID, *page.Page, error) {
 	if err := b.flushFrame(f); err != nil {
 		return page.Nil, nil, err
 	}
-	f.pg = page.Page{}
+	p.own(f)
+	f.img.pg = page.Page{}
 	f.id = id
 	f.used = p.tick
 	f.dirty = true
 	f.lsn = 0
-	b.v.pg = page.Page{}
-	b.v.id = id
-	b.v.dirty = true // callers format the fresh page in place
-	p.pending = b.v
-	return id, &b.v.pg, nil
+	v := b.scratch()
+	v.pg = page.Page{}
+	v.id = id
+	v.dirty = true // callers format the fresh page in place
+	p.pending = v
+	return id, &v.pg, nil
 }
 
 // Flush writes every dirty frame back. The frames remain resident.
@@ -494,7 +699,7 @@ func (b *Buffered) Invalidate() error {
 		return err
 	}
 	for i := range p.frames {
-		p.frames[i].id = page.Nil
+		p.empty(&p.frames[i])
 	}
 	p.pending = nil
 	return nil
@@ -529,8 +734,7 @@ func (b *Buffered) Truncate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range p.frames {
-		p.frames[i].id = page.Nil
-		p.frames[i].dirty = false
+		p.empty(&p.frames[i])
 	}
 	p.pending = nil
 	return p.file.Truncate()
@@ -566,7 +770,7 @@ func (b *Buffered) CaptureDirty() []CapturedPage {
 	for i := range p.frames {
 		f := &p.frames[i]
 		if f.dirty && f.id != page.Nil {
-			out = append(out, CapturedPage{ID: f.id, Pg: f.pg})
+			out = append(out, CapturedPage{ID: f.id, Pg: *f.pg})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -587,6 +791,7 @@ func (b *Buffered) NoteLogged(id page.ID, lsn int64) {
 		return
 	}
 	f.lsn = lsn
+	p.private(f)
 	f.pg.SetLSNTag(uint16(lsn))
 }
 

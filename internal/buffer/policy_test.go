@@ -113,16 +113,16 @@ func TestSingleFramePolicyMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestFetchAheadBatches checks the batching contract: a readahead fetch
+// TestViewAheadBatches checks the batching contract: a readahead fetch
 // reads the whole run in one operation (ReadOps 1) and the following pages
 // are hits.
-func TestFetchAheadBatches(t *testing.T) {
+func TestViewAheadBatches(t *testing.T) {
 	b := newPolBuf(t, 8, Policy{Frames: 8, Readahead: 4})
-	if _, err := b.FetchAhead(0, 3); err != nil {
+	if _, err := b.ViewAhead(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if s := b.Stats(); s.Reads != 4 || s.ReadOps != 1 || s.Hits != 0 {
-		t.Fatalf("after FetchAhead(0,3): %+v, want reads=4 ops=1 hits=0", s)
+		t.Fatalf("after ViewAhead(0,3): %+v, want reads=4 ops=1 hits=0", s)
 	}
 	for _, id := range []page.ID{1, 2, 3} {
 		if _, err := b.Fetch(id); err != nil {
@@ -134,20 +134,20 @@ func TestFetchAheadBatches(t *testing.T) {
 	}
 }
 
-// TestFetchAheadStopsAtResident ensures a batch never re-reads a page that
+// TestViewAheadStopsAtResident ensures a batch never re-reads a page that
 // is already in a frame — that would inflate Reads and desynchronize the
 // frame pool.
-func TestFetchAheadStopsAtResident(t *testing.T) {
+func TestViewAheadStopsAtResident(t *testing.T) {
 	b := newPolBuf(t, 8, Policy{Frames: 8, Readahead: 7})
 	if _, err := b.Fetch(2); err != nil {
 		t.Fatal(err)
 	}
 	// Pages 0..1 are free, 2 is resident: the batch must stop at it.
-	if _, err := b.FetchAhead(0, 7); err != nil {
+	if _, err := b.ViewAhead(0, 7); err != nil {
 		t.Fatal(err)
 	}
 	if s := b.Stats(); s.Reads != 3 || s.ReadOps != 2 {
-		t.Fatalf("after FetchAhead into resident page: %+v, want reads=3 ops=2", s)
+		t.Fatalf("after ViewAhead into resident page: %+v, want reads=3 ops=2", s)
 	}
 	if _, err := b.Fetch(2); err != nil {
 		t.Fatal(err)
@@ -157,18 +157,18 @@ func TestFetchAheadStopsAtResident(t *testing.T) {
 	}
 }
 
-// TestFetchAheadSingleFrameDegenerates pins that readahead self-caps on a
-// single-frame pool: FetchAhead behaves exactly like Fetch, so a stray
+// TestViewAheadSingleFrameDegenerates pins that readahead self-caps on a
+// single-frame pool: ViewAhead behaves exactly like Fetch, so a stray
 // hint cannot change measurement-mode counters.
-func TestFetchAheadSingleFrameDegenerates(t *testing.T) {
+func TestViewAheadSingleFrameDegenerates(t *testing.T) {
 	b := newPolBuf(t, 4, Policy{Frames: 1})
 	for _, id := range []page.ID{0, 1, 0} {
-		if _, err := b.FetchAhead(id, 8); err != nil {
+		if _, err := b.ViewAhead(id, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s := b.Stats(); s.Reads != 3 || s.ReadOps != 3 || s.Hits != 0 {
-		t.Fatalf("single-frame FetchAhead: %+v, want reads=3 ops=3 hits=0", s)
+		t.Fatalf("single-frame ViewAhead: %+v, want reads=3 ops=3 hits=0", s)
 	}
 }
 

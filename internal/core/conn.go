@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"tdbms/internal/am"
 	"tdbms/internal/buffer"
 	"tdbms/internal/exec"
 	"tdbms/internal/plan"
@@ -79,6 +80,12 @@ type Conn struct {
 	views     map[string]*relView
 	viewEpoch uint64
 	viewPol   buffer.Policy
+
+	// arena backs the tuples a retrieve's batch scans copy off their pages.
+	// They die with the statement — results hold values, not tuple bytes —
+	// so each retrieve resets it and the session's next statement reuses
+	// the memory.
+	arena am.Arena
 }
 
 // relView is one cached session view and the root-handle stamp it was

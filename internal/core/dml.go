@@ -466,7 +466,8 @@ func (db *Conn) dmlCandidates(v string, where tquel.Expr, when tquel.TExpr) (*qu
 	q.qv[v].currentOnly = true
 	// Route the candidate scan through the planner and executor so DML
 	// uses the same one-variable access-path decision as retrieves.
-	node := plan.Leaf(db.varInfo(q, v))
+	info := db.varInfo(q, v)
+	node := plan.Leaf(&info)
 	att := exec.NewAttribution(db.statsFn)
 	var cands []candidate
 	l := &lowering{db: db, q: q, att: att}

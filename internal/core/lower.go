@@ -70,7 +70,7 @@ func (db *Conn) varInfo(q *query, v string) plan.VarInfo {
 	}
 	if qv.keyConst != nil {
 		info.HasKeyConst = true
-		info.KeyConst = qv.keyConst.String()
+		info.KeyConst = qv.keyConst
 	}
 	if qv.keyLo != nil {
 		info.HasLo, info.KeyLo = true, *qv.keyLo
@@ -96,27 +96,28 @@ func (db *Conn) varInfo(q *query, v string) plan.VarInfo {
 func (db *Conn) buildPlan(q *query, aggregate bool) (*plan.Tree, []joinConj) {
 	s := q.stmt
 	in := plan.Input{
-		Slice:     "as of now (default)",
 		Aggregate: aggregate,
 		Unique:    s.Unique,
 		Sort:      len(s.Sort) > 0,
 		Into:      s.Into,
 	}
-	if s.AsOf != nil {
-		in.Slice = "as of " + temporal.Format(q.at, temporal.Second)
-		if q.thr != q.at {
-			in.Slice += " through " + temporal.Format(q.thr, temporal.Second)
+	// The closure outlives the query inside the plan tree: capture the
+	// three values it prints, not the query.
+	sliced, at, thr := s.AsOf != nil, q.at, q.thr
+	in.Slice = func() string {
+		if !sliced {
+			return "as of now (default)"
 		}
+		slice := "as of " + temporal.Format(at, temporal.Second)
+		if thr != at {
+			slice += " through " + temporal.Format(thr, temporal.Second)
+		}
+		return slice
 	}
 	for _, t := range s.Targets {
 		in.Targets = append(in.Targets, strings.ToLower(t.Name))
 	}
-	if s.Where != nil {
-		in.HasWhere, in.WhereStr = true, s.Where.String()
-	}
-	if s.When != nil {
-		in.HasWhen, in.WhenStr = true, s.When.String()
-	}
+	in.Where, in.When = s.Where, s.When
 	for _, v := range q.vars {
 		in.Vars = append(in.Vars, db.varInfo(q, v))
 	}

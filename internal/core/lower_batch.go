@@ -108,7 +108,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node) exec.BatchOperator {
 		// A detached temporary holds only qualifying projections; its
 		// scan applies no predicates.
 		n.Pages = qv.temp.hf.Buffer().NumPages()
-		return &exec.BatchScan{Node: n, Att: l.att, Readahead: l.ra, Slot: slot,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Readahead: l.ra, Slot: slot,
 			Start: func() (am.Iterator, error) { return qv.temp.hf.Scan(), nil },
 			Bind: func(rid page.RID, tup []byte) (bool, error) {
 				q.env.vars[v].tup = tup
@@ -117,7 +117,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node) exec.BatchOperator {
 			End: end,
 		}
 	case plan.OpProbe:
-		return &exec.BatchScan{Node: n, Att: l.att, Slot: slot,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
 			Start: func() (am.Iterator, error) {
 				key := qv.keyConst.AsInt()
 				if qv.currentOnly {
@@ -129,7 +129,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node) exec.BatchOperator {
 			End:  end,
 		}
 	case plan.OpRangeScan:
-		return &exec.BatchScan{Node: n, Att: l.att, Slot: slot,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
 			Start: func() (am.Iterator, error) {
 				lo, hi := qv.keyBounds()
 				if qv.currentOnly {
@@ -160,7 +160,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node) exec.BatchOperator {
 			End: end,
 		}
 	default: // plan.OpSeqScan
-		return &exec.BatchScan{Node: n, Att: l.att, Readahead: l.ra, Slot: slot,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Readahead: l.ra, Slot: slot,
 			Start: func() (am.Iterator, error) {
 				if qv.currentOnly {
 					return qv.h.src.ScanCurrent(), nil
@@ -188,7 +188,7 @@ func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) exec.Batc
 	}
 	var cq compiledQual
 	var cqb *binding
-	return &exec.BatchScan{Node: n, Att: l.att, Slot: slot,
+	return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
 		Start: func() (am.Iterator, error) {
 			keyVal, err := q.env.evalExpr(keyExpr)
 			if err != nil {

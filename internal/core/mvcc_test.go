@@ -105,7 +105,9 @@ func TestConcurrentWriterConvergence(t *testing.T) {
 // same two relations in opposite roles — (a exclusive, b shared) against
 // (b exclusive, a shared) — concurrently. Sorted-name acquisition makes
 // the pattern deadlock-free; a regression hangs, so the test watches the
-// clock.
+// clock. The appended rows carry id 2, which neither qualification selects:
+// were they to qualify, each writer would multiply the other's next
+// statement and the work would grow with the interleaving.
 func TestLatchOrderingNoDeadlock(t *testing.T) {
 	db := newDB(t)
 	mustExec(t, db, `create a (id = i4, v = i4)`)
@@ -118,8 +120,8 @@ func TestLatchOrderingNoDeadlock(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, dir := range []struct{ name, rng, stmt string }{
-		{"ab", `range of av is a`, `append to b (id = av.id, v = av.v) where av.id = 1`},
-		{"ba", `range of bv is b`, `append to a (id = bv.id, v = bv.v) where bv.id = 1`},
+		{"ab", `range of av is a`, `append to b (id = av.id + 1, v = av.v) where av.id = 1`},
+		{"ba", `range of bv is b`, `append to a (id = bv.id + 1, v = bv.v) where bv.id = 1`},
 	} {
 		wg.Add(1)
 		go func(rng, stmt string) {

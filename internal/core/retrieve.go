@@ -25,6 +25,7 @@ func (db *Conn) execRetrieve(s *tquel.RetrieveStmt) (*Result, error) {
 // returned tree carries the per-operator page attribution of the run —
 // the executed plan, not a prediction.
 func (db *Conn) runRetrieve(s *tquel.RetrieveStmt) (*Result, *plan.Tree, error) {
+	db.arena.Reset()
 	q, err := db.analyze(s)
 	if err != nil {
 		return nil, nil, err

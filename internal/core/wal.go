@@ -112,8 +112,9 @@ func (c *Conn) walCommit(txn uint64, roots []*relHandle) (int64, error) {
 			continue // two-level stores are not persisted, nothing to redo
 		}
 		for _, b := range h.src.Buffers() {
-			for _, cp := range b.CaptureDirty() {
-				cp := cp
+			captured := b.CaptureDirty()
+			for i := range captured {
+				cp := &captured[i]
 				lsn, err := db.wal.AppendImage(txn, b.Name(), cp.ID, nil, &cp.Pg)
 				if err != nil {
 					return 0, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"tdbms/internal/core"
 	"tdbms/internal/faultfs"
 	"tdbms/internal/temporal"
+	"tdbms/internal/tuple"
 )
 
 // TestChainInterleaving is the multi-writer half of the oracle: N writer
@@ -22,15 +24,22 @@ import (
 // gap, the current cut has exactly one version per key, and neither view
 // ever moves backwards between a reader's successive statements. When the
 // writers drain, every increment must have landed exactly once.
+//
+// Readers also hold on to what they read. A statement's tuples are copied
+// off pages the store lends and into an arena the session's next statement
+// recycles, so each reader keeps the previous cut's rows — the tag column
+// is a string cut from tuple bytes — across its own next statement and
+// whatever the writers did meanwhile, and checks them against a deep copy
+// taken when they were read.
 func TestChainInterleaving(t *testing.T) {
 	db := core.MustOpen(core.Options{Now: temporal.Date(1980, 1, 1, 0, 0, 0)})
 	defer db.Close()
-	if _, err := db.Exec("create persistent chain (id = i4, seq = i4)\nrange of c is chain"); err != nil {
+	if _, err := db.Exec("create persistent chain (id = i4, seq = i4, tag = c12)\nrange of c is chain"); err != nil {
 		t.Fatal(err)
 	}
 	const keys = 4
 	for id := 1; id <= keys; id++ {
-		if _, err := db.Exec(fmt.Sprintf(`append to chain (id = %d, seq = 0)`, id)); err != nil {
+		if _, err := db.Exec(fmt.Sprintf(`append to chain (id = %d, seq = 0, tag = "loaded")`, id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +72,7 @@ func TestChainInterleaving(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				db.Clock().Advance(1)
 				for id := 1; id <= keys; id++ {
-					stmt := fmt.Sprintf(`replace c (seq = c.seq + 1) where c.id = %d`, id)
+					stmt := fmt.Sprintf(`replace c (seq = c.seq + 1, tag = "w%d-r%d") where c.id = %d`, w, r, id)
 					if _, err := s.Exec(stmt); err != nil {
 						errs <- fmt.Errorf("writer %d: %w", w, err)
 						return
@@ -77,10 +86,10 @@ func TestChainInterleaving(t *testing.T) {
 	// default window is "as of now", so the full transaction-time extent is
 	// requested explicitly) and checks the prefix invariant; it returns max
 	// seq per key.
-	chainCut := func(s *core.Conn) (map[int64]int64, error) {
-		res, err := s.Exec(`retrieve (c.id, c.seq) as of "beginning" through "forever"`)
+	chainCut := func(s *core.Conn) (map[int64]int64, [][]tuple.Value, error) {
+		res, err := s.Exec(`retrieve (c.id, c.seq, c.tag) as of "beginning" through "forever"`)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		seqs := make(map[int64]map[int64]bool, keys)
 		for _, row := range res.Rows {
@@ -89,7 +98,7 @@ func TestChainInterleaving(t *testing.T) {
 				seqs[id] = make(map[int64]bool)
 			}
 			if seqs[id][seq] {
-				return nil, fmt.Errorf("key %d: seq %d appears twice in one cut", id, seq)
+				return nil, nil, fmt.Errorf("key %d: seq %d appears twice in one cut", id, seq)
 			}
 			seqs[id][seq] = true
 		}
@@ -97,34 +106,34 @@ func TestChainInterleaving(t *testing.T) {
 		for id, set := range seqs {
 			for s := int64(0); s < int64(len(set)); s++ {
 				if !set[s] {
-					return nil, fmt.Errorf("key %d: chain cut has %d versions but is missing seq %d", id, len(set), s)
+					return nil, nil, fmt.Errorf("key %d: chain cut has %d versions but is missing seq %d", id, len(set), s)
 				}
 			}
 			max[id] = int64(len(set)) - 1
 		}
-		return max, nil
+		return max, res.Rows, nil
 	}
 	// currentCut reads the as-of-now cut: exactly one version per key.
-	currentCut := func(s *core.Conn) (map[int64]int64, error) {
-		res, err := s.Exec(`retrieve (c.id, c.seq) as of "now"`)
+	currentCut := func(s *core.Conn) (map[int64]int64, [][]tuple.Value, error) {
+		res, err := s.Exec(`retrieve (c.id, c.seq, c.tag) as of "now"`)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cur := make(map[int64]int64, keys)
 		for _, row := range res.Rows {
 			id, seq := row[0].I, row[1].I
 			if prev, dup := cur[id]; dup {
-				return nil, fmt.Errorf("key %d: two current versions (seq %d and %d)", id, prev, seq)
+				return nil, nil, fmt.Errorf("key %d: two current versions (seq %d and %d)", id, prev, seq)
 			}
 			cur[id] = seq
 		}
 		if len(cur) != keys {
-			return nil, fmt.Errorf("current cut has %d keys, want %d", len(cur), keys)
+			return nil, nil, fmt.Errorf("current cut has %d keys, want %d", len(cur), keys)
 		}
-		return cur, nil
+		return cur, res.Rows, nil
 	}
 
-	reader := func(name string, cut func(*core.Conn) (map[int64]int64, error)) {
+	reader := func(name string, cut func(*core.Conn) (map[int64]int64, [][]tuple.Value, error)) {
 		defer wgR.Done()
 		s, err := session(name)
 		if err != nil {
@@ -132,11 +141,23 @@ func TestChainInterleaving(t *testing.T) {
 			return
 		}
 		last := make(map[int64]int64)
+		var kept [][]tuple.Value // the previous cut's rows, as the engine returned them
+		var keptCopy []string    // their rendering, on memory of the test's own
 		observe := func() bool {
-			seen, err := cut(s)
+			seen, rows, err := cut(s)
 			if err != nil {
 				errs <- fmt.Errorf("%s: %w", name, err)
 				return false
+			}
+			for i, row := range kept {
+				if got := renderRow(row); got != keptCopy[i] {
+					errs <- fmt.Errorf("%s: a kept row changed after later statements: %q, was %q", name, got, keptCopy[i])
+					return false
+				}
+			}
+			kept, keptCopy = rows, keptCopy[:0]
+			for _, row := range rows {
+				keptCopy = append(keptCopy, renderRow(row))
 			}
 			for id, seq := range seen {
 				if seq < last[id] {
@@ -168,7 +189,7 @@ func TestChainInterleaving(t *testing.T) {
 		t.Error(err)
 	}
 
-	final, err := currentCut(db.DefaultSession())
+	final, _, err := currentCut(db.DefaultSession())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +199,7 @@ func TestChainInterleaving(t *testing.T) {
 			t.Errorf("key %d: final seq %d, want %d (lost or duplicated update)", id, seq, want)
 		}
 	}
-	if max, err := chainCut(db.DefaultSession()); err != nil {
+	if max, _, err := chainCut(db.DefaultSession()); err != nil {
 		t.Error(err)
 	} else {
 		for id, m := range max {
@@ -190,6 +211,15 @@ func TestChainInterleaving(t *testing.T) {
 	if err := db.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// renderRow prints a result row's values, strings included, byte for byte.
+func renderRow(row []tuple.Value) string {
+	var b strings.Builder
+	for _, v := range row {
+		fmt.Fprintf(&b, "%d|%q|", v.I, v.S)
+	}
+	return b.String()
 }
 
 // TestFaultMatrixConcurrentWriters combines the two oracles: GOMAXPROCS

@@ -24,36 +24,31 @@ const DefaultBatchCap = 256
 // Batch is a fixed-capacity block of rows. Rows are stored row-major
 // (slots per row); sel holds the indices of the rows still selected, in
 // order. A leaf appends only qualifying rows, so for leaves sel is the
-// identity; filters compact sel in place without moving rows.
+// identity; filters compact sel in place without moving rows. The
+// capacity is a limit, not a reservation: row storage grows with the rows
+// actually added, so a one-row answer does not pay for a full batch.
 type Batch struct {
 	slots int
 	cap   int
 	n     int
-	tups  [][]byte
+	tups  [][]byte // slots × (rows allocated so far), all nil past row n
 	sel   []int
 }
 
-// NewBatch allocates a batch of capacity rows with slots slots per row.
+// NewBatch returns an empty batch that holds up to capacity rows of slots
+// slots each.
 func NewBatch(slots, capacity int) *Batch {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Batch{
-		slots: slots,
-		cap:   capacity,
-		tups:  make([][]byte, slots*capacity),
-		sel:   make([]int, 0, capacity),
-	}
+	return &Batch{slots: slots, cap: capacity}
 }
 
 // Reset empties the batch for refilling. The used region is cleared so a
 // slot a previous producer left bound does not leak into the next fill
 // (joins rely on nil slots meaning "not bound by this subtree").
 func (b *Batch) Reset() {
-	used := b.tups[:b.n*b.slots]
-	for i := range used {
-		used[i] = nil
-	}
+	clear(b.tups[:b.n*b.slots])
 	b.n = 0
 	b.sel = b.sel[:0]
 }
@@ -77,12 +72,25 @@ func (b *Batch) Room() int { return b.cap - b.n }
 func (b *Batch) Row(i int) [][]byte { return b.tups[i*b.slots : (i+1)*b.slots] }
 
 // AddRow appends a selected row and returns its slot slice for the caller
-// to fill. The batch must not be full.
+// to fill. The batch must not be full. Row slices handed out earlier are
+// stale once a later AddRow grew the storage: fill a row before adding the
+// next.
 func (b *Batch) AddRow() [][]byte {
 	i := b.n
+	if (i+1)*b.slots > len(b.tups) {
+		b.grow()
+	}
 	b.n++
 	b.sel = append(b.sel, i)
 	return b.Row(i)
+}
+
+// grow doubles the row storage, from four rows up to the capacity.
+func (b *Batch) grow() {
+	rows := min(max(4, 2*b.n), b.cap)
+	tups := make([][]byte, rows*b.slots)
+	copy(tups, b.tups)
+	b.tups = tups
 }
 
 // AddMerged appends a selected row combining an outer and an inner row:
@@ -159,14 +167,20 @@ func closeBatchOp(op BatchOperator, err error) error {
 // qualifiers in the scan's own slot. One attribution bracket covers the
 // whole fill, instead of one per tuple.
 type BatchScan struct {
-	Node      *plan.Node
-	Att       *Attribution
-	Start     func() (am.Iterator, error)
+	Node  *plan.Node
+	Att   *Attribution
+	Start func() (am.Iterator, error)
+	// Bind qualifies one tuple. Under the block protocol it sees the tuple
+	// in place, on the page, and only the tuples it accepts are copied; it
+	// must not keep the slice.
 	Bind      func(rid page.RID, tup []byte) (bool, error)
 	End       func()
 	Readahead int
 	// Slot is the scan's variable's slot in the batch rows.
 	Slot int
+	// Arena, when set, backs the qualifying tuples; the owner resets it
+	// once the rows built from them are dead. Nil gives the scan its own.
+	Arena *am.Arena
 
 	it   am.Iterator
 	bit  am.BlockIterator // non-nil when it delivers tuples page-at-a-time
@@ -187,6 +201,7 @@ func (s *BatchScan) Open() error {
 	}
 	s.it = it
 	s.bit, _ = it.(am.BlockIterator)
+	s.blk.Qual, s.blk.Arena = s.Bind, s.Arena
 	s.done = false
 	return nil
 }
@@ -209,22 +224,13 @@ func (s *BatchScan) NextBatch(b *Batch) (bool, error) {
 				return false, err
 			}
 			if !ok {
-				s.done = true
-				if s.End != nil {
-					s.End()
-				}
+				s.finish()
 				break
 			}
-			for i, tup := range s.blk.Tups {
-				pass, err := s.Bind(s.blk.RIDs[i], tup)
-				if err != nil {
-					return false, err
-				}
-				if pass {
-					b.AddRow()[s.Slot] = tup
-					s.Node.ActRows++
-				}
+			for _, tup := range s.blk.Tups {
+				b.AddRow()[s.Slot] = tup
 			}
+			s.Node.ActRows += int64(len(s.blk.Tups))
 			continue
 		}
 		rid, tup, ok, err := s.it.Next()
@@ -232,10 +238,7 @@ func (s *BatchScan) NextBatch(b *Batch) (bool, error) {
 			return false, err
 		}
 		if !ok {
-			s.done = true
-			if s.End != nil {
-				s.End()
-			}
+			s.finish()
 			break
 		}
 		pass, err := s.Bind(rid, tup)
@@ -248,6 +251,14 @@ func (s *BatchScan) NextBatch(b *Batch) (bool, error) {
 		}
 	}
 	return b.Len() > 0, nil
+}
+
+// finish marks the scan exhausted.
+func (s *BatchScan) finish() {
+	s.done = true
+	if s.End != nil {
+		s.End()
+	}
 }
 
 // Close implements BatchOperator.

@@ -9,6 +9,7 @@
 package hashfile
 
 import (
+	"bytes"
 	"fmt"
 
 	"tdbms/internal/am"
@@ -151,7 +152,7 @@ func (f *File) Insert(tup []byte) (page.RID, error) {
 
 // Get implements am.File.
 func (f *File) Get(rid page.RID) ([]byte, error) {
-	p, err := f.buf.Fetch(rid.Page)
+	p, err := f.buf.View(rid.Page)
 	if err != nil {
 		return nil, err
 	}
@@ -159,9 +160,7 @@ func (f *File) Get(rid page.RID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(t))
-	copy(out, t)
-	return out, nil
+	return bytes.Clone(t), nil
 }
 
 // Update implements am.File (in place; the key must not change).
@@ -192,225 +191,37 @@ func (f *File) Delete(rid page.RID) error {
 
 // Probe implements am.File: hashed access, reading only the bucket's chain.
 func (f *File) Probe(key int64) am.Iterator {
-	return &chainIter{f: f, cur: f.Bucket(key), filter: true, key: key}
+	return am.NewWalk(&chainWalk{f: f, cur: f.Bucket(key)}, am.Equal(f.meta.Key, key))
 }
 
 // ProbeChain iterates the whole chain of key's bucket without filtering by
 // key (used by the version-scan analysis and tests).
 func (f *File) ProbeChain(key int64) am.Iterator {
-	return &chainIter{f: f, cur: f.Bucket(key)}
+	return am.NewWalk(&chainWalk{f: f, cur: f.Bucket(key)}, am.Match{})
 }
 
 // Scan implements am.File: every primary page followed by its chain.
 func (f *File) Scan() am.Iterator {
-	return &scanIter{f: f}
+	return am.NewWalk(&am.PrimaryScan{Buf: f.buf, Primaries: f.meta.Primary}, am.Match{})
 }
 
-// chainIter walks one overflow chain.
-type chainIter struct {
-	f      *File
-	cur    page.ID
-	slot   int
-	filter bool
-	key    int64
+// chainWalk visits one overflow chain.
+type chainWalk struct {
+	f   *File
+	cur page.ID
 }
 
-// Next implements am.Iterator.
-func (it *chainIter) Next() (page.RID, []byte, bool, error) {
-	for it.cur != page.Nil {
-		p, err := it.f.buf.Fetch(it.cur)
-		if err != nil {
-			return page.NilRID, nil, false, err
-		}
-		for it.slot < p.Slots() {
-			s := it.slot
-			it.slot++
-			t, err := p.Get(s)
-			if err == page.ErrBadSlot {
-				continue
-			}
-			if err != nil {
-				return page.NilRID, nil, false, err
-			}
-			if it.filter && it.f.meta.Key.Extract(t) != it.key {
-				continue
-			}
-			out := make([]byte, len(t))
-			copy(out, t)
-			return page.RID{Page: it.cur, Slot: uint16(s)}, out, true, nil
-		}
-		it.cur = p.Next()
-		it.slot = 0
+// View implements am.PageWalk.
+func (w *chainWalk) View(*am.Match) (*page.Page, page.ID, error) {
+	if w.cur == page.Nil {
+		return nil, page.Nil, nil
 	}
-	return page.NilRID, nil, false, nil
+	p, err := w.f.buf.View(w.cur)
+	return p, w.cur, err
 }
 
-// NextBlock implements am.BlockIterator: the remaining qualifiers of the
-// chain page under the cursor, one fetch for all of them.
-func (it *chainIter) NextBlock(blk *am.Block, max int) (bool, error) {
-	blk.Reset()
-	if max < 1 {
-		max = 1
-	}
-	for it.cur != page.Nil {
-		p, err := it.f.buf.Fetch(it.cur)
-		if err != nil {
-			return false, err
-		}
-		for it.slot < p.Slots() && blk.Len() < max {
-			s := it.slot
-			it.slot++
-			t, err := p.Get(s)
-			if err == page.ErrBadSlot {
-				continue
-			}
-			if err != nil {
-				return false, err
-			}
-			if it.filter && it.f.meta.Key.Extract(t) != it.key {
-				continue
-			}
-			blk.Add(page.RID{Page: it.cur, Slot: uint16(s)}, t)
-		}
-		if it.slot < p.Slots() {
-			return true, nil // stopped at max; cursor stays on this page
-		}
-		it.cur = p.Next()
-		it.slot = 0
-		if blk.Len() > 0 {
-			return true, nil
-		}
-	}
-	return false, nil
-}
+// Leave implements am.PageWalk.
+func (w *chainWalk) Leave(p *page.Page) { w.cur = p.Next() }
 
-// Close implements am.Iterator, releasing the chain position.
-func (it *chainIter) Close() error {
-	it.cur = page.Nil
-	return nil
-}
-
-// scanIter visits each primary page and its full chain.
-type scanIter struct {
-	f       *File
-	primary int // next primary bucket to start
-	cur     page.ID
-	slot    int
-	ahead   int
-	started bool
-	closed  bool
-}
-
-// SetReadahead implements am.ReadaheadHinter. Only the primary buckets are
-// contiguous (pages 0..Primary-1); overflow pages are chained anywhere past
-// them, so prefetch is confined to the primary region.
-func (it *scanIter) SetReadahead(n int) { it.ahead = n }
-
-// Next implements am.Iterator.
-func (it *scanIter) Next() (page.RID, []byte, bool, error) {
-	if it.closed {
-		return page.NilRID, nil, false, nil
-	}
-	for {
-		if !it.started {
-			if it.primary >= it.f.meta.Primary {
-				return page.NilRID, nil, false, nil
-			}
-			it.cur = page.ID(it.primary)
-			it.slot = 0
-			it.started = true
-		}
-		for it.cur != page.Nil {
-			p, err := it.fetch()
-			if err != nil {
-				return page.NilRID, nil, false, err
-			}
-			for it.slot < p.Slots() {
-				s := it.slot
-				it.slot++
-				t, err := p.Get(s)
-				if err == page.ErrBadSlot {
-					continue
-				}
-				if err != nil {
-					return page.NilRID, nil, false, err
-				}
-				out := make([]byte, len(t))
-				copy(out, t)
-				return page.RID{Page: it.cur, Slot: uint16(s)}, out, true, nil
-			}
-			it.cur = p.Next()
-			it.slot = 0
-		}
-		it.primary++
-		it.started = false
-	}
-}
-
-// fetch brings the cursor's page in, prefetching ahead within the
-// contiguous primary region exactly as Next does.
-func (it *scanIter) fetch() (*page.Page, error) {
-	if ahead := it.ahead; ahead > 0 && int(it.cur) < it.f.meta.Primary {
-		if rest := it.f.meta.Primary - int(it.cur) - 1; ahead > rest {
-			ahead = rest
-		}
-		return it.f.buf.FetchAhead(it.cur, ahead)
-	}
-	return it.f.buf.Fetch(it.cur)
-}
-
-// NextBlock implements am.BlockIterator: the remaining tuples of the page
-// under the cursor, one fetch for all of them.
-func (it *scanIter) NextBlock(blk *am.Block, max int) (bool, error) {
-	blk.Reset()
-	if it.closed {
-		return false, nil
-	}
-	if max < 1 {
-		max = 1
-	}
-	for {
-		if !it.started {
-			if it.primary >= it.f.meta.Primary {
-				return false, nil
-			}
-			it.cur = page.ID(it.primary)
-			it.slot = 0
-			it.started = true
-		}
-		for it.cur != page.Nil {
-			p, err := it.fetch()
-			if err != nil {
-				return false, err
-			}
-			for it.slot < p.Slots() && blk.Len() < max {
-				s := it.slot
-				it.slot++
-				t, err := p.Get(s)
-				if err == page.ErrBadSlot {
-					continue
-				}
-				if err != nil {
-					return false, err
-				}
-				blk.Add(page.RID{Page: it.cur, Slot: uint16(s)}, t)
-			}
-			if it.slot < p.Slots() {
-				return true, nil // stopped at max; cursor stays on this page
-			}
-			it.cur = p.Next()
-			it.slot = 0
-			if blk.Len() > 0 {
-				return true, nil
-			}
-		}
-		it.primary++
-		it.started = false
-	}
-}
-
-// Close implements am.Iterator, releasing the scan position.
-func (it *scanIter) Close() error {
-	it.closed = true
-	return nil
-}
+// Close implements am.PageWalk.
+func (w *chainWalk) Close() { w.cur = page.Nil }

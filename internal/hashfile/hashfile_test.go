@@ -335,3 +335,84 @@ func TestBucketDistribution(t *testing.T) {
 		t.Errorf("distribution: %d buckets of 8, %d of 7; want 121, 8", n8, n7)
 	}
 }
+
+// TestBlockTuplesAreCopies pins the contract the copy-free read path must
+// keep: the iterator qualifies tuples in place, on the store's own page, but
+// what the block hands out are copies. The test keeps a chain's block tuples,
+// then overwrites every one of them in the file and flushes — which stores
+// into the very memory the iterator was reading — and finds the kept bytes
+// unchanged. In-place qualification is checked from the other side: Qual
+// must see the page's memory, not a copy, or the read path is copying again.
+func TestBlockTuplesAreCopies(t *testing.T) {
+	mem := storage.NewMem()
+	f, err := Build(buffer.New("h", mem), Meta{Width: temporalWidth, Key: key4(), Primary: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key, versions = 4, 20 // three pages of one bucket's chain
+	for v := 0; v < versions; v++ {
+		tup := mkTuple(temporalWidth, key)
+		tup[8] = byte(v)
+		if _, err := f.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Buffer().Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	inPlace := 0
+	var blk am.Block
+	blk.Qual = func(rid page.RID, tup []byte) (bool, error) {
+		pg, err := mem.Lend(rid.Page)
+		if err != nil {
+			return false, err
+		}
+		if stored, _ := pg.Get(int(rid.Slot)); &stored[0] == &tup[0] {
+			inPlace++
+		}
+		return tup[8]%2 == 0, nil // keep the even versions
+	}
+	var kept, want [][]byte
+	var rids []page.RID
+	it := f.Probe(key).(am.BlockIterator)
+	for {
+		ok, err := it.NextBlock(&blk, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		for i, tup := range blk.Tups {
+			kept = append(kept, tup)
+			want = append(want, append([]byte(nil), tup...))
+			rids = append(rids, blk.RIDs[i])
+		}
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != versions/2 {
+		t.Fatalf("kept %d tuples, want %d", len(kept), versions/2)
+	}
+	if inPlace != versions {
+		t.Fatalf("Qual saw the page in place for %d of %d candidates", inPlace, versions)
+	}
+
+	for _, rid := range rids {
+		tup := mkTuple(temporalWidth, key)
+		tup[8] = 0xEE
+		if err := f.Update(rid, tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Buffer().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range kept {
+		if string(kept[i]) != string(want[i]) {
+			t.Fatalf("kept tuple %d changed under a later write: version byte %#x, was %#x", i, kept[i][8], want[i][8])
+		}
+	}
+}

@@ -6,6 +6,7 @@
 package heapfile
 
 import (
+	"bytes"
 	"fmt"
 
 	"tdbms/internal/am"
@@ -87,7 +88,7 @@ func (f *File) Insert(tup []byte) (page.RID, error) {
 
 // Get implements am.File.
 func (f *File) Get(rid page.RID) ([]byte, error) {
-	p, err := f.buf.Fetch(rid.Page)
+	p, err := f.buf.View(rid.Page)
 	if err != nil {
 		return nil, err
 	}
@@ -95,9 +96,7 @@ func (f *File) Get(rid page.RID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(t))
-	copy(out, t)
-	return out, nil
+	return bytes.Clone(t), nil
 }
 
 // Update implements am.File.
@@ -142,7 +141,7 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 
 // Scan implements am.File, visiting pages in file order.
 func (f *File) Scan() am.Iterator {
-	return &scanIter{f: f}
+	return am.NewWalk(&scanWalk{f: f}, am.Match{})
 }
 
 // Probe implements am.File as a filtered full scan.
@@ -150,15 +149,14 @@ func (f *File) Probe(key int64) am.Iterator {
 	if !f.keyed {
 		return am.Empty{}
 	}
-	return &scanIter{f: f, filter: true, key: key}
+	return am.NewWalk(&scanWalk{f: f}, am.Equal(f.key, key))
 }
 
-type scanIter struct {
+// scanWalk visits the pages in file order, up to whatever the file's last
+// page is when the scan gets there.
+type scanWalk struct {
 	f      *File
 	cur    page.ID
-	slot   int
-	filter bool
-	key    int64
 	ahead  int
 	closed bool
 }
@@ -166,99 +164,25 @@ type scanIter struct {
 // SetReadahead implements am.ReadaheadHinter: page fetches may prefetch
 // up to n pages past the cursor. Heap pages are fully contiguous, so the
 // whole file is one readahead run.
-func (it *scanIter) SetReadahead(n int) { it.ahead = n }
+func (w *scanWalk) SetReadahead(n int) { w.ahead = n }
 
-// Next implements am.Iterator.
-func (it *scanIter) Next() (page.RID, []byte, bool, error) {
-	if it.closed {
-		return page.NilRID, nil, false, nil
+// View implements am.PageWalk.
+func (w *scanWalk) View(*am.Match) (*page.Page, page.ID, error) {
+	if w.closed || int(w.cur) >= w.f.buf.NumPages() {
+		return nil, page.Nil, nil
 	}
-	n := it.f.buf.NumPages()
-	for int(it.cur) < n {
-		var p *page.Page
-		var err error
-		if it.ahead > 0 {
-			p, err = it.f.buf.FetchAhead(it.cur, it.ahead)
-		} else {
-			p, err = it.f.buf.Fetch(it.cur)
-		}
-		if err != nil {
-			return page.NilRID, nil, false, err
-		}
-		for it.slot < p.Slots() {
-			s := it.slot
-			it.slot++
-			t, err := p.Get(s)
-			if err == page.ErrBadSlot {
-				continue
-			}
-			if err != nil {
-				return page.NilRID, nil, false, err
-			}
-			if it.filter && it.f.key.Extract(t) != it.key {
-				continue
-			}
-			out := make([]byte, len(t))
-			copy(out, t)
-			return page.RID{Page: it.cur, Slot: uint16(s)}, out, true, nil
-		}
-		it.cur++
-		it.slot = 0
+	var p *page.Page
+	var err error
+	if w.ahead > 0 {
+		p, err = w.f.buf.ViewAhead(w.cur, w.ahead)
+	} else {
+		p, err = w.f.buf.View(w.cur)
 	}
-	return page.NilRID, nil, false, nil
+	return p, w.cur, err
 }
 
-// NextBlock implements am.BlockIterator: the remaining qualifiers of the
-// page under the cursor, one fetch for all of them.
-func (it *scanIter) NextBlock(blk *am.Block, max int) (bool, error) {
-	blk.Reset()
-	if it.closed {
-		return false, nil
-	}
-	if max < 1 {
-		max = 1
-	}
-	n := it.f.buf.NumPages()
-	for int(it.cur) < n {
-		var p *page.Page
-		var err error
-		if it.ahead > 0 {
-			p, err = it.f.buf.FetchAhead(it.cur, it.ahead)
-		} else {
-			p, err = it.f.buf.Fetch(it.cur)
-		}
-		if err != nil {
-			return false, err
-		}
-		for it.slot < p.Slots() && blk.Len() < max {
-			s := it.slot
-			it.slot++
-			t, err := p.Get(s)
-			if err == page.ErrBadSlot {
-				continue
-			}
-			if err != nil {
-				return false, err
-			}
-			if it.filter && it.f.key.Extract(t) != it.key {
-				continue
-			}
-			blk.Add(page.RID{Page: it.cur, Slot: uint16(s)}, t)
-		}
-		if it.slot < p.Slots() {
-			return true, nil // stopped at max; cursor stays on this page
-		}
-		it.cur++
-		it.slot = 0
-		if blk.Len() > 0 {
-			return true, nil
-		}
-	}
-	return false, nil
-}
+// Leave implements am.PageWalk.
+func (w *scanWalk) Leave(*page.Page) { w.cur++ }
 
-// Close implements am.Iterator, releasing the scan position.
-func (it *scanIter) Close() error {
-	it.closed = true
-	return nil
-}
+// Close implements am.PageWalk.
+func (w *scanWalk) Close() { w.closed = true }

@@ -12,6 +12,7 @@
 package isam
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -172,7 +173,7 @@ func (f *File) Keyed() bool { return true }
 func (f *File) locate(key int64) (page.ID, error) {
 	cur := f.meta.Root
 	for lvl := 0; lvl < f.meta.Height; lvl++ {
-		p, err := f.buf.Fetch(cur)
+		p, err := f.buf.View(cur)
 		if err != nil {
 			return page.Nil, err
 		}
@@ -200,7 +201,7 @@ func (f *File) probeRange(lo, hi int64) (start, stop page.ID, openEnd bool, err 
 	cur := f.meta.Root
 	var p *page.Page
 	for lvl := 0; lvl < f.meta.Height; lvl++ {
-		p, err = f.buf.Fetch(cur)
+		p, err = f.buf.View(cur)
 		if err != nil {
 			return 0, 0, false, err
 		}
@@ -289,7 +290,7 @@ func (f *File) Insert(tup []byte) (page.RID, error) {
 
 // Get implements am.File.
 func (f *File) Get(rid page.RID) ([]byte, error) {
-	p, err := f.buf.Fetch(rid.Page)
+	p, err := f.buf.View(rid.Page)
 	if err != nil {
 		return nil, err
 	}
@@ -297,9 +298,7 @@ func (f *File) Get(rid page.RID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(t))
-	copy(out, t)
-	return out, nil
+	return bytes.Clone(t), nil
 }
 
 // Update implements am.File (in place; the key must not change).
@@ -334,7 +333,7 @@ func (f *File) Ordered() bool { return true }
 // Probe implements am.File: directory walk plus the covering data page's
 // chain, filtered by key.
 func (f *File) Probe(key int64) am.Iterator {
-	return &probeIter{f: f, lo: key, hi: key}
+	return am.NewWalk(&probeWalk{f: f}, am.Equal(f.meta.Key, key))
 }
 
 // ProbeRange implements am.File: directory walk to the first covering data
@@ -343,275 +342,59 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 	if lo > hi {
 		return am.Empty{}
 	}
-	return &probeIter{f: f, lo: lo, hi: hi}
+	return am.NewWalk(&probeWalk{f: f}, am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Scan implements am.File: data pages in key order, each followed by its
 // overflow chain; the directory is not read.
 func (f *File) Scan() am.Iterator {
-	return &scanIter{f: f}
+	return am.NewWalk(&am.PrimaryScan{Buf: f.buf, Primaries: f.meta.DataPages}, am.Match{})
 }
 
-type probeIter struct {
-	f          *File
-	lo, hi     int64   // inclusive key range; equal for an equality probe
-	primary    page.ID // data page whose chain is being walked
-	cur        page.ID // current page within that chain
-	stop       page.ID // last candidate data page
-	openEnd    bool    // candidate run may extend past stop
-	slot       int
-	located    bool
-	done       bool
-	sawGreater bool // a key > hi was seen (keys beyond are greater too)
-}
-
-// Next implements am.Iterator. It walks each candidate data page and its
-// overflow chain, from the leftmost candidate through the stop page
-// computed from the directory. When the candidate run reached the end of a
-// directory page (openEnd), it keeps scanning forward until a key greater
-// than the range's upper bound proves no later page can match.
-func (it *probeIter) Next() (page.RID, []byte, bool, error) {
-	if it.done {
-		return page.NilRID, nil, false, nil
-	}
-	if !it.located {
-		start, stop, openEnd, err := it.f.probeRange(it.lo, it.hi)
-		if err != nil {
-			return page.NilRID, nil, false, err
-		}
-		it.primary, it.cur, it.stop, it.openEnd = start, start, stop, openEnd
-		it.located = true
-	}
-	for {
-		for it.cur != page.Nil {
-			p, err := it.f.buf.Fetch(it.cur)
-			if err != nil {
-				return page.NilRID, nil, false, err
-			}
-			for it.slot < p.Slots() {
-				s := it.slot
-				it.slot++
-				t, err := p.Get(s)
-				if err == page.ErrBadSlot {
-					continue
-				}
-				if err != nil {
-					return page.NilRID, nil, false, err
-				}
-				k := it.f.meta.Key.Extract(t)
-				if k > it.hi {
-					it.sawGreater = true
-				}
-				if k < it.lo || k > it.hi {
-					continue
-				}
-				out := make([]byte, len(t))
-				copy(out, t)
-				return page.RID{Page: it.cur, Slot: uint16(s)}, out, true, nil
-			}
-			it.cur = p.Next()
-			it.slot = 0
-		}
-		// Finished one data page group.
-		next := it.primary + 1
-		if it.sawGreater || int(next) >= it.f.meta.DataPages ||
-			(it.primary >= it.stop && !it.openEnd) {
-			it.done = true
-			return page.NilRID, nil, false, nil
-		}
-		it.primary, it.cur, it.slot = next, next, 0
-	}
-}
-
-// NextBlock implements am.BlockIterator: the remaining in-range tuples of
-// the candidate page under the cursor, one fetch for all of them.
-func (it *probeIter) NextBlock(blk *am.Block, max int) (bool, error) {
-	blk.Reset()
-	if it.done {
-		return false, nil
-	}
-	if max < 1 {
-		max = 1
-	}
-	if !it.located {
-		start, stop, openEnd, err := it.f.probeRange(it.lo, it.hi)
-		if err != nil {
-			return false, err
-		}
-		it.primary, it.cur, it.stop, it.openEnd = start, start, stop, openEnd
-		it.located = true
-	}
-	for {
-		for it.cur != page.Nil {
-			p, err := it.f.buf.Fetch(it.cur)
-			if err != nil {
-				return false, err
-			}
-			for it.slot < p.Slots() && blk.Len() < max {
-				s := it.slot
-				it.slot++
-				t, err := p.Get(s)
-				if err == page.ErrBadSlot {
-					continue
-				}
-				if err != nil {
-					return false, err
-				}
-				k := it.f.meta.Key.Extract(t)
-				if k > it.hi {
-					it.sawGreater = true
-				}
-				if k < it.lo || k > it.hi {
-					continue
-				}
-				blk.Add(page.RID{Page: it.cur, Slot: uint16(s)}, t)
-			}
-			if it.slot < p.Slots() {
-				return true, nil // stopped at max; cursor stays on this page
-			}
-			it.cur = p.Next()
-			it.slot = 0
-			if blk.Len() > 0 {
-				return true, nil
-			}
-		}
-		// Finished one data page group.
-		next := it.primary + 1
-		if it.sawGreater || int(next) >= it.f.meta.DataPages ||
-			(it.primary >= it.stop && !it.openEnd) {
-			it.done = true
-			return false, nil
-		}
-		it.primary, it.cur, it.slot = next, next, 0
-	}
-}
-
-// Close implements am.Iterator, releasing the probe position.
-func (it *probeIter) Close() error {
-	it.done = true
-	return nil
-}
-
-type scanIter struct {
+// probeWalk visits each candidate data page and its overflow chain, from
+// the leftmost candidate through the stop page computed from the
+// directory. When the candidate run reached the end of a directory page
+// (openEnd), it keeps going until a key greater than the range's upper
+// bound proves no later page can match.
+type probeWalk struct {
 	f       *File
-	primary int
-	cur     page.ID
-	slot    int
-	ahead   int
-	started bool
-	closed  bool
+	primary page.ID // data page whose chain is being walked
+	cur     page.ID // current page within that chain
+	stop    page.ID // last candidate data page
+	openEnd bool    // candidate run may extend past stop
+	located bool
+	done    bool
 }
 
-// SetReadahead implements am.ReadaheadHinter. Only the data pages are
-// contiguous (pages 0..DataPages-1); overflow pages are chained anywhere
-// past them, so prefetch is confined to the data-page region.
-func (it *scanIter) SetReadahead(n int) { it.ahead = n }
-
-// Next implements am.Iterator.
-func (it *scanIter) Next() (page.RID, []byte, bool, error) {
-	if it.closed {
-		return page.NilRID, nil, false, nil
+// View implements am.PageWalk. The first call walks the directory.
+func (w *probeWalk) View(m *am.Match) (*page.Page, page.ID, error) {
+	if w.done {
+		return nil, page.Nil, nil
 	}
-	for {
-		if !it.started {
-			if it.primary >= it.f.meta.DataPages {
-				return page.NilRID, nil, false, nil
-			}
-			it.cur = page.ID(it.primary)
-			it.slot = 0
-			it.started = true
+	if !w.located {
+		start, stop, openEnd, err := w.f.probeRange(m.Lo, m.Hi)
+		if err != nil {
+			return nil, page.Nil, err
 		}
-		for it.cur != page.Nil {
-			p, err := it.fetch()
-			if err != nil {
-				return page.NilRID, nil, false, err
-			}
-			for it.slot < p.Slots() {
-				s := it.slot
-				it.slot++
-				t, err := p.Get(s)
-				if err == page.ErrBadSlot {
-					continue
-				}
-				if err != nil {
-					return page.NilRID, nil, false, err
-				}
-				out := make([]byte, len(t))
-				copy(out, t)
-				return page.RID{Page: it.cur, Slot: uint16(s)}, out, true, nil
-			}
-			it.cur = p.Next()
-			it.slot = 0
-		}
-		it.primary++
-		it.started = false
+		w.primary, w.cur, w.stop, w.openEnd = start, start, stop, openEnd
+		w.located = true
 	}
+	if w.cur == page.Nil {
+		// Finished one data page group.
+		next := w.primary + 1
+		if m.Above || int(next) >= w.f.meta.DataPages ||
+			(w.primary >= w.stop && !w.openEnd) {
+			w.done = true
+			return nil, page.Nil, nil
+		}
+		w.primary, w.cur = next, next
+	}
+	p, err := w.f.buf.View(w.cur)
+	return p, w.cur, err
 }
 
-// fetch brings the cursor's page in, prefetching ahead within the
-// contiguous data-page region exactly as Next does.
-func (it *scanIter) fetch() (*page.Page, error) {
-	if ahead := it.ahead; ahead > 0 && int(it.cur) < it.f.meta.DataPages {
-		if rest := it.f.meta.DataPages - int(it.cur) - 1; ahead > rest {
-			ahead = rest
-		}
-		return it.f.buf.FetchAhead(it.cur, ahead)
-	}
-	return it.f.buf.Fetch(it.cur)
-}
+// Leave implements am.PageWalk.
+func (w *probeWalk) Leave(p *page.Page) { w.cur = p.Next() }
 
-// NextBlock implements am.BlockIterator: the remaining tuples of the page
-// under the cursor, one fetch for all of them.
-func (it *scanIter) NextBlock(blk *am.Block, max int) (bool, error) {
-	blk.Reset()
-	if it.closed {
-		return false, nil
-	}
-	if max < 1 {
-		max = 1
-	}
-	for {
-		if !it.started {
-			if it.primary >= it.f.meta.DataPages {
-				return false, nil
-			}
-			it.cur = page.ID(it.primary)
-			it.slot = 0
-			it.started = true
-		}
-		for it.cur != page.Nil {
-			p, err := it.fetch()
-			if err != nil {
-				return false, err
-			}
-			for it.slot < p.Slots() && blk.Len() < max {
-				s := it.slot
-				it.slot++
-				t, err := p.Get(s)
-				if err == page.ErrBadSlot {
-					continue
-				}
-				if err != nil {
-					return false, err
-				}
-				blk.Add(page.RID{Page: it.cur, Slot: uint16(s)}, t)
-			}
-			if it.slot < p.Slots() {
-				return true, nil // stopped at max; cursor stays on this page
-			}
-			it.cur = p.Next()
-			it.slot = 0
-			if blk.Len() > 0 {
-				return true, nil
-			}
-		}
-		it.primary++
-		it.started = false
-	}
-}
-
-// Close implements am.Iterator, releasing the scan position.
-func (it *scanIter) Close() error {
-	it.closed = true
-	return nil
-}
+// Close implements am.PageWalk.
+func (w *probeWalk) Close() { w.done = true }

@@ -21,9 +21,10 @@ type VarInfo struct {
 	Sels    int    // scalar single-variable restrictions
 	TSels   int    // temporal single-variable restrictions
 
-	// Key constant from an equality restriction on the storage key.
+	// Key constant from an equality restriction on the storage key,
+	// rendered only when the plan is.
 	HasKeyConst bool
-	KeyConst    string
+	KeyConst    fmt.Stringer
 	// Key range from inequality restrictions on an integer storage key.
 	HasLo, HasHi bool
 	KeyLo, KeyHi int64
@@ -66,17 +67,17 @@ func (j JoinEq) String() string {
 
 // Input is the planner's view of an analyzed retrieve.
 type Input struct {
-	Slice   string // rendered rollback-slice description
+	Slice   func() string // renders the rollback-slice description
 	Vars    []VarInfo
 	Joins   []JoinEq
 	Targets []string // target-list names, for the projection node
-	// Residual predicates re-checked over complete bindings.
-	HasWhere, HasWhen bool
-	WhereStr, WhenStr string
-	Aggregate         bool
-	Unique            bool
-	Sort              bool
-	Into              string
+	// Residual predicates re-checked over complete bindings (nil when the
+	// statement has none), rendered only when the plan is.
+	Where, When fmt.Stringer
+	Aggregate   bool
+	Unique      bool
+	Sort        bool
+	Into        string
 }
 
 // Build turns the analyzed query summary into a physical plan tree. The
@@ -96,9 +97,9 @@ func Build(in Input) *Tree {
 	var root *Node
 	switch len(in.Vars) {
 	case 0:
-		root = &Node{Op: OpOnce, Detail: "single empty binding (no tuple variables)"}
+		root = &Node{Op: OpOnce, Detail: text("single empty binding (no tuple variables)")}
 	case 1:
-		root = Leaf(in.Vars[0])
+		root = Leaf(&in.Vars[0])
 	case 2:
 		a, b := &in.Vars[0], &in.Vars[1]
 		if sub := chooseSubstitution(in, vi); sub != nil {
@@ -119,8 +120,10 @@ func Build(in Input) *Tree {
 			root = &Node{
 				Op:  OpNestLoop,
 				Sub: sub,
-				Detail: fmt.Sprintf("tuple substitution join (%s outer, %s inner)",
-					sub.DetachVar, sub.ProbeVar),
+				Detail: func() string {
+					return fmt.Sprintf("tuple substitution join (%s outer, %s inner)",
+						sub.DetachVar, sub.ProbeVar)
+				},
 				Children: []*Node{
 					tempScanNode(d),
 					probe,
@@ -129,15 +132,19 @@ func Build(in Input) *Tree {
 		} else if a.Sels > 0 && b.Sels > 0 {
 			t.Prologue = append(t.Prologue, materializeNode(a), materializeNode(b))
 			root = &Node{
-				Op:       OpNestLoop,
-				Detail:   fmt.Sprintf("nested scan over temporaries (%s outer, %s inner)", a.Var, b.Var),
+				Op: OpNestLoop,
+				Detail: func() string {
+					return fmt.Sprintf("nested scan over temporaries (%s outer, %s inner)", a.Var, b.Var)
+				},
 				Children: []*Node{tempScanNode(a), tempScanNode(b)},
 			}
 		} else {
 			root = &Node{
-				Op:       OpNestLoop,
-				Detail:   fmt.Sprintf("nested sequential scan (%s outer, %s inner)", a.Var, b.Var),
-				Children: []*Node{Leaf(*a), Leaf(*b)},
+				Op: OpNestLoop,
+				Detail: func() string {
+					return fmt.Sprintf("nested sequential scan (%s outer, %s inner)", a.Var, b.Var)
+				},
+				Children: []*Node{Leaf(a), Leaf(b)},
 			}
 		}
 	default:
@@ -148,21 +155,22 @@ func Build(in Input) *Tree {
 				t.Prologue = append(t.Prologue, materializeNode(v))
 				leaves[i] = tempScanNode(v)
 			} else {
-				leaves[i] = Leaf(*v)
+				leaves[i] = Leaf(v)
 			}
 		}
 		root = leaves[0]
 		for i := 1; i < len(leaves); i++ {
+			inner := in.Vars[i].Var
 			root = &Node{
 				Op:       OpNestLoop,
-				Detail:   fmt.Sprintf("nested scan (%s inner)", in.Vars[i].Var),
+				Detail:   func() string { return fmt.Sprintf("nested scan (%s inner)", inner) },
 				Children: []*Node{root, leaves[i]},
 			}
 		}
 	}
 
-	if in.HasWhere || in.HasWhen {
-		root = &Node{Op: OpFilter, Detail: filterDetail(in), Children: []*Node{root}}
+	if in.Where != nil || in.When != nil {
+		root = &Node{Op: OpFilter, Detail: filterDetail(in.Where, in.When), Children: []*Node{root}}
 	}
 	if in.Aggregate {
 		root = &Node{Op: OpAggregate, Detail: projectDetail("aggregate", in.Targets), Children: []*Node{root}}
@@ -170,13 +178,13 @@ func Build(in Input) *Tree {
 		root = &Node{Op: OpProject, Detail: projectDetail("project", in.Targets), Children: []*Node{root}}
 	}
 	if in.Unique {
-		root = &Node{Op: OpDedupe, Detail: "dedupe (retrieve unique)", Children: []*Node{root}}
+		root = &Node{Op: OpDedupe, Detail: text("dedupe (retrieve unique)"), Children: []*Node{root}}
 	}
 	if in.Sort {
-		root = &Node{Op: OpSort, Detail: "sort (sort by)", Children: []*Node{root}}
+		root = &Node{Op: OpSort, Detail: text("sort (sort by)"), Children: []*Node{root}}
 	}
 	if in.Into != "" {
-		root = &Node{Op: OpInsert, Detail: "insert into " + in.Into, Rel: in.Into, Children: []*Node{root}}
+		root = &Node{Op: OpInsert, Detail: text("insert into " + in.Into), Rel: in.Into, Children: []*Node{root}}
 	}
 	t.Root = root
 	return t
@@ -188,8 +196,9 @@ func Build(in Input) *Tree {
 // statistics the heuristic order applies: a key constant on a keyed file
 // probes; otherwise a usable secondary index probes the index; otherwise
 // key bounds on an ordered file range-scan; otherwise the relation is
-// scanned sequentially.
-func Leaf(v VarInfo) *Node {
+// scanned sequentially. v must stay unchanged for as long as the node may
+// be rendered.
+func Leaf(v *VarInfo) *Node {
 	n := &Node{
 		Var:     v.Var,
 		Rel:     v.Rel,
@@ -198,9 +207,9 @@ func Leaf(v VarInfo) *Node {
 		Pages:   v.Pages,
 	}
 	if v.HasStats {
-		best := bestPath(v)
+		best := bestPath(*v)
 		n.Op = best.op
-		n.Detail = leafDetail(v, best.op)
+		n.Detail = func() string { return leafDetail(v, best.op) }
 		n.HasEst, n.EstRows, n.EstPages = true, best.rows, best.pages
 		return n
 	}
@@ -214,9 +223,12 @@ func Leaf(v VarInfo) *Node {
 	default:
 		n.Op = OpSeqScan
 	}
-	n.Detail = leafDetail(v, n.Op)
+	n.Detail = func() string { return leafDetail(v, n.Op) }
 	return n
 }
+
+// text is the Detail of a node whose description needs no formatting.
+func text(s string) func() string { return func() string { return s } }
 
 func bound(has bool, v int64, inf string) string {
 	if !has {
@@ -242,8 +254,8 @@ func materializeNode(v *VarInfo) *Node {
 		Op:       OpMaterialize,
 		Var:      v.Var,
 		Rel:      v.Rel,
-		Detail:   fmt.Sprintf("detach %s into temporary", v.Var),
-		Children: []*Node{Leaf(*v)},
+		Detail:   func() string { return fmt.Sprintf("detach %s into temporary", v.Var) },
+		Children: []*Node{Leaf(v)},
 	}
 }
 
@@ -252,7 +264,7 @@ func tempScanNode(v *VarInfo) *Node {
 		Op:     OpTempScan,
 		Var:    v.Var,
 		Rel:    v.Rel,
-		Detail: fmt.Sprintf("temporary scan of detached %s", v.Var),
+		Detail: func() string { return fmt.Sprintf("temporary scan of detached %s", v.Var) },
 	}
 }
 
@@ -264,8 +276,10 @@ func substProbeNode(v *VarInfo, keyVar, keyAttr string) *Node {
 		Current: v.Current,
 		Sels:    v.Sels + v.TSels,
 		Pages:   v.Pages,
-		Detail: fmt.Sprintf("substitution probe %s: %s, %s = %s.%s",
-			v.Var, probeKind(v.Method), v.KeyAttr, keyVar, keyAttr),
+		Detail: func() string {
+			return fmt.Sprintf("substitution probe %s: %s, %s = %s.%s",
+				v.Var, probeKind(v.Method), v.KeyAttr, keyVar, keyAttr)
+		},
 	}
 	return n
 }
@@ -318,20 +332,24 @@ func chooseSubstitution(in Input, vi map[string]*VarInfo) *Subst {
 	return best
 }
 
-func filterDetail(in Input) string {
-	var parts []string
-	if in.HasWhere {
-		parts = append(parts, "where "+in.WhereStr)
+func filterDetail(where, when fmt.Stringer) func() string {
+	return func() string {
+		var parts []string
+		if where != nil {
+			parts = append(parts, "where "+where.String())
+		}
+		if when != nil {
+			parts = append(parts, "when "+when.String())
+		}
+		return "filter: " + strings.Join(parts, " ")
 	}
-	if in.HasWhen {
-		parts = append(parts, "when "+in.WhenStr)
-	}
-	return "filter: " + strings.Join(parts, " ")
 }
 
-func projectDetail(kind string, targets []string) string {
-	if len(targets) == 0 {
-		return kind
+func projectDetail(kind string, targets []string) func() string {
+	return func() string {
+		if len(targets) == 0 {
+			return kind
+		}
+		return fmt.Sprintf("%s (%s)", kind, strings.Join(targets, ", "))
 	}
-	return fmt.Sprintf("%s (%s)", kind, strings.Join(targets, ", "))
 }

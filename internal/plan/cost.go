@@ -67,7 +67,7 @@ func bestPath(v VarInfo) pathChoice {
 
 // leafDetail renders the access-path description for an op chosen either
 // by the heuristic or by cost.
-func leafDetail(v VarInfo, op Op) string {
+func leafDetail(v *VarInfo, op Op) string {
 	switch op {
 	case OpProbe:
 		return fmt.Sprintf("%s, %s = %s", probeKind(v.Method), v.KeyAttr, v.KeyConst)

@@ -111,10 +111,13 @@ func (s IOStats) Add(t IOStats) IOStats {
 // holds the pages the operator itself caused to move (children are
 // accounted separately).
 type Node struct {
-	Op       Op
-	Var      string // tuple variable (leaves and materializations)
-	Rel      string // relation name (leaves and materializations)
-	Detail   string // human-readable description of the access decision
+	Op  Op
+	Var string // tuple variable (leaves and materializations)
+	Rel string // relation name (leaves and materializations)
+	// Detail renders the human-readable description of the access
+	// decision. Only Render asks for it, so Build formats nothing for a
+	// plan that is executed and thrown away.
+	Detail   func() string
 	Current  bool   // restricted to current versions (two-level fast path)
 	Sels     int    // single-variable restrictions applied at this leaf
 	Pages    int    // relation size when the plan was built (temps: filled at runtime)
@@ -153,7 +156,7 @@ type Subst struct {
 // (the decomposition prologue) followed by the root pipeline.
 type Tree struct {
 	NumVars  int
-	Slice    string // rendered rollback-slice description
+	Slice    func() string // renders the rollback-slice description; may be nil
 	Vars     []VarInfo
 	Prologue []*Node
 	Root     *Node

@@ -11,8 +11,10 @@ import (
 func (t *Tree) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "retrieve over %d variable(s)\n", t.NumVars)
-	if t.Slice != "" {
-		fmt.Fprintf(&b, "  rollback slice: %s\n", t.Slice)
+	if t.Slice != nil {
+		if s := t.Slice(); s != "" {
+			fmt.Fprintf(&b, "  rollback slice: %s\n", s)
+		}
 	}
 	for _, v := range t.Vars {
 		fmt.Fprintf(&b, "  %s -> %s (%s, %s", v.Var, v.Rel, v.Type, v.Method)
@@ -44,9 +46,9 @@ func renderNode(b *strings.Builder, n *Node, depth int) {
 }
 
 func (n *Node) describe() string {
-	s := n.Detail
-	if s == "" {
-		s = n.Op.String()
+	s := n.Op.String()
+	if n.Detail != nil {
+		s = n.Detail()
 	}
 	if n.Op == OpTempScan && n.Pages > 0 {
 		s += fmt.Sprintf(" (%d pages)", n.Pages)

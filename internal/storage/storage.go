@@ -46,9 +46,12 @@ func checkBounds(id page.ID, n int) error {
 // Mem is an in-memory File. The zero value is an empty file ready to use.
 // Page accesses are latched so concurrent readers sharing the file (via
 // separate buffer handles) never observe a torn page or a resizing slice.
+//
+// Every page is its own allocation, so growing the file never moves a page:
+// the address Lend hands out stays that page's address until Truncate.
 type Mem struct {
 	mu    sync.RWMutex
-	pages []page.Page
+	pages []*page.Page
 }
 
 // NewMem returns an empty in-memory paged file.
@@ -61,11 +64,24 @@ func (m *Mem) ReadPage(id page.ID, p *page.Page) error {
 	if err := checkBounds(id, len(m.pages)); err != nil {
 		return err
 	}
-	*p = m.pages[id]
+	*p = *m.pages[id]
 	return nil
 }
 
-// ReadPages implements File with one range copy.
+// Lend returns the resident page itself instead of a copy of it. The
+// caller must not write through the pointer, and must hold whatever keeps
+// writers of the file out (the engine's relation latch) for as long as it
+// reads through it: WritePage stores into this same memory.
+func (m *Mem) Lend(id page.ID) (*page.Page, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if err := checkBounds(id, len(m.pages)); err != nil {
+		return nil, err
+	}
+	return m.pages[id], nil
+}
+
+// ReadPages implements File.
 func (m *Mem) ReadPages(id page.ID, ps []page.Page) error {
 	if len(ps) == 0 {
 		return nil
@@ -78,7 +94,9 @@ func (m *Mem) ReadPages(id page.ID, ps []page.Page) error {
 	if err := checkBounds(id+page.ID(len(ps))-1, len(m.pages)); err != nil {
 		return err
 	}
-	copy(ps, m.pages[id:])
+	for i := range ps {
+		ps[i] = *m.pages[int(id)+i]
+	}
 	return nil
 }
 
@@ -89,7 +107,7 @@ func (m *Mem) WritePage(id page.ID, p *page.Page) error {
 	if err := checkBounds(id, len(m.pages)); err != nil {
 		return err
 	}
-	m.pages[id] = *p
+	*m.pages[id] = *p
 	return nil
 }
 
@@ -97,7 +115,7 @@ func (m *Mem) WritePage(id page.ID, p *page.Page) error {
 func (m *Mem) Allocate() (page.ID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pages = append(m.pages, page.Page{})
+	m.pages = append(m.pages, new(page.Page))
 	return page.ID(len(m.pages) - 1), nil
 }
 
@@ -108,11 +126,12 @@ func (m *Mem) NumPages() int {
 	return len(m.pages)
 }
 
-// Truncate implements File.
+// Truncate implements File. The pages are dropped, not reused: one may
+// still be on loan.
 func (m *Mem) Truncate() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pages = m.pages[:0]
+	m.pages = nil
 	return nil
 }
 
