@@ -14,32 +14,24 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"tdbms/internal/bench"
 	"tdbms/internal/core"
 )
 
 func main() {
-	figure := flag.String("figure", "all", "which figure to regenerate: all, none, 5, 6, 7, 8, 9, 10, 5.4, or ablations")
+	figure := flag.String("figure", "all", "which figure to regenerate: all, 5, 6, 7, 8, 9, 10, 5.4, or ablations")
 	maxUC := flag.Int("maxuc", 15, "maximum update count for Figures 5-9")
 	maxAvg := flag.Int("maxavg", 4, "maximum average update count for the Section 5.4 experiment")
 	workers := flag.Int("workers", 0, "benchmark databases to build and measure concurrently (0 = one per CPU; also TDBBENCH_WORKERS)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	wal := flag.Bool("wal", false, "build the Figure 5-9 databases disk-backed with write-ahead logging (figures must stay byte-identical: the log is below the counted I/O path)")
-	vector := flag.String("vector", "", "comma-separated scale factors for the batch-executor suite (e.g. \"10,100\"); writes -vector-out")
-	vectorOut := flag.String("vector-out", "BENCH_vector.json", "output file for the batch-executor suite")
-	vectorUC := flag.Int("vector-uc", 2, "uniform update rounds before timing the scaled suite")
-	vectorReps := flag.Int("vector-reps", 3, "repetitions per query and executor (medians reported)")
-	planner := flag.Bool("planner", false, "measure planner estimate accuracy (est vs actual pages per operator); writes -planner-out")
-	plannerOut := flag.String("planner-out", "BENCH_planner.json", "output file for the planner-accuracy report")
 	flag.Parse()
 
 	w := *workers
@@ -58,70 +50,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tdbbench:", err)
 		os.Exit(1)
 	}
-
-	note := func(format string, args ...any) {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	if *vector != "" {
-		if err := runVector(*vector, *vectorOut, *vectorUC, *vectorReps, note); err != nil {
-			fmt.Fprintln(os.Stderr, "tdbbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *planner {
-		if err := runPlanner(*plannerOut, note); err != nil {
-			fmt.Fprintln(os.Stderr, "tdbbench:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// runVector times the twelve-query suite on scaled temporal databases
-// under the tuple-at-a-time and batched executors and writes the result
-// as JSON. Wall times come from the real clock; rows and pages are
-// deterministic and identical across executors (RunScaled checks this).
-func runVector(scales, out string, uc, reps int, note func(string, ...any)) error {
-	clock := func() int64 { return time.Now().UnixNano() }
-	var suites []*bench.ScaledSuite
-	for _, s := range strings.Split(scales, ",") {
-		scale, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return fmt.Errorf("-vector: %q is not a number", s)
-		}
-		suite, err := bench.RunScaled(bench.Temporal, 100, scale, uc, reps, clock,
-			func(stage string) { note("  %s", stage) })
-		if err != nil {
-			return err
-		}
-		suites = append(suites, suite)
-	}
-	return writeJSON(out, suites, note)
-}
-
-// runPlanner measures the cost model's estimate accuracy (estimated vs
-// actual pages per annotated operator) on the paper's four database
-// types and writes the per-operator q-errors as JSON.
-func runPlanner(out string, note func(string, ...any)) error {
-	note("measuring planner estimates against actual page reads...")
-	entries, err := bench.PlannerReport(bench.Types, 100, 3)
-	if err != nil {
-		return err
-	}
-	return writeJSON(out, entries, note)
-}
-
-func writeJSON(path string, v any, note func(string, ...any)) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	note("wrote %s", path)
-	return nil
 }
 
 func run(out io.Writer, figure string, maxUC, maxAvg, workers int, wal, quiet bool) error {

@@ -79,34 +79,6 @@ type File interface {
 	Ordered() bool
 }
 
-// FilterRange wraps an iterator, passing through tuples whose key falls in
-// [lo, hi] — the range fallback for unordered storage.
-func FilterRange(it Iterator, key Key, lo, hi int64) Iterator {
-	return &rangeFilter{it: it, key: key, lo: lo, hi: hi}
-}
-
-type rangeFilter struct {
-	it     Iterator
-	key    Key
-	lo, hi int64
-}
-
-// Next implements Iterator.
-func (f *rangeFilter) Next() (page.RID, []byte, bool, error) {
-	for {
-		rid, tup, ok, err := f.it.Next()
-		if err != nil || !ok {
-			return rid, tup, ok, err
-		}
-		if k := f.key.Extract(tup); k >= f.lo && k <= f.hi {
-			return rid, tup, true, nil
-		}
-	}
-}
-
-// Close implements Iterator by closing the wrapped iterator.
-func (f *rangeFilter) Close() error { return f.it.Close() }
-
 // Empty is an Iterator that yields nothing.
 type Empty struct{}
 

@@ -55,31 +55,35 @@ func TestEmptyIterator(t *testing.T) {
 	}
 }
 
-// sliceIter adapts a key list for FilterRange tests.
-type sliceIter struct {
-	keys   []int32
-	i      int
+// onePage is the PageWalk over a single page.
+type onePage struct {
+	p      *page.Page
+	left   bool
 	closed bool
 }
 
-func (s *sliceIter) Close() error {
-	s.closed = true
-	return nil
-}
-
-func (s *sliceIter) Next() (page.RID, []byte, bool, error) {
-	if s.i >= len(s.keys) {
-		return page.NilRID, nil, false, nil
+func (w *onePage) View(*Match) (*page.Page, page.ID, error) {
+	if w.left || w.closed {
+		return nil, page.Nil, nil
 	}
-	k := s.keys[s.i]
-	s.i++
-	tup := []byte{byte(k), byte(k >> 8), byte(k >> 16), byte(k >> 24)}
-	return page.RID{Page: page.ID(s.i)}, tup, true, nil
+	return w.p, 0, nil
 }
+func (w *onePage) Leave(*page.Page) { w.left = true }
+func (w *onePage) Close()           { w.closed = true }
 
-func TestFilterRange(t *testing.T) {
+// TestWalkRange pins the range restriction unordered files scan under: a
+// walk passes through exactly the tuples whose key falls in [Lo, Hi], an
+// inverted range yields nothing, and Close reaches the page walk.
+func TestWalkRange(t *testing.T) {
 	key := Key{Offset: 0, Width: 4}
-	it := FilterRange(&sliceIter{keys: []int32{-5, 1, 3, 7, 10, 12}}, key, 1, 10)
+	var p page.Page
+	p.Format(4, page.KindData)
+	for _, k := range []int32{-5, 1, 3, 7, 10, 12} {
+		if _, err := p.Insert([]byte{byte(k), byte(k >> 8), byte(k >> 16), byte(k >> 24)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it := NewWalk(&onePage{p: &p}, Match{Key: key, Filter: true, Lo: 1, Hi: 10})
 	var got []int64
 	for {
 		_, tup, ok, err := it.Next()
@@ -101,17 +105,17 @@ func TestFilterRange(t *testing.T) {
 		}
 	}
 	// Empty bound.
-	inner := &sliceIter{keys: []int32{1, 2}}
-	it = FilterRange(inner, key, 5, 4)
+	inner := &onePage{p: &p}
+	it = NewWalk(inner, Match{Key: key, Filter: true, Lo: 5, Hi: 4})
 	if _, _, ok, _ := it.Next(); ok {
 		t.Error("inverted range yielded a tuple")
 	}
-	// Close propagates to the wrapped iterator.
+	// Close propagates to the page walk.
 	if err := it.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if !inner.closed {
-		t.Error("FilterRange.Close did not close the wrapped iterator")
+		t.Error("Walk.Close did not close the page walk")
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 	"tdbms/internal/storage"
 )
 
-// TestFilterRangePropagatesReadError wraps a fault-injected scan in
-// FilterRange and requires the filter to pass the error through Next — not
-// absorb it while looking for the next in-range tuple — and to still close
-// the underlying iterator.
-func TestFilterRangePropagatesReadError(t *testing.T) {
+// TestRangeWalkPropagatesReadError runs an unordered file's range probe — a
+// filtered scan — over a fault-injected file and requires the walk to pass
+// the error through Next, not absorb it while looking for the next in-range
+// tuple, and to still close.
+func TestRangeWalkPropagatesReadError(t *testing.T) {
 	mem := storage.NewMem()
 	buf := buffer.New("r", mem)
 	key := am.Key{Offset: 0, Width: 4}
@@ -33,8 +33,7 @@ func TestFilterRangePropagatesReadError(t *testing.T) {
 
 	sched := faultfs.MustParse("r:read@2")
 	fbuf := buffer.New("r", sched.Wrap("r", mem))
-	inner := heapfile.NewKeyed(fbuf, 16, key).Scan()
-	it := am.FilterRange(inner, key, 150, 160)
+	it := heapfile.NewKeyed(fbuf, 16, key).ProbeRange(150, 160)
 	for {
 		_, _, ok, err := it.Next()
 		if err != nil {
@@ -44,7 +43,7 @@ func TestFilterRangePropagatesReadError(t *testing.T) {
 			break
 		}
 		if !ok {
-			t.Fatal("filtered iterator ended without surfacing the injected read error")
+			t.Fatal("range probe ended without surfacing the injected read error")
 		}
 	}
 	if err := it.Close(); err != nil {

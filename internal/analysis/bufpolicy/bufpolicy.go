@@ -26,10 +26,10 @@ const bufferPkg = "tdbms/internal/buffer"
 // sanctioned lists the package paths (and, for fixture loading, package
 // names) allowed to construct buffer.Policy values.
 var sanctioned = map[string]bool{
-	bufferPkg:                 true,
-	"tdbms/internal/session":  true,
-	"tdbms/internal/core":     true,
-	"buffer": true, "session": true, "core": true,
+	bufferPkg:                true,
+	"tdbms/internal/session": true,
+	"tdbms/internal/core":    true,
+	"buffer":                 true, "session": true, "core": true,
 }
 
 // Analyzer is the buffer-policy construction check.

@@ -2,40 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"tdbms/internal/core"
 )
-
-// This file scales the Section 5 workload past the paper's 1024-tuple
-// relations to exercise the batch executor: the same two relations, the
-// same twelve queries, at 10x or 100x the cardinality, timed under the
-// tuple-at-a-time executor and the batched one. Page counts must be
-// identical in both modes — batching changes control flow, never I/O —
-// so the deterministic part of the result doubles as a correctness check.
-
-// ScaledQuery is one query of the scaled suite: the deterministic
-// observables (rows, pages — identical across executors) and the median
-// wall time under each executor.
-type ScaledQuery struct {
-	ID      string  `json:"id"`
-	Rows    int     `json:"rows"`
-	Pages   int64   `json:"pages"`
-	TupleNS int64   `json:"tuple_ns"` // median wall time, tuple-at-a-time
-	BatchNS int64   `json:"batch_ns"` // median wall time, batched
-	Speedup float64 `json:"speedup"`  // tuple / batch
-}
-
-// ScaledSuite is the full scaled measurement of one database.
-type ScaledSuite struct {
-	Type        string        `json:"type"`
-	Loading     int           `json:"loading"`
-	Scale       int           `json:"scale"`  // multiple of NumTuples
-	Tuples      int           `json:"tuples"` // relation cardinality
-	UpdateCount int           `json:"update_count"`
-	Reps        int           `json:"reps"`
-	Queries     []ScaledQuery `json:"queries"`
-}
 
 // BuildScaled is Build with the relation cardinality scaled to
 // scale*NumTuples. The workload generator is the same deterministic
@@ -61,99 +30,4 @@ func BuildScaled(t DBType, loading, scale int) (*DB, error) {
 		return nil, err
 	}
 	return b, nil
-}
-
-// RunScaled builds one scaled database, evolves it through uc uniform
-// update rounds, and times every applicable Figure 4 query cold under
-// both executors, reps times each, reporting medians. clock supplies
-// monotonic nanoseconds (injected so the measurement harness stays
-// deterministic under test — tests pass a counter, the CLI passes the
-// real clock).
-func RunScaled(t DBType, loading, scale, uc, reps int, clock func() int64, progress func(stage string)) (*ScaledSuite, error) {
-	note := func(format string, args ...any) {
-		if progress != nil {
-			progress(fmt.Sprintf(format, args...))
-		}
-	}
-	note("building %s/%d%% at %dx (%d tuples)", t, loading, scale, scale*NumTuples)
-	b, err := BuildScaled(t, loading, scale)
-	if err != nil {
-		return nil, err
-	}
-	for k := 0; k < uc; k++ {
-		if err := b.Update(); err != nil {
-			return nil, fmt.Errorf("update round %d: %w", k+1, err)
-		}
-		note("update round %d/%d done", k+1, uc)
-	}
-	s := &ScaledSuite{
-		Type:        string(t),
-		Loading:     loading,
-		Scale:       scale,
-		Tuples:      scale * NumTuples,
-		UpdateCount: uc,
-		Reps:        reps,
-	}
-	sess := b.Inner.DefaultSession()
-	for _, q := range Queries(t) {
-		if q.Text == "" {
-			continue
-		}
-		sq := ScaledQuery{ID: q.ID}
-		// Tuple-at-a-time, then batched; each mode cold, reps times.
-		tupleNS, m1, err := timeQuery(b, q.Text, reps, clock, func() { sess.SetBatchSize(-1) })
-		if err != nil {
-			return nil, fmt.Errorf("%s (tuple): %w", q.ID, err)
-		}
-		batchNS, m2, err := timeQuery(b, q.Text, reps, clock, func() { sess.ClearBatchSize() })
-		if err != nil {
-			return nil, fmt.Errorf("%s (batch): %w", q.ID, err)
-		}
-		if m1.Rows != m2.Rows || m1.Input != m2.Input || m1.Output != m2.Output {
-			return nil, fmt.Errorf("%s: executors disagree: tuple rows=%d in=%d out=%d, batch rows=%d in=%d out=%d",
-				q.ID, m1.Rows, m1.Input, m1.Output, m2.Rows, m2.Input, m2.Output)
-		}
-		sq.Rows, sq.Pages = m2.Rows, m2.Input
-		sq.TupleNS, sq.BatchNS = tupleNS, batchNS
-		if batchNS > 0 {
-			sq.Speedup = float64(tupleNS) / float64(batchNS)
-		}
-		s.Queries = append(s.Queries, sq)
-		note("%s: rows=%d pages=%d tuple=%dns batch=%dns (%.2fx)",
-			q.ID, sq.Rows, sq.Pages, sq.TupleNS, sq.BatchNS, sq.Speedup)
-	}
-	sess.ClearBatchSize()
-	return s, nil
-}
-
-// timeQuery runs one query cold reps times under the mode configured by
-// setMode and returns the median wall time plus the (deterministic)
-// measurement of the last run.
-func timeQuery(b *DB, text string, reps int, clock func() int64, setMode func()) (int64, Measurement, error) {
-	setMode()
-	times := make([]int64, 0, reps)
-	var m Measurement
-	for r := 0; r < reps; r++ {
-		if err := b.Inner.InvalidateBuffers(); err != nil {
-			return 0, m, err
-		}
-		b.Inner.ResetStats()
-		t0 := clock()
-		res, err := b.Inner.Exec(text)
-		dt := clock() - t0
-		if err != nil {
-			return 0, m, err
-		}
-		times = append(times, dt)
-		m = Measurement{Input: res.Input, Ops: res.InputOps, Output: res.Output,
-			TempIn: res.TempInput, Rows: len(res.Rows), Applies: true}
-	}
-	return median(times), m, nil
-}
-
-// median of a non-empty slice (the lower middle for even lengths).
-func median(xs []int64) int64 {
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)-1)/2]
 }

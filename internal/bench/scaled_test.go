@@ -5,56 +5,6 @@ import (
 	"testing"
 )
 
-// counterClock is a deterministic stand-in for the wall clock: each call
-// advances one tick, so every timed region measures a positive, fixed
-// duration and the suite's shape is reproducible.
-func counterClock() func() int64 {
-	var n int64
-	return func() int64 {
-		n++
-		return n
-	}
-}
-
-// TestRunScaledDeterminism runs the scaled suite at a small scale with an
-// injected clock and checks its deterministic half: both executors agree
-// on rows and pages (RunScaled errors out otherwise), every applicable
-// query is present, and the observables are stable across runs.
-func TestRunScaledDeterminism(t *testing.T) {
-	run := func() *ScaledSuite {
-		s, err := RunScaled(Temporal, 100, 2, 1, 1, counterClock(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	s1 := run()
-	if s1.Tuples != 2*NumTuples {
-		t.Fatalf("tuples = %d, want %d", s1.Tuples, 2*NumTuples)
-	}
-	want := 0
-	for _, q := range Queries(Temporal) {
-		if q.Text != "" {
-			want++
-		}
-	}
-	if len(s1.Queries) != want {
-		t.Fatalf("got %d queries, want %d", len(s1.Queries), want)
-	}
-	for _, q := range s1.Queries {
-		if q.Pages <= 0 {
-			t.Errorf("%s: pages = %d, want > 0", q.ID, q.Pages)
-		}
-	}
-	s2 := run()
-	for i := range s1.Queries {
-		a, b := s1.Queries[i], s2.Queries[i]
-		if a.ID != b.ID || a.Rows != b.Rows || a.Pages != b.Pages {
-			t.Errorf("run-to-run drift: %v vs %v", a, b)
-		}
-	}
-}
-
 // TestBuildScaledKeepsConstants checks the scaled generator preserves the
 // Figure 4 selectivities: the amount constants still select exactly one
 // tuple each at larger cardinalities.

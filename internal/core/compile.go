@@ -7,15 +7,15 @@ import (
 )
 
 // This file compiles a variable's qualification — the transaction slice,
-// the scalar selections, and the temporal selections passesVar interprets
-// per tuple — into a chain of closures specialized against the binding's
-// schema. Attribute indexes are resolved once, temporal constants are
-// parsed once (the interpreter re-parses "now" for every tuple), and
-// integer comparisons run directly on the stored bytes. The batch executor
-// qualifies through the compiled form; the tuple executor keeps the
-// interpreted path, which stays the semantic reference: any expression
-// shape the compiler does not specialize falls back to a closure around
-// the interpreter, so the two paths accept exactly the same tuples.
+// the scalar selections, and the temporal selections — into a chain of
+// closures specialized against the binding's schema. Attribute indexes are
+// resolved once, temporal constants are parsed once (the interpreter
+// re-parses "now" for every tuple), and integer comparisons run directly
+// on the stored bytes. Every leaf qualifies through the compiled form. The
+// interpreted form (passesVar, in qual_test.go) is its reference: any
+// expression shape the compiler does not specialize falls back to a
+// closure around the interpreter, and a seeded property test holds the two
+// to the same tuples and the same errors over every admitted shape.
 
 // compiledQual reports whether the tuple bound to the variable qualifies.
 // The caller must install the tuple in the variable's binding first: the

@@ -81,10 +81,11 @@ type Conn struct {
 	viewEpoch uint64
 	viewPol   buffer.Policy
 
-	// arena backs the tuples a retrieve's batch scans copy off their pages.
-	// They die with the statement — results hold values, not tuple bytes —
-	// so each retrieve resets it and the session's next statement reuses
-	// the memory.
+	// arena backs the tuples a statement's batch scans copy off their
+	// pages. They die with the statement — results hold values, not tuple
+	// bytes, and DML candidates are applied before it returns — so each
+	// retrieve and each candidate collection resets it and the session's
+	// next statement reuses the memory.
 	arena am.Arena
 }
 
@@ -496,8 +497,7 @@ func (c *Conn) BufferPolicy() buffer.Policy {
 }
 
 // batchCap resolves the session's effective executor batch capacity: the
-// session override when set, the database default otherwise. Zero means
-// tuple-at-a-time.
+// session override when set, the database default otherwise.
 func (c *Conn) batchCap() int {
 	if n, ok := c.sess.BatchSize(); ok {
 		return normalizeBatchCap(n)
@@ -506,23 +506,19 @@ func (c *Conn) batchCap() int {
 }
 
 // normalizeBatchCap maps a configured batch size to a capacity: zero asks
-// for the default, negative selects the tuple executor.
+// for the default, and anything below one row is one row.
 func normalizeBatchCap(n int) int {
-	switch {
-	case n == 0:
+	if n == 0 {
 		return exec.DefaultBatchCap
-	case n < 0:
-		return 0
-	default:
-		return n
 	}
+	return max(n, 1)
 }
 
 // SetBatchSize overrides this session's executor batch size for
-// subsequent retrieves: rows > 0 is a batch capacity, rows == 0 asks for
-// the engine default, rows < 0 selects the tuple-at-a-time executor. Both
-// executors read exactly the same pages in the same order; the setting
-// trades interpretation overhead, not I/O.
+// subsequent statements: rows > 0 is a batch capacity, rows == 0 asks for
+// the engine default, rows < 0 means capacity 1, which is tuple-at-a-time.
+// Every capacity reads exactly the same pages in the same order; the
+// setting trades interpretation overhead, not I/O.
 func (c *Conn) SetBatchSize(rows int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -49,12 +49,11 @@ type Options struct {
 	// prefetch past its cursor in one batch. Zero — the measurement
 	// default — disables readahead; it is capped at BufferFrames-1.
 	BufferReadahead int
-	// BatchSize is the executor's batch capacity in rows: retrieves run on
-	// the vectorized batch executor, exchanging batches of this many rows
-	// between operators. Zero picks the default (exec.DefaultBatchCap);
-	// a negative value selects the tuple-at-a-time executor. Page I/O
-	// counts are identical either way — batching changes only how often
-	// the interpretation overhead is paid.
+	// BatchSize is the executor's batch capacity in rows: operators
+	// exchange batches of this many rows. Zero picks the default
+	// (exec.DefaultBatchCap); a negative value means one row, which is
+	// tuple-at-a-time. Page I/O counts are identical either way —
+	// batching changes only how often the interpretation overhead is paid.
 	BatchSize int
 	// WrapFile, when non-nil, wraps every storage file the database opens
 	// (keyed by the relation or temporary name). The fault-injection tests

@@ -263,8 +263,8 @@ func unwind(err error, undos []undoFn) error {
 	return err
 }
 
-// locateVersion re-finds the address of a version whose bytes are known —
-// the compensation twin of resolveCandidate.
+// locateVersion re-finds the address of a version whose bytes are known,
+// for the compensation steps, the way resolveCandidate does for a candidate.
 func (db *Conn) locateVersion(h *relHandle, tup []byte, rid page.RID) (page.RID, error) {
 	c, err := db.resolveCandidate(h, candidate{rid: rid, tup: tup})
 	if err != nil {
@@ -465,20 +465,33 @@ func (db *Conn) dmlCandidates(v string, where tquel.Expr, when tquel.TExpr) (*qu
 	// primary store directly.
 	q.qv[v].currentOnly = true
 	// Route the candidate scan through the planner and executor so DML
-	// uses the same one-variable access-path decision as retrieves.
+	// uses the same one-variable access-path decision as retrieves. The
+	// scan qualifies in place and copies only the victims, into the session
+	// arena; resetting it here lets a first-updater-wins retry start clean.
 	info := db.varInfo(q, v)
-	node := plan.Leaf(&info)
-	att := exec.NewAttribution(db.statsFn)
-	var cands []candidate
-	l := &lowering{db: db, q: q, att: att}
-	op := l.lowerLeaf(node, func(rid page.RID, tup []byte) error {
+	db.arena.Reset()
+	var rids []page.RID
+	l := &lowering{db: db, q: q}
+	leaf, err := l.lowerBatchLeaf(plan.Leaf(&info), func(rid page.RID, tup []byte) bool {
 		if !isCurrentTuple(h.desc, tup) {
-			return nil
+			return false
 		}
-		cands = append(cands, candidate{rid: rid, tup: tup})
+		rids = append(rids, rid)
+		return true
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// The victim hook saw each candidate's address as the block copied its
+	// tuple; the copies arrive here in the same order.
+	var cands []candidate
+	err = exec.RunBatches(leaf, exec.NewBatch(1, db.batchCap()), func(b *exec.Batch) error {
+		for _, i := range b.Sel() {
+			cands = append(cands, candidate{rid: rids[len(cands)], tup: b.Row(i)[0]})
+		}
 		return nil
 	})
-	if err := exec.Run(op); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	return q, cands, nil

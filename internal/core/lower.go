@@ -14,14 +14,15 @@ import (
 	"tdbms/internal/tquel"
 )
 
-// This file lowers a physical plan (internal/plan) onto the cursor
-// executor (internal/exec). The plan layer is storage-free and the
-// executor is semantics-free, so the glue lives here: every operator's
-// hooks are closures over the analyzed query's evaluation environment and
-// the relation handles. Bindings flow through q.env — a leaf's Bind
-// stores the tuple under its variable, and the parent operators evaluate
-// predicates and targets against the environment, exactly as the
-// interpreter did before the split.
+// This file lowers a physical plan (internal/plan) onto the executor
+// (internal/exec). The plan layer is storage-free and the executor is
+// semantics-free, so the glue lives here: every operator's hooks are
+// closures over the analyzed query's evaluation environment and the
+// relation handles. The batch row layout is one slot per tuple variable,
+// in q.vars order: a leaf qualifies each tuple through its variable's
+// compiled qualification and fills only its own slot, joins merge slots,
+// and consumers rebind a row's slots into q.env before evaluating
+// predicates or targets against it.
 
 // joinConj pairs the two sides of a join-equality conjunct, kept in
 // where-clause order so plan.Subst.EqIndex indexes into it.
@@ -153,54 +154,113 @@ func pipelineRoot(n *plan.Node) *plan.Node {
 	return n
 }
 
-// lowerNode lowers a pipeline subtree to its cursor.
-func (l *lowering) lowerNode(n *plan.Node) exec.Operator {
-	switch n.Op {
-	case plan.OpProject, plan.OpAggregate:
-		// Aggregation has the same cursor shape as projection: emitRow
-		// either appends a result row or accumulates, per the prepared
-		// emitter.
-		return &exec.Project{Node: n, Child: l.lowerNode(n.Children[0]), Emit: l.out.emitRow}
-	case plan.OpFilter:
-		return &exec.Filter{Node: n, Child: l.lowerNode(n.Children[0]), Pred: l.out.residual}
-	case plan.OpNestLoop:
-		outer := l.lowerNode(n.Children[0])
-		var inner exec.Operator
-		if n.Sub != nil {
-			inner = l.lowerSubstProbe(n.Children[1], n.Sub)
-		} else {
-			inner = l.lowerNode(n.Children[1])
+// slotOf maps a tuple variable to its batch slot: its index in q.vars.
+func (l *lowering) slotOf(v string) (int, error) {
+	for i, name := range l.q.vars {
+		if name == v {
+			return i, nil
 		}
-		return &exec.NestedLoop{Node: n, Outer: outer, Inner: inner}
-	case plan.OpOnce:
-		return &exec.Once{}
-	default:
-		return l.lowerLeaf(n, nil)
+	}
+	return 0, fmt.Errorf("core: plan names variable %q, which the query does not range over", v)
+}
+
+// pipelineRebind builds the rebinding closure of the root pipeline: it
+// installs a batch row's bound slots into the evaluation environment.
+// Bindings are resolved when the closure is built, so it must be built
+// after the decomposition prologue ran (detachments swap a variable's
+// binding to its temporary's).
+func (l *lowering) pipelineRebind() func(row [][]byte) {
+	binds := make([]*binding, len(l.q.vars))
+	for i, v := range l.q.vars {
+		binds[i] = l.q.env.vars[v]
+	}
+	return func(row [][]byte) {
+		for s, tup := range row {
+			if tup != nil {
+				binds[s].tup = tup
+			}
+		}
 	}
 }
 
-// lowerLeaf lowers a one-variable access node. fn, when non-nil, receives
-// every qualifying version (the DML candidate collector); the retrieve
-// pipeline passes nil and lets the parent operators consume the binding
-// from the environment.
-func (l *lowering) lowerLeaf(n *plan.Node, fn func(rid page.RID, tup []byte) error) exec.Operator {
+// lowerBatchNode lowers a pipeline subtree to its batch cursor. bcap is
+// the batch capacity in rows; rebind is the pipeline's row-rebinding
+// closure, shared by every consumer in the tree.
+func (l *lowering) lowerBatchNode(n *plan.Node, bcap int, rebind func(row [][]byte)) (exec.BatchOperator, error) {
+	slots := len(l.q.vars)
+	switch n.Op {
+	case plan.OpProject, plan.OpAggregate, plan.OpFilter:
+		child, err := l.lowerBatchNode(n.Children[0], bcap, rebind)
+		if err != nil {
+			return nil, err
+		}
+		if n.Op == plan.OpFilter {
+			return &exec.BatchFilter{Node: n, Child: child, Rebind: rebind, Pred: l.out.residual}, nil
+		}
+		// Aggregation has the same cursor shape as projection: emitRow
+		// either appends a result row or accumulates, per the prepared
+		// emitter.
+		return &exec.BatchProject{Node: n, Child: child, Rebind: rebind, Emit: l.out.emitRow}, nil
+	case plan.OpNestLoop:
+		outer, err := l.lowerBatchNode(n.Children[0], bcap, rebind)
+		if err != nil {
+			return nil, err
+		}
+		var inner exec.BatchOperator
+		if n.Sub != nil {
+			inner, err = l.lowerBatchSubstProbe(n.Children[1], n.Sub)
+		} else {
+			inner, err = l.lowerBatchNode(n.Children[1], bcap, rebind)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &exec.BatchNestedLoop{Node: n, Outer: outer, Inner: inner, Rebind: rebind,
+			OuterBuf: exec.NewBatch(slots, bcap), InnerBuf: exec.NewBatch(slots, bcap)}, nil
+	case plan.OpOnce:
+		return &exec.BatchOnce{}, nil
+	default:
+		return l.lowerBatchLeaf(n, nil)
+	}
+}
+
+// varQual builds the Bind hook of v's leaf: it binds the tuple and applies
+// v's compiled qualification. The binding is resolved at call time, not
+// capture time — after a detachment the variable's binding is swapped to
+// the temporary's — so the qualification is recompiled whenever the
+// binding pointer changes.
+func (q *query) varQual(v string) func(rid page.RID, tup []byte) (bool, error) {
+	var cq compiledQual
+	var cqb *binding
+	return func(_ page.RID, tup []byte) (bool, error) {
+		b := q.env.vars[v]
+		b.tup = tup
+		if cqb != b {
+			cq, cqb = q.compileVarQual(v), b
+		}
+		return cq(tup)
+	}
+}
+
+// lowerBatchLeaf lowers a one-variable access node to its batch cursor.
+// victim, when non-nil, is a last restriction on the tuples the variable's
+// qualification accepts, shown each with its address: the DML candidate
+// collector. The retrieve pipeline passes nil.
+func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []byte) bool) (exec.BatchOperator, error) {
 	q := l.q
 	v := n.Var
 	qv := q.qv[v]
-	// Bind resolves the binding at call time, not capture time: after a
-	// detachment the variable's binding is swapped to the temporary's.
-	bind := func(rid page.RID, tup []byte) (bool, error) {
-		q.env.vars[v].tup = tup
-		pass, err := q.passesVar(v)
-		if err != nil || !pass {
-			return false, err
+	slot, err := l.slotOf(v)
+	if err != nil {
+		return nil, err
+	}
+	bind := q.varQual(v)
+	if victim != nil {
+		qual := bind
+		bind = func(rid page.RID, tup []byte) (bool, error) {
+			ok, err := qual(rid, tup)
+			return ok && err == nil && victim(rid, tup), err
 		}
-		if fn != nil {
-			if err := fn(rid, tup); err != nil {
-				return false, err
-			}
-		}
-		return true, nil
 	}
 	end := func() { q.env.vars[v].tup = nil }
 
@@ -210,21 +270,16 @@ func (l *lowering) lowerLeaf(n *plan.Node, fn func(rid page.RID, tup []byte) err
 		// scan applies no predicates. The prologue has already run, so
 		// the temporary's size is known for the rendered plan.
 		n.Pages = qv.temp.hf.Buffer().NumPages()
-		return &exec.Scan{Node: n, Att: l.att, Readahead: l.ra,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Readahead: l.ra, Slot: slot,
 			Start: func() (am.Iterator, error) { return qv.temp.hf.Scan(), nil },
 			Bind: func(rid page.RID, tup []byte) (bool, error) {
 				q.env.vars[v].tup = tup
-				if fn != nil {
-					if err := fn(rid, tup); err != nil {
-						return false, err
-					}
-				}
 				return true, nil
 			},
 			End: end,
-		}
+		}, nil
 	case plan.OpProbe:
-		return &exec.Scan{Node: n, Att: l.att,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
 			Start: func() (am.Iterator, error) {
 				key := qv.keyConst.AsInt()
 				if qv.currentOnly {
@@ -234,9 +289,9 @@ func (l *lowering) lowerLeaf(n *plan.Node, fn func(rid page.RID, tup []byte) err
 			},
 			Bind: bind,
 			End:  end,
-		}
+		}, nil
 	case plan.OpRangeScan:
-		return &exec.Scan{Node: n, Att: l.att,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
 			Start: func() (am.Iterator, error) {
 				lo, hi := qv.keyBounds()
 				if qv.currentOnly {
@@ -246,27 +301,28 @@ func (l *lowering) lowerLeaf(n *plan.Node, fn func(rid page.RID, tup []byte) err
 			},
 			Bind: bind,
 			End:  end,
-		}
+		}, nil
 	case plan.OpIndexScan:
 		ix := qv.h.indexes[qv.idxName]
-		return &exec.IndexScan{Node: n, Att: l.att,
+		return &exec.BatchIndexScan{Node: n, Att: l.att, Slot: slot,
 			Lookup: func() ([]secindex.TID, error) {
 				if qv.currentOnly && ix.CanProbeCurrent() {
 					return ix.ProbeCurrent(qv.idxConst)
 				}
 				return ix.ProbeAll(qv.idxConst)
 			},
-			Fetch: func(tid secindex.TID) (bool, error) {
+			Fetch: func(tid secindex.TID) ([]byte, bool, error) {
 				tup, err := qv.h.src.FetchTID(secTID{history: tid.History, rid: tid.RID})
 				if err != nil {
-					return false, err
+					return nil, false, err
 				}
-				return bind(tid.RID, tup)
+				pass, err := bind(tid.RID, tup)
+				return tup, pass, err
 			},
 			End: end,
-		}
+		}, nil
 	default: // plan.OpSeqScan
-		return &exec.Scan{Node: n, Att: l.att, Readahead: l.ra,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Readahead: l.ra, Slot: slot,
 			Start: func() (am.Iterator, error) {
 				if qv.currentOnly {
 					return qv.h.src.ScanCurrent(), nil
@@ -275,23 +331,27 @@ func (l *lowering) lowerLeaf(n *plan.Node, fn func(rid page.RID, tup []byte) err
 			},
 			Bind: bind,
 			End:  end,
-		}
+		}, nil
 	}
 }
 
-// lowerSubstProbe lowers the inner side of a tuple-substitution join: a
-// keyed probe whose key is recomputed from the current outer binding each
-// time the nested loop re-opens it.
-func (l *lowering) lowerSubstProbe(n *plan.Node, sub *plan.Subst) exec.Operator {
+// lowerBatchSubstProbe lowers the inner side of a tuple-substitution join:
+// a keyed probe whose key is recomputed from the current outer binding
+// each time the nested loop, having rebound the outer row, re-opens it.
+func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) (exec.BatchOperator, error) {
 	q := l.q
 	v := n.Var
 	qv := q.qv[v]
+	slot, err := l.slotOf(v)
+	if err != nil {
+		return nil, err
+	}
 	conj := l.joins[sub.EqIndex]
 	keyExpr := conj.r
 	if sub.Flipped {
 		keyExpr = conj.l
 	}
-	return &exec.Scan{Node: n, Att: l.att,
+	return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
 		Start: func() (am.Iterator, error) {
 			keyVal, err := q.env.evalExpr(keyExpr)
 			if err != nil {
@@ -305,36 +365,45 @@ func (l *lowering) lowerSubstProbe(n *plan.Node, sub *plan.Subst) exec.Operator 
 			}
 			return qv.h.src.ProbeAll(keyVal.AsInt()), nil
 		},
-		Bind: func(rid page.RID, tup []byte) (bool, error) {
-			q.env.vars[v].tup = tup
-			return q.passesVar(v)
-		},
-	}
+		Bind: q.varQual(v),
+	}, nil
 }
 
-// materialize lowers a prologue node: Ingres's one-variable detachment.
-// The child scan runs the variable's restricted one-variable query; Write
-// projects each qualifying version into a fresh temporary; Finish flushes
-// the temporary, rebinds the variable to it, and marks its restrictions
-// consumed.
-func (l *lowering) materialize(n *plan.Node) (*exec.Materialize, error) {
+// materializeBatch lowers a prologue node: Ingres's one-variable
+// detachment. The child scan runs the variable's restricted one-variable
+// query; each selected row is rebound and projected into a fresh
+// temporary; Finish flushes the temporary, rebinds the variable to it, and
+// marks its restrictions consumed. The rebinding covers only the detached
+// variable, resolved when the step is built — before its own detachment,
+// after every earlier one.
+func (l *lowering) materializeBatch(n *plan.Node, bcap int) (*exec.BatchMaterialize, error) {
+	slot, err := l.slotOf(n.Var)
+	if err != nil {
+		return nil, err
+	}
 	write, finish, err := l.matParts(n)
 	if err != nil {
 		return nil, err
 	}
-	return &exec.Materialize{
+	child, err := l.lowerBatchLeaf(n.Children[0], nil)
+	if err != nil {
+		return nil, err
+	}
+	b := l.q.env.vars[n.Var]
+	return &exec.BatchMaterialize{
 		Node:   n,
 		Att:    l.att,
-		Child:  l.lowerLeaf(n.Children[0], nil),
+		Child:  child,
+		Buf:    exec.NewBatch(len(l.q.vars), bcap),
+		Rebind: func(row [][]byte) { b.tup = row[slot] },
 		Write:  write,
 		Finish: finish,
 	}, nil
 }
 
-// matParts builds the Write and Finish closures of a detachment, shared by
-// the tuple and batch materialization steps: Write projects the current
-// binding into a fresh temporary, Finish flushes the temporary and rebinds
-// the variable to it.
+// matParts builds the Write and Finish closures of a detachment: Write
+// projects the current binding into a fresh temporary, Finish flushes the
+// temporary and rebinds the variable to it.
 func (l *lowering) matParts(n *plan.Node) (write, finish func() error, err error) {
 	q, db := l.q, l.db
 	v := n.Var

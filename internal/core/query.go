@@ -394,38 +394,6 @@ func joinEquality(c tquel.Expr) (l, r *tquel.AttrExpr, ok bool) {
 	return nil, nil, false
 }
 
-// txVisible applies the rollback slice to a bound variable.
-func (q *query) txVisible(v string) bool {
-	b := q.env.vars[v]
-	iv, ok := b.txInterval()
-	if !ok {
-		return true // no transaction time: as-of does not apply
-	}
-	return iv.From <= q.thr && temporal.Time(q.at) < iv.To
-}
-
-// passesVar checks a variable's own selections (scalar, temporal, slice)
-// for the currently bound tuple.
-func (q *query) passesVar(v string) (bool, error) {
-	if !q.txVisible(v) {
-		return false, nil
-	}
-	qv := q.qv[v]
-	for _, c := range qv.sel {
-		ok, err := q.env.evalBool(c)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	for _, c := range qv.tsel {
-		ok, err := q.env.evalTBool(c)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
 // keyBounds resolves the range-probe bounds with open sides saturated.
 func (qv *qvar) keyBounds() (lo, hi int64) {
 	lo, hi = math.MinInt64, math.MaxInt64
@@ -510,4 +478,3 @@ func (q *query) neededAttrs(v string) []string {
 	}
 	return out
 }
-

@@ -21,7 +21,7 @@ func (db *Conn) execRetrieve(s *tquel.RetrieveStmt) (*Result, error) {
 
 // runRetrieve is the three-layer query path: semantic analysis (this
 // package) summarizes the statement for the planner (internal/plan),
-// whose tree is lowered onto the cursor executor (internal/exec). The
+// whose tree is lowered onto the executor (internal/exec). The
 // returned tree carries the per-operator page attribution of the run —
 // the executed plan, not a prediction.
 func (db *Conn) runRetrieve(s *tquel.RetrieveStmt) (*Result, *plan.Tree, error) {
@@ -49,41 +49,28 @@ func (db *Conn) runRetrieve(s *tquel.RetrieveStmt) (*Result, *plan.Tree, error) 
 		ra: db.bufferPolicy().Readahead}
 
 	// Decomposition prologue: detach restricted variables into
-	// temporaries before the root pipeline runs over them. bcap chooses
-	// the executor: batched (the default) or tuple-at-a-time (bcap 0) —
-	// both read exactly the same pages in the same order.
+	// temporaries before the root pipeline runs over them. The batch
+	// capacity changes the cadence of the run, never the pages it reads
+	// or their order.
 	bcap := db.batchCap()
 	for _, m := range t.Prologue {
-		var runErr error
-		if bcap > 0 {
-			mat, err := l.materializeBatch(m, bcap)
-			if err != nil {
-				return nil, nil, err
-			}
-			runErr = mat.Run()
-		} else {
-			mat, err := l.materialize(m)
-			if err != nil {
-				return nil, nil, err
-			}
-			runErr = mat.Run()
+		mat, err := l.materializeBatch(m, bcap)
+		if err != nil {
+			return nil, nil, err
 		}
-		if runErr != nil {
-			return nil, nil, runErr
+		if err := mat.Run(); err != nil {
+			return nil, nil, err
 		}
 	}
 	// The root pipeline is lowered after the prologue: temporary scans
-	// resolve against the just-built temporaries (and, in batch mode, the
-	// pipeline's rebinder resolves detached variables' bindings).
-	if bcap > 0 {
-		root := l.lowerBatchNode(pipelineRoot(t.Root), bcap, l.pipelineRebind())
-		if err := exec.RunBatches(root, exec.NewBatch(len(q.vars), bcap)); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		if err := exec.Run(l.lowerNode(pipelineRoot(t.Root))); err != nil {
-			return nil, nil, err
-		}
+	// resolve against the just-built temporaries, and the pipeline's
+	// rebinder resolves detached variables' bindings.
+	root, err := l.lowerBatchNode(pipelineRoot(t.Root), bcap, l.pipelineRebind())
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := exec.RunBatches(root, exec.NewBatch(len(q.vars), bcap), nil); err != nil {
+		return nil, nil, err
 	}
 	if len(out.aggs) > 0 {
 		if err := out.finalizeAggregates(); err != nil {

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -40,8 +41,9 @@ func TestConfigMatrix(t *testing.T) {
 }
 
 // matrixCell builds one (type, method) database and checks every execution
-// variant — session × buffer policy × batching mode — against the baseline
-// (nil = this cell defines it).
+// variant — session × buffer policy × batch capacity — against the cell's
+// recorded answers (golden_test.go) and the baseline (nil = this cell
+// defines it).
 func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[string]string) map[string]string {
 	t.Helper()
 	b, err := BuildMethod(typ, method, configUC, core.Options{})
@@ -53,6 +55,19 @@ func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[stri
 	// × join interaction is covered by the paper and btree cells. The other
 	// heap variants skip the join queries to stay tier-1-fast.
 	joinsOnce := method == "heap"
+	cell := fmt.Sprintf("matrix/%s/%s", typ, method)
+	if *update {
+		ref, err := SessionFor(b, "reference", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.SetBatchSize(-1)
+		snap, err := Snapshot(ref, typ)
+		if err != nil {
+			t.Fatalf("%s reference: %v", cell, err)
+		}
+		checkGolden(t, cell, "reference", snap)
+	}
 	run := func(variant string, x Execer) {
 		var skip func(string) bool
 		if joinsOnce && variant != "direct" {
@@ -62,6 +77,7 @@ func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[stri
 		if err != nil {
 			t.Fatalf("%s/%s/%s: %v", typ, method, variant, err)
 		}
+		checkGolden(t, cell, variant, snap)
 		if baseline == nil {
 			baseline = snap
 			return
@@ -96,21 +112,18 @@ func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[stri
 	run("direct+pool", b.Inner)
 	b.Inner.DefaultSession().ClearBufferPolicy()
 
-	// Batching axis: the tuple-at-a-time interpreted executor and the batch
-	// executor at its smallest capacity (every batch boundary exercised)
-	// must match the default batch configuration above.
-	tup, err := SessionFor(b, "tuple", 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	// Batching axis: every capacity in goldenCaps — capacity 1 is
+	// tuple-at-a-time and exercises every batch boundary — must match the
+	// recorded answers like the default configuration above.
+	for _, n := range goldenCaps {
+		variant := fmt.Sprintf("session+batch%d", n)
+		c, err := SessionFor(b, variant, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetBatchSize(n)
+		run(variant, c)
 	}
-	tup.SetBatchSize(-1)
-	run("session+tuple", tup)
-	one, err := SessionFor(b, "batch1", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one.SetBatchSize(1)
-	run("session+batch1", one)
 	return baseline
 }
 

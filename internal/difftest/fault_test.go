@@ -178,20 +178,10 @@ func runFaultScenario(t *testing.T, sc faultScenario) {
 		t.Errorf("snapshot size changed across reopen: %d live, %d disk", len(pre), len(post))
 	}
 
-	// The batching axis must hold on the recovered database too: the
-	// tuple-at-a-time executor has to read the exact same answers out of
-	// whatever state the fault left behind.
-	db2.DefaultSession().SetBatchSize(-1)
-	tpost, err := Snapshot(db2, bench.Temporal)
-	db2.DefaultSession().ClearBatchSize()
-	if err != nil {
-		t.Fatalf("post-reopen tuple-mode snapshot: %v", err)
-	}
-	for id, want := range post {
-		if got := tpost[id]; got != want {
-			t.Errorf("%s: tuple and batch executors diverge after recovery\nbatch: %q\ntuple: %q", id, want, got)
-		}
-	}
+	// The batching axis must hold on the recovered database too: every
+	// capacity has to read the recorded answers out of whatever state the
+	// fault left behind.
+	checkGoldenCaps(t, "fault/"+sc.name, bench.Temporal, db2)
 }
 
 // updateRound mirrors bench.DB.Update on a reopened database: advance an

@@ -11,7 +11,9 @@ import (
 // node. Because operators nest (a join's Next runs inside its parent's
 // Next), Enter returns the previous owner and Leave restores it — the
 // innermost operator on the stack owns the I/O, which is exactly the
-// operator whose code touched the pages.
+// operator whose code touched the pages. A nil *Attribution charges
+// nothing: the operators of a run nobody measures (a DML victim scan)
+// bracket themselves at no cost.
 type Attribution struct {
 	read   func() buffer.Stats
 	cur    *plan.Node
@@ -30,6 +32,9 @@ func NewAttribution(read func() buffer.Stats) *Attribution {
 // Enter flushes pending deltas to the current owner and makes n the
 // owner. It returns the previous owner for Leave.
 func (a *Attribution) Enter(n *plan.Node) *plan.Node {
+	if a == nil {
+		return nil
+	}
 	a.flush()
 	prev := a.cur
 	a.cur = n
@@ -38,6 +43,9 @@ func (a *Attribution) Enter(n *plan.Node) *plan.Node {
 
 // Leave flushes pending deltas to the current owner and restores prev.
 func (a *Attribution) Leave(prev *plan.Node) {
+	if a == nil {
+		return
+	}
 	a.flush()
 	a.cur = prev
 }

@@ -7,16 +7,6 @@ import (
 	"tdbms/internal/secindex"
 )
 
-// This file is the vectorized twin of the tuple cursors: operators exchange
-// fixed-capacity row batches instead of single bindings, amortizing the
-// per-tuple interpretation overhead (virtual dispatch, attribution
-// bracketing) over DefaultBatchCap rows. A batch row is one slot per tuple
-// variable of the query; a leaf fills only its own slot, a join merges the
-// outer row's slots with the inner row's. Filters keep a selection vector
-// instead of copying rows. Attribution brackets move from per-tuple to
-// per-batch — binding and predicate evaluation cause no page I/O, so the
-// per-operator page sums are identical to the tuple executor's.
-
 // DefaultBatchCap is the row capacity of a batch when the caller does not
 // choose one.
 const DefaultBatchCap = 256
@@ -137,13 +127,18 @@ type BatchOperator interface {
 }
 
 // RunBatches drives a root batch operator to exhaustion using b as the
-// exchange buffer — the batch twin of Run.
-func RunBatches(root BatchOperator, b *Batch) error {
+// exchange buffer: the pull loop of the executor. each, when non-nil,
+// consumes every batch; a root whose own hooks consume its rows (emit a
+// result row, accumulate an aggregate) passes nil.
+func RunBatches(root BatchOperator, b *Batch, each func(b *Batch) error) error {
 	if err := root.Open(); err != nil {
 		return closeBatchOp(root, err)
 	}
 	for {
 		ok, err := root.NextBatch(b)
+		if err == nil && ok && each != nil {
+			err = each(b)
+		}
 		if err != nil {
 			return closeBatchOp(root, err)
 		}
@@ -162,10 +157,13 @@ func closeBatchOp(op BatchOperator, err error) error {
 	return cerr
 }
 
-// BatchScan is the batch twin of Scan: it drains its access-method
-// iterator into the batch, offering each tuple to Bind and storing the
-// qualifiers in the scan's own slot. One attribution bracket covers the
-// whole fill, instead of one per tuple.
+// BatchScan is the one-variable leaf cursor: it drains an access-method
+// iterator (sequential scan, keyed probe, range probe, or temporary scan —
+// Start decides) into the batch, offering each tuple to Bind and storing
+// the qualifiers in the scan's own slot. One attribution bracket covers a
+// whole fill. Open may be called again after Close; Start then produces a
+// fresh iterator, which is how the inner side of a nested loop rescans
+// (tuple substitution recomputes the key from the current outer binding).
 type BatchScan struct {
 	Node  *plan.Node
 	Att   *Attribution
@@ -173,8 +171,14 @@ type BatchScan struct {
 	// Bind qualifies one tuple. Under the block protocol it sees the tuple
 	// in place, on the page, and only the tuples it accepts are copied; it
 	// must not keep the slice.
-	Bind      func(rid page.RID, tup []byte) (bool, error)
-	End       func()
+	Bind func(rid page.RID, tup []byte) (bool, error)
+	// End, if set, runs once when the scan exhausts (clearing the
+	// variable's binding).
+	End func()
+	// Readahead, when positive, is passed to iterators implementing
+	// am.ReadaheadHinter so sequential scans prefetch page batches. The
+	// lowering layer sets it from the session's buffer policy; it stays
+	// zero under the single-frame measurement policy.
 	Readahead int
 	// Slot is the scan's variable's slot in the batch rows.
 	Slot int
@@ -207,9 +211,9 @@ func (s *BatchScan) Open() error {
 }
 
 // NextBatch implements BatchOperator. When the iterator supports the block
-// protocol, each underlying page is fetched once for all its tuples — the
-// vectorization that makes the batch executor faster than the tuple one —
-// instead of once per tuple; the pages read are identical either way.
+// protocol, each underlying page is fetched once for all the tuples the
+// batch has room for instead of once per tuple; the pages read are
+// identical either way.
 func (s *BatchScan) NextBatch(b *Batch) (bool, error) {
 	if s.done {
 		return false, nil
@@ -272,8 +276,9 @@ func (s *BatchScan) Close() error {
 }
 
 // BatchIndexScan resolves tuple ids through a secondary index and fetches
-// versions in batch. Unlike the tuple IndexScan, Fetch returns the fetched
-// tuple so the scan can store it in its slot.
+// versions in batch. Lookup reads the index (one or two levels); Fetch
+// resolves one tuple id against the primary store and returns the tuple,
+// so the scan can store it in its slot, with whether it qualifies.
 type BatchIndexScan struct {
 	Node   *plan.Node
 	Att    *Attribution
@@ -529,10 +534,12 @@ func (n *BatchNestedLoop) Close() error {
 	return first
 }
 
-// BatchMaterialize is the batch twin of Materialize: it drains Child
-// batch-wise, rebinding and writing each selected row into the temporary
-// under one attribution bracket per batch, then runs Finish under the
-// materialization node.
+// BatchMaterialize detaches a one-variable subquery into a temporary: it
+// drains Child (the variable's restricted scan), rebinding and writing
+// each selected row into the temporary, then runs Finish to flush the
+// temporary and rebind the variable to it. Write and Finish run under the
+// materialization node's attribution bracket (one per batch), so temporary
+// writes are charged to the detach step, not to the scan that fed it.
 type BatchMaterialize struct {
 	Node   *plan.Node
 	Att    *Attribution
@@ -543,30 +550,21 @@ type BatchMaterialize struct {
 	Finish func() error
 }
 
-// Run drains the child and builds the temporary.
+// Run drains the child and builds the temporary; BatchMaterialize is a
+// prologue step, not a cursor, so it exposes Run instead of BatchOperator.
 func (m *BatchMaterialize) Run() error {
-	if err := m.Child.Open(); err != nil {
-		return closeBatchOp(m.Child, err)
-	}
-	for {
-		ok, err := m.Child.NextBatch(m.Buf)
-		if err != nil {
-			return closeBatchOp(m.Child, err)
-		}
-		if !ok {
-			break
-		}
+	err := RunBatches(m.Child, m.Buf, func(b *Batch) error {
 		prev := m.Att.Enter(m.Node)
-		for _, i := range m.Buf.Sel() {
-			m.Rebind(m.Buf.Row(i))
+		defer m.Att.Leave(prev)
+		for _, i := range b.Sel() {
+			m.Rebind(b.Row(i))
 			if err := m.Write(); err != nil {
-				m.Att.Leave(prev)
-				return closeBatchOp(m.Child, err)
+				return err
 			}
 		}
-		m.Att.Leave(prev)
-	}
-	if err := m.Child.Close(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	prev := m.Att.Enter(m.Node)

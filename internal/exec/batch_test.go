@@ -192,73 +192,45 @@ func TestBatchScanAllFiltered(t *testing.T) {
 	}
 }
 
-// TestBatchScanMatchesTupleScan runs the same restricted scan through both
-// executors and requires identical qualifying rows and identical
-// per-operator page attribution.
+// TestBatchScanMatchesTupleScan runs the same restricted scan at capacity 1
+// — tuple-at-a-time — and at capacity 7 and requires identical qualifying
+// rows and identical per-operator page attribution.
 func TestBatchScanMatchesTupleScan(t *testing.T) {
 	hf := testHeap(t, 300)
 	keep := func(_ page.RID, tup []byte) (bool, error) {
 		return binary.LittleEndian.Uint32(tup)%3 == 0, nil
 	}
 
-	run := func(batched bool) (rows int64, io plan.IOStats) {
+	run := func(capacity int) (rows int64, io plan.IOStats) {
 		if err := hf.Buffer().Invalidate(); err != nil {
 			t.Fatal(err)
 		}
 		hf.Buffer().ResetStats()
 		att := testAtt(hf)
 		node := &plan.Node{Op: plan.OpSeqScan}
-		if batched {
-			op := scanOp(hf, att, node, keep)
-			b := exec.NewBatch(1, 7)
-			for _, n := range drainBatches(t, op, b) {
-				rows += int64(n)
-			}
-		} else {
-			op := &exec.Scan{Node: node, Att: att,
-				Start: func() (am.Iterator, error) { return hf.Scan(), nil },
-				Bind:  keep,
-			}
-			if err := exec.Run(&countRoot{op: op, rows: &rows}); err != nil {
-				t.Fatal(err)
-			}
+		for _, n := range drainBatches(t, scanOp(hf, att, node, keep), exec.NewBatch(1, capacity)) {
+			rows += int64(n)
 		}
 		att.Finish(node)
 		return rows, node.IO
 	}
 
-	tRows, tIO := run(false)
-	bRows, bIO := run(true)
+	tRows, tIO := run(1)
+	bRows, bIO := run(7)
 	if tRows != bRows {
-		t.Fatalf("rows: tuple=%d batch=%d", tRows, bRows)
+		t.Fatalf("rows: capacity 1 = %d, capacity 7 = %d", tRows, bRows)
 	}
-	// Pages read and written must agree exactly. Hits need not: the batch
-	// scan fetches each page once per block instead of once per tuple, so
+	// Pages read and written must agree exactly. Hits need not: the wider
+	// batch fetches each page once per block instead of once per tuple, so
 	// the per-tuple re-fetches of a resident page (hits, never reads)
 	// disappear.
 	if tIO.Reads != bIO.Reads || tIO.Writes != bIO.Writes {
-		t.Fatalf("attributed IO differs: tuple=%+v batch=%+v", tIO, bIO)
+		t.Fatalf("attributed IO differs: capacity 1 = %+v, capacity 7 = %+v", tIO, bIO)
 	}
 	if bIO.Hits > tIO.Hits {
-		t.Fatalf("batch hits %d exceed tuple hits %d", bIO.Hits, tIO.Hits)
+		t.Fatalf("capacity 7 hits %d exceed capacity 1 hits %d", bIO.Hits, tIO.Hits)
 	}
 }
-
-// countRoot adapts a tuple operator for exec.Run, counting rows.
-type countRoot struct {
-	op   exec.Operator
-	rows *int64
-}
-
-func (c *countRoot) Open() error { return c.op.Open() }
-func (c *countRoot) Next() (bool, error) {
-	ok, err := c.op.Next()
-	if ok {
-		*c.rows++
-	}
-	return ok, err
-}
-func (c *countRoot) Close() error { return c.op.Close() }
 
 // TestBatchNestedLoopPauseResume forces the join's output batch to fill
 // mid-inner-scan: 6 outer rows x 5 inner rows with an output capacity of
@@ -360,8 +332,8 @@ func TestBatchFilterSkipsEmptyBatches(t *testing.T) {
 
 // TestBatchScanIteratorError injects a read fault mid-scan and requires
 // NextBatch to surface it — not swallow it or end the scan early — while
-// Close still succeeds (the batch twin of the heapfile iterator
-// error-path tests).
+// Close still succeeds (as the heapfile iterator error-path tests require
+// of the iterator itself).
 func TestBatchScanIteratorError(t *testing.T) {
 	mem := storage.NewMem()
 	buf := buffer.New("bt_err", mem)

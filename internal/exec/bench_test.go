@@ -19,8 +19,8 @@ import (
 	"tdbms/internal/storage"
 )
 
-// The micro-benchmarks below exercise the executor's hot path — the
-// cursor pull loop plus the per-operator attribution brackets — over the
+// The micro-benchmarks below exercise the executor's hot path — the batch
+// pull loop plus the per-operator attribution brackets — over the
 // three operator shapes the twelve paper queries reduce to: a
 // single-variable scan, a tuple-substitution join, and a temporal filter.
 // Alongside timings they record the deterministic work per operation
@@ -139,7 +139,7 @@ func statsSum(bufs ...*buffer.Buffered) func() buffer.Stats {
 }
 
 // BenchmarkSingleVarScan drives a cold sequential scan — the executor's
-// simplest pipeline: Scan leaf feeding a counting Project root.
+// simplest pipeline: BatchScan leaf feeding a counting BatchProject root.
 func BenchmarkSingleVarScan(b *testing.B) {
 	hf := buildHeap(b, 1024)
 	var m benchMetrics
@@ -153,17 +153,18 @@ func BenchmarkSingleVarScan(b *testing.B) {
 		leaf := &plan.Node{Op: plan.OpSeqScan, Var: "s"}
 		root := &plan.Node{Op: plan.OpProject, Children: []*plan.Node{leaf}}
 		var rows int64
-		op := &exec.Project{
+		op := &exec.BatchProject{
 			Node: root,
-			Child: &exec.Scan{
+			Child: &exec.BatchScan{
 				Node:  leaf,
 				Att:   att,
 				Start: func() (am.Iterator, error) { return hf.Scan(), nil },
 				Bind:  func(page.RID, []byte) (bool, error) { return true, nil },
 			},
-			Emit: func() error { rows++; return nil },
+			Rebind: func([][]byte) {},
+			Emit:   func() error { rows++; return nil },
 		}
-		if err := exec.Run(op); err != nil {
+		if err := exec.RunBatches(op, exec.NewBatch(1, exec.DefaultBatchCap), nil); err != nil {
 			b.Fatal(err)
 		}
 		att.Finish(root)
@@ -193,31 +194,35 @@ func BenchmarkSubstitutionJoin(b *testing.B) {
 		join := &plan.Node{Op: plan.OpNestLoop, Children: []*plan.Node{outerLeaf, innerLeaf}}
 		root := &plan.Node{Op: plan.OpProject, Children: []*plan.Node{join}}
 
+		// Slot layout: 0 = outer, 1 = inner.
 		var outerKey int64
 		var rows int64
-		op := &exec.Project{
+		op := &exec.BatchProject{
 			Node: root,
-			Child: &exec.NestedLoop{
+			Child: &exec.BatchNestedLoop{
 				Node: join,
-				Outer: &exec.Scan{
+				Outer: &exec.BatchScan{
 					Node:  outerLeaf,
 					Att:   att,
+					Slot:  0,
 					Start: func() (am.Iterator, error) { return outer.Scan(), nil },
-					Bind: func(_ page.RID, tup []byte) (bool, error) {
-						outerKey = benchKey.Extract(tup)
-						return true, nil
-					},
+					Bind:  func(page.RID, []byte) (bool, error) { return true, nil },
 				},
-				Inner: &exec.Scan{
+				Inner: &exec.BatchScan{
 					Node:  innerLeaf,
 					Att:   att,
+					Slot:  1,
 					Start: func() (am.Iterator, error) { return inner.Probe(outerKey), nil },
 					Bind:  func(page.RID, []byte) (bool, error) { return true, nil },
 				},
+				Rebind:   func(row [][]byte) { outerKey = benchKey.Extract(row[0]) },
+				OuterBuf: exec.NewBatch(2, exec.DefaultBatchCap),
+				InnerBuf: exec.NewBatch(2, exec.DefaultBatchCap),
 			},
-			Emit: func() error { rows++; return nil },
+			Rebind: func([][]byte) {},
+			Emit:   func() error { rows++; return nil },
 		}
-		if err := exec.Run(op); err != nil {
+		if err := exec.RunBatches(op, exec.NewBatch(2, exec.DefaultBatchCap), nil); err != nil {
 			b.Fatal(err)
 		}
 		att.Finish(root)
@@ -250,26 +255,28 @@ func BenchmarkTemporalFilter(b *testing.B) {
 
 		var from int64
 		var rows int64
-		op := &exec.Project{
+		rebind := func(row [][]byte) {
+			from = int64(int32(binary.LittleEndian.Uint32(row[0][8:])))
+		}
+		op := &exec.BatchProject{
 			Node: root,
-			Child: &exec.Filter{
+			Child: &exec.BatchFilter{
 				Node: filt,
-				Child: &exec.Scan{
+				Child: &exec.BatchScan{
 					Node: leaf,
 					Att:  att,
 					Start: func() (am.Iterator, error) {
 						return hf.Scan(), nil
 					},
-					Bind: func(_ page.RID, tup []byte) (bool, error) {
-						from = int64(int32(binary.LittleEndian.Uint32(tup[8:])))
-						return true, nil
-					},
+					Bind: func(page.RID, []byte) (bool, error) { return true, nil },
 				},
-				Pred: func() (bool, error) { return from < 50, nil },
+				Rebind: rebind,
+				Pred:   func() (bool, error) { return from < 50, nil },
 			},
-			Emit: func() error { rows++; return nil },
+			Rebind: rebind,
+			Emit:   func() error { rows++; return nil },
 		}
-		if err := exec.Run(op); err != nil {
+		if err := exec.RunBatches(op, exec.NewBatch(1, exec.DefaultBatchCap), nil); err != nil {
 			b.Fatal(err)
 		}
 		att.Finish(root)

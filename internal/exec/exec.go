@@ -1,52 +1,18 @@
-// Package exec is the cursor executor of the query processor: a
-// Volcano-style Open/Next/Close operator tree lowered from a physical
-// plan (internal/plan). Bindings flow through closures supplied by the
-// semantic layer — an operator pulls tuples, binds them into the
-// evaluation environment via its Bind/Emit hooks, and signals qualified
-// bindings upward; the executor itself never interprets tuples.
+// Package exec is the executor of the query processor: an
+// Open/NextBatch/Close operator tree lowered from a physical plan
+// (internal/plan). Operators exchange fixed-capacity row batches, one slot
+// per tuple variable of the query: a leaf fills only its own slot, a join
+// merges the outer row's slots with the inner row's, and filters keep a
+// selection vector instead of copying rows. Capacity 1 is tuple-at-a-time
+// on the same operators. Tuples are interpreted only by closures the
+// semantic layer supplies — a leaf's Bind qualifies a tuple, a consumer's
+// Rebind installs a row in the evaluation environment before Pred or Emit
+// reads it; the executor itself never looks inside a tuple.
 //
 // Every operator carries its plan node and an Attribution tracker: page
 // reads and writes observed while an operator's own code runs are charged
 // to its node, so after a run the plan tree is annotated with the measured
-// per-operator cost (the paper's metric, pages of I/O).
+// per-operator cost (the paper's metric, pages of I/O). The brackets are
+// per batch; binding and predicate evaluation cause no page I/O, so the
+// per-operator page sums do not depend on the capacity.
 package exec
-
-// Operator is a cursor over qualified bindings. Open prepares the cursor
-// (and may be called again after Close to rescan, as the inner side of a
-// nested-loop join is). Next advances to the next qualified binding,
-// returning false when exhausted. Close releases the cursor's resources;
-// it must be called exactly once per Open.
-type Operator interface {
-	Open() error
-	Next() (bool, error)
-	Close() error
-}
-
-// Run drives a root operator to exhaustion: the pull loop of the
-// executor. Each Next call leaves one qualified binding in the evaluation
-// environment; the root operator's hooks consume it (emit a result row,
-// accumulate an aggregate), so Run discards the signal.
-func Run(root Operator) error {
-	if err := root.Open(); err != nil {
-		return closeOp(root, err)
-	}
-	for {
-		ok, err := root.Next()
-		if err != nil {
-			return closeOp(root, err)
-		}
-		if !ok {
-			return root.Close()
-		}
-	}
-}
-
-// closeOp closes op, keeping the earlier error if there was one: the
-// failure that stopped the run takes precedence over the Close error.
-func closeOp(op Operator, err error) error {
-	cerr := op.Close()
-	if err != nil {
-		return err
-	}
-	return cerr
-}

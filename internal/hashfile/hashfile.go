@@ -92,7 +92,8 @@ func (f *File) Ordered() bool { return false }
 // ProbeRange implements am.File as a filtered full scan (static hashing
 // cannot do better; Section 6's case for ordered structures).
 func (f *File) ProbeRange(lo, hi int64) am.Iterator {
-	return am.FilterRange(f.Scan(), f.meta.Key, lo, hi)
+	return am.NewWalk(&am.PrimaryScan{Buf: f.buf, Primaries: f.meta.Primary},
+		am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Insert implements am.File: the tuple goes to the first page of its

@@ -136,7 +136,7 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 	if !f.keyed {
 		return am.Empty{}
 	}
-	return am.FilterRange(f.Scan(), f.key, lo, hi)
+	return am.NewWalk(&scanWalk{f: f}, am.Match{Key: f.key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Scan implements am.File, visiting pages in file order.

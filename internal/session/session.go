@@ -49,9 +49,8 @@ type Session struct {
 	hasPol bool
 
 	// batch, when set, overrides the database's default executor batch
-	// size for this session's retrieves: positive is a row capacity, zero
-	// asks for the engine default, negative selects the tuple-at-a-time
-	// executor.
+	// size for this session's statements: positive is a row capacity, zero
+	// asks for the engine default, negative means one row.
 	batch    int
 	hasBatch bool
 
@@ -149,8 +148,8 @@ func (s *Session) BufferPolicy() (buffer.Policy, bool) {
 }
 
 // SetBatchSize overrides the session's executor batch size: rows > 0 is a
-// batch capacity, rows == 0 asks for the engine default, rows < 0 selects
-// the tuple-at-a-time executor.
+// batch capacity, rows == 0 asks for the engine default, rows < 0 means
+// one row (tuple-at-a-time).
 func (s *Session) SetBatchSize(rows int) {
 	s.batch, s.hasBatch = rows, true
 }

@@ -230,7 +230,7 @@ func (s *Store) RangeCurrent(lo, hi int64) am.Iterator {
 func (s *Store) RangeAll(lo, hi int64) am.Iterator {
 	return &concatIter{its: []am.Iterator{
 		s.primary.ProbeRange(lo, hi),
-		am.FilterRange(s.historyFile().Scan(), s.key, lo, hi),
+		s.historyFile().ProbeRange(lo, hi),
 	}}
 }
 

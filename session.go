@@ -96,9 +96,9 @@ func (s *Session) SetBufferPolicy(frames, readahead int) {
 func (s *Session) ClearBufferPolicy() { s.conn.ClearBufferPolicy() }
 
 // SetBatchSize overrides the executor batch size for this session's
-// retrieves: rows > 0 exchanges batches of that many rows between
-// operators, rows == 0 asks for the engine default, and rows < 0 selects
-// the tuple-at-a-time executor. Both executors read exactly the same
+// statements: rows > 0 exchanges batches of that many rows between
+// operators, rows == 0 asks for the engine default, and rows < 0 means
+// one row, which is tuple-at-a-time. Every capacity reads exactly the same
 // pages in the same order — the setting trades per-tuple interpretation
 // overhead, never I/O, so reported page counts are identical either way.
 func (s *Session) SetBatchSize(rows int) { s.conn.SetBatchSize(rows) }

@@ -47,8 +47,8 @@ type Options struct {
 	// the paper's measurement policy of Section 5.1.
 	BufferFrames int
 	// BatchSize sets the executor's batch capacity in rows. Zero picks
-	// the default; a negative value selects the tuple-at-a-time executor.
-	// Page counts are identical either way.
+	// the default; a negative value means one row, which is
+	// tuple-at-a-time. Page counts are identical either way.
 	BatchSize int
 }
 
