@@ -8,11 +8,11 @@
 //	             and internal/core
 //	determinism  no wall clock, global rand, or map-ordered iteration in
 //	             internal/bench figure paths
-//	sessionstate core.Database keeps no per-caller statement state, and
-//	             internal/session stays below the planner and raw storage
+//	sessionstate core.Database keeps no per-caller statement state; it
+//	             lives on core.Conn
 //	bufpolicy    buffer.Policy constructed only behind the sanctioned
-//	             configuration surfaces (internal/buffer, internal/session,
-//	             internal/core), so measurement mode cannot drift silently
+//	             configuration surfaces (internal/buffer, internal/core), so
+//	             measurement mode cannot drift silently
 //	errcheck     no silently discarded errors under internal/
 //	copylocks    no by-value copies of sync primitives or counter-bearing
 //	             buffer/storage types

@@ -277,7 +277,7 @@ func main() {
 				st := c.Stats()
 				fmt.Printf("%s %-16s now=%s ranges=%d io=%d/%d\n",
 					marker, n, temporal.Format(c.Now(), temporal.Second),
-					len(c.Session().Ranges()), st.Reads+st.Hits, st.Writes)
+					c.NumRanges(), st.Reads+st.Hits, st.Writes)
 			}
 		case strings.HasPrefix(trimmed, `\session`):
 			arg := strings.TrimSpace(strings.TrimPrefix(trimmed, `\session`))

@@ -8,7 +8,12 @@
 // grow with the update count (the effect Section 5.3 analyzes).
 package am
 
-import "tdbms/internal/page"
+import (
+	"errors"
+	"math"
+
+	"tdbms/internal/page"
+)
 
 // Key locates the integer key inside a fixed-width tuple. Width is 1, 2, or
 // 4 bytes, read as a signed little-endian integer (Quel i1/i2/i4).
@@ -31,15 +36,15 @@ func (k Key) Extract(tup []byte) int64 {
 	panic("am: unsupported key width")
 }
 
-// Iterator yields tuples one at a time. The returned tuple slice is a copy
-// and remains valid after further iteration.
+// Iterator delivers tuples a page at a time. NextBlock resets blk and
+// offers it up to max candidates from the page under the cursor, fetching
+// that page exactly once; it returns false only at exhaustion (with an
+// empty block). A block whose Qual rejected every candidate comes back
+// empty with true. A call that stops at max mid-page leaves the cursor on
+// that page, and the next call fetches it again. An iterator holds nothing
+// that needs releasing: a scan abandoned early is simply dropped.
 type Iterator interface {
-	// Next returns the next tuple and its address. ok is false at the end.
-	Next() (rid page.RID, tup []byte, ok bool, err error)
-	// Close releases the iterator's position. It must be called exactly
-	// once, even when the scan was abandoned before Next returned false,
-	// so early-terminated scans release their position deterministically.
-	Close() error
+	NextBlock(blk *Block, max int) (bool, error)
 }
 
 // ReadaheadHinter is optionally implemented by sequential-scan iterators
@@ -82,8 +87,29 @@ type File interface {
 // Empty is an Iterator that yields nothing.
 type Empty struct{}
 
-// Next implements Iterator.
-func (Empty) Next() (page.RID, []byte, bool, error) { return page.NilRID, nil, false, nil }
+// NextBlock implements Iterator.
+func (Empty) NextBlock(blk *Block, _ int) (bool, error) {
+	blk.Reset()
+	return false, nil
+}
 
-// Close implements Iterator.
-func (Empty) Close() error { return nil }
+// Stop, returned by the function Each calls, ends the walk early; Each then
+// returns nil.
+var Stop = errors.New("am: stop")
+
+// Each shows fn every tuple it yields, in place: tup aliases the page under
+// the iterator's cursor and is valid only during the call, so a caller that
+// keeps a tuple clones it, and fn must not touch the file being walked.
+// Each returns the first error of the walk or of fn.
+func Each(it Iterator, fn func(rid page.RID, tup []byte) error) error {
+	blk := Block{Qual: func(rid page.RID, tup []byte) (bool, error) { return false, fn(rid, tup) }}
+	for {
+		ok, err := it.NextBlock(&blk, math.MaxInt)
+		if errors.Is(err, Stop) {
+			return nil
+		}
+		if !ok || err != nil {
+			return err
+		}
+	}
+}

@@ -49,31 +49,29 @@ func TestKeyExtractSignExtension(t *testing.T) {
 }
 
 func TestEmptyIterator(t *testing.T) {
-	var e Empty
-	if _, _, ok, err := e.Next(); ok || err != nil {
-		t.Errorf("Empty.Next = %v, %v", ok, err)
+	blk := Block{RIDs: []page.RID{{}}, Tups: [][]byte{nil}}
+	if ok, err := (Empty{}).NextBlock(&blk, 8); ok || err != nil || blk.Len() != 0 {
+		t.Errorf("Empty.NextBlock = %v, %v with %d tuples", ok, err, blk.Len())
 	}
 }
 
 // onePage is the PageWalk over a single page.
 type onePage struct {
-	p      *page.Page
-	left   bool
-	closed bool
+	p    *page.Page
+	left bool
 }
 
 func (w *onePage) View(*Match) (*page.Page, page.ID, error) {
-	if w.left || w.closed {
+	if w.left {
 		return nil, page.Nil, nil
 	}
 	return w.p, 0, nil
 }
 func (w *onePage) Leave(*page.Page) { w.left = true }
-func (w *onePage) Close()           { w.closed = true }
 
 // TestWalkRange pins the range restriction unordered files scan under: a
 // walk passes through exactly the tuples whose key falls in [Lo, Hi], an
-// inverted range yields nothing, and Close reaches the page walk.
+// inverted range yields nothing, and Each ends early on Stop.
 func TestWalkRange(t *testing.T) {
 	key := Key{Offset: 0, Width: 4}
 	var p page.Page
@@ -85,15 +83,11 @@ func TestWalkRange(t *testing.T) {
 	}
 	it := NewWalk(&onePage{p: &p}, Match{Key: key, Filter: true, Lo: 1, Hi: 10})
 	var got []int64
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if err := Each(it, func(_ page.RID, tup []byte) error {
 		got = append(got, key.Extract(tup))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	want := []int64{1, 3, 7, 10}
 	if len(got) != len(want) {
@@ -105,17 +99,21 @@ func TestWalkRange(t *testing.T) {
 		}
 	}
 	// Empty bound.
-	inner := &onePage{p: &p}
-	it = NewWalk(inner, Match{Key: key, Filter: true, Lo: 5, Hi: 4})
-	if _, _, ok, _ := it.Next(); ok {
-		t.Error("inverted range yielded a tuple")
+	var blk Block
+	it = NewWalk(&onePage{p: &p}, Match{Key: key, Filter: true, Lo: 5, Hi: 4})
+	if ok, err := it.NextBlock(&blk, 8); err != nil || blk.Len() != 0 {
+		t.Errorf("inverted range yielded %d tuples (%v, %v)", blk.Len(), ok, err)
 	}
-	// Close propagates to the page walk.
-	if err := it.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if !inner.closed {
-		t.Error("Walk.Close did not close the page walk")
+	// Stop ends the walk after the tuple that returned it.
+	n := 0
+	it = NewWalk(&onePage{p: &p}, Match{})
+	if err := Each(it, func(page.RID, []byte) error {
+		if n++; n == 2 {
+			return Stop
+		}
+		return nil
+	}); err != nil || n != 2 {
+		t.Errorf("Each after Stop: %v, %d tuples seen, want 2", err, n)
 	}
 }
 

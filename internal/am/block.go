@@ -4,11 +4,10 @@ import "tdbms/internal/page"
 
 // Block is a page-at-a-time tuple delivery: one NextBlock call fetches the
 // page under the iterator's cursor once and offers the block every
-// candidate still on it, instead of re-fetching the page per tuple the way
-// Next does. The iterator reads the page in place; the block copies only
-// the tuples that survive Qual, so like Next's results its tuples are
-// copies, valid after further iteration — until the block's arena is
-// reset — and a consumer may hold them as long as that.
+// candidate still on it. The iterator reads the page in place; the block
+// copies only the tuples that survive Qual, so its tuples stay valid after
+// further iteration — until the block's arena is reset — and a consumer
+// may hold them as long as that.
 type Block struct {
 	RIDs []page.RID
 	Tups [][]byte
@@ -38,9 +37,11 @@ func (b *Block) Reset() {
 // Len is the number of tuples in the block.
 func (b *Block) Len() int { return len(b.Tups) }
 
-// offer shows the block one candidate, in place, and copies it in if Qual
-// accepts it (or there is no Qual).
-func (b *Block) offer(rid page.RID, tup []byte) error {
+// Offer shows the block one candidate, in place, and copies it in if Qual
+// accepts it (or there is no Qual). Walk offers the tuples of each page it
+// visits; an iterator that orders its candidates some other way offers them
+// itself.
+func (b *Block) Offer(rid page.RID, tup []byte) error {
 	b.offered++
 	if b.Qual != nil {
 		ok, err := b.Qual(rid, tup)
@@ -69,7 +70,7 @@ func (b *Block) fill(p *page.Page, id page.ID, slot *int, m *Match, max int) (bo
 		if !ok {
 			return true, nil
 		}
-		if err := b.offer(page.RID{Page: id, Slot: uint16(s)}, tup); err != nil {
+		if err := b.Offer(page.RID{Page: id, Slot: uint16(s)}, tup); err != nil {
 			return false, err
 		}
 	}
@@ -134,20 +135,4 @@ func (a *Arena) Reset() {
 	clear(a.chunks[i:])
 	a.chunks = a.chunks[:i]
 	a.n = 0
-}
-
-// BlockIterator is optionally implemented by iterators that can deliver
-// tuples page-at-a-time. NextBlock resets blk and offers it up to max
-// candidates from the page under the cursor, fetching that page exactly
-// once; it returns false only at exhaustion (with an empty block). A block
-// whose Qual rejected every candidate comes back empty with true. A call
-// that stops at max mid-page leaves the cursor on that page, and the next
-// call re-fetches it — the same fetch the tuple protocol would issue on
-// resume, so the page-read accounting of a scan is identical under either
-// protocol; only the per-tuple re-fetches within one page (buffer hits)
-// disappear. Next and NextBlock may be interleaved freely: both advance
-// the same cursor.
-type BlockIterator interface {
-	Iterator
-	NextBlock(blk *Block, max int) (bool, error)
 }

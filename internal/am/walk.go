@@ -1,10 +1,6 @@
 package am
 
-import (
-	"bytes"
-
-	"tdbms/internal/page"
-)
+import "tdbms/internal/page"
 
 // Match is the key restriction an iterator applies to a page in place.
 // The zero value accepts every live tuple.
@@ -51,7 +47,7 @@ func (m *Match) Next(p *page.Page, slot *int) (s int, tup []byte, ok bool, err e
 
 // PageWalk is the part of a page-at-a-time iterator that differs between
 // access methods: which pages to visit, in what order. Walk supplies the
-// rest — the tuple and block protocols over the pages it is shown.
+// rest — the block protocol over the pages it is shown.
 type PageWalk interface {
 	// View fetches the page under the cursor, read-only, first moving the
 	// cursor on if the last page was left behind. It returns the page and
@@ -61,15 +57,12 @@ type PageWalk interface {
 	// Leave moves the cursor off page p, onto its overflow successor if it
 	// has one.
 	Leave(p *page.Page)
-	// Close releases the position: View returns nil from now on.
-	Close()
 }
 
-// Walk is the Iterator and BlockIterator over a PageWalk. Both protocols
-// fetch the page under the cursor once per call and read it in place, so
-// a scan moves the buffer counters the same way whichever access method
-// it runs on: Next once per tuple, NextBlock once per page (or per max
-// candidates).
+// Walk is the Iterator over a PageWalk. It fetches the page under the
+// cursor once per call and reads it in place, so a scan moves the buffer
+// counters the same way whichever access method it runs on: once per page
+// (or per max candidates).
 type Walk struct {
 	pw   PageWalk
 	m    Match
@@ -79,26 +72,7 @@ type Walk struct {
 // NewWalk iterates the tuples m accepts on the pages pw visits.
 func NewWalk(pw PageWalk, m Match) *Walk { return &Walk{pw: pw, m: m} }
 
-// Next implements Iterator.
-func (w *Walk) Next() (page.RID, []byte, bool, error) {
-	for {
-		p, id, err := w.pw.View(&w.m)
-		if p == nil || err != nil {
-			return page.NilRID, nil, false, err
-		}
-		s, t, ok, err := w.m.Next(p, &w.slot)
-		if err != nil {
-			return page.NilRID, nil, false, err
-		}
-		if ok {
-			return page.RID{Page: id, Slot: uint16(s)}, bytes.Clone(t), true, nil
-		}
-		w.pw.Leave(p)
-		w.slot = 0
-	}
-}
-
-// NextBlock implements BlockIterator.
+// NextBlock implements Iterator.
 func (w *Walk) NextBlock(blk *Block, max int) (bool, error) {
 	blk.Reset()
 	if max < 1 {
@@ -122,12 +96,6 @@ func (w *Walk) NextBlock(blk *Block, max int) (bool, error) {
 			return true, nil
 		}
 	}
-}
-
-// Close implements Iterator.
-func (w *Walk) Close() error {
-	w.pw.Close()
-	return nil
 }
 
 // SetReadahead implements ReadaheadHinter, passing the hint to a page walk
@@ -157,7 +125,6 @@ type PrimaryScan struct {
 	cur     page.ID // page under the cursor, when chained
 	chained bool    // cur is valid: the scan is inside a chain
 	ahead   int
-	closed  bool
 }
 
 // SetReadahead implements ReadaheadHinter.
@@ -165,9 +132,6 @@ func (w *PrimaryScan) SetReadahead(n int) { w.ahead = n }
 
 // View implements PageWalk.
 func (w *PrimaryScan) View(*Match) (*page.Page, page.ID, error) {
-	if w.closed {
-		return nil, page.Nil, nil
-	}
 	if !w.chained {
 		if w.primary >= w.Primaries {
 			return nil, page.Nil, nil
@@ -193,6 +157,3 @@ func (w *PrimaryScan) Leave(p *page.Page) {
 	w.cur = p.Next()
 	w.chained = w.cur != page.Nil
 }
-
-// Close implements PageWalk.
-func (w *PrimaryScan) Close() { w.closed = true }

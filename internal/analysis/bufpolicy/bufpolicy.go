@@ -5,8 +5,9 @@
 // literal may be constructed only in
 //
 //   - internal/buffer itself (it defines the type and its normalization),
-//   - internal/session (the session-level `\set buffer` override), and
-//   - internal/core (engine configuration via core.Options).
+//     and
+//   - internal/core (engine configuration via core.Options and the
+//     session-level `\set buffer` override, Conn.SetBufferPolicy).
 //
 // Everywhere else — the benchmark harness above all — a stray literal
 // could silently shift every page counter; such code must go through
@@ -26,16 +27,15 @@ const bufferPkg = "tdbms/internal/buffer"
 // sanctioned lists the package paths (and, for fixture loading, package
 // names) allowed to construct buffer.Policy values.
 var sanctioned = map[string]bool{
-	bufferPkg:                true,
-	"tdbms/internal/session": true,
-	"tdbms/internal/core":    true,
-	"buffer":                 true, "session": true, "core": true,
+	bufferPkg:             true,
+	"tdbms/internal/core": true,
+	"buffer":              true, "core": true,
 }
 
 // Analyzer is the buffer-policy construction check.
 var Analyzer = &analysis.Analyzer{
 	Name: "bufpolicy",
-	Doc:  "buffer.Policy is constructed only in internal/buffer, internal/session, and internal/core: measurement mode must not drift via a stray policy literal",
+	Doc:  "buffer.Policy is constructed only in internal/buffer and internal/core: measurement mode must not drift via a stray policy literal",
 	Run:  run,
 }
 

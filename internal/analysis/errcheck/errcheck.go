@@ -15,14 +15,6 @@
 // and writes to infallible in-memory sinks (strings.Builder,
 // bytes.Buffer), whose Write methods are documented to always return a
 // nil error — including fmt.Fprint* calls targeting such a sink.
-//
-// One carve-out from the discard idiom: "_ = it.Close()" on an access
-// method iterator (any type whose method set carries the am.Iterator
-// shape of Next() (page.RID, []byte, bool, error)) is flagged even
-// though it is explicit. Iterator Close is the only place a scan reports
-// a release failure; dropping it can leave a pinned page and skew every
-// subsequent buffer count. Such errors must be handled or folded into
-// the surrounding error return.
 package errcheck
 
 import (
@@ -139,16 +131,6 @@ func checkCallStmt(pass *analysis.Pass, expr ast.Expr, prefix string) {
 // discard idiom and is allowed.
 func checkAssign(pass *analysis.Pass, stmt *ast.AssignStmt) {
 	if len(stmt.Lhs) < 2 {
-		// "_ = f()" is normally the sanctioned discard, but not for
-		// iterator Close: releasing a scan position must not fail
-		// silently.
-		if len(stmt.Lhs) == 1 && len(stmt.Rhs) == 1 && isBlank(stmt.Lhs[0]) {
-			if call, ok := ast.Unparen(stmt.Rhs[0]).(*ast.CallExpr); ok && isIteratorClose(pass, call) {
-				pass.Report(stmt.Lhs[0].Pos(),
-					"discarded error from %s on an access-method iterator; a failed Close can leave a page pinned — handle or propagate it",
-					callName(pass, call))
-			}
-		}
 		return
 	}
 	if len(stmt.Rhs) == 1 {
@@ -175,44 +157,6 @@ func checkAssign(pass *analysis.Pass, stmt *ast.AssignStmt) {
 			pass.Report(lhs.Pos(), "blank identifier swallows an error value")
 		}
 	}
-}
-
-// isIteratorClose reports whether call is x.Close() where x's method set
-// carries the am.Iterator shape: Next() (page.RID, []byte, bool, error).
-// The match is structural (result types, with a named RID first) so it
-// holds for am.Iterator itself, every concrete access-method iterator,
-// and fixtures, without this package importing the storage stack.
-func isIteratorClose(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Close" {
-		return false
-	}
-	selection, ok := pass.Info.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal {
-		return false
-	}
-	obj, _, _ := types.LookupFieldOrMethod(selection.Recv(), true, nil, "Next")
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() != 0 || sig.Results().Len() != 4 {
-		return false
-	}
-	r := sig.Results()
-	rid, ok := r.At(0).Type().(*types.Named)
-	if !ok || rid.Obj().Name() != "RID" {
-		return false
-	}
-	if slice, ok := r.At(1).Type().Underlying().(*types.Slice); !ok ||
-		!types.Identical(slice.Elem(), types.Typ[types.Byte]) {
-		return false
-	}
-	if b, ok := r.At(2).Type().Underlying().(*types.Basic); !ok || b.Kind() != types.Bool {
-		return false
-	}
-	return types.Identical(r.At(3).Type(), errorType)
 }
 
 func isBlank(e ast.Expr) bool {

@@ -14,11 +14,3 @@ func TestViolating(t *testing.T) {
 func TestClean(t *testing.T) {
 	analysistest.Run(t, errcheck.Analyzer, "testdata/clean.go")
 }
-
-func TestIterCloseViolating(t *testing.T) {
-	analysistest.Run(t, errcheck.Analyzer, "testdata/iterclose_violating.go")
-}
-
-func TestIterCloseClean(t *testing.T) {
-	analysistest.Run(t, errcheck.Analyzer, "testdata/iterclose_clean.go")
-}

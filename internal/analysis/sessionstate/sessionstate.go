@@ -1,17 +1,12 @@
 // Package sessionstate enforces the session-layer split introduced with
-// concurrent read execution: per-caller statement state lives in
-// internal/session, never on the shared core.Database. Concretely:
-//
-//  1. core.Database may not declare mutable per-statement fields — range
-//     tables (string-to-string maps), I/O accumulators (buffer.Stats
-//     values or buffer.Account pointers), or the well-known session
-//     fields that used to live there (ranges, tmpSeq, nowAt). One caller's
-//     statement state on the shared struct is exactly what makes two
-//     sessions unable to execute concurrently.
-//  2. internal/session must stay bookkeeping: it may not import the
-//     planner (internal/plan) or the raw page files (internal/storage).
-//     A session names relations and accumulates counters; resolving names
-//     to access paths and touching pages belong to core and below.
+// concurrent read execution: per-caller statement state lives on
+// core.Conn, never on the shared core.Database. core.Database may not
+// declare mutable per-statement fields — range tables (string-to-string
+// maps), I/O accumulators (buffer.Stats values or buffer.Account
+// pointers), or the well-known session fields that used to live there
+// (ranges, tmpSeq, nowAt). One caller's statement state on the shared
+// struct is exactly what makes two sessions unable to execute
+// concurrently.
 package sessionstate
 
 import (
@@ -22,11 +17,8 @@ import (
 )
 
 const (
-	corePkg    = "tdbms/internal/core"
-	sessionPkg = "tdbms/internal/session"
-	bufferPkg  = "tdbms/internal/buffer"
-	storagePkg = "tdbms/internal/storage"
-	planPkg    = "tdbms/internal/plan"
+	corePkg   = "tdbms/internal/core"
+	bufferPkg = "tdbms/internal/buffer"
 )
 
 // legacyFields names the per-statement fields that historically lived on
@@ -38,18 +30,15 @@ var legacyFields = map[string]bool{
 // Analyzer is the session-state check.
 var Analyzer = &analysis.Analyzer{
 	Name: "sessionstate",
-	Doc:  "per-caller statement state lives in internal/session, not on core.Database; internal/session imports neither the planner nor raw storage",
+	Doc:  "per-caller statement state lives on core.Conn, not on core.Database",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) {
-	// Fixture packages load under a synthetic import path, so both targets
-	// are also recognized by package name.
+	// Fixture packages load under a synthetic import path, so the target
+	// is also recognized by package name.
 	if pass.Pkg.Path() == corePkg || pass.Pkg.Name() == "core" {
 		checkDatabaseFields(pass)
-	}
-	if pass.Pkg.Path() == sessionPkg || pass.Pkg.Name() == "session" {
-		checkSessionImports(pass)
 	}
 }
 
@@ -78,7 +67,7 @@ func checkDatabaseFields(pass *analysis.Pass) {
 				for _, name := range names {
 					if why := sessionStateKind(name.Name, tv.Type); why != "" {
 						pass.Report(name.Pos(),
-							"core.Database field %q is %s: per-caller statement state belongs in internal/session, the shared database must stay safe for concurrent readers",
+							"core.Database field %q is %s: per-caller statement state belongs on core.Conn, the shared database must stay safe for concurrent readers",
 							name.Name, why)
 					}
 				}
@@ -125,23 +114,4 @@ func namedType(t types.Type) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-// checkSessionImports flags planner and storage imports inside
-// internal/session.
-func checkSessionImports(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		for _, imp := range f.Imports {
-			path := imp.Path.Value // quoted literal
-			if len(path) < 2 {
-				continue
-			}
-			switch path[1 : len(path)-1] {
-			case planPkg, storagePkg:
-				pass.Report(imp.Pos(),
-					"internal/session must not import %s: a session is bookkeeping (names, clocks, accounts), access paths and page I/O belong to core and below",
-					path[1:len(path)-1])
-			}
-		}
-	}
 }

@@ -14,11 +14,3 @@ func TestDatabaseViolating(t *testing.T) {
 func TestDatabaseClean(t *testing.T) {
 	analysistest.Run(t, sessionstate.Analyzer, "testdata/database_clean.go")
 }
-
-func TestSessionImportViolating(t *testing.T) {
-	analysistest.Run(t, sessionstate.Analyzer, "testdata/sessionimport_violating.go")
-}
-
-func TestSessionImportClean(t *testing.T) {
-	analysistest.Run(t, sessionstate.Analyzer, "testdata/sessionimport_clean.go")
-}

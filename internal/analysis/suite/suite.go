@@ -47,11 +47,10 @@ func everywhere(modPath, pkgPath string) bool { return true }
 //     internal/buffer are exempted inside the analyzer);
 //   - determinism guards the measurement/figure paths in internal/bench;
 //   - sessionstate guards the session split: core.Database keeps no
-//     per-caller statement state, and internal/session imports neither
-//     the planner nor raw storage;
+//     per-caller statement state (it lives on core.Conn);
 //   - bufpolicy guards measurement mode: buffer.Policy is constructed only
 //     behind the sanctioned configuration surfaces (internal/buffer,
-//     internal/session, internal/core), module-wide;
+//     internal/core), module-wide;
 //   - faultfs keeps the fault-injection wrapper out of production code:
 //     only _test.go files (never loaded) and internal/difftest may import
 //     it, module-wide;
@@ -70,7 +69,7 @@ func everywhere(modPath, pkgPath string) bool { return true }
 var Checks = []Scoped{
 	{layering.Analyzer, underInternal},
 	{sessionstate.Analyzer, func(modPath, pkgPath string) bool {
-		return pkgPath == modPath+"/internal/core" || pkgPath == modPath+"/internal/session"
+		return pkgPath == modPath+"/internal/core"
 	}},
 	{bufpolicy.Analyzer, everywhere},
 	{determinism.Analyzer, func(modPath, pkgPath string) bool {

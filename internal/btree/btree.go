@@ -334,7 +334,7 @@ func findSlot(p *page.Page, tup []byte) int {
 func (f *File) descend(key int64, leftmost bool) (page.ID, error) {
 	id := f.meta.Root
 	for level := f.meta.Height; level > 0; level-- {
-		p, err := f.buf.Fetch(id)
+		p, err := f.buf.View(id)
 		if err != nil {
 			return page.Nil, err
 		}
@@ -394,7 +394,7 @@ func (f *File) Ordered() bool { return true }
 // walk right along the leaf chain until a key greater than the probe key
 // appears.
 func (f *File) Probe(key int64) am.Iterator {
-	return &probeIter{f: f, lo: key, hi: key}
+	return am.NewWalk(&leafWalk{f: f}, am.Equal(f.meta.Key, key))
 }
 
 // ProbeRange implements am.File: descend to the leftmost leaf covering lo,
@@ -403,7 +403,7 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 	if lo > hi {
 		return am.Empty{}
 	}
-	return &probeIter{f: f, lo: lo, hi: hi}
+	return am.NewWalk(&leafWalk{f: f}, am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Scan implements am.File: walk the leaf chain from the leftmost leaf.
@@ -411,81 +411,51 @@ func (f *File) Scan() am.Iterator {
 	return &scanIter{f: f}
 }
 
-type probeIter struct {
-	f          *File
-	lo, hi     int64 // inclusive key range; equal for an equality probe
-	cur        page.ID
-	slot       int
-	located    bool
-	done       bool
-	sawGreater bool
+// leafWalk visits the leaf chain from the leftmost leaf that can hold the
+// walk's lower bound. Slots within a leaf are not in key order, so the leaf
+// that first shows a key above the upper bound is read to its end, and is
+// the last.
+type leafWalk struct {
+	f   *File
+	m   *am.Match // the walk's restriction, seen on the first View
+	cur page.ID
 }
 
-// Next implements am.Iterator.
-func (it *probeIter) Next() (page.RID, []byte, bool, error) {
-	if it.done {
-		return page.NilRID, nil, false, nil
-	}
-	if !it.located {
-		leaf, err := it.f.descend(it.lo, true)
+// View implements am.PageWalk. The first call descends the tree.
+func (w *leafWalk) View(m *am.Match) (*page.Page, page.ID, error) {
+	if w.m == nil {
+		leaf, err := w.f.descend(m.Lo, true)
 		if err != nil {
-			return page.NilRID, nil, false, err
+			return nil, page.Nil, err
 		}
-		it.cur = leaf
-		it.located = true
+		w.m, w.cur = m, leaf
 	}
-	for it.cur != page.Nil {
-		p, err := it.f.buf.Fetch(it.cur)
-		if err != nil {
-			return page.NilRID, nil, false, err
-		}
-		for it.slot < p.Slots() {
-			s := it.slot
-			it.slot++
-			t, err := p.Get(s)
-			if err == page.ErrBadSlot {
-				continue
-			}
-			if err != nil {
-				return page.NilRID, nil, false, err
-			}
-			k := it.f.meta.Key.Extract(t)
-			if k > it.hi {
-				it.sawGreater = true
-			}
-			if k < it.lo || k > it.hi {
-				continue
-			}
-			out := make([]byte, len(t))
-			copy(out, t)
-			return page.RID{Page: it.cur, Slot: uint16(s)}, out, true, nil
-		}
-		if it.sawGreater {
-			break
-		}
-		it.cur = p.Next()
-		it.slot = 0
+	if w.cur == page.Nil {
+		return nil, page.Nil, nil
 	}
-	it.done = true
-	return page.NilRID, nil, false, nil
+	p, err := w.f.buf.View(w.cur)
+	return p, w.cur, err
 }
 
-// Close implements am.Iterator, releasing the probe position.
-func (it *probeIter) Close() error {
-	it.done = true
-	return nil
+// Leave implements am.PageWalk.
+func (w *leafWalk) Leave(p *page.Page) {
+	w.cur = p.Next()
+	if w.m.Above {
+		w.cur = page.Nil
+	}
 }
 
+// scanIter reads each leaf once and offers its tuples sorted by key: slots
+// within a leaf are in insertion order, and leaf key ranges do not overlap
+// except for runs of equal keys, whose relative order is immaterial, so the
+// scan presents global key order.
 type scanIter struct {
 	f       *File
 	cur     page.ID
 	started bool
-	// Pending tuples of the current leaf, sorted by key: slots within a
-	// leaf are in insertion order, so the scan sorts per leaf to present
-	// global key order (leaf key ranges do not overlap except for runs of
-	// equal keys, whose relative order is immaterial).
-	pending []pendingTuple
+	pending []pendingTuple // the current leaf's tuples, sorted; pending[idx:] not yet offered
 	idx     int
+	arena   am.Arena // backs pending
 }
 
 type pendingTuple struct {
@@ -494,54 +464,60 @@ type pendingTuple struct {
 	tup []byte
 }
 
-// Next implements am.Iterator.
-func (it *scanIter) Next() (page.RID, []byte, bool, error) {
+// NextBlock implements am.Iterator.
+func (it *scanIter) NextBlock(blk *am.Block, max int) (bool, error) {
+	blk.Reset()
 	if !it.started {
 		leaf, err := it.f.descend(-1<<62, true)
 		if err != nil {
-			return page.NilRID, nil, false, err
+			return false, err
 		}
-		it.cur = leaf
-		it.started = true
+		it.cur, it.started = leaf, true
 	}
-	for {
-		if it.idx < len(it.pending) {
-			pt := it.pending[it.idx]
-			it.idx++
-			return pt.rid, pt.tup, true, nil
-		}
-		if it.cur == page.Nil {
-			return page.NilRID, nil, false, nil
-		}
-		p, err := it.f.buf.Fetch(it.cur)
-		if err != nil {
-			return page.NilRID, nil, false, err
-		}
-		it.pending = it.pending[:0]
-		leaf := it.cur
-		p.Tuples(func(slot int, t []byte) bool {
-			cp := make([]byte, len(t))
-			copy(cp, t)
-			it.pending = append(it.pending, pendingTuple{
-				rid: page.RID{Page: leaf, Slot: uint16(slot)},
-				key: it.f.meta.Key.Extract(cp),
-				tup: cp,
-			})
-			return true
-		})
-		sort.SliceStable(it.pending, func(i, j int) bool {
-			return it.pending[i].key < it.pending[j].key
-		})
-		it.idx = 0
-		it.cur = p.Next()
+	if max < 1 {
+		max = 1
 	}
+	for n := 0; n < max; {
+		if it.idx == len(it.pending) {
+			if it.cur == page.Nil {
+				return n > 0, nil
+			}
+			if err := it.load(); err != nil {
+				return false, err
+			}
+			continue
+		}
+		pt := it.pending[it.idx]
+		it.idx++
+		n++
+		if err := blk.Offer(pt.rid, pt.tup); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
-// Close implements am.Iterator, releasing the leaf-chain position.
-func (it *scanIter) Close() error {
-	it.started = true
-	it.cur = page.Nil
-	it.pending = nil
-	it.idx = 0
+// load reads the leaf under the cursor into pending, in key order, and
+// moves the cursor to the next leaf.
+func (it *scanIter) load() error {
+	p, err := it.f.buf.View(it.cur)
+	if err != nil {
+		return err
+	}
+	it.arena.Reset()
+	it.pending, it.idx = it.pending[:0], 0
+	leaf := it.cur
+	p.Tuples(func(slot int, t []byte) bool {
+		it.pending = append(it.pending, pendingTuple{
+			rid: page.RID{Page: leaf, Slot: uint16(slot)},
+			key: it.f.meta.Key.Extract(t),
+			tup: it.arena.Copy(t),
+		})
+		return true
+	})
+	sort.SliceStable(it.pending, func(i, j int) bool {
+		return it.pending[i].key < it.pending[j].key
+	})
+	it.cur = p.Next()
 	return nil
 }

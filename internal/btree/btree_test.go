@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"sort"
@@ -37,16 +38,13 @@ func build(t *testing.T, width int, keys []int32) *File {
 func collect(t *testing.T, it am.Iterator) []int64 {
 	t.Helper()
 	var out []int64
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
+	if err := am.Each(it, func(_ page.RID, tup []byte) error {
 		out = append(out, key4().Extract(tup))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -78,6 +76,88 @@ func TestScanIsSorted(t *testing.T) {
 	}
 	if f.Height() < 1 {
 		t.Errorf("2000 tuples of width 116 should split; height %d", f.Height())
+	}
+}
+
+// TestScanSortsEachLeaf covers what TestScanIsSorted cannot: Build inserts
+// in key order, so there every leaf's slot order is already its key order.
+// Random inserts after Build land in leaves with room, behind larger keys,
+// and deletes free slots that later inserts reuse, so the leaves here hold
+// out-of-order slots and only the scan's own per-leaf sort puts them back.
+func TestScanSortsEachLeaf(t *testing.T) {
+	keys := make([]int32, 600)
+	for i := range keys {
+		keys[i] = int32(i * 4)
+	}
+	f := build(t, 60, keys)
+	rng := rand.New(rand.NewSource(7))
+	want := map[int64]int{}
+	for _, k := range keys {
+		want[int64(k)]++
+	}
+	var rids []page.RID
+	for i := 0; i < 900; i++ {
+		k := int32(rng.Intn(2400))
+		rid, err := f.Insert(mkTuple(60, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[int64(k)]++
+		if i%3 == 0 {
+			rids = append(rids, rid)
+		}
+		// Delete an earlier insert now and then, before the next split can
+		// move it, so its slot is free for a later key.
+		if i%7 == 0 && len(rids) > 0 {
+			rid := rids[len(rids)-1]
+			rids = rids[:len(rids)-1]
+			tup, err := f.Get(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Delete(rid); err != nil {
+				t.Fatal(err)
+			}
+			want[key4().Extract(tup)]--
+		}
+	}
+
+	unsorted := 0
+	id, err := f.descend(-1<<62, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id != page.Nil {
+		p, err := f.buf.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := int64(-1 << 62)
+		p.Tuples(func(_ int, tup []byte) bool {
+			if k := key4().Extract(tup); k < prev {
+				unsorted++
+			} else {
+				prev = k
+			}
+			return true
+		})
+		id = p.Next()
+	}
+	if unsorted == 0 {
+		t.Fatal("no leaf holds out-of-order slots; the test proves nothing")
+	}
+
+	got := collect(t, f.Scan())
+	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+		t.Errorf("scan out of key order (%d out-of-order slots in the leaves)", unsorted)
+	}
+	for _, k := range got {
+		want[k]--
+	}
+	for k, n := range want {
+		if n != 0 {
+			t.Errorf("key %d: scan yielded %d too few", k, n)
+		}
 	}
 }
 
@@ -149,9 +229,12 @@ func TestVersionChainProbeDegradation(t *testing.T) {
 
 func TestUpdateDelete(t *testing.T) {
 	f := build(t, 16, []int32{1, 2, 3})
-	it := f.Probe(2)
-	rid, tup, ok, err := it.Next()
-	if err != nil || !ok {
+	var rid page.RID
+	var tup []byte
+	if err := am.Each(f.Probe(2), func(r page.RID, b []byte) error {
+		rid, tup = r, bytes.Clone(b)
+		return am.Stop
+	}); err != nil || tup == nil {
 		t.Fatal(err)
 	}
 	tup[8] = 0xEE
@@ -233,16 +316,11 @@ func TestInsertProbeProperty(t *testing.T) {
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 		var got []int64
-		it := bt.Scan()
-		for {
-			_, tup, ok, err := it.Next()
-			if err != nil {
-				return false
-			}
-			if !ok {
-				break
-			}
+		if err := am.Each(bt.Scan(), func(_ page.RID, tup []byte) error {
 			got = append(got, key4().Extract(tup))
+			return nil
+		}); err != nil {
+			return false
 		}
 		if len(got) != len(all) {
 			return false
@@ -254,16 +332,11 @@ func TestInsertProbeProperty(t *testing.T) {
 		}
 		for k, c := range want {
 			cnt := 0
-			it := bt.Probe(int64(k))
-			for {
-				_, _, ok, err := it.Next()
-				if err != nil {
-					return false
-				}
-				if !ok {
-					break
-				}
+			if err := am.Each(bt.Probe(int64(k)), func(page.RID, []byte) error {
 				cnt++
+				return nil
+			}); err != nil {
+				return false
 			}
 			if cnt != c {
 				return false

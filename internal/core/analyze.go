@@ -1,7 +1,9 @@
 package core
 
 import (
+	"tdbms/internal/am"
 	"tdbms/internal/catalog"
+	"tdbms/internal/page"
 	"tdbms/internal/tquel"
 )
 
@@ -50,17 +52,7 @@ func (db *Conn) rebuildStats(h *relHandle) error {
 		}
 	}
 
-	it := h.src.ScanAll()
-	var scanErr error
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			scanErr = err
-			break
-		}
-		if !ok {
-			break
-		}
+	if err := am.Each(h.src.ScanAll(), func(_ page.RID, tup []byte) error {
 		var k int64
 		if keyed {
 			k = key.Extract(tup)
@@ -73,8 +65,8 @@ func (db *Conn) rebuildStats(h *relHandle) error {
 		for _, a := range accs {
 			a.distinct[desc.Schema.Int(tup, a.attr)] = struct{}{}
 		}
-	}
-	if err := closeIter(it, scanErr); err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
 	st.Pages = int64(h.src.NumPages())

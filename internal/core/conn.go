@@ -10,7 +10,6 @@ import (
 	"tdbms/internal/buffer"
 	"tdbms/internal/exec"
 	"tdbms/internal/plan"
-	"tdbms/internal/session"
 	"tdbms/internal/temporal"
 	"tdbms/internal/tquel"
 )
@@ -19,8 +18,10 @@ import (
 var errClosed = errors.New("core: database is closed")
 
 // Conn executes statements for one session. It embeds the shared Database
-// (catalog, storage, clock) and carries the per-caller state — range table,
-// as-of override, I/O account, temporary namer — in a session.Session.
+// (catalog, storage, clock) and holds the per-caller state itself: range
+// table, I/O account, temporary namer, and the session's overrides of the
+// database defaults (as-of clock, buffer policy, batch size, commit
+// durability).
 //
 // Statements on one Conn are serialized by its own mutex; statements on
 // different Conns follow the database's per-relation latching protocol:
@@ -35,10 +36,33 @@ var errClosed = errors.New("core: database is closed")
 // Figure 5–10 counter is untouched by this machinery.
 type Conn struct {
 	*Database
-	sess *session.Session
 
-	// mu serializes statements on this Conn.
+	// mu serializes statements on this Conn and the session's setters.
 	mu sync.Mutex
+
+	// id is the session's number: 0 for the database's implicit default
+	// session, whose temporaries keep the historical "tmp_<n>" names.
+	id   int64
+	name string
+	// acct is the session's I/O account: view handles derived for this
+	// session charge it on every fetch, hit, and flush.
+	acct *buffer.Account
+	// ranges maps a lowercased range variable to its lowercased relation
+	// name (TQuel `range of e is employee`).
+	ranges map[string]string
+	tmpSeq int
+
+	// The session's overrides; nil follows the database. nowAt is the
+	// session's default "now" for analysis and DML timestamps; pol the
+	// buffer policy of its reads (tquel `\set buffer`); batch its executor
+	// batch size (positive is a row capacity, zero the engine default,
+	// negative one row); syncCommit whether its WAL commits wait for the
+	// log to reach stable storage (false acknowledges immediately — an
+	// async commit a crash may lose, but never tear).
+	nowAt      *temporal.Time
+	pol        *buffer.Policy
+	batch      *int
+	syncCommit *bool
 
 	// active is the relation graph of the statement in flight, keyed by
 	// lowercased name: session views for shared-latched relations, root
@@ -96,11 +120,26 @@ type relView struct {
 	stamp uint64
 }
 
-// Session exposes the connection's session state (for shells and tests).
-func (c *Conn) Session() *session.Session { return c.sess }
+// newConn opens session id on db.
+func newConn(db *Database, id int64, name string) *Conn {
+	return &Conn{
+		Database: db,
+		id:       id,
+		name:     name,
+		acct:     buffer.NewAccount(),
+		ranges:   make(map[string]string),
+	}
+}
 
 // Name returns the session's display name.
-func (c *Conn) Name() string { return c.sess.Name() }
+func (c *Conn) Name() string { return c.name }
+
+// NumRanges returns how many range variables the session has declared.
+func (c *Conn) NumRanges() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.ranges)
+}
 
 // NewSession opens a new session on the database. Sessions are cheap: the
 // view cache is built lazily per relation on first read and shares all
@@ -110,7 +149,7 @@ func (db *Database) NewSession(name string) *Conn {
 	if name == "" {
 		name = fmt.Sprintf("session-%d", n)
 	}
-	return &Conn{Database: db, sess: session.New(n, name)}
+	return newConn(db, n, name)
 }
 
 // DefaultSession returns the implicit session that Database.Exec uses.
@@ -132,8 +171,8 @@ func (db *Conn) now() temporal.Time {
 // resolveNow reads the session's "now" sources directly, ignoring the
 // statement pin.
 func (db *Conn) resolveNow() temporal.Time {
-	if t, ok := db.sess.NowOverride(); ok {
-		return t
+	if db.nowAt != nil {
+		return *db.nowAt
 	}
 	return db.clock.Now()
 }
@@ -143,14 +182,14 @@ func (db *Conn) resolveNow() temporal.Time {
 func (c *Conn) SetNow(t temporal.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sess.SetNow(t)
+	c.nowAt = &t
 }
 
 // ClearNow removes the session's as-of override.
 func (c *Conn) ClearNow() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sess.ClearNow()
+	c.nowAt = nil
 }
 
 // Now returns the session's default "now".
@@ -164,13 +203,13 @@ func (c *Conn) Now() temporal.Time {
 // last ResetStats): shared-lock retrieves via per-fetch account charging,
 // exclusive-lock statements via global-counter delta.
 func (c *Conn) Stats() buffer.Stats {
-	return c.sess.Account().Stats()
+	return c.acct.Stats()
 }
 
 // ResetStats zeroes the session's account. The shared pool counters are
 // owned by the database (Database.ResetStats).
 func (c *Conn) ResetStats() {
-	c.sess.Account().Reset()
+	c.acct.Reset()
 }
 
 // stmtLocks is a statement's declared latch set: the relations it reads
@@ -206,8 +245,8 @@ func (c *Conn) relsOf(targets []tquel.Target, where tquel.Expr, when tquel.TExpr
 	}
 	var rels []string
 	for v := range seen {
-		if rel, ok := c.sess.Resolve(v); ok {
-			rels = append(rels, strings.ToLower(rel))
+		if rel, ok := c.resolve(v); ok {
+			rels = append(rels, rel)
 		}
 	}
 	return rels
@@ -258,7 +297,7 @@ func (c *Conn) lockSpec(stmt tquel.Statement) stmtLocks {
 // relation exclusive, every other referenced relation shared.
 func (c *Conn) dmlLocks(v string, targets []tquel.Target, where tquel.Expr, when tquel.TExpr, valid *tquel.ValidClause) stmtLocks {
 	locks := stmtLocks{read: c.relsOf(targets, where, when, valid)}
-	if rel, ok := c.sess.Resolve(v); ok {
+	if rel, ok := c.resolve(v); ok {
 		locks.write = []string{rel}
 	}
 	return locks
@@ -354,9 +393,9 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 		}
 		c.active = active
 		if len(writeRoots) == 0 {
-			c.statsFn = c.sess.Account().Stats
+			c.statsFn = c.acct.Stats
 		} else {
-			acct := c.sess.Account()
+			acct := c.acct
 			c.statsFn = func() buffer.Stats {
 				s := acct.Stats()
 				for _, h := range writeRoots {
@@ -435,7 +474,7 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 		if locks.ddlExcl {
 			rd = d // DDL runs entirely on root handles
 		}
-		c.sess.Account().Charge(rd)
+		c.acct.Charge(rd)
 	}
 	return res, nil
 }
@@ -464,8 +503,8 @@ func (c *Conn) SetConflictRetry(retry bool) {
 // bufferPolicy resolves the session's effective buffer policy: its own
 // override when set, the database default otherwise.
 func (c *Conn) bufferPolicy() buffer.Policy {
-	if pol, ok := c.sess.BufferPolicy(); ok {
-		return pol
+	if c.pol != nil {
+		return *c.pol
 	}
 	return c.Database.bufferPolicy()
 }
@@ -474,10 +513,14 @@ func (c *Conn) bufferPolicy() buffer.Policy {
 // reads: frames buffer frames per relation with up to readahead pages of
 // scan prefetch. Values are normalized (frames >= 1, readahead capped at
 // frames-1). The database default — and the benchmark — stay single-frame.
+// This (with engine configuration in Options) is the sanctioned place to
+// construct a buffer.Policy — tdbvet's bufpolicy check keeps it that way,
+// so measurement mode cannot drift by a stray literal elsewhere.
 func (c *Conn) SetBufferPolicy(frames, readahead int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sess.SetBufferPolicy(frames, readahead)
+	pol := buffer.Policy{Frames: frames, Readahead: readahead}.Normalize()
+	c.pol = &pol
 	c.views = nil
 }
 
@@ -485,7 +528,7 @@ func (c *Conn) SetBufferPolicy(frames, readahead int) {
 func (c *Conn) ClearBufferPolicy() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sess.ClearBufferPolicy()
+	c.pol = nil
 	c.views = nil
 }
 
@@ -499,8 +542,8 @@ func (c *Conn) BufferPolicy() buffer.Policy {
 // batchCap resolves the session's effective executor batch capacity: the
 // session override when set, the database default otherwise.
 func (c *Conn) batchCap() int {
-	if n, ok := c.sess.BatchSize(); ok {
-		return normalizeBatchCap(n)
+	if c.batch != nil {
+		return normalizeBatchCap(*c.batch)
 	}
 	return normalizeBatchCap(c.opts.BatchSize)
 }
@@ -522,14 +565,14 @@ func normalizeBatchCap(n int) int {
 func (c *Conn) SetBatchSize(rows int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sess.SetBatchSize(rows)
+	c.batch = &rows
 }
 
 // ClearBatchSize removes the session's batch-size override.
 func (c *Conn) ClearBatchSize() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sess.ClearBatchSize()
+	c.batch = nil
 }
 
 // viewFor returns the session's cached view of one relation, rebuilding it
@@ -548,7 +591,7 @@ func (c *Conn) viewFor(name string, h *relHandle) *relHandle {
 	}
 	v, ok := c.views[name]
 	if !ok || v.stamp != h.stamp {
-		v = &relView{h: h.withView(c.sess.Account(), pol), stamp: h.stamp}
+		v = &relView{h: h.withView(c.acct, pol), stamp: h.stamp}
 		c.views[name] = v
 	}
 	return v.h
@@ -575,17 +618,35 @@ func (db *Conn) handle(name string) (*relHandle, error) {
 // exists but is outside the statement's latch set surfaces the internal
 // error from handle instead of being dropped.
 func (db *Conn) relForVar(v string) (*relHandle, error) {
-	if rel, ok := db.sess.Resolve(v); ok {
+	if rel, ok := db.resolve(v); ok {
 		h, err := db.handle(rel)
 		if err == nil {
 			return h, nil
 		}
-		if _, exists := db.rels[strings.ToLower(rel)]; exists {
+		if _, exists := db.rels[rel]; exists {
 			return nil, err
 		}
-		db.sess.Drop(v)
+		delete(db.ranges, strings.ToLower(v))
 	}
 	return nil, fmt.Errorf("core: range variable %q is not declared (use `range of %s is <relation>`)", v, v)
+}
+
+// resolve looks up a range variable's relation (lowercased).
+func (c *Conn) resolve(v string) (string, bool) {
+	rel, ok := c.ranges[strings.ToLower(v)]
+	return rel, ok
+}
+
+// nextTemp names the session's next temporary relation. The default
+// session keeps the historical names; other sessions get a session-scoped
+// prefix so concurrent queries on a disk-backed database never collide on
+// temporary file names.
+func (c *Conn) nextTemp() string {
+	c.tmpSeq++
+	if c.id == 0 {
+		return fmt.Sprintf("tmp_%d", c.tmpSeq)
+	}
+	return fmt.Sprintf("tmp_s%d_%d", c.id, c.tmpSeq)
 }
 
 // Exec parses and executes a sequence of TQuel statements on this session,
@@ -624,7 +685,7 @@ func (db *Conn) execDispatch(stmt tquel.Statement) (*Result, error) {
 		if _, err := db.handle(s.Rel); err != nil {
 			return nil, err
 		}
-		db.sess.Bind(s.Var, s.Rel)
+		db.ranges[strings.ToLower(s.Var)] = strings.ToLower(s.Rel)
 		return &Result{}, nil
 	case *tquel.CreateStmt:
 		return db.execCreate(s)

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 
+	"tdbms/internal/am"
+	"tdbms/internal/page"
 	"tdbms/internal/temporal"
 	"tdbms/internal/tquel"
 	"tdbms/internal/tuple"
@@ -46,16 +48,8 @@ func (db *Conn) copyOut(s *tquel.CopyStmt) (res *Result, retErr error) {
 	w := bufio.NewWriter(f)
 	desc := h.desc
 	n := 0
-	it := h.src.ScanAll()
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			return nil, closeIter(it, err)
-		}
-		if !ok {
-			break
-		}
-		fields := make([]string, desc.Schema.NumAttrs())
+	fields := make([]string, desc.Schema.NumAttrs())
+	if err := am.Each(h.src.ScanAll(), func(_ page.RID, tup []byte) error {
 		for i := range fields {
 			v := desc.Schema.Value(tup, i)
 			if v.Kind == tuple.Temporal {
@@ -64,12 +58,10 @@ func (db *Conn) copyOut(s *tquel.CopyStmt) (res *Result, retErr error) {
 				fields[i] = v.String()
 			}
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(fields, "\t")); err != nil {
-			return nil, closeIter(it, err)
-		}
 		n++
-	}
-	if err := it.Close(); err != nil {
+		_, err := fmt.Fprintln(w, strings.Join(fields, "\t"))
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	if err := w.Flush(); err != nil {

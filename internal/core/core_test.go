@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"tdbms/internal/am"
+	"tdbms/internal/page"
 	"tdbms/internal/temporal"
 	"tdbms/internal/tuple"
 )
@@ -14,6 +17,19 @@ var epoch = temporal.Date(1980, 1, 1, 0, 0, 0)
 func newDB(t *testing.T) *Database {
 	t.Helper()
 	return MustOpen(Options{Now: epoch})
+}
+
+// scanAll returns copies of every stored version of h.
+func scanAll(t *testing.T, h *relHandle) [][]byte {
+	t.Helper()
+	var tups [][]byte
+	if err := am.Each(h.src.ScanAll(), func(_ page.RID, tup []byte) error {
+		tups = append(tups, bytes.Clone(tup))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return tups
 }
 
 func mustExec(t *testing.T, db *Database, src string) *Result {
@@ -260,20 +276,8 @@ func TestTemporalSemantics(t *testing.T) {
 	// A temporal replace writes two new versions: 1 original + 2 = 3.
 	r = mustExec(t, db, `retrieve (s.emp, s.amount) as of "now" when s overlap "beginning" or s overlap "now" or s precede "now"`)
 	_ = r
-	var count int
 	h, _ := db.handle("sal")
-	it := h.src.ScanAll()
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 3 {
+	if count := len(scanAll(t, h)); count != 3 {
 		t.Fatalf("stored versions = %d, want 3 (replace inserts two new versions)", count)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"tdbms/internal/buffer"
 	"tdbms/internal/catalog"
 	"tdbms/internal/secindex"
-	"tdbms/internal/session"
 	"tdbms/internal/storage"
 	"tdbms/internal/temporal"
 	"tdbms/internal/tquel"
@@ -177,7 +176,7 @@ func Open(opts Options) (*Database, error) {
 		rels:  make(map[string]*relHandle),
 		clock: temporal.NewClock(opts.Now),
 	}
-	db.def = &Conn{Database: db, sess: session.New(0, "default")}
+	db.def = newConn(db, 0, "default")
 	if opts.Dir != "" && opts.WAL {
 		l, err := storage.OpenDiskLog(filepath.Join(opts.Dir, "wal.log"))
 		if err != nil {

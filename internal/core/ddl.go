@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"tdbms/internal/hashfile"
 	"tdbms/internal/heapfile"
 	"tdbms/internal/isam"
+	"tdbms/internal/page"
 	"tdbms/internal/secindex"
 	"tdbms/internal/temporal"
 	"tdbms/internal/tquel"
@@ -109,20 +111,10 @@ func (db *Conn) execModify(s *tquel.ModifyStmt) (*Result, error) {
 	// modify, the relation is offline for the duration; a crash mid-rebuild
 	// loses it, as it did in 1985).
 	var tuples [][]byte
-	it := h.src.ScanAll()
-	var scanErr error
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			scanErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-		tuples = append(tuples, tup)
-	}
-	if err := closeIter(it, scanErr); err != nil {
+	if err := am.Each(h.src.ScanAll(), func(_ page.RID, tup []byte) error {
+		tuples = append(tuples, bytes.Clone(tup))
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 
@@ -305,21 +297,14 @@ func (db *Conn) execIndex(s *tquel.IndexStmt) (*Result, error) {
 	}
 	var entries []entry
 	add := func(it am.Iterator, history bool) error {
-		for {
-			rid, tup, ok, err := it.Next()
-			if err != nil {
-				return closeIter(it, err)
-			}
-			if !ok {
-				return it.Close()
-			}
-			k := h.desc.Schema.Int(tup, attrIdx)
+		return am.Each(it, func(rid page.RID, tup []byte) error {
 			entries = append(entries, entry{
-				key:     k,
+				key:     h.desc.Schema.Int(tup, attrIdx),
 				tid:     secindex.TID{History: history, RID: rid},
 				current: !history && isCurrentTuple(h.desc, tup),
 			})
-		}
+			return nil
+		})
 	}
 	if two, ok := h.src.(*twoLevelSource); ok {
 		if err := add(two.ScanCurrent(), false); err != nil {
@@ -414,21 +399,14 @@ func (db *Conn) convertToTwoLevel(h *relHandle, clustered bool) error {
 			return err
 		}
 	}
-	it := h.src.ScanAll()
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			return closeIter(it, err)
-		}
-		if !ok {
-			break
-		}
+	if err := am.Each(h.src.ScanAll(), func(_ page.RID, tup []byte) error {
+		tup = bytes.Clone(tup)
 		if desc.KeyAttr != "" {
 			distinct[key.Extract(tup)] = true
 		}
 		if isCurrentTuple(desc, tup) {
 			current = append(current, tup)
-			continue
+			return nil
 		}
 		arrival := temporal.Forever
 		if desc.TE >= 0 {
@@ -441,8 +419,8 @@ func (db *Conn) convertToTwoLevel(h *relHandle, clustered bool) error {
 			arrival = temporal.Time(desc.Schema.Int(tup, desc.VT)) // historical relation
 		}
 		history = append(history, hver{arrival: arrival, tup: tup})
-	}
-	if err := it.Close(); err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
 	sort.SliceStable(history, func(i, j int) bool {

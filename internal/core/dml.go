@@ -529,22 +529,18 @@ func (db *Conn) resolveCandidate(h *relHandle, c candidate) (candidate, error) {
 	if err != nil {
 		return c, err
 	}
-	it := h.src.ProbeAll(key.Extract(c.tup))
-	for {
-		rid, tup, ok, err := it.Next()
-		if err != nil {
-			return c, closeIter(it, err)
+	found := false
+	err = am.Each(h.src.ProbeAll(key.Extract(c.tup)), func(rid page.RID, tup []byte) error {
+		if string(tup) != string(c.tup) {
+			return nil
 		}
-		if !ok {
-			return c, closeIter(it, fmt.Errorf("core: %s: version to update vanished (concurrent structure change?)", h.desc.Name))
-		}
-		if string(tup) == string(c.tup) {
-			if err := it.Close(); err != nil {
-				return c, err
-			}
-			return candidate{rid: rid, tup: c.tup}, nil
-		}
+		c.rid, found = rid, true
+		return am.Stop
+	})
+	if err == nil && !found {
+		err = fmt.Errorf("core: %s: version to update vanished (concurrent structure change?)", h.desc.Name)
 	}
+	return c, err
 }
 
 // deleteVersion applies the type-specific delete of Section 4 to one

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"tdbms/internal/am"
 	"tdbms/internal/buffer"
 	"tdbms/internal/catalog"
+	"tdbms/internal/page"
 	"tdbms/internal/temporal"
 )
 
@@ -54,43 +56,42 @@ func (db *Database) checkRelation(h *relHandle) error {
 	// user attribute when it is key-shaped (the benchmark's id column).
 	key, keyErr := chainKey(desc)
 	open := make(map[int64]bool)
-	it := h.src.ScanAll()
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			return closeIter(it, fmt.Errorf("core: integrity %s: scan: %w", desc.Name, err))
-		}
-		if !ok {
-			break
-		}
+	// A violation is recorded and ends the walk; an error from the walk
+	// itself is the scan's.
+	var bad error
+	fail := func(format string, args ...any) error {
+		bad = fmt.Errorf("core: integrity %s: "+format, append([]any{desc.Name}, args...)...)
+		return am.Stop
+	}
+	err := am.Each(h.src.ScanAll(), func(_ page.RID, tup []byte) error {
 		if len(tup) != desc.Schema.Width() {
-			return closeIter(it, fmt.Errorf("core: integrity %s: tuple width %d, schema width %d",
-				desc.Name, len(tup), desc.Schema.Width()))
+			return fail("tuple width %d, schema width %d", len(tup), desc.Schema.Width())
 		}
 		if desc.TS >= 0 {
 			ts := temporal.Time(desc.Schema.Int(tup, desc.TS))
 			te := temporal.Time(desc.Schema.Int(tup, desc.TE))
 			if ts > te {
-				return closeIter(it, fmt.Errorf("core: integrity %s: transaction interval inverted (%s > %s)",
-					desc.Name, ts, te))
+				return fail("transaction interval inverted (%s > %s)", ts, te)
 			}
 		}
 		if desc.VF >= 0 && desc.Model == catalog.ModelInterval {
 			vf := temporal.Time(desc.Schema.Int(tup, desc.VF))
 			vt := temporal.Time(desc.Schema.Int(tup, desc.VT))
 			if vf > vt {
-				return closeIter(it, fmt.Errorf("core: integrity %s: valid interval inverted (%s > %s)",
-					desc.Name, vf, vt))
+				return fail("valid interval inverted (%s > %s)", vf, vt)
 			}
 		}
 		if keyErr == nil && desc.Type != catalog.Static && isCurrentTuple(desc, tup) {
 			k := key.Extract(tup)
 			if open[k] {
-				return closeIter(it, fmt.Errorf("core: integrity %s: key %d has more than one open version",
-					desc.Name, k))
+				return fail("key %d has more than one open version", k)
 			}
 			open[k] = true
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("core: integrity %s: scan: %w", desc.Name, err)
 	}
-	return it.Close()
+	return bad
 }

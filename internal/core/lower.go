@@ -417,7 +417,7 @@ func (l *lowering) matParts(n *plan.Node) (write, finish func() error, err error
 		idx[i] = d.Schema.Index(name)
 	}
 	tmpSchema := d.Schema.Project(idx, nil)
-	buf, err := db.newTempBuffer(db.sess.NextTemp())
+	buf, err := db.newTempBuffer(db.nextTemp())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -162,18 +162,7 @@ func TestTemporalVersionCountInvariant(t *testing.T) {
 	mustExec(t, db, `delete x where x.id = 1`)
 
 	h, _ := db.handle("r")
-	stored := 0
-	it := h.src.ScanAll()
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		stored++
-	}
+	stored := len(scanAll(t, h))
 	// 1 original + 2 per replace (marker + new version; the old version is
 	// closed in place, not copied) + 1 marker for the delete.
 	if want := 1 + 2*replaces + 1; stored != want {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"tdbms/internal/am"
+	"tdbms/internal/page"
 	"tdbms/internal/temporal"
 	"tdbms/internal/tquel"
 )
@@ -257,18 +260,10 @@ func TestCompiledQualMatchesInterpreter(t *testing.T) {
 			for _, v := range vars {
 				h := q.qv[v].h
 				var tups [][]byte
-				it := h.src.ScanAll()
-				for {
-					_, tup, ok, err := it.Next()
-					if err != nil {
-						return nil, closeIter(it, err)
-					}
-					if !ok {
-						break
-					}
-					tups = append(tups, tup)
-				}
-				if err := it.Close(); err != nil {
+				if err := am.Each(h.src.ScanAll(), func(_ page.RID, tup []byte) error {
+					tups = append(tups, bytes.Clone(tup))
+					return nil
+				}); err != nil {
 					return nil, err
 				}
 				check := func(where string) {

@@ -176,13 +176,3 @@ type secTID struct {
 	history bool
 	rid     page.RID
 }
-
-// closeIter closes it, keeping an earlier iteration error if there was one:
-// the caller's Next error takes precedence over the Close error.
-func closeIter(it am.Iterator, err error) error {
-	cerr := it.Close()
-	if err != nil {
-		return err
-	}
-	return cerr
-}

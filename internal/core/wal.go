@@ -136,8 +136,8 @@ func (c *Conn) walCommit(txn uint64, roots []*relHandle) (int64, error) {
 // syncOnCommit reports whether this session's acknowledged commits must be
 // synced: the session's override when set, the database policy otherwise.
 func (c *Conn) syncOnCommit() bool {
-	if on, ok := c.sess.SyncCommit(); ok {
-		return on
+	if c.syncCommit != nil {
+		return *c.syncCommit
 	}
 	return c.opts.WALSyncPolicy == WALSyncCommit
 }
@@ -160,7 +160,7 @@ func (c *Conn) walWaitDurable(lsn int64) error {
 func (c *Conn) SetSyncCommit(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sess.SetSyncCommit(on)
+	c.syncCommit = &on
 }
 
 // ClearSyncCommit restores the database-wide WALSyncPolicy for this
@@ -168,7 +168,7 @@ func (c *Conn) SetSyncCommit(on bool) {
 func (c *Conn) ClearSyncCommit() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sess.ClearSyncCommit()
+	c.syncCommit = nil
 }
 
 // Durable blocks until everything this database has logged so far is on

@@ -168,9 +168,8 @@ type BatchScan struct {
 	Node  *plan.Node
 	Att   *Attribution
 	Start func() (am.Iterator, error)
-	// Bind qualifies one tuple. Under the block protocol it sees the tuple
-	// in place, on the page, and only the tuples it accepts are copied; it
-	// must not keep the slice.
+	// Bind qualifies one tuple. It sees the tuple in place, on the page,
+	// and only the tuples it accepts are copied; it must not keep the slice.
 	Bind func(rid page.RID, tup []byte) (bool, error)
 	// End, if set, runs once when the scan exhausts (clearing the
 	// variable's binding).
@@ -187,7 +186,6 @@ type BatchScan struct {
 	Arena *am.Arena
 
 	it   am.Iterator
-	bit  am.BlockIterator // non-nil when it delivers tuples page-at-a-time
 	blk  am.Block
 	done bool
 }
@@ -204,16 +202,13 @@ func (s *BatchScan) Open() error {
 		h.SetReadahead(s.Readahead)
 	}
 	s.it = it
-	s.bit, _ = it.(am.BlockIterator)
 	s.blk.Qual, s.blk.Arena = s.Bind, s.Arena
 	s.done = false
 	return nil
 }
 
-// NextBatch implements BatchOperator. When the iterator supports the block
-// protocol, each underlying page is fetched once for all the tuples the
-// batch has room for instead of once per tuple; the pages read are
-// identical either way.
+// NextBatch implements BatchOperator. Each underlying page is fetched once
+// for all the tuples the batch has room for.
 func (s *BatchScan) NextBatch(b *Batch) (bool, error) {
 	if s.done {
 		return false, nil
@@ -222,22 +217,7 @@ func (s *BatchScan) NextBatch(b *Batch) (bool, error) {
 	prev := s.Att.Enter(s.Node)
 	defer s.Att.Leave(prev)
 	for !b.Full() {
-		if s.bit != nil {
-			ok, err := s.bit.NextBlock(&s.blk, b.Room())
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				s.finish()
-				break
-			}
-			for _, tup := range s.blk.Tups {
-				b.AddRow()[s.Slot] = tup
-			}
-			s.Node.ActRows += int64(len(s.blk.Tups))
-			continue
-		}
-		rid, tup, ok, err := s.it.Next()
+		ok, err := s.it.NextBlock(&s.blk, b.Room())
 		if err != nil {
 			return false, err
 		}
@@ -245,14 +225,10 @@ func (s *BatchScan) NextBatch(b *Batch) (bool, error) {
 			s.finish()
 			break
 		}
-		pass, err := s.Bind(rid, tup)
-		if err != nil {
-			return false, err
-		}
-		if pass {
+		for _, tup := range s.blk.Tups {
 			b.AddRow()[s.Slot] = tup
-			s.Node.ActRows++
 		}
+		s.Node.ActRows += int64(len(s.blk.Tups))
 	}
 	return b.Len() > 0, nil
 }
@@ -267,12 +243,8 @@ func (s *BatchScan) finish() {
 
 // Close implements BatchOperator.
 func (s *BatchScan) Close() error {
-	if s.it == nil {
-		return nil
-	}
-	err := s.it.Close()
 	s.it = nil
-	return err
+	return nil
 }
 
 // BatchIndexScan resolves tuple ids through a secondary index and fetches

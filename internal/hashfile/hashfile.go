@@ -195,12 +195,6 @@ func (f *File) Probe(key int64) am.Iterator {
 	return am.NewWalk(&chainWalk{f: f, cur: f.Bucket(key)}, am.Equal(f.meta.Key, key))
 }
 
-// ProbeChain iterates the whole chain of key's bucket without filtering by
-// key (used by the version-scan analysis and tests).
-func (f *File) ProbeChain(key int64) am.Iterator {
-	return am.NewWalk(&chainWalk{f: f, cur: f.Bucket(key)}, am.Match{})
-}
-
 // Scan implements am.File: every primary page followed by its chain.
 func (f *File) Scan() am.Iterator {
 	return am.NewWalk(&am.PrimaryScan{Buf: f.buf, Primaries: f.meta.Primary}, am.Match{})
@@ -223,6 +217,3 @@ func (w *chainWalk) View(*am.Match) (*page.Page, page.ID, error) {
 
 // Leave implements am.PageWalk.
 func (w *chainWalk) Leave(p *page.Page) { w.cur = p.Next() }
-
-// Close implements am.PageWalk.
-func (w *chainWalk) Close() { w.cur = page.Nil }

@@ -12,6 +12,13 @@ import (
 	"tdbms/internal/storage"
 )
 
+// count drains an iterator and reports how many tuples it yielded.
+func count(it am.Iterator) (int, error) {
+	n := 0
+	err := am.Each(it, func(page.RID, []byte) error { n++; return nil })
+	return n, err
+}
+
 // Benchmark geometry from the paper (Section 5.1 / Figure 5).
 const (
 	versionedWidth = 116 // rollback/historical tuple
@@ -83,20 +90,15 @@ func TestProbeFindsAllVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it := f.Probe(500)
 	n := 0
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if err := am.Each(f.Probe(500), func(_ page.RID, tup []byte) error {
 		if got := f.meta.Key.Extract(tup); got != 500 {
 			t.Fatalf("probe yielded key %d", got)
 		}
 		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if n != 4 {
 		t.Errorf("probe found %d versions, want 4", n)
@@ -108,9 +110,9 @@ func TestProbeMissingKeyReadsOneChain(t *testing.T) {
 	loadSequential(t, f)
 	f.Buffer().Invalidate()
 	f.Buffer().ResetStats()
-	it := f.Probe(999999) // hashes somewhere; no matching tuples
-	if _, _, ok, err := it.Next(); err != nil || ok {
-		t.Fatalf("probe of missing key: ok=%v err=%v", ok, err)
+	// 999999 hashes somewhere; no matching tuples.
+	if n, err := count(f.Probe(999999)); err != nil || n != 0 {
+		t.Fatalf("probe of missing key: %d tuples, err=%v", n, err)
 	}
 	if got := f.Buffer().Stats().Reads; got != 1 {
 		t.Errorf("missing-key probe read %d pages, want 1", got)
@@ -121,16 +123,11 @@ func TestScanVisitsEveryTupleOnce(t *testing.T) {
 	f := build(t, versionedWidth, 50)
 	loadSequential(t, f)
 	seen := map[int32]int{}
-	it := f.Scan()
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if err := am.Each(f.Scan(), func(_ page.RID, tup []byte) error {
 		seen[int32(f.meta.Key.Extract(tup))]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if len(seen) != nTuples {
 		t.Fatalf("scan saw %d distinct keys, want %d", len(seen), nTuples)
@@ -155,15 +152,8 @@ func TestScanCostEqualsFileSize(t *testing.T) {
 	}
 	f.Buffer().Invalidate()
 	f.Buffer().ResetStats()
-	it := f.Scan()
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if _, err := count(f.Scan()); err != nil {
+		t.Fatal(err)
 	}
 	if got, want := int(f.Buffer().Stats().Reads), f.NumPages(); got != want {
 		t.Errorf("scan read %d pages, file has %d", got, want)
@@ -240,10 +230,8 @@ func TestNegativeKeysHashToValidBuckets(t *testing.T) {
 	if !rid.Valid() {
 		t.Fatal("invalid RID")
 	}
-	it := f.Probe(-17)
-	_, _, ok, err := it.Next()
-	if err != nil || !ok {
-		t.Fatalf("probe of negative key: ok=%v err=%v", ok, err)
+	if n, err := count(f.Probe(-17)); err != nil || n != 1 {
+		t.Fatalf("probe of negative key: %d tuples, err=%v", n, err)
 	}
 }
 
@@ -278,35 +266,12 @@ func TestInsertProbeProperty(t *testing.T) {
 			}
 		}
 		for k, c := range want {
-			it := hf.Probe(int64(k))
-			got := 0
-			for {
-				_, _, ok, err := it.Next()
-				if err != nil {
-					return false
-				}
-				if !ok {
-					break
-				}
-				got++
-			}
-			if got != c {
+			if got, err := count(hf.Probe(int64(k))); err != nil || got != c {
 				return false
 			}
 		}
-		total := 0
-		it := hf.Scan()
-		for {
-			_, _, ok, err := it.Next()
-			if err != nil {
-				return false
-			}
-			if !ok {
-				break
-			}
-			total++
-		}
-		return total == n
+		total, err := count(hf.Scan())
+		return err == nil && total == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -375,7 +340,7 @@ func TestBlockTuplesAreCopies(t *testing.T) {
 	}
 	var kept, want [][]byte
 	var rids []page.RID
-	it := f.Probe(key).(am.BlockIterator)
+	it := f.Probe(key)
 	for {
 		ok, err := it.NextBlock(&blk, 100)
 		if err != nil {
@@ -389,9 +354,6 @@ func TestBlockTuplesAreCopies(t *testing.T) {
 			want = append(want, append([]byte(nil), tup...))
 			rids = append(rids, blk.RIDs[i])
 		}
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if len(kept) != versions/2 {
 		t.Fatalf("kept %d tuples, want %d", len(kept), versions/2)

@@ -155,10 +155,9 @@ func (f *File) Probe(key int64) am.Iterator {
 // scanWalk visits the pages in file order, up to whatever the file's last
 // page is when the scan gets there.
 type scanWalk struct {
-	f      *File
-	cur    page.ID
-	ahead  int
-	closed bool
+	f     *File
+	cur   page.ID
+	ahead int
 }
 
 // SetReadahead implements am.ReadaheadHinter: page fetches may prefetch
@@ -168,7 +167,7 @@ func (w *scanWalk) SetReadahead(n int) { w.ahead = n }
 
 // View implements am.PageWalk.
 func (w *scanWalk) View(*am.Match) (*page.Page, page.ID, error) {
-	if w.closed || int(w.cur) >= w.f.buf.NumPages() {
+	if int(w.cur) >= w.f.buf.NumPages() {
 		return nil, page.Nil, nil
 	}
 	var p *page.Page
@@ -183,6 +182,3 @@ func (w *scanWalk) View(*am.Match) (*page.Page, page.ID, error) {
 
 // Leave implements am.PageWalk.
 func (w *scanWalk) Leave(*page.Page) { w.cur++ }
-
-// Close implements am.PageWalk.
-func (w *scanWalk) Close() { w.closed = true }

@@ -3,6 +3,7 @@ package heapfile
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -30,18 +31,18 @@ func TestInsertScanOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it := f.Scan()
-	for i := int32(0); i < 50; i++ {
-		_, tup, ok, err := it.Next()
-		if err != nil || !ok {
-			t.Fatalf("tuple %d: ok=%v err=%v", i, ok, err)
-		}
+	i := int32(0)
+	if err := am.Each(f.Scan(), func(_ page.RID, tup []byte) error {
 		if got := int32(binary.LittleEndian.Uint32(tup)); got != i {
 			t.Fatalf("scan[%d] = %d", i, got)
 		}
+		i++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, ok, _ := it.Next(); ok {
-		t.Error("scan yielded extra tuple")
+	if i != 50 {
+		t.Errorf("scan yielded %d tuples, want 50", i)
 	}
 }
 
@@ -57,15 +58,8 @@ func TestPagePacking(t *testing.T) {
 	}
 	f.Buffer().Invalidate()
 	f.Buffer().ResetStats()
-	it := f.Scan()
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if err := am.Each(f.Scan(), func(page.RID, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
 	if got := f.Buffer().Stats().Reads; got != 128 {
 		t.Errorf("scan read %d pages, want 128", got)
@@ -118,20 +112,15 @@ func TestKeyedProbe(t *testing.T) {
 	for i := int32(0); i < 30; i++ {
 		f.Insert(mkTuple(8, i%3))
 	}
-	it := f.Probe(1)
 	n := 0
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if err := am.Each(f.Probe(1), func(_ page.RID, tup []byte) error {
 		if binary.LittleEndian.Uint32(tup) != 1 {
 			t.Fatal("probe yielded wrong key")
 		}
 		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if n != 10 {
 		t.Errorf("probe found %d, want 10", n)
@@ -139,12 +128,8 @@ func TestKeyedProbe(t *testing.T) {
 	// A heap probe is a full scan — every page is read.
 	f.Buffer().Invalidate()
 	f.Buffer().ResetStats()
-	it = f.Probe(2)
-	for {
-		_, _, ok, _ := it.Next()
-		if !ok {
-			break
-		}
+	if err := am.Each(f.Probe(2), func(page.RID, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
 	if got, want := int(f.Buffer().Stats().Reads), f.NumPages(); got != want {
 		t.Errorf("heap probe read %d pages, want %d", got, want)
@@ -157,9 +142,11 @@ func TestUnkeyedProbeIsEmpty(t *testing.T) {
 	if f.Keyed() {
 		t.Error("plain heap reports Keyed")
 	}
-	it := f.Probe(1)
-	if _, _, ok, _ := it.Next(); ok {
+	if err := am.Each(f.Probe(1), func(page.RID, []byte) error {
 		t.Error("unkeyed probe yielded a tuple")
+		return am.Stop
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -191,22 +178,14 @@ func TestHeapContentsProperty(t *testing.T) {
 			}
 		}
 		seen := 0
-		it := h.Scan()
-		for {
-			rid, tup, ok, err := it.Next()
-			if err != nil {
-				return false
-			}
-			if !ok {
-				break
-			}
-			want, exists := live[rid]
-			if !exists || !bytes.Equal(tup, want) {
-				return false
+		err := am.Each(h.Scan(), func(rid page.RID, tup []byte) error {
+			if want, exists := live[rid]; !exists || !bytes.Equal(tup, want) {
+				return errors.New("scan yielded a tuple that is not live")
 			}
 			seen++
-		}
-		return seen == len(live)
+			return nil
+		})
+		return err == nil && seen == len(live)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

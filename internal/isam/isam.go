@@ -363,14 +363,10 @@ type probeWalk struct {
 	stop    page.ID // last candidate data page
 	openEnd bool    // candidate run may extend past stop
 	located bool
-	done    bool
 }
 
 // View implements am.PageWalk. The first call walks the directory.
 func (w *probeWalk) View(m *am.Match) (*page.Page, page.ID, error) {
-	if w.done {
-		return nil, page.Nil, nil
-	}
 	if !w.located {
 		start, stop, openEnd, err := w.f.probeRange(m.Lo, m.Hi)
 		if err != nil {
@@ -384,7 +380,6 @@ func (w *probeWalk) View(m *am.Match) (*page.Page, page.ID, error) {
 		next := w.primary + 1
 		if m.Above || int(next) >= w.f.meta.DataPages ||
 			(w.primary >= w.stop && !w.openEnd) {
-			w.done = true
 			return nil, page.Nil, nil
 		}
 		w.primary, w.cur = next, next
@@ -395,6 +390,3 @@ func (w *probeWalk) View(m *am.Match) (*page.Page, page.ID, error) {
 
 // Leave implements am.PageWalk.
 func (w *probeWalk) Leave(p *page.Page) { w.cur = p.Next() }
-
-// Close implements am.PageWalk.
-func (w *probeWalk) Close() { w.done = true }

@@ -1,6 +1,7 @@
 package isam
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
+	"tdbms/internal/page"
 	"tdbms/internal/storage"
 )
 
@@ -24,6 +26,25 @@ func mkTuple(width int, key int32) []byte {
 	b := make([]byte, width)
 	binary.LittleEndian.PutUint32(b, uint32(key))
 	return b
+}
+
+// keysOf drains an iterator and returns the keys it yielded, in order.
+func keysOf(it am.Iterator) ([]int64, error) {
+	var keys []int64
+	err := am.Each(it, func(_ page.RID, tup []byte) error {
+		keys = append(keys, key4().Extract(tup))
+		return nil
+	})
+	return keys, err
+}
+
+func mustKeys(t *testing.T, it am.Iterator) []int64 {
+	t.Helper()
+	keys, err := keysOf(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
 }
 
 func seqTuples(width, n int) [][]byte {
@@ -94,18 +115,7 @@ func TestProbeCostMatchesPaper(t *testing.T) {
 		f := build(t, versionedWidth, tc.ff, nTuples)
 		f.Buffer().Invalidate()
 		f.Buffer().ResetStats()
-		it := f.Probe(500)
-		n := 0
-		for {
-			_, _, ok, err := it.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			n++
-		}
+		n := len(mustKeys(t, f.Probe(500)))
 		if n != 1 {
 			t.Fatalf("ff=%d: probe found %d tuples, want 1", tc.ff, n)
 		}
@@ -121,19 +131,7 @@ func TestScanSkipsDirectory(t *testing.T) {
 	f := build(t, versionedWidth, 100, nTuples)
 	f.Buffer().Invalidate()
 	f.Buffer().ResetStats()
-	it := f.Scan()
-	n := 0
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != nTuples {
+	if n := len(mustKeys(t, f.Scan())); n != nTuples {
 		t.Fatalf("scan yielded %d tuples", n)
 	}
 	if got := int(f.Buffer().Stats().Reads); got != 128 {
@@ -144,16 +142,7 @@ func TestScanSkipsDirectory(t *testing.T) {
 func TestScanYieldsKeyOrder(t *testing.T) {
 	f := build(t, versionedWidth, 50, nTuples)
 	prev := int64(-1 << 62)
-	it := f.Scan()
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		k := f.meta.Key.Extract(tup)
+	for _, k := range mustKeys(t, f.Scan()) {
 		if k < prev {
 			t.Fatalf("scan out of order: %d after %d", k, prev)
 		}
@@ -174,19 +163,7 @@ func TestInsertGoesToCoveringPage(t *testing.T) {
 		t.Errorf("pages %d -> %d, want +1 overflow", before, f.NumPages())
 	}
 	// Probe must see both versions.
-	it := f.Probe(500)
-	n := 0
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
+	if n := len(mustKeys(t, f.Probe(500))); n != 2 {
 		t.Errorf("probe found %d versions, want 2", n)
 	}
 	_ = rid
@@ -223,12 +200,7 @@ func TestSizeAtUC14MatchesPaper(t *testing.T) {
 
 func TestProbeBelowMinimumKey(t *testing.T) {
 	f := build(t, versionedWidth, 100, nTuples)
-	it := f.Probe(-5)
-	_, _, ok, err := it.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if len(mustKeys(t, f.Probe(-5))) != 0 {
 		t.Error("found tuple for key below minimum")
 	}
 }
@@ -246,18 +218,20 @@ func TestEmptyBuild(t *testing.T) {
 	if _, err := f.Insert(mkTuple(16, 9)); err != nil {
 		t.Fatal(err)
 	}
-	it := f.Probe(9)
-	if _, _, ok, _ := it.Next(); !ok {
+	if len(mustKeys(t, f.Probe(9))) != 1 {
 		t.Error("probe after insert into empty-built file failed")
 	}
 }
 
 func TestGetUpdateDelete(t *testing.T) {
 	f := build(t, versionedWidth, 100, 16)
-	it := f.Probe(7)
-	rid, tup, ok, err := it.Next()
-	if err != nil || !ok {
-		t.Fatalf("probe: ok=%v err=%v", ok, err)
+	var rid page.RID
+	var tup []byte
+	if err := am.Each(f.Probe(7), func(r page.RID, b []byte) error {
+		rid, tup = r, bytes.Clone(b)
+		return am.Stop
+	}); err != nil || tup == nil {
+		t.Fatalf("probe: found=%v err=%v", tup != nil, err)
 	}
 	tup[10] = 0x77
 	if err := f.Update(rid, tup); err != nil {
@@ -273,8 +247,7 @@ func TestGetUpdateDelete(t *testing.T) {
 	if err := f.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	it = f.Probe(7)
-	if _, _, ok, _ := it.Next(); ok {
+	if len(mustKeys(t, f.Probe(7))) != 0 {
 		t.Error("deleted tuple still probed")
 	}
 }
@@ -302,38 +275,18 @@ func TestBuildProbeProperty(t *testing.T) {
 			return false
 		}
 		for k, c := range want {
-			it := isf.Probe(int64(k))
-			got := 0
-			for {
-				_, tup, ok, err := it.Next()
-				if err != nil {
-					return false
-				}
-				if !ok {
-					break
-				}
-				if key4().Extract(tup) != int64(k) {
-					return false
-				}
-				got++
-			}
-			if got != c {
+			got, err := keysOf(isf.Probe(int64(k)))
+			if err != nil || len(got) != c {
 				return false
 			}
-		}
-		var keys []int64
-		it := isf.Scan()
-		for {
-			_, tup, ok, err := it.Next()
-			if err != nil {
-				return false
+			for _, g := range got {
+				if g != int64(k) {
+					return false
+				}
 			}
-			if !ok {
-				break
-			}
-			keys = append(keys, key4().Extract(tup))
 		}
-		return len(keys) == n && sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		keys, err := keysOf(isf.Scan())
+		return err == nil && len(keys) == n && sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

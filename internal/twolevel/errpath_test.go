@@ -7,6 +7,7 @@ import (
 	"tdbms/internal/buffer"
 	"tdbms/internal/faultfs"
 	"tdbms/internal/heapfile"
+	"tdbms/internal/page"
 	"tdbms/internal/storage"
 )
 
@@ -14,7 +15,7 @@ import (
 // (ScanAll, current leg then history leg) and chainIter (ProbeAll over the
 // simple store's version chain) — with a fault scheduled on the history
 // file only, so the current leg drains cleanly and the error must surface
-// from the history leg of the composite, then still Close cleanly.
+// from the history leg of the composite.
 func TestIteratorReadErrors(t *testing.T) {
 	memP, memH := storage.NewMem(), storage.NewMem()
 	pbuf := buffer.New("cur", memP)
@@ -60,21 +61,12 @@ func TestIteratorReadErrors(t *testing.T) {
 				heapfile.NewKeyed(buffer.New("cur", memP), width, key4()),
 				buffer.New("hist", sched.Wrap("hist", memH)),
 			)
-			it := tc.open(view)
-			for {
-				_, _, ok, err := it.Next()
-				if err != nil {
-					if !faultfs.IsInjected(err) {
-						t.Fatalf("Next returned a non-injected error: %v", err)
-					}
-					break
-				}
-				if !ok {
-					t.Fatal("iterator ended without surfacing the injected read error")
-				}
+			err := am.Each(tc.open(view), func(page.RID, []byte) error { return nil })
+			if err == nil {
+				t.Fatal("iterator ended without surfacing the injected read error")
 			}
-			if err := it.Close(); err != nil {
-				t.Fatalf("Close after an iterator error: %v", err)
+			if !faultfs.IsInjected(err) {
+				t.Fatalf("iterator returned a non-injected error: %v", err)
 			}
 		})
 	}

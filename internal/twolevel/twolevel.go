@@ -115,14 +115,6 @@ func (s *Store) View(primary am.File, history *buffer.Buffered) *Store {
 	return v
 }
 
-// HistoryBuffer exposes the history store's buffer handle.
-func (s *Store) HistoryBuffer() *buffer.Buffered {
-	if s.mode == Simple {
-		return s.histHeap.Buffer()
-	}
-	return s.histHash.Buffer()
-}
-
 // Mode returns the history layout.
 func (s *Store) Mode() Mode { return s.mode }
 
@@ -214,7 +206,7 @@ func (s *Store) ProbeAll(key int64) am.Iterator {
 	if s.mode == Clustered {
 		hist = s.histHash.Probe(key)
 	} else {
-		hist = &chainIter{s: s, rids: s.chains[key]}
+		hist = &chainIter{buf: s.histHeap.Buffer(), rids: s.chains[key]}
 	}
 	return &concatIter{its: []am.Iterator{s.primary.Probe(key), hist}}
 }
@@ -245,67 +237,58 @@ func (s *Store) HistoryPages() int {
 	return s.histHash.NumPages()
 }
 
-// concatIter chains iterators.
+// concatIter yields its iterators' tuples one iterator after another.
 type concatIter struct {
 	its []am.Iterator
 }
 
-// Next implements am.Iterator.
-func (c *concatIter) Next() (page.RID, []byte, bool, error) {
+// NextBlock implements am.Iterator.
+func (c *concatIter) NextBlock(blk *am.Block, max int) (bool, error) {
 	for len(c.its) > 0 {
-		rid, tup, ok, err := c.its[0].Next()
-		if err != nil {
-			return page.NilRID, nil, false, err
-		}
-		if ok {
-			return rid, tup, true, nil
-		}
-		if err := c.its[0].Close(); err != nil {
-			return page.NilRID, nil, false, err
+		ok, err := c.its[0].NextBlock(blk, max)
+		if ok || err != nil {
+			return ok, err
 		}
 		c.its = c.its[1:]
 	}
-	return page.NilRID, nil, false, nil
+	blk.Reset()
+	return false, nil
 }
 
-// Close implements am.Iterator, closing any child iterators not yet
-// exhausted; the first error wins but every child is closed.
-func (c *concatIter) Close() error {
-	var first error
-	for _, it := range c.its {
-		if err := it.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	c.its = nil
-	return first
-}
-
-// chainIter fetches the RIDs of a simple-layout version chain one by one;
-// each fetch goes through the history buffer, so scattered versions cost
-// one page read each, exactly as a pointer-chain traversal would.
+// chainIter walks a simple-layout version chain through the history
+// buffer, fetching each RID's page once for the run of RIDs on it, so
+// scattered versions cost one page read each, exactly as a pointer-chain
+// traversal would.
 type chainIter struct {
-	s    *Store
-	rids []page.RID
-	i    int
+	buf  *buffer.Buffered
+	rids []page.RID // not yet offered
 }
 
-// Next implements am.Iterator.
-func (c *chainIter) Next() (page.RID, []byte, bool, error) {
-	for c.i < len(c.rids) {
-		rid := c.rids[c.i]
-		c.i++
-		tup, err := c.s.histHeap.Get(rid)
-		if err != nil {
-			return page.NilRID, nil, false, err
-		}
-		return rid, tup, true, nil
+// NextBlock implements am.Iterator.
+func (c *chainIter) NextBlock(blk *am.Block, max int) (bool, error) {
+	blk.Reset()
+	if len(c.rids) == 0 {
+		return false, nil
 	}
-	return page.NilRID, nil, false, nil
-}
-
-// Close implements am.Iterator, releasing the chain position.
-func (c *chainIter) Close() error {
-	c.i = len(c.rids)
-	return nil
+	if max < 1 {
+		max = 1
+	}
+	for n := 0; n < max && len(c.rids) > 0; {
+		id := c.rids[0].Page
+		p, err := c.buf.View(id)
+		if err != nil {
+			return false, err
+		}
+		for ; n < max && len(c.rids) > 0 && c.rids[0].Page == id; n++ {
+			tup, err := p.Get(int(c.rids[0].Slot))
+			if err != nil {
+				return false, err
+			}
+			if err := blk.Offer(c.rids[0], tup); err != nil {
+				return false, err
+			}
+			c.rids = c.rids[1:]
+		}
+	}
+	return true, nil
 }

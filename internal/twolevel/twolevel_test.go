@@ -1,6 +1,7 @@
 package twolevel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -54,28 +55,34 @@ func newStore(t *testing.T, mode Mode, n int) *Store {
 func count(t *testing.T, it am.Iterator) int {
 	t.Helper()
 	n := 0
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return n
-		}
-		n++
+	if err := am.Each(it, func(page.RID, []byte) error { n++; return nil }); err != nil {
+		t.Fatal(err)
 	}
+	return n
+}
+
+// first returns the first tuple an iterator yields, and its address.
+func first(t *testing.T, it am.Iterator) (page.RID, []byte) {
+	t.Helper()
+	var rid page.RID
+	var tup []byte
+	if err := am.Each(it, func(r page.RID, b []byte) error {
+		rid, tup = r, bytes.Clone(b)
+		return am.Stop
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if tup == nil {
+		t.Fatal("iterator yielded nothing")
+	}
+	return rid, tup
 }
 
 func TestSupersedeMovesToHistory(t *testing.T) {
 	for _, mode := range []Mode{Simple, Clustered} {
 		s := newStore(t, mode, 64)
 		// Find tuple 5 and supersede it.
-		it := s.ProbeCurrent(5)
-		rid, tup, ok, err := it.Next()
-		if err != nil || !ok {
-			t.Fatal(err)
-		}
-		closed := append([]byte(nil), tup...)
+		rid, closed := first(t, s.ProbeCurrent(5))
 		closed[4] = 0xC1
 		if _, err := s.Supersede(rid, closed); err != nil {
 			t.Fatal(err)
@@ -108,12 +115,7 @@ func TestVersionScanCosts(t *testing.T) {
 	build := func(mode Mode) (*Store, *buffer.Buffered) {
 		s := newStore(t, mode, 64)
 		for v := byte(1); v <= 16; v++ {
-			it := s.ProbeCurrent(9)
-			rid, tup, ok, err := it.Next()
-			if err != nil || !ok {
-				t.Fatal("lost current version")
-			}
-			closed := append([]byte(nil), tup...)
+			rid, closed := first(t, s.ProbeCurrent(9))
 			if _, err := s.Supersede(rid, closed); err != nil {
 				t.Fatal(err)
 			}
@@ -162,11 +164,7 @@ func TestVersionScanCosts(t *testing.T) {
 
 func TestCurrentMutations(t *testing.T) {
 	s := newStore(t, Simple, 8)
-	it := s.ProbeCurrent(3)
-	rid, tup, ok, err := it.Next()
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
+	rid, tup := first(t, s.ProbeCurrent(3))
 	tup[4] = 0x7E
 	if err := s.UpdateCurrent(rid, tup); err != nil {
 		t.Fatal(err)
@@ -236,11 +234,7 @@ func TestHistoryPages(t *testing.T) {
 func TestUnreadRIDInvariant(t *testing.T) {
 	// ProbeAll RIDs for current versions must be resolvable via Get.
 	s := newStore(t, Simple, 16)
-	it := s.ProbeCurrent(2)
-	rid, _, ok, err := it.Next()
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
+	rid, _ := first(t, s.ProbeCurrent(2))
 	if _, err := s.Get(rid); err != nil {
 		t.Fatal(err)
 	}
