@@ -9,13 +9,15 @@ import (
 // This file compiles a variable's qualification — the transaction slice,
 // the scalar selections, and the temporal selections — into a chain of
 // closures specialized against the binding's schema. Attribute indexes are
-// resolved once, temporal constants are parsed once (the interpreter
-// re-parses "now" for every tuple), and integer comparisons run directly
-// on the stored bytes. Every leaf qualifies through the compiled form. The
-// interpreted form (passesVar, in qual_test.go) is its reference: any
-// expression shape the compiler does not specialize falls back to a
-// closure around the interpreter, and a seeded property test holds the two
-// to the same tuples and the same errors over every admitted shape.
+// resolved once and integer comparisons run directly on the stored bytes.
+// The closures read the statement's values when they run — the rollback
+// slice, the literal nodes, the time constants bind parsed — so one
+// compilation serves every execution of a prepared statement. Every leaf
+// qualifies through the compiled form. The interpreted form (passesVar, in
+// qual_test.go) is its reference: any expression shape the compiler does
+// not specialize falls back to a closure around the interpreter, and a
+// seeded property test holds the two to the same tuples and the same
+// errors over every admitted shape.
 
 // compiledQual reports whether the tuple bound to the variable qualifies.
 // The caller must install the tuple in the variable's binding first: the
@@ -24,19 +26,17 @@ import (
 type compiledQual func(tup []byte) (bool, error)
 
 // compileVarQual compiles v's qualification against its current binding.
-// The result is only valid while that binding (and the statement's
-// rollback slice) stands — the caller recompiles after a detachment swaps
-// the binding.
+// The result is only valid while that binding stands — the caller
+// recompiles after a detachment swaps the binding.
 func (q *query) compileVarQual(v string) compiledQual {
 	b := q.env.vars[v]
 	qv := q.qv[v]
 	var checks []compiledQual
 	if b.ts >= 0 {
 		sc, ts, te := b.schema, b.ts, b.te
-		thr, at := q.thr, q.at
 		checks = append(checks, func(tup []byte) (bool, error) {
-			return temporal.Time(sc.Int(tup, ts)) <= thr &&
-				at < temporal.Time(sc.Int(tup, te)), nil
+			return temporal.Time(sc.Int(tup, ts)) <= q.thr &&
+				q.at < temporal.Time(sc.Int(tup, te)), nil
 		})
 	}
 	for _, c := range qv.sel {
@@ -137,8 +137,7 @@ func (q *query) compileInt(v string, b *binding, x tquel.Expr) (func(tup []byte)
 		if ex.Val.Kind == tuple.F4 || ex.Val.Kind == tuple.F8 || ex.Val.Kind == tuple.Char {
 			return nil, false
 		}
-		k := ex.Val.I
-		return func([]byte) int64 { return k }, true
+		return func([]byte) int64 { return ex.Val.I }, true
 	case *tquel.AttrExpr:
 		if ex.Var != v {
 			return nil, false
@@ -188,7 +187,7 @@ func (q *query) compileInt(v string, b *binding, x tquel.Expr) (func(tup []byte)
 type tclosure func(tup []byte) (tval, error)
 
 // compileT compiles a when-clause expression, mirroring evalT case by
-// case. Constants are parsed at compile time; the variable's interval
+// case. Constants read the value bind parsed; the variable's interval
 // attributes are read straight off the tuple.
 func (q *query) compileT(v string, b *binding, x tquel.TExpr) tclosure {
 	interp := func(tup []byte) (tval, error) { return q.env.evalT(x) }
@@ -211,12 +210,13 @@ func (q *query) compileT(v string, b *binding, x tquel.TExpr) tclosure {
 			return intervalVal(iv, iv.Valid() && !iv.IsEmpty()), nil
 		}
 	case *tquel.TConst:
-		t, err := temporal.Parse(tx.Text, temporal.Time(q.env.now))
-		if err != nil {
-			return func(tup []byte) (tval, error) { return tval{}, err }
+		return func(tup []byte) (tval, error) {
+			t, err := q.env.constTime(tx)
+			if err != nil {
+				return tval{}, err
+			}
+			return intervalVal(temporal.Event(t), true), nil
 		}
-		val := intervalVal(temporal.Event(t), true)
-		return func(tup []byte) (tval, error) { return val, nil }
 	case *tquel.TUnary:
 		c := q.compileT(v, b, tx.X)
 		switch tx.Op {

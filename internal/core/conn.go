@@ -67,12 +67,15 @@ type Conn struct {
 	// active is the relation graph of the statement in flight, keyed by
 	// lowercased name: session views for shared-latched relations, root
 	// handles for exclusively latched ones, the root map for DDL.
-	// Conn.handle resolves against it.
+	// Conn.handle resolves against it. graph is the map a non-DDL
+	// statement's active graph is built in, reused by the next one.
 	active map[string]*relHandle
+	graph  map[string]*relHandle
 	// statsFn reads the I/O counters attributed to the statement in
-	// flight: the session account, plus — for writers — the root pool
-	// counters of the exclusively latched relations.
-	statsFn func() buffer.Stats
+	// flight: the session account (acctStats), plus — for writers — the
+	// root pool counters of the exclusively latched relations.
+	statsFn   func() buffer.Stats
+	acctStats func() buffer.Stats
 
 	// wm is the statement's snapshot watermark: db.stamp at statement
 	// start. A writer that finds a version-chain head stamped after wm
@@ -81,9 +84,11 @@ type Conn struct {
 	// testWM, when set by a test, overrides the watermark run captures —
 	// the deterministic seam for conflict-detection tests.
 	testWM *uint64
-	// stmtNow pins "now" for the duration of a statement so a concurrent
-	// clock advance cannot shift the statement's time slice mid-run.
-	stmtNow *temporal.Time
+	// stmtNow pins "now" for the duration of a statement (pinned) so a
+	// concurrent clock advance cannot shift the statement's time slice
+	// mid-run.
+	stmtNow temporal.Time
+	pinned  bool
 	// chains records the version-chain heads the statement moved, per
 	// root handle; run folds them into relHandle.heads on completion.
 	chains map[*relHandle]map[int64]struct{}
@@ -111,6 +116,9 @@ type Conn struct {
 	// retrieve and each candidate collection resets it and the session's
 	// next statement reuses the memory.
 	arena am.Arena
+
+	// cache holds the session's prepared statements by shape (cache.go).
+	cache stmtCache
 }
 
 // relView is one cached session view and the root-handle stamp it was
@@ -122,13 +130,15 @@ type relView struct {
 
 // newConn opens session id on db.
 func newConn(db *Database, id int64, name string) *Conn {
-	return &Conn{
+	c := &Conn{
 		Database: db,
 		id:       id,
 		name:     name,
 		acct:     buffer.NewAccount(),
 		ranges:   make(map[string]string),
 	}
+	c.acctStats = c.acct.Stats
+	return c
 }
 
 // Name returns the session's display name.
@@ -162,8 +172,8 @@ func (db *Database) DefaultSession() *Conn { return db.def }
 // with the clock only moving between statements (the benchmark's pattern)
 // it changes nothing.
 func (db *Conn) now() temporal.Time {
-	if db.stmtNow != nil {
-		return *db.stmtNow
+	if db.pinned {
+		return db.stmtNow
 	}
 	return db.resolveNow()
 }
@@ -215,11 +225,13 @@ func (c *Conn) ResetStats() {
 // stmtLocks is a statement's declared latch set: the relations it reads
 // (shared latches), the relations it mutates (exclusive latches), or — for
 // anything touching the relation map or the catalog — the whole database
-// (the schema latch held exclusively).
+// (the schema latch held exclusively). A prepared retrieve brings its
+// latches resolved and sorted (set).
 type stmtLocks struct {
 	ddlExcl bool
 	read    []string
 	write   []string
+	set     *latchSet
 }
 
 // relsOf resolves the range variables referenced by a statement's clauses
@@ -258,14 +270,20 @@ func (c *Conn) relsOf(targets []tquel.Target, where tquel.Expr, when tquel.TExpr
 // relation grain: plain retrieves and range declarations latch their
 // relations shared; DML latches its target exclusively and its other
 // range variables shared; retrieve-into, DDL, and unknown statements
-// serialize on the schema latch (retrieve-into creates a relation).
+// serialize on the schema latch (retrieve-into creates a relation). A
+// plain retrieve is looked up in the statement cache, whose entry holds
+// the latch set.
 func (c *Conn) lockSpec(stmt tquel.Statement) stmtLocks {
+	c.cache.stmt, c.cache.hit = nil, nil
 	switch s := stmt.(type) {
 	case *tquel.RangeStmt:
 		return stmtLocks{read: []string{s.Rel}}
 	case *tquel.RetrieveStmt:
 		if s.Into != "" {
 			return stmtLocks{ddlExcl: true}
+		}
+		if e := c.cache.lookup(c, s); e != nil {
+			return stmtLocks{set: e.locks}
 		}
 		return stmtLocks{read: c.relsOf(s.Targets, s.Where, s.When, s.Valid)}
 	case *tquel.AppendStmt:
@@ -349,7 +367,10 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	if c.testWM != nil {
 		c.wm = *c.testWM
 	}
-	ls := db.newLatchSet(locks.read, locks.write)
+	ls := locks.set
+	if ls == nil {
+		ls = db.newLatchSet(locks.read, locks.write)
+	}
 	ls.acquire()
 	defer ls.release()
 
@@ -378,7 +399,11 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 		c.active = db.rels
 		c.statsFn = db.sumStats
 	} else {
-		active := make(map[string]*relHandle, len(ls.rels))
+		if c.graph == nil {
+			c.graph = make(map[string]*relHandle, len(ls.rels))
+		}
+		active := c.graph
+		clear(active)
 		for _, lr := range ls.rels {
 			h, ok := db.rels[lr.name]
 			if !ok {
@@ -393,7 +418,7 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 		}
 		c.active = active
 		if len(writeRoots) == 0 {
-			c.statsFn = c.acct.Stats
+			c.statsFn = c.acctStats
 		} else {
 			acct := c.acct
 			c.statsFn = func() buffer.Stats {
@@ -433,9 +458,8 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	defer func() { c.active, c.statsFn = nil, nil }()
 
 	// Pin the statement's snapshot time.
-	t := c.resolveNow()
-	c.stmtNow = &t
-	defer func() { c.stmtNow = nil }()
+	c.stmtNow, c.pinned = c.resolveNow(), true
+	defer func() { c.pinned = false }()
 
 	rootBefore := rootStats(writeRoots)
 	before := c.statsFn()
@@ -627,6 +651,7 @@ func (db *Conn) relForVar(v string) (*relHandle, error) {
 			return nil, err
 		}
 		delete(db.ranges, strings.ToLower(v))
+		db.cache.clear()
 	}
 	return nil, fmt.Errorf("core: range variable %q is not declared (use `range of %s is <relation>`)", v, v)
 }
@@ -685,7 +710,11 @@ func (db *Conn) execDispatch(stmt tquel.Statement) (*Result, error) {
 		if _, err := db.handle(s.Rel); err != nil {
 			return nil, err
 		}
-		db.ranges[strings.ToLower(s.Var)] = strings.ToLower(s.Rel)
+		v, rel := strings.ToLower(s.Var), strings.ToLower(s.Rel)
+		if db.ranges[v] != rel {
+			db.ranges[v] = rel
+			db.cache.clear() // entries resolved their variables through the old table
+		}
 		return &Result{}, nil
 	case *tquel.CreateStmt:
 		return db.execCreate(s)
@@ -730,6 +759,7 @@ func (c *Conn) QueryPlan(src string) (*Result, *plan.Tree, error) {
 		var res *Result
 		var err error
 		res, t, err = c.runRetrieve(ret)
+		c.cache.forget() // the tree is the caller's now
 		return res, err
 	})
 	if err != nil {

@@ -118,21 +118,14 @@ func statInputs(qv *qvar, info *plan.VarInfo) {
 		if qv.currentOnly {
 			rows = math.Min(probeChain, 1)
 		}
-	case qv.keyLo != nil || qv.keyHi != nil:
-		if qv.keyLo != nil {
+	case qv.hasLo || qv.hasHi:
+		if qv.hasLo {
 			folded++
 		}
-		if qv.keyHi != nil {
+		if qv.hasHi {
 			folded++
 		}
-		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		if qv.keyLo != nil {
-			lo = *qv.keyLo
-		}
-		if qv.keyHi != nil {
-			hi = *qv.keyHi
-		}
-		chains, vers := st.ChainRange(lo, hi)
+		chains, vers := st.ChainRange(qv.keyBounds())
 		rows = float64(vers)
 		if qv.currentOnly {
 			rows = float64(chains)

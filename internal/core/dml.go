@@ -449,52 +449,86 @@ func (db *Conn) dmlCandidates(v string, where tquel.Expr, when tquel.TExpr) (*qu
 	if err != nil {
 		return nil, nil, err
 	}
-	probe := &tquel.RetrieveStmt{
-		Targets: []tquel.Target{{Name: "x", Expr: &tquel.AttrExpr{Var: v, Attr: h.desc.Schema.Attr(0).Name}}},
-		Where:   where,
-		When:    when,
-	}
-	q, err := db.analyze(probe)
+	e, err := db.preparedCandidates(h, v, where, when)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(q.vars) != 1 || q.vars[0] != v {
-		return nil, nil, fmt.Errorf("core: delete/replace qualification must reference only %q", v)
-	}
-	// DML touches current versions only; let a two-level store use its
-	// primary store directly.
-	q.qv[v].currentOnly = true
-	// Route the candidate scan through the planner and executor so DML
-	// uses the same one-variable access-path decision as retrieves. The
-	// scan qualifies in place and copies only the victims, into the session
-	// arena; resetting it here lets a first-updater-wins retry start clean.
-	info := db.varInfo(q, v)
+	// The scan qualifies in place and copies only the victims, into the
+	// session arena; resetting it here lets a first-updater-wins retry
+	// start clean. The victim hook saw each candidate's address as the
+	// block copied its tuple; the copies arrive here in the same order.
 	db.arena.Reset()
-	var rids []page.RID
-	l := &lowering{db: db, q: q}
-	leaf, err := l.lowerBatchLeaf(plan.Leaf(&info), func(rid page.RID, tup []byte) bool {
-		if !isCurrentTuple(h.desc, tup) {
-			return false
-		}
-		rids = append(rids, rid)
-		return true
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// The victim hook saw each candidate's address as the block copied its
-	// tuple; the copies arrive here in the same order.
+	e.rids = e.rids[:0]
 	var cands []candidate
-	err = exec.RunBatches(leaf, exec.NewBatch(1, db.batchCap()), func(b *exec.Batch) error {
+	err = exec.RunBatches(e.root, e.buf, func(b *exec.Batch) error {
 		for _, i := range b.Sel() {
-			cands = append(cands, candidate{rid: rids[len(cands)], tup: b.Row(i)[0]})
+			cands = append(cands, candidate{rid: e.rids[len(cands)], tup: b.Row(i)[0]})
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return q, cands, nil
+	return e.q, cands, nil
+}
+
+// preparedCandidates returns the candidate scan of a delete or replace of
+// v (over h), prepared and bound: the session's entry for the
+// qualification's shape when its access path still fits the values, else
+// a fresh entry, kept. The scan is a one-variable retrieve routed through
+// the planner and the executor, so DML uses the same access-path decision
+// as retrieves.
+func (db *Conn) preparedCandidates(h *relHandle, v string, where tquel.Expr, when tquel.TExpr) (*stmtEntry, error) {
+	c := &db.cache
+	c.sync(db.epoch)
+	c.begin(db)
+	c.w.candidates(v, where, when)
+	if e := c.m[string(c.w.buf)]; e != nil {
+		e.bindLits(c.w.lits)
+		if err := db.bind(e.q); err != nil {
+			return nil, err
+		}
+		e.info = db.varInfo(e.q, v)
+		if e.leaf.Rebind(&e.info) {
+			return e, nil
+		}
+	}
+	where, when = cloneExpr(where), cloneTExpr(when)
+	var w shaper
+	w.candidates(v, where, when)
+	e := &stmtEntry{key: string(c.w.buf), lits: w.lits}
+	probe := &tquel.RetrieveStmt{
+		Targets: []tquel.Target{{Name: "x", Expr: &tquel.AttrExpr{Var: v, Attr: h.desc.Schema.Attr(0).Name}}},
+		Where:   where,
+		When:    when,
+	}
+	q, err := db.newQuery(probe)
+	if err != nil {
+		return nil, err
+	}
+	q.dml = true
+	if err := db.bind(q); err != nil {
+		return nil, err
+	}
+	if len(q.vars) != 1 || q.vars[0] != v {
+		return nil, fmt.Errorf("core: delete/replace qualification must reference only %q", v)
+	}
+	e.q, e.info = q, db.varInfo(q, v)
+	e.leaf = plan.Leaf(&e.info)
+	l := &lowering{db: db, q: q}
+	e.root, err = l.lowerBatchLeaf(e.leaf, func(rid page.RID, tup []byte) bool {
+		if !isCurrentTuple(q.qv[v].h.desc, tup) {
+			return false
+		}
+		e.rids = append(e.rids, rid)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.buf = exec.NewBatch(1, db.batchCap())
+	c.put(e)
+	return e, nil
 }
 
 func (db *Conn) execDelete(s *tquel.DeleteStmt) (*Result, error) {

@@ -61,7 +61,11 @@ func bindingForTemp(desc *catalog.Relation, tmp *tuple.Schema) *binding {
 type env struct {
 	vars map[string]*binding
 	now  int64 // temporal.Time, kept as int64 to avoid import knots
-	agg  map[*tquel.AggExpr]tuple.Value
+	// tconsts are the time constants of the query's statement and tvals
+	// their values, parsed once per execution against now (bind).
+	tconsts []*tquel.TConst
+	tvals   []tconstVal
+	agg     map[*tquel.AggExpr]tuple.Value
 	// byVals maps the rendering of a grouping expression to its value for
 	// the group currently being output.
 	byVals map[string]tuple.Value

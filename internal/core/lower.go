@@ -73,19 +73,15 @@ func (db *Conn) varInfo(q *query, v string) plan.VarInfo {
 		info.HasKeyConst = true
 		info.KeyConst = qv.keyConst
 	}
-	if qv.keyLo != nil {
-		info.HasLo, info.KeyLo = true, *qv.keyLo
-	}
-	if qv.keyHi != nil {
-		info.HasHi, info.KeyHi = true, *qv.keyHi
-	}
+	info.HasLo, info.KeyLo = qv.hasLo, qv.lo
+	info.HasHi, info.KeyHi = qv.hasHi, qv.hi
 	if qv.idxName != "" {
 		cfg := qv.h.indexes[qv.idxName].Config()
 		info.IdxName = cfg.Name
 		info.IdxAttr = cfg.Attr
 		info.IdxStructure = fmt.Sprint(cfg.Structure)
 		info.IdxLevels = cfg.Levels
-		info.IdxConst = qv.idxConst
+		info.IdxConst = qv.idxConst.AsInt()
 	}
 	statInputs(qv, &info)
 	return info
@@ -93,7 +89,9 @@ func (db *Conn) varInfo(q *query, v string) plan.VarInfo {
 
 // buildPlan summarizes the analyzed query for the planner and builds the
 // physical plan tree. It returns the join conjuncts alongside so the
-// lowering can map a substitution choice back to its key expression.
+// lowering can map a substitution choice back to its key expression. The
+// tree renders the query's slice and constants as they are bound when it
+// is rendered.
 func (db *Conn) buildPlan(q *query, aggregate bool) (*plan.Tree, []joinConj) {
 	s := q.stmt
 	in := plan.Input{
@@ -102,16 +100,13 @@ func (db *Conn) buildPlan(q *query, aggregate bool) (*plan.Tree, []joinConj) {
 		Sort:      len(s.Sort) > 0,
 		Into:      s.Into,
 	}
-	// The closure outlives the query inside the plan tree: capture the
-	// three values it prints, not the query.
-	sliced, at, thr := s.AsOf != nil, q.at, q.thr
 	in.Slice = func() string {
-		if !sliced {
+		if s.AsOf == nil {
 			return "as of now (default)"
 		}
-		slice := "as of " + temporal.Format(at, temporal.Second)
-		if thr != at {
-			slice += " through " + temporal.Format(thr, temporal.Second)
+		slice := "as of " + temporal.Format(q.at, temporal.Second)
+		if q.thr != q.at {
+			slice += " through " + temporal.Format(q.thr, temporal.Second)
 		}
 		return slice
 	}
@@ -132,7 +127,10 @@ func (db *Conn) buildPlan(q *query, aggregate bool) (*plan.Tree, []joinConj) {
 	return plan.Build(in), conjs
 }
 
-// lowering carries the state shared by all operators of one query run.
+// lowering carries the state shared by all operators of one prepared
+// query. Operators resolve everything a run may change — relation
+// handles, temporaries, bound values — when they run, not when they are
+// built, so one lowering serves every execution.
 type lowering struct {
 	db    *Conn
 	q     *query
@@ -143,6 +141,8 @@ type lowering struct {
 	// zero (the measurement default, and always for DML lowering, which
 	// runs on the root graph) leaves scans fetching page by page.
 	ra int
+	// steps are the decomposition prologue's detachments, in plan order.
+	steps []*detach
 }
 
 // pipelineRoot strips the post-processing wrappers (dedupe, sort, insert)
@@ -165,14 +165,20 @@ func (l *lowering) slotOf(v string) (int, error) {
 }
 
 // pipelineRebind builds the rebinding closure of the root pipeline: it
-// installs a batch row's bound slots into the evaluation environment.
-// Bindings are resolved when the closure is built, so it must be built
-// after the decomposition prologue ran (detachments swap a variable's
-// binding to its temporary's).
+// installs a batch row's bound slots into the evaluation environment as
+// the pipeline sees it once the decomposition prologue has run — a
+// detached variable bound through its temporary's binding, every other
+// variable through its own. It must be built after the prologue was
+// lowered.
 func (l *lowering) pipelineRebind() func(row [][]byte) {
 	binds := make([]*binding, len(l.q.vars))
 	for i, v := range l.q.vars {
 		binds[i] = l.q.env.vars[v]
+		for _, d := range l.steps {
+			if d.v == v {
+				binds[i] = d.proj
+			}
+		}
 	}
 	return func(row [][]byte) {
 		for s, tup := range row {
@@ -267,9 +273,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 	switch n.Op {
 	case plan.OpTempScan:
 		// A detached temporary holds only qualifying projections; its
-		// scan applies no predicates. The prologue has already run, so
-		// the temporary's size is known for the rendered plan.
-		n.Pages = qv.temp.hf.Buffer().NumPages()
+		// scan applies no predicates.
 		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Readahead: l.ra, Slot: slot,
 			Start: func() (am.Iterator, error) { return qv.temp.hf.Scan(), nil },
 			Bind: func(rid page.RID, tup []byte) (bool, error) {
@@ -303,13 +307,13 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 			End:  end,
 		}, nil
 	case plan.OpIndexScan:
-		ix := qv.h.indexes[qv.idxName]
 		return &exec.BatchIndexScan{Node: n, Att: l.att, Slot: slot,
 			Lookup: func() ([]secindex.TID, error) {
+				ix := qv.h.indexes[qv.idxName]
 				if qv.currentOnly && ix.CanProbeCurrent() {
-					return ix.ProbeCurrent(qv.idxConst)
+					return ix.ProbeCurrent(qv.idxConst.AsInt())
 				}
-				return ix.ProbeAll(qv.idxConst)
+				return ix.ProbeAll(qv.idxConst.AsInt())
 			},
 			Fetch: func(tid secindex.TID) ([]byte, bool, error) {
 				tup, err := qv.h.src.FetchTID(secTID{history: tid.History, rid: tid.RID})
@@ -369,28 +373,42 @@ func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) (exec.Bat
 	}, nil
 }
 
+// detach is one step of a prepared retrieve's decomposition prologue:
+// Ingres's one-variable detachment of v into a temporary. The step is
+// lowered once; every execution restores v's own binding (reset), gives
+// the step a fresh temporary (begin) and runs it (mat).
+type detach struct {
+	v   string
+	mat *exec.BatchMaterialize
+	// orig binds v over its relation, proj over the temporary's projection.
+	orig, proj *binding
+	begin      func() error
+	tmp        *tempRel // this execution's temporary
+}
+
+// reset undoes the previous execution's detachment of d.v.
+func (d *detach) reset(q *query) {
+	q.env.vars[d.v] = d.orig
+	q.qv[d.v].temp = nil
+}
+
 // materializeBatch lowers a prologue node: Ingres's one-variable
 // detachment. The child scan runs the variable's restricted one-variable
-// query; each selected row is rebound and projected into a fresh
-// temporary; Finish flushes the temporary, rebinds the variable to it, and
-// marks its restrictions consumed. The rebinding covers only the detached
-// variable, resolved when the step is built — before its own detachment,
-// after every earlier one.
-func (l *lowering) materializeBatch(n *plan.Node, bcap int) (*exec.BatchMaterialize, error) {
+// query; each selected row is rebound and projected into the execution's
+// temporary; Finish flushes the temporary and rebinds the variable to it.
+// The rebinding covers only the detached variable.
+func (l *lowering) materializeBatch(n *plan.Node, bcap int) (*detach, error) {
 	slot, err := l.slotOf(n.Var)
 	if err != nil {
 		return nil, err
 	}
-	write, finish, err := l.matParts(n)
-	if err != nil {
-		return nil, err
-	}
+	d, write, finish := l.matParts(n)
 	child, err := l.lowerBatchLeaf(n.Children[0], nil)
 	if err != nil {
 		return nil, err
 	}
-	b := l.q.env.vars[n.Var]
-	return &exec.BatchMaterialize{
+	b := d.orig
+	d.mat = &exec.BatchMaterialize{
 		Node:   n,
 		Att:    l.att,
 		Child:  child,
@@ -398,57 +416,60 @@ func (l *lowering) materializeBatch(n *plan.Node, bcap int) (*exec.BatchMaterial
 		Rebind: func(row [][]byte) { b.tup = row[slot] },
 		Write:  write,
 		Finish: finish,
-	}, nil
+	}
+	return d, nil
 }
 
-// matParts builds the Write and Finish closures of a detachment: Write
-// projects the current binding into a fresh temporary, Finish flushes the
-// temporary and rebinds the variable to it.
-func (l *lowering) matParts(n *plan.Node) (write, finish func() error, err error) {
+// matParts builds a detachment and its Write and Finish closures: Write
+// projects the current binding into the execution's temporary, Finish
+// flushes the temporary and rebinds the variable to it.
+func (l *lowering) matParts(n *plan.Node) (d *detach, write, finish func() error) {
 	q, db := l.q, l.db
 	v := n.Var
-	d := q.qv[v].h.desc
+	desc := q.qv[v].h.desc
 	attrs := q.neededAttrs(v)
 	if len(attrs) == 0 {
-		attrs = []string{strings.ToLower(d.Schema.Attr(0).Name)}
+		attrs = []string{strings.ToLower(desc.Schema.Attr(0).Name)}
 	}
 	idx := make([]int, len(attrs))
 	for i, name := range attrs {
-		idx[i] = d.Schema.Index(name)
+		idx[i] = desc.Schema.Index(name)
 	}
-	tmpSchema := d.Schema.Project(idx, nil)
-	buf, err := db.newTempBuffer(db.nextTemp())
-	if err != nil {
-		return nil, nil, err
+	tmpSchema := desc.Schema.Project(idx, nil)
+	d = &detach{v: v, orig: q.env.vars[v], proj: bindingForTemp(desc, tmpSchema)}
+	d.begin = func() error {
+		buf, err := db.newTempBuffer(db.nextTemp())
+		if err != nil {
+			return err
+		}
+		d.tmp = &tempRel{schema: tmpSchema, hf: heapfile.New(buf, tmpSchema.Width())}
+		q.temps = append(q.temps, d.tmp)
+		return nil
 	}
-	tmp := &tempRel{schema: tmpSchema, hf: heapfile.New(buf, tmpSchema.Width())}
-	q.temps = append(q.temps, tmp)
 	out := tmpSchema.NewTuple()
 	write = func() error {
 		tup := q.env.vars[v].tup
 		for i, srcIdx := range idx {
-			if err := tmpSchema.SetValue(out, i, d.Schema.Value(tup, srcIdx)); err != nil {
+			if err := tmpSchema.SetValue(out, i, desc.Schema.Value(tup, srcIdx)); err != nil {
 				return err
 			}
 		}
-		_, err := tmp.hf.Insert(out)
+		_, err := d.tmp.hf.Insert(out)
 		return err
 	}
 	finish = func() error {
 		// Flush and drop the frame: the temporary is re-read from
 		// disk by the next phase, as in the prototype (its pages are
 		// part of the fixed input cost of Figure 9).
-		if err := tmp.hf.Buffer().Invalidate(); err != nil {
+		if err := d.tmp.hf.Buffer().Invalidate(); err != nil {
 			return err
 		}
-		// After detachment the variable ranges over the temporary;
-		// its single-variable predicates were consumed.
-		q.env.vars[v] = bindingForTemp(d, tmpSchema)
-		q.qv[v].sel = nil
-		q.qv[v].tsel = nil
-		q.qv[v].temp = tmp
-		n.Pages = tmp.hf.Buffer().NumPages()
+		// After detachment the variable ranges over the temporary; its
+		// single-variable predicates were consumed.
+		q.env.vars[v] = d.proj
+		q.qv[v].temp = d.tmp
+		n.Pages = d.tmp.hf.Buffer().NumPages()
 		return nil
 	}
-	return write, finish, nil
+	return d, write, finish
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"tdbms/internal/catalog"
@@ -13,6 +14,8 @@ import (
 )
 
 // qvar is one range variable of a query with its per-variable plan inputs.
+// The constants it points at are the statement's literal nodes, so they
+// read whatever values the statement is bound to.
 type qvar struct {
 	name string
 	h    *relHandle
@@ -22,12 +25,17 @@ type qvar struct {
 	tsel []tquel.TExpr
 	// keyConst, when non-nil, is a constant the storage key is equated to.
 	keyConst *tuple.Value
-	// keyLo/keyHi bound the storage key when the where-clause constrains it
-	// with inequalities (used by the ordered access methods).
-	keyLo, keyHi *int64
-	// idxAttr/idxConst select a secondary index equality, when available.
+	// bounds are the inequalities on an integer storage key; bind folds
+	// them into lo/hi (hasLo/hasHi), the range the ordered access methods
+	// probe.
+	bounds       []keyBound
+	hasLo, hasHi bool
+	lo, hi       int64
+	// idxName/idxConst select a secondary index equality, when available.
 	idxName  string
-	idxConst int64
+	idxConst *tuple.Value
+	// overlapNow marks a when-conjunct `v overlap "now"` (either side).
+	overlapNow bool
 	// currentOnly marks queries that can be answered from current versions
 	// alone — the two-level store's fast path (Section 6).
 	currentOnly bool
@@ -36,7 +44,16 @@ type qvar struct {
 	temp *tempRel
 }
 
-// query is an analyzed retrieve (also used internally by DML).
+// keyBound is one inequality on the storage key, normalized to key-on-the-
+// left form.
+type keyBound struct {
+	op  string
+	val *tuple.Value
+}
+
+// query is an analyzed retrieve (also used internally by DML). newQuery
+// fills in what follows from the statement's shape and the catalog; bind
+// fills in what follows from its literal values and the clock.
 type query struct {
 	stmt    *tquel.RetrieveStmt
 	vars    []string // in order of first appearance
@@ -44,6 +61,9 @@ type query struct {
 	env     *env
 	at, thr temporal.Time // rollback slice (as-of ... through ...)
 	temps   []*tempRel
+	// dml marks the candidate scan of a delete or replace, which touches
+	// current versions only.
+	dml bool
 }
 
 // tempRel is a temporary relation created by one-variable detachment.
@@ -108,14 +128,44 @@ func isNowConst(x tquel.TExpr) bool {
 	return ok && strings.EqualFold(strings.TrimSpace(c.Text), "now")
 }
 
+// isDated reports whether a time constant names a date rather than one of
+// the words "now", "forever" (or "infinity") and "beginning".
+func isDated(c *tquel.TConst) bool {
+	t := strings.TrimSpace(c.Text)
+	for _, w := range [...]string{"now", "forever", "infinity", "beginning"} {
+		if strings.EqualFold(t, w) {
+			return false
+		}
+	}
+	return true
+}
+
 // analyze resolves variables, the rollback slice, per-variable selections,
 // access-path candidates, and current-only flags.
 func (db *Conn) analyze(s *tquel.RetrieveStmt) (*query, error) {
-	now := db.now()
+	q, err := db.newQuery(s)
+	if err != nil {
+		return nil, err
+	}
+	if err := db.bind(q); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// newQuery is the part of analysis that the statement's shape and the
+// catalog decide: the variables in order of appearance, their relations'
+// bindings, the single-variable conjuncts, and which of them can drive a
+// probe, a range or an index. Nothing here reads a literal's value or the
+// clock.
+func (db *Conn) newQuery(s *tquel.RetrieveStmt) (*query, error) {
+	var w shaper
+	w.retrieve(s)
 	q := &query{
 		stmt: s,
 		qv:   map[string]*qvar{},
-		env:  &env{vars: map[string]*binding{}, now: int64(now)},
+		env: &env{vars: map[string]*binding{}, tconsts: w.times,
+			tvals: make([]tconstVal, len(w.times))},
 	}
 
 	seen := map[string]bool{}
@@ -184,27 +234,6 @@ func (db *Conn) analyze(s *tquel.RetrieveStmt) (*query, error) {
 		}
 	}
 
-	// Rollback slice: explicit as-of, defaulting to "now" (a rollback or
-	// temporal relation shows its current state unless shifted back).
-	q.at, q.thr = now, now
-	if s.AsOf != nil {
-		at, _, err := q.env.evalTEvent(s.AsOf.At)
-		if err != nil {
-			return nil, err
-		}
-		q.at, q.thr = at, at
-		if s.AsOf.Through != nil {
-			thr, _, err := q.env.evalTEvent(s.AsOf.Through)
-			if err != nil {
-				return nil, err
-			}
-			if thr < at {
-				return nil, fmt.Errorf("core: as-of range ends (%s) before it starts (%s)", thr, at)
-			}
-			q.thr = thr
-		}
-	}
-
 	// Split single-variable conjuncts.
 	if s.Where != nil {
 		for _, c := range flattenAnd(s.Where, nil) {
@@ -229,8 +258,8 @@ func (db *Conn) analyze(s *tquel.RetrieveStmt) (*query, error) {
 		}
 	}
 
-	// Per-variable access-path candidates and current-only flags.
-	sliceIsNow := q.at == now && q.thr == q.at
+	// Per-variable access-path candidates. Only a constant's kind decides
+	// here; its value is read when the statement is bound.
 	for _, v := range q.vars {
 		qv := q.qv[v]
 		desc := qv.h.desc
@@ -241,36 +270,25 @@ func (db *Conn) analyze(s *tquel.RetrieveStmt) (*query, error) {
 			}
 			onKey := desc.KeyAttr != "" && strings.EqualFold(attr, desc.KeyAttr)
 			if onKey && op == "=" && qv.keyConst == nil {
-				qv.keyConst = &val
+				qv.keyConst = val
 				continue
 			}
 			// Inequalities on an integer key bound a range probe for the
 			// ordered access methods.
 			if onKey && op != "=" && val.Kind != tuple.F4 && val.Kind != tuple.F8 && val.IsNumeric() {
-				n := val.AsInt()
-				switch op {
-				case ">":
-					qv.tightenLo(n + 1)
-				case ">=":
-					qv.tightenLo(n)
-				case "<":
-					qv.tightenHi(n - 1)
-				case "<=":
-					qv.tightenHi(n)
-				}
+				qv.bounds = append(qv.bounds, keyBound{op, val})
 				continue
 			}
 			if op == "=" && qv.idxName == "" && val.IsNumeric() {
 				for name, ix := range qv.h.indexes {
 					if strings.EqualFold(ix.Config().Attr, attr) {
 						qv.idxName = name
-						qv.idxConst = val.AsInt()
+						qv.idxConst = val
 						break
 					}
 				}
 			}
 		}
-		overlapNow := false
 		for _, c := range qv.tsel {
 			b, ok := c.(*tquel.TBinary)
 			if !ok || b.Op != "overlap" {
@@ -279,29 +297,109 @@ func (db *Conn) analyze(s *tquel.RetrieveStmt) (*query, error) {
 			lv, lok := b.L.(*tquel.TVar)
 			rv, rok := b.R.(*tquel.TVar)
 			if lok && lv.Var == v && isNowConst(b.R) {
-				overlapNow = true
+				qv.overlapNow = true
 			}
 			if rok && rv.Var == v && isNowConst(b.L) {
-				overlapNow = true
+				qv.overlapNow = true
 			}
-		}
-		switch desc.Type {
-		case catalog.Rollback:
-			qv.currentOnly = sliceIsNow
-		case catalog.Historical:
-			qv.currentOnly = overlapNow
-		case catalog.Temporal:
-			qv.currentOnly = sliceIsNow && overlapNow
 		}
 	}
 	return q, nil
 }
 
+// bind is the part of analysis that the statement's literal values and the
+// session's "now" decide: it parses every time constant once, resolves each
+// variable's relation handle for this statement, and derives the rollback
+// slice, the key range and the current-only flags. It runs once per
+// execution of a prepared statement.
+func (db *Conn) bind(q *query) error {
+	now := db.now()
+	e := q.env
+	e.now = int64(now)
+	for i, c := range e.tconsts {
+		if j := slices.IndexFunc(e.tconsts[:i], func(d *tquel.TConst) bool { return d.Text == c.Text }); j >= 0 {
+			e.tvals[i] = e.tvals[j] // an as-of lookup names its instant twice
+			continue
+		}
+		t, err := temporal.Parse(c.Text, now)
+		e.tvals[i] = tconstVal{t: t, err: err}
+	}
+	for _, v := range q.vars {
+		h, err := db.relForVar(v)
+		if err != nil {
+			return err
+		}
+		q.qv[v].h = h
+	}
+
+	// Rollback slice: explicit as-of, defaulting to "now" (a rollback or
+	// temporal relation shows its current state unless shifted back).
+	s := q.stmt
+	q.at, q.thr = now, now
+	if s.AsOf != nil {
+		at, _, err := e.evalTEvent(s.AsOf.At)
+		if err != nil {
+			return err
+		}
+		q.at, q.thr = at, at
+		if s.AsOf.Through != nil {
+			thr, _, err := e.evalTEvent(s.AsOf.Through)
+			if err != nil {
+				return err
+			}
+			if thr < at {
+				return fmt.Errorf("core: as-of range ends (%s) before it starts (%s)", thr, at)
+			}
+			q.thr = thr
+		}
+	}
+
+	// Key ranges and current-only flags.
+	sliceIsNow := q.at == now && q.thr == q.at
+	for _, v := range q.vars {
+		qv := q.qv[v]
+		qv.hasLo, qv.hasHi, qv.lo, qv.hi = false, false, 0, 0
+		for _, b := range qv.bounds {
+			n := b.val.AsInt()
+			switch b.op {
+			case ">":
+				qv.tightenLo(n + 1)
+			case ">=":
+				qv.tightenLo(n)
+			case "<":
+				qv.tightenHi(n - 1)
+			case "<=":
+				qv.tightenHi(n)
+			}
+		}
+		switch qv.h.desc.Type {
+		case catalog.Rollback:
+			qv.currentOnly = sliceIsNow
+		case catalog.Historical:
+			qv.currentOnly = qv.overlapNow
+		case catalog.Temporal:
+			qv.currentOnly = sliceIsNow && qv.overlapNow
+		default:
+			qv.currentOnly = false
+		}
+		// DML touches current versions only; let a two-level store use
+		// its primary store directly.
+		if q.dml {
+			qv.currentOnly = true
+		}
+	}
+	return nil
+}
+
 // orderOf lists the variables of an expression in textual appearance order.
 // (The map gives the set; rendering the expression gives a stable order.)
+// The rendering is the expression's shape, so a variable named inside a
+// string literal does not count as an appearance.
 func (q *query) orderOf(x tquel.Expr, m map[string]bool) []string {
 	var out []string
-	s := x.String()
+	var w shaper
+	w.expr(x)
+	s := string(w.buf)
 	type pos struct {
 		v string
 		i int
@@ -329,15 +427,15 @@ func (q *query) orderOf(x tquel.Expr, m map[string]bool) []string {
 
 // tightenLo raises the key range's lower bound.
 func (qv *qvar) tightenLo(n int64) {
-	if qv.keyLo == nil || n > *qv.keyLo {
-		qv.keyLo = &n
+	if !qv.hasLo || n > qv.lo {
+		qv.lo, qv.hasLo = n, true
 	}
 }
 
 // tightenHi lowers the key range's upper bound.
 func (qv *qvar) tightenHi(n int64) {
-	if qv.keyHi == nil || n < *qv.keyHi {
-		qv.keyHi = &n
+	if !qv.hasHi || n < qv.hi {
+		qv.hi, qv.hasHi = n, true
 	}
 }
 
@@ -358,23 +456,23 @@ func flipOp(op string) string {
 
 // comparisonWithConst matches a conjunct of the form v.attr OP const (either
 // side), returning the attribute, the operator normalized to attr-on-the-
-// left form, and the constant.
-func comparisonWithConst(c tquel.Expr, v string) (string, string, tuple.Value, bool) {
+// left form, and the constant's value in the statement.
+func comparisonWithConst(c tquel.Expr, v string) (string, string, *tuple.Value, bool) {
 	b, ok := c.(*tquel.BinaryExpr)
 	if !ok || !cmpOpSet[b.Op] {
-		return "", "", tuple.Value{}, false
+		return "", "", nil, false
 	}
 	if a, ok := b.L.(*tquel.AttrExpr); ok && a.Var == v {
 		if k, ok := b.R.(*tquel.ConstExpr); ok {
-			return a.Attr, b.Op, k.Val, true
+			return a.Attr, b.Op, &k.Val, true
 		}
 	}
 	if a, ok := b.R.(*tquel.AttrExpr); ok && a.Var == v {
 		if k, ok := b.L.(*tquel.ConstExpr); ok {
-			return a.Attr, flipOp(b.Op), k.Val, true
+			return a.Attr, flipOp(b.Op), &k.Val, true
 		}
 	}
-	return "", "", tuple.Value{}, false
+	return "", "", nil, false
 }
 
 var cmpOpSet = map[string]bool{"=": true, "<": true, "<=": true, ">": true, ">=": true}
@@ -397,11 +495,11 @@ func joinEquality(c tquel.Expr) (l, r *tquel.AttrExpr, ok bool) {
 // keyBounds resolves the range-probe bounds with open sides saturated.
 func (qv *qvar) keyBounds() (lo, hi int64) {
 	lo, hi = math.MinInt64, math.MaxInt64
-	if qv.keyLo != nil {
-		lo = *qv.keyLo
+	if qv.hasLo {
+		lo = qv.lo
 	}
-	if qv.keyHi != nil {
-		hi = *qv.keyHi
+	if qv.hasHi {
+		hi = qv.hi
 	}
 	return lo, hi
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tdbms/internal/buffer"
@@ -21,18 +22,67 @@ func (db *Conn) execRetrieve(s *tquel.RetrieveStmt) (*Result, error) {
 
 // runRetrieve is the three-layer query path: semantic analysis (this
 // package) summarizes the statement for the planner (internal/plan),
-// whose tree is lowered onto the executor (internal/exec). The
-// returned tree carries the per-operator page attribution of the run —
-// the executed plan, not a prediction.
+// whose tree is lowered onto the executor (internal/exec) — once per
+// statement shape, then bound and executed. The returned tree carries the
+// per-operator page attribution of the run — the executed plan, not a
+// prediction.
 func (db *Conn) runRetrieve(s *tquel.RetrieveStmt) (*Result, *plan.Tree, error) {
-	db.arena.Reset()
-	q, err := db.analyze(s)
+	e, err := db.preparedRetrieve(s)
 	if err != nil {
 		return nil, nil, err
 	}
+	return db.execute(e)
+}
+
+// preparedRetrieve returns s prepared and bound: the session's entry for
+// its shape when lockSpec found one and its plan still fits s's values,
+// else a fresh entry. A fresh entry is kept when s is the statement
+// lockSpec looked up — a plain retrieve run by ExecStmt or QueryPlan, not
+// an append's embedded query — and not a grouped aggregate, whose
+// grouping matches targets by their rendering, literals included.
+func (db *Conn) preparedRetrieve(s *tquel.RetrieveStmt) (*stmtEntry, error) {
+	c := &db.cache
+	keep := c.stmt == s
+	if keep {
+		c.sync(db.epoch)
+		if e := c.hit; e != nil {
+			e.bindLits(c.w.lits)
+			if err := db.bind(e.q); err != nil {
+				return nil, err
+			}
+			if db.rebindPlan(e) {
+				return e, nil
+			}
+		}
+	}
+	e := &stmtEntry{}
+	if keep {
+		s = cloneRetrieve(s)
+		var w shaper
+		w.retrieve(s)
+		e.key, e.lits = string(c.w.buf), w.lits
+	}
+	q, err := db.analyze(s)
+	if err != nil {
+		return nil, err
+	}
+	e.q = q
+	if err := db.plan(e); err != nil {
+		return nil, err
+	}
+	if keep && !e.out.grouped {
+		e.locks = db.newLatchSet(db.relsOf(s.Targets, s.Where, s.When, s.Valid), nil)
+		c.put(e)
+	}
+	return e, nil
+}
+
+// plan builds a retrieve's output, plan tree and operators.
+func (db *Conn) plan(e *stmtEntry) error {
+	q := e.q
 	out := &emitter{q: q}
 	if err := out.prepare(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	t, conjs := db.buildPlan(q, len(out.aggs) > 0)
 	// The attribution watches every buffer the query can reach: the
@@ -47,29 +97,66 @@ func (db *Conn) runRetrieve(s *tquel.RetrieveStmt) (*Result, *plan.Tree, error) 
 	})
 	l := &lowering{db: db, q: q, out: out, att: att, joins: conjs,
 		ra: db.bufferPolicy().Readahead}
-
 	// Decomposition prologue: detach restricted variables into
 	// temporaries before the root pipeline runs over them. The batch
 	// capacity changes the cadence of the run, never the pages it reads
 	// or their order.
 	bcap := db.batchCap()
 	for _, m := range t.Prologue {
-		mat, err := l.materializeBatch(m, bcap)
+		d, err := l.materializeBatch(m, bcap)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		if err := mat.Run(); err != nil {
-			return nil, nil, err
-		}
+		l.steps = append(l.steps, d)
 	}
-	// The root pipeline is lowered after the prologue: temporary scans
-	// resolve against the just-built temporaries, and the pipeline's
-	// rebinder resolves detached variables' bindings.
 	root, err := l.lowerBatchNode(pipelineRoot(t.Root), bcap, l.pipelineRebind())
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	if err := exec.RunBatches(root, exec.NewBatch(len(q.vars), bcap), nil); err != nil {
+	e.out, e.tree, e.steps, e.root, e.att = out, t, l.steps, root, att
+	e.buf = exec.NewBatch(len(q.vars), bcap)
+	return nil
+}
+
+// rebindPlan refreshes the planner's view of a bound query — relation
+// sizes, key ranges, current-only flags, estimates — and reports whether
+// the entry's plan is still the one the planner would build.
+func (db *Conn) rebindPlan(e *stmtEntry) bool {
+	for i, v := range e.q.vars {
+		e.tree.Vars[i] = db.varInfo(e.q, v)
+	}
+	return e.tree.Rebind()
+}
+
+// execute runs a prepared, bound retrieve. What an earlier execution left
+// behind is reset first: the arena, the detachments and their
+// temporaries, the emitter and the attribution.
+func (db *Conn) execute(e *stmtEntry) (*Result, *plan.Tree, error) {
+	q, out, t, s := e.q, e.out, e.tree, e.q.stmt
+	db.arena.Reset()
+	for _, d := range e.steps {
+		d.reset(q)
+	}
+	q.temps = q.temps[:0]
+	out.reset()
+	e.att.Restart()
+	for _, d := range e.steps {
+		if err := d.begin(); err != nil {
+			return nil, nil, err
+		}
+		if err := d.mat.Run(); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(e.steps) > 0 {
+		// The temporaries are built: their sizes belong in the plan.
+		t.Walk(func(n *plan.Node) {
+			if n.Op == plan.OpTempScan {
+				n.Pages = q.qv[n.Var].temp.hf.Buffer().NumPages()
+			}
+		})
+	}
+	if err := exec.RunBatches(e.root, e.buf, nil); err != nil {
 		return nil, nil, err
 	}
 	if len(out.aggs) > 0 {
@@ -77,7 +164,7 @@ func (db *Conn) runRetrieve(s *tquel.RetrieveStmt) (*Result, *plan.Tree, error) 
 			return nil, nil, err
 		}
 	}
-	res := &Result{Cols: out.cols, Rows: out.rows}
+	res := &Result{Cols: slices.Clone(out.cols), Rows: out.rows}
 	if s.Unique {
 		res.Rows = dedupeRows(res.Rows)
 	}
@@ -89,16 +176,16 @@ func (db *Conn) runRetrieve(s *tquel.RetrieveStmt) (*Result, *plan.Tree, error) 
 	if s.Into != "" {
 		// The result relation's pages are charged to the insert node.
 		ins := t.FindOp(plan.OpInsert)
-		prev := att.Enter(ins)
+		prev := e.att.Enter(ins)
 		err := db.materialize(s.Into, out, res)
-		att.Leave(prev)
+		e.att.Leave(prev)
 		if err != nil {
 			return nil, nil, err
 		}
 		res.Affected = len(res.Rows)
 		res.Cols, res.Rows = nil, nil
 	}
-	att.Finish(pipelineRoot(t.Root))
+	e.att.Finish(pipelineRoot(t.Root))
 	for _, tmp := range q.temps {
 		st := tmp.hf.Buffer().Stats()
 		res.Input += st.Reads
@@ -199,14 +286,6 @@ func (e *emitter) prepare() error {
 				return fmt.Errorf("core: target %q mixes tuple attributes with aggregates", t.Name)
 			}
 		}
-		if e.grouped {
-			e.groups = map[string]*groupAgg{}
-		} else {
-			e.states = make([]*aggState, len(e.aggs))
-			for i, a := range e.aggs {
-				e.states[i] = &aggState{fn: a.Fn}
-			}
-		}
 		return nil
 	}
 	if s.Valid != nil {
@@ -223,6 +302,19 @@ func (e *emitter) prepare() error {
 		e.cols = append(e.cols, catalog.AttrValidFrom, catalog.AttrValidTo)
 	}
 	return nil
+}
+
+// reset starts an execution: no rows, fresh accumulators.
+func (e *emitter) reset() {
+	e.rows = nil
+	if e.grouped {
+		e.groups, e.groupOrder = map[string]*groupAgg{}, nil
+	} else if len(e.aggs) > 0 {
+		e.states = make([]*aggState, len(e.aggs))
+		for i, a := range e.aggs {
+			e.states[i] = &aggState{fn: a.Fn}
+		}
+	}
 }
 
 // inferAttr derives the stored attribute for a target expression.

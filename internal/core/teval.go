@@ -70,7 +70,7 @@ func (e *env) evalT(x tquel.TExpr) (tval, error) {
 		}
 		return intervalVal(iv, iv.Valid() && !iv.IsEmpty()), nil
 	case *tquel.TConst:
-		t, err := temporal.Parse(tx.Text, temporal.Time(e.now))
+		t, err := e.constTime(tx)
 		if err != nil {
 			return tval{}, err
 		}
@@ -148,6 +148,24 @@ func (e *env) evalT(x tquel.TExpr) (tval, error) {
 		return tval{}, fmt.Errorf("core: unknown temporal operator %q", tx.Op)
 	}
 	return tval{}, fmt.Errorf("core: unsupported temporal expression %T", x)
+}
+
+// tconstVal is a time constant parsed for one execution.
+type tconstVal struct {
+	t   temporal.Time
+	err error
+}
+
+// constTime is the value of a time constant: the one bound for this
+// execution when the constant is the query's own, else a parse against
+// now (DML valid clauses and targets).
+func (e *env) constTime(c *tquel.TConst) (temporal.Time, error) {
+	for i, k := range e.tconsts {
+		if k == c {
+			return e.tvals[i].t, e.tvals[i].err
+		}
+	}
+	return temporal.Parse(c.Text, temporal.Time(e.now))
 }
 
 // evalTBool evaluates a when-clause (nil means true).

@@ -114,7 +114,8 @@ func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[stri
 
 	// Batching axis: every capacity in goldenCaps — capacity 1 is
 	// tuple-at-a-time and exercises every batch boundary — must match the
-	// recorded answers like the default configuration above.
+	// recorded answers like the default configuration above. Each query
+	// runs twice on the session, the second time from its statement cache.
 	for _, n := range goldenCaps {
 		variant := fmt.Sprintf("session+batch%d", n)
 		c, err := SessionFor(b, variant, 0, 0)
@@ -123,6 +124,7 @@ func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[stri
 		}
 		c.SetBatchSize(n)
 		run(variant, c)
+		run(variant+"+warm", c)
 	}
 	return baseline
 }

@@ -69,27 +69,66 @@ const walkCountsHeader = `# Page I/O per statement on B-tree and two-level relat
 `
 
 // walkCounts runs one cell's statement sequence and returns a line per
-// statement.
+// statement. It also runs the cell's warm-cache axis: the sequence, less
+// the statements that restructure a relation, is replayed on the same
+// session, whose statement cache holds every statement's prepared shape by
+// then, and each replayed statement's counts must equal those of the same
+// replay through a fresh session — a cold cache — on a second database
+// built and driven identically. (The replay cannot be held to the
+// recording: it runs against the state the first pass left behind, with
+// statistics analyzed.)
 func walkCounts(t *testing.T, cell string) []string {
+	t.Helper()
+	warm, cold := newWalkDB(t), newWalkDB(t)
+	first := warm.sequence(t, cell, warm.b.Inner.DefaultSession(), false)
+	cold.sequence(t, cell, cold.b.Inner.DefaultSession(), false)
+	again := warm.sequence(t, cell, warm.b.Inner.DefaultSession(), true)
+	fresh, err := SessionFor(cold.b, "replay", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cold.sequence(t, cell, fresh, true)
+	for i := range want {
+		if again[i] != want[i] {
+			t.Errorf("warm replay differs from a cold one\nwarm: %s\ncold: %s", again[i], want[i])
+		}
+	}
+	return first
+}
+
+// walkDB is one benchmark database the walk-count sequence runs on.
+type walkDB struct {
+	b    *bench.DB
+	step int
+}
+
+func newWalkDB(t *testing.T) *walkDB {
 	t.Helper()
 	b, err := bench.BuildOpts(bench.Temporal, 100, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := b.Inner
+	return &walkDB{b: b}
+}
+
+// sequence runs the cell's statements on sess and returns a line per
+// statement. A replay skips the modify and the two-level conversion, which
+// the first pass applied.
+func (w *walkDB) sequence(t *testing.T, cell string, sess *core.Conn, replay bool) []string {
+	t.Helper()
+	b, db := w.b, w.b.Inner
 	var out []string
-	step := 0
 	exec := func(name, src string) {
 		t.Helper()
 		before := db.Stats()
-		res, err := db.Exec(src)
+		res, err := sess.Exec(src)
 		if err != nil {
 			t.Fatalf("%s %s: %v", cell, name, err)
 		}
-		step++
+		w.step++
 		out = append(out, fmt.Sprintf("%s %03d %s reads=%d readops=%d writes=%d",
-			cell, step, name, res.Input, res.InputOps, res.Output))
-		t.Logf("%s %03d %s hits=%d", cell, step, name, db.Stats().Sub(before).Hits)
+			cell, w.step, name, res.Input, res.InputOps, res.Output))
+		t.Logf("%s %03d %s hits=%d", cell, w.step, name, db.Stats().Sub(before).Hits)
 	}
 	round := func(tag string) {
 		t.Helper()
@@ -99,13 +138,13 @@ func walkCounts(t *testing.T, cell string) []string {
 		db.Clock().Advance(60)
 	}
 
-	if cell == "btree" {
+	if cell == "btree" && !replay {
 		exec("modify-h", "modify "+b.H+" to btree on id")
 		exec("modify-i", "modify "+b.I+" to btree on id")
 	}
 	round("")
 	round("")
-	if cell != "btree" {
+	if cell != "btree" && !replay {
 		for _, rel := range []string{b.H, b.I} {
 			if err := db.EnableTwoLevel(rel, cell == "twolevel-clustered"); err != nil {
 				t.Fatal(err)
@@ -121,7 +160,6 @@ func walkCounts(t *testing.T, cell string) []string {
 		{ID: "S3", Text: `retrieve (h.seq, h2.seq) where h.id = h2.id and h2.id < 40`},
 		{ID: "S4", Text: `retrieve (i.seq, i2.seq) where i2.id = i.id and i.id > 990`},
 	}
-	sess := db.DefaultSession()
 	for _, n := range []int{256, 1} {
 		sess.SetBatchSize(n)
 		tag := fmt.Sprintf("@%d", n)

@@ -29,6 +29,12 @@ func NewAttribution(read func() buffer.Stats) *Attribution {
 	return &Attribution{read: read, last: read()}
 }
 
+// Restart begins a new run over the same stats source: the baseline is
+// read again and nothing is owned or orphaned.
+func (a *Attribution) Restart() {
+	a.cur, a.orphan, a.last = nil, plan.IOStats{}, a.read()
+}
+
 // Enter flushes pending deltas to the current owner and makes n the
 // owner. It returns the previous owner for Leave.
 func (a *Attribution) Enter(n *plan.Node) *plan.Node {

@@ -88,11 +88,7 @@ type Input struct {
 // variables, then to a plain nested scan; three or more detach every
 // restricted variable and nest the rest.
 func Build(in Input) *Tree {
-	t := &Tree{NumVars: len(in.Vars), Slice: in.Slice, Vars: in.Vars}
-	vi := make(map[string]*VarInfo, len(in.Vars))
-	for i := range in.Vars {
-		vi[in.Vars[i].Var] = &in.Vars[i]
-	}
+	t := &Tree{NumVars: len(in.Vars), Slice: in.Slice, Vars: in.Vars, joins: in.Joins}
 
 	var root *Node
 	switch len(in.Vars) {
@@ -102,21 +98,17 @@ func Build(in Input) *Tree {
 		root = Leaf(&in.Vars[0])
 	case 2:
 		a, b := &in.Vars[0], &in.Vars[1]
-		if sub := chooseSubstitution(in, vi); sub != nil {
-			d := vi[sub.DetachVar]
+		if sub := chooseSubstitution(in.Joins, in.Vars); sub != nil {
+			d := varNamed(in.Vars, sub.DetachVar)
 			t.Prologue = append(t.Prologue, materializeNode(d))
 			j := in.Joins[sub.EqIndex]
 			keyVar, keyAttr := j.RVar, j.RAttr
 			if sub.Flipped {
 				keyVar, keyAttr = j.LVar, j.LAttr
 			}
-			probe := substProbeNode(vi[sub.ProbeVar], keyVar, keyAttr)
-			if pv := vi[sub.ProbeVar]; d.HasStats && pv.HasStats {
-				outer := bestPath(*d)
-				probe.HasEst = true
-				probe.EstRows = outer.rows * pv.SubstRows
-				probe.EstPages = outer.rows * pv.SubstPages
-			}
+			pv := varNamed(in.Vars, sub.ProbeVar)
+			probe := substProbeNode(pv, keyVar, keyAttr)
+			annotateSubst(probe, d, pv)
 			root = &Node{
 				Op:  OpNestLoop,
 				Sub: sub,
@@ -196,35 +188,104 @@ func Build(in Input) *Tree {
 // statistics the heuristic order applies: a key constant on a keyed file
 // probes; otherwise a usable secondary index probes the index; otherwise
 // key bounds on an ordered file range-scan; otherwise the relation is
-// scanned sequentially. v must stay unchanged for as long as the node may
-// be rendered.
+// scanned sequentially. The node renders v as it is when rendered: a caller
+// that refreshes v must Rebind the node.
 func Leaf(v *VarInfo) *Node {
-	n := &Node{
-		Var:     v.Var,
-		Rel:     v.Rel,
-		Current: v.Current,
-		Sels:    v.Sels + v.TSels,
-		Pages:   v.Pages,
-	}
+	n := &Node{Var: v.Var, Rel: v.Rel}
+	n.Op, _, _ = choosePath(v)
+	n.Rebind(v)
+	n.Detail = func() string { return leafDetail(v, n.Op) }
+	return n
+}
+
+// choosePath is a leaf's access-path decision: the cheapest candidate by
+// estimate when v has statistics (has reports that est applies), the
+// heuristic order otherwise.
+func choosePath(v *VarInfo) (op Op, est pathChoice, has bool) {
 	if v.HasStats {
 		best := bestPath(*v)
-		n.Op = best.op
-		n.Detail = func() string { return leafDetail(v, best.op) }
-		n.HasEst, n.EstRows, n.EstPages = true, best.rows, best.pages
-		return n
+		return best.op, best, true
 	}
 	switch {
 	case v.HasKeyConst && v.Keyed:
-		n.Op = OpProbe
+		return OpProbe, est, false
 	case !v.HasKeyConst && v.IdxName != "":
-		n.Op = OpIndexScan
+		return OpIndexScan, est, false
 	case (v.HasLo || v.HasHi) && v.Ordered:
-		n.Op = OpRangeScan
-	default:
-		n.Op = OpSeqScan
+		return OpRangeScan, est, false
 	}
-	n.Detail = func() string { return leafDetail(v, n.Op) }
-	return n
+	return OpSeqScan, est, false
+}
+
+// Rebind re-derives a leaf's annotations — current-only flag, restriction
+// count, pages and estimates — from v, and clears what the executor
+// measured. It reports false, changing nothing, when v now calls for a
+// different access path than the node's.
+func (n *Node) Rebind(v *VarInfo) bool {
+	op, est, has := choosePath(v)
+	if n.Op != op {
+		return false
+	}
+	n.Current, n.Sels, n.Pages = v.Current, v.Sels+v.TSels, v.Pages
+	n.HasEst, n.EstRows, n.EstPages = has, est.rows, est.pages
+	n.IO, n.ActRows = IOStats{}, 0
+	return true
+}
+
+// Rebind re-derives the value-dependent annotations of a tree Build made
+// from t.Vars, which the caller has refreshed in place — pages, current-
+// only flags, estimates — and clears what the executor measured, so the
+// tree renders exactly as one built afresh from the same inputs. It reports
+// false when Build would now choose a different access path or
+// substitution; the tree must then be built again.
+func (t *Tree) Rebind() bool {
+	ok := true
+	t.Walk(func(n *Node) {
+		switch {
+		case !ok:
+		case n.Op == OpNestLoop && len(t.Vars) == 2:
+			sub := chooseSubstitution(t.joins, t.Vars)
+			if (sub == nil) != (n.Sub == nil) || (sub != nil && *sub != *n.Sub) {
+				ok = false
+				return
+			}
+			if sub != nil {
+				probe, pv := n.Children[1], varNamed(t.Vars, sub.ProbeVar)
+				probe.Current, probe.Sels, probe.Pages = pv.Current, pv.Sels+pv.TSels, pv.Pages
+				annotateSubst(probe, varNamed(t.Vars, sub.DetachVar), pv)
+			}
+		case n.Op == OpSubstProbe: // annotated with its loop
+		case n.Var != "" && n.Op != OpMaterialize && n.Op != OpTempScan:
+			ok = n.Rebind(varNamed(t.Vars, n.Var))
+			return
+		default:
+			n.Pages = 0 // temporaries: filled in by the run
+		}
+		n.IO, n.ActRows = IOStats{}, 0
+	})
+	return ok
+}
+
+// varNamed finds a variable's summary.
+func varNamed(vars []VarInfo, name string) *VarInfo {
+	for i := range vars {
+		if vars[i].Var == name {
+			return &vars[i]
+		}
+	}
+	return nil
+}
+
+// annotateSubst sets a substitution probe's estimate: the detached side's
+// output rows, each probing once. Both sides need statistics.
+func annotateSubst(probe *Node, detach, pv *VarInfo) {
+	probe.HasEst, probe.EstRows, probe.EstPages = false, 0, 0
+	if detach.HasStats && pv.HasStats {
+		outer := bestPath(*detach)
+		probe.HasEst = true
+		probe.EstRows = outer.rows * pv.SubstRows
+		probe.EstPages = outer.rows * pv.SubstPages
+	}
 }
 
 // text is the Detail of a node whose description needs no formatting.
@@ -290,12 +351,12 @@ func substProbeNode(v *VarInfo, keyVar, keyAttr string) *Node {
 // pages (outer rows times per-probe pages) wins; otherwise conjuncts are
 // considered in where-clause order and a hash probe is preferred over any
 // other keyed structure because each probe costs a single bucket chain.
-func chooseSubstitution(in Input, vi map[string]*VarInfo) *Subst {
+func chooseSubstitution(joins []JoinEq, vars []VarInfo) *Subst {
 	var best *Subst
 	bestHash := false
 	bestCost := 0.0
 	costed := false
-	for i, j := range in.Joins {
+	for i, j := range joins {
 		sides := [2]struct {
 			probeVar, probeAttr, detachVar string
 			flipped                        bool
@@ -304,7 +365,7 @@ func chooseSubstitution(in Input, vi map[string]*VarInfo) *Subst {
 			{j.RVar, j.RAttr, j.LVar, true},
 		}
 		for _, s := range sides {
-			pv, dv := vi[s.probeVar], vi[s.detachVar]
+			pv, dv := varNamed(vars, s.probeVar), varNamed(vars, s.detachVar)
 			if pv == nil || dv == nil {
 				continue
 			}

@@ -160,6 +160,8 @@ type Tree struct {
 	Vars     []VarInfo
 	Prologue []*Node
 	Root     *Node
+
+	joins []JoinEq // the substitution candidates, for Rebind
 }
 
 // FindOp returns the first node with the given operator, searching the

@@ -362,3 +362,55 @@ func TestLexerStrings(t *testing.T) {
 		t.Logf("render: %s", s) // rendering detail, not required
 	}
 }
+
+// TestLexerStringForms pins string constants with and without escapes, and
+// the error offsets of unterminated ones: a constant without a backslash is
+// sliced out of the source, one with a backslash is unescaped byte by byte,
+// and both must read the same.
+func TestLexerStringForms(t *testing.T) {
+	for _, tc := range []struct{ src, want, err string }{
+		{src: `x "abc" y`, want: "abc"},
+		{src: `x "" y`, want: ""},
+		{src: `x "a\"b" y`, want: `a"b`},
+		{src: `x "a\\" y`, want: `a\`},
+		{src: `x "a\nb" y`, want: "anb"},
+		{src: `x "a\b\"" y`, want: `ab"`},
+		{src: `x "abc`, err: "tquel: unterminated string constant at offset 2"},
+		{src: `x "a\"`, err: "tquel: unterminated string constant at offset 2"},
+		{src: `x "a\`, err: "tquel: unterminated string constant at offset 2"},
+	} {
+		toks, err := lex(tc.src)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("lex(%q) error = %v, want %q", tc.src, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("lex(%q): %v", tc.src, err)
+		}
+		if len(toks) != 4 || toks[1].kind != tokString || toks[1].text != tc.want || toks[1].pos != 2 || toks[2].text != "y" {
+			t.Errorf("lex(%q) = %+v, want string %q at offset 2", tc.src, toks, tc.want)
+		}
+	}
+}
+
+// BenchmarkParse parses the statement shapes the repository benchmark
+// issues most: a current-state lookup, a past-state lookup and a keyed
+// replace.
+func BenchmarkParse(b *testing.B) {
+	for _, q := range []struct{ name, src string }{
+		{"current", `retrieve (h.id, h.seq) where h.id = 4711 when h overlap "now"`},
+		{"asof", `retrieve (h.id, h.seq) where h.id = 4711 when h overlap "09:00:00 1/5/1980" as of "09:00:00 1/5/1980"`},
+		{"replace", `replace h (seq = h.seq + 1) where h.id = 4711`},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Parse(q.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
