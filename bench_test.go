@@ -337,6 +337,38 @@ func TestHashedLookupAllocBudget(t *testing.T) {
 	}
 }
 
+// BenchmarkJoinResidual measures Q09 on the temporal database at update
+// count 2, on a warm session: a tuple-substitution join whose every
+// candidate pair passes the Filter's residual — the whole where and when
+// clauses — before the target list is evaluated, the evaluation work of a
+// join rather than its page walks.
+func BenchmarkJoinResidual(b *testing.B) {
+	d, err := bench.Build(bench.Temporal, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range 2 {
+		if err := d.Update(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q09 := bench.Queries(bench.Temporal)[8]
+	res, err := d.Inner.Exec(q09.Text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if q09.ID != "Q09" || len(res.Rows) == 0 {
+		b.Fatalf("%s returned %d rows", q09.ID, len(res.Rows))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Inner.Exec(q09.Text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTemporalReplace measures the Section 4 update path: a temporal
 // replace writes a closed version, a marker, and the new version.
 func BenchmarkTemporalReplace(b *testing.B) {

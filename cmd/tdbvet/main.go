@@ -5,14 +5,15 @@
 //	layering     raw file I/O only in internal/storage; buffer.Stats
 //	             mutated only by internal/buffer; catalog.Stats (the
 //	             optimizer statistics) mutated only by internal/catalog
-//	             and internal/core
+//	             and internal/core; the WAL written only by internal/wal;
+//	             module-wide, buffer.Policy constructed only behind the
+//	             sanctioned configuration surfaces (internal/buffer,
+//	             internal/core) and internal/faultfs imported only by
+//	             internal/difftest and tests
 //	determinism  no wall clock, global rand, or map-ordered iteration in
 //	             internal/bench figure paths
 //	sessionstate core.Database keeps no per-caller statement state; it
 //	             lives on core.Conn
-//	bufpolicy    buffer.Policy constructed only behind the sanctioned
-//	             configuration surfaces (internal/buffer, internal/core), so
-//	             measurement mode cannot drift silently
 //	errcheck     no silently discarded errors under internal/
 //	copylocks    no by-value copies of sync primitives or counter-bearing
 //	             buffer/storage types

@@ -105,7 +105,7 @@ func (sh *shell) setNow(t temporal.Time) {
 // set implements \set: with no argument it reports the current session's
 // effective buffer policy; "buffer <frames> [<readahead>]" installs a
 // session override and "buffer default" drops it. The policy itself is
-// only ever constructed behind Conn — never here (tdbvet: bufpolicy).
+// only ever constructed behind Conn — never here (tdbvet: layering).
 func (sh *shell) set(arg string) error {
 	fields := strings.Fields(arg)
 	usage := fmt.Errorf(`usage: \set | \set buffer <frames> [<readahead>] | \set buffer default | \set wal sync|async|default`)

@@ -1,6 +1,8 @@
 // Package layering enforces the storage-layering invariant behind the
 // paper's measurements: every page touch must flow through the buffer
-// manager so that buffer.Stats counts it. Concretely:
+// manager so that buffer.Stats counts it, under the measurement policy the
+// figures were taken with. Rules 1–5 bind the packages under internal/;
+// rules 6 and 7 bind the whole module. Concretely:
 //
 //  1. Raw file I/O (os.Open, os.OpenFile, os.Create, os.ReadFile, ...)
 //     is reserved to internal/storage; any other internal package opening
@@ -22,16 +24,34 @@
 //     internal/storage and internal/core — the engine opens its one log
 //     in core.Open. A stray log writer could forge or destroy committed
 //     records without holding any latch recovery knows about.
+//  6. The fault-injection wrapper (internal/faultfs) is test
+//     infrastructure: only internal/difftest and _test.go files may import
+//     it. A production import would let injected-fault plumbing into
+//     measured code paths, where the page counts the goldens pin hold only
+//     over the real storage stack. (The loader never type-checks _test.go
+//     files, so they are exempt by construction.)
+//  7. A buffer.Policy literal is constructed only in internal/buffer (which
+//     defines and normalizes it) and internal/core (core.Options and
+//     Conn.SetBufferPolicy). The figures are comparable only under one
+//     frame per relation (Section 5.1); anywhere else — the benchmark
+//     harness above all — a stray literal could shift every page counter
+//     silently.
+//
+// Fixture packages load under a synthetic import path, so the packages
+// the rules name are also recognized by package name where a fixture has
+// to stand in for them.
 package layering
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"tdbms/internal/analysis"
 )
 
 const (
+	modPath    = "tdbms"
 	bufferPkg  = "tdbms/internal/buffer"
 	storagePkg = "tdbms/internal/storage"
 	planPkg    = "tdbms/internal/plan"
@@ -40,6 +60,20 @@ const (
 	walPkg     = "tdbms/internal/wal"
 	faultfsPkg = "tdbms/internal/faultfs"
 )
+
+// faultfsImporters may import the fault-injection wrapper (rule 6), by
+// path or, for fixtures, by package name.
+var faultfsImporters = map[string]bool{
+	faultfsPkg: true, "tdbms/internal/difftest": true,
+	"faultfs": true, "difftest": true,
+}
+
+// policyBuilders may construct a buffer.Policy (rule 7), by path or, for
+// fixtures, by package name.
+var policyBuilders = map[string]bool{
+	bufferPkg: true, corePkg: true,
+	"buffer": true, "core": true,
+}
 
 // logMutators are the storage.Log methods that change log contents;
 // outside the WAL stack they could forge or destroy committed records.
@@ -71,11 +105,23 @@ var forbiddenIO = map[string]map[string]bool{
 // Analyzer is the layering check.
 var Analyzer = &analysis.Analyzer{
 	Name: "layering",
-	Doc:  "raw file I/O only in internal/storage; buffer.Stats mutated only by internal/buffer; catalog.Stats mutated only by internal/catalog and internal/core; the WAL log written only by internal/wal",
+	Doc:  "raw file I/O only in internal/storage; buffer.Stats mutated only by internal/buffer; catalog.Stats mutated only by internal/catalog and internal/core; the WAL log written only by internal/wal; internal/faultfs imported only by internal/difftest and tests; buffer.Policy constructed only in internal/buffer and internal/core",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) {
+	p, name := pass.Pkg.Path(), pass.Pkg.Name()
+	if !faultfsImporters[p] && !faultfsImporters[name] {
+		checkFaultfsImport(pass)
+	}
+	if !policyBuilders[p] && !policyBuilders[name] {
+		checkPolicyLiterals(pass)
+	}
+	// Commands, examples and the benchmark open files and read counters as
+	// they please; the storage-stack rules bind internal/ (and fixtures).
+	if p == modPath || strings.HasPrefix(p, modPath+"/") && !strings.HasPrefix(p, modPath+"/internal/") {
+		return
+	}
 	if pass.Pkg.Path() != storagePkg {
 		checkRawIO(pass)
 	}
@@ -301,4 +347,48 @@ func reportIfStatsField(pass *analysis.Pass, expr ast.Expr) {
 	pass.Report(sel.Pos(),
 		"mutation of buffer.Stats.%s outside internal/buffer falsifies the benchmark's I/O counters",
 		sel.Sel.Name)
+}
+
+// checkFaultfsImport flags imports of the fault-injection wrapper.
+func checkFaultfsImport(pass *analysis.Pass) {
+	for _, f := range pass.Files {
+		for _, imp := range f.Imports {
+			if path := imp.Path.Value; len(path) >= 2 && path[1:len(path)-1] == faultfsPkg {
+				pass.Report(imp.Pos(),
+					"%s is test infrastructure: import it from _test.go files or internal/difftest, never from production code",
+					faultfsPkg)
+			}
+		}
+	}
+}
+
+// checkPolicyLiterals flags buffer.Policy composite literals.
+func checkPolicyLiterals(pass *analysis.Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			if tv, ok := pass.Info.Types[lit]; ok && isBufferPolicy(tv.Type) {
+				pass.Report(lit.Pos(),
+					"buffer.Policy constructed outside the sanctioned configuration surfaces: use core.Options{BufferFrames, BufferReadahead} or Conn.SetBufferPolicy, so the single-frame measurement policy cannot drift silently")
+			}
+			return true
+		})
+	}
+}
+
+// isBufferPolicy reports whether t is the buffer package's Policy type,
+// whose defining package a fixture may load under another path.
+func isBufferPolicy(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Name() != "Policy" || obj.Pkg() == nil {
+		return false
+	}
+	return obj.Pkg().Path() == bufferPkg || obj.Pkg().Name() == "buffer"
 }

@@ -38,3 +38,19 @@ func TestLogViolating(t *testing.T) {
 func TestLogClean(t *testing.T) {
 	analysistest.Run(t, layering.Analyzer, "testdata/log_clean.go")
 }
+
+func TestFaultfsImportViolating(t *testing.T) {
+	analysistest.Run(t, layering.Analyzer, "testdata/faultfs_violating.go")
+}
+
+func TestFaultfsImportClean(t *testing.T) {
+	analysistest.Run(t, layering.Analyzer, "testdata/faultfs_clean.go")
+}
+
+func TestPolicyViolating(t *testing.T) {
+	analysistest.Run(t, layering.Analyzer, "testdata/policy_violating.go")
+}
+
+func TestPolicyClean(t *testing.T) {
+	analysistest.Run(t, layering.Analyzer, "testdata/policy_clean.go")
+}

@@ -16,12 +16,10 @@ import (
 	"sync"
 
 	"tdbms/internal/analysis"
-	"tdbms/internal/analysis/bufpolicy"
 	"tdbms/internal/analysis/copylocks"
 	"tdbms/internal/analysis/determinism"
 	"tdbms/internal/analysis/errcheck"
 	"tdbms/internal/analysis/errwrap"
-	faultfscheck "tdbms/internal/analysis/faultfs"
 	"tdbms/internal/analysis/latchorder"
 	"tdbms/internal/analysis/layering"
 	"tdbms/internal/analysis/lockscope"
@@ -43,17 +41,16 @@ func everywhere(modPath, pkgPath string) bool { return true }
 
 // Checks is the full tdbvet suite with its scoping policy:
 //
-//   - layering guards every internal package (internal/storage itself and
-//     internal/buffer are exempted inside the analyzer);
+//   - layering runs module-wide: its storage-stack rules bind every
+//     internal package (internal/storage itself and internal/buffer are
+//     exempted inside the analyzer), its containment rules the whole
+//     module — buffer.Policy is constructed only behind the sanctioned
+//     configuration surfaces (internal/buffer, internal/core), and only
+//     _test.go files (never loaded) and internal/difftest import the
+//     fault-injection wrapper;
 //   - determinism guards the measurement/figure paths in internal/bench;
 //   - sessionstate guards the session split: core.Database keeps no
 //     per-caller statement state (it lives on core.Conn);
-//   - bufpolicy guards measurement mode: buffer.Policy is constructed only
-//     behind the sanctioned configuration surfaces (internal/buffer,
-//     internal/core), module-wide;
-//   - faultfs keeps the fault-injection wrapper out of production code:
-//     only _test.go files (never loaded) and internal/difftest may import
-//     it, module-wide;
 //   - errcheck guards all of internal/;
 //   - copylocks guards the whole module, examples and commands included;
 //   - pagecopy keeps page.Page behind pointers everywhere but the three
@@ -67,15 +64,13 @@ func everywhere(modPath, pkgPath string) bool { return true }
 //   - errwrap (module-wide) keeps the %w chain of storage/faultfs errors
 //     intact so errors.Is and faultfs.IsInjected stay sound.
 var Checks = []Scoped{
-	{layering.Analyzer, underInternal},
+	{layering.Analyzer, everywhere},
 	{sessionstate.Analyzer, func(modPath, pkgPath string) bool {
 		return pkgPath == modPath+"/internal/core"
 	}},
-	{bufpolicy.Analyzer, everywhere},
 	{determinism.Analyzer, func(modPath, pkgPath string) bool {
 		return pkgPath == modPath+"/internal/bench"
 	}},
-	{faultfscheck.Analyzer, everywhere},
 	{errcheck.Analyzer, underInternal},
 	{copylocks.Analyzer, everywhere},
 	{copylocks.PageCopy, func(modPath, pkgPath string) bool {

@@ -538,7 +538,7 @@ func (c *Conn) bufferPolicy() buffer.Policy {
 // scan prefetch. Values are normalized (frames >= 1, readahead capped at
 // frames-1). The database default — and the benchmark — stay single-frame.
 // This (with engine configuration in Options) is the sanctioned place to
-// construct a buffer.Policy — tdbvet's bufpolicy check keeps it that way,
+// construct a buffer.Policy — tdbvet's layering check keeps it that way,
 // so measurement mode cannot drift by a stray literal elsewhere.
 func (c *Conn) SetBufferPolicy(frames, readahead int) {
 	c.mu.Lock()

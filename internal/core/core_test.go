@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"tdbms/internal/am"
@@ -372,6 +373,63 @@ func TestRetrieveUnique(t *testing.T) {
 	r := mustExec(t, db, `retrieve unique (x.a)`)
 	if len(r.Rows) != 2 {
 		t.Fatalf("unique rows: %v", r.Rows)
+	}
+}
+
+// TestRetrieveUniqueKeepsDistinctRows: two rows whose strings, run
+// together, read the same are still two rows — for unique and for
+// grouping alike.
+func TestRetrieveUniqueKeepsDistinctRows(t *testing.T) {
+	db := newDB(t)
+	mustExec(t, db, `create s (a = c12, b = c12)
+		range of r is s
+		append to s (a = "x|0|0;5|y", b = "z")
+		append to s (a = "x", b = "y|0|0;5|z")`)
+	for _, q := range []string{
+		`retrieve (r.a, r.b)`,
+		`retrieve unique (r.a, r.b)`,
+		`retrieve (r.a, r.b, n = count(r.a by r.a, r.b))`,
+	} {
+		if res := mustExec(t, db, q); len(res.Rows) != 2 {
+			t.Errorf("%s: %v, want two rows", q, res.Rows)
+		}
+	}
+}
+
+// TestArithmetic pins Quel's numeric promotion — integer op integer stays
+// an integer, anything involving a float is a float — and its errors.
+func TestArithmetic(t *testing.T) {
+	db := newDB(t)
+	for _, c := range []struct {
+		expr string
+		want tuple.Value
+		err  string
+	}{
+		{expr: "7 + 2", want: tuple.IntValue(9)},
+		{expr: "7 - 2", want: tuple.IntValue(5)},
+		{expr: "7 * 2", want: tuple.IntValue(14)},
+		{expr: "-7 / 2", want: tuple.IntValue(-3)},
+		{expr: "7.5 + 2", want: tuple.FloatValue(9.5)},
+		{expr: "7.5 - 2", want: tuple.FloatValue(5.5)},
+		{expr: "7.5 * 2", want: tuple.FloatValue(15)},
+		{expr: "7 / 2.0", want: tuple.FloatValue(3.5)},
+		{expr: "-(2.5)", want: tuple.FloatValue(-2.5)},
+		{expr: "7 / 0", err: "core: division by zero"},
+		{expr: "7.5 / 0", err: "core: division by zero"},
+		{expr: `"ab" + 1`, err: "core: arithmetic on strings"},
+		{expr: `-"ab"`, err: "core: cannot negate a string"},
+	} {
+		res, err := db.Exec("retrieve (v = " + c.expr + ")")
+		switch {
+		case c.err != "":
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("%s: error %v, want %q", c.expr, err, c.err)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", c.expr, err)
+		case len(res.Rows) != 1 || res.Rows[0][0] != c.want:
+			t.Errorf("%s = %v, want %v", c.expr, res.Rows, c.want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"tdbms/internal/am"
@@ -103,61 +104,75 @@ func setTime(desc *catalog.Relation, tup []byte, idx int, t temporal.Time) {
 	desc.Schema.SetInt(tup, idx, int64(t))
 }
 
-// validBounds resolves a DML valid clause against the environment, with the
-// Section 4 defaults: valid from "now" to "forever" (interval relations) or
-// valid at "now" (event relations).
-func (db *Conn) validBounds(v *tquel.ValidClause, e *env, event bool) (from, to temporal.Time, err error) {
-	now := db.now()
-	if event {
-		at := now
-		if v != nil {
-			if v.At == nil {
-				return 0, 0, fmt.Errorf("core: event relations take `valid at`, not `valid from/to`")
-			}
-			at, _, err = e.evalTEvent(v.At)
-			if err != nil {
-				return 0, 0, err
-			}
+// newValidity compiles the valid interval of h's new versions from a DML
+// valid clause, with the Section 4 defaults: valid from "now" to "forever"
+// (interval relations) or valid at "now" (event relations, whose interval
+// is [at, at]). A relation without valid time takes no valid clause.
+func (db *Conn) newValidity(h *relHandle, v *tquel.ValidClause, c *compiler) func() (temporal.Interval, error) {
+	desc, now := h.desc, db.now()
+	event := desc.Model == catalog.ModelEvent
+	switch {
+	case desc.VF < 0 && v != nil:
+		return fail[temporal.Interval](fmt.Errorf("core: %s relation %s takes no valid clause", desc.Type, desc.Name))
+	case desc.VF < 0:
+		return func() (temporal.Interval, error) { return temporal.Interval{}, nil }
+	case v == nil && event:
+		return func() (temporal.Interval, error) { return temporal.Interval{From: now, To: now}, nil }
+	case v == nil:
+		return func() (temporal.Interval, error) { return temporal.Interval{From: now, To: temporal.Forever}, nil }
+	case event && v.At == nil:
+		return fail[temporal.Interval](fmt.Errorf("core: event relations take `valid at`, not `valid from/to`"))
+	case event:
+		at := c.instant(v.At, false)
+		return func() (temporal.Interval, error) {
+			t, _, err := at()
+			return temporal.Interval{From: t, To: t}, err
 		}
-		return at, at, nil
+	case v.At != nil:
+		return fail[temporal.Interval](fmt.Errorf("core: interval relations take `valid from ... to ...`, not `valid at`"))
 	}
-	from, to = now, temporal.Forever
-	if v != nil {
-		if v.At != nil {
-			return 0, 0, fmt.Errorf("core: interval relations take `valid from ... to ...`, not `valid at`")
+	from, to := c.instant(v.From, false), c.instant(v.To, true)
+	return func() (temporal.Interval, error) {
+		f, _, err := from()
+		if err != nil {
+			return temporal.Interval{}, err
 		}
-		if from, _, err = e.evalTEvent(v.From); err != nil {
-			return 0, 0, err
+		t, _, err := to()
+		if err != nil {
+			return temporal.Interval{}, err
 		}
-		if to, _, err = e.evalTEnd(v.To); err != nil {
-			return 0, 0, err
+		if f > t {
+			return temporal.Interval{}, fmt.Errorf("core: valid interval ends (%s) before it starts (%s)", t, f)
 		}
-		if from > to {
-			return 0, 0, fmt.Errorf("core: valid interval ends (%s) before it starts (%s)", to, from)
-		}
+		return temporal.Interval{From: f, To: t}, nil
 	}
-	return from, to, nil
 }
 
-// applyTargets builds a new user-attribute image from a base tuple and a
-// DML target list. Target names must be user attributes.
-func applyTargets(desc *catalog.Relation, base []byte, targets []tquel.Target, e *env) ([]byte, error) {
-	out := make([]byte, len(base))
-	copy(out, base)
-	for _, t := range targets {
-		i := desc.Schema.Index(t.Name)
-		if i < 0 || i >= desc.NumUserAttrs {
-			return nil, fmt.Errorf("core: %s has no user attribute %q (implicit time attributes are set via the valid clause)", desc.Name, t.Name)
-		}
-		v, err := e.evalExpr(t.Expr)
-		if err != nil {
-			return nil, err
-		}
-		if err := desc.Schema.SetValue(out, i, v); err != nil {
-			return nil, err
-		}
+// targets compiles a DML target list: the result builds a new
+// user-attribute image from a base tuple. Target names must be user
+// attributes.
+func (c *compiler) targets(desc *catalog.Relation, targets []tquel.Target) func(base []byte) ([]byte, error) {
+	vals := make([]valFn, len(targets))
+	for k, t := range targets {
+		vals[k] = c.expr(t.Expr)
 	}
-	return out, nil
+	return func(base []byte) ([]byte, error) {
+		out := slices.Clone(base)
+		for k, t := range targets {
+			i := desc.Schema.Index(t.Name)
+			if i < 0 || i >= desc.NumUserAttrs {
+				return nil, fmt.Errorf("core: %s has no user attribute %q (implicit time attributes are set via the valid clause)", desc.Name, t.Name)
+			}
+			v, err := vals[k]()
+			if err != nil {
+				return nil, err
+			}
+			if err := desc.Schema.SetValue(out, i, v); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
 }
 
 // --- secondary-index maintenance ---
@@ -320,12 +335,21 @@ func (db *Conn) execAppend(s *tquel.AppendStmt) (*Result, error) {
 	}
 
 	if len(seen) == 0 {
-		e := &env{vars: map[string]*binding{}, now: int64(db.now())}
-		n, err := db.appendRow(h, s.Targets, s.Valid, e)
+		// No range variables: the targets and the valid clause are
+		// evaluated once, over no bindings.
+		c := &compiler{e: &env{now: int64(db.now())}}
+		tup, err := c.targets(h.desc, s.Targets)(h.desc.Schema.NewTuple())
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Affected: n}, nil
+		valid, err := db.newValidity(h, s.Valid, c)()
+		if err == nil {
+			err = db.insertNew(h, tup, valid)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Affected: 1}, nil
 	}
 
 	// Run the embedded retrieve, then append each row.
@@ -335,7 +359,6 @@ func (db *Conn) execAppend(s *tquel.AppendStmt) (*Result, error) {
 		return nil, err
 	}
 	affected := 0
-	e := &env{vars: map[string]*binding{}, now: int64(db.now())}
 	for _, row := range res.Rows {
 		vals := map[string]tuple.Value{}
 		for i, t := range s.Targets {
@@ -349,58 +372,48 @@ func (db *Conn) execAppend(s *tquel.AppendStmt) (*Result, error) {
 				To:   temporal.Time(row[len(row)-1].I),
 			}
 		}
-		n, err := db.appendConstRow(h, vals, iv, e)
-		if err != nil {
+		if err := db.appendConstRow(h, vals, iv); err != nil {
 			return nil, err
 		}
-		affected += n
+		affected++
 	}
 	return &Result{Affected: affected, Input: res.Input, Output: res.Output}, nil
 }
 
-// appendRow inserts one tuple built from constant targets.
-func (db *Conn) appendRow(h *relHandle, targets []tquel.Target, valid *tquel.ValidClause, e *env) (int, error) {
-	desc := h.desc
-	tup := desc.Schema.NewTuple()
-	base, err := applyTargets(desc, tup, targets, e)
-	if err != nil {
-		return 0, err
-	}
-	return db.insertNew(h, base, valid, e)
-}
-
-// appendConstRow inserts one tuple from pre-evaluated values.
-func (db *Conn) appendConstRow(h *relHandle, vals map[string]tuple.Value, iv *temporal.Interval, e *env) (int, error) {
+// appendConstRow inserts one tuple from pre-evaluated values, valid over
+// iv when the relation has valid time and iv is given, else over the
+// default interval.
+func (db *Conn) appendConstRow(h *relHandle, vals map[string]tuple.Value, iv *temporal.Interval) error {
 	desc := h.desc
 	tup := desc.Schema.NewTuple()
 	for name, v := range vals {
 		i := desc.Schema.Index(name)
 		if i < 0 || i >= desc.NumUserAttrs {
-			return 0, fmt.Errorf("core: %s has no user attribute %q", desc.Name, name)
+			return fmt.Errorf("core: %s has no user attribute %q", desc.Name, name)
 		}
 		if err := desc.Schema.SetValue(tup, i, v); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	var valid *tquel.ValidClause
+	valid, err := db.newValidity(h, nil, nil)()
+	if err != nil {
+		return err
+	}
 	if iv != nil && desc.VF >= 0 {
+		// Instants past "forever" are "forever", as a time attribute
+		// stores them.
+		valid = temporal.Interval{From: min(iv.From, temporal.Forever), To: min(iv.To, temporal.Forever)}
 		if desc.Model == catalog.ModelEvent {
-			valid = &tquel.ValidClause{At: &tquel.TConst{Text: temporal.Format(iv.From, temporal.Second)}}
-		} else {
-			valid = &tquel.ValidClause{
-				From: &tquel.TConst{Text: temporal.Format(iv.From, temporal.Second)},
-				To:   &tquel.TConst{Text: temporal.Format(iv.To, temporal.Second)},
-			}
+			valid.To = valid.From
 		}
-		// "forever" formats as its own keyword and re-parses exactly.
 	}
-	return db.insertNew(h, tup, valid, e)
+	return db.insertNew(h, tup, valid)
 }
 
 // insertNew stamps the implicit time attributes of a fresh version
 // (Section 4: transaction start = now, transaction stop = forever, valid
-// bounds from the valid clause or defaults) and inserts it as current.
-func (db *Conn) insertNew(h *relHandle, tup []byte, valid *tquel.ValidClause, e *env) (int, error) {
+// over the resolved interval valid) and inserts it as current.
+func (db *Conn) insertNew(h *relHandle, tup []byte, valid temporal.Interval) error {
 	desc := h.desc
 	now := db.now()
 	if desc.TS >= 0 {
@@ -408,29 +421,23 @@ func (db *Conn) insertNew(h *relHandle, tup []byte, valid *tquel.ValidClause, e 
 		setTime(desc, tup, desc.TE, temporal.Forever)
 	}
 	if desc.VF >= 0 {
-		from, to, err := db.validBounds(valid, e, desc.Model == catalog.ModelEvent)
-		if err != nil {
-			return 0, err
-		}
-		setTime(desc, tup, desc.VF, from)
+		setTime(desc, tup, desc.VF, valid.From)
 		if desc.Model == catalog.ModelInterval {
-			setTime(desc, tup, desc.VT, to)
+			setTime(desc, tup, desc.VT, valid.To)
 		}
-	} else if valid != nil {
-		return 0, fmt.Errorf("core: %s relation %s takes no valid clause", desc.Type, desc.Name)
 	}
 	rid, err := h.src.InsertCurrent(tup)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	db.noteChain(h, tup)
 	if err := h.indexInsertCurrent(tup, rid); err != nil {
-		return 0, unwind(err, []undoFn{func() error {
+		return unwind(err, []undoFn{func() error {
 			return db.removeVersion(h, tup, secTID{rid: rid})
 		}})
 	}
 	statNoteInsert(h, tup)
-	return 1, nil
+	return nil
 }
 
 // --- delete / replace ---
@@ -515,7 +522,7 @@ func (db *Conn) preparedCandidates(h *relHandle, v string, where tquel.Expr, whe
 	}
 	e.q, e.info = q, db.varInfo(q, v)
 	e.leaf = plan.Leaf(&e.info)
-	l := &lowering{db: db, q: q}
+	l := &lowering{db: db, q: q, binds: q.env.vars}
 	e.root, err = l.lowerBatchLeaf(e.leaf, func(rid page.RID, tup []byte) bool {
 		if !isCurrentTuple(q.qv[v].h.desc, tup) {
 			return false
@@ -719,10 +726,14 @@ func (db *Conn) execReplace(s *tquel.ReplaceStmt) (*Result, error) {
 	}
 	desc := h.desc
 	now := db.now()
+	// The targets and the valid clause are compiled once and evaluated per
+	// candidate, bound to the old version (seq = h.seq + 1).
 	b := q.env.vars[s.Var]
+	comp := &compiler{e: q.env, vars: q.env.vars}
+	build, valid := comp.targets(desc, s.Targets), db.newValidity(h, s.Valid, comp)
 	for _, c := range cands {
-		b.tup = c.tup // targets may reference the old version (seq = h.seq + 1)
-		newUser, err := applyTargets(desc, c.tup, s.Targets, q.env)
+		b.tup = c.tup
+		newUser, err := build(c.tup)
 		if err != nil {
 			return nil, err
 		}
@@ -742,11 +753,11 @@ func (db *Conn) execReplace(s *tquel.ReplaceStmt) (*Result, error) {
 			if desc.Model == catalog.ModelEvent {
 				// Error correction in place, optionally re-dating the event.
 				if s.Valid != nil {
-					at, _, err := db.validBounds(s.Valid, q.env, true)
+					iv, err := valid()
 					if err != nil {
 						return nil, err
 					}
-					setTime(desc, newUser, desc.VF, at)
+					setTime(desc, newUser, desc.VF, iv.From)
 				}
 				c, err := db.resolveCandidate(h, c)
 				if err != nil {
@@ -766,14 +777,19 @@ func (db *Conn) execReplace(s *tquel.ReplaceStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		valid := s.Valid
-		if valid == nil && desc.Type == catalog.Temporal && desc.Model == catalog.ModelEvent {
+		var iv temporal.Interval
+		if s.Valid == nil && desc.Type == catalog.Temporal && desc.Model == catalog.ModelEvent {
 			// A replaced event keeps its original occurrence time unless
 			// the valid clause re-dates it.
 			at := temporal.Time(desc.Schema.Int(c.tup, desc.VF))
-			valid = &tquel.ValidClause{At: &tquel.TConst{Text: temporal.Format(at, temporal.Second)}}
+			iv = temporal.Interval{From: at, To: at}
+		} else {
+			iv, err = valid()
 		}
-		if _, err := db.insertNew(h, newUser, valid, q.env); err != nil {
+		if err == nil {
+			err = db.insertNew(h, newUser, iv)
+		}
+		if err != nil {
 			return nil, unwind(err, []undoFn{undoDelete})
 		}
 	}

@@ -21,8 +21,8 @@ import (
 // relation handles. The batch row layout is one slot per tuple variable,
 // in q.vars order: a leaf qualifies each tuple through its variable's
 // compiled qualification and fills only its own slot, joins merge slots,
-// and consumers rebind a row's slots into q.env before evaluating
-// predicates or targets against it.
+// and consumers rebind a row's slots into the pipeline's bindings, which
+// the compiled residual, targets and probe keys read.
 
 // joinConj pairs the two sides of a join-equality conjunct, kept in
 // where-clause order so plan.Subst.EqIndex indexes into it.
@@ -143,6 +143,10 @@ type lowering struct {
 	ra int
 	// steps are the decomposition prologue's detachments, in plan order.
 	steps []*detach
+	// binds are the bindings the operators being lowered read: the
+	// relations' own, and once the prologue is lowered, each detached
+	// variable's temporary projection.
+	binds map[string]*binding
 }
 
 // pipelineRoot strips the post-processing wrappers (dedupe, sort, insert)
@@ -165,20 +169,11 @@ func (l *lowering) slotOf(v string) (int, error) {
 }
 
 // pipelineRebind builds the rebinding closure of the root pipeline: it
-// installs a batch row's bound slots into the evaluation environment as
-// the pipeline sees it once the decomposition prologue has run — a
-// detached variable bound through its temporary's binding, every other
-// variable through its own. It must be built after the prologue was
-// lowered.
+// installs a batch row's bound slots into the pipeline's bindings (l.binds).
 func (l *lowering) pipelineRebind() func(row [][]byte) {
 	binds := make([]*binding, len(l.q.vars))
 	for i, v := range l.q.vars {
-		binds[i] = l.q.env.vars[v]
-		for _, d := range l.steps {
-			if d.v == v {
-				binds[i] = d.proj
-			}
-		}
+		binds[i] = l.binds[v]
 	}
 	return func(row [][]byte) {
 		for s, tup := range row {
@@ -230,21 +225,13 @@ func (l *lowering) lowerBatchNode(n *plan.Node, bcap int, rebind func(row [][]by
 	}
 }
 
-// varQual builds the Bind hook of v's leaf: it binds the tuple and applies
-// v's compiled qualification. The binding is resolved at call time, not
-// capture time — after a detachment the variable's binding is swapped to
-// the temporary's — so the qualification is recompiled whenever the
-// binding pointer changes.
+// varQual builds the Bind hook of v's leaf: it binds the tuple to v's
+// relation binding and applies v's compiled qualification.
 func (q *query) varQual(v string) func(rid page.RID, tup []byte) (bool, error) {
-	var cq compiledQual
-	var cqb *binding
+	b, qual := q.env.vars[v], q.compileVarQual(v)
 	return func(_ page.RID, tup []byte) (bool, error) {
-		b := q.env.vars[v]
 		b.tup = tup
-		if cqb != b {
-			cq, cqb = q.compileVarQual(v), b
-		}
-		return cq(tup)
+		return qual()
 	}
 }
 
@@ -268,16 +255,17 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 			return ok && err == nil && victim(rid, tup), err
 		}
 	}
-	end := func() { q.env.vars[v].tup = nil }
+	b := l.binds[v]
+	end := func() { b.tup = nil }
 
 	switch n.Op {
 	case plan.OpTempScan:
 		// A detached temporary holds only qualifying projections; its
 		// scan applies no predicates.
 		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Readahead: l.ra, Slot: slot,
-			Start: func() (am.Iterator, error) { return qv.temp.hf.Scan(), nil },
+			Start: func() (am.Iterator, error) { return qv.temp.Scan(), nil },
 			Bind: func(rid page.RID, tup []byte) (bool, error) {
-				q.env.vars[v].tup = tup
+				b.tup = tup
 				return true, nil
 			},
 			End: end,
@@ -355,9 +343,10 @@ func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) (exec.Bat
 	if sub.Flipped {
 		keyExpr = conj.l
 	}
+	key := (&compiler{e: q.env, vars: l.binds}).expr(keyExpr)
 	return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
 		Start: func() (am.Iterator, error) {
-			keyVal, err := q.env.evalExpr(keyExpr)
+			keyVal, err := key()
 			if err != nil {
 				return nil, err
 			}
@@ -375,57 +364,31 @@ func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) (exec.Bat
 
 // detach is one step of a prepared retrieve's decomposition prologue:
 // Ingres's one-variable detachment of v into a temporary. The step is
-// lowered once; every execution restores v's own binding (reset), gives
-// the step a fresh temporary (begin) and runs it (mat).
+// lowered once; every execution gives it a fresh temporary (begin) and
+// runs it (mat).
 type detach struct {
-	v   string
-	mat *exec.BatchMaterialize
-	// orig binds v over its relation, proj over the temporary's projection.
-	orig, proj *binding
-	begin      func() error
-	tmp        *tempRel // this execution's temporary
-}
-
-// reset undoes the previous execution's detachment of d.v.
-func (d *detach) reset(q *query) {
-	q.env.vars[d.v] = d.orig
-	q.qv[d.v].temp = nil
+	v     string
+	proj  *binding // v over the temporary's projection
+	mat   *exec.BatchMaterialize
+	begin func() error
+	tmp   *heapfile.File // this execution's temporary
 }
 
 // materializeBatch lowers a prologue node: Ingres's one-variable
 // detachment. The child scan runs the variable's restricted one-variable
-// query; each selected row is rebound and projected into the execution's
-// temporary; Finish flushes the temporary and rebinds the variable to it.
-// The rebinding covers only the detached variable.
+// query; each selected row is bound and its projection written into the
+// execution's temporary; Finish flushes the temporary, which the root
+// pipeline reads the variable from, through the projection binding.
 func (l *lowering) materializeBatch(n *plan.Node, bcap int) (*detach, error) {
-	slot, err := l.slotOf(n.Var)
+	q, db, v := l.q, l.db, n.Var
+	slot, err := l.slotOf(v)
 	if err != nil {
 		return nil, err
 	}
-	d, write, finish := l.matParts(n)
 	child, err := l.lowerBatchLeaf(n.Children[0], nil)
 	if err != nil {
 		return nil, err
 	}
-	b := d.orig
-	d.mat = &exec.BatchMaterialize{
-		Node:   n,
-		Att:    l.att,
-		Child:  child,
-		Buf:    exec.NewBatch(len(l.q.vars), bcap),
-		Rebind: func(row [][]byte) { b.tup = row[slot] },
-		Write:  write,
-		Finish: finish,
-	}
-	return d, nil
-}
-
-// matParts builds a detachment and its Write and Finish closures: Write
-// projects the current binding into the execution's temporary, Finish
-// flushes the temporary and rebinds the variable to it.
-func (l *lowering) matParts(n *plan.Node) (d *detach, write, finish func() error) {
-	q, db := l.q, l.db
-	v := n.Var
 	desc := q.qv[v].h.desc
 	attrs := q.neededAttrs(v)
 	if len(attrs) == 0 {
@@ -436,40 +399,45 @@ func (l *lowering) matParts(n *plan.Node) (d *detach, write, finish func() error
 		idx[i] = desc.Schema.Index(name)
 	}
 	tmpSchema := desc.Schema.Project(idx, nil)
-	d = &detach{v: v, orig: q.env.vars[v], proj: bindingForTemp(desc, tmpSchema)}
+	d := &detach{v: v, proj: bindingFor(desc, tmpSchema)}
 	d.begin = func() error {
 		buf, err := db.newTempBuffer(db.nextTemp())
 		if err != nil {
 			return err
 		}
-		d.tmp = &tempRel{schema: tmpSchema, hf: heapfile.New(buf, tmpSchema.Width())}
+		d.tmp = heapfile.New(buf, tmpSchema.Width())
 		q.temps = append(q.temps, d.tmp)
 		return nil
 	}
-	out := tmpSchema.NewTuple()
-	write = func() error {
-		tup := q.env.vars[v].tup
-		for i, srcIdx := range idx {
-			if err := tmpSchema.SetValue(out, i, desc.Schema.Value(tup, srcIdx)); err != nil {
+	b, out := l.binds[v], tmpSchema.NewTuple()
+	d.mat = &exec.BatchMaterialize{
+		Node:   n,
+		Att:    l.att,
+		Child:  child,
+		Buf:    exec.NewBatch(len(q.vars), bcap),
+		Rebind: func(row [][]byte) { b.tup = row[slot] },
+		Write: func() error {
+			for i, srcIdx := range idx {
+				if err := tmpSchema.SetValue(out, i, desc.Schema.Value(b.tup, srcIdx)); err != nil {
+					return err
+				}
+			}
+			_, err := d.tmp.Insert(out)
+			return err
+		},
+		Finish: func() error {
+			// Flush and drop the frame: the temporary is re-read from
+			// disk by the next phase, as in the prototype (its pages are
+			// part of the fixed input cost of Figure 9).
+			if err := d.tmp.Buffer().Invalidate(); err != nil {
 				return err
 			}
-		}
-		_, err := d.tmp.hf.Insert(out)
-		return err
+			// After detachment the variable ranges over the temporary;
+			// its single-variable predicates were consumed.
+			q.qv[v].temp = d.tmp
+			n.Pages = d.tmp.Buffer().NumPages()
+			return nil
+		},
 	}
-	finish = func() error {
-		// Flush and drop the frame: the temporary is re-read from
-		// disk by the next phase, as in the prototype (its pages are
-		// part of the fixed input cost of Figure 9).
-		if err := d.tmp.hf.Buffer().Invalidate(); err != nil {
-			return err
-		}
-		// After detachment the variable ranges over the temporary; its
-		// single-variable predicates were consumed.
-		q.env.vars[v] = d.proj
-		q.qv[v].temp = d.tmp
-		n.Pages = d.tmp.hf.Buffer().NumPages()
-		return nil
-	}
-	return d, write, finish
+	return d, nil
 }

@@ -1,22 +1,25 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"tdbms/internal/am"
-	"tdbms/internal/page"
+	"tdbms/internal/catalog"
 	"tdbms/internal/temporal"
 	"tdbms/internal/tquel"
+	"tdbms/internal/tuple"
 )
 
-// passesVar and txVisible are the interpreted qualification: what the
-// tuple-at-a-time executor ran per tuple before compileVarQual replaced it
-// on the only executor left. They stay here as the compiled form's
-// reference — slow, and obviously the where/when/as-of semantics.
+// This file holds the evaluator (compile.go) to its reference, the
+// interpreter in eval_test.go, at every site the engine evaluates an
+// expression. Below are the interpreted forms of the sites themselves:
+// the leaf qualification (passesVar, txVisible), the Filter's residual,
+// the result validity, and a DML statement's target values and valid
+// interval.
 
 // txVisible applies the rollback slice to a bound variable.
 func (q *query) txVisible(v string) bool {
@@ -34,15 +37,16 @@ func (q *query) passesVar(v string) (bool, error) {
 	if !q.txVisible(v) {
 		return false, nil
 	}
+	e := &ref{env: q.env}
 	qv := q.qv[v]
 	for _, c := range qv.sel {
-		ok, err := q.env.evalBool(c)
+		ok, err := e.evalBool(c)
 		if err != nil || !ok {
 			return false, err
 		}
 	}
 	for _, c := range qv.tsel {
-		ok, err := q.env.evalTBool(c)
+		ok, err := e.evalTBool(c)
 		if err != nil || !ok {
 			return false, err
 		}
@@ -50,9 +54,121 @@ func (q *query) passesVar(v string) (bool, error) {
 	return true, nil
 }
 
+// residual re-checks the full where and when clauses over a complete
+// binding.
+func (e *ref) residual(s *tquel.RetrieveStmt) (bool, error) {
+	if ok, err := e.evalBool(s.Where); err != nil || !ok {
+		return false, err
+	}
+	return e.evalTBool(s.When)
+}
+
+// resultValidity computes the valid interval of the result tuple: the valid
+// clause when present, otherwise the intersection of the participating
+// variables' valid intervals (TQuel's default).
+func (e *ref) resultValidity(s *tquel.RetrieveStmt, vars []string) (temporal.Interval, bool, error) {
+	if s.Valid != nil {
+		if s.Valid.At != nil {
+			at, ok, err := e.evalTEvent(s.Valid.At)
+			if err != nil || !ok {
+				return temporal.Interval{}, false, err
+			}
+			return temporal.Event(at), true, nil
+		}
+		from, okF, err := e.evalTEvent(s.Valid.From)
+		if err != nil {
+			return temporal.Interval{}, false, err
+		}
+		to, okT, err := e.evalTEnd(s.Valid.To)
+		if err != nil {
+			return temporal.Interval{}, false, err
+		}
+		iv := temporal.Interval{From: from, To: to}
+		return iv, okF && okT && iv.Valid() && !iv.IsEmpty(), nil
+	}
+	have := false
+	out := temporal.Interval{From: temporal.Beginning, To: temporal.Forever}
+	for _, v := range vars {
+		b := e.vars[v]
+		if b.vf < 0 {
+			continue
+		}
+		var ok bool
+		out, ok = out.Intersect(b.validInterval())
+		if !ok {
+			return temporal.Interval{}, false, nil
+		}
+		have = true
+	}
+	return out, have, nil
+}
+
+// applyTargets builds a new user-attribute image from a base tuple and a
+// DML target list.
+func (e *ref) applyTargets(desc *catalog.Relation, base []byte, targets []tquel.Target) ([]byte, error) {
+	out := make([]byte, len(base))
+	copy(out, base)
+	for _, t := range targets {
+		i := desc.Schema.Index(t.Name)
+		if i < 0 || i >= desc.NumUserAttrs {
+			return nil, fmt.Errorf("core: %s has no user attribute %q (implicit time attributes are set via the valid clause)", desc.Name, t.Name)
+		}
+		v, err := e.evalExpr(t.Expr)
+		if err != nil {
+			return nil, err
+		}
+		if err := desc.Schema.SetValue(out, i, v); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// newValidity resolves a DML valid clause for a new version of desc with
+// the Section 4 defaults: valid from now to "forever" (interval relations)
+// or valid at now (event relations).
+func (e *ref) newValidity(desc *catalog.Relation, v *tquel.ValidClause, now temporal.Time) (temporal.Interval, error) {
+	if desc.VF < 0 {
+		if v != nil {
+			return temporal.Interval{}, fmt.Errorf("core: %s relation %s takes no valid clause", desc.Type, desc.Name)
+		}
+		return temporal.Interval{}, nil
+	}
+	if desc.Model == catalog.ModelEvent {
+		at := now
+		if v != nil {
+			if v.At == nil {
+				return temporal.Interval{}, fmt.Errorf("core: event relations take `valid at`, not `valid from/to`")
+			}
+			var err error
+			if at, _, err = e.evalTEvent(v.At); err != nil {
+				return temporal.Interval{}, err
+			}
+		}
+		return temporal.Interval{From: at, To: at}, nil
+	}
+	from, to := now, temporal.Forever
+	if v != nil {
+		if v.At != nil {
+			return temporal.Interval{}, fmt.Errorf("core: interval relations take `valid from ... to ...`, not `valid at`")
+		}
+		var err error
+		if from, _, err = e.evalTEvent(v.From); err != nil {
+			return temporal.Interval{}, err
+		}
+		if to, _, err = e.evalTEnd(v.To); err != nil {
+			return temporal.Interval{}, err
+		}
+		if from > to {
+			return temporal.Interval{}, fmt.Errorf("core: valid interval ends (%s) before it starts (%s)", to, from)
+		}
+	}
+	return temporal.Interval{From: from, To: to}, nil
+}
+
 // qualGen draws predicates from every shape the parser and analyzer admit
-// as a single-variable restriction, the ones compile.go specializes and the
-// ones it hands back to the interpreter alike.
+// as a single-variable restriction, and the target lists, valid clauses
+// and DML statements around them.
 type qualGen struct {
 	rng   *rand.Rand
 	times []string // quoted time constants around the data
@@ -161,6 +277,75 @@ func (g *qualGen) when(v string, depth int) string {
 	}
 }
 
+// targets draws a retrieve's target list over vars: value expressions, or
+// aggregates sharing one by-list, beside a grouping expression and a
+// target mixing an aggregate with tuple attributes.
+func (g *qualGen) targets(vars []string) (list string, aggregate bool) {
+	v := func() string { return vars[g.rng.Intn(len(vars))] }
+	var ts []string
+	if g.rng.Intn(3) > 0 {
+		for i := 0; i <= g.rng.Intn(3); i++ {
+			ts = append(ts, fmt.Sprintf("t%d = %s", i, g.scalar(v(), 2)))
+		}
+		return strings.Join(ts, ", "), false
+	}
+	var by []string
+	for i := g.rng.Intn(3); i > 0; i-- {
+		by = append(by, g.scalar(v(), 1))
+	}
+	byList := ""
+	if len(by) > 0 {
+		byList = " by " + strings.Join(by, ", ")
+	}
+	agg := func() string {
+		return g.pick("count", "any", "sum", "avg", "min", "max") + "(" + g.scalar(v(), 1) + byList + ")"
+	}
+	for i := 0; i <= g.rng.Intn(2); i++ {
+		ts = append(ts, fmt.Sprintf("a%d = %s", i, agg()))
+	}
+	if len(by) > 0 && g.rng.Intn(2) == 0 {
+		ts = append(ts, "k = "+by[g.rng.Intn(len(by))])
+	}
+	if g.rng.Intn(3) == 0 {
+		ts = append(ts, "m = "+agg()+" "+g.pick("+", "-", "*")+" "+g.scalar(v(), 1))
+	}
+	return strings.Join(ts, ", "), true
+}
+
+// valid draws a retrieve's valid clause over vars, or none.
+func (g *qualGen) valid(vars []string) string {
+	v := func() string { return vars[g.rng.Intn(len(vars))] }
+	switch g.rng.Intn(4) {
+	case 0:
+		return " valid at " + g.ival(v(), 1)
+	case 1:
+		return " valid from " + g.ival(v(), 1) + " to " + g.ival(v(), 1)
+	}
+	return ""
+}
+
+// replace draws a replace of x: assignments to x's user attributes, now
+// and then to a name that is none, and a valid clause of either form.
+func (g *qualGen) replace() string {
+	var ts []string
+	for i := 0; i <= g.rng.Intn(3); i++ {
+		name := g.pick("a", "b", "c", "d", "f", "g", "s", "nope", catalog.AttrValidFrom)
+		val := g.scalar("x", 2)
+		if name == "s" && g.rng.Intn(2) == 0 {
+			val = g.pick(`"zz"`, "x.s")
+		}
+		ts = append(ts, name+" = "+val)
+	}
+	src := "replace x (" + strings.Join(ts, ", ") + ")"
+	switch g.rng.Intn(3) {
+	case 0:
+		src += " valid at " + g.ival("x", 1)
+	case 1:
+		src += " valid from " + g.ival("x", 1) + " to " + g.ival("x", 1)
+	}
+	return src
+}
+
 // qualDB builds one relation of every type over the same attributes and
 // drives each through appends, replaces and deletes at distinct times, so
 // transaction and valid intervals, open, closed and empty, all occur. It
@@ -206,34 +391,96 @@ func qualDB(t *testing.T, rng *rand.Rand) (*Database, []string, []string) {
 			}
 		}
 	}
+	// A loaded version may carry any interval: one valid over a reversed
+	// interval, ending before it starts.
+	now := int64(db.Clock().Now())
+	user := []tuple.Value{tuple.IntValue(1), tuple.IntValue(2), tuple.IntValue(3),
+		tuple.TemporalValue(now), tuple.FloatValue(0.5), tuple.FloatValue(1), tuple.StrValue("ab")}
+	for _, l := range []struct {
+		rel      string
+		implicit []int64
+	}{
+		{"qh", []int64{now - 50, now - 150}},
+		{"qt", []int64{now - 300, int64(temporal.Forever), now - 50, now - 150}},
+	} {
+		row := slices.Clone(user)
+		for _, t := range l.implicit {
+			row = append(row, tuple.TemporalValue(t))
+		}
+		if _, err := db.Load(l.rel, [][]tuple.Value{row}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	db.Clock().Advance(100)
 	return db, rels, times
 }
 
+// side is a variable's tuples under one of its bindings: its relation's,
+// or a temporary projection's after a detachment.
+type side struct {
+	b    *binding
+	tups [][]byte
+}
+
+// outcomes tallies, per evaluation site, the evaluations that produced a
+// value and those that failed alike.
+type outcomes map[string]*[2]int
+
+// same fails the test unless a compiled site and the reference produced
+// equal values or the same error. Beside an error the value means
+// nothing; no caller reads it.
+func (o outcomes) same(t *testing.T, site, ctx string, got, want any, gerr, werr error) {
+	t.Helper()
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) || (werr == nil && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("%s, %s:\ncompiled  (%v, %v)\nreference (%v, %v)", site, ctx, got, gerr, want, werr)
+	}
+	if o[site] == nil {
+		o[site] = new([2]int)
+	}
+	if werr != nil {
+		o[site][1]++
+	} else {
+		o[site][0]++
+	}
+}
+
 // TestCompiledQualMatchesInterpreter is the property that lets the
-// interpreter leave the read path: over seeded random predicates of every
-// admitted shape, on every relation type, compileVarQual accepts exactly
-// the tuples passesVar accepts and fails with the same error where it
-// fails — against the relation's own binding and again after a detachment
-// swapped the binding for a temporary projection's.
+// interpreter leave the engine: over seeded random statements of every
+// admitted shape, on every relation type, each compiled evaluation site
+// produces exactly the reference's values and fails with the same errors.
+// The leaf qualification (compileVarQual against passesVar) is checked on
+// the relation's own binding and again after a detachment swapped it for a
+// temporary projection's. So are the sites over complete bindings — the
+// Filter's two-variable residual, the target list, the result validity,
+// aggregate arguments, grouping expressions and the aggregate output
+// phase — with either variable detached. The as-of clause is checked
+// where bind runs it, and a replace's target values and valid interval
+// over each candidate, and over no bindings as an append's.
 func TestCompiledQualMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	db, rels, times := qualDB(t, rng)
 	g := &qualGen{rng: rng, times: times}
 	c := db.DefaultSession()
+	o := outcomes{}
 
 	var accepted, rejected, failed, swapped int
 	for n := 0; n < 1500; n++ {
 		mustExec(t, db, fmt.Sprintf("range of x is %s\nrange of y is %s",
 			rels[rng.Intn(len(rels))], rels[rng.Intn(len(rels))]))
 		vars := []string{"x"}
-		src := "retrieve (x.c) where " + g.where("x", 2)
+		where := g.where("x", 2)
 		if rng.Intn(3) == 0 {
 			// A second variable: the analyzer has to split the conjuncts,
 			// and the join equality belongs to neither.
 			vars = append(vars, "y")
-			src = "retrieve (x.c, n = y.c) where " + g.where("x", 1) + " and x.c = y.c and " + g.where("y", 1)
+			where = g.where("x", 1) + " and x.c = y.c and " + g.where("y", 1)
 		}
+		targets, aggregate := g.targets(vars)
+		src := "retrieve (" + targets + ")"
+		if !aggregate {
+			src += g.valid(vars)
+		}
+		src += " where " + where
 		if rng.Intn(2) == 0 {
 			whens := make([]string, len(vars))
 			for i, v := range vars {
@@ -241,43 +488,63 @@ func TestCompiledQualMatchesInterpreter(t *testing.T) {
 			}
 			src += " when " + strings.Join(whens, " and ")
 		}
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(8) {
+		case 0, 1, 2:
 			src += " as of " + g.times[rng.Intn(len(g.times))]
 			if rng.Intn(2) == 0 {
 				src += " through " + g.pick(`"now"`, `"forever"`)
 			}
+		case 3:
+			// Any instant term, of a variable of the query or not.
+			src += " as of " + g.ival(g.pick("x", "y"), 1)
 		}
+		src += "\n\n" + g.replace()
 		stmts, err := tquel.ParseAll(src)
 		if err != nil {
 			t.Fatalf("generator produced unparsable TQuel: %v\n%s", err, src)
 		}
-		stmt := stmts[0].(*tquel.RetrieveStmt)
+		stmt, rs := stmts[0].(*tquel.RetrieveStmt), stmts[1].(*tquel.ReplaceStmt)
 		_, err = c.run(stmt, func() (*Result, error) {
-			q, err := c.analyze(stmt)
+			q, err := c.newQuery(stmt)
 			if err != nil {
-				return &Result{}, nil // a bad as-of range: nothing to qualify
+				return nil, err
 			}
+			berr := c.bind(q)
+			if a := stmt.AsOf; a != nil {
+				// Bind ran the compiled clause over fresh bindings.
+				r := &ref{env: q.env}
+				for _, p := range []struct {
+					f instantFn
+					x tquel.TExpr
+				}{{q.asOf, a.At}, {q.through, a.Through}} {
+					if p.x == nil {
+						continue
+					}
+					gt, gok, gerr := p.f()
+					wt, wok, werr := r.evalTEvent(p.x)
+					o.same(t, "as-of", src, [2]any{gt, gok}, [2]any{wt, wok}, gerr, werr)
+				}
+			}
+			if berr != nil {
+				return &Result{}, nil // a bad as-of clause: nothing to qualify
+			}
+			vars := q.vars // x drops out when nothing names it
+			if len(vars) == 0 {
+				return &Result{}, nil
+			}
+
+			sides := map[string][2]side{}
 			for _, v := range vars {
 				h := q.qv[v].h
-				var tups [][]byte
-				if err := am.Each(h.src.ScanAll(), func(_ page.RID, tup []byte) error {
-					tups = append(tups, bytes.Clone(tup))
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-				check := func(where string) {
+				rel := side{b: q.env.vars[v], tups: scanAll(t, h)}
+				check := func(where string, s side) {
 					cq := q.compileVarQual(v)
-					for _, tup := range tups {
-						q.env.vars[v].tup = tup
+					for _, tup := range s.tups {
+						s.b.tup = tup
 						want, werr := q.passesVar(v)
-						got, gerr := cq(tup)
-						// Beside an error the boolean means nothing; no
-						// caller reads it.
-						if fmt.Sprint(gerr) != fmt.Sprint(werr) || (werr == nil && got != want) {
-							t.Fatalf("%s on %s, %s binding, tuple %x:\ncompiled    (%v, %v)\ninterpreted (%v, %v)",
-								src, h.desc.Name, where, tup, got, gerr, want, werr)
-						}
+						got, gerr := cq()
+						o.same(t, "leaf", fmt.Sprintf("%s on %s, %s binding, tuple %x", src, h.desc.Name, where, tup),
+							got, want, gerr, werr)
 						switch {
 						case werr != nil:
 							failed++
@@ -288,7 +555,7 @@ func TestCompiledQualMatchesInterpreter(t *testing.T) {
 						}
 					}
 				}
-				check("relation")
+				check("relation", rel)
 
 				// Detach by hand: the variable now ranges over a projection
 				// (usually of the attributes the statement needs, sometimes
@@ -321,19 +588,32 @@ func TestCompiledQualMatchesInterpreter(t *testing.T) {
 				if len(idx) == 0 {
 					idx = []int{0}
 				}
-				tmp := d.Schema.Project(idx, nil)
-				for k, tup := range tups {
-					out := tmp.NewTuple()
+				tmpSchema := d.Schema.Project(idx, nil)
+				tmp := side{b: bindingFor(d, tmpSchema)}
+				for _, tup := range rel.tups {
+					out := tmpSchema.NewTuple()
 					for i, srcIdx := range idx {
-						if err := tmp.SetValue(out, i, d.Schema.Value(tup, srcIdx)); err != nil {
+						if err := tmpSchema.SetValue(out, i, d.Schema.Value(tup, srcIdx)); err != nil {
 							return nil, err
 						}
 					}
-					tups[k] = out
+					tmp.tups = append(tmp.tups, out)
 				}
-				q.env.vars[v] = bindingForTemp(d, tmp)
-				check("temporary")
+				q.env.vars[v] = tmp.b
+				check("temporary", tmp)
+				q.env.vars[v] = rel.b
 				swapped++
+				sides[v] = [2]side{rel, tmp}
+			}
+
+			// The sites over complete bindings, first over the relations,
+			// then with one or both variables detached.
+			for _, mask := range []int{0, 1 + rng.Intn(1<<len(vars)-1)} {
+				pick := make([]side, len(vars))
+				for i, v := range vars {
+					pick[i] = sides[v][mask>>i&1]
+				}
+				checkSites(t, o, c, q, rs, pick, mask != 0, rng, src)
 			}
 			return &Result{}, nil
 		})
@@ -341,8 +621,167 @@ func TestCompiledQualMatchesInterpreter(t *testing.T) {
 			t.Fatalf("%s: %v", src, err)
 		}
 	}
-	t.Logf("%d accepted, %d rejected, %d failed alike, %d bindings swapped", accepted, rejected, failed, swapped)
+	t.Logf("leaf: %d accepted, %d rejected, %d failed alike, %d bindings swapped", accepted, rejected, failed, swapped)
 	if accepted == 0 || rejected == 0 || failed == 0 || swapped == 0 {
-		t.Fatal("the generator no longer reaches every outcome")
+		t.Fatal("the generator no longer reaches every leaf outcome")
+	}
+	for _, site := range []string{"leaf", "as-of", "residual", "target", "validity",
+		"aggregate argument", "grouping", "aggregate output", "replace targets", "replace validity",
+		"append targets", "append validity"} {
+		n := o[site]
+		if n == nil {
+			n = new([2]int)
+		}
+		t.Logf("%s: %d values, %d errors alike", site, n[0], n[1])
+		if n[0] == 0 || n[1] == 0 {
+			t.Errorf("the generator no longer reaches both outcomes at the %s site", site)
+		}
+	}
+}
+
+// checkSites compares the compiled sites of one statement over complete
+// bindings — pick holds, for each of the query's variables in order, its
+// relation binding or its temporary's, and its tuples under that binding —
+// against the reference, over the variables' tuples (all of them for one
+// variable, a sample of the pairs for two). Over the relations it also
+// checks the replace rs of x.
+func checkSites(t *testing.T, o outcomes, c *Conn, q *query, rs *tquel.ReplaceStmt,
+	pick []side, detached bool, rng *rand.Rand, src string) {
+	t.Helper()
+	s, vars := q.stmt, q.vars
+	vs := map[string]*binding{}
+	for i, v := range vars {
+		vs[v] = pick[i].b
+	}
+	r := &ref{env: &env{vars: vs, now: q.env.now, tconsts: q.env.tconsts, tvals: q.env.tvals}}
+	out := &emitter{q: q}
+	if out.prepare() != nil {
+		out = nil // rejected before it could run
+	} else {
+		out.compile(vs)
+	}
+	var build func([]byte) ([]byte, error)
+	var validity, noValidity func() (temporal.Interval, error)
+	var appendBuild func([]byte) ([]byte, error)
+	xi := slices.Index(vars, "x")
+	dml := !detached && xi >= 0
+	var h *relHandle
+	if dml {
+		h = q.qv["x"].h
+		comp := &compiler{e: q.env, vars: vs}
+		build, validity = comp.targets(h.desc, rs.Targets), c.newValidity(h, rs.Valid, comp)
+		none := &compiler{e: q.env}
+		appendBuild, noValidity = none.targets(h.desc, rs.Targets), c.newValidity(h, rs.Valid, none)
+	}
+	mode := "relation"
+	if detached {
+		mode = "detached"
+	}
+
+	// combos are the tuple indexes of each variable to bind together.
+	var combos [][]int
+	for i := range pick[0].tups {
+		if len(vars) == 1 {
+			combos = append(combos, []int{i})
+			continue
+		}
+		for range 2 {
+			if n := len(pick[1].tups); n > 0 {
+				combos = append(combos, []int{i, rng.Intn(n)})
+			}
+		}
+	}
+	// output runs the aggregate output phase over whatever is bound, with
+	// made-up aggregate values and the grouping values in byVals.
+	output := func(ctx string, byVals []tuple.Value) {
+		r.agg, r.byVals = map[*tquel.AggExpr]tuple.Value{}, nil
+		for i, a := range out.aggs {
+			out.aggVals[i] = tuple.IntValue(int64(i + 1))
+			r.agg[a] = out.aggVals[i]
+		}
+		if out.grouped {
+			r.byVals = map[string]tuple.Value{}
+			for k, b := range out.byExprs {
+				out.byVals[k] = byVals[k]
+				r.byVals[b.String()] = byVals[k]
+			}
+		}
+		for k, tg := range s.Targets {
+			got, gerr := out.targets[k]()
+			want, werr := r.evalExpr(tg.Expr)
+			o.same(t, "aggregate output", ctx, got, want, gerr, werr)
+		}
+		r.agg, r.byVals = nil, nil
+	}
+	for _, combo := range combos {
+		for i, p := range pick {
+			p.b.tup = p.tups[combo[i]]
+		}
+		ctx := fmt.Sprintf("%s, %s bindings %v", src, mode, combo)
+		if out == nil {
+			continue
+		}
+		got, gerr := out.residual()
+		want, werr := r.residual(s)
+		o.same(t, "residual", ctx, got, want, gerr, werr)
+		if len(out.aggs) == 0 {
+			if out.hasValid {
+				giv, gok, gerr := out.validity()
+				wiv, wok, werr := r.resultValidity(s, q.vars)
+				o.same(t, "validity", ctx, [2]any{giv, gok}, [2]any{wiv, wok}, gerr, werr)
+			}
+			for k, tg := range s.Targets {
+				got, gerr := out.targets[k]()
+				want, werr := r.evalExpr(tg.Expr)
+				o.same(t, "target", ctx, got, want, gerr, werr)
+			}
+		} else {
+			for i, a := range out.aggs {
+				if out.args[i] == nil {
+					continue // count and any read no argument
+				}
+				got, gerr := out.args[i]()
+				want, werr := r.evalExpr(a.Arg)
+				o.same(t, "aggregate argument", ctx, got, want, gerr, werr)
+			}
+			byVals := make([]tuple.Value, len(out.by))
+			ok := true
+			for k, by := range out.by {
+				got, gerr := by()
+				want, werr := r.evalExpr(out.byExprs[k])
+				o.same(t, "grouping", ctx, got, want, gerr, werr)
+				byVals[k], ok = got, ok && werr == nil
+			}
+			if ok {
+				output(ctx, byVals)
+			}
+		}
+		if dml {
+			base := pick[xi].tups[combo[xi]]
+			got, gerr := build(base)
+			want, werr := r.applyTargets(h.desc, base, rs.Targets)
+			o.same(t, "replace targets", ctx, got, want, gerr, werr)
+			giv, gerr := validity()
+			wiv, werr := r.newValidity(h.desc, rs.Valid, c.now())
+			o.same(t, "replace validity", ctx, giv, wiv, gerr, werr)
+		}
+	}
+	if out != nil && len(out.aggs) > 0 {
+		// The output phase of a finished pipeline: no tuple bound.
+		for _, p := range pick {
+			p.b.tup = nil
+		}
+		output(src+", nothing bound", make([]tuple.Value, len(out.by)))
+	}
+	if dml {
+		// An append's targets and valid clause see no range variables.
+		r.vars = map[string]*binding{}
+		base := h.desc.Schema.NewTuple()
+		got, gerr := appendBuild(base)
+		want, werr := r.applyTargets(h.desc, base, rs.Targets)
+		o.same(t, "append targets", src, got, want, gerr, werr)
+		giv, gerr := noValidity()
+		wiv, werr := r.newValidity(h.desc, rs.Valid, c.now())
+		o.same(t, "append validity", src, giv, wiv, gerr, werr)
 	}
 }

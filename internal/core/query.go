@@ -41,7 +41,7 @@ type qvar struct {
 	currentOnly bool
 	// temp, when non-nil, is the detached one-variable result this
 	// variable now ranges over (multi-variable plans).
-	temp *tempRel
+	temp *heapfile.File
 }
 
 // keyBound is one inequality on the storage key, normalized to key-on-the-
@@ -60,16 +60,12 @@ type query struct {
 	qv      map[string]*qvar
 	env     *env
 	at, thr temporal.Time // rollback slice (as-of ... through ...)
-	temps   []*tempRel
+	// asOf and through are the compiled as-of clause, nil when absent.
+	asOf, through instantFn
+	temps         []*heapfile.File
 	// dml marks the candidate scan of a delete or replace, which touches
 	// current versions only.
 	dml bool
-}
-
-// tempRel is a temporary relation created by one-variable detachment.
-type tempRel struct {
-	schema *tuple.Schema
-	hf     *heapfile.File
 }
 
 // varsInExpr accumulates range variables referenced by a scalar expression.
@@ -196,7 +192,7 @@ func (db *Conn) newQuery(s *tquel.RetrieveStmt) (*query, error) {
 		}
 		q.qv[v] = &qvar{name: v, h: h}
 		q.vars = append(q.vars, v)
-		q.env.vars[v] = bindingFor(h.desc)
+		q.env.vars[v] = bindingFor(h.desc, h.desc.Schema)
 		return nil
 	}
 	walkOrder := func(x tquel.Expr) error {
@@ -304,6 +300,13 @@ func (db *Conn) newQuery(s *tquel.RetrieveStmt) (*query, error) {
 			}
 		}
 	}
+	if a := s.AsOf; a != nil {
+		c := &compiler{e: q.env, vars: q.env.vars}
+		q.asOf = c.instant(a.At, false)
+		if a.Through != nil {
+			q.through = c.instant(a.Through, false)
+		}
+	}
 	return q, nil
 }
 
@@ -334,16 +337,15 @@ func (db *Conn) bind(q *query) error {
 
 	// Rollback slice: explicit as-of, defaulting to "now" (a rollback or
 	// temporal relation shows its current state unless shifted back).
-	s := q.stmt
 	q.at, q.thr = now, now
-	if s.AsOf != nil {
-		at, _, err := e.evalTEvent(s.AsOf.At)
+	if q.asOf != nil {
+		at, _, err := q.asOf()
 		if err != nil {
 			return err
 		}
 		q.at, q.thr = at, at
-		if s.AsOf.Through != nil {
-			thr, _, err := e.evalTEvent(s.AsOf.Through)
+		if q.through != nil {
+			thr, _, err := q.through()
 			if err != nil {
 				return err
 			}

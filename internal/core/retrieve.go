@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"strings"
 
@@ -91,12 +94,12 @@ func (db *Conn) plan(e *stmtEntry) error {
 	att := exec.NewAttribution(func() buffer.Stats {
 		st := db.statsFn()
 		for _, tmp := range q.temps {
-			st = st.Add(tmp.hf.Buffer().Stats())
+			st = st.Add(tmp.Buffer().Stats())
 		}
 		return st
 	})
 	l := &lowering{db: db, q: q, out: out, att: att, joins: conjs,
-		ra: db.bufferPolicy().Readahead}
+		ra: db.bufferPolicy().Readahead, binds: q.env.vars}
 	// Decomposition prologue: detach restricted variables into
 	// temporaries before the root pipeline runs over them. The batch
 	// capacity changes the cadence of the run, never the pages it reads
@@ -109,6 +112,13 @@ func (db *Conn) plan(e *stmtEntry) error {
 		}
 		l.steps = append(l.steps, d)
 	}
+	// The root pipeline sees each detached variable through its
+	// temporary's projection.
+	l.binds = maps.Clone(q.env.vars)
+	for _, d := range l.steps {
+		l.binds[d.v] = d.proj
+	}
+	out.compile(l.binds)
 	root, err := l.lowerBatchNode(pipelineRoot(t.Root), bcap, l.pipelineRebind())
 	if err != nil {
 		return err
@@ -129,14 +139,11 @@ func (db *Conn) rebindPlan(e *stmtEntry) bool {
 }
 
 // execute runs a prepared, bound retrieve. What an earlier execution left
-// behind is reset first: the arena, the detachments and their
-// temporaries, the emitter and the attribution.
+// behind is reset first: the arena, the temporaries, the emitter and the
+// attribution.
 func (db *Conn) execute(e *stmtEntry) (*Result, *plan.Tree, error) {
 	q, out, t, s := e.q, e.out, e.tree, e.q.stmt
 	db.arena.Reset()
-	for _, d := range e.steps {
-		d.reset(q)
-	}
 	q.temps = q.temps[:0]
 	out.reset()
 	e.att.Restart()
@@ -152,7 +159,7 @@ func (db *Conn) execute(e *stmtEntry) (*Result, *plan.Tree, error) {
 		// The temporaries are built: their sizes belong in the plan.
 		t.Walk(func(n *plan.Node) {
 			if n.Op == plan.OpTempScan {
-				n.Pages = q.qv[n.Var].temp.hf.Buffer().NumPages()
+				n.Pages = q.qv[n.Var].temp.Buffer().NumPages()
 			}
 		})
 	}
@@ -187,13 +194,13 @@ func (db *Conn) execute(e *stmtEntry) (*Result, *plan.Tree, error) {
 	}
 	e.att.Finish(pipelineRoot(t.Root))
 	for _, tmp := range q.temps {
-		st := tmp.hf.Buffer().Stats()
+		st := tmp.Buffer().Stats()
 		res.Input += st.Reads
 		res.InputOps += st.ReadOps
 		res.Output += st.Writes
 		res.TempInput += st.Reads
 		res.TempOutput += st.Writes
-		_ = tmp.hf.Buffer().Close() // temporaries are memory-backed and being discarded
+		_ = tmp.Buffer().Close() // temporaries are memory-backed and being discarded
 	}
 	return res, t, nil
 }
@@ -209,18 +216,37 @@ type emitter struct {
 	rows     [][]tuple.Value
 	aggs     []*tquel.AggExpr
 	states   []*aggState // non-grouped accumulators
-	// Grouped aggregation (`sum(x.a by x.b)`).
+	// Grouped aggregation (`sum(x.a by x.b)`), groups keyed by their
+	// grouping values (appendKey).
 	grouped    bool
 	byExprs    []tquel.Expr
-	byKeys     map[string]bool // renderings of the grouping expressions
 	groups     map[string]*groupAgg
-	groupOrder []string
+	groupOrder []*groupAgg
+	key        []byte
+
+	// The compiled evaluation sites (compile). residual is the Filter's
+	// predicate: the whole where and when clauses over a complete binding,
+	// conjuncts the leaves already applied included (detached variables
+	// satisfy theirs through the temporary's projected attributes). Then
+	// the target list — per row, or in aggregate mode at output — the
+	// result validity, the aggregates' arguments (nil for count and any)
+	// and the grouping expressions. The aggregate output phase reads the
+	// finalized aggregates from aggVals and the group's values from
+	// byVals, which holds the current row's grouping values while
+	// accumulating.
+	residual boolFn
+	targets  []valFn
+	validity func() (temporal.Interval, bool, error)
+	args     []valFn
+	by       []valFn
+	aggVals  []tuple.Value
+	byVals   []tuple.Value
 }
 
 // groupAgg holds one group's accumulators and grouping values.
 type groupAgg struct {
 	states []*aggState
-	byVals map[string]tuple.Value
+	byVals []tuple.Value
 }
 
 // prepare infers the output schema. Duplicate result names are fine for
@@ -263,14 +289,14 @@ func (e *emitter) prepare() error {
 		}
 		e.byExprs = e.aggs[0].By
 		e.grouped = len(e.byExprs) > 0
-		e.byKeys = map[string]bool{}
+		byKeys := map[string]bool{} // renderings of the grouping expressions
 		for _, b := range e.byExprs {
 			var nested []*tquel.AggExpr
 			collectAggs(b, &nested)
 			if len(nested) > 0 {
 				return fmt.Errorf("core: grouping expressions cannot contain aggregates")
 			}
-			e.byKeys[b.String()] = true
+			byKeys[b.String()] = true
 		}
 		// Non-aggregate targets must be grouping expressions.
 		for _, t := range s.Targets {
@@ -279,7 +305,7 @@ func (e *emitter) prepare() error {
 			if len(inTarget) > 0 {
 				continue
 			}
-			if hasBareAttr(t.Expr) && !e.byKeys[t.Expr.String()] {
+			if hasBareAttr(t.Expr) && !byKeys[t.Expr.String()] {
 				if e.grouped {
 					return fmt.Errorf("core: target %q must be a grouping expression or an aggregate", t.Name)
 				}
@@ -304,17 +330,64 @@ func (e *emitter) prepare() error {
 	return nil
 }
 
+// compile compiles the emitter's evaluation sites against the pipeline's
+// bindings, vars.
+func (e *emitter) compile(vars map[string]*binding) {
+	q, s := e.q, e.q.stmt
+	c := &compiler{e: q.env, vars: vars}
+	var checks []boolFn
+	if s.Where != nil {
+		checks = append(checks, c.bool(s.Where))
+	}
+	if s.When != nil {
+		checks = append(checks, c.tbool(s.When))
+	}
+	e.residual = all(checks)
+	for _, a := range e.aggs {
+		var arg valFn
+		if a.Fn != "count" && a.Fn != "any" {
+			arg = c.expr(a.Arg)
+		}
+		e.args = append(e.args, arg)
+	}
+	for _, b := range e.byExprs {
+		e.by = append(e.by, c.expr(b))
+	}
+	if len(e.aggs) > 0 {
+		e.aggVals = make([]tuple.Value, len(e.aggs))
+		e.byVals = make([]tuple.Value, len(e.byExprs))
+		c.aggs, c.aggVals = e.aggs, e.aggVals
+		if e.grouped {
+			for _, b := range e.byExprs {
+				c.by = append(c.by, b.String())
+			}
+			c.byVals = e.byVals
+		}
+	} else if e.hasValid {
+		e.validity = c.validity(s.Valid, q.vars)
+	}
+	for _, t := range s.Targets {
+		e.targets = append(e.targets, c.expr(t.Expr))
+	}
+}
+
 // reset starts an execution: no rows, fresh accumulators.
 func (e *emitter) reset() {
 	e.rows = nil
 	if e.grouped {
 		e.groups, e.groupOrder = map[string]*groupAgg{}, nil
 	} else if len(e.aggs) > 0 {
-		e.states = make([]*aggState, len(e.aggs))
-		for i, a := range e.aggs {
-			e.states[i] = &aggState{fn: a.Fn}
-		}
+		e.states = newStates(e.aggs)
 	}
+}
+
+// newStates returns fresh accumulators for aggs.
+func newStates(aggs []*tquel.AggExpr) []*aggState {
+	states := make([]*aggState, len(aggs))
+	for i, a := range aggs {
+		states[i] = &aggState{fn: a.Fn}
+	}
+	return states
 }
 
 // inferAttr derives the stored attribute for a target expression.
@@ -374,56 +447,35 @@ func (q *query) inferKind(x tquel.Expr) (tuple.Kind, int, error) {
 	return 0, 0, fmt.Errorf("core: cannot infer type of %s", x)
 }
 
-// residual re-checks the full where and when clauses over a complete
-// binding — the Filter operator's predicate. Conjuncts already applied as
-// single-variable restrictions at the leaves evaluate again here, exactly
-// as the interpreter re-checked them; detached variables satisfy theirs
-// via the temporary's projected attributes.
-func (e *emitter) residual() (bool, error) {
-	q := e.q
-	s := q.stmt
-	if ok, err := q.env.evalBool(s.Where); err != nil || !ok {
-		return false, err
-	}
-	return q.env.evalTBool(s.When)
-}
-
 // emitRow consumes one qualified binding: it accumulates aggregates, or
 // computes the result validity and appends the output row. This is the
 // Emit hook of the pipeline's root operator.
 func (e *emitter) emitRow() error {
-	q := e.q
-	s := q.stmt
 	if len(e.aggs) > 0 {
 		states := e.states
 		if e.grouped {
-			var keyB strings.Builder
-			byVals := make(map[string]tuple.Value, len(e.byExprs))
-			for _, b := range e.byExprs {
-				v, err := q.env.evalExpr(b)
+			e.key = e.key[:0]
+			for k, by := range e.by {
+				v, err := by()
 				if err != nil {
 					return err
 				}
-				byVals[b.String()] = v
-				fmt.Fprintf(&keyB, "%d\x00%s\x00", v.Kind, v.String())
+				e.byVals[k] = v
+				e.key = appendKey(e.key, v)
 			}
-			key := keyB.String()
-			g, ok := e.groups[key]
+			g, ok := e.groups[string(e.key)]
 			if !ok {
-				g = &groupAgg{states: make([]*aggState, len(e.aggs)), byVals: byVals}
-				for i, a := range e.aggs {
-					g.states[i] = &aggState{fn: a.Fn}
-				}
-				e.groups[key] = g
-				e.groupOrder = append(e.groupOrder, key)
+				g = &groupAgg{states: newStates(e.aggs), byVals: slices.Clone(e.byVals)}
+				e.groups[string(e.key)] = g
+				e.groupOrder = append(e.groupOrder, g)
 			}
 			states = g.states
 		}
-		for i, a := range e.aggs {
+		for i, arg := range e.args {
 			var v tuple.Value
-			if a.Fn != "count" && a.Fn != "any" {
+			if arg != nil {
 				var err error
-				if v, err = q.env.evalExpr(a.Arg); err != nil {
+				if v, err = arg(); err != nil {
 					return err
 				}
 			}
@@ -436,7 +488,7 @@ func (e *emitter) emitRow() error {
 
 	var validOut temporal.Interval
 	if e.hasValid {
-		iv, ok, err := q.resultValidity()
+		iv, ok, err := e.validity()
 		if err != nil {
 			return err
 		}
@@ -445,14 +497,9 @@ func (e *emitter) emitRow() error {
 		}
 		validOut = iv
 	}
-
-	row := make([]tuple.Value, 0, len(e.cols))
-	for _, t := range s.Targets {
-		v, err := q.env.evalExpr(t.Expr)
-		if err != nil {
-			return err
-		}
-		row = append(row, v)
+	row, err := e.row(len(e.cols))
+	if err != nil {
+		return err
 	}
 	if e.hasValid {
 		row = append(row,
@@ -463,86 +510,47 @@ func (e *emitter) emitRow() error {
 	return nil
 }
 
+// row evaluates the target list into a row with room for n values.
+func (e *emitter) row(n int) ([]tuple.Value, error) {
+	row := make([]tuple.Value, 0, n)
+	for _, t := range e.targets {
+		v, err := t()
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, v)
+	}
+	return row, nil
+}
+
 // finalizeAggregates produces the output rows of an aggregate retrieve from
 // the accumulated states: one row total, or one per group.
 func (e *emitter) finalizeAggregates() error {
-	outputRow := func(states []*aggState, byVals map[string]tuple.Value) error {
-		e.q.env.agg = make(map[*tquel.AggExpr]tuple.Value, len(e.aggs))
-		for i, a := range e.aggs {
-			v, err := states[i].result()
+	output := func(states []*aggState) error {
+		for i, st := range states {
+			v, err := st.result()
 			if err != nil {
 				return err
 			}
-			e.q.env.agg[a] = v
+			e.aggVals[i] = v
 		}
-		e.q.env.byVals = byVals
-		defer func() { e.q.env.byVals = nil }()
-		row := make([]tuple.Value, 0, len(e.q.stmt.Targets))
-		for _, t := range e.q.stmt.Targets {
-			v, err := e.q.env.evalExpr(t.Expr)
-			if err != nil {
-				return err
-			}
-			row = append(row, v)
+		row, err := e.row(len(e.targets))
+		if err != nil {
+			return err
 		}
 		e.rows = append(e.rows, row)
 		return nil
 	}
 	if !e.grouped {
-		return outputRow(e.states, nil)
+		return output(e.states)
 	}
-	for _, key := range e.groupOrder {
-		g := e.groups[key]
-		if err := outputRow(g.states, g.byVals); err != nil {
+	for _, g := range e.groupOrder {
+		copy(e.byVals, g.byVals)
+		if err := output(g.states); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// resultValidity computes the valid interval of the result tuple: the valid
-// clause when present, otherwise the intersection of the participating
-// variables' valid intervals (TQuel's default).
-func (q *query) resultValidity() (temporal.Interval, bool, error) {
-	s := q.stmt
-	if s.Valid != nil {
-		if s.Valid.At != nil {
-			at, ok, err := q.env.evalTEvent(s.Valid.At)
-			if err != nil || !ok {
-				return temporal.Interval{}, false, err
-			}
-			return temporal.Event(at), true, nil
-		}
-		from, okF, err := q.env.evalTEvent(s.Valid.From)
-		if err != nil {
-			return temporal.Interval{}, false, err
-		}
-		to, okT, err := q.env.evalTEnd(s.Valid.To)
-		if err != nil {
-			return temporal.Interval{}, false, err
-		}
-		iv := temporal.Interval{From: from, To: to}
-		return iv, okF && okT && iv.Valid() && !iv.IsEmpty(), nil
-	}
-	have := false
-	out := temporal.Interval{From: temporal.Beginning, To: temporal.Forever}
-	for _, v := range q.vars {
-		b := q.env.vars[v]
-		if b.vf < 0 {
-			continue
-		}
-		iv, err := b.validInterval()
-		if err != nil {
-			return temporal.Interval{}, false, err
-		}
-		var ok bool
-		out, ok = out.Intersect(iv)
-		if !ok {
-			return temporal.Interval{}, false, nil
-		}
-		have = true
-	}
-	return out, have, nil
 }
 
 // materialize stores the emitted rows as a new relation (retrieve into).
@@ -584,16 +592,32 @@ func (db *Conn) materialize(name string, e *emitter, res *Result) error {
 func dedupeRows(rows [][]tuple.Value) [][]tuple.Value {
 	seen := map[string]bool{}
 	out := rows[:0]
+	var key []byte
 	for _, r := range rows {
-		var b strings.Builder
+		key = key[:0]
 		for _, v := range r {
-			fmt.Fprintf(&b, "%d|%s|%g|%v;", v.Kind, v.S, v.F, v.I)
+			key = appendKey(key, v)
 		}
-		k := b.String()
-		if !seen[k] {
-			seen[k] = true
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// appendKey appends v to a row key: its kind, then its value — a string
+// by its length and bytes, a number by its eight bytes — so two rows of
+// values have the same key exactly when their values are pairwise of the
+// same kind and equal.
+func appendKey(key []byte, v tuple.Value) []byte {
+	key = append(key, byte(v.Kind))
+	switch v.Kind {
+	case tuple.Char:
+		key = binary.AppendUvarint(key, uint64(len(v.S)))
+		return append(key, v.S...)
+	case tuple.F4, tuple.F8:
+		return binary.LittleEndian.AppendUint64(key, math.Float64bits(v.F))
+	}
+	return binary.LittleEndian.AppendUint64(key, uint64(v.I))
 }

@@ -11,7 +11,7 @@
 // and byte-identical answers before close and after reopen.
 //
 // The package is test infrastructure. Importing it (or faultfs) from
-// production code is forbidden by tdbvet's faultfs check; the harness lives
+// production code is forbidden by tdbvet's layering check; the harness lives
 // in a non-test file only so its helpers are documented and vetted.
 package difftest
 

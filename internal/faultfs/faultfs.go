@@ -33,7 +33,7 @@
 // relation name, so a file that is closed and reopened (modify rebuilds)
 // keeps counting where it left off.
 //
-// faultfs is test infrastructure: tdbvet's faultfs check forbids importing
+// faultfs is test infrastructure: tdbvet's layering check forbids importing
 // it from production code (anything other than _test.go files and
 // internal/difftest).
 package faultfs
