@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"tdbms/internal/bench"
+	"tdbms/internal/core"
+	"tdbms/internal/temporal"
 )
 
 // benchMaxUC matches the paper's reporting point (update count 14).
@@ -233,10 +235,27 @@ func BenchmarkSequentialScan(b *testing.B) {
 // temporal relation of n tuples, hashed or ISAM at 100 % loading, every
 // tuple replaced eight times, so each key's 17 versions share a 17-page
 // chain with seven other keys' (Figures 6–8). It returns the time just
-// after the fourth round, for as-of lookups.
-func buildChainBench(tb testing.TB, method string, n int) (*DB, time.Time) {
+// after the fourth round, for as-of lookups. With dir empty the database is
+// in memory; otherwise it is a persistent database with a write-ahead log in
+// dir, and every page a lookup walks is read from the relation's data file.
+func buildChainBench(tb testing.TB, method string, n int, dir string) (*DB, time.Time) {
 	tb.Helper()
-	db := MustOpen(Options{Now: time.Date(1980, 1, 1, 0, 0, 0, 0, time.UTC)})
+	start := time.Date(1980, 1, 1, 0, 0, 0, 0, time.UTC)
+	var db *DB
+	if dir == "" {
+		db = MustOpen(Options{Now: start})
+	} else {
+		inner, err := core.Open(core.Options{Dir: dir, WAL: true, Now: temporal.FromUnix(start)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		db = &DB{inner: inner}
+		tb.Cleanup(func() {
+			if err := db.Close(); err != nil {
+				tb.Error(err)
+			}
+		})
+	}
 	if _, err := db.Exec(`create persistent interval r (id = i4, amount = i4, seq = i4, string = c96)`); err != nil {
 		tb.Fatal(err)
 	}
@@ -269,33 +288,44 @@ func buildChainBench(tb testing.TB, method string, n int) (*DB, time.Time) {
 // BenchmarkChainProbe measures the keyed lookup the paper's Figures 6–8
 // price at 17 pages: a current-state and a past-state (as of) retrieve of
 // one key, hashed and ISAM, each walking the key's whole overflow chain.
+// The disk variants walk the same chains in a persistent, logged database,
+// where each of those pages is a buffer miss read from the data file.
 func BenchmarkChainProbe(b *testing.B) {
+	const current = `retrieve (x.seq) where x.id = 500 when x overlap "now"`
 	for _, method := range []string{"hash", "isam"} {
-		db, mid := buildChainBench(b, method, 1024)
+		db, mid := buildChainBench(b, method, 1024, "")
 		asOf := mid.Format("2006-01-02 15:04:05")
 		for _, q := range []struct{ name, text string }{
-			{"current", `retrieve (x.seq) where x.id = 500 when x overlap "now"`},
+			{"current", current},
 			{"asof", fmt.Sprintf(`retrieve (x.seq) where x.id = 500 when x overlap %q as of %q`, asOf, asOf)},
 		} {
-			b.Run(method+"/"+q.name, func(b *testing.B) {
-				res, err := db.Exec(q.text)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 1 {
-					b.Fatalf("%s returned %d rows, want 1", q.text, len(res.Rows))
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Exec(q.text); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(res.InputPages), "pages/op")
-			})
+			b.Run(method+"/"+q.name, func(b *testing.B) { benchLookup(b, db, q.text) })
 		}
 	}
+	for _, method := range []string{"hash", "isam"} {
+		db, _ := buildChainBench(b, method, 1024, b.TempDir())
+		b.Run("disk/"+method+"/current", func(b *testing.B) { benchLookup(b, db, current) })
+	}
+}
+
+// benchLookup runs one single-row lookup b.N times on a warm session and
+// reports the pages it reads.
+func benchLookup(b *testing.B, db *DB, text string) {
+	res, err := db.Exec(text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		b.Fatalf("%s returned %d rows, want 1", text, len(res.Rows))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Exec(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.InputPages), "pages/op")
 }
 
 // TestHashedLookupAllocBudget fails when a warm hashed current lookup —
@@ -310,7 +340,7 @@ func BenchmarkChainProbe(b *testing.B) {
 // stopped copying pages.
 func TestHashedLookupAllocBudget(t *testing.T) {
 	const budget, allocBudget = 2600, 25
-	db, _ := buildChainBench(t, "hash", 256)
+	db, _ := buildChainBench(t, "hash", 256, "")
 	var queries [16]string
 	for i := range queries {
 		queries[i] = fmt.Sprintf(`retrieve (x.seq) where x.id = %d when x overlap "now"`, 16*i+7)

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -269,7 +270,9 @@ func (l *Loader) check(path, dir string, filenames []string) (*Package, error) {
 	return &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// goFilesIn lists the buildable non-test Go files of dir, sorted.
+// goFilesIn lists the buildable non-test Go files of dir, sorted: build
+// constraints and file-name suffixes are matched against the host, as the
+// go command would.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -283,7 +286,13 @@ func goFilesIn(dir string) ([]string, error) {
 			strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		out = append(out, name)
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out, nil

@@ -38,6 +38,19 @@ func testReadPages(t *testing.T, f storage.File) {
 		}
 	}
 
+	// A batch sees a page written just before it.
+	var p page.Page
+	p[0] = 42
+	if err := f.WritePage(3, &p); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ReadPages(2, ps[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if ps[0][0] != 3 || ps[1][0] != 42 {
+		t.Errorf("batch after write: first bytes %d,%d, want 3,42", ps[0][0], ps[1][0])
+	}
+
 	// The empty batch is a no-op even out of range.
 	if err := f.ReadPages(99, nil); err != nil {
 		t.Errorf("empty batch: %v", err)

@@ -2,9 +2,11 @@
 // manager: a flat, dense array of 1024-byte pages addressed by page ID.
 //
 // Two backends are provided. Mem keeps pages in memory and is what the
-// benchmark harness uses (the paper's metric is page accesses, which the
+// in-memory benchmarks use (the paper's metric is page accesses, which the
 // buffer manager counts identically for either backend). Disk stores pages
-// in an ordinary file via os.File so the same engine can run persistently.
+// in an ordinary file so the same engine can run persistently: it writes
+// with positioned writes and reads by copying out of a read-only shared
+// mapping of the file, one read path, with no read syscall per page.
 package storage
 
 import (
@@ -138,14 +140,25 @@ func (m *Mem) Truncate() error {
 // Close implements File.
 func (m *Mem) Close() error { return nil }
 
-// Disk is a File backed by an operating-system file. The page data itself
-// is accessed with positioned reads/writes, which the OS serializes; the
-// latch guards the page count against concurrent Allocate/Truncate.
+// Disk is a File backed by an operating-system file. Reads copy pages out
+// of a read-only shared mapping of the file (see mapping); writes, growth
+// and truncation go through the file itself with pwrite/ftruncate, which
+// the unified page cache makes visible through the mapping at once. Nothing
+// is written through the mapping, so durability and write ordering are the
+// file's alone. The latch guards the page count and the mapping: reads and
+// page writes share it, Allocate (which may remap), Truncate and Close take
+// it exclusively.
+//
+// The mapping only replaces the read syscall. Which pages are read, and how
+// many, is still decided and counted by the buffer manager above, and every
+// wrapper of a File still sees every ReadPage. A Disk does not lend pages:
+// a remap moves them.
 type Disk struct {
 	mu   sync.RWMutex
 	f    *os.File
 	path string
 	n    int
+	m    mapping // covers at least n pages
 }
 
 // OpenDisk opens (creating if necessary) a disk-backed paged file.
@@ -163,7 +176,12 @@ func OpenDisk(path string) (*Disk, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("storage: %s size %d is not a multiple of the page size", path, st.Size())
 	}
-	return &Disk{f: f, path: path, n: int(st.Size() / page.Size)}, nil
+	d := &Disk{f: f, path: path, n: int(st.Size() / page.Size)}
+	if err := d.m.reserve(f, d.n); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("storage: map %s: %w", filepath.Base(path), err)
+	}
+	return d, nil
 }
 
 // wrap adds the file and page context a raw os error lacks.
@@ -181,11 +199,10 @@ func (d *Disk) ReadPage(id page.ID, p *page.Page) error {
 	if err := checkBounds(id, d.n); err != nil {
 		return err
 	}
-	_, err := d.f.ReadAt(p[:], int64(id)*page.Size)
-	return d.wrap("read", id, err)
+	return d.wrap("read", id, d.m.read(p[:], int64(id)*page.Size))
 }
 
-// ReadPages implements File with one positioned read covering the run.
+// ReadPages implements File, copying the run out page by page.
 func (d *Disk) ReadPages(id page.ID, ps []page.Page) error {
 	if len(ps) == 0 {
 		return nil
@@ -198,13 +215,11 @@ func (d *Disk) ReadPages(id page.ID, ps []page.Page) error {
 	if err := checkBounds(id+page.ID(len(ps))-1, d.n); err != nil {
 		return err
 	}
-	buf := make([]byte, len(ps)*page.Size)
-	if _, err := d.f.ReadAt(buf, int64(id)*page.Size); err != nil {
-		return fmt.Errorf("storage: read pages %d..%d of %s: %w",
-			id, int(id)+len(ps)-1, filepath.Base(d.path), err)
-	}
 	for i := range ps {
-		copy(ps[i][:], buf[i*page.Size:])
+		pid := id + page.ID(i)
+		if err := d.m.read(ps[i][:], int64(pid)*page.Size); err != nil {
+			return d.wrap("read", pid, err)
+		}
 	}
 	return nil
 }
@@ -220,10 +235,14 @@ func (d *Disk) WritePage(id page.ID, p *page.Page) error {
 	return d.wrap("write", id, err)
 }
 
-// Allocate implements File.
+// Allocate implements File. The mapping grows first, so a failed remap
+// leaves the file as it was.
 func (d *Disk) Allocate() (page.ID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err := d.m.reserve(d.f, d.n+1); err != nil {
+		return page.Nil, d.wrap("map for allocate", page.ID(d.n), err)
+	}
 	var zero page.Page
 	if _, err := d.f.WriteAt(zero[:], int64(d.n)*page.Size); err != nil {
 		return page.Nil, d.wrap("allocate", page.ID(d.n), err)
@@ -239,7 +258,8 @@ func (d *Disk) NumPages() int {
 	return d.n
 }
 
-// Truncate implements File.
+// Truncate implements File. The mapping keeps its size: no page past the
+// new end is read, and Allocate refills it through the file.
 func (d *Disk) Truncate() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -252,6 +272,9 @@ func (d *Disk) Truncate() error {
 
 // Close implements File.
 func (d *Disk) Close() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	unmapErr := d.m.release()
 	// The statement path reaches File.Close only for memory-backed query
 	// temporaries; real disk files are closed on designated flush paths
 	// (destroy, modify, Database.Close). The call-graph analysis cannot
@@ -259,6 +282,9 @@ func (d *Disk) Close() error {
 	//tdbvet:ignore latchorder only memory-backed temporaries are closed under the statement lock; disk closes happen on flush paths
 	if err := d.f.Close(); err != nil {
 		return fmt.Errorf("storage: close %s: %w", filepath.Base(d.path), err)
+	}
+	if unmapErr != nil {
+		return fmt.Errorf("storage: unmap %s: %w", filepath.Base(d.path), unmapErr)
 	}
 	return nil
 }

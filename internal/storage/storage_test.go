@@ -56,6 +56,25 @@ func exercise(t *testing.T, f File) {
 		t.Errorf("page 0 width = %d, want 0", q.Width())
 	}
 
+	// An overwrite is visible to the very next read, single or batched.
+	p.SetNext(9)
+	if err := f.WritePage(id1, &p); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ReadPage(id1, &q); err != nil {
+		t.Fatal(err)
+	}
+	if q.Next() != 9 {
+		t.Errorf("ReadPage after overwrite: next=%d, want 9", q.Next())
+	}
+	both := make([]page.Page, 2)
+	if err := f.ReadPages(id0, both); err != nil {
+		t.Fatal(err)
+	}
+	if both[1].Next() != 9 || both[0].Width() != 0 {
+		t.Errorf("ReadPages after overwrite: next=%d width0=%d, want 9 and 0", both[1].Next(), both[0].Width())
+	}
+
 	if err := f.ReadPage(-1, &q); err == nil {
 		t.Error("ReadPage(-1) succeeded")
 	}
@@ -68,6 +87,20 @@ func exercise(t *testing.T, f File) {
 	}
 	if f.NumPages() != 0 {
 		t.Errorf("NumPages after Truncate = %d", f.NumPages())
+	}
+	if err := f.ReadPage(0, &q); err == nil {
+		t.Error("ReadPage(0) after Truncate succeeded")
+	}
+	// A page allocated after Truncate reads back zeroed, not as the page
+	// that held its ID before.
+	if id, err := f.Allocate(); err != nil || id != 0 {
+		t.Fatalf("Allocate after Truncate = %d, %v; want 0", id, err)
+	}
+	if err := f.ReadPage(0, &q); err != nil {
+		t.Fatal(err)
+	}
+	if q != (page.Page{}) {
+		t.Error("page allocated after Truncate is not zeroed")
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
