@@ -374,20 +374,6 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	ls.acquire()
 	defer ls.release()
 
-	// The WAL transaction opens only once the relation latches are held:
-	// until then a concurrent statement's evictions may still be flushing
-	// these relations, and those flushes must not log under this
-	// transaction.
-	var walTxn uint64
-	if walOn {
-		if locks.ddlExcl {
-			walTxn = db.wal.BeginAll()
-		} else {
-			walTxn = db.wal.Begin(locks.write...)
-		}
-		defer db.wal.Finish(walTxn)
-	}
-
 	// Resolve the statement graph and the stats source. Shared-latched
 	// relations go through session views (account-charged, policy-
 	// applied); exclusively latched ones use the root handles — their
@@ -467,20 +453,21 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	if err != nil {
 		return nil, err
 	}
-	// Commit: append the written pages and the end record to the log while
-	// the exclusive latches still fence the captured frames. DDL instead
-	// ends in a full checkpoint — its structural changes (file creation,
-	// removal, rebuild) are not page-grained, so it flushes everything and
-	// empties the log. A failed append fails the statement: the work may
-	// survive in the log (unacknowledged-but-durable), but an acknowledged
+	// Commit: append the written pages and the end record to the log, in
+	// one append, while the exclusive latches still fence the captured
+	// frames. DDL instead ends in a full checkpoint — its structural
+	// changes (file creation, removal, rebuild) are not page-grained, so it
+	// writes everything back and empties the log. A failed append fails the
+	// statement: its pages stay parked and unlogged, so the work survives
+	// only if a later commit or checkpoint logs it, and an acknowledged
 	// statement can never be lost.
 	if walOn {
 		if locks.ddlExcl {
-			if werr := db.walCheckpointLocked(walTxn); werr != nil {
+			if werr := db.walCheckpointLocked(true); werr != nil {
 				return nil, werr
 			}
 		} else if len(writeRoots) > 0 {
-			lsn, werr := c.walCommit(walTxn, writeRoots)
+			lsn, werr := c.walCommit(writeRoots)
 			if werr != nil {
 				return nil, werr
 			}

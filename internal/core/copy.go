@@ -162,14 +162,6 @@ func (db *Database) Load(rel string, rows [][]tuple.Value) (int, error) {
 	ls := db.newLatchSet(nil, []string{rel})
 	ls.acquire()
 	defer ls.release()
-	// The whole load is one WAL transaction: evictions and the final flush
-	// log under it, and the end record commits them all at once — a crash
-	// mid-load replays to an empty (pre-load) relation, never a partial one.
-	var walTxn uint64
-	if db.wal != nil {
-		walTxn = db.wal.Begin(rel)
-		defer db.wal.Finish(walTxn)
-	}
 	h.desc.Stat = nil // bulk load bypasses the DML stat hooks; ANALYZE rebuilds
 	// A bulk load is a writer statement without per-chain bookkeeping:
 	// stamp the relation and raise the conflict floor so any statement
@@ -184,13 +176,17 @@ func (db *Database) Load(rel string, rows [][]tuple.Value) (int, error) {
 			return i, fmt.Errorf("core: row %d: %w", i, err)
 		}
 	}
+	// The whole load is one WAL transaction: evictions and the final flush
+	// park every page, and one commit logs them all with the end record — a
+	// crash mid-load replays to an empty (pre-load) relation, never a
+	// partial one.
 	for _, b := range h.src.Buffers() {
 		if err := b.Flush(); err != nil {
 			return len(rows), err
 		}
 	}
 	if db.wal != nil {
-		if err := db.walLoadCommit(h, walTxn); err != nil {
+		if err := db.walLoadCommit(h); err != nil {
 			return len(rows), err
 		}
 	}

@@ -60,11 +60,12 @@ type Options struct {
 	// production code leaves it nil.
 	WrapFile func(name string, f storage.File) storage.File
 	// WAL enables write-ahead logging on a disk database (ignored when Dir
-	// is empty): every page write is redo-logged to <Dir>/wal.log before it
-	// reaches a data file, commits append an end record, and Open replays
-	// the committed suffix past the last checkpoint — discarding any torn
-	// tail — before reattaching relations. Logging sits below the buffer
-	// manager's I/O counters, so the paper's page accounting is unchanged.
+	// is empty): each commit appends the pages it wrote and an end record
+	// to <Dir>/wal.log in one write, data files are written only at
+	// checkpoints (Checkpoint, DDL, Close), and Open replays the committed
+	// suffix past the last checkpoint — discarding any torn tail — before
+	// reattaching relations. Logging sits below the buffer manager's I/O
+	// counters, so the paper's page accounting is unchanged.
 	WAL bool
 	// WALSyncPolicy selects when the log is forced to stable storage; the
 	// zero value, WALSyncCommit, syncs (group-committed) before every write
@@ -359,9 +360,11 @@ func (db *Database) ResetStats() {
 
 // InvalidateBuffers empties every relation's buffer frame so the next query
 // starts cold, as each benchmark measurement did. Exclusive on the schema
-// latch: frames must not vanish under a running statement.
+// latch: frames must not vanish under a running statement. On a WAL
+// database the flushed frames are parked, not written: the data files and
+// the log change only at the next commit or checkpoint.
 //
-//tdbvet:flushpath invalidation flushes every frame and discards the spent log while the exclusive schema latch drains every statement
+//tdbvet:flushpath invalidation flushes every frame while the exclusive schema latch drains every statement
 func (db *Database) InvalidateBuffers() error {
 	db.ddl.Lock()
 	defer db.ddl.Unlock()
@@ -370,16 +373,6 @@ func (db *Database) InvalidateBuffers() error {
 			if err := b.Invalidate(); err != nil {
 				return err
 			}
-		}
-	}
-	// Invalidation flushed every dirty frame, so the data files hold the
-	// complete state and the log's records are spent. Discard them — but
-	// only when the on-disk catalog already points replay at offset zero;
-	// otherwise later appends would land below the recorded start and a
-	// crash would skip them.
-	if db.wal != nil && db.walStart == 0 {
-		if err := db.wal.Reset(); err != nil {
-			return err
 		}
 	}
 	return nil

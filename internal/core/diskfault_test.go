@@ -26,8 +26,13 @@ func TestRelationFileCutUnderneath(t *testing.T) {
 	for n := 1; n < 256; n *= 2 {
 		mustExec(t, db, fmt.Sprintf(`append to emp (id = e.id + %d, v = 0)`, n))
 	}
-	// Every dirty frame reaches the file and no frame stays resident, so
-	// the next statement must read the file.
+	// The checkpoint writes every committed page to the file — until then
+	// they are parked in memory and never read back from it — and the
+	// invalidation leaves no frame resident, so the next statement must
+	// read the file.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.InvalidateBuffers(); err != nil {
 		t.Fatal(err)
 	}

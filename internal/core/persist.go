@@ -70,8 +70,9 @@ type savedCatalog struct {
 
 	// WalStart is where write-ahead-log replay begins: records below it
 	// describe pages whose content the data files already hold. Fuzzy
-	// checkpoints raise it instead of flushing hot pages; full checkpoints
-	// (DDL, Close) reset it to zero along with the log.
+	// checkpoints raise it to the log tail once every logged page is
+	// written back; full checkpoints (DDL, Close) reset it to zero along
+	// with the log.
 	WalStart int64 `json:"walStart,omitempty"`
 }
 
@@ -282,7 +283,8 @@ func (db *Database) loadCatalog() error {
 }
 
 // Checkpoint flushes every buffer and persists the catalog (including
-// mutable B-tree metadata). Close calls it automatically. Checkpointing a
+// mutable B-tree metadata); on a WAL database it is also where committed
+// pages reach the data files. Close calls it automatically. Checkpointing a
 // closed database fails cleanly instead of writing through released files.
 // The exclusive schema latch drains every in-flight statement first.
 func (db *Database) Checkpoint() error {
@@ -308,30 +310,26 @@ func (db *Database) checkpointLocked() error {
 	return db.saveCatalog()
 }
 
-// fuzzyCheckpointLocked bounds replay without flushing frames whose
-// content the log already holds: sync the log (making every skippable
-// image durable), flush only the frames with no logged image, and record
-// the lowest skipped LSN as the catalog's replay start. It never truncates
-// the log; DDL, Close, and Open do that with the database quiesced.
+// fuzzyCheckpointLocked writes the data files up to date without
+// flushing frames whose content the log already holds: flush only the
+// frames with no logged image (parking them), log every page parked since
+// it was last logged, sync, write every parked page back, and record the
+// log tail as the catalog's replay start. It never truncates the log; DDL,
+// Close, and Open do that with the database quiesced.
 //
-//tdbvet:flushpath the checkpoint flushes and syncs while the exclusive schema latch drains every statement
+//tdbvet:flushpath the checkpoint flushes, syncs, and writes back while the exclusive schema latch drains every statement
 func (db *Database) fuzzyCheckpointLocked() error {
-	if err := db.wal.Sync(); err != nil {
-		return err
-	}
-	start := db.wal.Tail()
 	for _, h := range db.rels {
 		for _, b := range h.buffers() {
-			skipped, min, err := b.FlushUnlogged()
-			if err != nil {
+			if _, _, err := b.FlushUnlogged(); err != nil {
 				return err
-			}
-			if skipped > 0 && min < start {
-				start = min
 			}
 		}
 	}
-	db.walStart = start
+	if err := db.wal.WriteBack(); err != nil {
+		return err
+	}
+	db.walStart = db.wal.Tail()
 	return db.saveCatalog()
 }
 
@@ -346,11 +344,12 @@ func (db *Database) Close() error {
 		return nil
 	}
 	if db.wal != nil {
-		// The full checkpoint: flush everything, sync, persist the
-		// catalog, and empty the log. A crash (or injected sync fault)
-		// anywhere before the log reset leaves the log intact, and reopen
-		// replays it back to exactly the committed state.
-		if err := db.walCheckpointLocked(0); err != nil {
+		// The full checkpoint: flush everything, log and sync, write
+		// every parked page back, persist the catalog, and empty the log.
+		// A crash (or injected sync fault) anywhere before the log reset
+		// leaves the log intact, and reopen replays it back to exactly the
+		// committed state.
+		if err := db.walCheckpointLocked(false); err != nil {
 			return err
 		}
 	} else if err := db.checkpointLocked(); err != nil {

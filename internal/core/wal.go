@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 
 	"tdbms/internal/btree"
@@ -93,44 +94,53 @@ func (db *Database) walEndMeta(roots []*relHandle) []byte {
 
 // walCommit is the commit protocol of one write statement, run while its
 // exclusive relation latches are still held: capture every dirty frame of
-// the written relations, append the images and the end record to the log,
-// and only after the end record is down, mark the frames as logged (so a
-// fuzzy checkpoint may skip them). The marking must not happen earlier: if
-// the end record failed to append, the transaction is uncommitted and the
-// frames' content is exactly what recovery must NOT skip flushing.
+// the written relations and log, in one append, the captured frames, the
+// pages the statement's evictions parked, and the end record. Only once
+// the append is down are the frames marked as logged (so a fuzzy
+// checkpoint may skip them): if it failed, the transaction is uncommitted
+// and the frames' content is exactly what must still be logged later.
 // It returns the log tail the statement must see synced to be durable.
-func (c *Conn) walCommit(txn uint64, roots []*relHandle) (int64, error) {
+func (c *Conn) walCommit(roots []*relHandle) (int64, error) {
 	db := c.Database
-	type noted struct {
-		b   *buffer.Buffered
-		id  page.ID
-		lsn int64
-	}
-	var notes []noted
+	var writes []wal.Write
+	var bufs []*buffer.Buffered
 	for _, h := range roots {
 		if _, ok := h.src.(*conventional); !ok {
 			continue // two-level stores are not persisted, nothing to redo
 		}
 		for _, b := range h.src.Buffers() {
 			captured := b.CaptureDirty()
+			w := wal.Write{File: b.Name(), Frames: make([]wal.Frame, len(captured))}
 			for i := range captured {
-				cp := &captured[i]
-				lsn, err := db.wal.AppendImage(txn, b.Name(), cp.ID, nil, &cp.Pg)
-				if err != nil {
-					return 0, err
-				}
-				notes = append(notes, noted{b, cp.ID, lsn})
+				w.Frames[i] = wal.Frame{ID: captured[i].ID, Pg: &captured[i].Pg}
 			}
+			writes = append(writes, w)
+			bufs = append(bufs, b)
 		}
 	}
-	end, err := db.wal.AppendEnd(txn, db.walEndMeta(roots))
+	end, err := db.wal.Commit(writes, db.walEndMeta(roots))
 	if err != nil {
 		return 0, err
 	}
-	for _, n := range notes {
-		n.b.NoteLogged(n.id, n.lsn)
+	for i, w := range writes {
+		for _, f := range w.Frames {
+			bufs[i].NoteLogged(f.ID, f.LSN)
+		}
 	}
 	return end, nil
+}
+
+// fileWrites names the logged files of the given relations, for a commit
+// with no captured frames: their buffers were flushed, so every page they
+// wrote is parked.
+func fileWrites(hs []*relHandle) []wal.Write {
+	var writes []wal.Write
+	for _, h := range hs {
+		for _, b := range h.src.Buffers() {
+			writes = append(writes, wal.Write{File: b.Name()})
+		}
+	}
+	return writes
 }
 
 // syncOnCommit reports whether this session's acknowledged commits must be
@@ -182,14 +192,15 @@ func (c *Conn) Durable() error {
 	return db.wal.WaitDurable(db.wal.Tail())
 }
 
-// walLoadCommit commits a bulk load: end record, then — under the default
-// per-commit policy — the group-committed sync. Unlike a statement, a load
-// waits with its relation latch held: it is a bulk administrative path,
-// not a concurrent-commit one.
+// walLoadCommit commits a bulk load whose buffers were flushed: the
+// relation's parked pages and the end record in one append, then — under
+// the default per-commit policy — the group-committed sync. Unlike a
+// statement, a load waits with its relation latch held: it is a bulk
+// administrative path, not a concurrent-commit one.
 //
 //tdbvet:flushpath the bulk load's commit sync is its designated log I/O point; loads are administrative and hold their relation exclusively throughout
-func (db *Database) walLoadCommit(h *relHandle, txn uint64) error {
-	end, err := db.wal.AppendEnd(txn, db.walEndMeta([]*relHandle{h}))
+func (db *Database) walLoadCommit(h *relHandle) error {
+	end, err := db.wal.Commit(fileWrites([]*relHandle{h}), db.walEndMeta([]*relHandle{h}))
 	if err != nil {
 		return err
 	}
@@ -200,29 +211,33 @@ func (db *Database) walLoadCommit(h *relHandle, txn uint64) error {
 }
 
 // walCheckpointLocked is the full checkpoint ending every DDL statement
-// (txn != 0) and Close (txn == 0) on a WAL database: flush everything,
-// commit the transaction with a full metadata record, sync, persist the
-// catalog, and clear the log. The catalog is written twice around the log
-// reset so every crash point is covered: first pointing replay at the
+// (ddl set) and Close on a WAL database: flush every buffer, commit the
+// DDL with a full metadata record, write every parked page back, persist
+// the catalog, and clear the log. The catalog is written twice around the
+// log reset so every crash point is covered: first pointing replay at the
 // (empty) region past the synced tail, then — once the log is empty —
 // back at zero, so records appended after the reset are replayed. Caller
 // holds the schema latch exclusively.
 //
-//tdbvet:flushpath the DDL/Close checkpoint flushes, syncs, and truncates the log while the schema latch drains every statement
-func (db *Database) walCheckpointLocked(txn uint64) error {
+//tdbvet:flushpath the DDL/Close checkpoint flushes, syncs, writes back, and truncates the log while the schema latch drains every statement
+func (db *Database) walCheckpointLocked(ddl bool) error {
+	hs := make([]*relHandle, 0, len(db.rels))
 	for _, h := range db.rels {
 		for _, b := range h.buffers() {
 			if err := b.Flush(); err != nil {
 				return err
 			}
 		}
+		hs = append(hs, h)
 	}
-	if txn != 0 {
-		if _, err := db.wal.AppendEnd(txn, db.walEndMeta(nil)); err != nil {
+	if ddl {
+		// Name order keeps the log of a DDL deterministic.
+		sort.Slice(hs, func(i, j int) bool { return hs[i].desc.Name < hs[j].desc.Name })
+		if _, err := db.wal.Commit(fileWrites(hs), db.walEndMeta(nil)); err != nil {
 			return err
 		}
 	}
-	if err := db.wal.Sync(); err != nil {
+	if err := db.wal.WriteBack(); err != nil {
 		return err
 	}
 	db.walStart = db.wal.Tail()
@@ -248,12 +263,12 @@ type pendingRel struct {
 }
 
 // recoverWAL replays the log suffix past the last checkpoint onto the
-// still-method-less relation files: committed images are redone, torn
-// tails discarded, uncommitted flushes undone via their before-images, and
+// still-method-less relation files: committed images are redone (last
+// write wins), torn tails and images without an end record discarded, and
 // committed end records re-apply the clock and access-method descriptors.
 // Replay writes through the same wrapped files the buffers use (so
-// injected faults hit it like any other I/O) with logging suppressed, and
-// it never truncates the log — a crash during recovery just recovers
+// injected faults hit it like any other I/O) straight to the data files —
+// in recovery mode LoggedFile parks nothing — and it never truncates the log — a crash during recovery just recovers
 // again, idempotently. It reports whether the log held anything at all.
 func (db *Database) recoverWAL(start int64, pends []*pendingRel) (bool, error) {
 	m := db.wal
@@ -318,5 +333,3 @@ type storageFile interface {
 	Allocate() (page.ID, error)
 	NumPages() int
 }
-
-var _ = wal.PageKey{} // package wal is linked via Database.wal

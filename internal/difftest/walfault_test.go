@@ -211,8 +211,9 @@ type walCrashImage struct {
 }
 
 // buildWALCrashImage builds the WAL benchmark database, runs the seeded
-// two-statement schedule, and captures the crash image plus references.
-func buildWALCrashImage(t *testing.T) *walCrashImage {
+// two-statement schedule — with a checkpoint between the statements when
+// checkpoint is set — and captures the crash image plus references.
+func buildWALCrashImage(t *testing.T, checkpoint bool) *walCrashImage {
 	t.Helper()
 	dir := t.TempDir()
 	b, err := bench.BuildOpts(bench.Temporal, 100, core.Options{Dir: dir, WAL: true})
@@ -233,6 +234,11 @@ func buildWALCrashImage(t *testing.T) *walCrashImage {
 	db.Clock().Advance(3600)
 	mustExec(t, db, fmt.Sprintf(`replace h (seq = h.seq + 1) where h.id <= %d`, walTouched))
 	img.refH = mustSnap(t, db)
+	if checkpoint {
+		if err := db.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+	}
 	mustExec(t, db, fmt.Sprintf(`replace i (seq = i.seq + 1) where i.id <= %d`, walTouched))
 	img.ref2 = mustSnap(t, db)
 	// Crash: abandon db without Close. The files as they stand — data,
@@ -288,35 +294,58 @@ func (img *walCrashImage) checkRecovered(t *testing.T, label, dir string) string
 	return fmt.Sprintf("h=%s,i=%s", hClass, iClass)
 }
 
+// sweep recovers the image with its log cut at every record boundary and
+// one byte into each frame, and at its full length. A cut to an empty log
+// must land on floor — the state the data files hold — and the full log on
+// both statements.
+func (img *walCrashImage) sweep(t *testing.T, matrix *walMatrix, scenario, floor string) {
+	t.Helper()
+	rank := map[string]int{"h=none,i=none": 0, "h=all,i=none": 1, "h=all,i=all": 2}
+	cuts := make([]int64, 0, 2*len(img.bounds)+1)
+	for _, b := range img.bounds {
+		cuts = append(cuts, b, b+1)
+	}
+	cuts = append(cuts, img.valid)
+	for _, cut := range cuts {
+		label := fmt.Sprintf("%s cut@%d", scenario, cut)
+		dir := restoreState(t, img.state, cut)
+		state := img.checkRecovered(t, label, dir)
+		matrix.add(walMatrixRow{Scenario: scenario, Cut: cut, State: state})
+		if cut == img.valid && state != "h=all,i=all" {
+			t.Fatalf("%s: full log recovered to %s, want both statements", label, state)
+		}
+		if cut == 0 && state != floor {
+			t.Fatalf("%s: empty log recovered to %s, want the checkpoint state %s", label, state, floor)
+		}
+		if rank[state] < rank[floor] {
+			t.Fatalf("%s: recovered to %s, behind the checkpoint state %s", label, state, floor)
+		}
+	}
+}
+
 func TestWALFaultMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the WAL crash matrix is the long tier")
 	}
-	img := buildWALCrashImage(t)
+	img := buildWALCrashImage(t, false)
 	matrix := &walMatrix{}
 	defer matrix.writeOut(t)
 
 	// Torn tails at every record boundary of the schedule, plus a tear one
-	// byte into each frame (a mid-record torn append). Every cut must
+	// byte into each frame (a mid-record torn append). Each statement's
+	// commit is one append, so most cuts fall inside one. Every cut must
 	// recover to one of the three reference states.
 	t.Run("torn-tail", func(t *testing.T) {
-		cuts := make([]int64, 0, 2*len(img.bounds)+1)
-		for _, b := range img.bounds {
-			cuts = append(cuts, b, b+1)
-		}
-		cuts = append(cuts, img.valid)
-		for _, cut := range cuts {
-			label := fmt.Sprintf("cut@%d", cut)
-			dir := restoreState(t, img.state, cut)
-			state := img.checkRecovered(t, label, dir)
-			matrix.add(walMatrixRow{Scenario: "torn-tail", Cut: cut, State: state})
-			if cut == img.valid && state != "h=all,i=all" {
-				t.Fatalf("full log recovered to %s, want both statements", state)
-			}
-			if cut == 0 && state != "h=none,i=none" {
-				t.Fatalf("empty log recovered to %s, want the checkpoint state", state)
-			}
-		}
+		img.sweep(t, matrix, "torn-tail", "h=none,i=none")
+	})
+
+	// The same sweep with a checkpoint between the two statements: the
+	// checkpoint wrote statement 1 to the data files and moved the replay
+	// start past its records, so no cut — not even one to an empty log —
+	// may lose it.
+	t.Run("checkpoint-between", func(t *testing.T) {
+		ck := buildWALCrashImage(t, true)
+		ck.sweep(t, matrix, "checkpoint-between", "h=all,i=none")
 	})
 
 	// Faults injected into recovery itself: the replay's page writes and the

@@ -1,6 +1,15 @@
 // Package wal implements the write-ahead log: an append-only redo log of
 // page images layered between the buffer manager and the storage files.
 //
+// The engine runs no-steal / no-force (Haerder & Reuter's terms): a data
+// file never receives a page a commit has not logged, and a commit never
+// waits for a data-file write. LoggedFile parks every page written during
+// statements in memory; a commit logs, in one append, the pages of the
+// files it wrote that changed since they were last logged; and only a
+// checkpoint (WriteBack) writes parked pages to the data files, after the
+// log holding them is synced. Nothing ever has to be undone, so the log is
+// redo-only.
+//
 // The log is a sequence of self-describing records, each framed as
 //
 //	[4 bytes  payload length, little endian]
@@ -12,17 +21,16 @@
 // discarded. A record's LSN is its byte offset in the log; the low 16 bits
 // are stamped into the page header (page.SetLSNTag) as a diagnostic
 // fingerprint, while the buffer manager tracks the full LSN per frame so
-// fuzzy checkpoints can skip flushing pages whose latest committed image
-// recovery can redo from the log.
+// fuzzy checkpoints can skip flushing frames whose content is logged.
 //
-// Two record types exist. An image record carries a page's after-image
-// (and, for mid-statement flushes, the before-image read from the data
-// file) tagged with the transaction that wrote it. An end record marks the
+// Two record types exist. An image record carries a page's redo image
+// tagged with the transaction that wrote it; its flags byte is always 0
+// (the retired steal/undo format set bit 0 and appended a before-image,
+// which recovery now rejects with ErrUndoFormat). An end record marks the
 // transaction committed and carries the engine's commit metadata (clock
-// position and access-method descriptors) opaquely. Recovery resolves the
-// two into a single idempotent page set: committed images are redone
-// (last write wins), uncommitted flushes are undone by restoring their
-// before-images — unless a committed image for the same page already won.
+// position and access-method descriptors) opaquely. Recovery keeps the
+// committed images, last write winning; images of the background
+// transaction 0 (checkpoint leftovers) count as committed.
 //
 // Group commit: WaitDurable elects the first waiter as leader; it performs
 // one Sync covering the log tail, and every statement whose end record
@@ -31,10 +39,13 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tdbms/internal/page"
@@ -43,7 +54,7 @@ import (
 
 // Record types.
 const (
-	recImage = 1 // page image: flags, relation, page ID, [before], after
+	recImage = 1 // page image: flags (0), relation, page ID, image
 	recEnd   = 2 // transaction end: opaque commit metadata
 )
 
@@ -54,34 +65,47 @@ const (
 	maxPayload = 4 * page.Size
 	// minPayload is the smallest well-formed payload: type byte + txn.
 	minPayload = 9
+	// maxName bounds a relation name, so every image record stays well
+	// under maxPayload.
+	maxName = 1 << 10
+	// flagBefore marks an image record of the retired undo format.
+	flagBefore = 1
 )
+
+// ErrUndoFormat reports a log written by the retired steal/undo format,
+// whose flushed pages carried before-images. Redo-only recovery cannot
+// replay it; it is not treated as a torn tail, because dropping it would
+// silently drop committed work.
+var ErrUndoFormat = errors.New("wal: log holds a before-image record of the retired steal/undo format, which redo-only recovery cannot replay")
 
 // Record is one decoded log record.
 type Record struct {
-	LSN    int64
-	Type   byte
-	Txn    uint64
-	Rel    string     // image records: relation file the page belongs to
-	Page   page.ID    // image records: page within that file
-	Before *page.Page // image records: pre-write disk content, if captured
-	After  *page.Page // image records: the logged content
-	Meta   []byte     // end records: opaque commit metadata
+	LSN   int64
+	Type  byte
+	Txn   uint64
+	Rel   string     // image records: relation file the page belongs to
+	Page  page.ID    // image records: page within that file
+	Image *page.Page // image records: the logged content
+	Meta  []byte     // end records: opaque commit metadata
 }
 
-// Manager serializes appends to one log file and tracks the logical tail.
-// The tail only advances when an append fully succeeds, so a failed or
-// torn append is overwritten by the next one. Lock order: syncMu (the
-// group-commit leader latch) is acquired before mu; mu is the innermost
-// latch and is held across no I/O other than the positioned log write.
+// Manager serializes appends to one log file, tracks the logical tail, and
+// knows every open LoggedFile, whose parked pages commits log and
+// checkpoints write back. The tail only advances when an append fully
+// succeeds, so a failed or torn append is overwritten by the next one.
+// Lock order: syncMu (the group-commit leader latch) before mu before any
+// LoggedFile's mu; mu is held across no I/O other than the positioned log
+// write.
 type Manager struct {
-	mu         sync.Mutex
-	log        storage.Log
-	tail       int64 // next append offset; all bytes below are well-formed
-	synced     int64 // all bytes below are on stable storage
-	nextTxn    uint64
-	txns       map[string]uint64 // relation -> transaction of the running statement
-	all        uint64            // DDL transaction covering every relation, or 0
-	recovering bool              // replay in progress: LoggedFile passes writes through
+	mu      sync.Mutex
+	log     storage.Log
+	tail    int64 // next append offset; all bytes below are well-formed
+	synced  int64 // all bytes below are on stable storage
+	nextTxn uint64
+	files   map[string]*LoggedFile // open logged files by lower-case name
+	buf     []byte                 // encoding buffer of the next append, reused
+
+	recovering atomic.Bool // replay in progress: LoggedFile writes pass through
 
 	syncMu sync.Mutex    // group-commit leader latch
 	window time.Duration // leader's gathering delay before the shared sync
@@ -90,72 +114,12 @@ type Manager struct {
 // NewManager returns a manager over the given log. The caller must either
 // replay or Reset the log before the first append.
 func NewManager(l storage.Log) *Manager {
-	return &Manager{log: l, txns: map[string]uint64{}}
+	return &Manager{log: l, files: map[string]*LoggedFile{}}
 }
 
-// Begin assigns a fresh transaction to the named relations for the
-// duration of one statement; page flushes against them are logged under
-// it until Finish.
-func (m *Manager) Begin(rels ...string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextTxn++
-	for _, r := range rels {
-		m.txns[strings.ToLower(r)] = m.nextTxn
-	}
-	return m.nextTxn
-}
-
-// BeginAll assigns a fresh transaction to every relation — the DDL path,
-// which holds the database exclusively.
-func (m *Manager) BeginAll() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextTxn++
-	m.all = m.nextTxn
-	return m.nextTxn
-}
-
-// Finish withdraws a transaction's relation assignments.
-func (m *Manager) Finish(txn uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.all == txn {
-		m.all = 0
-	}
-	for r, t := range m.txns {
-		if t == txn {
-			delete(m.txns, r)
-		}
-	}
-}
-
-// TxnFor reports the transaction currently writing the named relation, or
-// 0 — the background pseudo-transaction, whose records replay treats as
-// committed (checkpoints and invalidation flush only complete statements).
-func (m *Manager) TxnFor(rel string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.all != 0 {
-		return m.all
-	}
-	return m.txns[strings.ToLower(rel)]
-}
-
-// SetRecovering flips replay mode: while set, LoggedFile writes pass
-// through unlogged (replay must not re-log what it redoes).
-func (m *Manager) SetRecovering(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recovering = on
-}
-
-// Recovering reports whether replay is in progress.
-func (m *Manager) Recovering() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recovering
-}
+// SetRecovering flips replay mode: while set, LoggedFile writes go straight
+// to the data files (replay must not re-log or park what it redoes).
+func (m *Manager) SetRecovering(on bool) { m.recovering.Store(on) }
 
 // SetWindow sets the group-commit gathering delay: how long an elected
 // leader waits before issuing the shared sync, letting concurrent
@@ -183,67 +147,167 @@ func (m *Manager) LogSize() (int64, error) {
 	return m.log.Size()
 }
 
-// AppendImage logs a page image. The record's LSN tag is stamped into the
-// after-image in place — the caller's copy and the logged bytes stay
-// identical. A nil before marks a commit-capture record (the dirty frame
-// of a statement about to commit); flush records carry the pre-write disk
-// content so an uncommitted flush can be undone.
-func (m *Manager) AppendImage(txn uint64, rel string, id page.ID, before, after *page.Page) (int64, error) {
-	if len(rel) > 1<<15 {
-		return 0, fmt.Errorf("wal: relation name %q too long", rel[:32]+"...")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	after.SetLSNTag(uint16(m.tail))
-	n := 9 + 1 + 2 + len(rel) + 4 + page.Size
-	if before != nil {
-		n += page.Size
-	}
-	payload := make([]byte, 0, n)
-	payload = append(payload, recImage)
-	payload = binary.LittleEndian.AppendUint64(payload, txn)
-	var flags byte
-	if before != nil {
-		flags |= 1
-	}
-	payload = append(payload, flags)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(rel)))
-	payload = append(payload, rel...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(int32(id)))
-	if before != nil {
-		payload = append(payload, before[:]...)
-	}
-	payload = append(payload, after[:]...)
-	return m.appendLocked(payload)
+// Write is one logged file's share of a commit: the file, by the name it
+// was opened under, and the dirty frames the buffer above it holds,
+// captured at commit.
+type Write struct {
+	File   string
+	Frames []Frame
 }
 
-// AppendEnd logs a transaction-end record and returns the new tail — the
-// offset the committer must see synced for the statement to be durable.
-func (m *Manager) AppendEnd(txn uint64, meta []byte) (int64, error) {
+// Frame is one captured dirty frame. Commit stamps the LSN tag of the
+// record that logs it into Pg and reports that record's LSN in LSN.
+type Frame struct {
+	ID  page.ID
+	Pg  *page.Page
+	LSN int64
+}
+
+// Commit logs one transaction in a single append: for each written file,
+// the image of every page parked since it was last logged (unless one of
+// the file's captured frames supersedes it) and each captured frame, then
+// an end record carrying meta. On success the captured frames join the
+// parked set as logged, so a later eviction of the same bytes logs
+// nothing. It returns the new tail — the offset the committer must see
+// synced for the transaction to be durable. No page of the written files
+// may be written while Commit runs: the caller holds their relations
+// exclusively.
+func (m *Manager) Commit(writes []Write, meta []byte) (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	payload := make([]byte, 0, minPayload+len(meta))
-	payload = append(payload, recEnd)
-	payload = binary.LittleEndian.AppendUint64(payload, txn)
-	payload = append(payload, meta...)
-	if _, err := m.appendLocked(payload); err != nil {
+	files := make([]*LoggedFile, len(writes))
+	for i, w := range writes {
+		f := m.files[strings.ToLower(w.File)]
+		if f == nil {
+			return 0, fmt.Errorf("wal: commit writes %q, which is not an open logged file", w.File)
+		}
+		if len(f.name) > maxName {
+			return 0, fmt.Errorf("wal: relation name %q too long to log", f.name[:32]+"...")
+		}
+		files[i] = f
+	}
+	m.nextTxn++
+	txn := m.nextTxn
+	buf := m.buf[:0]
+	for i, f := range files {
+		buf = f.encode(buf, m.tail, txn, writes[i].Frames)
+	}
+	buf = appendEnd(buf, txn, meta)
+	m.buf = buf
+	if err := m.writeLocked(buf); err != nil {
 		return 0, err
+	}
+	for i, f := range files {
+		f.logged(writes[i].Frames)
 	}
 	return m.tail, nil
 }
 
-// appendLocked frames and writes one payload at the tail. m.mu held.
-func (m *Manager) appendLocked(payload []byte) (int64, error) {
-	lsn := m.tail
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
-	if _, err := m.log.WriteAt(frame, lsn); err != nil {
-		return 0, fmt.Errorf("wal: append at %d: %w", lsn, err)
+// WriteBack is the checkpoint: it logs every page parked since it was last
+// logged as the background transaction 0 (which recovery treats as
+// committed) in one append, syncs the log, and then writes every parked
+// page to its data file in page order, emptying the parked sets. Data
+// files are written nowhere else. The caller holds the database
+// exclusively.
+func (m *Manager) WriteBack() error {
+	files, err := m.logLeftovers()
+	if err != nil {
+		return err
 	}
-	m.tail = lsn + int64(len(frame))
-	return lsn, nil
+	if err := m.Sync(); err != nil {
+		return err
+	}
+	for _, f := range files {
+		if err := f.writeBack(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// logLeftovers is WriteBack's append, and returns the open files in name
+// order.
+func (m *Manager) logLeftovers() ([]*LoggedFile, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	files := make([]*LoggedFile, 0, len(m.files))
+	for _, f := range m.files {
+		files = append(files, f)
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].name < files[j].name })
+	buf := m.buf[:0]
+	for _, f := range files {
+		buf = f.encode(buf, m.tail, 0, nil)
+	}
+	m.buf = buf
+	if len(buf) == 0 {
+		return files, nil
+	}
+	if err := m.writeLocked(buf); err != nil {
+		return nil, err
+	}
+	for _, f := range files {
+		f.logged(nil)
+	}
+	return files, nil
+}
+
+// writeLocked writes encoded records at the tail in one positioned write.
+// m.mu held.
+func (m *Manager) writeLocked(buf []byte) error {
+	if _, err := m.log.WriteAt(buf, m.tail); err != nil {
+		return fmt.Errorf("wal: append at %d: %w", m.tail, err)
+	}
+	m.tail += int64(len(buf))
+	return nil
+}
+
+// register makes f known to commits and checkpoints.
+func (m *Manager) register(f *LoggedFile) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.files[strings.ToLower(f.name)] = f
+}
+
+// forget drops a closed file.
+func (m *Manager) forget(f *LoggedFile) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if key := strings.ToLower(f.name); m.files[key] == f {
+		delete(m.files, key)
+	}
+}
+
+// appendImage encodes one image record after buf, whose first byte lands
+// at log offset base, stamping the record's LSN tag into pg first.
+func appendImage(buf []byte, base int64, txn uint64, rel string, id page.ID, pg *page.Page) []byte {
+	start := len(buf)
+	pg.SetLSNTag(uint16(base + int64(start)))
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, recImage)
+	buf = binary.LittleEndian.AppendUint64(buf, txn)
+	buf = append(buf, 0) // flags: a redo image only
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rel)))
+	buf = append(buf, rel...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(id)))
+	buf = append(buf, pg[:]...)
+	return seal(buf, start)
+}
+
+// appendEnd encodes one end record after buf.
+func appendEnd(buf []byte, txn uint64, meta []byte) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, recEnd)
+	buf = binary.LittleEndian.AppendUint64(buf, txn)
+	buf = append(buf, meta...)
+	return seal(buf, start)
+}
+
+// seal fills in the frame header of the record encoded at buf[start:].
+func seal(buf []byte, start int) []byte {
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
 // Sync forces the log to stable storage — the checkpoint path, which runs
@@ -300,8 +364,8 @@ func (m *Manager) WaitDurable(lsn int64) error {
 	return nil
 }
 
-// Reset discards the log: after a checkpoint that flushed every logged
-// page, or after recovery has applied it, nothing in it is needed again.
+// Reset discards the log: after a checkpoint that wrote every logged page
+// back, or after recovery has applied it, nothing in it is needed again.
 func (m *Manager) Reset() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -319,7 +383,9 @@ func (m *Manager) Close() error { return m.log.Close() }
 // calling fn for each well-formed record in LSN order. It returns the
 // offset of the first byte past the last well-formed record — the valid
 // tail. A torn or corrupt frame ends the scan without error: it and
-// everything past it are the discarded tail of a crashed append.
+// everything past it are the discarded tail of a crashed append. A
+// well-formed record of the retired undo format fails with ErrUndoFormat.
+// Decoded images share one buffer holding the scanned log.
 func (m *Manager) Scan(from int64, fn func(*Record) error) (int64, error) {
 	size, err := m.log.Size()
 	if err != nil {
@@ -343,13 +409,17 @@ func (m *Manager) Scan(from int64, fn func(*Record) error) (int64, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			break
 		}
-		rec, ok := decode(payload)
-		if !ok {
+		lsn := from + int64(off)
+		rec, err := decode(payload)
+		if err != nil {
+			return lsn, fmt.Errorf("%w (record at %d)", err, lsn)
+		}
+		if rec == nil {
 			break
 		}
-		rec.LSN = from + int64(off)
+		rec.LSN = lsn
 		if err := fn(rec); err != nil {
-			return from + int64(off), err
+			return lsn, err
 		}
 		off += frameHeader + n
 	}
@@ -357,42 +427,38 @@ func (m *Manager) Scan(from int64, fn func(*Record) error) (int64, error) {
 }
 
 // decode parses one payload into a Record. A structurally impossible
-// payload reports !ok and is treated as part of the torn tail.
-func decode(payload []byte) (*Record, bool) {
+// payload yields nil and is treated as part of the torn tail; a record of
+// the retired undo format yields ErrUndoFormat.
+func decode(payload []byte) (*Record, error) {
 	r := &Record{Type: payload[0], Txn: binary.LittleEndian.Uint64(payload[1:])}
 	body := payload[minPayload:]
 	switch r.Type {
 	case recEnd:
 		r.Meta = body
-		return r, true
+		return r, nil
 	case recImage:
 		if len(body) < 1+2 {
-			return nil, false
+			return nil, nil
 		}
 		flags := body[0]
 		nameLen := int(binary.LittleEndian.Uint16(body[1:]))
 		body = body[3:]
 		if len(body) < nameLen+4 {
-			return nil, false
+			return nil, nil
 		}
 		r.Rel = string(body[:nameLen])
 		r.Page = page.ID(int32(binary.LittleEndian.Uint32(body[nameLen:])))
 		body = body[nameLen+4:]
-		if flags&1 != 0 {
-			if len(body) != 2*page.Size {
-				return nil, false
-			}
-			r.Before = new(page.Page)
-			copy(r.Before[:], body[:page.Size])
-			body = body[page.Size:]
-		} else if len(body) != page.Size {
-			return nil, false
+		if flags&flagBefore != 0 && len(body) == 2*page.Size {
+			return nil, ErrUndoFormat
 		}
-		r.After = new(page.Page)
-		copy(r.After[:], body)
-		return r, true
+		if flags != 0 || len(body) != page.Size {
+			return nil, nil
+		}
+		r.Image = (*page.Page)(body)
+		return r, nil
 	default:
-		return nil, false
+		return nil, nil
 	}
 }
 
@@ -414,48 +480,40 @@ type Recovery struct {
 }
 
 // Resolve scans the log from the given offset and folds it into the page
-// set recovery must write. Committed images (including the background
-// pseudo-transaction 0) are redone in LSN order, last write winning.
-// An uncommitted flush contributes its before-image — the committed disk
-// content it overwrote — but only if no record resolved the page yet:
-// a committed image for the same page always wins, and a second
-// uncommitted flush of the page must not clobber the first flush's
-// before-image with its own (which captured uncommitted content).
-// Applying the result is idempotent: it depends only on log content,
-// never on the current state of the data files.
+// set recovery must write: the images of committed transactions (the
+// background transaction 0 included) in LSN order, last write winning.
+// Images without an end record — a commit whose append was torn — are
+// dropped; the data files never received them. Applying the result is
+// idempotent: it depends only on log content, never on the current state
+// of the data files.
 func (m *Manager) Resolve(from int64) (*Recovery, error) {
-	var recs []*Record
+	var images []*Record
 	committed := map[uint64]bool{0: true}
+	rec := &Recovery{Pages: map[PageKey]*page.Page{}}
 	valid, err := m.Scan(from, func(r *Record) error {
-		recs = append(recs, r)
-		if r.Type == recEnd {
+		rec.Records++
+		switch r.Type {
+		case recEnd:
 			committed[r.Txn] = true
+			rec.Ends = append(rec.Ends, r.Meta)
+		case recImage:
+			images = append(images, r)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rec := &Recovery{Pages: map[PageKey]*page.Page{}, Valid: valid, Records: len(recs)}
-	for _, r := range recs {
-		switch r.Type {
-		case recEnd:
-			rec.Ends = append(rec.Ends, r.Meta)
-		case recImage:
-			k := PageKey{r.Rel, r.Page}
-			switch {
-			case committed[r.Txn]:
-				if _, seen := rec.Pages[k]; !seen {
-					rec.Order = append(rec.Order, k)
-				}
-				rec.Pages[k] = r.After
-			case r.Before != nil:
-				if _, seen := rec.Pages[k]; !seen {
-					rec.Order = append(rec.Order, k)
-					rec.Pages[k] = r.Before
-				}
-			}
+	rec.Valid = valid
+	for _, r := range images {
+		if !committed[r.Txn] {
+			continue
 		}
+		k := PageKey{r.Rel, r.Page}
+		if _, seen := rec.Pages[k]; !seen {
+			rec.Order = append(rec.Order, k)
+		}
+		rec.Pages[k] = r.Image
 	}
 	return rec, nil
 }

@@ -2,8 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,43 +28,72 @@ func testPage(seed byte) *page.Page {
 	return &p
 }
 
+// newFile opens a logged memory file of n pages under m.
+func newFile(t *testing.T, m *Manager, name string, n int) *LoggedFile {
+	t.Helper()
+	mem := storage.NewMem()
+	for i := 0; i < n; i++ {
+		if _, err := mem.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return Logged(name, mem, m)
+}
+
+// park writes p as page id of f, failing the test on error.
+func park(t *testing.T, f *LoggedFile, id page.ID, p *page.Page) {
+	t.Helper()
+	if err := f.WritePage(id, p); err != nil {
+		t.Fatalf("park %s/%d: %v", f.name, id, err)
+	}
+}
+
+// appendRaw appends records built by enc straight to the log — how the
+// tests stage logs the commit protocol never writes, such as a commit
+// whose end record was torn off.
+func appendRaw(t *testing.T, m *Manager, enc func(buf []byte, base int64) []byte) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.writeLocked(enc(nil, m.tail)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawImage is appendRaw's encoder for one image record of txn.
+func rawImage(txn uint64, rel string, id page.ID, p *page.Page) func([]byte, int64) []byte {
+	return func(buf []byte, base int64) []byte { return appendImage(buf, base, txn, rel, id, p) }
+}
+
 // buildLog appends a small deterministic schedule and returns the manager,
 // its memory log, and the LSN of every record (in order):
 //
-//	txn1: image h/0, image h/1, end        (committed)
-//	txn2: image i/0 with before-image      (uncommitted flush)
-//	txn0: image i/1                        (background, always committed)
+//	txn1:  image h/0, image h/1, end   (one commit)
+//	txn99: image i/0                   (a commit torn before its end)
+//	txn0:  image i/1                   (checkpoint leftover, always committed)
 func buildLog(t *testing.T) (*Manager, *storage.MemLog, []int64) {
 	t.Helper()
 	l := storage.NewMemLog()
 	m := NewManager(l)
-	var lsns []int64
-	t1 := m.Begin("h")
+	h := newFile(t, m, "h", 2)
+	i := newFile(t, m, "i", 2)
 	for id := 0; id < 2; id++ {
-		lsn, err := m.AppendImage(t1, "h", page.ID(id), nil, testPage(byte(10+id)))
-		if err != nil {
-			t.Fatalf("append image: %v", err)
-		}
-		lsns = append(lsns, lsn)
+		park(t, h, page.ID(id), testPage(byte(10+id)))
 	}
-	pre := m.Tail()
-	if _, err := m.AppendEnd(t1, []byte(`{"now":42}`)); err != nil {
-		t.Fatalf("append end: %v", err)
+	if _, err := m.Commit([]Write{{File: "h"}}, []byte(`{"now":42}`)); err != nil {
+		t.Fatalf("commit: %v", err)
 	}
-	m.Finish(t1)
-	lsns = append(lsns, pre)
-	t2 := m.Begin("i")
-	pre = m.Tail()
-	if _, err := m.AppendImage(t2, "i", 0, testPage(77), testPage(99)); err != nil {
-		t.Fatalf("append flush image: %v", err)
+	var lsns []int64
+	if _, err := m.Scan(0, func(r *Record) error { lsns = append(lsns, r.LSN); return nil }); err != nil {
+		t.Fatalf("scan: %v", err)
 	}
-	m.Finish(t2) // no end record: txn2 stays uncommitted
-	lsns = append(lsns, pre)
-	pre = m.Tail()
-	if _, err := m.AppendImage(0, "i", 1, nil, testPage(55)); err != nil {
-		t.Fatalf("append background image: %v", err)
+	lsns = append(lsns, m.Tail())
+	appendRaw(t, m, rawImage(99, "i", 0, testPage(99)))
+	lsns = append(lsns, m.Tail())
+	park(t, i, 1, testPage(55))
+	if err := m.WriteBack(); err != nil {
+		t.Fatalf("write back: %v", err)
 	}
-	lsns = append(lsns, pre)
 	return m, l, lsns
 }
 
@@ -81,20 +115,20 @@ func TestScanRoundtrip(t *testing.T) {
 			t.Errorf("record %d: LSN %d, want %d", i, r.LSN, lsns[i])
 		}
 	}
-	if got[0].Type != recImage || got[0].Rel != "h" || got[0].Page != 0 || got[0].Before != nil {
+	if got[0].Type != recImage || got[0].Rel != "h" || got[0].Page != 0 || got[0].Txn != 1 {
 		t.Errorf("record 0 malformed: %+v", got[0])
 	}
-	if got[0].After.LSNTag() != uint16(lsns[0]) {
-		t.Errorf("record 0: LSN tag %d, want %d", got[0].After.LSNTag(), uint16(lsns[0]))
+	if got[0].Image.LSNTag() != uint16(lsns[0]) {
+		t.Errorf("record 0: LSN tag %d, want %d", got[0].Image.LSNTag(), uint16(lsns[0]))
 	}
-	if got[2].Type != recEnd || string(got[2].Meta) != `{"now":42}` {
+	if got[2].Type != recEnd || got[2].Txn != 1 || string(got[2].Meta) != `{"now":42}` {
 		t.Errorf("record 2 malformed: %+v", got[2])
 	}
-	if got[3].Before == nil || got[3].Before.LSNTag() == got[3].After.LSNTag() {
-		t.Errorf("record 3 must carry a distinct before-image")
+	if got[3].Type != recImage || got[3].Txn != 99 || got[3].Rel != "i" {
+		t.Errorf("record 3 malformed: %+v", got[3])
 	}
-	if got[4].Txn != 0 {
-		t.Errorf("record 4: txn %d, want background 0", got[4].Txn)
+	if got[4].Txn != 0 || got[4].Rel != "i" || got[4].Page != 1 {
+		t.Errorf("record 4: %+v, want the background image i/1", got[4])
 	}
 }
 
@@ -170,97 +204,99 @@ func TestResolveRules(t *testing.T) {
 	if rec.Records != 5 || len(rec.Ends) != 1 {
 		t.Fatalf("records %d ends %d, want 5 and 1", rec.Records, len(rec.Ends))
 	}
-	// Committed images redo: h/0 and h/1 carry the logged after-images.
+	// Committed images redo: h/0 and h/1 carry the logged images.
 	for id := 0; id < 2; id++ {
 		k := PageKey{"h", page.ID(id)}
 		want := testPage(byte(10 + id))
-		want.SetLSNTag(rec.Pages[k].LSNTag()) // tag was stamped at append
 		if rec.Pages[k] == nil || !bytes.Equal(rec.Pages[k][page.HeaderSize:], want[page.HeaderSize:]) {
 			t.Errorf("h/%d: wrong resolved image", id)
 		}
 	}
-	// Uncommitted flush undone: i/0 resolves to its before-image.
-	before := testPage(77)
-	got := rec.Pages[PageKey{"i", 0}]
-	if got == nil || !bytes.Equal(got[page.HeaderSize:], before[page.HeaderSize:]) {
-		t.Errorf("i/0: must resolve to the before-image of the uncommitted flush")
+	// The image without an end record is dropped: nothing to undo.
+	if rec.Pages[PageKey{"i", 0}] != nil {
+		t.Errorf("i/0: an image without an end record must not be redone")
 	}
 	// Background write redone.
 	if rec.Pages[PageKey{"i", 1}] == nil {
 		t.Errorf("i/1: background image must be redone")
 	}
-	if len(rec.Order) != 4 {
-		t.Errorf("order has %d keys, want 4", len(rec.Order))
+	if len(rec.Order) != 3 {
+		t.Errorf("order has %d keys, want 3", len(rec.Order))
 	}
 }
 
-// TestResolveCommittedBeatsUncommitted covers both orders of the race
-// between a committed image and an uncommitted flush of the same page.
+// TestResolveCommittedBeatsUncommitted covers both orders of a committed
+// image and an image without an end record of the same page, and two
+// images without one: only committed images are ever redone.
 func TestResolveCommittedBeatsUncommitted(t *testing.T) {
-	// Order 1: committed image first, uncommitted flush after. The flush's
-	// before-image (stale disk content) must not clobber the commit.
+	resolve := func(t *testing.T, encs ...func([]byte, int64) []byte) *page.Page {
+		t.Helper()
+		m := NewManager(storage.NewMemLog())
+		for _, enc := range encs {
+			appendRaw(t, m, enc)
+		}
+		rec, err := m.Resolve(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Pages[PageKey{"r", 0}]
+	}
+	end := func(txn uint64) func([]byte, int64) []byte {
+		return func(buf []byte, _ int64) []byte { return appendEnd(buf, txn, nil) }
+	}
+	same := func(got, want *page.Page) bool {
+		return got != nil && bytes.Equal(got[page.HeaderSize:], want[page.HeaderSize:])
+	}
+	// Order 1: committed image first, uncommitted image after.
+	if got := resolve(t, rawImage(1, "r", 0, testPage(1)), end(1), rawImage(2, "r", 0, testPage(2))); !same(got, testPage(1)) {
+		t.Errorf("order 1: committed image lost to a later uncommitted one")
+	}
+	// Order 2: uncommitted image first, then a committed one.
+	if got := resolve(t, rawImage(1, "r", 0, testPage(2)), rawImage(2, "r", 0, testPage(3)), end(2)); !same(got, testPage(3)) {
+		t.Errorf("order 2: committed image must be redone")
+	}
+	// Two uncommitted images: the page is not touched at all.
+	if got := resolve(t, rawImage(1, "r", 0, testPage(2)), rawImage(1, "r", 0, testPage(4))); got != nil {
+		t.Errorf("uncommitted images only: page resolved, want untouched")
+	}
+}
+
+// TestResolveRejectsUndoFormat stages a record of the retired steal/undo
+// format — an image record flagged as carrying a before-image — and
+// requires recovery to fail with ErrUndoFormat rather than treat it as a
+// torn tail, which would silently drop the committed records behind it.
+// The same record cut short is an ordinary torn tail.
+func TestResolveRejectsUndoFormat(t *testing.T) {
+	undo := func(buf []byte, base int64) []byte {
+		start := len(buf)
+		buf = appendImage(buf, base, 1, "r", 0, testPage(2))
+		buf = append(buf[:start+frameHeader+minPayload], flagBefore)
+		buf = binary.LittleEndian.AppendUint16(buf, 1)
+		buf = append(buf, 'r', 0, 0, 0, 0)
+		buf = append(buf, testPage(9)[:]...)
+		buf = append(buf, testPage(2)[:]...)
+		return seal(buf, start)
+	}
 	l := storage.NewMemLog()
 	m := NewManager(l)
-	if _, err := m.AppendImage(1, "r", 0, nil, testPage(1)); err != nil {
-		t.Fatal(err)
+	appendRaw(t, m, undo)
+	appendRaw(t, m, func(buf []byte, _ int64) []byte { return appendEnd(buf, 1, nil) })
+	if _, err := m.Resolve(0); !errors.Is(err, ErrUndoFormat) {
+		t.Fatalf("resolve of an undo-format log: %v, want ErrUndoFormat", err)
 	}
-	if _, err := m.AppendEnd(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AppendImage(2, "r", 0, testPage(9), testPage(2)); err != nil {
+	if err := l.Truncate(m.Tail() - 10); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := m.Resolve(0)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatalf("a cut end record must leave the undo record whole and rejected, resolved %d records", rec.Records)
 	}
-	want := testPage(1)
-	got := rec.Pages[PageKey{"r", 0}]
-	if !bytes.Equal(got[page.HeaderSize:], want[page.HeaderSize:]) {
-		t.Errorf("order 1: committed image lost to a later uncommitted flush")
-	}
-
-	// Order 2: uncommitted flush first, then a committed image. The commit
-	// must overwrite the before-image.
-	l = storage.NewMemLog()
-	m = NewManager(l)
-	if _, err := m.AppendImage(1, "r", 0, testPage(9), testPage(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AppendImage(2, "r", 0, nil, testPage(3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AppendEnd(2, nil); err != nil {
+	if err := l.Truncate(100); err != nil {
 		t.Fatal(err)
 	}
 	rec, err = m.Resolve(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = testPage(3)
-	got = rec.Pages[PageKey{"r", 0}]
-	if !bytes.Equal(got[page.HeaderSize:], want[page.HeaderSize:]) {
-		t.Errorf("order 2: committed image must overwrite the flush's before-image")
-	}
-
-	// A second uncommitted flush must not replace the first flush's
-	// before-image (the second's "before" is uncommitted content).
-	l = storage.NewMemLog()
-	m = NewManager(l)
-	if _, err := m.AppendImage(1, "r", 0, testPage(9), testPage(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AppendImage(1, "r", 0, testPage(2), testPage(4)); err != nil {
-		t.Fatal(err)
-	}
-	rec, err = m.Resolve(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = testPage(9)
-	got = rec.Pages[PageKey{"r", 0}]
-	if !bytes.Equal(got[page.HeaderSize:], want[page.HeaderSize:]) {
-		t.Errorf("double flush: the first before-image (committed disk content) must win")
+	if err != nil || rec.Records != 0 || rec.Valid != 0 {
+		t.Fatalf("torn undo record: %v, %+v; want an empty torn tail", err, rec)
 	}
 }
 
@@ -322,7 +358,7 @@ func TestReplayIdempotence(t *testing.T) {
 	// Crash-resume: apply only a prefix of the plan (a recovery that died
 	// after k writes), then run a full replay over the half-written files;
 	// the outcome must equal a clean replay because committed images
-	// overwrite unconditionally and before-images restore fixed content.
+	// overwrite unconditionally.
 	for k := 0; k <= len(rec.Order); k++ {
 		partial := &Recovery{Pages: rec.Pages, Order: rec.Order[:k]}
 		files := map[string]storage.File{}
@@ -421,23 +457,23 @@ func TestGoldenTornTail(t *testing.T) {
 	}
 }
 
-// writeGoldenTornTail regenerates the fixture: two committed image records
-// and an end record for txn 1, then a fourth record torn 300 bytes into
-// its frame — a crash mid-append.
+// writeGoldenTornTail regenerates the fixture: one commit of two images
+// and an end record for txn 1, then a second commit torn 300 bytes into
+// its first frame — a crash mid-append.
 func writeGoldenTornTail(t *testing.T, path string) {
 	t.Helper()
 	l := storage.NewMemLog()
 	m := NewManager(l)
+	f := newFile(t, m, "golden", 3)
 	for id := 0; id < 2; id++ {
-		if _, err := m.AppendImage(1, "golden", page.ID(id), nil, testPage(byte(100+id))); err != nil {
-			t.Fatal(err)
-		}
+		park(t, f, page.ID(id), testPage(byte(100+id)))
 	}
-	if _, err := m.AppendEnd(1, []byte("{}")); err != nil {
+	if _, err := m.Commit([]Write{{File: "golden"}}, []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
 	cut := m.Tail()
-	if _, err := m.AppendImage(2, "golden", 2, nil, testPage(103)); err != nil {
+	park(t, f, 2, testPage(103))
+	if _, err := m.Commit([]Write{{File: "golden"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := make([]byte, cut+300)
@@ -461,16 +497,19 @@ func TestGroupCommitLeader(t *testing.T) {
 	m := NewManager(l)
 	m.SetWindow(2 * time.Millisecond)
 	const n = 24
+	files := make([]*LoggedFile, n)
+	for g := range files {
+		files[g] = newFile(t, m, fmt.Sprintf("r%d", g), 1)
+	}
 	errs := make(chan error, n)
 	for g := 0; g < n; g++ {
 		go func(g int) {
-			txn := m.Begin("r")
-			defer m.Finish(txn)
-			if _, err := m.AppendImage(txn, "r", page.ID(g), nil, testPage(byte(g))); err != nil {
+			f := files[g]
+			if err := f.WritePage(0, testPage(byte(g))); err != nil {
 				errs <- err
 				return
 			}
-			end, err := m.AppendEnd(txn, nil)
+			end, err := m.Commit([]Write{{File: f.name}}, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -490,15 +529,194 @@ func TestGroupCommitLeader(t *testing.T) {
 	if syncs >= n {
 		t.Errorf("%d syncs for %d commits: group commit is not batching", syncs, n)
 	}
+	if appends := l.appends.Load(); appends != n {
+		t.Errorf("%d appends for %d commits, want one each", appends, n)
+	}
 	t.Logf("%d commits, %d syncs", n, syncs)
 }
 
 type countingLog struct {
 	storage.Log
-	syncs atomic.Int64
+	syncs, appends atomic.Int64
 }
 
 func (c *countingLog) Sync() error {
 	c.syncs.Add(1)
 	return c.Log.Sync()
+}
+
+func (c *countingLog) WriteAt(b []byte, off int64) (int, error) {
+	c.appends.Add(1)
+	return c.Log.WriteAt(b, off)
+}
+
+// recordingFile is a storage.File that records the pages written to it.
+type recordingFile struct {
+	storage.File
+	writes []page.ID
+}
+
+func (r *recordingFile) WritePage(id page.ID, p *page.Page) error {
+	r.writes = append(r.writes, id)
+	return r.File.WritePage(id, p)
+}
+
+// TestLoggedFileParks walks one file through the no-steal protocol: a
+// write parks the page and the data file stays untouched; reads serve the
+// parked page; a commit is one append that logs each changed page once —
+// a captured frame superseding the parked page of the same ID — and an
+// unchanged eviction of a logged frame logs nothing; a checkpoint writes
+// every parked page back in page order and empties the parked set.
+func TestLoggedFileParks(t *testing.T) {
+	l := &countingLog{Log: storage.NewMemLog()}
+	m := NewManager(l)
+	mem := storage.NewMem()
+	for i := 0; i < 4; i++ {
+		if _, err := mem.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inner := &recordingFile{File: mem}
+	f := Logged("r", inner, m)
+	park(t, f, 3, testPage(3))
+	park(t, f, 1, testPage(1))
+	park(t, f, 3, testPage(33)) // rewritten before any commit: logged once
+	park(t, f, 2, testPage(2))
+	if len(inner.writes) != 0 {
+		t.Fatalf("data file written during statements: pages %v", inner.writes)
+	}
+	var got page.Page
+	if err := f.ReadPage(3, &got); err != nil || got != *testPage(33) {
+		t.Fatalf("ReadPage of a parked page: %v, content mismatch %v", err, got != *testPage(33))
+	}
+	run := make([]page.Page, 4)
+	if err := f.ReadPages(0, run); err != nil {
+		t.Fatal(err)
+	}
+	if run[0] != (page.Page{}) || run[1] != *testPage(1) || run[2] != *testPage(2) || run[3] != *testPage(33) {
+		t.Fatalf("ReadPages must lay parked pages over the file")
+	}
+
+	// The commit captures a dirty frame of page 2, superseding its parked
+	// image: pages 3 and 1 (first-write order), the frame, the end.
+	frame := testPage(22)
+	writes := []Write{{File: "R", Frames: []Frame{{ID: 2, Pg: frame}}}}
+	end, err := m.Commit(writes, []byte("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*Record
+	if _, err := m.Scan(0, func(r *Record) error { recs = append(recs, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if l.appends.Load() != 1 || end != m.Tail() || len(recs) != 4 {
+		t.Fatalf("commit: %d appends, %d records, end %d of tail %d; want 1 append of 4 records",
+			l.appends.Load(), len(recs), end, m.Tail())
+	}
+	for i, id := range []page.ID{3, 1, 2} {
+		if recs[i].Type != recImage || recs[i].Page != id {
+			t.Fatalf("record %d: %+v, want the image of page %d", i, recs[i], id)
+		}
+	}
+	fr := writes[0].Frames[0]
+	if fr.LSN != recs[2].LSN || frame.LSNTag() != uint16(fr.LSN) || *recs[2].Image != *frame {
+		t.Fatalf("frame LSN %d tag %d, record LSN %d: the frame must carry its record's LSN and tag",
+			fr.LSN, frame.LSNTag(), recs[2].LSN)
+	}
+
+	// Evicting the logged frame unchanged parks nothing new; a changed page
+	// is a leftover the checkpoint logs as transaction 0.
+	park(t, f, 2, frame)
+	park(t, f, 0, testPage(40))
+	if err := m.WriteBack(); err != nil {
+		t.Fatal(err)
+	}
+	recs = recs[:0]
+	if _, err := m.Scan(end, func(r *Record) error { recs = append(recs, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if l.appends.Load() != 2 || len(recs) != 1 || recs[0].Page != 0 || recs[0].Txn != 0 {
+		t.Fatalf("checkpoint logged %d records in %d appends, want page 0 alone as transaction 0", len(recs), l.appends.Load()-1)
+	}
+	if !slices.Equal(inner.writes, []page.ID{0, 1, 2, 3}) {
+		t.Fatalf("write-back order %v, want pages 0..3 in page order", inner.writes)
+	}
+	if err := mem.ReadPage(2, &got); err != nil || got != *frame {
+		t.Fatalf("page 2 on file after the checkpoint: %v, want the committed frame", err)
+	}
+	if f.n != 0 || len(f.unlogged) != 0 {
+		t.Fatalf("parked set not emptied by the checkpoint: %d parked, %d unlogged", f.n, len(f.unlogged))
+	}
+	// A checkpoint with nothing parked appends nothing.
+	if err := m.WriteBack(); err != nil || l.appends.Load() != 2 {
+		t.Fatalf("empty checkpoint: %v, %d appends", err, l.appends.Load())
+	}
+}
+
+// TestLoggedFileBounds: a write past the file's end fails at once, as the
+// data file's own write would, instead of surfacing at the checkpoint;
+// Truncate and Close drop the parked pages.
+func TestLoggedFileBounds(t *testing.T) {
+	m := NewManager(storage.NewMemLog())
+	f := newFile(t, m, "r", 1)
+	if err := f.WritePage(1, testPage(1)); err == nil {
+		t.Fatalf("write past the end parked")
+	}
+	park(t, f, 0, testPage(1))
+	if err := f.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if f.n != 0 || len(f.unlogged) != 0 {
+		t.Fatalf("truncate kept parked pages")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Commit([]Write{{File: "r"}}, nil); err == nil {
+		t.Fatalf("commit of a closed file succeeded")
+	}
+}
+
+// TestLoggedFileConcurrentReaders has several goroutines park and read
+// pages of one file at once — readers sharing a relation evict dirty
+// frames while others read — and requires every read to see a whole page,
+// either the file's or the last one parked.
+func TestLoggedFileConcurrentReaders(t *testing.T) {
+	const workers, rounds = 4, 200
+	f := newFile(t, NewManager(storage.NewMemLog()), "r", workers)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			run := make([]page.Page, workers)
+			for k := 0; k < rounds; k++ {
+				if err := f.WritePage(page.ID(g), testPage(byte(k))); err != nil {
+					errs <- err
+					return
+				}
+				if err := f.ReadPages(0, run); err != nil {
+					errs <- err
+					return
+				}
+				for id := range run {
+					seed := run[id][page.HeaderSize] - page.HeaderSize%31
+					if p := &run[id]; *p != (page.Page{}) && *p != *testPage(seed) {
+						errs <- fmt.Errorf("page %d read torn", id)
+						return
+					}
+				}
+			}
+			var got page.Page
+			if err := f.ReadPage(page.ID(g), &got); err != nil || got != *testPage(byte(rounds - 1)) {
+				errs <- fmt.Errorf("page %d: %v, want its last parked image", g, err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
