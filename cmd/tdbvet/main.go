@@ -12,8 +12,6 @@
 //	             internal/difftest and tests
 //	determinism  no wall clock, global rand, or map-ordered iteration in
 //	             internal/bench figure paths
-//	sessionstate core.Database keeps no per-caller statement state; it
-//	             lives on core.Conn
 //	errcheck     no silently discarded errors under internal/
 //	copylocks    no by-value copies of sync primitives or counter-bearing
 //	             buffer/storage types

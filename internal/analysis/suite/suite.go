@@ -23,7 +23,6 @@ import (
 	"tdbms/internal/analysis/latchorder"
 	"tdbms/internal/analysis/layering"
 	"tdbms/internal/analysis/lockscope"
-	"tdbms/internal/analysis/sessionstate"
 )
 
 // Scoped pairs an analyzer with the set of packages it applies to.
@@ -49,8 +48,6 @@ func everywhere(modPath, pkgPath string) bool { return true }
 //     _test.go files (never loaded) and internal/difftest import the
 //     fault-injection wrapper;
 //   - determinism guards the measurement/figure paths in internal/bench;
-//   - sessionstate guards the session split: core.Database keeps no
-//     per-caller statement state (it lives on core.Conn);
 //   - errcheck guards all of internal/;
 //   - copylocks guards the whole module, examples and commands included;
 //   - pagecopy keeps page.Page behind pointers everywhere but the three
@@ -65,9 +62,6 @@ func everywhere(modPath, pkgPath string) bool { return true }
 //     intact so errors.Is and faultfs.IsInjected stay sound.
 var Checks = []Scoped{
 	{layering.Analyzer, everywhere},
-	{sessionstate.Analyzer, func(modPath, pkgPath string) bool {
-		return pkgPath == modPath+"/internal/core"
-	}},
 	{determinism.Analyzer, func(modPath, pkgPath string) bool {
 		return pkgPath == modPath+"/internal/bench"
 	}},

@@ -130,40 +130,6 @@ func main() {
 	}
 }
 
-func TestSessionStateScoping(t *testing.T) {
-	// A Database struct regrowing a range table in internal/core is
-	// flagged; the identical struct in an unrelated package (even one
-	// named core) is outside the check's scope.
-	dir := writeModule(t, map[string]string{
-		"go.mod": gomod,
-		"internal/core/db.go": `package core
-
-type Database struct {
-	ranges map[string]string
-}
-`,
-		"internal/other/db.go": `package other
-
-type Database struct {
-	ranges map[string]string
-}
-`,
-	})
-	diags, err := suite.Run(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
-	}
-	if diags[0].Check != "sessionstate" {
-		t.Errorf("check = %q, want sessionstate", diags[0].Check)
-	}
-	if !strings.Contains(diags[0].Message, `"ranges"`) {
-		t.Errorf("diagnostic %q should name the ranges field", diags[0].Message)
-	}
-}
-
 func TestPatternExpansion(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": gomod,

@@ -47,7 +47,6 @@ package buffer
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -194,12 +193,6 @@ type frame struct {
 	img   *image
 	dirty bool
 	used  int64 // last-use tick for LRU
-	// lsn is nonzero while the frame's exact content is a committed image
-	// in the write-ahead log (recorded by NoteLogged at commit). A fuzzy
-	// checkpoint may skip flushing such a frame — recovery can redo it from
-	// the log — provided the checkpoint's replay start stays at or below
-	// this LSN. Any later modification or successful flush clears it.
-	lsn int64
 }
 
 // view is one handle's private scratch page: the stable copy of the page
@@ -380,7 +373,6 @@ func (p *pool) sync() {
 		p.own(f)
 		f.img.pg = p.pending.pg
 		f.dirty = true
-		f.lsn = 0 // content diverged from whatever image was logged
 	}
 	p.pending.dirty = false
 }
@@ -406,7 +398,6 @@ func (b *Buffered) flushFrame(f *frame) error {
 		b.charge(Stats{Writes: 1})
 	}
 	f.dirty = false
-	f.lsn = 0
 	return nil
 }
 
@@ -627,9 +618,8 @@ func (b *Buffered) MarkDirty() {
 		}
 	}
 	if mru != nil {
-		p.private(mru) // a dirty frame owns its image: NoteLogged stamps it
+		p.private(mru) // a dirty frame owns its image and is never lent
 		mru.dirty = true
-		mru.lsn = 0
 	}
 }
 
@@ -660,7 +650,6 @@ func (b *Buffered) Allocate() (page.ID, *page.Page, error) {
 	f.id = id
 	f.used = p.tick
 	f.dirty = true
-	f.lsn = 0
 	v := b.scratch()
 	v.pg = page.Page{}
 	v.id = id
@@ -751,55 +740,13 @@ func (b *Buffered) Close() error {
 	return p.file.Close()
 }
 
-// CapturedPage is one dirty frame image copied out at commit time, to be
-// appended to the write-ahead log before the statement acknowledges.
-type CapturedPage struct {
-	ID page.ID
-	Pg page.Page
-}
-
-// CaptureDirty returns a copy of every dirty frame, in page-ID order. The
-// caller (the commit protocol, holding the relation exclusively) logs the
-// images and then reports each record's LSN back via NoteLogged.
-func (b *Buffered) CaptureDirty() []CapturedPage {
-	p := b.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.sync()
-	var out []CapturedPage
-	for i := range p.frames {
-		f := &p.frames[i]
-		if f.dirty && f.id != page.Nil {
-			out = append(out, CapturedPage{ID: f.id, Pg: *f.pg})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// NoteLogged records that the frame holding id, if still dirty, now
-// matches the committed log record at lsn: the frame carries the record's
-// LSN (so a fuzzy checkpoint may skip flushing it) and its page header is
-// stamped with the same LSN tag the logged image carries, keeping the two
-// byte-identical.
-func (b *Buffered) NoteLogged(id page.ID, lsn int64) {
-	p := b.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f := p.lookup(id)
-	if f == nil || !f.dirty {
-		return
-	}
-	f.lsn = lsn
-	p.private(f)
-	f.pg.SetLSNTag(uint16(lsn))
-}
-
-// FlushUnlogged writes back every dirty frame whose content the log
-// cannot reproduce (lsn zero), leaving logged frames dirty in place. It
-// reports how many logged frames were skipped and the minimum LSN among
-// them — the offset recovery must replay from for this buffer.
-func (b *Buffered) FlushUnlogged() (skipped int, minLSN int64, err error) {
+// WriteDirty writes every dirty frame through to the file and leaves it
+// dirty and uncounted: a commit hands its written pages to the
+// write-ahead log this way (wal.LoggedFile parks what it is given). The
+// eviction or flush that later cleans a frame still writes it and counts
+// that write, so the Section 5.1 counters see no commit. On a write error
+// the frame stays dirty, as it would anyway.
+func (b *Buffered) WriteDirty() error {
 	p := b.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -809,18 +756,11 @@ func (b *Buffered) FlushUnlogged() (skipped int, minLSN int64, err error) {
 		if !f.dirty || f.id == page.Nil {
 			continue
 		}
-		if f.lsn != 0 {
-			if skipped == 0 || f.lsn < minLSN {
-				minLSN = f.lsn
-			}
-			skipped++
-			continue
-		}
-		if err := b.flushFrame(f); err != nil {
-			return skipped, minLSN, err
+		if err := p.file.WritePage(f.id, f.pg); err != nil {
+			return fmt.Errorf("buffer %q: write through page %d: %w", p.name, f.id, err)
 		}
 	}
-	return skipped, minLSN, nil
+	return nil
 }
 
 // String describes the buffer for diagnostics.

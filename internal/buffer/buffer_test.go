@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"testing"
 
 	"tdbms/internal/page"
@@ -85,6 +86,61 @@ func TestDirtyEvictionWrites(t *testing.T) {
 	}
 	if got := b.Stats().Writes; got != 1 {
 		t.Errorf("clean eviction wrote; Writes = %d, want 1", got)
+	}
+}
+
+// failingFile fails every page write while fail is set.
+type failingFile struct {
+	storage.File
+	fail bool
+}
+
+func (f *failingFile) WritePage(id page.ID, p *page.Page) error {
+	if f.fail {
+		return errors.New("write refused")
+	}
+	return f.File.WritePage(id, p)
+}
+
+// TestWriteDirty: writing the dirty frames through puts the pending
+// scratch's content in the file, charges nothing, and leaves the frame
+// dirty, so the eviction that cleans it still writes it and counts it
+// once. A failed write-through leaves the frame dirty as well.
+func TestWriteDirty(t *testing.T) {
+	m := storage.NewMem()
+	for i := 0; i < 2; i++ {
+		if _, err := m.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := &failingFile{File: m, fail: true}
+	b := New("test", f)
+	p, err := b.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Format(8, page.KindData)
+	p.Insert([]byte("12345678"))
+	b.MarkDirty()
+	if err := b.WriteDirty(); err == nil {
+		t.Fatalf("a refused write-through reported success")
+	}
+	f.fail = false
+	if err := b.WriteDirty(); err != nil {
+		t.Fatal(err)
+	}
+	var got page.Page
+	if err := m.ReadPage(0, &got); err != nil || got.Live() != 1 {
+		t.Fatalf("page 0 after the write-through: %v, %d live tuples, want 1", err, got.Live())
+	}
+	if s := b.Stats(); s != (Stats{Reads: 1, ReadOps: 1}) {
+		t.Fatalf("write-through charged %+v, want only the fetch", s)
+	}
+	if _, err := b.Fetch(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Stats().Writes; got != 1 {
+		t.Fatalf("eviction after the write-through: Writes = %d, want 1", got)
 	}
 }
 

@@ -453,11 +453,12 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	if err != nil {
 		return nil, err
 	}
-	// Commit: append the written pages and the end record to the log, in
-	// one append, while the exclusive latches still fence the captured
-	// frames. DDL instead ends in a full checkpoint — its structural
-	// changes (file creation, removal, rebuild) are not page-grained, so it
-	// writes everything back and empties the log. A failed append fails the
+	// Commit: write the dirty frames through and append the written pages
+	// and the end record to the log, in one append, while the exclusive
+	// latches still fence the frames. DDL instead ends in a full
+	// checkpoint — its structural changes (file creation, removal,
+	// rebuild) are not page-grained, so it writes everything back and
+	// empties the log. A failed append fails the
 	// statement: its pages stay parked and unlogged, so the work survives
 	// only if a later commit or checkpoint logs it, and an acknowledged
 	// statement can never be lost.

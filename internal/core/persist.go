@@ -311,20 +311,22 @@ func (db *Database) checkpointLocked() error {
 }
 
 // fuzzyCheckpointLocked writes the data files up to date without
-// flushing frames whose content the log already holds: flush only the
-// frames with no logged image (parking them), log every page parked since
-// it was last logged, sync, write every parked page back, and record the
-// log tail as the catalog's replay start. It never truncates the log; DDL,
-// Close, and Open do that with the database quiesced.
+// flushing a frame: write every relation's dirty frames through (parking
+// them, dirty and uncounted), log every page parked since it was last
+// logged, sync, write every parked page back, and record the log tail as
+// the catalog's replay start. Secondary-index and two-level buffers are
+// left as they are: neither is logged, and both are rebuilt on open. It
+// never truncates the log; DDL, Close, and Open do that with the database
+// quiesced.
 //
-//tdbvet:flushpath the checkpoint flushes, syncs, and writes back while the exclusive schema latch drains every statement
+//tdbvet:flushpath the checkpoint writes through, syncs, and writes back while the exclusive schema latch drains every statement
 func (db *Database) fuzzyCheckpointLocked() error {
+	hs := make([]*relHandle, 0, len(db.rels))
 	for _, h := range db.rels {
-		for _, b := range h.buffers() {
-			if _, _, err := b.FlushUnlogged(); err != nil {
-				return err
-			}
-		}
+		hs = append(hs, h)
+	}
+	if _, err := writeThrough(hs); err != nil {
+		return err
 	}
 	if err := db.wal.WriteBack(); err != nil {
 		return err

@@ -13,7 +13,6 @@ import (
 	"tdbms/internal/isam"
 	"tdbms/internal/page"
 	"tdbms/internal/temporal"
-	"tdbms/internal/wal"
 )
 
 // WALSyncPolicy selects when a WAL database forces the log to stable
@@ -93,54 +92,40 @@ func (db *Database) walEndMeta(roots []*relHandle) []byte {
 }
 
 // walCommit is the commit protocol of one write statement, run while its
-// exclusive relation latches are still held: capture every dirty frame of
-// the written relations and log, in one append, the captured frames, the
-// pages the statement's evictions parked, and the end record. Only once
-// the append is down are the frames marked as logged (so a fuzzy
-// checkpoint may skip them): if it failed, the transaction is uncommitted
-// and the frames' content is exactly what must still be logged later.
-// It returns the log tail the statement must see synced to be durable.
+// exclusive relation latches are still held: write the dirty frames of the
+// written relations through to their logged files, and log, in one append,
+// every page those files parked since it was last logged and the end
+// record. The frames stay dirty and uncounted; if the append fails, the
+// transaction is uncommitted and its pages stay parked and unlogged, to be
+// logged by a later commit or checkpoint. It returns the log tail the
+// statement must see synced to be durable.
 func (c *Conn) walCommit(roots []*relHandle) (int64, error) {
 	db := c.Database
-	var writes []wal.Write
-	var bufs []*buffer.Buffered
-	for _, h := range roots {
-		if _, ok := h.src.(*conventional); !ok {
-			continue // two-level stores are not persisted, nothing to redo
-		}
-		for _, b := range h.src.Buffers() {
-			captured := b.CaptureDirty()
-			w := wal.Write{File: b.Name(), Frames: make([]wal.Frame, len(captured))}
-			for i := range captured {
-				w.Frames[i] = wal.Frame{ID: captured[i].ID, Pg: &captured[i].Pg}
-			}
-			writes = append(writes, w)
-			bufs = append(bufs, b)
-		}
-	}
-	end, err := db.wal.Commit(writes, db.walEndMeta(roots))
+	files, err := writeThrough(roots)
 	if err != nil {
 		return 0, err
 	}
-	for i, w := range writes {
-		for _, f := range w.Frames {
-			bufs[i].NoteLogged(f.ID, f.LSN)
-		}
-	}
-	return end, nil
+	return db.wal.Commit(files, db.walEndMeta(roots))
 }
 
-// fileWrites names the logged files of the given relations, for a commit
-// with no captured frames: their buffers were flushed, so every page they
-// wrote is parked.
-func fileWrites(hs []*relHandle) []wal.Write {
-	var writes []wal.Write
+// writeThrough writes the dirty frames of the given relations through to
+// their logged files (buffer.Buffered.WriteDirty) and returns the files'
+// names: what a commit of those relations logs. Two-level stores are
+// skipped — they are not persisted, so there is nothing to redo — and so
+// are secondary indexes, which are not logged and are rebuilt on open.
+func writeThrough(hs []*relHandle) ([]string, error) {
+	var files []string
 	for _, h := range hs {
-		for _, b := range h.src.Buffers() {
-			writes = append(writes, wal.Write{File: b.Name()})
+		conv, ok := h.src.(*conventional)
+		if !ok {
+			continue
 		}
+		if err := conv.buf.WriteDirty(); err != nil {
+			return nil, err
+		}
+		files = append(files, conv.buf.Name())
 	}
-	return writes
+	return files, nil
 }
 
 // syncOnCommit reports whether this session's acknowledged commits must be
@@ -200,7 +185,12 @@ func (c *Conn) Durable() error {
 //
 //tdbvet:flushpath the bulk load's commit sync is its designated log I/O point; loads are administrative and hold their relation exclusively throughout
 func (db *Database) walLoadCommit(h *relHandle) error {
-	end, err := db.wal.Commit(fileWrites([]*relHandle{h}), db.walEndMeta([]*relHandle{h}))
+	hs := []*relHandle{h}
+	files, err := writeThrough(hs)
+	if err != nil {
+		return err
+	}
+	end, err := db.wal.Commit(files, db.walEndMeta(hs))
 	if err != nil {
 		return err
 	}
@@ -233,7 +223,11 @@ func (db *Database) walCheckpointLocked(ddl bool) error {
 	if ddl {
 		// Name order keeps the log of a DDL deterministic.
 		sort.Slice(hs, func(i, j int) bool { return hs[i].desc.Name < hs[j].desc.Name })
-		if _, err := db.wal.Commit(fileWrites(hs), db.walEndMeta(nil)); err != nil {
+		files, err := writeThrough(hs)
+		if err != nil {
+			return err
+		}
+		if _, err := db.wal.Commit(files, db.walEndMeta(nil)); err != nil {
 			return err
 		}
 	}

@@ -3,14 +3,18 @@ package difftest
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"tdbms/internal/bench"
+	"tdbms/internal/buffer"
 	"tdbms/internal/core"
 	"tdbms/internal/faultfs"
 	"tdbms/internal/tuple"
+	"tdbms/internal/wal"
 )
 
 // The no-steal / no-force invariants of a WAL database: statements park
@@ -43,12 +47,13 @@ func sameFiles(t *testing.T, label string, got, want map[string][]byte) {
 	}
 }
 
-// openAcct opens a WAL database in dir holding relation acct: 64 accounts
-// hashed on id at fillfactor 50, so the statements below find room on
-// their bucket pages and never extend the file.
-func openAcct(t *testing.T, dir string) *core.Database {
+// openAcct opens a WAL database in dir, with the given buffer frames per
+// relation, holding relation acct: 64 accounts hashed on id at fillfactor
+// 50, so the statements below find room on their bucket pages and never
+// extend the file.
+func openAcct(t *testing.T, dir string, frames int) *core.Database {
 	t.Helper()
-	db, err := core.Open(core.Options{Dir: dir, WAL: true})
+	db, err := core.Open(core.Options{Dir: dir, WAL: true, BufferFrames: frames})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func recoverAcct(t *testing.T, label, dir string) string {
 // one.
 func TestWALCheckpointWritesDataFiles(t *testing.T) {
 	dir := t.TempDir()
-	db := openAcct(t, dir)
+	db := openAcct(t, dir, 1)
 	stmts := func(from, to int, want map[string][]byte) {
 		t.Helper()
 		for k := from; k <= to; k++ {
@@ -157,11 +162,63 @@ func TestWALCheckpointWritesDataFiles(t *testing.T) {
 	}
 }
 
+// TestWALDirtyFrameLoggedOnce commits two statements on different pages
+// of one relation under a four-frame pool, so the first statement's page
+// is still resident and dirty when the second commits. The second commit's
+// append holds its own page's image and its end record, and no image of
+// the first page: a still-dirty frame is logged again only once it changes.
+func TestWALDirtyFrameLoggedOnce(t *testing.T) {
+	dir := t.TempDir()
+	db := openAcct(t, dir, 4)
+	defer func() {
+		if err := db.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	logged := func() []*wal.Record {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []*wal.Record
+		scanLog(t, data, func(r *wal.Record) { recs = append(recs, r) })
+		return recs
+	}
+	before, err := db.RelationStats("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `replace a (seq = a.seq + 1) where a.id = 1`)
+	first := logged()
+	mustExec(t, db, `replace a (seq = a.seq + 1) where a.id = 2`)
+	second := logged()[len(first):]
+	after, err := db.RelationStats("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Writes != before.Writes {
+		t.Fatalf("the statements evicted %d dirty frames; the test needs the first page resident and dirty", after.Writes-before.Writes)
+	}
+	if len(first) != 2 || first[0].Image == nil || first[0].Rel != "acct" || first[1].Image != nil {
+		t.Fatalf("statement 1 logged %d records, want page A's image and the end record", len(first))
+	}
+	pageA := first[0].Page
+	if len(second) != 2 || second[0].Image == nil || second[0].Rel != "acct" || second[0].Page == pageA || second[1].Image != nil {
+		for _, r := range second {
+			t.Logf("statement 2 record: type %d rel %q page %d", r.Type, r.Rel, r.Page)
+		}
+		t.Fatalf("statement 2 logged %d records, want page B's image and the end record, and no image of page A (%d)", len(second), pageA)
+	}
+}
+
 // TestWALFailedStatement fails a statement mid-way — after its evictions
 // parked pages — with a read fault on the relation it writes. Crashing at
-// once recovers the state before the statement; after one more committed
-// statement on the relation, a crash recovers exactly the state the
-// process held, the failed statement's partial work included.
+// once recovers the state before the statement. A checkpoint with the
+// statement's frames still dirty moves no I/O counter, and a crash after
+// it, or after one more committed statement on the relation, recovers
+// exactly the state the process held, the failed statement's partial work
+// included.
 func TestWALFailedStatement(t *testing.T) {
 	dir := t.TempDir()
 	b, err := bench.BuildOpts(bench.Temporal, 100, core.Options{Dir: dir, WAL: true})
@@ -239,10 +296,45 @@ func TestWALFailedStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One more committed statement on the relation logs the failed
-	// statement's parked pages and dirty frames with its own.
-	mustExec(t, db, fmt.Sprintf(`replace h (seq = h.seq + 1) where h.id = %d`, walTouched+1))
+	// A fuzzy checkpoint now writes the dirty frames through and back
+	// without flushing one: no relation's counters and no session account
+	// move, and a crash right after it recovers the state the process held.
+	relStats := func() map[string]buffer.Stats {
+		t.Helper()
+		m := map[string]buffer.Stats{}
+		for _, name := range db.Catalog().List() {
+			s, err := db.RelationStats(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[name] = s
+		}
+		return m
+	}
+	relsBefore, acctBefore := relStats(), db.DefaultSession().Stats()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the failed statement: %v", err)
+	}
+	if got := relStats(); !maps.Equal(got, relsBefore) {
+		t.Fatalf("the checkpoint moved relation counters: %v, was %v", got, relsBefore)
+	}
+	if got := db.DefaultSession().Stats(); got != acctBefore {
+		t.Fatalf("the checkpoint moved the session account: %+v, was %+v", got, acctBefore)
+	}
 	held := mustSnap(t, db)
+	recovered, err = ReopenWAL(restoreState(t, dirState(t, run), -1), bench.Temporal, nil, true)
+	if err != nil {
+		t.Fatalf("recovery after the checkpoint: %v", err)
+	}
+	sameSnap(t, "crash after the checkpoint", mustSnap(t, recovered), held)
+	if err := recovered.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One more committed statement on the relation logs the frames the
+	// checkpoint left dirty with its own pages.
+	mustExec(t, db, fmt.Sprintf(`replace h (seq = h.seq + 1) where h.id = %d`, walTouched+1))
+	held = mustSnap(t, db)
 	heldSeqs := mustSeqs(t, db, "h")
 	heldOK := db.CheckIntegrity() == nil
 	recovered, err = ReopenWAL(restoreState(t, dirState(t, run), -1), bench.Temporal, nil, true)

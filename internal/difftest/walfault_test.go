@@ -114,18 +114,26 @@ func restoreState(t *testing.T, state map[string][]byte, cut int64) string {
 // offset plus the valid tail.
 func walBoundaries(t *testing.T, logBytes []byte) (bounds []int64, valid int64) {
 	t.Helper()
+	valid = scanLog(t, logBytes, func(r *wal.Record) { bounds = append(bounds, r.LSN) })
+	return bounds, valid
+}
+
+// scanLog decodes a saved log image, calling fn for every well-formed
+// record in order, and returns the valid tail.
+func scanLog(t *testing.T, logBytes []byte, fn func(*wal.Record)) int64 {
+	t.Helper()
 	mem := storage.NewMemLog()
 	if _, err := mem.WriteAt(logBytes, 0); err != nil {
 		t.Fatalf("seed mem log: %v", err)
 	}
 	valid, err := wal.NewManager(mem).Scan(0, func(r *wal.Record) error {
-		bounds = append(bounds, r.LSN)
+		fn(r)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("scan saved log: %v", err)
 	}
-	return bounds, valid
+	return valid
 }
 
 // bumpedClass classifies a recovered relation against its base seqs:

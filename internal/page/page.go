@@ -39,7 +39,7 @@ const (
 	offCount = 4  // uint16: number of line pointers in use (including dead ones)
 	offWidth = 6  // uint16: fixed tuple width this page was formatted for
 	offFlags = 8  // uint16: page kind flags (kindData, kindDirectory, ...)
-	offSpare = 10 // 2 bytes: auxiliary counter; 2 bytes: WAL LSN tag
+	offSpare = 10 // 2 bytes: auxiliary counter; 2 bytes unused, kept so HeaderSize stays 14
 )
 
 // Page kind flags, informational; access methods set them so that a raw
@@ -104,22 +104,6 @@ func (p *Page) Aux() int {
 // SetAux stores the auxiliary counter.
 func (p *Page) SetAux(n int) {
 	binary.LittleEndian.PutUint16(p[offSpare:], uint16(n))
-}
-
-// LSNTag returns the low 16 bits of the log sequence number of the last
-// WAL record that carried this page image, or 0 if the page was never
-// logged. The tag lives in the two spare header bytes after Aux; it is a
-// diagnostic fingerprint tying a page on disk back to the log record that
-// produced it — the full 64-bit LSN is tracked by the buffer manager and
-// the WAL itself. Widening the header for a full LSN would shrink
-// Capacity and move every page count in the paper's figures.
-func (p *Page) LSNTag() uint16 {
-	return binary.LittleEndian.Uint16(p[offSpare+2:])
-}
-
-// SetLSNTag stores the page's LSN fingerprint.
-func (p *Page) SetLSNTag(tag uint16) {
-	binary.LittleEndian.PutUint16(p[offSpare+2:], tag)
 }
 
 // Next returns the next page in this page's overflow chain, or Nil.

@@ -115,9 +115,10 @@ func (l *LoggedFile) ReadPages(id page.ID, ps []page.Page) error {
 	return nil
 }
 
-// WritePage implements storage.File by parking the page. Writing back the
-// exact image last logged for the page changes nothing: that is a frame a
-// commit captured, evicted unchanged since.
+// WritePage implements storage.File by parking the page; it is the only
+// way a page reaches the log. Writing the exact image last logged for the
+// page changes nothing: that is a frame a commit wrote through, evicted or
+// written through again unchanged since.
 func (l *LoggedFile) WritePage(id page.ID, p *page.Page) error {
 	if l.m.recovering.Load() {
 		return l.inner.WritePage(id, p)
@@ -143,51 +144,26 @@ func (l *LoggedFile) WritePage(id page.ID, p *page.Page) error {
 	return nil
 }
 
-// encode appends to buf the image records, under transaction txn, of every
-// page parked since it was last logged that no captured frame supersedes,
-// then of each frame, filling in the frames' LSNs. buf[0] lands at log
-// offset base. The caller holds l.m.mu.
-func (l *LoggedFile) encode(buf []byte, base int64, txn uint64, frames []Frame) []byte {
+// encode appends to buf the image records, under transaction txn, of
+// every page parked since it was last logged, in first-write order. The
+// caller holds l.m.mu.
+func (l *LoggedFile) encode(buf []byte, txn uint64) []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, id := range l.unlogged {
-		if !captured(frames, id) {
-			buf = appendImage(buf, base, txn, l.name, id, &l.parked[id].pg)
-		}
-	}
-	for i := range frames {
-		f := &frames[i]
-		f.LSN = base + int64(len(buf))
-		buf = appendImage(buf, base, txn, l.name, f.ID, f.Pg)
+		buf = appendImage(buf, txn, l.name, id, &l.parked[id].pg)
 	}
 	return buf
 }
 
-// captured reports whether frames holds page id.
-func captured(frames []Frame, id page.ID) bool {
-	for i := range frames {
-		if frames[i].ID == id {
-			return true
-		}
-	}
-	return false
-}
-
-// logged records that what encode appended is now in the log: every
-// parked page is logged, and the frames join the parked set as logged.
-func (l *LoggedFile) logged(frames []Frame) {
+// logged records that what encode appended is now in the log.
+func (l *LoggedFile) logged() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, id := range l.unlogged {
 		l.parked[id].logged = true
 	}
 	l.unlogged = l.unlogged[:0]
-	for i := range frames {
-		f := &frames[i]
-		e := l.park(f.ID)
-		copy(e.pg[:], f.Pg[:])
-		e.logged = true
-	}
 }
 
 // writeBack writes every parked page to the data file in page order and

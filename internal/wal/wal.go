@@ -3,12 +3,13 @@
 //
 // The engine runs no-steal / no-force (Haerder & Reuter's terms): a data
 // file never receives a page a commit has not logged, and a commit never
-// waits for a data-file write. LoggedFile parks every page written during
-// statements in memory; a commit logs, in one append, the pages of the
-// files it wrote that changed since they were last logged; and only a
-// checkpoint (WriteBack) writes parked pages to the data files, after the
-// log holding them is synced. Nothing ever has to be undone, so the log is
-// redo-only.
+// waits for a data-file write. LoggedFile.WritePage is the only way a page
+// reaches the log: it parks the page in memory, whether a statement's
+// eviction wrote it or its commit wrote a dirty frame through; a commit
+// logs, in one append, the pages of the files it wrote that changed since
+// they were last logged; and only a checkpoint (WriteBack) writes parked
+// pages to the data files, after the log holding them is synced. Nothing
+// ever has to be undone, so the log is redo-only.
 //
 // The log is a sequence of self-describing records, each framed as
 //
@@ -18,10 +19,8 @@
 //
 // so that a torn tail — a crash mid-append — is detected by an impossible
 // length or a checksum mismatch and everything at and past it is
-// discarded. A record's LSN is its byte offset in the log; the low 16 bits
-// are stamped into the page header (page.SetLSNTag) as a diagnostic
-// fingerprint, while the buffer manager tracks the full LSN per frame so
-// fuzzy checkpoints can skip flushing frames whose content is logged.
+// discarded. A record's LSN is its byte offset in the log, and recovery
+// applies records in LSN order; pages carry no LSN.
 //
 // Two record types exist. An image record carries a page's redo image
 // tagged with the transaction that wrote it; its flags byte is always 0
@@ -147,58 +146,42 @@ func (m *Manager) LogSize() (int64, error) {
 	return m.log.Size()
 }
 
-// Write is one logged file's share of a commit: the file, by the name it
-// was opened under, and the dirty frames the buffer above it holds,
-// captured at commit.
-type Write struct {
-	File   string
-	Frames []Frame
-}
-
-// Frame is one captured dirty frame. Commit stamps the LSN tag of the
-// record that logs it into Pg and reports that record's LSN in LSN.
-type Frame struct {
-	ID  page.ID
-	Pg  *page.Page
-	LSN int64
-}
-
-// Commit logs one transaction in a single append: for each written file,
-// the image of every page parked since it was last logged (unless one of
-// the file's captured frames supersedes it) and each captured frame, then
-// an end record carrying meta. On success the captured frames join the
-// parked set as logged, so a later eviction of the same bytes logs
-// nothing. It returns the new tail — the offset the committer must see
-// synced for the transaction to be durable. No page of the written files
-// may be written while Commit runs: the caller holds their relations
+// Commit logs one transaction in a single append: for each of the named
+// files, the image of every page parked since it was last logged, in
+// first-write order, then an end record carrying meta. The caller first
+// writes the statement's dirty frames through to those files
+// (buffer.Buffered.WriteDirty), so everything the transaction wrote is
+// parked. It returns the new tail — the offset the committer must see
+// synced for the transaction to be durable. No page of the named files may
+// be written while Commit runs: the caller holds their relations
 // exclusively.
-func (m *Manager) Commit(writes []Write, meta []byte) (int64, error) {
+func (m *Manager) Commit(files []string, meta []byte) (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	files := make([]*LoggedFile, len(writes))
-	for i, w := range writes {
-		f := m.files[strings.ToLower(w.File)]
+	fs := make([]*LoggedFile, len(files))
+	for i, name := range files {
+		f := m.files[strings.ToLower(name)]
 		if f == nil {
-			return 0, fmt.Errorf("wal: commit writes %q, which is not an open logged file", w.File)
+			return 0, fmt.Errorf("wal: commit writes %q, which is not an open logged file", name)
 		}
 		if len(f.name) > maxName {
 			return 0, fmt.Errorf("wal: relation name %q too long to log", f.name[:32]+"...")
 		}
-		files[i] = f
+		fs[i] = f
 	}
 	m.nextTxn++
 	txn := m.nextTxn
 	buf := m.buf[:0]
-	for i, f := range files {
-		buf = f.encode(buf, m.tail, txn, writes[i].Frames)
+	for _, f := range fs {
+		buf = f.encode(buf, txn)
 	}
 	buf = appendEnd(buf, txn, meta)
 	m.buf = buf
 	if err := m.writeLocked(buf); err != nil {
 		return 0, err
 	}
-	for i, f := range files {
-		f.logged(writes[i].Frames)
+	for _, f := range fs {
+		f.logged()
 	}
 	return m.tail, nil
 }
@@ -237,7 +220,7 @@ func (m *Manager) logLeftovers() ([]*LoggedFile, error) {
 	sort.Slice(files, func(i, j int) bool { return files[i].name < files[j].name })
 	buf := m.buf[:0]
 	for _, f := range files {
-		buf = f.encode(buf, m.tail, 0, nil)
+		buf = f.encode(buf, 0)
 	}
 	m.buf = buf
 	if len(buf) == 0 {
@@ -247,7 +230,7 @@ func (m *Manager) logLeftovers() ([]*LoggedFile, error) {
 		return nil, err
 	}
 	for _, f := range files {
-		f.logged(nil)
+		f.logged()
 	}
 	return files, nil
 }
@@ -278,11 +261,9 @@ func (m *Manager) forget(f *LoggedFile) {
 	}
 }
 
-// appendImage encodes one image record after buf, whose first byte lands
-// at log offset base, stamping the record's LSN tag into pg first.
-func appendImage(buf []byte, base int64, txn uint64, rel string, id page.ID, pg *page.Page) []byte {
+// appendImage encodes one image record after buf.
+func appendImage(buf []byte, txn uint64, rel string, id page.ID, pg *page.Page) []byte {
 	start := len(buf)
-	pg.SetLSNTag(uint16(base + int64(start)))
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, recImage)
 	buf = binary.LittleEndian.AppendUint64(buf, txn)
 	buf = append(buf, 0) // flags: a redo image only

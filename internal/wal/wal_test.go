@@ -51,18 +51,18 @@ func park(t *testing.T, f *LoggedFile, id page.ID, p *page.Page) {
 // appendRaw appends records built by enc straight to the log — how the
 // tests stage logs the commit protocol never writes, such as a commit
 // whose end record was torn off.
-func appendRaw(t *testing.T, m *Manager, enc func(buf []byte, base int64) []byte) {
+func appendRaw(t *testing.T, m *Manager, enc func(buf []byte) []byte) {
 	t.Helper()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.writeLocked(enc(nil, m.tail)); err != nil {
+	if err := m.writeLocked(enc(nil)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // rawImage is appendRaw's encoder for one image record of txn.
-func rawImage(txn uint64, rel string, id page.ID, p *page.Page) func([]byte, int64) []byte {
-	return func(buf []byte, base int64) []byte { return appendImage(buf, base, txn, rel, id, p) }
+func rawImage(txn uint64, rel string, id page.ID, p *page.Page) func([]byte) []byte {
+	return func(buf []byte) []byte { return appendImage(buf, txn, rel, id, p) }
 }
 
 // buildLog appends a small deterministic schedule and returns the manager,
@@ -80,7 +80,7 @@ func buildLog(t *testing.T) (*Manager, *storage.MemLog, []int64) {
 	for id := 0; id < 2; id++ {
 		park(t, h, page.ID(id), testPage(byte(10+id)))
 	}
-	if _, err := m.Commit([]Write{{File: "h"}}, []byte(`{"now":42}`)); err != nil {
+	if _, err := m.Commit([]string{"h"}, []byte(`{"now":42}`)); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	var lsns []int64
@@ -117,9 +117,6 @@ func TestScanRoundtrip(t *testing.T) {
 	}
 	if got[0].Type != recImage || got[0].Rel != "h" || got[0].Page != 0 || got[0].Txn != 1 {
 		t.Errorf("record 0 malformed: %+v", got[0])
-	}
-	if got[0].Image.LSNTag() != uint16(lsns[0]) {
-		t.Errorf("record 0: LSN tag %d, want %d", got[0].Image.LSNTag(), uint16(lsns[0]))
 	}
 	if got[2].Type != recEnd || got[2].Txn != 1 || string(got[2].Meta) != `{"now":42}` {
 		t.Errorf("record 2 malformed: %+v", got[2])
@@ -229,7 +226,7 @@ func TestResolveRules(t *testing.T) {
 // image and an image without an end record of the same page, and two
 // images without one: only committed images are ever redone.
 func TestResolveCommittedBeatsUncommitted(t *testing.T) {
-	resolve := func(t *testing.T, encs ...func([]byte, int64) []byte) *page.Page {
+	resolve := func(t *testing.T, encs ...func([]byte) []byte) *page.Page {
 		t.Helper()
 		m := NewManager(storage.NewMemLog())
 		for _, enc := range encs {
@@ -241,8 +238,8 @@ func TestResolveCommittedBeatsUncommitted(t *testing.T) {
 		}
 		return rec.Pages[PageKey{"r", 0}]
 	}
-	end := func(txn uint64) func([]byte, int64) []byte {
-		return func(buf []byte, _ int64) []byte { return appendEnd(buf, txn, nil) }
+	end := func(txn uint64) func([]byte) []byte {
+		return func(buf []byte) []byte { return appendEnd(buf, txn, nil) }
 	}
 	same := func(got, want *page.Page) bool {
 		return got != nil && bytes.Equal(got[page.HeaderSize:], want[page.HeaderSize:])
@@ -267,9 +264,9 @@ func TestResolveCommittedBeatsUncommitted(t *testing.T) {
 // torn tail, which would silently drop the committed records behind it.
 // The same record cut short is an ordinary torn tail.
 func TestResolveRejectsUndoFormat(t *testing.T) {
-	undo := func(buf []byte, base int64) []byte {
+	undo := func(buf []byte) []byte {
 		start := len(buf)
-		buf = appendImage(buf, base, 1, "r", 0, testPage(2))
+		buf = appendImage(buf, 1, "r", 0, testPage(2))
 		buf = append(buf[:start+frameHeader+minPayload], flagBefore)
 		buf = binary.LittleEndian.AppendUint16(buf, 1)
 		buf = append(buf, 'r', 0, 0, 0, 0)
@@ -280,7 +277,7 @@ func TestResolveRejectsUndoFormat(t *testing.T) {
 	l := storage.NewMemLog()
 	m := NewManager(l)
 	appendRaw(t, m, undo)
-	appendRaw(t, m, func(buf []byte, _ int64) []byte { return appendEnd(buf, 1, nil) })
+	appendRaw(t, m, func(buf []byte) []byte { return appendEnd(buf, 1, nil) })
 	if _, err := m.Resolve(0); !errors.Is(err, ErrUndoFormat) {
 		t.Fatalf("resolve of an undo-format log: %v, want ErrUndoFormat", err)
 	}
@@ -468,12 +465,12 @@ func writeGoldenTornTail(t *testing.T, path string) {
 	for id := 0; id < 2; id++ {
 		park(t, f, page.ID(id), testPage(byte(100+id)))
 	}
-	if _, err := m.Commit([]Write{{File: "golden"}}, []byte("{}")); err != nil {
+	if _, err := m.Commit([]string{"golden"}, []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
 	cut := m.Tail()
 	park(t, f, 2, testPage(103))
-	if _, err := m.Commit([]Write{{File: "golden"}}, nil); err != nil {
+	if _, err := m.Commit([]string{"golden"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := make([]byte, cut+300)
@@ -509,7 +506,7 @@ func TestGroupCommitLeader(t *testing.T) {
 				errs <- err
 				return
 			}
-			end, err := m.Commit([]Write{{File: f.name}}, nil)
+			end, err := m.Commit([]string{f.name}, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -563,10 +560,10 @@ func (r *recordingFile) WritePage(id page.ID, p *page.Page) error {
 
 // TestLoggedFileParks walks one file through the no-steal protocol: a
 // write parks the page and the data file stays untouched; reads serve the
-// parked page; a commit is one append that logs each changed page once —
-// a captured frame superseding the parked page of the same ID — and an
-// unchanged eviction of a logged frame logs nothing; a checkpoint writes
-// every parked page back in page order and empties the parked set.
+// parked page; a commit is one append that logs each changed page once, in
+// first-write order; a page rewritten unchanged after it was logged parks
+// nothing, so the next commit appends only its end record; a checkpoint
+// writes every parked page back in page order and empties the parked set.
 func TestLoggedFileParks(t *testing.T) {
 	l := &countingLog{Log: storage.NewMemLog()}
 	m := NewManager(l)
@@ -597,58 +594,66 @@ func TestLoggedFileParks(t *testing.T) {
 		t.Fatalf("ReadPages must lay parked pages over the file")
 	}
 
-	// The commit captures a dirty frame of page 2, superseding its parked
-	// image: pages 3 and 1 (first-write order), the frame, the end.
-	frame := testPage(22)
-	writes := []Write{{File: "R", Frames: []Frame{{ID: 2, Pg: frame}}}}
-	end, err := m.Commit(writes, []byte("{}"))
+	// The commit logs pages 3, 1 and 2 in first-write order, then the end.
+	scan := func(from int64) []*Record {
+		t.Helper()
+		var recs []*Record
+		if _, err := m.Scan(from, func(r *Record) error { recs = append(recs, r); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	end, err := m.Commit([]string{"R"}, []byte("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []*Record
-	if _, err := m.Scan(0, func(r *Record) error { recs = append(recs, r); return nil }); err != nil {
-		t.Fatal(err)
-	}
+	recs := scan(0)
 	if l.appends.Load() != 1 || end != m.Tail() || len(recs) != 4 {
 		t.Fatalf("commit: %d appends, %d records, end %d of tail %d; want 1 append of 4 records",
 			l.appends.Load(), len(recs), end, m.Tail())
 	}
 	for i, id := range []page.ID{3, 1, 2} {
-		if recs[i].Type != recImage || recs[i].Page != id {
-			t.Fatalf("record %d: %+v, want the image of page %d", i, recs[i], id)
+		if recs[i].Type != recImage || recs[i].Page != id || recs[i].Txn != 1 {
+			t.Fatalf("record %d: %+v, want the image of page %d under txn 1", i, recs[i], id)
 		}
 	}
-	fr := writes[0].Frames[0]
-	if fr.LSN != recs[2].LSN || frame.LSNTag() != uint16(fr.LSN) || *recs[2].Image != *frame {
-		t.Fatalf("frame LSN %d tag %d, record LSN %d: the frame must carry its record's LSN and tag",
-			fr.LSN, frame.LSNTag(), recs[2].LSN)
+	if *recs[2].Image != *testPage(2) || recs[3].Type != recEnd {
+		t.Fatalf("records 2 and 3: want page 2's parked image, then the end record")
 	}
 
-	// Evicting the logged frame unchanged parks nothing new; a changed page
-	// is a leftover the checkpoint logs as transaction 0.
-	park(t, f, 2, frame)
+	// Rewriting a logged page unchanged — a dirty frame written through
+	// again, or evicted — parks nothing: the next commit is its end alone.
+	park(t, f, 2, testPage(2))
+	if len(f.unlogged) != 0 {
+		t.Fatalf("an unchanged rewrite of a logged page parked it again: unlogged %v", f.unlogged)
+	}
+	end2, err := m.Commit([]string{"r"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs = scan(end); l.appends.Load() != 2 || len(recs) != 1 || recs[0].Type != recEnd || recs[0].Txn != 2 {
+		t.Fatalf("commit after an unchanged rewrite: %d records, want txn 2's end record alone", len(recs))
+	}
+
+	// A changed page is a leftover the checkpoint logs as transaction 0.
 	park(t, f, 0, testPage(40))
 	if err := m.WriteBack(); err != nil {
 		t.Fatal(err)
 	}
-	recs = recs[:0]
-	if _, err := m.Scan(end, func(r *Record) error { recs = append(recs, r); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if l.appends.Load() != 2 || len(recs) != 1 || recs[0].Page != 0 || recs[0].Txn != 0 {
-		t.Fatalf("checkpoint logged %d records in %d appends, want page 0 alone as transaction 0", len(recs), l.appends.Load()-1)
+	if recs = scan(end2); l.appends.Load() != 3 || len(recs) != 1 || recs[0].Page != 0 || recs[0].Txn != 0 {
+		t.Fatalf("checkpoint logged %d records in %d appends, want page 0 alone as transaction 0", len(recs), l.appends.Load()-2)
 	}
 	if !slices.Equal(inner.writes, []page.ID{0, 1, 2, 3}) {
 		t.Fatalf("write-back order %v, want pages 0..3 in page order", inner.writes)
 	}
-	if err := mem.ReadPage(2, &got); err != nil || got != *frame {
-		t.Fatalf("page 2 on file after the checkpoint: %v, want the committed frame", err)
+	if err := mem.ReadPage(2, &got); err != nil || got != *testPage(2) {
+		t.Fatalf("page 2 on file after the checkpoint: %v, want the committed image", err)
 	}
 	if f.n != 0 || len(f.unlogged) != 0 {
 		t.Fatalf("parked set not emptied by the checkpoint: %d parked, %d unlogged", f.n, len(f.unlogged))
 	}
 	// A checkpoint with nothing parked appends nothing.
-	if err := m.WriteBack(); err != nil || l.appends.Load() != 2 {
+	if err := m.WriteBack(); err != nil || l.appends.Load() != 3 {
 		t.Fatalf("empty checkpoint: %v, %d appends", err, l.appends.Load())
 	}
 }
@@ -672,7 +677,7 @@ func TestLoggedFileBounds(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Commit([]Write{{File: "r"}}, nil); err == nil {
+	if _, err := m.Commit([]string{"r"}, nil); err == nil {
 		t.Fatalf("commit of a closed file succeeded")
 	}
 }
