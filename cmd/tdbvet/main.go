@@ -6,9 +6,7 @@
 //	             mutated only by internal/buffer; catalog.Stats (the
 //	             optimizer statistics) mutated only by internal/catalog
 //	             and internal/core; the WAL written only by internal/wal;
-//	             module-wide, buffer.Policy constructed only behind the
-//	             sanctioned configuration surfaces (internal/buffer,
-//	             internal/core) and internal/faultfs imported only by
+//	             module-wide, internal/faultfs imported only by
 //	             internal/difftest and tests
 //	determinism  no wall clock, global rand, or map-ordered iteration in
 //	             internal/bench figure paths

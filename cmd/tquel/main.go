@@ -21,20 +21,11 @@
 //	                      default session this moves the shared clock, in a
 //	                      named session it sets a private as-of override
 //	\advance <seconds>    advance the session's "now" likewise
-//	\set                  show the session's buffer policy (frames/readahead)
-//	\set buffer <frames> [<readahead>]
-//	                      override the session's buffer policy: queries run
-//	                      with an LRU pool of <frames> frames per relation
-//	                      and optional sequential-scan readahead
-//	\set buffer default   drop the override, back to the database default
-//	                      (one frame, no readahead: the paper's measurement
-//	                      policy from Section 5.1)
-//	\set wal sync|async|default
-//	                      on a -wal database, override this session's commit
-//	                      durability: sync waits for the group commit on
-//	                      every write, async acknowledges without waiting (a
-//	                      crash may lose the statement but never tears it),
-//	                      default restores the database-wide policy
+//	\set wal sync|async   on a -wal database, set this session's commit
+//	                      durability: sync (the default) waits for the
+//	                      group commit on every write, async acknowledges
+//	                      without waiting (a crash may lose the statement
+//	                      but never tears it)
 //	\cold                 invalidate buffers (next query runs cold)
 //	\q                    quit
 //
@@ -102,65 +93,18 @@ func (sh *shell) setNow(t temporal.Time) {
 	sh.cur.SetNow(t)
 }
 
-// set implements \set: with no argument it reports the current session's
-// effective buffer policy; "buffer <frames> [<readahead>]" installs a
-// session override and "buffer default" drops it. The policy itself is
-// only ever constructed behind Conn — never here (tdbvet: layering).
+// set implements \set wal sync|async: the current session's commit
+// durability on a logged database.
 func (sh *shell) set(arg string) error {
 	fields := strings.Fields(arg)
-	usage := fmt.Errorf(`usage: \set | \set buffer <frames> [<readahead>] | \set buffer default | \set wal sync|async|default`)
-	switch {
-	case len(fields) == 0:
-		// fall through to the report below
-	case fields[0] == "wal":
-		return sh.setWAL(fields[1:])
-	case fields[0] != "buffer":
-		return usage
-	case len(fields) == 2 && fields[1] == "default":
-		sh.cur.ClearBufferPolicy()
-	case len(fields) == 2 || len(fields) == 3:
-		frames, err := strconv.Atoi(fields[1])
-		if err != nil || frames < 1 {
-			return fmt.Errorf("frames must be a positive integer")
-		}
-		ahead := 0
-		if len(fields) == 3 {
-			if ahead, err = strconv.Atoi(fields[2]); err != nil || ahead < 0 {
-				return fmt.Errorf("readahead must be a non-negative integer")
-			}
-		}
-		sh.cur.SetBufferPolicy(frames, ahead)
-	default:
-		return usage
+	if len(fields) != 2 || fields[0] != "wal" || fields[1] != "sync" && fields[1] != "async" {
+		return fmt.Errorf(`usage: \set wal sync|async`)
 	}
-	pol := sh.cur.BufferPolicy()
-	fmt.Printf("buffer: %d frame(s), readahead %d\n", pol.Frames, pol.Readahead)
-	return nil
-}
-
-// setWAL implements \set wal: a per-session override of the commit
-// durability policy on a logged database. "sync" waits for the group
-// commit on every acknowledged write, "async" acknowledges without
-// waiting (a crash may lose the statement but never tears it), "default"
-// restores the database-wide Options.WALSyncPolicy.
-func (sh *shell) setWAL(fields []string) error {
 	if !sh.db.WALEnabled() {
 		return fmt.Errorf("the database was opened without -wal; there is no log to sync")
 	}
-	if len(fields) != 1 {
-		return fmt.Errorf(`usage: \set wal sync|async|default`)
-	}
-	switch fields[0] {
-	case "sync":
-		sh.cur.SetSyncCommit(true)
-	case "async":
-		sh.cur.SetSyncCommit(false)
-	case "default":
-		sh.cur.ClearSyncCommit()
-	default:
-		return fmt.Errorf(`usage: \set wal sync|async|default`)
-	}
-	fmt.Printf("wal commit: %s\n", fields[0])
+	sh.cur.SetSyncCommit(fields[1] == "sync")
+	fmt.Printf("wal commit: %s\n", fields[1])
 	return nil
 }
 

@@ -47,16 +47,6 @@ type Iterator interface {
 	NextBlock(blk *Block, max int) (bool, error)
 }
 
-// ReadaheadHinter is optionally implemented by sequential-scan iterators
-// that can prefetch pages past their cursor (heap, hash, and ISAM scans).
-// The executor sets the hint right after opening an iterator whose
-// session allows readahead; n is the maximum number of pages a single
-// fetch may read past the current one. Iterators without the method, and
-// iterators over single-frame pools, simply fetch page by page.
-type ReadaheadHinter interface {
-	SetReadahead(n int)
-}
-
 // File is the access-method interface the executor programs against.
 type File interface {
 	// Insert stores a tuple and returns its address. For keyed methods the

@@ -98,17 +98,11 @@ func (w *Walk) NextBlock(blk *Block, max int) (bool, error) {
 	}
 }
 
-// SetReadahead implements ReadaheadHinter, passing the hint to a page walk
-// that can use it.
-func (w *Walk) SetReadahead(n int) {
-	if h, ok := w.pw.(ReadaheadHinter); ok {
-		h.SetReadahead(n)
-	}
-}
-
-// PageViewer is the read-only side of a buffered file.
+// PageViewer is the read-only side of a buffered file, as a sequential
+// walk reads it: ViewAhead(id, ahead) fetches page id, telling the pool
+// that ahead more pages of the walk's run follow it. The pool decides how
+// many of them to read in the same operation (buffer.Buffered.ViewAhead).
 type PageViewer interface {
-	View(id page.ID) (*page.Page, error)
 	ViewAhead(id page.ID, ahead int) (*page.Page, error)
 }
 
@@ -116,7 +110,8 @@ type PageViewer interface {
 // and ISAM files are: pages 0..Primaries-1 are primary pages, each heading
 // an overflow chain, and the scan visits each primary page followed by its
 // chain. Only the primary pages are contiguous — overflow pages are chained
-// anywhere past them — so readahead is confined to the primary region.
+// anywhere past them — so the run a fetch announces is confined to the
+// primary region.
 type PrimaryScan struct {
 	Buf       PageViewer
 	Primaries int
@@ -124,11 +119,7 @@ type PrimaryScan struct {
 	primary int     // pages below this have been started
 	cur     page.ID // page under the cursor, when chained
 	chained bool    // cur is valid: the scan is inside a chain
-	ahead   int
 }
-
-// SetReadahead implements ReadaheadHinter.
-func (w *PrimaryScan) SetReadahead(n int) { w.ahead = n }
 
 // View implements PageWalk.
 func (w *PrimaryScan) View(*Match) (*page.Page, page.ID, error) {
@@ -139,16 +130,7 @@ func (w *PrimaryScan) View(*Match) (*page.Page, page.ID, error) {
 		w.cur, w.chained = page.ID(w.primary), true
 		w.primary++
 	}
-	var p *page.Page
-	var err error
-	if ahead := w.ahead; ahead > 0 && int(w.cur) < w.Primaries {
-		if rest := w.Primaries - int(w.cur) - 1; ahead > rest {
-			ahead = rest
-		}
-		p, err = w.Buf.ViewAhead(w.cur, ahead)
-	} else {
-		p, err = w.Buf.View(w.cur)
-	}
+	p, err := w.Buf.ViewAhead(w.cur, w.Primaries-int(w.cur)-1)
 	return p, w.cur, err
 }
 

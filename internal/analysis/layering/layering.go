@@ -1,8 +1,7 @@
 // Package layering enforces the storage-layering invariant behind the
 // paper's measurements: every page touch must flow through the buffer
-// manager so that buffer.Stats counts it, under the measurement policy the
-// figures were taken with. Rules 1–5 bind the packages under internal/;
-// rules 6 and 7 bind the whole module. Concretely:
+// manager so that buffer.Stats counts it. Rules 1–5 bind the packages
+// under internal/; rule 6 binds the whole module. Concretely:
 //
 //  1. Raw file I/O (os.Open, os.OpenFile, os.Create, os.ReadFile, ...)
 //     is reserved to internal/storage; any other internal package opening
@@ -30,12 +29,6 @@
 //     measured code paths, where the page counts the goldens pin hold only
 //     over the real storage stack. (The loader never type-checks _test.go
 //     files, so they are exempt by construction.)
-//  7. A buffer.Policy literal is constructed only in internal/buffer (which
-//     defines and normalizes it) and internal/core (core.Options and
-//     Conn.SetBufferPolicy). The figures are comparable only under one
-//     frame per relation (Section 5.1); anywhere else — the benchmark
-//     harness above all — a stray literal could shift every page counter
-//     silently.
 //
 // Fixture packages load under a synthetic import path, so the packages
 // the rules name are also recognized by package name where a fixture has
@@ -68,13 +61,6 @@ var faultfsImporters = map[string]bool{
 	"faultfs": true, "difftest": true,
 }
 
-// policyBuilders may construct a buffer.Policy (rule 7), by path or, for
-// fixtures, by package name.
-var policyBuilders = map[string]bool{
-	bufferPkg: true, corePkg: true,
-	"buffer": true, "core": true,
-}
-
 // logMutators are the storage.Log methods that change log contents;
 // outside the WAL stack they could forge or destroy committed records.
 var logMutators = map[string]bool{"WriteAt": true, "Truncate": true}
@@ -105,7 +91,7 @@ var forbiddenIO = map[string]map[string]bool{
 // Analyzer is the layering check.
 var Analyzer = &analysis.Analyzer{
 	Name: "layering",
-	Doc:  "raw file I/O only in internal/storage; buffer.Stats mutated only by internal/buffer; catalog.Stats mutated only by internal/catalog and internal/core; the WAL log written only by internal/wal; internal/faultfs imported only by internal/difftest and tests; buffer.Policy constructed only in internal/buffer and internal/core",
+	Doc:  "raw file I/O only in internal/storage; buffer.Stats mutated only by internal/buffer; catalog.Stats mutated only by internal/catalog and internal/core; the WAL log written only by internal/wal; internal/faultfs imported only by internal/difftest and tests",
 	Run:  run,
 }
 
@@ -113,9 +99,6 @@ func run(pass *analysis.Pass) {
 	p, name := pass.Pkg.Path(), pass.Pkg.Name()
 	if !faultfsImporters[p] && !faultfsImporters[name] {
 		checkFaultfsImport(pass)
-	}
-	if !policyBuilders[p] && !policyBuilders[name] {
-		checkPolicyLiterals(pass)
 	}
 	// Commands, examples and the benchmark open files and read counters as
 	// they please; the storage-stack rules bind internal/ (and fixtures).
@@ -360,35 +343,4 @@ func checkFaultfsImport(pass *analysis.Pass) {
 			}
 		}
 	}
-}
-
-// checkPolicyLiterals flags buffer.Policy composite literals.
-func checkPolicyLiterals(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
-			}
-			if tv, ok := pass.Info.Types[lit]; ok && isBufferPolicy(tv.Type) {
-				pass.Report(lit.Pos(),
-					"buffer.Policy constructed outside the sanctioned configuration surfaces: use core.Options{BufferFrames, BufferReadahead} or Conn.SetBufferPolicy, so the single-frame measurement policy cannot drift silently")
-			}
-			return true
-		})
-	}
-}
-
-// isBufferPolicy reports whether t is the buffer package's Policy type,
-// whose defining package a fixture may load under another path.
-func isBufferPolicy(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Policy" || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == bufferPkg || obj.Pkg().Name() == "buffer"
 }

@@ -46,11 +46,3 @@ func TestFaultfsImportViolating(t *testing.T) {
 func TestFaultfsImportClean(t *testing.T) {
 	analysistest.Run(t, layering.Analyzer, "testdata/faultfs_clean.go")
 }
-
-func TestPolicyViolating(t *testing.T) {
-	analysistest.Run(t, layering.Analyzer, "testdata/policy_violating.go")
-}
-
-func TestPolicyClean(t *testing.T) {
-	analysistest.Run(t, layering.Analyzer, "testdata/policy_clean.go")
-}

@@ -42,11 +42,9 @@ func everywhere(modPath, pkgPath string) bool { return true }
 //
 //   - layering runs module-wide: its storage-stack rules bind every
 //     internal package (internal/storage itself and internal/buffer are
-//     exempted inside the analyzer), its containment rules the whole
-//     module — buffer.Policy is constructed only behind the sanctioned
-//     configuration surfaces (internal/buffer, internal/core), and only
-//     _test.go files (never loaded) and internal/difftest import the
-//     fault-injection wrapper;
+//     exempted inside the analyzer), its containment rule the whole
+//     module — only _test.go files (never loaded) and internal/difftest
+//     import the fault-injection wrapper;
 //   - determinism guards the measurement/figure paths in internal/bench;
 //   - errcheck guards all of internal/;
 //   - copylocks guards the whole module, examples and commands included;

@@ -7,12 +7,12 @@
 // dirty eviction counts as one disk write. These counters are the benchmark
 // metric for Figures 5 through 10.
 //
-// The policy is configurable (NewWithPolicy, WithView): a pool may keep
-// several LRU frames, and sequential scans may prefetch a batch of pages
-// per miss (ViewAhead), so the buffer-sensitivity ablation can quantify
-// what the paper's single-frame policy filtered out. The default policy is
-// always Frames: 1, Readahead: 0 — the benchmark and every measured figure
-// run under it untouched.
+// The policy is fixed when a pool is opened (NewPooled): a pool may keep
+// several LRU frames, and sequential walks may prefetch a batch of pages
+// per miss (ViewAhead, capped at the pool's readahead), so the
+// buffer-sensitivity ablation can quantify what the paper's single-frame
+// policy filtered out. New opens the measurement policy, one frame and no
+// readahead — the benchmark and every measured figure run under it.
 //
 // Concurrency model: the frames and the global counters live in a shared
 // pool guarded by a mutex, while a Buffered value is a cheap per-caller
@@ -85,36 +85,6 @@ func (s Stats) Sub(t Stats) Stats {
 		Hits:    s.Hits - t.Hits,
 		ReadOps: s.ReadOps - t.ReadOps,
 	}
-}
-
-// Policy configures a handle's demands on its pool: how many LRU frames
-// the pool must keep and how far ViewAhead may prefetch past a missed
-// page. The zero value normalizes to the paper's measurement policy.
-type Policy struct {
-	// Frames is the number of buffer frames. Values below 1 normalize to
-	// 1 — one frame per relation, the Section 5.1 measurement policy.
-	Frames int
-	// Readahead is the maximum number of pages ViewAhead may read past
-	// the requested one in a single batch. Zero disables prefetching; it
-	// is also capped at Frames-1 so a batch never evicts its own pages.
-	Readahead int
-}
-
-// DefaultPolicy is the measurement policy: one frame, no readahead.
-func DefaultPolicy() Policy { return Policy{Frames: 1} }
-
-// Normalize clamps the policy to its valid range.
-func (p Policy) Normalize() Policy {
-	if p.Frames < 1 {
-		p.Frames = 1
-	}
-	if p.Readahead < 0 {
-		p.Readahead = 0
-	}
-	if p.Readahead > p.Frames-1 {
-		p.Readahead = p.Frames - 1
-	}
-	return p
 }
 
 // Account accumulates the I/O charged to one session across every pool its
@@ -209,6 +179,9 @@ type pool struct {
 	name string
 	file storage.File
 	lend lender // file, when it can lend its pages; else nil
+	// readahead is the most pages ViewAhead reads past a missed one in a
+	// single batch; zero on a single-frame pool.
+	readahead int
 
 	mu     sync.Mutex
 	frames []frame
@@ -234,19 +207,17 @@ type Buffered struct {
 }
 
 // New wraps f in a single-frame buffer — the paper's measurement policy.
-func New(name string, f storage.File) *Buffered {
-	return NewWithPolicy(name, f, DefaultPolicy())
-}
+func New(name string, f storage.File) *Buffered { return NewPooled(name, f, 1, 0) }
 
-// NewWithFrames wraps f in an n-frame LRU buffer with no readahead.
-func NewWithFrames(name string, f storage.File, n int) *Buffered {
-	return NewWithPolicy(name, f, Policy{Frames: n})
-}
-
-// NewWithPolicy wraps f in a buffer sized to pol.
-func NewWithPolicy(name string, f storage.File, pol Policy) *Buffered {
-	pol = pol.Normalize()
-	p := &pool{name: name, file: f, frames: make([]frame, pol.Frames)}
+// NewPooled wraps f in a frames-frame LRU buffer whose sequential walks
+// read up to readahead pages past a missed one in a single batch. Frames
+// below 1 is one frame — the Section 5.1 measurement policy — and
+// readahead is clamped to [0, frames-1], so a batch never evicts its own
+// pages. The frame count is fixed for the life of the pool.
+func NewPooled(name string, f storage.File, frames, readahead int) *Buffered {
+	frames = max(frames, 1)
+	p := &pool{name: name, file: f, frames: make([]frame, frames),
+		readahead: min(max(readahead, 0), frames-1)}
 	p.lend, _ = f.(lender)
 	for i := range p.frames {
 		p.frames[i].id = page.Nil
@@ -259,23 +230,6 @@ func NewWithPolicy(name string, f storage.File, pol Policy) *Buffered {
 // read-graph handles this way.
 func (b *Buffered) WithAccount(a *Account) *Buffered {
 	return &Buffered{p: b.p, acct: a}
-}
-
-// WithView is WithAccount plus a frame demand: the shared pool grows to at
-// least pol.Frames frames before the handle is returned. Growth is
-// monotone and shared — once one session has widened a pool, later
-// handles see the wider pool — and it never shrinks, so a session that
-// keeps the default policy on a default-sized pool observes exactly the
-// single-frame counters the benchmark pins.
-func (b *Buffered) WithView(a *Account, pol Policy) *Buffered {
-	pol = pol.Normalize()
-	p := b.p
-	p.mu.Lock()
-	for len(p.frames) < pol.Frames {
-		p.frames = append(p.frames, frame{id: page.Nil})
-	}
-	p.mu.Unlock()
-	return &Buffered{p: p, acct: a}
 }
 
 // Account returns the account this handle charges, or nil for the root
@@ -515,17 +469,23 @@ func (b *Buffered) scratch() *view {
 	return b.v
 }
 
-// ViewAhead is View with sequential prefetch: on a miss it reads the
-// requested page plus up to ahead following pages in one storage
-// operation, installing each in its own frame. The set of pages read is
-// identical to what per-page fetches of the same run would read — the
-// batch is capped by the file size, by the pool's frame count, and by the
-// first already-resident page, so Reads/Writes/Hits counters move exactly
-// as they would for View; only ReadOps is smaller (one per batch).
-// Pages deeper in the batch are installed as less recently used than the
-// requested page, so LRU consumes a run front-to-back. With ahead <= 0 or
-// a single-frame pool it degenerates to View exactly.
+// ViewAhead is View for a sequential walk that has ahead more pages in its
+// run after id. On a miss it reads the requested page plus up to ahead
+// following pages in one storage operation, installing each in its own
+// frame. The pool decides how far to read: the batch is capped by the
+// pool's readahead, by the file size, and by the first already-resident
+// page, so the set of pages read is identical to what per-page fetches of
+// the same run would read — Reads/Writes/Hits move exactly as they would
+// for View; only ReadOps is smaller (one per batch). Pages deeper in the
+// batch are installed as less recently used than the requested page, so
+// LRU consumes a run front-to-back. On a pool without readahead — the
+// measurement policy — it is View exactly, counters and all, and
+// allocates nothing.
 func (b *Buffered) ViewAhead(id page.ID, ahead int) (*page.Page, error) {
+	// readahead is fixed when the pool is opened, so it is read unlocked.
+	if ahead = min(ahead, b.p.readahead); ahead <= 0 {
+		return b.View(id)
+	}
 	p := b.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -539,9 +499,6 @@ func (b *Buffered) ViewAhead(id page.ID, ahead int) (*page.Page, error) {
 	// successors. Stopping at the first resident page keeps every page of
 	// the run read exactly once and guarantees no two frames ever hold the
 	// same id.
-	if max := len(p.frames) - 1; ahead > max {
-		ahead = max
-	}
 	if last := page.ID(p.file.NumPages()) - 1; ahead > int(last-id) {
 		ahead = int(last - id)
 	}

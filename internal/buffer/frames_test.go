@@ -15,7 +15,7 @@ func newFramesBuf(t *testing.T, pages, frames int) *Buffered {
 			t.Fatal(err)
 		}
 	}
-	return NewWithFrames("test", m, frames)
+	return NewPooled("test", m, frames, 0)
 }
 
 func TestMultiFrameHits(t *testing.T) {
@@ -97,7 +97,7 @@ func TestSingleFrameUnchanged(t *testing.T) {
 	if b.Frames() != 1 {
 		t.Fatalf("New gives %d frames", b.Frames())
 	}
-	if nb := NewWithFrames("x", storage.NewMem(), 0); nb.Frames() != 1 {
+	if nb := NewPooled("x", storage.NewMem(), 0, 0); nb.Frames() != 1 {
 		t.Errorf("frame count clamped to %d, want 1", nb.Frames())
 	}
 }

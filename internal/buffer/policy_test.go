@@ -7,7 +7,7 @@ import (
 	"tdbms/internal/storage"
 )
 
-func newPolBuf(t *testing.T, pages int, pol Policy) *Buffered {
+func newPolBuf(t *testing.T, pages, frames, readahead int) *Buffered {
 	t.Helper()
 	m := storage.NewMem()
 	for i := 0; i < pages; i++ {
@@ -15,23 +15,27 @@ func newPolBuf(t *testing.T, pages int, pol Policy) *Buffered {
 			t.Fatal(err)
 		}
 	}
-	return NewWithPolicy("test", m, pol)
+	return NewPooled("test", m, frames, readahead)
 }
 
+// TestPolicyNormalize pins NewPooled's clamp: at least one frame, and
+// readahead in [0, frames-1].
 func TestPolicyNormalize(t *testing.T) {
 	cases := []struct {
-		in, want Policy
+		frames, readahead, wantFrames, wantAhead int
 	}{
-		{Policy{}, Policy{Frames: 1}},
-		{Policy{Frames: -3, Readahead: 5}, Policy{Frames: 1}},
-		{Policy{Frames: 1, Readahead: 9}, Policy{Frames: 1}},
-		{Policy{Frames: 4, Readahead: 9}, Policy{Frames: 4, Readahead: 3}},
-		{Policy{Frames: 4, Readahead: -1}, Policy{Frames: 4}},
-		{Policy{Frames: 8, Readahead: 2}, Policy{Frames: 8, Readahead: 2}},
+		{0, 0, 1, 0},
+		{-3, 5, 1, 0},
+		{1, 9, 1, 0},
+		{4, 9, 4, 3},
+		{4, -1, 4, 0},
+		{8, 2, 8, 2},
 	}
 	for _, c := range cases {
-		if got := c.in.Normalize(); got != c.want {
-			t.Errorf("Normalize(%+v) = %+v, want %+v", c.in, got, c.want)
+		b := NewPooled("test", storage.NewMem(), c.frames, c.readahead)
+		if b.Frames() != c.wantFrames || b.p.readahead != c.wantAhead {
+			t.Errorf("NewPooled(%d, %d) = %d frames, readahead %d; want %d, %d",
+				c.frames, c.readahead, b.Frames(), b.p.readahead, c.wantFrames, c.wantAhead)
 		}
 	}
 }
@@ -40,7 +44,7 @@ func TestPolicyNormalize(t *testing.T) {
 // touching page 0 saves it from the eviction that fetching a fourth page
 // into a three-frame pool forces.
 func TestLRUEvictionOrder(t *testing.T) {
-	b := newPolBuf(t, 5, Policy{Frames: 3})
+	b := newPolBuf(t, 5, 3, 0)
 	for _, id := range []page.ID{0, 1, 2} {
 		if _, err := b.Fetch(id); err != nil {
 			t.Fatal(err)
@@ -73,7 +77,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 // TestSingleFramePolicyMatchesDefault pins the equivalence the measurement
-// mode rests on: Policy{Frames: 1} produces exactly the counters of the
+// mode rests on: a one-frame pool produces exactly the counters of the
 // seed's hardwired single frame, fetch for fetch.
 func TestSingleFramePolicyMatchesDefault(t *testing.T) {
 	drive := func(t *testing.T, b *Buffered) Stats {
@@ -104,9 +108,9 @@ func TestSingleFramePolicyMatchesDefault(t *testing.T) {
 		return b.Stats()
 	}
 	def := drive(t, newBuf(t, 3))
-	pol := drive(t, newPolBuf(t, 3, Policy{Frames: 1}))
+	pol := drive(t, newPolBuf(t, 3, 1, 0))
 	if def != pol {
-		t.Fatalf("Policy{Frames:1} diverges from the default single frame:\n  default: %+v\n  policy:  %+v", def, pol)
+		t.Fatalf("a one-frame pool diverges from the default single frame:\n  default: %+v\n  policy:  %+v", def, pol)
 	}
 	if pol.ReadOps != pol.Reads {
 		t.Errorf("single-frame ReadOps = %d, want Reads (%d)", pol.ReadOps, pol.Reads)
@@ -117,7 +121,7 @@ func TestSingleFramePolicyMatchesDefault(t *testing.T) {
 // reads the whole run in one operation (ReadOps 1) and the following pages
 // are hits.
 func TestViewAheadBatches(t *testing.T) {
-	b := newPolBuf(t, 8, Policy{Frames: 8, Readahead: 4})
+	b := newPolBuf(t, 8, 8, 4)
 	if _, err := b.ViewAhead(0, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestViewAheadBatches(t *testing.T) {
 // is already in a frame — that would inflate Reads and desynchronize the
 // frame pool.
 func TestViewAheadStopsAtResident(t *testing.T) {
-	b := newPolBuf(t, 8, Policy{Frames: 8, Readahead: 7})
+	b := newPolBuf(t, 8, 8, 7)
 	if _, err := b.Fetch(2); err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +162,10 @@ func TestViewAheadStopsAtResident(t *testing.T) {
 }
 
 // TestViewAheadSingleFrameDegenerates pins that readahead self-caps on a
-// single-frame pool: ViewAhead behaves exactly like Fetch, so a stray
-// hint cannot change measurement-mode counters.
+// single-frame pool: ViewAhead behaves exactly like Fetch, so a walk's
+// request cannot change measurement-mode counters.
 func TestViewAheadSingleFrameDegenerates(t *testing.T) {
-	b := newPolBuf(t, 4, Policy{Frames: 1})
+	b := newPolBuf(t, 4, 1, 0)
 	for _, id := range []page.ID{0, 1, 0} {
 		if _, err := b.ViewAhead(id, 8); err != nil {
 			t.Fatal(err)
@@ -172,26 +176,16 @@ func TestViewAheadSingleFrameDegenerates(t *testing.T) {
 	}
 }
 
-// TestWithViewGrowsSharedPool checks that a pooled view widens the shared
-// frame pool (monotone growth) and that pages it faults in are visible as
-// hits through the original handle.
-func TestWithViewGrowsSharedPool(t *testing.T) {
-	base := newPolBuf(t, 4, Policy{Frames: 1})
-	a := NewAccount()
-	view := base.WithView(a, Policy{Frames: 4})
-	for _, id := range []page.ID{0, 1, 2} {
-		if _, err := view.Fetch(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := a.Stats(); s.Reads != 3 || s.Hits != 0 {
-		t.Fatalf("view stats: %+v, want reads=3", s)
-	}
-	// The base handle shares the grown pool: page 0 is still resident.
-	if _, err := base.Fetch(0); err != nil {
+// TestViewAheadCappedByPool checks that the pool, not the walk, decides
+// how far a batch reads: a walk asking for seven more pages on a pool
+// opened with readahead 2 gets the requested page and two more, in one
+// operation.
+func TestViewAheadCappedByPool(t *testing.T) {
+	b := newPolBuf(t, 8, 8, 2)
+	if _, err := b.ViewAhead(0, 7); err != nil {
 		t.Fatal(err)
 	}
-	if s := base.Stats(); s.Hits != 1 || s.Reads != 3 {
-		t.Fatalf("base handle after view fetches: %+v, want hits=1 reads=3", s)
+	if s := b.Stats(); s.Reads != 3 || s.ReadOps != 1 || s.Hits != 0 {
+		t.Fatalf("after ViewAhead(0,7) at readahead 2: %+v, want reads=3 ops=1 hits=0", s)
 	}
 }

@@ -181,7 +181,7 @@ func TestWrappedStoreSeesEveryRead(t *testing.T) {
 			rec = &recordingFile{File: m}
 			f = rec
 		}
-		b := NewWithPolicy("r", f, Policy{Frames: 2, Readahead: 1})
+		b := NewPooled("r", f, 2, 1)
 		for _, s := range steps {
 			var p *page.Page
 			var err error
@@ -245,7 +245,7 @@ func TestViewsUnderLatchProtocol(t *testing.T) {
 			if wrap {
 				f = &recordingFile{File: m}
 			}
-			root := NewWithFrames("r", f, 2)
+			root := NewPooled("r", f, 2, 0)
 			var latch sync.RWMutex
 			var wg sync.WaitGroup
 			stop := make(chan struct{})
@@ -304,7 +304,9 @@ func TestViewsUnderLatchProtocol(t *testing.T) {
 // TestViewAllocatesNothing pins the steady state of both read paths: a
 // handle walking a file page after page, every fetch a miss, allocates
 // nothing — a lending store has nothing to copy, and a wrapped one is read
-// into the image the handle's previous view just released.
+// into the image the handle's previous view just released. Sequential
+// walks fetch with ViewAhead, which on a single-frame pool must be View
+// exactly, allocations included.
 func TestViewAllocatesNothing(t *testing.T) {
 	const pages = 4
 	m := storage.NewMem()
@@ -313,18 +315,28 @@ func TestViewAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, f := range []storage.File{m, struct{ storage.File }{m}} {
-		b := New("r", f)
-		i := 0
-		walk := func() {
-			if _, err := b.View(page.ID(i % pages)); err != nil {
-				t.Fatal(err)
+	fetches := map[string]func(b *Buffered, id page.ID) (*page.Page, error){
+		"View": (*Buffered).View,
+		"ViewAhead": func(b *Buffered, id page.ID) (*page.Page, error) {
+			return b.ViewAhead(id, pages-1-int(id))
+		},
+	}
+	for name, fetch := range fetches {
+		t.Run(name, func(t *testing.T) {
+			for _, f := range []storage.File{m, struct{ storage.File }{m}} {
+				b := New("r", f)
+				i := 0
+				walk := func() {
+					if _, err := fetch(b, page.ID(i%pages)); err != nil {
+						t.Fatal(err)
+					}
+					i++
+				}
+				walk()
+				if n := testing.AllocsPerRun(100, walk); n != 0 {
+					t.Errorf("%s on %T allocates %.0f times per miss in steady state", name, f, n)
+				}
 			}
-			i++
-		}
-		walk()
-		if n := testing.AllocsPerRun(100, walk); n != 0 {
-			t.Errorf("View on %T allocates %.0f times per miss in steady state", f, n)
-		}
+		})
 	}
 }

@@ -17,7 +17,7 @@ import (
 // only binds its literals and executes. The key is the statement's shape:
 // its rendering with every numeric, string and dated time literal replaced
 // by a slot recording the literal's kind, after the session's batch
-// capacity and buffer policy, which the operators are built for. An entry
+// capacity, which the operators are built for. An entry
 // owns a private copy of the statement whose literal nodes are the
 // parameter slots: binding copies the new statement's literal values into
 // them, and everything prepared reads the values from there when it runs.
@@ -82,15 +82,12 @@ func (c *stmtCache) lookup(conn *Conn, s *tquel.RetrieveStmt) *stmtEntry {
 	return c.hit
 }
 
-// begin starts a key with the session settings its operators are built
-// for — batch capacity and buffer policy — so a statement run under other
-// settings is another entry.
+// begin starts a key with the session setting its operators are built
+// for — the batch capacity — so a statement run at another capacity is
+// another entry.
 func (c *stmtCache) begin(conn *Conn) {
-	pol := conn.bufferPolicy()
 	c.w.reset()
 	c.w.buf = binary.AppendUvarint(c.w.buf, uint64(conn.batchCap()))
-	c.w.buf = binary.AppendUvarint(c.w.buf, uint64(pol.Frames))
-	c.w.buf = binary.AppendUvarint(c.w.buf, uint64(pol.Readahead))
 }
 
 // sync empties the cache when a DDL statement ran since its entries were

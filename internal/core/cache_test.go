@@ -97,11 +97,6 @@ func TestStatementCacheAdversarial(t *testing.T) {
 			warm: `retrieve (x.id, x.v) where x.id = 3 when x overlap "now" as of ` + asOf130, hit: true},
 		{name: "batch", cold: `retrieve (x.id, x.v) when x overlap "now"`, warm: `retrieve (x.id, x.v) when x overlap "now"`,
 			sess: func(c *Conn) { c.SetBatchSize(1) }},
-		{name: "policy", cold: `retrieve (x.id, x.v) when x overlap "now"`, warm: `retrieve (x.id, x.v) when x overlap "now"`,
-			sess: func(c *Conn) { c.SetBufferPolicy(8, 2) }},
-		{name: "readahead", before: func(c *Conn) { c.SetBufferPolicy(8, 0) },
-			cold: `retrieve (x.id, x.v) when x overlap "now"`, warm: `retrieve (x.id, x.v) when x overlap "now"`,
-			sess: func(c *Conn) { c.SetBufferPolicy(8, 2) }},
 		{name: "kind", cold: `retrieve (x.id, x.v) where x.id = 3`, warm: `retrieve (x.id, x.v) where x.id = 3.5`},
 		{name: "char-length", cold: `retrieve (x.id) where x.name = "n3"`, warm: `retrieve (x.id) where x.name = "n17"`, hit: true},
 		{name: "char-longer", cold: `retrieve (x.id) where x.name = "n3"`, warm: `retrieve (x.id) where x.name = "n3xxxxxxxx"`, hit: true},

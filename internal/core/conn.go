@@ -19,9 +19,9 @@ var errClosed = errors.New("core: database is closed")
 
 // Conn executes statements for one session. It embeds the shared Database
 // (catalog, storage, clock) and holds the per-caller state itself: range
-// table, I/O account, temporary namer, and the session's overrides of the
-// database defaults (as-of clock, buffer policy, batch size, commit
-// durability).
+// table, I/O account, temporary namer, and the session's own settings
+// (as-of clock, batch size, commit durability). The buffer policy is not
+// among them: it is the database's (Options), applied by its pools.
 //
 // Statements on one Conn are serialized by its own mutex; statements on
 // different Conns follow the database's per-relation latching protocol:
@@ -52,17 +52,15 @@ type Conn struct {
 	ranges map[string]string
 	tmpSeq int
 
-	// The session's overrides; nil follows the database. nowAt is the
-	// session's default "now" for analysis and DML timestamps; pol the
-	// buffer policy of its reads (tquel `\set buffer`); batch its executor
-	// batch size (positive is a row capacity, zero the engine default,
-	// negative one row); syncCommit whether its WAL commits wait for the
-	// log to reach stable storage (false acknowledges immediately — an
-	// async commit a crash may lose, but never tear).
-	nowAt      *temporal.Time
-	pol        *buffer.Policy
-	batch      *int
-	syncCommit *bool
+	// The session's settings. nowAt, when set, is the session's default
+	// "now" for analysis and DML timestamps (nil follows the database
+	// clock); batch its executor batch size (positive is a row capacity,
+	// zero the engine default, negative one row); asyncCommit
+	// acknowledges its WAL commits without waiting for the log to reach
+	// stable storage — an async commit a crash may lose, but never tear.
+	nowAt       *temporal.Time
+	batch       int
+	asyncCommit bool
 
 	// active is the relation graph of the statement in flight, keyed by
 	// lowercased name: session views for shared-latched relations, root
@@ -105,10 +103,9 @@ type Conn struct {
 
 	// views caches the session's per-relation read views, rebuilt lazily
 	// per relation when its writer stamp moves and wholesale when a DDL
-	// epoch or the session's buffer policy changes.
+	// epoch passes.
 	views     map[string]*relView
 	viewEpoch uint64
-	viewPol   buffer.Policy
 
 	// arena backs the tuples a statement's batch scans copy off their
 	// pages. They die with the statement — results hold values, not tuple
@@ -351,7 +348,7 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 		defer func() {
 			lsn := c.walAck
 			c.walAck = 0
-			if err != nil || lsn == 0 || !c.syncOnCommit() {
+			if err != nil || lsn == 0 || c.asyncCommit {
 				return
 			}
 			if werr := c.walWaitDurable(lsn); werr != nil {
@@ -375,11 +372,11 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	defer ls.release()
 
 	// Resolve the statement graph and the stats source. Shared-latched
-	// relations go through session views (account-charged, policy-
-	// applied); exclusively latched ones use the root handles — their
-	// latch guarantees the root counters' delta is exactly this
-	// statement's I/O, and mutation must go through the root handles
-	// because views snapshot access-method metadata.
+	// relations go through session views (account-charged); exclusively
+	// latched ones use the root handles — their latch guarantees the root
+	// counters' delta is exactly this statement's I/O, and mutation must
+	// go through the root handles because views snapshot access-method
+	// metadata.
 	var writeRoots []*relHandle
 	if locks.ddlExcl {
 		c.active = db.rels
@@ -512,98 +509,41 @@ func (c *Conn) SetConflictRetry(retry bool) {
 	c.conflictErr = !retry
 }
 
-// bufferPolicy resolves the session's effective buffer policy: its own
-// override when set, the database default otherwise.
-func (c *Conn) bufferPolicy() buffer.Policy {
-	if c.pol != nil {
-		return *c.pol
-	}
-	return c.Database.bufferPolicy()
-}
-
-// SetBufferPolicy overrides this session's buffer policy for subsequent
-// reads: frames buffer frames per relation with up to readahead pages of
-// scan prefetch. Values are normalized (frames >= 1, readahead capped at
-// frames-1). The database default — and the benchmark — stay single-frame.
-// This (with engine configuration in Options) is the sanctioned place to
-// construct a buffer.Policy — tdbvet's layering check keeps it that way,
-// so measurement mode cannot drift by a stray literal elsewhere.
-func (c *Conn) SetBufferPolicy(frames, readahead int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pol := buffer.Policy{Frames: frames, Readahead: readahead}.Normalize()
-	c.pol = &pol
-	c.views = nil
-}
-
-// ClearBufferPolicy removes the session's buffer-policy override.
-func (c *Conn) ClearBufferPolicy() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pol = nil
-	c.views = nil
-}
-
-// BufferPolicy returns the session's effective buffer policy.
-func (c *Conn) BufferPolicy() buffer.Policy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bufferPolicy()
-}
-
-// batchCap resolves the session's effective executor batch capacity: the
-// session override when set, the database default otherwise.
+// batchCap is the session's executor batch capacity: zero asks for the
+// default, and anything below one row is one row.
 func (c *Conn) batchCap() int {
-	if c.batch != nil {
-		return normalizeBatchCap(*c.batch)
-	}
-	return normalizeBatchCap(c.opts.BatchSize)
-}
-
-// normalizeBatchCap maps a configured batch size to a capacity: zero asks
-// for the default, and anything below one row is one row.
-func normalizeBatchCap(n int) int {
-	if n == 0 {
+	if c.batch == 0 {
 		return exec.DefaultBatchCap
 	}
-	return max(n, 1)
+	return max(c.batch, 1)
 }
 
-// SetBatchSize overrides this session's executor batch size for
-// subsequent statements: rows > 0 is a batch capacity, rows == 0 asks for
-// the engine default, rows < 0 means capacity 1, which is tuple-at-a-time.
-// Every capacity reads exactly the same pages in the same order; the
-// setting trades interpretation overhead, not I/O.
+// SetBatchSize sets this session's executor batch size for subsequent
+// statements: rows > 0 is a batch capacity, rows == 0 asks for the engine
+// default, rows < 0 means capacity 1, which is tuple-at-a-time. Every
+// capacity reads exactly the same pages in the same order; the setting
+// trades interpretation overhead, not I/O.
 func (c *Conn) SetBatchSize(rows int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.batch = &rows
-}
-
-// ClearBatchSize removes the session's batch-size override.
-func (c *Conn) ClearBatchSize() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.batch = nil
+	c.batch = rows
 }
 
 // viewFor returns the session's cached view of one relation, rebuilding it
 // when the relation's writer stamp has moved and resetting the whole cache
-// when a DDL epoch or the session's buffer policy changed. Views share
-// every page, frame, and directory with the root handle; only the
-// accounting and fetch policy differ. Caller holds the schema latch and
-// the relation's latch (either mode — h.stamp is stable under both).
+// when a DDL epoch passed. Views share every page, frame, and directory
+// with the root handle; only the accounting differs. Caller holds the
+// schema latch and the relation's latch (either mode — h.stamp is stable
+// under both).
 func (c *Conn) viewFor(name string, h *relHandle) *relHandle {
 	db := c.Database
-	pol := c.bufferPolicy()
-	if c.views == nil || c.viewEpoch != db.epoch || c.viewPol != pol {
+	if c.views == nil || c.viewEpoch != db.epoch {
 		c.views = make(map[string]*relView, len(db.rels))
 		c.viewEpoch = db.epoch
-		c.viewPol = pol
 	}
 	v, ok := c.views[name]
 	if !ok || v.stamp != h.stamp {
-		v = &relView{h: h.withView(c.acct, pol), stamp: h.stamp}
+		v = &relView{h: h.withAccount(c.acct), stamp: h.stamp}
 		c.views[name] = v
 	}
 	return v.h

@@ -40,20 +40,15 @@ type Options struct {
 	// (the "Clustered" column of Figure 10). Only meaningful with
 	// TwoLevelStore.
 	ClusteredHistory bool
-	// BufferFrames is the number of buffer frames per relation. Zero or
-	// one gives the paper's measurement policy (Section 5.1); larger
-	// values are for the buffer-sensitivity ablation.
-	BufferFrames int
-	// BufferReadahead is the maximum number of pages a sequential scan may
-	// prefetch past its cursor in one batch. Zero — the measurement
-	// default — disables readahead; it is capped at BufferFrames-1.
+	// BufferFrames and BufferReadahead are the database's buffer policy,
+	// the one route by which it is set: every relation's pool is opened
+	// with BufferFrames LRU frames, and a sequential walk's miss reads up
+	// to BufferReadahead pages past the missed one in the same operation.
+	// The zero values — one frame, no readahead — are the paper's
+	// measurement policy (Section 5.1); larger values are for the
+	// buffer-sensitivity ablation. Readahead is capped at BufferFrames-1.
+	BufferFrames    int
 	BufferReadahead int
-	// BatchSize is the executor's batch capacity in rows: operators
-	// exchange batches of this many rows. Zero picks the default
-	// (exec.DefaultBatchCap); a negative value means one row, which is
-	// tuple-at-a-time. Page I/O counts are identical either way —
-	// batching changes only how often the interpretation overhead is paid.
-	BatchSize int
 	// WrapFile, when non-nil, wraps every storage file the database opens
 	// (keyed by the relation or temporary name). The fault-injection tests
 	// use it to splice a faultfs schedule under the buffer manager;
@@ -67,10 +62,6 @@ type Options struct {
 	// reattaching relations. Logging sits below the buffer manager's I/O
 	// counters, so the paper's page accounting is unchanged.
 	WAL bool
-	// WALSyncPolicy selects when the log is forced to stable storage; the
-	// zero value, WALSyncCommit, syncs (group-committed) before every write
-	// statement acknowledges.
-	WALSyncPolicy WALSyncPolicy
 	// WALGroupWindow is the group-commit gathering delay: how long an
 	// elected sync leader waits before issuing the shared sync, letting
 	// concurrent committers land under the same barrier. Zero syncs
@@ -132,7 +123,7 @@ type Database struct {
 
 // relHandle is an open relation: descriptor plus storage, and — on root
 // handles only — the write watermarks conflict detection and view caching
-// read. Session views (withView clones) leave the watermark fields zero.
+// read. Session views (withAccount clones) leave the watermark fields zero.
 type relHandle struct {
 	desc    *catalog.Relation
 	src     source
@@ -152,14 +143,13 @@ type relHandle struct {
 	floor uint64
 }
 
-// withView clones the handle for a session's read graph: the same pages,
-// frames, and directories, reached through buffer handles that charge the
-// session's account and apply its buffer policy. Secondary indexes keep
-// the measurement policy — scans never run over them.
-func (h *relHandle) withView(a *buffer.Account, pol buffer.Policy) *relHandle {
+// withAccount clones the handle for a session's read graph: the same
+// pages, frames, and directories, reached through buffer handles that
+// charge the session's account.
+func (h *relHandle) withAccount(a *buffer.Account) *relHandle {
 	v := &relHandle{
 		desc:    h.desc,
-		src:     h.src.withView(a, pol),
+		src:     h.src.withAccount(a),
 		indexes: make(map[string]*secindex.Index, len(h.indexes)),
 	}
 	for name, ix := range h.indexes {
@@ -258,17 +248,8 @@ func (db *Database) newFile(name string) (storage.File, error) {
 	return f, nil
 }
 
-// bufferPolicy is the database-wide default buffer policy, derived from
-// Options. The zero Options give the paper's measurement policy.
-func (db *Database) bufferPolicy() buffer.Policy {
-	return buffer.Policy{
-		Frames:    db.opts.BufferFrames,
-		Readahead: db.opts.BufferReadahead,
-	}.Normalize()
-}
-
 // newBuffer wraps a fresh file for name in a buffer under the database's
-// default policy (one frame, no readahead, under the paper's policy).
+// policy (one frame, no readahead, under the paper's policy).
 func (db *Database) newBuffer(name string) (*buffer.Buffered, error) {
 	b, _, err := db.newBufferFile(name)
 	return b, err
@@ -282,7 +263,7 @@ func (db *Database) newBufferFile(name string) (*buffer.Buffered, storage.File, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return buffer.NewWithPolicy(name, f, db.bufferPolicy()), f, nil
+	return db.pool(name, f), f, nil
 }
 
 // newTempBuffer wraps a fresh memory-backed file for a query temporary.
@@ -295,7 +276,12 @@ func (db *Database) newTempBuffer(name string) (*buffer.Buffered, error) {
 	if db.opts.WrapFile != nil {
 		f = db.opts.WrapFile(name, f)
 	}
-	return buffer.NewWithPolicy(name, f, db.bufferPolicy()), nil
+	return db.pool(name, f), nil
+}
+
+// pool wraps f in a buffer under the database's policy.
+func (db *Database) pool(name string, f storage.File) *buffer.Buffered {
+	return buffer.NewPooled(name, f, db.opts.BufferFrames, db.opts.BufferReadahead)
 }
 
 // handle returns the open handle for a relation name.

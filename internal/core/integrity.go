@@ -40,7 +40,7 @@ func (db *Database) CheckIntegrity() error {
 		// concurrent reader's own view keeps the frames consistent.
 		ls := db.newLatchSet([]string{name}, nil)
 		ls.acquire()
-		v := db.rels[name].withView(buffer.NewAccount(), db.bufferPolicy())
+		v := db.rels[name].withAccount(buffer.NewAccount())
 		err := db.checkRelation(v)
 		ls.release()
 		if err != nil {

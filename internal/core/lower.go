@@ -137,10 +137,6 @@ type lowering struct {
 	out   *emitter
 	att   *exec.Attribution
 	joins []joinConj
-	// ra is the scan-readahead budget from the session's buffer policy;
-	// zero (the measurement default, and always for DML lowering, which
-	// runs on the root graph) leaves scans fetching page by page.
-	ra int
 	// steps are the decomposition prologue's detachments, in plan order.
 	steps []*detach
 	// binds are the bindings the operators being lowered read: the
@@ -262,7 +258,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 	case plan.OpTempScan:
 		// A detached temporary holds only qualifying projections; its
 		// scan applies no predicates.
-		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Readahead: l.ra, Slot: slot,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
 			Start: func() (am.Iterator, error) { return qv.temp.Scan(), nil },
 			Bind: func(rid page.RID, tup []byte) (bool, error) {
 				b.tup = tup
@@ -314,7 +310,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 			End: end,
 		}, nil
 	default: // plan.OpSeqScan
-		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Readahead: l.ra, Slot: slot,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
 			Start: func() (am.Iterator, error) {
 				if qv.currentOnly {
 					return qv.h.src.ScanCurrent(), nil

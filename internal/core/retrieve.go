@@ -98,8 +98,7 @@ func (db *Conn) plan(e *stmtEntry) error {
 		}
 		return st
 	})
-	l := &lowering{db: db, q: q, out: out, att: att, joins: conjs,
-		ra: db.bufferPolicy().Readahead, binds: q.env.vars}
+	l := &lowering{db: db, q: q, out: out, att: att, joins: conjs, binds: q.env.vars}
 	// Decomposition prologue: detach restricted variables into
 	// temporaries before the root pipeline runs over them. The batch
 	// capacity changes the cadence of the run, never the pages it reads

@@ -55,11 +55,10 @@ type source interface {
 	Buffers() []*buffer.Buffered
 	// NumPages is the total store size in pages.
 	NumPages() int
-	// withView returns a read view of the same store whose page I/O is
-	// charged to a under buffer policy pol. Views share every page and
-	// frame with the original (growing the shared pool if pol asks for
-	// more frames); only the accounting handle and fetch policy differ.
-	withView(a *buffer.Account, pol buffer.Policy) source
+	// withAccount returns a read view of the same store whose page I/O is
+	// charged to a. Views share every page and frame with the original;
+	// only the accounting handle differs.
+	withAccount(a *buffer.Account) source
 }
 
 // cloneAMFile rebuilds an access-method view over buf (a handle on the
@@ -123,8 +122,8 @@ func (c *conventional) Buffers() []*buffer.Buffered { return []*buffer.Buffered{
 
 func (c *conventional) NumPages() int { return c.buf.NumPages() }
 
-func (c *conventional) withView(a *buffer.Account, pol buffer.Policy) source {
-	buf := c.buf.WithView(a, pol)
+func (c *conventional) withAccount(a *buffer.Account) source {
+	buf := c.buf.WithAccount(a)
 	return &conventional{file: cloneAMFile(c.file, buf), buf: buf}
 }
 
@@ -160,9 +159,9 @@ func (t *twoLevelSource) NumPages() int {
 	return t.primaryBuf.NumPages() + t.historyBuf.NumPages()
 }
 
-func (t *twoLevelSource) withView(a *buffer.Account, pol buffer.Policy) source {
-	pbuf := t.primaryBuf.WithView(a, pol)
-	hbuf := t.historyBuf.WithView(a, pol)
+func (t *twoLevelSource) withAccount(a *buffer.Account) source {
+	pbuf := t.primaryBuf.WithAccount(a)
+	hbuf := t.historyBuf.WithAccount(a)
 	return &twoLevelSource{
 		Store:      t.Store.View(cloneAMFile(t.Store.Primary(), pbuf), hbuf),
 		primaryBuf: pbuf,

@@ -15,20 +15,6 @@ import (
 	"tdbms/internal/temporal"
 )
 
-// WALSyncPolicy selects when a WAL database forces the log to stable
-// storage.
-type WALSyncPolicy int
-
-const (
-	// WALSyncCommit (the default) syncs the log before a write statement
-	// acknowledges. Concurrent committers share one sync via group commit.
-	WALSyncCommit WALSyncPolicy = iota
-	// WALSyncCheckpoint syncs only at checkpoints (and DDL, Close): a
-	// crash may lose statements acknowledged since the last checkpoint,
-	// but each survives or vanishes atomically.
-	WALSyncCheckpoint
-)
-
 // walRelMeta is the per-relation slice of a commit record's metadata: the
 // access-method descriptor whose in-memory copy the statement may have
 // moved (B-tree root, hash directory geometry, ISAM overflow map). The
@@ -128,15 +114,6 @@ func writeThrough(hs []*relHandle) ([]string, error) {
 	return files, nil
 }
 
-// syncOnCommit reports whether this session's acknowledged commits must be
-// synced: the session's override when set, the database policy otherwise.
-func (c *Conn) syncOnCommit() bool {
-	if c.syncCommit != nil {
-		return *c.syncCommit
-	}
-	return c.opts.WALSyncPolicy == WALSyncCommit
-}
-
 // walWaitDurable blocks until the log through lsn is durable, sharing the
 // sync with every concurrently committing session (group commit). It runs
 // after the statement's relation latches are released, so other writers of
@@ -148,38 +125,19 @@ func (c *Conn) walWaitDurable(lsn int64) error {
 	return c.Database.wal.WaitDurable(lsn)
 }
 
-// SetSyncCommit overrides this session's commit-durability behavior on a
-// WAL database: true syncs (and group-commits) every acknowledged write,
-// false acknowledges without waiting — an async commit that a crash may
-// lose, but never tears.
+// SetSyncCommit sets this session's commit durability on a WAL database:
+// true (the default) syncs — and group-commits — every acknowledged
+// write; false acknowledges without waiting, an async commit that a crash
+// may lose, but never tears.
 func (c *Conn) SetSyncCommit(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncCommit = &on
-}
-
-// ClearSyncCommit restores the database-wide WALSyncPolicy for this
-// session.
-func (c *Conn) ClearSyncCommit() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.syncCommit = nil
-}
-
-// Durable blocks until everything this database has logged so far is on
-// stable storage — the session-level barrier for WALSyncCheckpoint (or
-// async-commit) configurations.
-func (c *Conn) Durable() error {
-	db := c.Database
-	if db.wal == nil {
-		return nil
-	}
-	return db.wal.WaitDurable(db.wal.Tail())
+	c.asyncCommit = !on
 }
 
 // walLoadCommit commits a bulk load whose buffers were flushed: the
-// relation's parked pages and the end record in one append, then — under
-// the default per-commit policy — the group-committed sync. Unlike a
+// relation's parked pages and the end record in one append, then the
+// group-committed sync. Unlike a
 // statement, a load waits with its relation latch held: it is a bulk
 // administrative path, not a concurrent-commit one.
 //
@@ -193,9 +151,6 @@ func (db *Database) walLoadCommit(h *relHandle) error {
 	end, err := db.wal.Commit(files, db.walEndMeta(hs))
 	if err != nil {
 		return err
-	}
-	if db.opts.WALSyncPolicy != WALSyncCommit {
-		return nil
 	}
 	return db.wal.WaitDurable(end)
 }

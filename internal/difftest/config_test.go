@@ -40,15 +40,19 @@ func TestConfigMatrix(t *testing.T) {
 	}
 }
 
-// matrixCell builds one (type, method) database and checks every execution
-// variant — session × buffer policy × batch capacity — against the cell's
-// recorded answers (golden_test.go) and the baseline (nil = this cell
-// defines it).
+// matrixCell builds one (type, method) database, and a twin opened with a
+// pooled policy (32 frames per relation, readahead 4), and checks every execution variant — database × session
+// × batch capacity — against the cell's recorded answers (golden_test.go)
+// and the baseline (nil = this cell defines it).
 func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[string]string) map[string]string {
 	t.Helper()
 	b, err := BuildMethod(typ, method, configUC, core.Options{})
 	if err != nil {
 		t.Fatalf("build %s/%s: %v", typ, method, err)
+	}
+	pooled, err := BuildMethod(typ, method, configUC, core.Options{BufferFrames: 32, BufferReadahead: 4})
+	if err != nil {
+		t.Fatalf("build %s/%s pooled: %v", typ, method, err)
 	}
 	// The heap cells' unindexed joins are quadratic; running them once per
 	// cell (the direct variant) covers the method axis, and the pool/session
@@ -57,7 +61,7 @@ func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[stri
 	joinsOnce := method == "heap"
 	cell := fmt.Sprintf("matrix/%s/%s", typ, method)
 	if *update {
-		ref, err := SessionFor(b, "reference", 0, 0)
+		ref, err := SessionFor(b, "reference")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,23 +98,20 @@ func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[stri
 	run("direct", b.Inner)
 
 	// Explicit session, same policy.
-	s, err := SessionFor(b, "zero", 0, 0)
+	s, err := SessionFor(b, "zero")
 	if err != nil {
 		t.Fatal(err)
 	}
 	run("session", s)
 
-	// Explicit session under a pooled policy with readahead.
-	p, err := SessionFor(b, "pooled", 32, 4)
+	// The twin opened under the pooled policy with readahead: its default
+	// session and an explicit one.
+	run("pooled/direct", pooled.Inner)
+	p, err := SessionFor(pooled, "pooled")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run("session+pool", p)
-
-	// Default session re-pointed at the pooled policy.
-	b.Inner.DefaultSession().SetBufferPolicy(32, 4)
-	run("direct+pool", b.Inner)
-	b.Inner.DefaultSession().ClearBufferPolicy()
+	run("pooled/session", p)
 
 	// Batching axis: every capacity in goldenCaps — capacity 1 is
 	// tuple-at-a-time and exercises every batch boundary — must match the
@@ -118,7 +119,7 @@ func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[stri
 	// runs twice on the session, the second time from its statement cache.
 	for _, n := range goldenCaps {
 		variant := fmt.Sprintf("session+batch%d", n)
-		c, err := SessionFor(b, variant, 0, 0)
+		c, err := SessionFor(b, variant)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 // Package difftest is the engine's differential oracle. It executes the
 // twelve Figure 4 benchmark queries across the full configuration matrix —
 // four database types × access methods (the paper's hash/isam pair, B-tree,
-// heap) × buffer policies (the single-frame measurement policy and a
-// 32-frame pool with readahead) × execution paths (the database's default
-// session and explicit concurrent sessions) × bench worker counts — and
+// heap) × buffer policies (a database opened under the single-frame
+// measurement policy and a twin opened with a 32-frame pool and readahead)
+// × execution paths (the database's default session and explicit
+// concurrent sessions) × batch capacities × bench worker counts — and
 // requires byte-identical result tuples from every cell. The same harness
 // drives the fault matrix: deterministic faultfs schedules sabotage reads,
 // writes, allocations, and syncs mid-statement, and the oracle requires a
@@ -144,12 +145,9 @@ func BuildMethod(t bench.DBType, method string, uc int, opts core.Options) (*ben
 }
 
 // SessionFor opens a named session on b's engine with the benchmark range
-// variables bound; frames > 0 applies a pooled buffer policy to it.
-func SessionFor(b *bench.DB, name string, frames, ahead int) (*core.Conn, error) {
+// variables bound.
+func SessionFor(b *bench.DB, name string) (*core.Conn, error) {
 	c := b.Inner.NewSession(name)
-	if frames > 0 {
-		c.SetBufferPolicy(frames, ahead)
-	}
 	ranges := fmt.Sprintf("range of h is %s\nrange of i is %s", b.H, b.I)
 	if _, err := c.Exec(ranges); err != nil {
 		return nil, err

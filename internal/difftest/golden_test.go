@@ -117,7 +117,7 @@ func checkGolden(t *testing.T, cell, variant string, snap map[string]string) {
 func checkGoldenCaps(t *testing.T, cell string, typ bench.DBType, db *core.Database) {
 	t.Helper()
 	sess := db.DefaultSession()
-	defer sess.ClearBatchSize()
+	defer sess.SetBatchSize(0)
 	caps := goldenCaps
 	if *update {
 		caps = append([]int{-1}, caps...)

@@ -90,7 +90,7 @@ func TestGroupCommitDurability(t *testing.T) {
 	t.Logf("%d commits shared %d syncs", commits, grouped)
 
 	// Crash: abandon db without Close. Every Exec above returned, so every
-	// row was acknowledged under WALSyncCommit — recovery must produce all
+	// row was acknowledged under a synced commit — recovery must produce all
 	// of them.
 	db2 := open()
 	if err := db2.CheckIntegrity(); err != nil {

@@ -83,7 +83,7 @@ func walkCounts(t *testing.T, cell string) []string {
 	first := warm.sequence(t, cell, warm.b.Inner.DefaultSession(), false)
 	cold.sequence(t, cell, cold.b.Inner.DefaultSession(), false)
 	again := warm.sequence(t, cell, warm.b.Inner.DefaultSession(), true)
-	fresh, err := SessionFor(cold.b, "replay", 0, 0)
+	fresh, err := SessionFor(cold.b, "replay")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func (w *walkDB) sequence(t *testing.T, cell string, sess *core.Conn, replay boo
 		}
 		round(tag)
 	}
-	sess.ClearBatchSize()
+	sess.SetBatchSize(0)
 	dir := t.TempDir()
 	for _, rel := range []string{b.H, b.I} {
 		exec("copy-"+rel, fmt.Sprintf(`copy %s () into %q`, rel, filepath.Join(dir, rel+".txt")))

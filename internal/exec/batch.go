@@ -174,11 +174,6 @@ type BatchScan struct {
 	// End, if set, runs once when the scan exhausts (clearing the
 	// variable's binding).
 	End func()
-	// Readahead, when positive, is passed to iterators implementing
-	// am.ReadaheadHinter so sequential scans prefetch page batches. The
-	// lowering layer sets it from the session's buffer policy; it stays
-	// zero under the single-frame measurement policy.
-	Readahead int
 	// Slot is the scan's variable's slot in the batch rows.
 	Slot int
 	// Arena, when set, backs the qualifying tuples; the owner resets it
@@ -197,9 +192,6 @@ func (s *BatchScan) Open() error {
 	it, err := s.Start()
 	if err != nil {
 		return err
-	}
-	if h, ok := it.(am.ReadaheadHinter); ok && s.Readahead > 0 {
-		h.SetReadahead(s.Readahead)
 	}
 	s.it = it
 	s.blk.Qual, s.blk.Arena = s.Bind, s.Arena

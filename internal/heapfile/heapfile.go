@@ -153,30 +153,20 @@ func (f *File) Probe(key int64) am.Iterator {
 }
 
 // scanWalk visits the pages in file order, up to whatever the file's last
-// page is when the scan gets there.
+// page is when the scan gets there. Heap pages are fully contiguous, so
+// the rest of the file is one run.
 type scanWalk struct {
-	f     *File
-	cur   page.ID
-	ahead int
+	f   *File
+	cur page.ID
 }
-
-// SetReadahead implements am.ReadaheadHinter: page fetches may prefetch
-// up to n pages past the cursor. Heap pages are fully contiguous, so the
-// whole file is one readahead run.
-func (w *scanWalk) SetReadahead(n int) { w.ahead = n }
 
 // View implements am.PageWalk.
 func (w *scanWalk) View(*am.Match) (*page.Page, page.ID, error) {
-	if int(w.cur) >= w.f.buf.NumPages() {
+	n := w.f.buf.NumPages()
+	if int(w.cur) >= n {
 		return nil, page.Nil, nil
 	}
-	var p *page.Page
-	var err error
-	if w.ahead > 0 {
-		p, err = w.f.buf.ViewAhead(w.cur, w.ahead)
-	} else {
-		p, err = w.f.buf.View(w.cur)
-	}
+	p, err := w.f.buf.ViewAhead(w.cur, n-int(w.cur)-1)
 	return p, w.cur, err
 }
 

@@ -81,32 +81,6 @@ func (s *Session) Stats() IOStats {
 // DB.Stats are unaffected).
 func (s *Session) ResetStats() { s.conn.ResetStats() }
 
-// SetBufferPolicy opts this session out of the paper's one-frame-per-
-// relation buffer policy for its own reads: an LRU pool of frames frames
-// per relation, with readahead pages of sequential-scan prefetch. Other
-// sessions and the shared engine default are unaffected. Values below the
-// minimum are normalized (at least one frame, non-negative readahead).
-func (s *Session) SetBufferPolicy(frames, readahead int) {
-	s.conn.SetBufferPolicy(frames, readahead)
-}
-
-// ClearBufferPolicy removes the session's buffer-policy override; the
-// session follows the database default again (one frame, no readahead,
-// unless the database was opened with pooled Options).
-func (s *Session) ClearBufferPolicy() { s.conn.ClearBufferPolicy() }
-
-// SetBatchSize overrides the executor batch size for this session's
-// statements: rows > 0 exchanges batches of that many rows between
-// operators, rows == 0 asks for the engine default, and rows < 0 means
-// one row, which is tuple-at-a-time. Every capacity reads exactly the same
-// pages in the same order — the setting trades per-tuple interpretation
-// overhead, never I/O, so reported page counts are identical either way.
-func (s *Session) SetBatchSize(rows int) { s.conn.SetBatchSize(rows) }
-
-// ClearBatchSize removes the session's batch-size override; the session
-// follows the database default again.
-func (s *Session) ClearBatchSize() { s.conn.ClearBatchSize() }
-
 // SetNow gives the session its own "now" without moving the shared clock:
 // queries and updates in this session see the database as of t.
 func (s *Session) SetNow(t time.Time) { s.conn.SetNow(temporal.FromUnix(t.UTC())) }

@@ -43,13 +43,10 @@ type Options struct {
 	TwoLevelStore bool
 	// ClusteredHistory co-locates history versions of the same tuple.
 	ClusteredHistory bool
-	// BufferFrames sets the buffer frames per relation. Zero or one gives
-	// the paper's measurement policy of Section 5.1.
+	// BufferFrames sets the buffer frames per relation, for the whole
+	// database and every session on it. Zero or one gives the paper's
+	// measurement policy of Section 5.1.
 	BufferFrames int
-	// BatchSize sets the executor's batch capacity in rows. Zero picks
-	// the default; a negative value means one row, which is
-	// tuple-at-a-time. Page counts are identical either way.
-	BatchSize int
 }
 
 // DB is an open temporal database.
@@ -71,7 +68,6 @@ func Open(opts Options) (*DB, error) {
 		TwoLevelStore:    opts.TwoLevelStore,
 		ClusteredHistory: opts.ClusteredHistory,
 		BufferFrames:     opts.BufferFrames,
-		BatchSize:        opts.BatchSize,
 	})
 	if err != nil {
 		return nil, err
