@@ -60,21 +60,39 @@ func (b *Block) Offer(rid page.RID, tup []byte) error {
 // fill offers the block the live tuples of p (page id) that m accepts,
 // from slot *slot on, until max candidates have been offered or the page
 // runs out, leaving *slot where the next fill resumes. It reports whether
-// the page ran out.
+// the page ran out. The header is checked once, when there is a slot left
+// to read; the slots are then read in one pass, each key compared in place.
 func (b *Block) fill(p *page.Page, id page.ID, slot *int, m *Match, max int) (bool, error) {
-	for b.offered < max {
-		s, tup, ok, err := m.Next(p, slot)
-		if err != nil {
-			return false, err
+	s := *slot
+	if s >= p.Slots() {
+		return true, nil
+	}
+	n, width, err := p.Lines()
+	if err != nil {
+		return false, err
+	}
+	key, filter, lo, hi, above := m.Key, m.Filter, m.Lo, m.Hi, m.Above
+	for ; s < n && b.offered < max; s++ {
+		tup := p.Tuple(s, width)
+		if tup == nil {
+			continue
 		}
-		if !ok {
-			return true, nil
+		if filter {
+			k := key.Extract(tup)
+			if k > hi {
+				above = true
+			}
+			if k < lo || k > hi {
+				continue
+			}
 		}
 		if err := b.Offer(page.RID{Page: id, Slot: uint16(s)}, tup); err != nil {
+			*slot, m.Above = s+1, above
 			return false, err
 		}
 	}
-	return *slot >= p.Slots(), nil
+	*slot, m.Above = s, above
+	return s >= n, nil
 }
 
 // Arena is the backing store of block tuples: a bump allocator over chunks

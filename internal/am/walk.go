@@ -17,34 +17,6 @@ type Match struct {
 // Equal returns the restriction key == k.
 func Equal(key Key, k int64) Match { return Match{Key: key, Filter: true, Lo: k, Hi: k} }
 
-// Next returns the next live tuple of p at or after slot *slot that the
-// restriction accepts, and moves *slot past it; ok is false when the page
-// has no more. The tuple aliases the page.
-func (m *Match) Next(p *page.Page, slot *int) (s int, tup []byte, ok bool, err error) {
-	for *slot < p.Slots() {
-		s = *slot
-		*slot++
-		tup, err = p.Get(s)
-		if err == page.ErrBadSlot {
-			continue
-		}
-		if err != nil {
-			return 0, nil, false, err
-		}
-		if m.Filter {
-			k := m.Key.Extract(tup)
-			if k > m.Hi {
-				m.Above = true
-			}
-			if k < m.Lo || k > m.Hi {
-				continue
-			}
-		}
-		return s, tup, true, nil
-	}
-	return 0, nil, false, nil
-}
-
 // PageWalk is the part of a page-at-a-time iterator that differs between
 // access methods: which pages to visit, in what order. Walk supplies the
 // rest — the block protocol over the pages it is shown.

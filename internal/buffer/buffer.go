@@ -141,9 +141,11 @@ func (a *Account) Charge(d Stats) {
 // lender is implemented by stores that keep every page resident at an
 // address that does not change while the file grows (storage.Mem): Lend
 // returns the page itself. Wrappers do not forward it, so a wrapped store
-// is read with ReadPage like any other.
+// is read with ReadPage like any other. Both methods take no lock, so a
+// view may prefetch through them after the pool mutex is released.
 type lender interface {
 	Lend(id page.ID) (*page.Page, error)
+	NumPages() int
 }
 
 // image is a page image owned by the pool. refs counts the frame holding
@@ -427,16 +429,47 @@ func (b *Buffered) hold(f *frame) *page.Page {
 // which the caller must not modify. The pointer is valid until the next
 // call on this handle; see the package comment for what else the caller
 // must hold while reading through it.
+//
+// A page on loan from the store is prefetched, and so is its overflow
+// successor when the store can lend that too: the caller is about to read
+// the one and will likely view the other next. Prefetching moves no
+// counter and takes no lock; see prefetch.
 func (b *Buffered) View(id page.ID) (*page.Page, error) {
+	pg, lent, err := b.view(id)
+	if lent {
+		b.p.prefetch(pg)
+	}
+	return pg, err
+}
+
+// view is View under the pool mutex. It reports whether the page it
+// returns is on loan from the store.
+func (b *Buffered) view(id page.ID) (*page.Page, bool, error) {
 	p := b.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	b.begin()
 	f, err := b.resident(id)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return b.hold(f), nil
+	return b.hold(f), f.img == nil, nil
+}
+
+// prefetch starts loading the lent page pg and, when its overflow link
+// names a page the store can lend, that page too. The successor is not
+// brought into a frame and nothing is counted: only the processor's caches
+// see it. Reading pg's link is reading the view, which the caller's
+// relation latch already protects; the successor belongs to the same file,
+// under the same latch, and a prefetch reads nothing a program can see. A
+// link out of range, Nil included, is skipped.
+func (p *pool) prefetch(pg *page.Page) {
+	pg.Prefetch()
+	if next := pg.Next(); next >= 0 && int(next) < p.lend.NumPages() {
+		if succ, err := p.lend.Lend(next); err == nil {
+			succ.Prefetch()
+		}
+	}
 }
 
 // Fetch brings page id into a frame (evicting and, if dirty, flushing the

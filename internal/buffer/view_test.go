@@ -340,3 +340,108 @@ func TestViewAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// chainMem builds a file of pages whose overflow links form one chain,
+// visiting the pages out of file order, and returns the chain's head.
+func chainMem(t *testing.T, pages int) (*storage.Mem, page.ID) {
+	t.Helper()
+	m := storage.NewMem()
+	for i := 0; i < pages; i++ {
+		if _, err := m.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Page i links to page (i+7) mod pages, the last of the cycle to Nil.
+	id := page.ID(0)
+	for i := 0; i < pages; i++ {
+		var p page.Page
+		p.Format(100, page.KindData)
+		stamp(&p, byte(id))
+		next := page.ID((int(id) + 7) % pages)
+		if i == pages-1 {
+			next = page.Nil
+		}
+		p.SetNext(next)
+		if err := m.WritePage(id, &p); err != nil {
+			t.Fatal(err)
+		}
+		id = next
+	}
+	return m, 0
+}
+
+// TestPrefetchMovesNoCounter walks one overflow chain over a bare
+// storage.Mem, whose views are lent and prefetched with their successors,
+// and over the same store wrapped, which neither lends nor prefetches. The
+// pool counters and the session account must be identical, and so must
+// every page seen: prefetching is invisible to everything but the caches.
+func TestPrefetchMovesNoCounter(t *testing.T) {
+	const pages = 17
+	m, head := chainMem(t, pages)
+	for _, frames := range []int{1, 3} {
+		walk := func(f storage.File) (Stats, Stats, []byte) {
+			root := NewPooled("r", f, frames, 0)
+			acct := NewAccount()
+			h := root.WithAccount(acct)
+			var seen []byte
+			for pass := 0; pass < 2; pass++ {
+				for id := head; id != page.Nil; {
+					p, err := h.View(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := stamped(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					seen = append(seen, b)
+					id = p.Next()
+				}
+			}
+			return root.Stats(), acct.Stats(), seen
+		}
+		bareStats, bareAcct, bareSeen := walk(m)
+		wrapStats, wrapAcct, wrapSeen := walk(struct{ storage.File }{m})
+		if bareStats != wrapStats || bareAcct != wrapAcct {
+			t.Fatalf("%d frames: bare pool %+v account %+v; wrapped pool %+v account %+v",
+				frames, bareStats, bareAcct, wrapStats, wrapAcct)
+		}
+		if bareStats.Reads+bareStats.Hits != 2*pages || bareAcct != bareStats {
+			t.Fatalf("%d frames: pool %+v, account %+v for %d views", frames, bareStats, bareAcct, 2*pages)
+		}
+		if string(bareSeen) != string(wrapSeen) || len(bareSeen) != 2*pages {
+			t.Fatalf("%d frames: bare walk saw %v, wrapped %v", frames, bareSeen, wrapSeen)
+		}
+	}
+}
+
+// TestViewLinkPastFile: a lent page whose overflow link names no page of
+// the file — past its end, or negative but not Nil — is viewed without an
+// error; its successor is simply not prefetched.
+func TestViewLinkPastFile(t *testing.T) {
+	m := storage.NewMem()
+	for i := 0; i < 2; i++ {
+		if _, err := m.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := New("r", m)
+	for _, next := range []page.ID{2, 1 << 30, -5, page.Nil} {
+		var p page.Page
+		p.Format(100, page.KindData)
+		p.SetNext(next)
+		if err := m.WritePage(1, &p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.View(0); err != nil { // evict page 1
+			t.Fatal(err)
+		}
+		v, err := b.View(1)
+		if err != nil {
+			t.Fatalf("View of a page linked to %d: %v", next, err)
+		}
+		if v.Next() != next {
+			t.Fatalf("view links to %d, want %d", v.Next(), next)
+		}
+	}
+}

@@ -1,0 +1,8 @@
+package page
+
+func init() { prefetchLines = prefetch }
+
+// prefetch issues one prefetch per cache line of p (page_arm64.s).
+//
+//go:noescape
+func prefetch(p *Page)

@@ -11,9 +11,11 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"tdbms/internal/page"
 )
@@ -46,41 +48,95 @@ func checkBounds(id page.ID, n int) error {
 }
 
 // Mem is an in-memory File. The zero value is an empty file ready to use.
-// Page accesses are latched so concurrent readers sharing the file (via
-// separate buffer handles) never observe a torn page or a resizing slice.
 //
-// Every page is its own allocation, so growing the file never moves a page:
-// the address Lend hands out stays that page's address until Truncate.
+// Pages live in chunks of contiguous pages that are never moved or
+// resized, so the address Lend hands out stays that page's address until
+// Truncate, and a walk over neighbouring pages stays in neighbouring
+// memory. A page's address is found from a small chunk directory by shift
+// and mask, with no per-page pointer to chase. Files grow by doubling up
+// to memChunk pages (chunks of 1, 1, 2, 4, …, 32 pages hold the first
+// memChunk), and by whole memChunk-page chunks after that: a one-page
+// temporary holds 1 KiB, not a 64 KiB chunk.
+//
+// The directory is immutable once published through an atomic pointer,
+// so Lend and NumPages take no lock. Writers of the directory (Allocate,
+// Truncate) and of page contents (WritePage) hold the mutex exclusively;
+// ReadPage and ReadPages hold it shared, so a copy is never torn.
 type Mem struct {
-	mu    sync.RWMutex
-	pages []*page.Page
+	mu  sync.RWMutex
+	dir atomic.Pointer[memDir]
+}
+
+// memChunkShift sizes the chunks past the first memChunk pages.
+const (
+	memChunkShift = 6
+	memChunk      = 1 << memChunkShift
+)
+
+// memDir is one published state of a Mem: n pages, held in chunks. A
+// directory is never modified after it is published; Allocate publishes a
+// new one, which shares the chunks (and, while it has room, the backing
+// array of the chunk list: an older directory never reads past its own
+// length).
+type memDir struct {
+	n      int
+	chunks [][]page.Page
+}
+
+// emptyDir is the directory of an empty file.
+var emptyDir = &memDir{}
+
+// locate returns the chunk holding page id and the page's index in it.
+// Chunk 0 is page 0; chunk c in 1..memChunkShift holds pages
+// [2^(c-1), 2^c); each later chunk holds memChunk pages.
+func locate(id int) (c, i int) {
+	if id < memChunk {
+		c = bits.Len(uint(id))
+		return c, id &^ (1 << c >> 1)
+	}
+	return memChunkShift + id>>memChunkShift, id & (memChunk - 1)
 }
 
 // NewMem returns an empty in-memory paged file.
 func NewMem() *Mem { return &Mem{} }
 
+// load returns the current directory.
+func (m *Mem) load() *memDir {
+	if d := m.dir.Load(); d != nil {
+		return d
+	}
+	return emptyDir
+}
+
+// at returns the address of page id, which must be below d.n.
+func (d *memDir) at(id page.ID) *page.Page {
+	c, i := locate(int(id))
+	return &d.chunks[c][i]
+}
+
 // ReadPage implements File.
 func (m *Mem) ReadPage(id page.ID, p *page.Page) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := checkBounds(id, len(m.pages)); err != nil {
+	d := m.load()
+	if err := checkBounds(id, d.n); err != nil {
 		return err
 	}
-	*p = *m.pages[id]
+	*p = *d.at(id)
 	return nil
 }
 
 // Lend returns the resident page itself instead of a copy of it. The
 // caller must not write through the pointer, and must hold whatever keeps
 // writers of the file out (the engine's relation latch) for as long as it
-// reads through it: WritePage stores into this same memory.
+// reads through it: WritePage stores into this same memory. Lend takes no
+// lock.
 func (m *Mem) Lend(id page.ID) (*page.Page, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if err := checkBounds(id, len(m.pages)); err != nil {
+	d := m.load()
+	if err := checkBounds(id, d.n); err != nil {
 		return nil, err
 	}
-	return m.pages[id], nil
+	return d.at(id), nil
 }
 
 // ReadPages implements File.
@@ -90,14 +146,15 @@ func (m *Mem) ReadPages(id page.ID, ps []page.Page) error {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := checkBounds(id, len(m.pages)); err != nil {
+	d := m.load()
+	if err := checkBounds(id, d.n); err != nil {
 		return err
 	}
-	if err := checkBounds(id+page.ID(len(ps))-1, len(m.pages)); err != nil {
+	if err := checkBounds(id+page.ID(len(ps))-1, d.n); err != nil {
 		return err
 	}
 	for i := range ps {
-		ps[i] = *m.pages[int(id)+i]
+		ps[i] = *d.at(id + page.ID(i))
 	}
 	return nil
 }
@@ -106,34 +163,39 @@ func (m *Mem) ReadPages(id page.ID, ps []page.Page) error {
 func (m *Mem) WritePage(id page.ID, p *page.Page) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := checkBounds(id, len(m.pages)); err != nil {
+	d := m.load()
+	if err := checkBounds(id, d.n); err != nil {
 		return err
 	}
-	*m.pages[id] = *p
+	*d.at(id) = *p
 	return nil
 }
 
-// Allocate implements File.
+// Allocate implements File. A page past the last chunk starts a new,
+// zeroed chunk as large as the file was, up to memChunk pages, which is
+// the layout locate reads; any other new page is a never-written page of
+// the last chunk.
 func (m *Mem) Allocate() (page.ID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pages = append(m.pages, new(page.Page))
-	return page.ID(len(m.pages) - 1), nil
+	d := m.load()
+	next := &memDir{n: d.n + 1, chunks: d.chunks}
+	if c, _ := locate(d.n); c == len(d.chunks) {
+		next.chunks = append(next.chunks, make([]page.Page, min(max(d.n, 1), memChunk)))
+	}
+	m.dir.Store(next)
+	return page.ID(d.n), nil
 }
 
-// NumPages implements File.
-func (m *Mem) NumPages() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.pages)
-}
+// NumPages implements File. It takes no lock.
+func (m *Mem) NumPages() int { return m.load().n }
 
-// Truncate implements File. The pages are dropped, not reused: one may
-// still be on loan.
+// Truncate implements File. The chunks are dropped, not reused: a page in
+// one may still be on loan.
 func (m *Mem) Truncate() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pages = nil
+	m.dir.Store(emptyDir)
 	return nil
 }
 
