@@ -36,6 +36,23 @@ func (k Key) Extract(tup []byte) int64 {
 	panic("am: unsupported key width")
 }
 
+// Range restricts the integer its Key locates to Lo <= value <= Hi; a range
+// with Lo > Hi accepts nothing.
+type Range struct {
+	Key
+	Lo, Hi int64
+}
+
+// Within reports whether tup satisfies every range of rs.
+func Within(rs []Range, tup []byte) bool {
+	for _, r := range rs {
+		if k := r.Extract(tup); k < r.Lo || k > r.Hi {
+			return false
+		}
+	}
+	return true
+}
+
 // Iterator delivers tuples a page at a time. NextBlock resets blk and
 // offers it up to max candidates from the page under the cursor, fetching
 // that page exactly once; it returns false only at exhaustion (with an

@@ -1,6 +1,9 @@
 package am
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,5 +161,90 @@ func TestArenaRecycles(t *testing.T) {
 	}
 	if retained > arenaKeep {
 		t.Fatalf("Reset retained %d bytes, bound %d", retained, arenaKeep)
+	}
+}
+
+// viewLog is a PageWalk over a list of pages that records each View: the
+// page it lent and the max of the NextBlock call that asked for it.
+type viewLog struct {
+	pages []*page.Page
+	cur   int
+	max   int // of the NextBlock call in progress
+	views [][2]int
+}
+
+func (w *viewLog) View(*Match) (*page.Page, page.ID, error) {
+	if w.cur >= len(w.pages) {
+		return nil, page.Nil, nil
+	}
+	w.views = append(w.views, [2]int{w.cur, w.max})
+	return w.pages[w.cur], page.ID(w.cur), nil
+}
+func (w *viewLog) Leave(*page.Page) { w.cur++ }
+
+// TestRangesPaceLikeQual pins what Ranges may not change: a walk whose
+// ranges reject every tuple fetches exactly the pages, in the same order
+// and under the same max, as one whose Qual rejects every tuple — so the
+// pages a scan reads do not depend on which of the two rejects — and a
+// tuple a range rejects is neither shown to Qual nor copied.
+func TestRangesPaceLikeQual(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var pages []*page.Page
+	for range 12 {
+		p := new(page.Page)
+		p.Format(8, page.KindData)
+		n := rng.Intn(page.Capacity(8) + 1)
+		for i := 0; i < n; i++ {
+			if _, err := p.Insert([]byte{byte(i), 0, 0, 0, 1, 2, 3, 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i += 1 + rng.Intn(4) {
+			if err := p.Delete(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pages = append(pages, p)
+	}
+	walk := func(blk *Block, maxes []int) [][2]int {
+		w := &viewLog{pages: pages}
+		it := NewWalk(w, Match{})
+		for i := 0; ; i++ {
+			w.max = maxes[i%len(maxes)]
+			ok, err := it.NextBlock(blk, w.max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blk.Len() != 0 {
+				t.Fatalf("a block that rejects every tuple holds %d", blk.Len())
+			}
+			if !ok {
+				return w.views
+			}
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		maxes := []int{1 + rng.Intn(3*page.Capacity(8))}
+		for i := rng.Intn(6); i > 0; i-- {
+			maxes = append(maxes, []int{0, 1, 2, 7, math.MaxInt}[rng.Intn(5)])
+		}
+		qualled := 0
+		ranged := &Block{
+			Ranges: []Range{{Key: Key{Offset: 4, Width: 4}, Lo: 0, Hi: 0x04030200}},
+			Qual: func(page.RID, []byte) (bool, error) {
+				qualled++
+				return true, nil
+			},
+			Arena: new(Arena),
+		}
+		rejected := &Block{Qual: func(page.RID, []byte) (bool, error) { return false, nil }}
+		got, want := walk(ranged, maxes), walk(rejected, maxes)
+		if !slices.Equal(got, want) {
+			t.Fatalf("maxes %v: a rejecting range views (page, max) %v, a rejecting Qual %v", maxes, got, want)
+		}
+		if qualled != 0 || len(ranged.Arena.chunks) != 0 {
+			t.Fatalf("maxes %v: Qual saw %d tuples a range rejected, and %d arena chunks hold copies",
+				maxes, qualled, len(ranged.Arena.chunks))
+		}
 	}
 }

@@ -5,15 +5,18 @@ import "tdbms/internal/page"
 // Block is a page-at-a-time tuple delivery: one NextBlock call fetches the
 // page under the iterator's cursor once and offers the block every
 // candidate still on it. The iterator reads the page in place; the block
-// copies only the tuples that survive Qual, so its tuples stay valid after
-// further iteration — until the block's arena is reset — and a consumer
-// may hold them as long as that.
+// copies only the tuples that survive Ranges and Qual, so its tuples stay
+// valid after further iteration — until the block's arena is reset — and a
+// consumer may hold them as long as that.
 type Block struct {
 	RIDs []page.RID
 	Tups [][]byte
-	// Qual, when set, is shown every candidate in place: the slice aliases
-	// the page under the iterator's cursor and must not be kept or written.
-	// Only tuples it accepts are copied into the block.
+	// Ranges are tested on every candidate's bytes, in place, before Qual:
+	// a candidate outside one of them is dropped without a call.
+	Ranges []Range
+	// Qual, when set, is shown every candidate within Ranges, in place: the
+	// slice aliases the page under the iterator's cursor and must not be
+	// kept or written. Only tuples it accepts are copied into the block.
 	Qual func(rid page.RID, tup []byte) (bool, error)
 	// Arena backs the block's tuples. A caller that runs many short scans
 	// shares one arena between their blocks and resets it when every tuple
@@ -21,8 +24,8 @@ type Block struct {
 	Arena *Arena
 
 	// offered counts the candidates shown to the block since Reset, whether
-	// or not Qual kept them. Walk paces itself by it, so the pages a scan
-	// fetches do not depend on how selective Qual is.
+	// or not Ranges and Qual kept them. Walk paces itself by it, so the
+	// pages a scan fetches do not depend on how selective they are.
 	offered int
 }
 
@@ -37,12 +40,15 @@ func (b *Block) Reset() {
 // Len is the number of tuples in the block.
 func (b *Block) Len() int { return len(b.Tups) }
 
-// Offer shows the block one candidate, in place, and copies it in if Qual
-// accepts it (or there is no Qual). Walk offers the tuples of each page it
-// visits; an iterator that orders its candidates some other way offers them
-// itself.
+// Offer shows the block one candidate, in place, and copies it in if it is
+// within Ranges and Qual accepts it (or there is no Qual). Walk offers the
+// tuples of each page it visits; an iterator that orders its candidates
+// some other way offers them itself.
 func (b *Block) Offer(rid page.RID, tup []byte) error {
 	b.offered++
+	if !Within(b.Ranges, tup) {
+		return nil
+	}
 	if b.Qual != nil {
 		ok, err := b.Qual(rid, tup)
 		if err != nil || !ok {

@@ -1,6 +1,10 @@
 package am
 
-import "tdbms/internal/page"
+import (
+	"fmt"
+
+	"tdbms/internal/page"
+)
 
 // Match is the key restriction an iterator applies to a page in place.
 // The zero value accepts every live tuple.
@@ -70,44 +74,65 @@ func (w *Walk) NextBlock(blk *Block, max int) (bool, error) {
 	}
 }
 
+// Overrun is the error of a walk that would visit page id of file after
+// visiting as many pages as the file held when the walk started. A
+// well-formed walk visits each page at most once, so such a walk follows a
+// link that loops — from a torn write or a flipped byte — and ends with
+// this error instead of spinning under the relation latch.
+func Overrun(file string, id page.ID) error {
+	return fmt.Errorf("%s: page %d: walk visits more pages than the file holds: %w", file, id, page.ErrCorrupt)
+}
+
 // PageViewer is the read-only side of a buffered file, as a sequential
 // walk reads it: ViewAhead(id, ahead) fetches page id, telling the pool
 // that ahead more pages of the walk's run follow it. The pool decides how
 // many of them to read in the same operation (buffer.Buffered.ViewAhead).
+// NumPages bounds the walk and Name names the file in its Overrun.
 type PageViewer interface {
 	ViewAhead(id page.ID, ahead int) (*page.Page, error)
+	NumPages() int
+	Name() string
 }
 
 // PrimaryScan is the PageWalk of a full scan over a file laid out as hash
-// and ISAM files are: pages 0..Primaries-1 are primary pages, each heading
+// and ISAM files are: pages 0..primaries-1 are primary pages, each heading
 // an overflow chain, and the scan visits each primary page followed by its
 // chain. Only the primary pages are contiguous — overflow pages are chained
 // anywhere past them — so the run a fetch announces is confined to the
 // primary region.
 type PrimaryScan struct {
-	Buf       PageViewer
-	Primaries int
+	buf       PageViewer
+	primaries int
+	left      int // pages the scan may still visit (Overrun)
 
 	primary int     // pages below this have been started
 	cur     page.ID // page under the cursor, when chained
 	chained bool    // cur is valid: the scan is inside a chain
 }
 
+// NewPrimaryScan scans buf's first primaries pages and their chains.
+func NewPrimaryScan(buf PageViewer, primaries int) *PrimaryScan {
+	return &PrimaryScan{buf: buf, primaries: primaries, left: buf.NumPages()}
+}
+
 // View implements PageWalk.
 func (w *PrimaryScan) View(*Match) (*page.Page, page.ID, error) {
 	if !w.chained {
-		if w.primary >= w.Primaries {
+		if w.primary >= w.primaries {
 			return nil, page.Nil, nil
 		}
 		w.cur, w.chained = page.ID(w.primary), true
 		w.primary++
 	}
-	p, err := w.Buf.ViewAhead(w.cur, w.Primaries-int(w.cur)-1)
+	if w.left <= 0 {
+		return nil, page.Nil, Overrun(w.buf.Name(), w.cur)
+	}
+	p, err := w.buf.ViewAhead(w.cur, w.primaries-int(w.cur)-1)
 	return p, w.cur, err
 }
 
 // Leave implements PageWalk.
 func (w *PrimaryScan) Leave(p *page.Page) {
-	w.cur = p.Next()
+	w.cur, w.left = p.Next(), w.left-1
 	w.chained = w.cur != page.Nil
 }

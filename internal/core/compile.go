@@ -3,8 +3,10 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
+	"tdbms/internal/am"
 	"tdbms/internal/catalog"
 	"tdbms/internal/temporal"
 	"tdbms/internal/tquel"
@@ -157,27 +159,103 @@ type compiler struct {
 	byVals  []tuple.Value
 }
 
-// compileVarQual compiles v's qualification — the transaction slice, its
-// scalar and its temporal selections — against its relation's binding.
-// The caller installs each tuple in that binding before running it.
-func (q *query) compileVarQual(v string) boolFn {
+// leafQual is a variable's qualification as its leaf applies it. The
+// rollback slice and the leading run of `v.attr op k` conjuncts, with attr
+// an integer attribute and k an integer literal on either side, are
+// ranges, which the leaf's block tests on the stored bytes
+// (am.Block.Offer) before any closure runs; rest is the rest of the
+// qualification, compiled, or nil when nothing is left. Only a prefix is
+// absorbed, so a later conjunct that can fail still fails for exactly the
+// tuples that reach it. The ranges are the leaf's own: fill sets their
+// bounds in place for each execution, from the rollback slice and the
+// literals' values. Which conjuncts are absorbed depends only on the
+// literals' kinds, which the statement-cache key pins.
+type leafQual struct {
+	ranges []am.Range
+	bounds []rangeBound
+	rest   boolFn
+}
+
+// rangeBound derives one range of a leaf from the statement: the range
+// holds the integers x with `x op *k`.
+type rangeBound struct {
+	op string
+	k  *int64
+}
+
+// fill sets the leaf's range bounds for this execution.
+func (l *leafQual) fill() {
+	for i, b := range l.bounds {
+		l.ranges[i].Lo, l.ranges[i].Hi = span(b.op, *b.k)
+	}
+}
+
+// span is {k : k op n} as an inclusive range. A bound of n-1 or n+1 past
+// the int64 limits makes the range empty; it never wraps.
+func span(op string, n int64) (lo, hi int64) {
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	switch op {
+	case "=":
+		return n, n
+	case "<=":
+		return minI, n
+	case ">=":
+		return n, maxI
+	case "<":
+		if n == minI {
+			return maxI, minI
+		}
+		return minI, n - 1
+	}
+	if n == maxI {
+		return maxI, minI
+	}
+	return n + 1, maxI
+}
+
+// compileVarQual splits v's qualification — the transaction slice, its
+// scalar and its temporal selections, in that order — against its
+// relation's binding. The caller installs each tuple that is within the
+// ranges in that binding before running the rest.
+func (q *query) compileVarQual(v string) *leafQual {
 	c := &compiler{e: q.env, vars: q.env.vars}
 	b := q.env.vars[v]
-	var checks []boolFn
-	if b.ts >= 0 {
-		sc, ts, te := b.schema, b.ts, b.te
-		checks = append(checks, func() (bool, error) {
-			return temporal.Time(sc.Int(b.tup, ts)) <= q.thr &&
-				q.at < temporal.Time(sc.Int(b.tup, te)), nil
-		})
+	l := &leafQual{}
+	absorb := func(i int, op string, k *int64) {
+		l.ranges = append(l.ranges, am.Range{Key: am.Key{Offset: b.schema.Offset(i), Width: b.schema.Attr(i).Width()}})
+		l.bounds = append(l.bounds, rangeBound{op, k})
 	}
-	for _, x := range q.qv[v].sel {
+	if b.ts >= 0 {
+		// ts <= thr and te > at.
+		absorb(b.ts, "<=", (*int64)(&q.thr))
+		absorb(b.te, ">", (*int64)(&q.at))
+	}
+	// The comparison compare runs for `v.attr op k` with both sides integers
+	// cannot fail, and an integer range is the same test: a stored value
+	// fits in 32 bits, so its float64 comparison with k is exact.
+	sel := q.qv[v].sel
+	for ; len(sel) > 0; sel = sel[1:] {
+		attr, op, k, ok := comparisonWithConst(sel[0], v)
+		if !ok || !integral(k.Kind) {
+			break
+		}
+		i := b.schema.Index(attr)
+		if i < 0 || !integral(b.schema.Attr(i).Kind) {
+			break
+		}
+		absorb(i, op, &k.I)
+	}
+	var checks []boolFn
+	for _, x := range sel {
 		checks = append(checks, c.bool(x))
 	}
 	for _, x := range q.qv[v].tsel {
 		checks = append(checks, c.tbool(x))
 	}
-	return all(checks)
+	if len(checks) > 0 {
+		l.rest = all(checks)
+	}
+	return l
 }
 
 // all is the conjunction of checks, evaluated in order up to the first

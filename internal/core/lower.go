@@ -221,13 +221,19 @@ func (l *lowering) lowerBatchNode(n *plan.Node, bcap int, rebind func(row [][]by
 	}
 }
 
-// varQual builds the Bind hook of v's leaf: it binds the tuple to v's
-// relation binding and applies v's compiled qualification.
-func (q *query) varQual(v string) func(rid page.RID, tup []byte) (bool, error) {
-	b, qual := q.env.vars[v], q.compileVarQual(v)
-	return func(_ page.RID, tup []byte) (bool, error) {
+// varQual builds v's leaf qualification: the ranges its block tests, and
+// the Bind hook that binds each tuple within them to v's relation binding
+// and applies the rest of v's compiled qualification — nil when the ranges
+// are all of it.
+func (q *query) varQual(v string) (*leafQual, func(rid page.RID, tup []byte) (bool, error)) {
+	b, lq := q.env.vars[v], q.compileVarQual(v)
+	rest := lq.rest
+	if rest == nil {
+		return lq, nil
+	}
+	return lq, func(_ page.RID, tup []byte) (bool, error) {
 		b.tup = tup
-		return qual()
+		return rest()
 	}
 }
 
@@ -243,12 +249,16 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 	if err != nil {
 		return nil, err
 	}
-	bind := q.varQual(v)
+	lq, bind := q.varQual(v)
 	if victim != nil {
 		qual := bind
 		bind = func(rid page.RID, tup []byte) (bool, error) {
-			ok, err := qual(rid, tup)
-			return ok && err == nil && victim(rid, tup), err
+			if qual != nil {
+				if ok, err := qual(rid, tup); !ok || err != nil {
+					return false, err
+				}
+			}
+			return victim(rid, tup), nil
 		}
 	}
 	b := l.binds[v]
@@ -267,8 +277,9 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 			End: end,
 		}, nil
 	case plan.OpProbe:
-		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot, Ranges: lq.ranges,
 			Start: func() (am.Iterator, error) {
+				lq.fill()
 				key := qv.keyConst.AsInt()
 				if qv.currentOnly {
 					return qv.h.src.ProbeCurrent(key), nil
@@ -279,8 +290,9 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 			End:  end,
 		}, nil
 	case plan.OpRangeScan:
-		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot, Ranges: lq.ranges,
 			Start: func() (am.Iterator, error) {
+				lq.fill()
 				lo, hi := qv.keyBounds()
 				if qv.currentOnly {
 					return qv.h.src.RangeCurrent(lo, hi), nil
@@ -293,6 +305,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 	case plan.OpIndexScan:
 		return &exec.BatchIndexScan{Node: n, Att: l.att, Slot: slot,
 			Lookup: func() ([]secindex.TID, error) {
+				lq.fill()
 				ix := qv.h.indexes[qv.idxName]
 				if qv.currentOnly && ix.CanProbeCurrent() {
 					return ix.ProbeCurrent(qv.idxConst.AsInt())
@@ -301,8 +314,11 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 			},
 			Fetch: func(tid secindex.TID) ([]byte, bool, error) {
 				tup, err := qv.h.src.FetchTID(secTID{history: tid.History, rid: tid.RID})
-				if err != nil {
-					return nil, false, err
+				if err != nil || !am.Within(lq.ranges, tup) {
+					return tup, false, err
+				}
+				if bind == nil {
+					return tup, true, nil
 				}
 				pass, err := bind(tid.RID, tup)
 				return tup, pass, err
@@ -310,8 +326,9 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 			End: end,
 		}, nil
 	default: // plan.OpSeqScan
-		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
+		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot, Ranges: lq.ranges,
 			Start: func() (am.Iterator, error) {
+				lq.fill()
 				if qv.currentOnly {
 					return qv.h.src.ScanCurrent(), nil
 				}
@@ -340,8 +357,10 @@ func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) (exec.Bat
 		keyExpr = conj.l
 	}
 	key := (&compiler{e: q.env, vars: l.binds}).expr(keyExpr)
-	return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot,
+	lq, bind := q.varQual(v)
+	return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot, Ranges: lq.ranges,
 		Start: func() (am.Iterator, error) {
+			lq.fill()
 			keyVal, err := key()
 			if err != nil {
 				return nil, err
@@ -354,7 +373,7 @@ func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) (exec.Bat
 			}
 			return qv.h.src.ProbeAll(keyVal.AsInt()), nil
 		},
-		Bind: q.varQual(v),
+		Bind: bind,
 	}, nil
 }
 

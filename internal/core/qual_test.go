@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"tdbms/internal/am"
 	"tdbms/internal/catalog"
 	"tdbms/internal/temporal"
 	"tdbms/internal/tquel"
@@ -52,6 +54,19 @@ func (q *query) passesVar(v string) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// pass applies a leaf qualification to tup as a leaf does: the ranges on
+// the stored bytes, then the rest over b bound to tup.
+func (l *leafQual) pass(b *binding, tup []byte) (bool, error) {
+	if !am.Within(l.ranges, tup) {
+		return false, nil
+	}
+	if l.rest == nil {
+		return true, nil
+	}
+	b.tup = tup
+	return l.rest()
 }
 
 // residual re-checks the full where and when clauses over a complete
@@ -206,22 +221,48 @@ func (g *qualGen) scalar(v string, depth int) string {
 	}
 }
 
+// bound draws a comparison of one of v's integer attributes with an integer
+// literal, on either side of the operator: a conjunct a leaf tests as a
+// range, with the literal at a boundary of the attribute widths, of exact
+// float64 integers or of int64.
+func (g *qualGen) bound(v string) string {
+	lit := g.pick("0", "1", "-1", "127", "-128", "32767", "-32768", "2147483647", "-2147483648",
+		"2147483648", "9007199254740991", "9007199254740993", "-9007199254740993",
+		"9223372036854775807", "-9223372036854775807", "2", "-3", "-300", "7")
+	attr := v + "." + g.pick("a", "b", "c", "d")
+	op := g.pick("=", "<", "<=", ">", ">=")
+	if g.rng.Intn(2) == 0 {
+		return lit + " " + op + " " + attr
+	}
+	return attr + " " + op + " " + lit
+}
+
 // where draws a where-clause predicate over v.
 func (g *qualGen) where(v string, depth int) string {
 	if depth <= 0 || g.rng.Intn(2) == 0 {
+		if g.rng.Intn(4) == 0 {
+			return g.bound(v)
+		}
 		op := g.pick("=", "!=", "<", "<=", ">", ">=")
 		if g.rng.Intn(10) == 0 {
 			return v + ".s " + op + " " + g.pick(`"ab"`, `"abc"`, `""`, v+".s", "3")
 		}
 		return g.scalar(v, 2) + " " + op + " " + g.scalar(v, 2)
 	}
-	switch g.rng.Intn(4) {
+	switch g.rng.Intn(5) {
 	case 0:
 		return "not " + g.where(v, depth-1)
 	case 1:
 		return "(" + g.where(v, depth-1) + " or " + g.where(v, depth-1) + ")"
 	case 2:
 		return "(" + g.where(v, depth-1) + ")"
+	case 3:
+		// A conjunct that fails, before or after one a leaf absorbs.
+		fail := g.pick(v+".c / 0 = 1", v+".nope = 1")
+		if g.rng.Intn(2) == 0 {
+			return fail + " and " + g.bound(v)
+		}
+		return g.bound(v) + " and " + fail
 	default:
 		return g.where(v, depth-1) + " and " + g.where(v, depth-1)
 	}
@@ -463,7 +504,7 @@ func TestCompiledQualMatchesInterpreter(t *testing.T) {
 	c := db.DefaultSession()
 	o := outcomes{}
 
-	var accepted, rejected, failed, swapped int
+	var accepted, rejected, failed, swapped, ranged, whole int
 	for n := 0; n < 1500; n++ {
 		mustExec(t, db, fmt.Sprintf("range of x is %s\nrange of y is %s",
 			rels[rng.Intn(len(rels))], rels[rng.Intn(len(rels))]))
@@ -539,10 +580,17 @@ func TestCompiledQualMatchesInterpreter(t *testing.T) {
 				rel := side{b: q.env.vars[v], tups: scanAll(t, h)}
 				check := func(where string, s side) {
 					cq := q.compileVarQual(v)
+					cq.fill()
+					if len(cq.ranges) > 2 || (len(cq.ranges) > 0 && s.b.ts < 0) {
+						ranged++
+					}
+					if cq.rest == nil {
+						whole++
+					}
 					for _, tup := range s.tups {
 						s.b.tup = tup
 						want, werr := q.passesVar(v)
-						got, gerr := cq()
+						got, gerr := cq.pass(s.b, tup)
 						o.same(t, "leaf", fmt.Sprintf("%s on %s, %s binding, tuple %x", src, h.desc.Name, where, tup),
 							got, want, gerr, werr)
 						switch {
@@ -621,8 +669,9 @@ func TestCompiledQualMatchesInterpreter(t *testing.T) {
 			t.Fatalf("%s: %v", src, err)
 		}
 	}
-	t.Logf("leaf: %d accepted, %d rejected, %d failed alike, %d bindings swapped", accepted, rejected, failed, swapped)
-	if accepted == 0 || rejected == 0 || failed == 0 || swapped == 0 {
+	t.Logf("leaf: %d accepted, %d rejected, %d failed alike, %d bindings swapped; %d leaves absorbed a conjunct, %d had no residual",
+		accepted, rejected, failed, swapped, ranged, whole)
+	if accepted == 0 || rejected == 0 || failed == 0 || swapped == 0 || ranged == 0 || whole == 0 {
 		t.Fatal("the generator no longer reaches every leaf outcome")
 	}
 	for _, site := range []string{"leaf", "as-of", "residual", "target", "validity",
@@ -784,4 +833,117 @@ func checkSites(t *testing.T, o outcomes, c *Conn, q *query, rs *tquel.ReplaceSt
 		wiv, werr := r.newValidity(h.desc, rs.Valid, c.now())
 		o.same(t, "append validity", src, giv, wiv, gerr, werr)
 	}
+}
+
+// FuzzLeafRanges holds a leaf's split qualification — the ranges tested on
+// the stored bytes, then the compiled rest — to the interpreter. The where
+// clause is a run of conjuncts that shape draws, two bytes each: integer
+// attributes compared with lit or lit2 on either side of any operator,
+// which a leaf may absorb into ranges, between conjuncts that fail and
+// ones no range takes (a negated literal, !=, a float attribute). The
+// literals reach the statement as a prepared statement's do, written into
+// its literal nodes, so every int64 arrives, MinInt64 included.
+func FuzzLeafRanges(f *testing.F) {
+	for i, lit := range []int64{0, 1, -1, 2, -3, 7, 300, 127, -128, 32767, -32768, math.MaxInt32, math.MinInt32,
+		1<<53 - 1, 1<<53 + 1, -(1<<53 + 1), math.MinInt64, math.MaxInt64, int64(epoch) + 2000} {
+		for op := range 5 {
+			// A failing conjunct after a range shows every tuple the range
+			// passes: x.attr op lit, then a division by zero; lit2 op
+			// x.attr, then x.nope; and x.attr op -lit after a failure,
+			// which no leaf absorbs.
+			k := byte(i + op)
+			f.Add(uint8(k), []byte{k % 4, byte(op), 5 << 2, 0}, lit, lit, uint8(k))
+			f.Add(uint8(k+1), []byte{3<<2 | k%4, byte(op) + 5, 6 << 2, 0}, lit, lit-1, uint8(k+1))
+			f.Add(uint8(k+2), []byte{5 << 2, 0, 4<<2 | k%4, byte(op)}, lit, lit, uint8(k+2))
+		}
+	}
+	const slot, slot2 = 424242, 424243 // placeholders for lit and lit2
+	var db *Database
+	var rels, times []string
+	f.Fuzz(func(t *testing.T, rel uint8, shape []byte, lit, lit2 int64, slice uint8) {
+		if db == nil {
+			db, rels, times = qualDB(t, rand.New(rand.NewSource(5)))
+		}
+		var conjs []string
+		for i := 0; i+1 < len(shape) && len(conjs) < 4; i += 2 {
+			b, op := shape[i], []string{"=", "<", "<=", ">", ">="}[shape[i+1]%5]
+			attr := "x." + []string{"a", "b", "c", "d"}[b&3]
+			l := fmt.Sprint(slot + int(shape[i+1]/5%2))
+			switch b >> 2 % 8 {
+			case 0, 1, 2:
+				conjs = append(conjs, attr+" "+op+" "+l)
+			case 3:
+				conjs = append(conjs, l+" "+op+" "+attr)
+			case 4:
+				conjs = append(conjs, attr+" "+op+" -"+l)
+			case 5:
+				conjs = append(conjs, "x.c / 0 = 1")
+			case 6:
+				conjs = append(conjs, "x.nope = 1")
+			default:
+				conjs = append(conjs, []string{attr + " != " + l, "x.f " + op + " " + l}[b>>5%2])
+			}
+		}
+		if len(conjs) == 0 {
+			conjs = []string{"x.c = " + fmt.Sprint(slot)}
+		}
+		src := fmt.Sprintf("retrieve (t0 = x.a) where %s", strings.Join(conjs, " and "))
+		switch slice % 4 {
+		case 1:
+			src += ` when x overlap "now"`
+		case 2:
+			src += " as of " + times[int(slice/4)%len(times)]
+		case 3:
+			src += " as of " + times[int(slice/4)%len(times)] + ` through "now"`
+		}
+		stmt, err := tquel.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		s := stmt.(*tquel.RetrieveStmt)
+		var set func(tquel.Expr)
+		set = func(x tquel.Expr) {
+			switch ex := x.(type) {
+			case *tquel.BinaryExpr:
+				set(ex.L)
+				set(ex.R)
+			case *tquel.UnaryExpr:
+				set(ex.X)
+			case *tquel.ConstExpr:
+				switch ex.Val.I {
+				case slot:
+					ex.Val.I = lit
+				case slot2:
+					ex.Val.I = lit2
+				}
+			}
+		}
+		set(s.Where)
+		c := db.DefaultSession()
+		mustExec(t, db, "range of x is "+rels[int(rel)%len(rels)])
+		_, err = c.run(s, func() (*Result, error) {
+			q, err := c.newQuery(s)
+			if err != nil {
+				return nil, err
+			}
+			if err := c.bind(q); err != nil {
+				return nil, err
+			}
+			b, lq := q.env.vars["x"], q.compileVarQual("x")
+			lq.fill()
+			for _, tup := range scanAll(t, q.qv["x"].h) {
+				b.tup = tup
+				want, werr := q.passesVar("x")
+				got, gerr := lq.pass(b, tup)
+				if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("%s (literals %d, %d), tuple %x: leaf (%v, %v), reference (%v, %v)",
+						src, lit, lit2, tup, got, gerr, want, werr)
+				}
+			}
+			return &Result{}, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+	})
 }

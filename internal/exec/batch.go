@@ -168,8 +168,12 @@ type BatchScan struct {
 	Node  *plan.Node
 	Att   *Attribution
 	Start func() (am.Iterator, error)
-	// Bind qualifies one tuple. It sees the tuple in place, on the page,
-	// and only the tuples it accepts are copied; it must not keep the slice.
+	// Ranges are tested on each tuple's bytes before Bind (am.Block): the
+	// scan's owner may change their bounds in place before each Open.
+	Ranges []am.Range
+	// Bind, when set, qualifies one tuple within Ranges. It sees the tuple
+	// in place, on the page, and only the tuples it accepts are copied; it
+	// must not keep the slice.
 	Bind func(rid page.RID, tup []byte) (bool, error)
 	// End, if set, runs once when the scan exhausts (clearing the
 	// variable's binding).
@@ -194,7 +198,7 @@ func (s *BatchScan) Open() error {
 		return err
 	}
 	s.it = it
-	s.blk.Qual, s.blk.Arena = s.Bind, s.Arena
+	s.blk.Ranges, s.blk.Qual, s.blk.Arena = s.Ranges, s.Bind, s.Arena
 	s.done = false
 	return nil
 }

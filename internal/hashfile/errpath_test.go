@@ -1,6 +1,7 @@
 package hashfile
 
 import (
+	"errors"
 	"testing"
 
 	"tdbms/internal/am"
@@ -62,5 +63,47 @@ func drainToInjectedError(t *testing.T, it am.Iterator) {
 	}
 	if !faultfs.IsInjected(err) {
 		t.Fatalf("iterator returned a non-injected error: %v", err)
+	}
+}
+
+// TestLoopedChainIsCorrupt links the last page of a full overflow chain to
+// itself, and back to the page before it, as a torn write could, and
+// requires Probe, Scan and Insert each to fail with page.ErrCorrupt
+// instead of walking the loop forever.
+func TestLoopedChainIsCorrupt(t *testing.T) {
+	for _, link := range []struct {
+		name string
+		to   page.ID
+	}{{"self", 2}, {"back", 1}} {
+		t.Run(link.name, func(t *testing.T) {
+			buf := buffer.New("r", storage.NewMem())
+			f, err := Build(buf, Meta{Width: 16, Key: key4(), Primary: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3*page.Capacity(16); i++ { // pages 0 -> 1 -> 2, all full
+				if _, err := f.Insert(mkTuple(16, 7)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p, err := buf.Fetch(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetNext(link.to)
+			buf.MarkDirty()
+			for _, op := range []struct {
+				name string
+				run  func() error
+			}{
+				{"probe", func() error { _, err := count(f.Probe(7)); return err }},
+				{"scan", func() error { _, err := count(f.Scan()); return err }},
+				{"insert", func() error { _, err := f.Insert(mkTuple(16, 7)); return err }},
+			} {
+				if err := op.run(); !errors.Is(err, page.ErrCorrupt) {
+					t.Errorf("%s over a %s-linked chain: %v, want page.ErrCorrupt", op.name, link.name, err)
+				}
+			}
+		})
 	}
 }

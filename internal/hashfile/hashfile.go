@@ -92,7 +92,7 @@ func (f *File) Ordered() bool { return false }
 // ProbeRange implements am.File as a filtered full scan (static hashing
 // cannot do better; Section 6's case for ordered structures).
 func (f *File) ProbeRange(lo, hi int64) am.Iterator {
-	return am.NewWalk(&am.PrimaryScan{Buf: f.buf, Primaries: f.meta.Primary},
+	return am.NewWalk(am.NewPrimaryScan(f.buf, f.meta.Primary),
 		am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
 }
 
@@ -105,7 +105,10 @@ func (f *File) Insert(tup []byte) (page.RID, error) {
 		return page.NilRID, fmt.Errorf("hashfile: tuple width %d, want %d", len(tup), f.meta.Width)
 	}
 	id := f.Bucket(f.meta.Key.Extract(tup))
-	for {
+	for left := f.buf.NumPages(); ; left-- {
+		if left <= 0 {
+			return page.NilRID, am.Overrun(f.buf.Name(), id)
+		}
 		p, err := f.buf.Fetch(id)
 		if err != nil {
 			return page.NilRID, err
@@ -192,18 +195,21 @@ func (f *File) Delete(rid page.RID) error {
 
 // Probe implements am.File: hashed access, reading only the bucket's chain.
 func (f *File) Probe(key int64) am.Iterator {
-	return am.NewWalk(&chainWalk{f: f, cur: f.Bucket(key)}, am.Equal(f.meta.Key, key))
+	return am.NewWalk(&chainWalk{f: f, cur: f.Bucket(key), left: int32(f.buf.NumPages())}, am.Equal(f.meta.Key, key))
 }
 
 // Scan implements am.File: every primary page followed by its chain.
 func (f *File) Scan() am.Iterator {
-	return am.NewWalk(&am.PrimaryScan{Buf: f.buf, Primaries: f.meta.Primary}, am.Match{})
+	return am.NewWalk(am.NewPrimaryScan(f.buf, f.meta.Primary), am.Match{})
 }
 
 // chainWalk visits one overflow chain.
 type chainWalk struct {
 	f   *File
 	cur page.ID
+	// left is the pages the walk may still visit (am.Overrun); as wide
+	// as a page.ID, so a keyed lookup's walk stays 16 bytes.
+	left int32
 }
 
 // View implements am.PageWalk.
@@ -211,9 +217,12 @@ func (w *chainWalk) View(*am.Match) (*page.Page, page.ID, error) {
 	if w.cur == page.Nil {
 		return nil, page.Nil, nil
 	}
+	if w.left <= 0 {
+		return nil, page.Nil, am.Overrun(w.f.buf.Name(), w.cur)
+	}
 	p, err := w.f.buf.View(w.cur)
 	return p, w.cur, err
 }
 
 // Leave implements am.PageWalk.
-func (w *chainWalk) Leave(p *page.Page) { w.cur = p.Next() }
+func (w *chainWalk) Leave(p *page.Page) { w.cur, w.left = p.Next(), w.left-1 }

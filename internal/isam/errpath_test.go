@@ -1,6 +1,7 @@
 package isam
 
 import (
+	"errors"
 	"testing"
 
 	"tdbms/internal/am"
@@ -58,5 +59,44 @@ func drainToInjectedError(t *testing.T, it am.Iterator) {
 	}
 	if !faultfs.IsInjected(err) {
 		t.Fatalf("iterator returned a non-injected error: %v", err)
+	}
+}
+
+// TestLoopedChainIsCorrupt links the last page of a data page's full
+// overflow chain to itself, and back to the page before it, as a torn
+// write could, and requires Probe, Scan and Insert each to fail with
+// page.ErrCorrupt instead of walking the loop forever.
+func TestLoopedChainIsCorrupt(t *testing.T) {
+	for _, link := range []struct {
+		name string
+		to   int // overflow page the last one links to, counted from 0
+	}{{"self", 1}, {"back", 0}} {
+		t.Run(link.name, func(t *testing.T) {
+			f := build(t, 16, 100, 200)
+			first := page.ID(f.NumPages())
+			for i := 0; i < 2*page.Capacity(16); i++ { // two full overflow pages
+				if _, err := f.Insert(mkTuple(16, 7)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p, err := f.buf.Fetch(first + 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetNext(first + page.ID(link.to))
+			f.buf.MarkDirty()
+			for _, op := range []struct {
+				name string
+				run  func() error
+			}{
+				{"probe", func() error { _, err := keysOf(f.Probe(7)); return err }},
+				{"scan", func() error { _, err := keysOf(f.Scan()); return err }},
+				{"insert", func() error { _, err := f.Insert(mkTuple(16, 7)); return err }},
+			} {
+				if err := op.run(); !errors.Is(err, page.ErrCorrupt) {
+					t.Errorf("%s over a %s-linked chain: %v, want page.ErrCorrupt", op.name, link.name, err)
+				}
+			}
+		})
 	}
 }

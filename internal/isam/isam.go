@@ -246,7 +246,10 @@ func (f *File) Insert(tup []byte) (page.RID, error) {
 	if err != nil {
 		return page.NilRID, err
 	}
-	for {
+	for left := f.buf.NumPages(); ; left-- {
+		if left <= 0 {
+			return page.NilRID, am.Overrun(f.buf.Name(), id)
+		}
 		p, err := f.buf.Fetch(id)
 		if err != nil {
 			return page.NilRID, err
@@ -333,7 +336,7 @@ func (f *File) Ordered() bool { return true }
 // Probe implements am.File: directory walk plus the covering data page's
 // chain, filtered by key.
 func (f *File) Probe(key int64) am.Iterator {
-	return am.NewWalk(&probeWalk{f: f}, am.Equal(f.meta.Key, key))
+	return am.NewWalk(&probeWalk{f: f, left: f.buf.NumPages()}, am.Equal(f.meta.Key, key))
 }
 
 // ProbeRange implements am.File: directory walk to the first covering data
@@ -342,13 +345,13 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 	if lo > hi {
 		return am.Empty{}
 	}
-	return am.NewWalk(&probeWalk{f: f}, am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
+	return am.NewWalk(&probeWalk{f: f, left: f.buf.NumPages()}, am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Scan implements am.File: data pages in key order, each followed by its
 // overflow chain; the directory is not read.
 func (f *File) Scan() am.Iterator {
-	return am.NewWalk(&am.PrimaryScan{Buf: f.buf, Primaries: f.meta.DataPages}, am.Match{})
+	return am.NewWalk(am.NewPrimaryScan(f.buf, f.meta.DataPages), am.Match{})
 }
 
 // probeWalk visits each candidate data page and its overflow chain, from
@@ -363,6 +366,7 @@ type probeWalk struct {
 	stop    page.ID // last candidate data page
 	openEnd bool    // candidate run may extend past stop
 	located bool
+	left    int // pages the walk may still visit (am.Overrun)
 }
 
 // View implements am.PageWalk. The first call walks the directory.
@@ -384,9 +388,12 @@ func (w *probeWalk) View(m *am.Match) (*page.Page, page.ID, error) {
 		}
 		w.primary, w.cur = next, next
 	}
+	if w.left <= 0 {
+		return nil, page.Nil, am.Overrun(w.f.buf.Name(), w.cur)
+	}
 	p, err := w.f.buf.View(w.cur)
 	return p, w.cur, err
 }
 
 // Leave implements am.PageWalk.
-func (w *probeWalk) Leave(p *page.Page) { w.cur = p.Next() }
+func (w *probeWalk) Leave(p *page.Page) { w.cur, w.left = p.Next(), w.left-1 }
