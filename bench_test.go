@@ -399,6 +399,39 @@ func benchScaledProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstitutionJoin measures Figure 4's two joins over point_read's
+// database: Q09 probes the hashed relation and Q10 the ISAM one by tuple
+// substitution, once for each current tuple of the other, each probe
+// walking a key's 17-page chain. The probes of an outer batch run on up to
+// GOMAXPROCS goroutines; pages/op is the same at any count.
+func BenchmarkSubstitutionJoin(b *testing.B) {
+	b.Run("scaled", func(b *testing.B) {
+		db, _ := buildScaled(b)
+		for _, q := range bench.Queries(bench.Temporal) {
+			if q.ID != "Q09" && q.ID != "Q10" {
+				continue
+			}
+			b.Run(q.ID, func(b *testing.B) {
+				res, err := db.Exec(q.Text) // warm: the statement and the session's arenas
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) == 0 {
+					b.Fatalf("%s returned no rows", q.ID)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.Exec(q.Text); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(res.InputPages), "pages/op")
+			})
+		}
+	})
+}
+
 // benchLookup runs one single-row lookup b.N times on a warm session and
 // reports the pages it reads.
 func benchLookup(b *testing.B, db *DB, text string) {

@@ -83,6 +83,16 @@ func Overrun(file string, id page.ID) error {
 	return fmt.Errorf("%s: page %d: walk visits more pages than the file holds: %w", file, id, page.ErrCorrupt)
 }
 
+// Viewer is the read-only side of a buffered file, as a keyed walk reads
+// it: the file's buffer (buffer.Buffered), or a run on it (buffer.Run),
+// whose views are charged later. NumPages bounds the walk and Name names
+// the file in its Overrun.
+type Viewer interface {
+	View(id page.ID) (*page.Page, error)
+	NumPages() int
+	Name() string
+}
+
 // PageViewer is the read-only side of a buffered file, as a sequential
 // walk reads it: ViewAhead(id, ahead) fetches page id, telling the pool
 // that ahead more pages of the walk's run follow it. The pool decides how

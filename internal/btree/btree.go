@@ -394,7 +394,7 @@ func (f *File) Ordered() bool { return true }
 // walk right along the leaf chain until a key greater than the probe key
 // appears.
 func (f *File) Probe(key int64) am.Iterator {
-	return am.NewWalk(&leafWalk{f: f}, am.Equal(f.meta.Key, key))
+	return am.NewWalk(f.newLeafWalk(), am.Equal(f.meta.Key, key))
 }
 
 // ProbeRange implements am.File: descend to the leftmost leaf covering lo,
@@ -403,7 +403,7 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 	if lo > hi {
 		return am.Empty{}
 	}
-	return am.NewWalk(&leafWalk{f: f}, am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
+	return am.NewWalk(f.newLeafWalk(), am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Scan implements am.File: walk the leaf chain from the leftmost leaf.
@@ -419,6 +419,13 @@ type leafWalk struct {
 	f   *File
 	m   *am.Match // the walk's restriction, seen on the first View
 	cur page.ID
+	// left is the leaves the walk may still visit: a chain longer than
+	// the file held when the walk started loops (am.Overrun).
+	left int32
+}
+
+func (f *File) newLeafWalk() *leafWalk {
+	return &leafWalk{f: f, left: int32(f.buf.NumPages())}
 }
 
 // View implements am.PageWalk. The first call descends the tree.
@@ -433,13 +440,16 @@ func (w *leafWalk) View(m *am.Match) (*page.Page, page.ID, error) {
 	if w.cur == page.Nil {
 		return nil, page.Nil, nil
 	}
+	if w.left <= 0 {
+		return nil, page.Nil, am.Overrun(w.f.buf.Name(), w.cur)
+	}
 	p, err := w.f.buf.View(w.cur)
 	return p, w.cur, err
 }
 
 // Leave implements am.PageWalk.
 func (w *leafWalk) Leave(p *page.Page) {
-	w.cur = p.Next()
+	w.cur, w.left = p.Next(), w.left-1
 	if w.m.Above {
 		w.cur = page.Nil
 	}
@@ -452,6 +462,7 @@ func (w *leafWalk) Leave(p *page.Page) {
 type scanIter struct {
 	f       *File
 	cur     page.ID
+	left    int // leaves the scan may still read (am.Overrun)
 	started bool
 	pending []pendingTuple // the current leaf's tuples, sorted; pending[idx:] not yet offered
 	idx     int
@@ -472,7 +483,7 @@ func (it *scanIter) NextBlock(blk *am.Block, max int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		it.cur, it.started = leaf, true
+		it.cur, it.left, it.started = leaf, it.f.buf.NumPages(), true
 	}
 	if max < 1 {
 		max = 1
@@ -500,6 +511,10 @@ func (it *scanIter) NextBlock(blk *am.Block, max int) (bool, error) {
 // load reads the leaf under the cursor into pending, in key order, and
 // moves the cursor to the next leaf.
 func (it *scanIter) load() error {
+	if it.left <= 0 {
+		return am.Overrun(it.f.buf.Name(), it.cur)
+	}
+	it.left--
 	p, err := it.f.buf.View(it.cur)
 	if err != nil {
 		return err

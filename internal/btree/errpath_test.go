@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"errors"
 	"testing"
 
 	"tdbms/internal/am"
@@ -58,5 +59,55 @@ func drainToInjectedError(t *testing.T, it am.Iterator) {
 	}
 	if !faultfs.IsInjected(err) {
 		t.Fatalf("iterator returned a non-injected error: %v", err)
+	}
+}
+
+// TestLoopedChainIsCorrupt links the last leaf back to itself or to the
+// first leaf, as a torn write could. A probe of the largest key and a full
+// scan never see a key that ends them, so each must stop after as many
+// leaves as the file holds, with am.Overrun, instead of spinning.
+func TestLoopedChainIsCorrupt(t *testing.T) {
+	for _, link := range []string{"self", "back"} {
+		t.Run(link, func(t *testing.T) {
+			var keys []int32
+			for k := int32(1); k <= 400; k++ {
+				keys = append(keys, k)
+			}
+			f := build(t, 16, keys)
+			first, err := f.descend(0, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := first
+			for {
+				p, err := f.buf.View(last)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.Next() == page.Nil {
+					break
+				}
+				last = p.Next()
+			}
+			if last == first {
+				t.Fatal("the tree has one leaf")
+			}
+			p, err := f.buf.Fetch(last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetNext(map[string]page.ID{"self": last, "back": first}[link])
+			f.buf.MarkDirty()
+			for name, it := range map[string]am.Iterator{
+				"probe":       f.Probe(400),
+				"probe-range": f.ProbeRange(390, 1000),
+				"scan":        f.Scan(),
+			} {
+				err := am.Each(it, func(page.RID, []byte) error { return nil })
+				if !errors.Is(err, page.ErrCorrupt) {
+					t.Errorf("%s over a %s-linked leaf chain: %v, want page.ErrCorrupt", name, link, err)
+				}
+			}
+		})
 	}
 }

@@ -472,6 +472,130 @@ func (p *pool) prefetch(pg *page.Page) {
 	}
 }
 
+// Run is a sequence of views that defers its accounting: each View lends
+// the page and counts it against the run's own previous page, touching no
+// state of the pool, so several runs on one pool may view pages on as many
+// goroutines at once. Settle then charges the views as if they had been
+// made by View on the run's handle at that moment, in one step under the
+// pool mutex: the same reads, the same hits, and the frame left holding
+// the same page.
+//
+// A run exists only where deferring changes nothing: the pool has the
+// single frame of the measurement policy, so whether a view is a hit
+// depends only on the page viewed before it, and the store lends, so a
+// view reads the store's own page, which is the frame's image whenever no
+// frame is dirty. The caller keeps it so by holding the relation's shared
+// latch from Run until the last Settle: no writer dirties a frame, and
+// hence no flush writes a page on loan, while the latch is held. Other
+// readers' views may land between a run's views and its Settle; that moves
+// only where the run's views are ordered among theirs, which is timing
+// already.
+//
+// One run is used by one goroutine at a time: its views by the goroutine
+// that walks, its Settle by the one that owns the handle.
+type Run struct {
+	b    *Buffered
+	lend lender
+	// The views since the last Settle: the first and last page viewed,
+	// the view count, and the reads among views after the first (a view
+	// of any page but the previous one).
+	first, last page.ID
+	lastPg      *page.Page
+	views       int64
+	reads       int64
+	// failed is set when the last view could not lend its page: View's
+	// read of it would have failed the same way, leaving the frame empty.
+	failed bool
+}
+
+// Run returns a run on this handle, or nil when deferred views could
+// count differently from View: when the store does not lend, when the
+// pool has more than one frame, or when a frame is dirty (a dirty pending
+// scratch is synced into its frame first).
+func (b *Buffered) Run() *Run {
+	p := b.p
+	if p.lend == nil || len(p.frames) != 1 {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.sync()
+	if p.frames[0].dirty {
+		return nil
+	}
+	return &Run{b: b, lend: p.lend}
+}
+
+// View lends page id, prefetching it as Buffered.View does, and counts the
+// view against the run's previous one. The page stays valid while the
+// caller holds the relation's latch. A run ends at its first failed view.
+func (r *Run) View(id page.ID) (*page.Page, error) {
+	pg, err := r.lend.Lend(id)
+	if err != nil {
+		r.failed = true
+		return nil, fmt.Errorf("buffer %q: read page %d: %w", r.b.p.name, id, err)
+	}
+	switch {
+	case r.views == 0:
+		r.first = id
+	case id != r.last:
+		r.reads++
+	}
+	r.last, r.lastPg = id, pg
+	r.views++
+	r.b.p.prefetch(pg)
+	return pg, nil
+}
+
+// NumPages reports the file size in pages, without the pool mutex.
+func (r *Run) NumPages() int { return r.lend.NumPages() }
+
+// Name returns the file name of the run's buffer.
+func (r *Run) Name() string { return r.b.p.name }
+
+// Settle charges the run's views to the pool and to its handle's account
+// and leaves the frame as those views through View would have, then empties
+// the run for its next views. The first view is a hit exactly when the
+// frame holds its page now.
+func (r *Run) Settle() {
+	if r.views == 0 && !r.failed {
+		return
+	}
+	b, p := r.b, r.b.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b.begin() // ticks once; each view ticks once
+	p.tick += r.views - 1
+	if r.failed {
+		p.tick++
+	}
+	f := &p.frames[0]
+	d := Stats{Reads: r.reads, Hits: r.views - r.reads}
+	if r.views > 0 && f.id != r.first {
+		d.Reads++
+		d.Hits--
+	}
+	switch {
+	case r.failed:
+		p.empty(f)
+	case d.Reads > 0:
+		p.empty(f)
+		f.id, f.pg = r.last, r.lastPg
+	case f.img != nil:
+		// Every view was a hit on a pool-owned image: the handle holds
+		// it, as the last View would.
+		f.img.refs++
+		b.held = f.img
+	}
+	if !r.failed {
+		f.used = p.tick
+	}
+	d.ReadOps = d.Reads
+	b.charge(d)
+	p.pending = nil
+	*r = Run{b: b, lend: r.lend}
+}
+
 // Fetch brings page id into a frame (evicting and, if dirty, flushing the
 // LRU occupant) and returns a pointer to the handle's private copy of it.
 // The pointer is valid only until the next call on this handle;

@@ -214,12 +214,12 @@ func span(op string, n int64) (lo, hi int64) {
 }
 
 // compileVarQual splits v's qualification — the transaction slice, its
-// scalar and its temporal selections, in that order — against its
-// relation's binding. The caller installs each tuple that is within the
-// ranges in that binding before running the rest.
-func (q *query) compileVarQual(v string) *leafQual {
-	c := &compiler{e: q.env, vars: q.env.vars}
-	b := q.env.vars[v]
+// scalar and its temporal selections, in that order — against v's binding
+// in vars. The caller installs each tuple that is within the ranges in that
+// binding before running the rest.
+func (q *query) compileVarQual(v string, vars map[string]*binding) *leafQual {
+	c := &compiler{e: q.env, vars: vars}
+	b := vars[v]
 	l := &leafQual{}
 	absorb := func(i int, op string, k *int64) {
 		l.ranges = append(l.ranges, am.Range{Key: am.Key{Offset: b.schema.Offset(i), Width: b.schema.Attr(i).Width()}})

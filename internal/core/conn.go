@@ -113,9 +113,32 @@ type Conn struct {
 	// retrieve and each candidate collection resets it and the session's
 	// next statement reuses the memory.
 	arena am.Arena
+	// helpers back the tuples the other goroutines of a substitution
+	// join copy, one arena each (workerArena); they die with the arena.
+	helpers []*am.Arena
 
 	// cache holds the session's prepared statements by shape (cache.go).
 	cache stmtCache
+}
+
+// workerArena is the arena of a substitution join's worker w: the session
+// arena for the calling goroutine's worker 0, a helper arena for the rest.
+func (c *Conn) workerArena(w int) *am.Arena {
+	if w == 0 {
+		return &c.arena
+	}
+	for len(c.helpers) < w {
+		c.helpers = append(c.helpers, new(am.Arena))
+	}
+	return c.helpers[w-1]
+}
+
+// resetArenas invalidates every tuple the statement's scans copied.
+func (c *Conn) resetArenas() {
+	c.arena.Reset()
+	for _, a := range c.helpers {
+		a.Reset()
+	}
 }
 
 // relView is one cached session view and the root-handle stamp it was

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"tdbms/internal/am"
+	"tdbms/internal/buffer"
 	"tdbms/internal/exec"
 	"tdbms/internal/heapfile"
 	"tdbms/internal/page"
@@ -203,12 +205,10 @@ func (l *lowering) lowerBatchNode(n *plan.Node, bcap int, rebind func(row [][]by
 		if err != nil {
 			return nil, err
 		}
-		var inner exec.BatchOperator
 		if n.Sub != nil {
-			inner, err = l.lowerBatchSubstProbe(n.Children[1], n.Sub)
-		} else {
-			inner, err = l.lowerBatchNode(n.Children[1], bcap, rebind)
+			return l.lowerBatchSubst(n, outer, bcap, rebind)
 		}
+		inner, err := l.lowerBatchNode(n.Children[1], bcap, rebind)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +226,12 @@ func (l *lowering) lowerBatchNode(n *plan.Node, bcap int, rebind func(row [][]by
 // and applies the rest of v's compiled qualification — nil when the ranges
 // are all of it.
 func (q *query) varQual(v string) (*leafQual, func(rid page.RID, tup []byte) (bool, error)) {
-	b, lq := q.env.vars[v], q.compileVarQual(v)
+	return q.varQualOver(v, q.env.vars)
+}
+
+// varQualOver is varQual with the variables bound by vars.
+func (q *query) varQualOver(v string, vars map[string]*binding) (*leafQual, func(rid page.RID, tup []byte) (bool, error)) {
+	b, lq := vars[v], q.compileVarQual(v, vars)
 	rest := lq.rest
 	if rest == nil {
 		return lq, nil
@@ -340,12 +345,16 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 	}
 }
 
-// lowerBatchSubstProbe lowers the inner side of a tuple-substitution join:
-// a keyed probe whose key is recomputed from the current outer binding
-// each time the nested loop, having rebound the outer row, re-opens it.
-func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) (exec.BatchOperator, error) {
-	q := l.q
-	v := n.Var
+// lowerBatchSubst lowers a tuple-substitution join over its lowered outer
+// side: the inner side is a keyed probe whose key is computed from each
+// outer row. The leaf's ranges are filled once per execution, as the join
+// opens, and only read after that. The probes may run on several
+// goroutines, so each worker but the calling goroutine's qualifies the
+// inner tuples through its own compilation of the leaf's residual, against
+// a private copy of the inner variable's binding.
+func (l *lowering) lowerBatchSubst(n *plan.Node, outer exec.BatchOperator, bcap int, rebind func(row [][]byte)) (exec.BatchOperator, error) {
+	q, in, sub := l.q, n.Children[1], n.Sub
+	v := in.Var
 	qv := q.qv[v]
 	slot, err := l.slotOf(v)
 	if err != nil {
@@ -358,22 +367,44 @@ func (l *lowering) lowerBatchSubstProbe(n *plan.Node, sub *plan.Subst) (exec.Bat
 	}
 	key := (&compiler{e: q.env, vars: l.binds}).expr(keyExpr)
 	lq, bind := q.varQual(v)
-	return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot, Ranges: lq.ranges,
-		Start: func() (am.Iterator, error) {
-			lq.fill()
+	return &exec.BatchSubstJoin{Node: n, Inner: in, Att: l.att, Outer: outer,
+		OuterBuf: exec.NewBatch(len(q.vars), bcap), Rebind: rebind, Slot: slot, Cap: bcap,
+		Start: lq.fill,
+		Key: func() (int64, error) {
 			keyVal, err := key()
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if !keyVal.IsNumeric() {
-				return nil, fmt.Errorf("core: join key %s is not numeric", keyExpr)
+				return 0, fmt.Errorf("core: join key %s is not numeric", keyExpr)
 			}
-			if qv.currentOnly {
-				return qv.h.src.ProbeCurrent(keyVal.AsInt()), nil
-			}
-			return qv.h.src.ProbeAll(keyVal.AsInt()), nil
+			return keyVal.AsInt(), nil
 		},
-		Bind: bind,
+		Run: func() *buffer.Run {
+			if c, ok := qv.h.src.(*conventional); ok {
+				return c.run()
+			}
+			return nil
+		},
+		Probe: func(key int64, r *buffer.Run) am.Iterator {
+			switch {
+			case r != nil:
+				return qv.h.src.(*conventional).probeRun(r, key)
+			case qv.currentOnly:
+				return qv.h.src.ProbeCurrent(key)
+			}
+			return qv.h.src.ProbeAll(key)
+		},
+		Block: func(w int) am.Block {
+			blk := am.Block{Ranges: lq.ranges, Qual: bind, Arena: l.db.workerArena(w)}
+			if w > 0 {
+				vars := maps.Clone(l.binds)
+				b := *vars[v]
+				vars[v] = &b
+				_, blk.Qual = q.varQualOver(v, vars)
+			}
+			return blk
+		},
 	}, nil
 }
 

@@ -579,7 +579,7 @@ func TestCompiledQualMatchesInterpreter(t *testing.T) {
 				h := q.qv[v].h
 				rel := side{b: q.env.vars[v], tups: scanAll(t, h)}
 				check := func(where string, s side) {
-					cq := q.compileVarQual(v)
+					cq := q.compileVarQual(v, q.env.vars)
 					cq.fill()
 					if len(cq.ranges) > 2 || (len(cq.ranges) > 0 && s.b.ts < 0) {
 						ranged++
@@ -929,7 +929,7 @@ func FuzzLeafRanges(f *testing.F) {
 			if err := c.bind(q); err != nil {
 				return nil, err
 			}
-			b, lq := q.env.vars["x"], q.compileVarQual("x")
+			b, lq := q.env.vars["x"], q.compileVarQual("x", q.env.vars)
 			lq.fill()
 			for _, tup := range scanAll(t, q.qv["x"].h) {
 				b.tup = tup

@@ -362,14 +362,24 @@ func (db *Conn) bind(q *query) error {
 		qv := q.qv[v]
 		qv.hasLo, qv.hasHi, qv.lo, qv.hi = false, false, 0, 0
 		for _, b := range qv.bounds {
+			// k > MaxInt64 and k < MinInt64 hold for no key. Their bounds
+			// saturate instead of wrapping, so the probe reads what
+			// k >= MaxInt64 and k <= MinInt64 read, and the leaf's own
+			// range (span) keeps it empty.
 			n := b.val.AsInt()
 			switch b.op {
 			case ">":
-				qv.tightenLo(n + 1)
+				if n < math.MaxInt64 {
+					n++
+				}
+				qv.tightenLo(n)
 			case ">=":
 				qv.tightenLo(n)
 			case "<":
-				qv.tightenHi(n - 1)
+				if n > math.MinInt64 {
+					n--
+				}
+				qv.tightenHi(n)
 			case "<=":
 				qv.tightenHi(n)
 			}

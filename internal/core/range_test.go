@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
+
+	"tdbms/internal/tquel"
 )
 
 // buildRangeRel loads 1024 temporal tuples under the given access method.
@@ -119,5 +122,47 @@ func TestRangeWithVersions(t *testing.T) {
 	}
 	if len(r.Rows) != 10 {
 		t.Fatalf("past rows: %d", len(r.Rows))
+	}
+}
+
+// TestKeyBoundsAtTheLimits pins the key bounds of `x.id > k` and
+// `x.id < k` at the int64 limits, where k+1 and k-1 do not exist: the
+// range probe reads what its in-range neighbour reads, not the whole
+// directory as a wrapped bound would, and the answer is empty.
+func TestKeyBoundsAtTheLimits(t *testing.T) {
+	db := newDB(t)
+	mustExec(t, db, `create persistent interval r (id = i4, v = i4, pad = c96)`)
+	for i := 1; i <= 400; i++ {
+		mustExec(t, db, fmt.Sprintf(`append to r (id = %d, v = %d, pad = "x")`, i, i))
+	}
+	mustExec(t, db, `modify r to isam on id where fillfactor = 100
+		range of x is r`)
+	probe := func(op string, k int64) *Result {
+		t.Helper()
+		stmt, err := tquel.Parse(`retrieve (x.v) where x.id ` + op + ` 7`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmt.(*tquel.RetrieveStmt).Where.(*tquel.BinaryExpr).R.(*tquel.ConstExpr).Val.I = k
+		db.InvalidateBuffers()
+		res, err := db.ExecStmt(stmt)
+		if err != nil {
+			t.Fatalf("x.id %s %d: %v", op, k, err)
+		}
+		return res
+	}
+	for _, c := range []struct {
+		op              string
+		limit, neighbor int64
+	}{{">", math.MaxInt64, math.MaxInt64 - 1}, {"<", math.MinInt64, math.MinInt64 + 1}} {
+		at, near := probe(c.op, c.limit), probe(c.op, c.neighbor)
+		if len(at.Rows) != 0 || len(near.Rows) != 0 {
+			t.Errorf("x.id %s %d: %d rows; %s %d: %d rows, want none", c.op, c.limit, len(at.Rows),
+				c.op, c.neighbor, len(near.Rows))
+		}
+		if at.Input != near.Input {
+			t.Errorf("x.id %s %d read %d pages, x.id %s %d read %d", c.op, c.limit, at.Input,
+				c.op, c.neighbor, near.Input)
+		}
 	}
 }

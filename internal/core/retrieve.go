@@ -138,11 +138,11 @@ func (db *Conn) rebindPlan(e *stmtEntry) bool {
 }
 
 // execute runs a prepared, bound retrieve. What an earlier execution left
-// behind is reset first: the arena, the temporaries, the emitter and the
+// behind is reset first: the arenas, the temporaries, the emitter and the
 // attribution.
 func (db *Conn) execute(e *stmtEntry) (*Result, *plan.Tree, error) {
 	q, out, t, s := e.q, e.out, e.tree, e.q.stmt
-	db.arena.Reset()
+	db.resetArenas()
 	q.temps = q.temps[:0]
 	out.reset()
 	e.att.Restart()

@@ -94,6 +94,27 @@ func (c *conventional) RangeAll(lo, hi int64) am.Iterator  { return c.file.Probe
 func (c *conventional) RangeCurrent(lo, hi int64) am.Iterator {
 	return c.file.ProbeRange(lo, hi)
 }
+
+// runProber is an access method whose keyed probe can read through a
+// buffer.Run: hash and ISAM files.
+type runProber interface {
+	ProbeRun(r *buffer.Run, key int64) am.Iterator
+}
+
+// run returns a run on the store's buffer when its keyed probe can read
+// through one (buffer.Buffered.Run), else nil.
+func (c *conventional) run() *buffer.Run {
+	if _, ok := c.file.(runProber); !ok {
+		return nil
+	}
+	return c.buf.Run()
+}
+
+// probeRun is ProbeAll reading through r, a run from c.run.
+func (c *conventional) probeRun(r *buffer.Run, key int64) am.Iterator {
+	return c.file.(runProber).ProbeRun(r, key)
+}
+
 func (c *conventional) Keyed() bool   { return c.file.Keyed() }
 func (c *conventional) Ordered() bool { return c.file.Ordered() }
 

@@ -162,8 +162,7 @@ func closeBatchOp(op BatchOperator, err error) error {
 // Start decides) into the batch, offering each tuple to Bind and storing
 // the qualifiers in the scan's own slot. One attribution bracket covers a
 // whole fill. Open may be called again after Close; Start then produces a
-// fresh iterator, which is how the inner side of a nested loop rescans
-// (tuple substitution recomputes the key from the current outer binding).
+// fresh iterator, which is how the inner side of a nested loop rescans.
 type BatchScan struct {
 	Node  *plan.Node
 	Att   *Attribution
@@ -400,10 +399,10 @@ func (p *BatchProject) NextBatch(b *Batch) (bool, error) {
 // Close implements BatchOperator.
 func (p *BatchProject) Close() error { return p.Child.Close() }
 
-// BatchNestedLoop probes the inner side once per outer row, merging each
-// inner row into the output batch. The inner cursor is re-opened per outer
-// row after Rebind installs that row's bindings (a substitution probe's
-// Start reads the join key from the environment). The loop's state — the
+// BatchNestedLoop scans the inner side once per outer row, merging each
+// inner row into the output batch: the join with no key to substitute
+// (BatchSubstJoin probes by one). The inner cursor is re-opened per outer
+// row after Rebind installs that row's bindings. The loop's state — the
 // current outer batch, outer row, and partially drained inner batch —
 // survives across NextBatch calls, so a full output batch pauses and
 // resumes exactly where it stopped.

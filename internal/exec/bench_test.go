@@ -177,7 +177,8 @@ func BenchmarkSingleVarScan(b *testing.B) {
 
 // BenchmarkSubstitutionJoin is the two-variable substitution shape: an
 // outer sequential scan whose current key parameterizes a hashed probe of
-// the inner relation on every outer binding.
+// the inner relation on every outer binding, the probes of each outer
+// batch run in parallel through buffer runs.
 func BenchmarkSubstitutionJoin(b *testing.B) {
 	outer := buildHeap(b, 256)
 	inner := buildHash(b, 256, 2)
@@ -199,8 +200,10 @@ func BenchmarkSubstitutionJoin(b *testing.B) {
 		var rows int64
 		op := &exec.BatchProject{
 			Node: root,
-			Child: &exec.BatchNestedLoop{
-				Node: join,
+			Child: &exec.BatchSubstJoin{
+				Node:  join,
+				Inner: innerLeaf,
+				Att:   att,
 				Outer: &exec.BatchScan{
 					Node:  outerLeaf,
 					Att:   att,
@@ -208,16 +211,19 @@ func BenchmarkSubstitutionJoin(b *testing.B) {
 					Start: func() (am.Iterator, error) { return outer.Scan(), nil },
 					Bind:  func(page.RID, []byte) (bool, error) { return true, nil },
 				},
-				Inner: &exec.BatchScan{
-					Node:  innerLeaf,
-					Att:   att,
-					Slot:  1,
-					Start: func() (am.Iterator, error) { return inner.Probe(outerKey), nil },
-					Bind:  func(page.RID, []byte) (bool, error) { return true, nil },
-				},
-				Rebind:   func(row [][]byte) { outerKey = benchKey.Extract(row[0]) },
 				OuterBuf: exec.NewBatch(2, exec.DefaultBatchCap),
-				InnerBuf: exec.NewBatch(2, exec.DefaultBatchCap),
+				Rebind:   func(row [][]byte) { outerKey = benchKey.Extract(row[0]) },
+				Slot:     1,
+				Cap:      exec.DefaultBatchCap,
+				Key:      func() (int64, error) { return outerKey, nil },
+				Run:      inner.Buffer().Run,
+				Probe: func(key int64, r *buffer.Run) am.Iterator {
+					if r != nil {
+						return inner.ProbeRun(r, key)
+					}
+					return inner.Probe(key)
+				},
+				Block: func(int) am.Block { return am.Block{} },
 			},
 			Rebind: func([][]byte) {},
 			Emit:   func() error { rows++; return nil },

@@ -194,8 +194,14 @@ func (f *File) Delete(rid page.RID) error {
 }
 
 // Probe implements am.File: hashed access, reading only the bucket's chain.
-func (f *File) Probe(key int64) am.Iterator {
-	return am.NewWalk(&chainWalk{f: f, cur: f.Bucket(key), left: int32(f.buf.NumPages())}, am.Equal(f.meta.Key, key))
+func (f *File) Probe(key int64) am.Iterator { return probe(f, f.buf, key) }
+
+// ProbeRun is Probe reading through r, a run on the file's buffer.
+func (f *File) ProbeRun(r *buffer.Run, key int64) am.Iterator { return probe(f, r, key) }
+
+// probe walks key's chain, reading pages through v.
+func probe[V am.Viewer](f *File, v V, key int64) am.Iterator {
+	return am.NewWalk(&chainWalk[V]{v: v, cur: f.Bucket(key), left: int32(v.NumPages())}, am.Equal(f.meta.Key, key))
 }
 
 // Scan implements am.File: every primary page followed by its chain.
@@ -203,9 +209,9 @@ func (f *File) Scan() am.Iterator {
 	return am.NewWalk(am.NewPrimaryScan(f.buf, f.meta.Primary), am.Match{})
 }
 
-// chainWalk visits one overflow chain.
-type chainWalk struct {
-	f   *File
+// chainWalk visits one overflow chain, reading pages through v.
+type chainWalk[V am.Viewer] struct {
+	v   V
 	cur page.ID
 	// left is the pages the walk may still visit (am.Overrun); as wide
 	// as a page.ID, so a keyed lookup's walk stays 16 bytes.
@@ -213,16 +219,16 @@ type chainWalk struct {
 }
 
 // View implements am.PageWalk.
-func (w *chainWalk) View(*am.Match) (*page.Page, page.ID, error) {
+func (w *chainWalk[V]) View(*am.Match) (*page.Page, page.ID, error) {
 	if w.cur == page.Nil {
 		return nil, page.Nil, nil
 	}
 	if w.left <= 0 {
-		return nil, page.Nil, am.Overrun(w.f.buf.Name(), w.cur)
+		return nil, page.Nil, am.Overrun(w.v.Name(), w.cur)
 	}
-	p, err := w.f.buf.View(w.cur)
+	p, err := w.v.View(w.cur)
 	return p, w.cur, err
 }
 
 // Leave implements am.PageWalk.
-func (w *chainWalk) Leave(p *page.Page) { w.cur, w.left = p.Next(), w.left-1 }
+func (w *chainWalk[V]) Leave(p *page.Page) { w.cur, w.left = p.Next(), w.left-1 }

@@ -191,19 +191,19 @@ func (f *File) locate(key int64) (page.ID, error) {
 }
 
 // probeRange computes the contiguous range of candidate data pages for a
-// key range [lo, hi]. start is the leftmost page that can contain lo —
-// duplicates of a page's low key may have been built onto the preceding
-// page, the classic ISAM equal-key adjustment. stop is the last page whose
-// low key is <= hi; openEnd is set when that bound reaches the end of the
-// leaf directory page, in which case the scan falls back to walking forward
-// until it sees a key greater than hi.
-func (f *File) probeRange(lo, hi int64) (start, stop page.ID, openEnd bool, err error) {
+// key range [lo, hi], reading the directory through v. start is the
+// leftmost page that can contain lo — duplicates of a page's low key may
+// have been built onto the preceding page, the classic ISAM equal-key
+// adjustment. stop is the last page whose low key is <= hi; when that
+// bound reaches the end of the leaf directory page, stop is the last data
+// page instead, and the walk ends where it sees a key greater than hi.
+func probeRange[V am.Viewer](f *File, v V, lo, hi int64) (start, stop page.ID, err error) {
 	cur := f.meta.Root
 	var p *page.Page
 	for lvl := 0; lvl < f.meta.Height; lvl++ {
-		p, err = f.buf.View(cur)
+		p, err = v.View(cur)
 		if err != nil {
-			return 0, 0, false, err
+			return 0, 0, err
 		}
 		n := p.Aux()
 		// Descend toward the leftmost candidate at every level.
@@ -221,19 +221,19 @@ func (f *File) probeRange(lo, hi int64) (start, stop page.ID, openEnd bool, err 
 				return k > hi
 			})
 			if last == n {
-				openEnd = true
+				return start, page.ID(f.meta.DataPages - 1), nil
 			}
 			if last > 0 {
 				last--
 			}
 			_, stop = readEntry(p, last)
-			return start, stop, openEnd, nil
+			return start, stop, nil
 		}
 		_, cur = readEntry(p, idx)
 	}
 	// Height is always >= 1 (Build creates at least a root), so the loop
 	// returns from the leaf level.
-	return 0, 0, false, fmt.Errorf("isam: empty directory")
+	return 0, 0, fmt.Errorf("isam: empty directory")
 }
 
 // Insert implements am.File: the tuple goes to the data page covering its
@@ -335,8 +335,14 @@ func (f *File) Ordered() bool { return true }
 
 // Probe implements am.File: directory walk plus the covering data page's
 // chain, filtered by key.
-func (f *File) Probe(key int64) am.Iterator {
-	return am.NewWalk(&probeWalk{f: f, left: f.buf.NumPages()}, am.Equal(f.meta.Key, key))
+func (f *File) Probe(key int64) am.Iterator { return probe(f, f.buf, key) }
+
+// ProbeRun is Probe reading through r, a run on the file's buffer.
+func (f *File) ProbeRun(r *buffer.Run, key int64) am.Iterator { return probe(f, r, key) }
+
+// probe walks the pages that can hold key, reading them through v.
+func probe[V am.Viewer](f *File, v V, key int64) am.Iterator {
+	return am.NewWalk(newProbeWalk(f, v), am.Equal(f.meta.Key, key))
 }
 
 // ProbeRange implements am.File: directory walk to the first covering data
@@ -345,7 +351,7 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 	if lo > hi {
 		return am.Empty{}
 	}
-	return am.NewWalk(&probeWalk{f: f, left: f.buf.NumPages()}, am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
+	return am.NewWalk(newProbeWalk(f, f.buf), am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Scan implements am.File: data pages in key order, each followed by its
@@ -356,44 +362,44 @@ func (f *File) Scan() am.Iterator {
 
 // probeWalk visits each candidate data page and its overflow chain, from
 // the leftmost candidate through the stop page computed from the
-// directory. When the candidate run reached the end of a directory page
-// (openEnd), it keeps going until a key greater than the range's upper
-// bound proves no later page can match.
-type probeWalk struct {
+// directory, reading pages through v. The walk ends early at a key greater
+// than the range's upper bound, which proves no later page can match.
+type probeWalk[V am.Viewer] struct {
+	v       V
 	f       *File
 	primary page.ID // data page whose chain is being walked
 	cur     page.ID // current page within that chain
-	stop    page.ID // last candidate data page
-	openEnd bool    // candidate run may extend past stop
-	located bool
-	left    int // pages the walk may still visit (am.Overrun)
+	stop    page.ID // last candidate data page; Nil until the directory is read
+	left    int32   // pages the walk may still visit (am.Overrun)
+}
+
+func newProbeWalk[V am.Viewer](f *File, v V) *probeWalk[V] {
+	return &probeWalk[V]{v: v, f: f, stop: page.Nil, left: int32(v.NumPages())}
 }
 
 // View implements am.PageWalk. The first call walks the directory.
-func (w *probeWalk) View(m *am.Match) (*page.Page, page.ID, error) {
-	if !w.located {
-		start, stop, openEnd, err := w.f.probeRange(m.Lo, m.Hi)
+func (w *probeWalk[V]) View(m *am.Match) (*page.Page, page.ID, error) {
+	if w.stop == page.Nil {
+		start, stop, err := probeRange(w.f, w.v, m.Lo, m.Hi)
 		if err != nil {
 			return nil, page.Nil, err
 		}
-		w.primary, w.cur, w.stop, w.openEnd = start, start, stop, openEnd
-		w.located = true
+		w.primary, w.cur, w.stop = start, start, stop
 	}
 	if w.cur == page.Nil {
 		// Finished one data page group.
-		next := w.primary + 1
-		if m.Above || int(next) >= w.f.meta.DataPages ||
-			(w.primary >= w.stop && !w.openEnd) {
+		if m.Above || w.primary >= w.stop {
 			return nil, page.Nil, nil
 		}
-		w.primary, w.cur = next, next
+		w.primary++
+		w.cur = w.primary
 	}
 	if w.left <= 0 {
-		return nil, page.Nil, am.Overrun(w.f.buf.Name(), w.cur)
+		return nil, page.Nil, am.Overrun(w.v.Name(), w.cur)
 	}
-	p, err := w.f.buf.View(w.cur)
+	p, err := w.v.View(w.cur)
 	return p, w.cur, err
 }
 
 // Leave implements am.PageWalk.
-func (w *probeWalk) Leave(p *page.Page) { w.cur, w.left = p.Next(), w.left-1 }
+func (w *probeWalk[V]) Leave(p *page.Page) { w.cur, w.left = p.Next(), w.left-1 }

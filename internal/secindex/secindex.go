@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"tdbms/internal/am"
 	"tdbms/internal/buffer"
 	"tdbms/internal/page"
 )
@@ -286,7 +287,10 @@ func (f *entryFile) insert(key int64, tid TID) error {
 		f.dir[key] = newID
 		return nil
 	}
-	for {
+	for left := f.buf.NumPages(); ; left-- {
+		if left <= 0 {
+			return am.Overrun(f.buf.Name(), id)
+		}
 		p, err := f.buf.Fetch(id)
 		if err != nil {
 			return err
@@ -348,7 +352,10 @@ func (f *entryFile) probe(key int64) ([]TID, error) {
 	if !ok {
 		return nil, nil
 	}
-	for id != page.Nil {
+	for left := f.buf.NumPages(); id != page.Nil; left-- {
+		if left <= 0 {
+			return nil, am.Overrun(f.buf.Name(), id)
+		}
 		next, err := scanPage(id)
 		if err != nil {
 			return nil, err
@@ -393,7 +400,10 @@ func (f *entryFile) remove(key int64, tid TID) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	for id != page.Nil {
+	for left := f.buf.NumPages(); id != page.Nil; left-- {
+		if left <= 0 {
+			return false, am.Overrun(f.buf.Name(), id)
+		}
 		done, next, err := removeIn(id)
 		if err != nil || done {
 			return done, err

@@ -1,6 +1,7 @@
 package secindex
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -256,5 +257,50 @@ func TestIndexContentsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLoopedChainIsCorrupt links the last page of a key's three-page
+// bucket chain back to itself or to the chain's head, as a torn write
+// could. A probe and an insert of that key and a remove of an absent entry
+// walk the whole chain, so each must stop after as many pages as the file
+// holds, with am.Overrun, instead of spinning.
+func TestLoopedChainIsCorrupt(t *testing.T) {
+	for _, link := range []string{"self", "back"} {
+		t.Run(link, func(t *testing.T) {
+			ix := newIdx(t, HashIdx, 1)
+			for i := 0; i < 3*EntriesPerPage; i++ { // pages head -> 1 -> 2, all full
+				if err := ix.Insert(5, tid(int32(i), 0, false)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			buf, head := ix.cur.buf, ix.cur.dir[5]
+			last := head
+			for {
+				p, err := buf.View(last)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.Next() == page.Nil {
+					break
+				}
+				last = p.Next()
+			}
+			p, err := buf.Fetch(last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetNext(map[string]page.ID{"self": last, "back": head}[link])
+			buf.MarkDirty()
+			for name, op := range map[string]func() error{
+				"probe":  func() error { _, err := ix.ProbeAll(5); return err },
+				"insert": func() error { return ix.Insert(5, tid(9999, 0, false)) },
+				"remove": func() error { return ix.Remove(5, tid(9999, 1, false)) },
+			} {
+				if err := op(); !errors.Is(err, page.ErrCorrupt) {
+					t.Errorf("%s over a %s-linked chain: %v, want page.ErrCorrupt", name, link, err)
+				}
+			}
+		})
 	}
 }
