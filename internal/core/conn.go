@@ -27,8 +27,10 @@ var errClosed = errors.New("core: database is closed")
 // different Conns follow the database's per-relation latching protocol:
 // run derives the statement's latch set from its range table (shared for
 // relations it reads, exclusive for the one it mutates), acquires the
-// latches in sorted name order, and pins the statement's snapshot — its
-// "now" and its conflict watermark — before the body executes. Relations
+// latches in sorted name order, and pins the statement's "now" before the
+// body executes. The latch set is the statement's snapshot: it sees every
+// statement that released those latches before it took them, and a writer
+// reads the current state of the relation it holds exclusively. Relations
 // read under a shared latch resolve to session-private views (handles
 // whose buffers charge the session's account); relations held exclusively
 // resolve to the root handles, charging the session by root-counter delta.
@@ -75,25 +77,11 @@ type Conn struct {
 	statsFn   func() buffer.Stats
 	acctStats func() buffer.Stats
 
-	// wm is the statement's snapshot watermark: db.stamp at statement
-	// start. A writer that finds a version-chain head stamped after wm
-	// lost a first-updater-wins race.
-	wm uint64
-	// testWM, when set by a test, overrides the watermark run captures —
-	// the deterministic seam for conflict-detection tests.
-	testWM *uint64
 	// stmtNow pins "now" for the duration of a statement (pinned) so a
 	// concurrent clock advance cannot shift the statement's time slice
 	// mid-run.
 	stmtNow temporal.Time
 	pinned  bool
-	// chains records the version-chain heads the statement moved, per
-	// root handle; run folds them into relHandle.heads on completion.
-	chains map[*relHandle]map[int64]struct{}
-	// conflictErr makes first-updater-wins conflicts surface as
-	// ErrConflict instead of transparently restarting the statement's
-	// snapshot (the default).
-	conflictErr bool
 	// walAck is the log tail the statement in flight must see synced
 	// before it acknowledges (zero when nothing was committed). Set by the
 	// commit protocol under the relation latches, consumed — and the sync
@@ -102,7 +90,7 @@ type Conn struct {
 	walAck int64
 
 	// views caches the session's per-relation read views, rebuilt lazily
-	// per relation when its writer stamp moves and wholesale when a DDL
+	// per relation when its write counter moves and wholesale when a DDL
 	// epoch passes.
 	views     map[string]*relView
 	viewEpoch uint64
@@ -141,8 +129,8 @@ func (c *Conn) resetArenas() {
 	}
 }
 
-// relView is one cached session view and the root-handle stamp it was
-// built at.
+// relView is one cached session view and the root handle's write counter
+// it was built at.
 type relView struct {
 	h     *relHandle
 	stamp uint64
@@ -342,10 +330,9 @@ func (c *Conn) dmlLocks(v string, targets []tquel.Target, where tquel.Expr, when
 }
 
 // run executes one statement body with the session prepared: the schema
-// latch, the statement's relation latches (sorted), the pinned snapshot
-// ("now" and the conflict watermark), the statement graph, and the stats
-// source. It adds the statement's I/O delta to the result, exactly as
-// ExecStmt always has.
+// latch, the statement's relation latches (sorted), the pinned "now", the
+// statement graph, and the stats source. It adds the statement's I/O delta
+// to the result, exactly as ExecStmt always has.
 func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Result, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -380,13 +367,6 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 		}()
 	}
 
-	// The watermark is captured before the relation latches: writes that
-	// land while this statement waits for its latches are exactly the
-	// first-updater-wins races conflict detection must see.
-	c.wm = db.stamp.Load()
-	if c.testWM != nil {
-		c.wm = *c.testWM
-	}
 	ls := locks.set
 	if ls == nil {
 		ls = db.newLatchSet(locks.read, locks.write)
@@ -439,26 +419,18 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 		}
 	}
 
-	// Writer completion: stamp the statement and publish the chain heads
-	// it moved — even on error, since a failed writer may still have
-	// mutated structures. Runs while the latches are held (deferred after
-	// release was).
+	// Writer completion: count the write on every relation the statement
+	// held exclusively — even on error, since a failed writer may still
+	// have mutated structures. Runs while the latches are held (deferred
+	// after release was).
 	if locks.ddlExcl || len(writeRoots) > 0 {
 		defer func() {
-			s := db.stamp.Add(1)
 			if locks.ddlExcl {
 				db.epoch++ // under the exclusive schema latch
 			}
 			for _, h := range writeRoots {
-				h.stamp = s
-				for key := range c.chains[h] {
-					if h.heads == nil {
-						h.heads = make(map[int64]uint64)
-					}
-					h.heads[key] = s
-				}
+				h.stamp++
 			}
-			c.chains = nil
 		}()
 	}
 	defer func() { c.active, c.statsFn = nil, nil }()
@@ -522,16 +494,6 @@ func rootStats(roots []*relHandle) buffer.Stats {
 	return s
 }
 
-// SetConflictRetry selects the session's first-updater-wins policy. With
-// retry (the default) a statement whose chain heads moved past its
-// watermark transparently restarts its snapshot at the current watermark;
-// without, the statement fails with ErrConflict and the caller decides.
-func (c *Conn) SetConflictRetry(retry bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.conflictErr = !retry
-}
-
 // batchCap is the session's executor batch capacity: zero asks for the
 // default, and anything below one row is one row.
 func (c *Conn) batchCap() int {
@@ -553,7 +515,7 @@ func (c *Conn) SetBatchSize(rows int) {
 }
 
 // viewFor returns the session's cached view of one relation, rebuilding it
-// when the relation's writer stamp has moved and resetting the whole cache
+// when the relation's write counter has moved and resetting the whole cache
 // when a DDL epoch passed. Views share every page, frame, and directory
 // with the root handle; only the accounting differs. Caller holds the
 // schema latch and the relation's latch (either mode — h.stamp is stable

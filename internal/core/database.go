@@ -96,10 +96,6 @@ type Database struct {
 	ddl sync.RWMutex
 	// latches hands out the per-relation statement latches.
 	latches latchTable
-	// stamp numbers writer statements; a statement's snapshot watermark is
-	// the value loaded at statement start, and first-updater-wins conflict
-	// detection compares version-chain heads against it.
-	stamp atomic.Uint64
 	// epoch counts DDL statements (guarded by ddl held exclusively;
 	// readers observe it under the shared latch). Sessions rebuild their
 	// whole view cache when it moves.
@@ -122,25 +118,18 @@ type Database struct {
 }
 
 // relHandle is an open relation: descriptor plus storage, and — on root
-// handles only — the write watermarks conflict detection and view caching
-// read. Session views (withAccount clones) leave the watermark fields zero.
+// handles only — the write counter view caching reads. Session views
+// (withAccount clones) leave it zero.
 type relHandle struct {
 	desc    *catalog.Relation
 	src     source
 	indexes map[string]*secindex.Index
 
-	// stamp is the statement stamp of the last writer that touched the
-	// relation; sessions rebuild their cached view of the relation when it
-	// moves. Guarded by the relation latch (exclusive to write, shared to
-	// read).
+	// stamp counts the writer statements (and bulk loads) that held the
+	// relation exclusively; sessions rebuild their cached view of the
+	// relation when it moves. Guarded by the relation latch (exclusive to
+	// write, shared to read).
 	stamp uint64
-	// heads maps chain keys to the stamp of the writer statement that last
-	// moved that chain's head — the grain of first-updater-wins conflict
-	// detection. Guarded by the exclusive relation latch.
-	heads map[int64]uint64
-	// floor is a relation-wide lower bound on head stamps, raised by bulk
-	// paths (Load) that mutate chains without per-key bookkeeping.
-	floor uint64
 }
 
 // withAccount clones the handle for a session's read graph: the same

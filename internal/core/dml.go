@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -17,12 +16,6 @@ import (
 	"tdbms/internal/tuple"
 )
 
-// ErrConflict reports a lost first-updater-wins race: between the
-// statement's watermark and its latch acquisition, another writer moved
-// the head of a version chain this statement updates. Sessions see it only
-// after opting out of transparent retry (Conn.SetConflictRetry(false)).
-var ErrConflict = errors.New("core: write conflict: version-chain head advanced past the statement's watermark")
-
 // chainKey resolves the attribute identifying a relation's version chains:
 // the storage key when one is declared, else the first user attribute
 // (the benchmark's id column) when it is key-shaped.
@@ -32,71 +25,6 @@ func chainKey(desc *catalog.Relation) (am.Key, error) {
 		keyAttr = desc.Schema.Attr(0).Name
 	}
 	return keyFor(desc, keyAttr)
-}
-
-// noteChain records that the running statement moved the version-chain
-// head tup belongs to; run publishes the set to relHandle.heads when the
-// statement completes. Unkeyed relations fall back to the relation-wide
-// stamp, so nothing is recorded for them.
-func (db *Conn) noteChain(h *relHandle, tup []byte) {
-	key, err := chainKey(h.desc)
-	if err != nil {
-		return
-	}
-	if db.chains == nil {
-		db.chains = make(map[*relHandle]map[int64]struct{})
-	}
-	set, ok := db.chains[h]
-	if !ok {
-		set = make(map[int64]struct{})
-		db.chains[h] = set
-	}
-	set[key.Extract(tup)] = struct{}{}
-}
-
-// headStamp is the watermark of the last writer that moved tup's chain
-// head: the per-chain stamp when the relation is keyed, the bulk-load
-// floor always, and the relation-wide stamp when chains cannot be keyed.
-// Caller holds the relation's exclusive latch.
-func headStamp(h *relHandle, tup []byte) uint64 {
-	s := h.floor
-	if key, err := chainKey(h.desc); err == nil {
-		if hs := h.heads[key.Extract(tup)]; hs > s {
-			s = hs
-		}
-	} else if h.stamp > s {
-		s = h.stamp
-	}
-	return s
-}
-
-// conflictCandidates collects DML candidates under first-updater-wins: if
-// any selected chain head was moved by a statement stamped after this
-// statement's watermark, the snapshot is stale. The default policy
-// restarts the snapshot at the current watermark — safe because the
-// exclusive relation latch is already held, so the refreshed watermark
-// cannot be invalidated again; sessions that opted out get ErrConflict.
-func (db *Conn) conflictCandidates(h *relHandle, v string, where tquel.Expr, when tquel.TExpr) (*query, []candidate, error) {
-	for {
-		q, cands, err := db.dmlCandidates(v, where, when)
-		if err != nil {
-			return nil, nil, err
-		}
-		conflicted := false
-		for _, c := range cands {
-			if headStamp(h, c.tup) > db.wm {
-				conflicted = true
-				break
-			}
-		}
-		if !conflicted {
-			return q, cands, nil
-		}
-		if db.conflictErr {
-			return nil, nil, fmt.Errorf("core: %s: %w", h.desc.Name, ErrConflict)
-		}
-		db.wm = db.Database.stamp.Load()
-	}
 }
 
 // setTime writes a temporal attribute by schema index.
@@ -430,7 +358,6 @@ func (db *Conn) insertNew(h *relHandle, tup []byte, valid temporal.Interval) err
 	if err != nil {
 		return err
 	}
-	db.noteChain(h, tup)
 	if err := h.indexInsertCurrent(tup, rid); err != nil {
 		return unwind(err, []undoFn{func() error {
 			return db.removeVersion(h, tup, secTID{rid: rid})
@@ -448,22 +375,21 @@ type candidate struct {
 	tup []byte
 }
 
-// dmlCandidates materializes the current versions of v's relation matching
-// the where/when qualification. Materializing first keeps the subsequent
-// inserts from being rescanned (the classic Halloween problem).
-func (db *Conn) dmlCandidates(v string, where tquel.Expr, when tquel.TExpr) (*query, []candidate, error) {
-	h, err := db.relForVar(v)
-	if err != nil {
-		return nil, nil, err
-	}
+// dmlCandidates materializes the current versions of v's relation h
+// matching the where/when qualification. Materializing first keeps the
+// subsequent inserts from being rescanned (the classic Halloween problem).
+// The caller holds h exclusively, so the candidates are the relation's
+// current versions and no other writer can move them before the statement
+// ends.
+func (db *Conn) dmlCandidates(h *relHandle, v string, where tquel.Expr, when tquel.TExpr) (*query, []candidate, error) {
 	e, err := db.preparedCandidates(h, v, where, when)
 	if err != nil {
 		return nil, nil, err
 	}
 	// The scan qualifies in place and copies only the victims, into the
-	// session arena; resetting it here lets a first-updater-wins retry
-	// start clean. The victim hook saw each candidate's address as the
-	// block copied its tuple; the copies arrive here in the same order.
+	// session arena, reset for each candidate collection. The victim hook
+	// saw each candidate's address as the block copied its tuple; the
+	// copies arrive here in the same order.
 	db.arena.Reset()
 	e.rids = e.rids[:0]
 	var cands []candidate
@@ -543,7 +469,7 @@ func (db *Conn) execDelete(s *tquel.DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, cands, err := db.conflictCandidates(h, s.Var, s.Where, s.When)
+	_, cands, err := db.dmlCandidates(h, s.Var, s.Where, s.When)
 	if err != nil {
 		return nil, err
 	}
@@ -611,7 +537,6 @@ func (db *Conn) deleteVersionRaw(h *relHandle, c candidate, now temporal.Time) (
 	if err != nil {
 		return nil, err
 	}
-	db.noteChain(h, c.tup)
 	// reinsert puts an outright-removed version back (static semantics).
 	reinsert := func() error {
 		rid, err := h.src.InsertCurrent(c.tup)
@@ -720,7 +645,7 @@ func (db *Conn) execReplace(s *tquel.ReplaceStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, cands, err := db.conflictCandidates(h, s.Var, s.Where, s.When)
+	q, cands, err := db.dmlCandidates(h, s.Var, s.Where, s.When)
 	if err != nil {
 		return nil, err
 	}
@@ -801,7 +726,6 @@ func (db *Conn) execReplace(s *tquel.ReplaceStmt) (*Result, error) {
 // historical-event semantics), keeping the index entries in step. Each step
 // is compensated so a mid-replace failure leaves the old image in place.
 func (db *Conn) replaceInPlace(h *relHandle, c candidate, newUser []byte) error {
-	db.noteChain(h, c.tup)
 	if err := h.src.UpdateCurrent(c.rid, newUser); err != nil {
 		return err
 	}

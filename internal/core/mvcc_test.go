@@ -1,103 +1,85 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"tdbms/internal/tuple"
 )
 
-// TestFirstUpdaterWins drives the conflict seam deterministically: two
-// sessions observe the same watermark, the first to reach the chain head
-// wins, and the loser either surfaces ErrConflict (error mode) or
-// transparently restarts its snapshot (retry mode, the default).
-func TestFirstUpdaterWins(t *testing.T) {
-	db := newDB(t)
-	mustExec(t, db, `create r (id = i4, v = i4)`)
-	mustExec(t, db, `append to r (id = 1, v = 0)`)
-
-	a := db.NewSession("a")
-	b := db.NewSession("b")
-	for _, s := range []*Conn{a, b} {
-		if _, err := s.Exec(`range of x is r`); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Both sessions start from the same watermark; b keeps it pinned past
-	// a's write, the deterministic equivalent of losing the latch race.
-	wm := db.stamp.Load()
-	b.testWM = &wm
-	b.SetConflictRetry(false)
-
-	if _, err := a.Exec(`replace x (v = 1) where x.id = 1`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Exec(`replace x (v = 2) where x.id = 1`); !errors.Is(err, ErrConflict) {
-		t.Fatalf("loser's replace: %v, want ErrConflict", err)
-	}
-	if _, err := b.Exec(`delete x where x.id = 1`); !errors.Is(err, ErrConflict) {
-		t.Fatalf("loser's delete: %v, want ErrConflict", err)
-	}
-	r := mustExec(t, db, `range of x is r retrieve (x.v) where x.id = 1`)
-	if len(r.Rows) != 1 || r.Rows[0][0].I != 1 {
-		t.Fatalf("after conflict, v = %v, want the winner's 1", r.Rows)
-	}
-
-	// Retry mode: the same stale watermark restarts transparently and the
-	// statement applies against the current head.
-	b.SetConflictRetry(true)
-	if _, err := b.Exec(`replace x (v = 3) where x.id = 1`); err != nil {
-		t.Fatalf("retry-mode replace: %v", err)
-	}
-	r = mustExec(t, db, `retrieve (x.v) where x.id = 1`)
-	if len(r.Rows) != 1 || r.Rows[0][0].I != 3 {
-		t.Fatalf("after retry, v = %v, want 3", r.Rows)
-	}
-}
-
 // TestConcurrentWriterConvergence hammers one chain head from many
-// sessions under the default retry policy: every increment must land
-// exactly once (the exclusive relation latch serializes the statements;
-// the watermark restart absorbs the latch-wait races).
+// sessions, on a static relation (updated in place) and on a rollback one
+// (each replace closes the current version and appends the next). The
+// exclusive relation latch is each statement's snapshot: a replace reads
+// the version the previous writer left, so every increment lands exactly
+// once, and on the rollback relation the history holds each seq from 0 to
+// the final count exactly once, with one current version.
 func TestConcurrentWriterConvergence(t *testing.T) {
-	db := newDB(t)
-	mustExec(t, db, `create r (id = i4, v = i4)`)
-	mustExec(t, db, `append to r (id = 1, v = 0)`)
-
-	const writers, rounds = 8, 25
-	errs := make(chan error, writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := db.NewSession(fmt.Sprintf("w%d", w))
-			if _, err := s.Exec(`range of x is r`); err != nil {
-				errs <- err
-				return
+	for _, typ := range []string{"static", "persistent"} {
+		t.Run(typ, func(t *testing.T) {
+			db := newDB(t)
+			create := `create r (id = i4, seq = i4)`
+			if typ == "persistent" {
+				create = `create persistent r (id = i4, seq = i4)`
 			}
-			for i := 0; i < rounds; i++ {
-				if _, err := s.Exec(`replace x (v = x.v + 1) where x.id = 1`); err != nil {
-					errs <- err
-					return
+			mustExec(t, db, create)
+			mustExec(t, db, `append to r (id = 1, seq = 0)`)
+
+			const writers, rounds = 8, 25
+			errs := make(chan error, writers)
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					s := db.NewSession(fmt.Sprintf("w%d", w))
+					if _, err := s.Exec(`range of x is r`); err != nil {
+						errs <- err
+						return
+					}
+					for i := 0; i < rounds; i++ {
+						db.Clock().Advance(1)
+						if _, err := s.Exec(`replace x (seq = x.seq + 1) where x.id = 1`); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+
+			const final = writers * rounds
+			cur := rowInts(t, mustExec(t, db, `range of x is r retrieve (x.seq) as of "now"`))
+			if len(cur) != 1 || cur[0][0] != final {
+				t.Fatalf("current versions %v, want one with seq %d (no lost updates)", cur, final)
+			}
+			want := []int64{final} // a static relation keeps no history
+			if typ == "persistent" {
+				want = want[:0]
+				for seq := int64(0); seq <= final; seq++ {
+					want = append(want, seq)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	r := mustExec(t, db, `range of x is r retrieve (x.v) where x.id = 1`)
-	if len(r.Rows) != 1 || r.Rows[0][0].I != writers*rounds {
-		t.Fatalf("v = %v, want %d (no lost updates)", r.Rows, writers*rounds)
-	}
-	if err := db.CheckIntegrity(); err != nil {
-		t.Fatal(err)
+			hist := rowInts(t, mustExec(t, db, `retrieve (x.seq) as of "beginning" through "forever"`))
+			got := make([]int64, len(hist))
+			for i, row := range hist {
+				got[i] = row[0]
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("history seqs %v, want each of %v exactly once", got, want)
+			}
+			if err := db.CheckIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -152,4 +134,74 @@ func TestLatchOrderingNoDeadlock(t *testing.T) {
 	if err := db.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestViewRebuiltOnWriteCounter checks the session view cache against the
+// relation's write counter: a reader's cached view of r is rebuilt after
+// another session's replace on r, after a bulk load into r and after any
+// DDL statement, and kept after a write to another relation. Each rebuilt
+// view must reach every version the writer added, including those on an
+// overflow page the write chained to r's hash bucket.
+func TestViewRebuiltOnWriteCounter(t *testing.T) {
+	db := newDB(t)
+	mustExec(t, db, `create persistent r (id = i4, seq = i4, pad = c100)
+	                 create s (id = i4)
+	                 append to r (id = 1, seq = 0, pad = "p")
+	                 modify r to hash on id`)
+	w, rd := db.NewSession("writer"), db.NewSession("reader")
+	for _, c := range []*Conn{w, rd} {
+		mustSess(c, `range of x is r`)
+	}
+	versions := 1
+	var view *relView
+	read := func(step string, rebuilt bool) {
+		t.Helper()
+		res, err := rd.Exec(`retrieve (x.seq) where x.id = 1 as of "beginning" through "forever"`)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if len(res.Rows) != versions {
+			t.Fatalf("%s: reader sees %d versions, want %d", step, len(res.Rows), versions)
+		}
+		v := rd.views["r"]
+		if view != nil && (v != view) != rebuilt {
+			t.Fatalf("%s: view rebuilt = %v, want %v", step, v != view, rebuilt)
+		}
+		view = v
+	}
+	pages := func() int {
+		n, err := db.NumPages("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	read("first read", true)
+
+	mustSess(w, `append to s (id = 1)`)
+	read("after a write to s", false)
+
+	// Replace until one chains a new overflow page.
+	for before := pages(); pages() == before; {
+		mustSess(w, `replace x (seq = x.seq + 1) where x.id = 1`)
+		versions++
+		read(fmt.Sprintf("after replace %d", versions-1), true)
+	}
+
+	before, rows := pages(), make([][]tuple.Value, 0, 32)
+	for i := 0; i < cap(rows); i++ {
+		rows = append(rows, []tuple.Value{tuple.IntValue(1), tuple.IntValue(int64(1000 + i)), tuple.StrValue("load")})
+	}
+	if _, err := db.Load("r", rows); err != nil {
+		t.Fatal(err)
+	}
+	if pages() == before {
+		t.Fatal("the load chained no overflow page")
+	}
+	versions += len(rows)
+	read("after a load", true)
+
+	mustExec(t, db, `create t (id = i4)`)
+	read("after DDL", true)
+	read("after nothing", false)
 }

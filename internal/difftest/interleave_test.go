@@ -17,9 +17,9 @@ import (
 )
 
 // TestChainInterleaving is the multi-writer half of the oracle: N writer
-// sessions hammer the same rollback chains while M reader sessions take
-// watermark-pinned snapshots of them. Each reader statement holds the
-// relation's shared latch for its full scan, so every cut it sees must be
+// sessions hammer the same rollback chains while M reader sessions read
+// them. Each reader statement holds the relation's shared latch for its
+// full scan, so every cut it sees must be
 // prefix-consistent: the versions of a key are exactly seq 0..k with no
 // gap, the current cut has exactly one version per key, and neither view
 // ever moves backwards between a reader's successive statements. When the

@@ -12,8 +12,10 @@ import (
 // Sessions execute concurrently with each other — each statement latches
 // only the relations it names (shared for reads, exclusive for writes), so
 // writers on different relations proceed in parallel and readers never
-// wait for a writer of an unrelated relation. Writers racing one version
-// chain are resolved first-updater-wins; see SetConflictRetry.
+// wait for a writer of an unrelated relation. A statement sees the state
+// its latches admit it to: a modification reads the current versions of the
+// relation it holds exclusively, so writers of one relation run one at a
+// time and none loses another's update.
 //
 //	db := tdbms.MustOpen(tdbms.Options{})
 //	db.Exec(`create interval emp (name = c20, salary = i4)`)
@@ -92,19 +94,3 @@ func (s *Session) ClearNow() { s.conn.ClearNow() }
 // Now reports the session's default "now" — the as-of override if one is
 // set, otherwise the database clock.
 func (s *Session) Now() time.Time { return s.conn.Now().Unix() }
-
-// ErrConflict is reported (wrapped) by a modification statement that lost a
-// first-updater-wins race, when the session has opted out of automatic
-// retry with SetConflictRetry(false). errors.Is(err, ErrConflict) tests
-// for it.
-var ErrConflict = core.ErrConflict
-
-// SetConflictRetry chooses what happens when one of this session's
-// modification statements finds a version-chain head moved by another
-// writer after the statement's snapshot was taken. With retry true (the
-// default), the statement transparently refreshes its snapshot and
-// reapplies — every caller eventually succeeds. With retry false, the
-// statement fails with an error wrapping ErrConflict and leaves the
-// relation untouched, for callers that want optimistic-concurrency
-// semantics.
-func (s *Session) SetConflictRetry(retry bool) { s.conn.SetConflictRetry(retry) }
