@@ -126,6 +126,143 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// TestConcurrentWriterAccounting runs writing sessions — an append, a
+// replace, a delete and an append whose row a retrieve of the shared
+// relation h yields, each writing a relation of its own — beside reading
+// sessions on one shared database. Every statement
+// reads and writes through its session's views, so the session account is
+// its one I/O counter:
+//
+//   - each writer statement's Result.Input, InputOps and Output are exactly
+//     its session's account delta;
+//   - the accounts of every session sum to exactly the pool counters'
+//     movement, writes included.
+//
+// A goroutine reads a busy writer's Stats throughout; under -race that is
+// the check that the account needs no lock beyond the session's mutex.
+func TestConcurrentWriterAccounting(t *testing.T) {
+	const rounds = 30
+	b, err := Build(Temporal, 100)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	db := b.Inner
+	exec := func(src string) {
+		t.Helper()
+		if _, err := db.Exec(src); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+	}
+	for _, rel := range []string{"wa", "wr", "wd", "wj"} {
+		exec(fmt.Sprintf("create persistent %s (id = i4, seq = i4)", rel))
+		if rel == "wr" || rel == "wd" {
+			for id := 1; id <= rounds; id++ {
+				exec(fmt.Sprintf("append to %s (id = %d, seq = 0)", rel, id))
+			}
+		}
+		exec(fmt.Sprintf("modify %s to hash on id", rel))
+	}
+	before := db.Stats()
+
+	writers := []struct {
+		decl string
+		stmt func(k int) string
+	}{
+		{"range of x is wa", func(k int) string { return fmt.Sprintf("append to wa (id = %d, seq = 0)", k) }},
+		{"range of x is wr", func(k int) string { return fmt.Sprintf("replace x (seq = x.seq + 1) where x.id = %d", k) }},
+		{"range of x is wd", func(k int) string { return fmt.Sprintf("delete x where x.id = %d", k) }},
+		{"range of h is " + b.H, func(k int) string {
+			return fmt.Sprintf("append to wj (id = h.id, seq = h.seq) where h.id = %d", 400+k)
+		}},
+	}
+	const nReaders = 2
+	conns := make([]*core.Conn, len(writers)+nReaders)
+	for i := range conns {
+		conns[i] = db.NewSession(fmt.Sprintf("acct-%d", i))
+	}
+	errs := make([]error, len(conns))
+	var wg sync.WaitGroup
+	for i, w := range writers {
+		wg.Add(1)
+		go func(i int, c *core.Conn) {
+			defer wg.Done()
+			if _, err := c.Exec(w.decl); err != nil {
+				errs[i] = err
+				return
+			}
+			for k := 1; k <= rounds; k++ {
+				s0 := c.Stats()
+				res, err := c.Exec(w.stmt(k))
+				if err != nil {
+					errs[i] = fmt.Errorf("%s: %v", w.stmt(k), err)
+					return
+				}
+				d := c.Stats().Sub(s0)
+				if res.Affected != 1 || res.Input != d.Reads || res.InputOps != d.ReadOps || res.Output != d.Writes {
+					errs[i] = fmt.Errorf("%s: %d affected, input %d (%d ops), output %d; account moved %+v",
+						w.stmt(k), res.Affected, res.Input, res.InputOps, res.Output, d)
+					return
+				}
+			}
+		}(i, conns[i])
+	}
+	qs := Queries(Temporal)
+	for i := len(writers); i < len(conns); i++ {
+		wg.Add(1)
+		go func(i int, c *core.Conn) {
+			defer wg.Done()
+			if _, err := c.Exec(fmt.Sprintf("range of h is %s range of i is %s", b.H, b.I)); err != nil {
+				errs[i] = err
+				return
+			}
+			for _, q := range qs {
+				if q.Text == "" {
+					continue
+				}
+				if _, err := c.Exec(q.Text); err != nil {
+					errs[i] = fmt.Errorf("%s: %v", q.ID, err)
+					return
+				}
+			}
+		}(i, conns[i])
+	}
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				conns[1].Stats()
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-polled
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+	}
+
+	var sum, wrote buffer.Stats
+	for i, c := range conns {
+		sum = sum.Add(c.Stats())
+		if i < len(writers) {
+			wrote = wrote.Add(c.Stats())
+		}
+	}
+	if delta := db.Stats().Sub(before); sum != delta {
+		t.Fatalf("session accounts sum to %+v, pool counters moved %+v", sum, delta)
+	}
+	if wrote.Reads+wrote.Hits == 0 || wrote.Writes == 0 {
+		t.Fatalf("writers were charged %+v; the accounting check is vacuous", wrote)
+	}
+}
+
 // TestSessionIsolation checks that range tables and as-of overrides are
 // private: two sessions bind the same variable name to different relations
 // and set different "now" overrides without interfering.

@@ -39,8 +39,7 @@ const entrySize = 8
 const Fanout = (page.Size - page.HeaderSize) / entrySize
 
 // Meta describes a B-tree's parameters. Root and Height change as the tree
-// grows; the owner (the catalog layer) holds the Meta by pointer through
-// the File.
+// grows.
 type Meta struct {
 	Width  int
 	Key    am.Key
@@ -48,10 +47,12 @@ type Meta struct {
 	Height int // number of internal levels above the leaves; 0 = root is a leaf
 }
 
-// File is a B+-tree over a buffered paged file.
+// File is a B+-tree over a buffered paged file. Its views (WithBuffer)
+// share its Meta, so a root split made through any of them moves the root
+// and height every one of them descends from.
 type File struct {
 	buf  *buffer.Buffered
-	meta Meta
+	meta *Meta
 }
 
 // Build creates an empty B-tree (a single empty leaf as the root) and bulk
@@ -65,7 +66,7 @@ func Build(buf *buffer.Buffered, width int, key am.Key, tuples [][]byte) (*File,
 		return nil, err
 	}
 	p.Format(width, page.KindData)
-	f := &File{buf: buf, meta: Meta{Width: width, Key: key, Root: rootID, Height: 0}}
+	f := &File{buf: buf, meta: &Meta{Width: width, Key: key, Root: rootID, Height: 0}}
 	sort.SliceStable(tuples, func(i, j int) bool {
 		return key.Extract(tuples[i]) < key.Extract(tuples[j])
 	})
@@ -82,7 +83,15 @@ func Build(buf *buffer.Buffered, width int, key am.Key, tuples [][]byte) (*File,
 
 // New opens an existing B-tree described by meta.
 func New(buf *buffer.Buffered, meta Meta) *File {
-	return &File{buf: buf, meta: meta}
+	return &File{buf: buf, meta: &meta}
+}
+
+// WithBuffer returns a view of the same tree reading and writing through
+// buf (a handle on the same pool, typically carrying a session account).
+// The view shares the tree's Meta, so it sees and makes the same root
+// splits.
+func (f *File) WithBuffer(buf *buffer.Buffered) *File {
+	return &File{buf: buf, meta: f.meta}
 }
 
 // Buffer exposes the underlying buffered file.
@@ -90,7 +99,7 @@ func (f *File) Buffer() *buffer.Buffered { return f.buf }
 
 // Meta returns the current tree parameters (root and height move as the
 // tree grows).
-func (f *File) Meta() Meta { return f.meta }
+func (f *File) Meta() Meta { return *f.meta }
 
 // NumPages reports the file size in pages.
 func (f *File) NumPages() int { return f.buf.NumPages() }

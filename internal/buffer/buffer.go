@@ -17,8 +17,10 @@
 // Concurrency model: the frames and the global counters live in a shared
 // pool guarded by a mutex, while a Buffered value is a cheap per-caller
 // handle onto that pool. Handles derived with WithAccount additionally
-// charge every fetch, hit, and flush to a per-session Account, so one
-// statement's I/O delta can be read without a global counter snapshot.
+// charge every fetch, hit, and flush to a session's account, a plain Stats
+// the session owns, so one statement's I/O delta can be read without a
+// global counter snapshot. The account has no lock of its own: every
+// handle charging it is used by the session's goroutine (see WithAccount).
 //
 // A frame records which page it holds and where that page's image is; it
 // never needs an image of its own to count a hit or a miss. There are two
@@ -48,7 +50,6 @@ package buffer
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"tdbms/internal/page"
 	"tdbms/internal/storage"
@@ -84,57 +85,6 @@ func (s Stats) Sub(t Stats) Stats {
 		Writes:  s.Writes - t.Writes,
 		Hits:    s.Hits - t.Hits,
 		ReadOps: s.ReadOps - t.ReadOps,
-	}
-}
-
-// Account accumulates the I/O charged to one session across every pool its
-// handles touch. Counters are atomic because one session may hold handles
-// on many relations and its Stats may be read while another of its pools is
-// mid-operation.
-type Account struct {
-	reads   atomic.Int64
-	writes  atomic.Int64
-	hits    atomic.Int64
-	readOps atomic.Int64
-}
-
-// NewAccount returns a zeroed account.
-func NewAccount() *Account { return &Account{} }
-
-// Stats returns the account's counters.
-func (a *Account) Stats() Stats {
-	return Stats{
-		Reads:   a.reads.Load(),
-		Writes:  a.writes.Load(),
-		Hits:    a.hits.Load(),
-		ReadOps: a.readOps.Load(),
-	}
-}
-
-// Reset zeroes the account.
-func (a *Account) Reset() {
-	a.reads.Store(0)
-	a.writes.Store(0)
-	a.hits.Store(0)
-	a.readOps.Store(0)
-}
-
-// Charge adds a delta measured elsewhere (the exclusive-lock DML path
-// brackets the global counters and charges the difference here).
-func (a *Account) Charge(d Stats) {
-	// A fetch moves one or two counters; an atomic add of zero still
-	// costs a locked instruction.
-	if d.Reads != 0 {
-		a.reads.Add(d.Reads)
-	}
-	if d.Writes != 0 {
-		a.writes.Add(d.Writes)
-	}
-	if d.Hits != 0 {
-		a.hits.Add(d.Hits)
-	}
-	if d.ReadOps != 0 {
-		a.readOps.Add(d.ReadOps)
 	}
 }
 
@@ -203,7 +153,7 @@ type pool struct {
 // pool behind it is.
 type Buffered struct {
 	p    *pool
-	acct *Account
+	acct *Stats
 	v    *view  // scratch of Fetch and Allocate, made on first use
 	held *image // image the handle's current view references, if pool-owned
 }
@@ -228,15 +178,14 @@ func NewPooled(name string, f storage.File, frames, readahead int) *Buffered {
 }
 
 // WithAccount returns a new handle on the same pool that charges its I/O to
-// a (in addition to the pool's global counters). Sessions derive their
-// read-graph handles this way.
-func (b *Buffered) WithAccount(a *Account) *Buffered {
+// the account a (in addition to the pool's global counters); nil charges
+// only the pool. Sessions derive every statement's handles this way. The
+// account is charged under the mutex of whichever pool the I/O hit, so
+// every handle charging one account must be used by one goroutine at a
+// time, and the account read by that goroutine or after it.
+func (b *Buffered) WithAccount(a *Stats) *Buffered {
 	return &Buffered{p: b.p, acct: a}
 }
-
-// Account returns the account this handle charges, or nil for the root
-// handle.
-func (b *Buffered) Account() *Account { return b.acct }
 
 // Name returns the relation/file name this buffer serves.
 func (b *Buffered) Name() string { return b.p.name }
@@ -338,7 +287,7 @@ func (p *pool) sync() {
 func (b *Buffered) charge(d Stats) {
 	b.p.stats = b.p.stats.Add(d)
 	if b.acct != nil {
-		b.acct.Charge(d)
+		*b.acct = b.acct.Add(d)
 	}
 }
 

@@ -58,8 +58,8 @@ func TestRunSettlesLikeView(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			viaView := lendingPool(t, pages).WithAccount(NewAccount())
-			viaRun := lendingPool(t, pages).WithAccount(NewAccount())
+			viaView := lendingPool(t, pages).WithAccount(new(Stats))
+			viaRun := lendingPool(t, pages).WithAccount(new(Stats))
 			if rng.Intn(2) == 0 { // a frame lent by an earlier view
 				id := page.ID(rng.Intn(pages))
 				for _, b := range []*Buffered{viaView, viaRun} {
@@ -103,7 +103,7 @@ func TestRunSettlesLikeView(t *testing.T) {
 				if got, want := viaRun.p.stats, viaView.p.stats; got != want {
 					t.Fatalf("cut %d: pool stats %+v, want %+v", cut, got, want)
 				}
-				if got, want := viaRun.Account().Stats(), viaView.Account().Stats(); got != want {
+				if got, want := *viaRun.acct, *viaView.acct; got != want {
 					t.Fatalf("cut %d: account %+v, want %+v", cut, got, want)
 				}
 				if got, want := stateOf(viaRun), stateOf(viaView); got != want {

@@ -49,7 +49,7 @@ func TestViewLendsOnlyCleanPages(t *testing.T) {
 		return p
 	}
 	w := New("r", m)
-	r := w.WithAccount(NewAccount())
+	r := w.WithAccount(new(Stats))
 
 	v, err := r.View(0)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestViewLendsOnlyCleanPages(t *testing.T) {
 	// The reader's miss on page 1 evicts and flushes page 0. The view of
 	// page 0 it held was retired by that call; a second reader that still
 	// holds one keeps reading the image, which the flush does not touch.
-	r2 := w.WithAccount(NewAccount())
+	r2 := w.WithAccount(new(Stats))
 	held, err := r2.View(0)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestViewsUnderLatchProtocol(t *testing.T) {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					h := root.WithAccount(NewAccount())
+					h := root.WithAccount(new(Stats))
 					for i := 0; ; i++ {
 						select {
 						case <-stop:
@@ -381,7 +381,7 @@ func TestPrefetchMovesNoCounter(t *testing.T) {
 	for _, frames := range []int{1, 3} {
 		walk := func(f storage.File) (Stats, Stats, []byte) {
 			root := NewPooled("r", f, frames, 0)
-			acct := NewAccount()
+			acct := new(Stats)
 			h := root.WithAccount(acct)
 			var seen []byte
 			for pass := 0; pass < 2; pass++ {
@@ -398,7 +398,7 @@ func TestPrefetchMovesNoCounter(t *testing.T) {
 					id = p.Next()
 				}
 			}
-			return root.Stats(), acct.Stats(), seen
+			return root.Stats(), *acct, seen
 		}
 		bareStats, bareAcct, bareSeen := walk(m)
 		wrapStats, wrapAcct, wrapSeen := walk(struct{ storage.File }{m})

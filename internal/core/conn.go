@@ -30,12 +30,11 @@ var errClosed = errors.New("core: database is closed")
 // latches in sorted name order, and pins the statement's "now" before the
 // body executes. The latch set is the statement's snapshot: it sees every
 // statement that released those latches before it took them, and a writer
-// reads the current state of the relation it holds exclusively. Relations
-// read under a shared latch resolve to session-private views (handles
-// whose buffers charge the session's account); relations held exclusively
-// resolve to the root handles, charging the session by root-counter delta.
-// The benchmark drives the implicit default session only, so every
-// Figure 5–10 counter is untouched by this machinery.
+// reads the current state of the relation it holds exclusively. Every
+// relation a statement latches, shared or exclusive, resolves to the
+// session's view of it: a handle on the same pages, frames and access
+// method state whose buffers charge the session's account, its one I/O
+// counter. Only DDL runs on the root handles.
 type Conn struct {
 	*Database
 
@@ -46,9 +45,10 @@ type Conn struct {
 	// session, whose temporaries keep the historical "tmp_<n>" names.
 	id   int64
 	name string
-	// acct is the session's I/O account: view handles derived for this
-	// session charge it on every fetch, hit, and flush.
-	acct *buffer.Account
+	// acct is the session's I/O account: the session's views charge it on
+	// every fetch, hit, and flush, always on the goroutine running the
+	// statement, so it needs no lock of its own; Stats reads it under mu.
+	acct buffer.Stats
 	// ranges maps a lowercased range variable to its lowercased relation
 	// name (TQuel `range of e is employee`).
 	ranges map[string]string
@@ -65,15 +65,15 @@ type Conn struct {
 	asyncCommit bool
 
 	// active is the relation graph of the statement in flight, keyed by
-	// lowercased name: session views for shared-latched relations, root
-	// handles for exclusively latched ones, the root map for DDL.
-	// Conn.handle resolves against it. graph is the map a non-DDL
-	// statement's active graph is built in, reused by the next one.
+	// lowercased name: the session's views of the latched relations, or
+	// the root map for DDL. Conn.handle resolves against it. graph is the
+	// map a non-DDL statement's active graph is built in, reused by the
+	// next one.
 	active map[string]*relHandle
 	graph  map[string]*relHandle
 	// statsFn reads the I/O counters attributed to the statement in
-	// flight: the session account (acctStats), plus — for writers — the
-	// root pool counters of the exclusively latched relations.
+	// flight: the session account (acctStats), or for DDL the root pool
+	// counters.
 	statsFn   func() buffer.Stats
 	acctStats func() buffer.Stats
 
@@ -89,10 +89,10 @@ type Conn struct {
 	// latches are released.
 	walAck int64
 
-	// views caches the session's per-relation read views, rebuilt lazily
-	// per relation when its write counter moves and wholesale when a DDL
-	// epoch passes.
-	views     map[string]*relView
+	// views caches the session's per-relation views, built lazily on a
+	// relation's first statement and dropped wholesale when a DDL epoch
+	// passes: nothing but DDL replaces what a view shares with its root.
+	views     map[string]*relHandle
 	viewEpoch uint64
 
 	// arena backs the tuples a statement's batch scans copy off their
@@ -129,23 +129,15 @@ func (c *Conn) resetArenas() {
 	}
 }
 
-// relView is one cached session view and the root handle's write counter
-// it was built at.
-type relView struct {
-	h     *relHandle
-	stamp uint64
-}
-
 // newConn opens session id on db.
 func newConn(db *Database, id int64, name string) *Conn {
 	c := &Conn{
 		Database: db,
 		id:       id,
 		name:     name,
-		acct:     buffer.NewAccount(),
 		ranges:   make(map[string]string),
 	}
-	c.acctStats = c.acct.Stats
+	c.acctStats = func() buffer.Stats { return c.acct }
 	return c
 }
 
@@ -160,7 +152,7 @@ func (c *Conn) NumRanges() int {
 }
 
 // NewSession opens a new session on the database. Sessions are cheap: the
-// view cache is built lazily per relation on first read and shares all
+// view cache is built lazily per relation on first use and shares all
 // frames and pages with every other session.
 func (db *Database) NewSession(name string) *Conn {
 	n := db.connSeq.Add(1)
@@ -218,16 +210,21 @@ func (c *Conn) Now() temporal.Time {
 }
 
 // Stats returns the I/O charged to this session since its creation (or the
-// last ResetStats): shared-lock retrieves via per-fetch account charging,
-// exclusive-lock statements via global-counter delta.
+// last ResetStats): every fetch, hit and flush of its views, and the pool
+// counters' movement over its DDL statements. A statement in flight holds
+// the session's mutex, so Stats waits for it to finish.
 func (c *Conn) Stats() buffer.Stats {
-	return c.acct.Stats()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.acct
 }
 
 // ResetStats zeroes the session's account. The shared pool counters are
 // owned by the database (Database.ResetStats).
 func (c *Conn) ResetStats() {
-	c.acct.Reset()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.acct = buffer.Stats{}
 }
 
 // stmtLocks is a statement's declared latch set: the relations it reads
@@ -331,8 +328,9 @@ func (c *Conn) dmlLocks(v string, targets []tquel.Target, where tquel.Expr, when
 
 // run executes one statement body with the session prepared: the schema
 // latch, the statement's relation latches (sorted), the pinned "now", the
-// statement graph, and the stats source. It adds the statement's I/O delta
-// to the result, exactly as ExecStmt always has.
+// statement graph of views (root handles for DDL), and the stats source.
+// It adds the statement's I/O delta to the result, exactly as ExecStmt
+// always has.
 func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Result, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -374,16 +372,16 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	ls.acquire()
 	defer ls.release()
 
-	// Resolve the statement graph and the stats source. Shared-latched
-	// relations go through session views (account-charged); exclusively
-	// latched ones use the root handles — their latch guarantees the root
-	// counters' delta is exactly this statement's I/O, and mutation must
-	// go through the root handles because views snapshot access-method
-	// metadata.
-	var writeRoots []*relHandle
+	// Resolve the statement graph and the stats source. DDL runs on the
+	// root handles and is charged their counters' movement. Every other
+	// statement resolves each relation it latches, shared or exclusive, to
+	// the session's view, so the account sees all of its I/O as it
+	// happens; the views it holds exclusively are what its commit logs.
+	var writes []*relHandle
 	if locks.ddlExcl {
 		c.active = db.rels
 		c.statsFn = db.sumStats
+		defer func() { db.epoch++ }() // under the exclusive schema latch, even on error
 	} else {
 		if c.graph == nil {
 			c.graph = make(map[string]*relHandle, len(ls.rels))
@@ -395,43 +393,14 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 			if !ok {
 				continue // the statement will report the missing relation
 			}
+			v := c.viewFor(lr.name, h)
+			active[lr.name] = v
 			if lr.excl {
-				active[lr.name] = h
-				writeRoots = append(writeRoots, h)
-			} else {
-				active[lr.name] = c.viewFor(lr.name, h)
+				writes = append(writes, v)
 			}
 		}
 		c.active = active
-		if len(writeRoots) == 0 {
-			c.statsFn = c.acctStats
-		} else {
-			acct := c.acct
-			c.statsFn = func() buffer.Stats {
-				s := acct.Stats()
-				for _, h := range writeRoots {
-					for _, b := range h.buffers() {
-						s = s.Add(b.Stats())
-					}
-				}
-				return s
-			}
-		}
-	}
-
-	// Writer completion: count the write on every relation the statement
-	// held exclusively — even on error, since a failed writer may still
-	// have mutated structures. Runs while the latches are held (deferred
-	// after release was).
-	if locks.ddlExcl || len(writeRoots) > 0 {
-		defer func() {
-			if locks.ddlExcl {
-				db.epoch++ // under the exclusive schema latch
-			}
-			for _, h := range writeRoots {
-				h.stamp++
-			}
-		}()
+		c.statsFn = c.acctStats
 	}
 	defer func() { c.active, c.statsFn = nil, nil }()
 
@@ -439,7 +408,6 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	c.stmtNow, c.pinned = c.resolveNow(), true
 	defer func() { c.pinned = false }()
 
-	rootBefore := rootStats(writeRoots)
 	before := c.statsFn()
 	res, err = fn()
 	if err != nil {
@@ -459,8 +427,8 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 			if werr := db.walCheckpointLocked(true); werr != nil {
 				return nil, werr
 			}
-		} else if len(writeRoots) > 0 {
-			lsn, werr := c.walCommit(writeRoots)
+		} else if len(writes) > 0 {
+			lsn, werr := c.walCommit(writes)
 			if werr != nil {
 				return nil, werr
 			}
@@ -471,27 +439,12 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	res.Input += d.Reads
 	res.Output += d.Writes
 	res.InputOps += d.ReadOps
-	if len(writeRoots) > 0 || locks.ddlExcl {
-		// Root-handle I/O bypasses the account (account-free handles);
-		// charge the session its delta. View I/O already charged itself.
-		rd := rootStats(writeRoots).Sub(rootBefore)
-		if locks.ddlExcl {
-			rd = d // DDL runs entirely on root handles
-		}
-		c.acct.Charge(rd)
+	if locks.ddlExcl {
+		// Root-handle I/O bypasses the account; charge the session its
+		// delta. A view's I/O charged itself.
+		c.acct = c.acct.Add(d)
 	}
 	return res, nil
-}
-
-// rootStats sums the pool counters of the given root handles.
-func rootStats(roots []*relHandle) buffer.Stats {
-	var s buffer.Stats
-	for _, h := range roots {
-		for _, b := range h.buffers() {
-			s = s.Add(b.Stats())
-		}
-	}
-	return s
 }
 
 // batchCap is the session's executor batch capacity: zero asks for the
@@ -514,24 +467,23 @@ func (c *Conn) SetBatchSize(rows int) {
 	c.batch = rows
 }
 
-// viewFor returns the session's cached view of one relation, rebuilding it
-// when the relation's write counter has moved and resetting the whole cache
-// when a DDL epoch passed. Views share every page, frame, and directory
-// with the root handle; only the accounting differs. Caller holds the
-// schema latch and the relation's latch (either mode — h.stamp is stable
-// under both).
+// viewFor returns the session's cached view of one relation, building it
+// on first use and resetting the whole cache when a DDL epoch passed. A
+// view shares every page, frame, directory and access-method root with
+// the root handle, so it stays current across every other session's
+// writes; only the accounting differs. Caller holds the schema latch.
 func (c *Conn) viewFor(name string, h *relHandle) *relHandle {
 	db := c.Database
 	if c.views == nil || c.viewEpoch != db.epoch {
-		c.views = make(map[string]*relView, len(db.rels))
+		c.views = make(map[string]*relHandle, len(db.rels))
 		c.viewEpoch = db.epoch
 	}
 	v, ok := c.views[name]
-	if !ok || v.stamp != h.stamp {
-		v = &relView{h: h.withAccount(c.acct), stamp: h.stamp}
+	if !ok {
+		v = h.withAccount(&c.acct)
 		c.views[name] = v
 	}
-	return v.h
+	return v
 }
 
 // handle resolves a relation against the statement's active graph. A name

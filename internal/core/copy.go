@@ -163,9 +163,6 @@ func (db *Database) Load(rel string, rows [][]tuple.Value) (int, error) {
 	ls.acquire()
 	defer ls.release()
 	h.desc.Stat = nil // bulk load bypasses the DML stat hooks; ANALYZE rebuilds
-	// A bulk load is a writer statement: count it, so sessions rebuild
-	// their cached views of the relation.
-	defer func() { h.stamp++ }()
 	for i, row := range rows {
 		if err := db.loadRow(h, row); err != nil {
 			return i, fmt.Errorf("core: row %d: %w", i, err)

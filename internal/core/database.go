@@ -32,14 +32,6 @@ type Options struct {
 	// Now sets the initial logical clock. Zero means the beginning of time;
 	// the benchmark sets an explicit epoch.
 	Now temporal.Time
-	// TwoLevelStore enables the Section 6 enhancement for relations created
-	// after the flag is set: current versions in the primary store, history
-	// versions in a separate history store.
-	TwoLevelStore bool
-	// ClusteredHistory packs history versions of the same tuple together
-	// (the "Clustered" column of Figure 10). Only meaningful with
-	// TwoLevelStore.
-	ClusteredHistory bool
 	// BufferFrames and BufferReadahead are the database's buffer policy,
 	// the one route by which it is set: every relation's pool is opened
 	// with BufferFrames LRU frames, and a sequential walk's miss reads up
@@ -97,7 +89,7 @@ type Database struct {
 	// latches hands out the per-relation statement latches.
 	latches latchTable
 	// epoch counts DDL statements (guarded by ddl held exclusively;
-	// readers observe it under the shared latch). Sessions rebuild their
+	// readers observe it under the shared latch). Sessions drop their
 	// whole view cache when it moves.
 	epoch uint64
 	// closed marks a database whose files have been released; Close is
@@ -117,25 +109,19 @@ type Database struct {
 	walStart int64
 }
 
-// relHandle is an open relation: descriptor plus storage, and — on root
-// handles only — the write counter view caching reads. Session views
-// (withAccount clones) leave it zero.
+// relHandle is an open relation: descriptor plus storage. The database
+// holds the root handles; sessions reach a relation through views of them
+// (withAccount).
 type relHandle struct {
 	desc    *catalog.Relation
 	src     source
 	indexes map[string]*secindex.Index
-
-	// stamp counts the writer statements (and bulk loads) that held the
-	// relation exclusively; sessions rebuild their cached view of the
-	// relation when it moves. Guarded by the relation latch (exclusive to
-	// write, shared to read).
-	stamp uint64
 }
 
-// withAccount clones the handle for a session's read graph: the same
-// pages, frames, and directories, reached through buffer handles that
-// charge the session's account.
-func (h *relHandle) withAccount(a *buffer.Account) *relHandle {
+// withAccount clones the handle for a session: the same descriptor,
+// pages, frames, directories and access-method roots, reached through
+// buffer handles that charge the account a.
+func (h *relHandle) withAccount(a *buffer.Stats) *relHandle {
 	v := &relHandle{
 		desc:    h.desc,
 		src:     h.src.withAccount(a),

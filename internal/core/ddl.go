@@ -59,11 +59,7 @@ func (db *Conn) execCreate(s *tquel.CreateStmt) (*Result, error) {
 		indexes: make(map[string]*secindex.Index),
 	}
 	db.rels[strings.ToLower(s.Rel)] = h
-	if db.opts.TwoLevelStore && typ != catalog.Static {
-		if err := db.convertToTwoLevel(h, db.opts.ClusteredHistory); err != nil {
-			return nil, err
-		}
-	} else if err := db.saveCatalog(); err != nil {
+	if err := db.saveCatalog(); err != nil {
 		return nil, err
 	}
 	return &Result{}, nil

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"tdbms/internal/am"
-	"tdbms/internal/buffer"
 	"tdbms/internal/catalog"
 	"tdbms/internal/page"
 	"tdbms/internal/temporal"
@@ -35,12 +34,12 @@ func (db *Database) CheckIntegrity() error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		// Latch each relation shared and scan through a throwaway view:
-		// the root handle's scratch page is the statement writer's, and a
-		// concurrent reader's own view keeps the frames consistent.
+		// Latch each relation shared and scan through a throwaway view
+		// that charges no session: a handle serves one caller at a time,
+		// and another check may hold the same shared latch on the root.
 		ls := db.newLatchSet([]string{name}, nil)
 		ls.acquire()
-		v := db.rels[name].withAccount(buffer.NewAccount())
+		v := db.rels[name].withAccount(nil)
 		err := db.checkRelation(v)
 		ls.release()
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tdbms/internal/btree"
 	"tdbms/internal/tuple"
 )
 
@@ -136,13 +137,13 @@ func TestLatchOrderingNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestViewRebuiltOnWriteCounter checks the session view cache against the
-// relation's write counter: a reader's cached view of r is rebuilt after
-// another session's replace on r, after a bulk load into r and after any
-// DDL statement, and kept after a write to another relation. Each rebuilt
-// view must reach every version the writer added, including those on an
-// overflow page the write chained to r's hash bucket.
-func TestViewRebuiltOnWriteCounter(t *testing.T) {
+// TestViewKeptAcrossWrites checks the session view cache's lifetime: a
+// reader's cached view of r is kept after another session's replace on r,
+// after a bulk load into r and after a write to another relation, and
+// rebuilt only after a DDL statement. The kept view must reach every
+// version the writers added, including those on an overflow page a write
+// chained to r's hash bucket.
+func TestViewKeptAcrossWrites(t *testing.T) {
 	db := newDB(t)
 	mustExec(t, db, `create persistent r (id = i4, seq = i4, pad = c100)
 	                 create s (id = i4)
@@ -153,7 +154,7 @@ func TestViewRebuiltOnWriteCounter(t *testing.T) {
 		mustSess(c, `range of x is r`)
 	}
 	versions := 1
-	var view *relView
+	var view *relHandle
 	read := func(step string, rebuilt bool) {
 		t.Helper()
 		res, err := rd.Exec(`retrieve (x.seq) where x.id = 1 as of "beginning" through "forever"`)
@@ -185,7 +186,7 @@ func TestViewRebuiltOnWriteCounter(t *testing.T) {
 	for before := pages(); pages() == before; {
 		mustSess(w, `replace x (seq = x.seq + 1) where x.id = 1`)
 		versions++
-		read(fmt.Sprintf("after replace %d", versions-1), true)
+		read(fmt.Sprintf("after replace %d", versions-1), false)
 	}
 
 	before, rows := pages(), make([][]tuple.Value, 0, 32)
@@ -199,9 +200,63 @@ func TestViewRebuiltOnWriteCounter(t *testing.T) {
 		t.Fatal("the load chained no overflow page")
 	}
 	versions += len(rows)
-	read("after a load", true)
+	read("after a load", false)
 
 	mustExec(t, db, `create t (id = i4)`)
 	read("after DDL", true)
 	read("after nothing", false)
+}
+
+// TestViewFollowsRootSplit caches a reader's view of a B-tree relation,
+// then appends through a writer session until the root handle's tree has
+// grown two levels (some 630 appends). A root split made through the
+// writer's view must move the root every view descends from: after each
+// append the reader's kept view finds the new row, fetching one page per
+// level of the root handle's tree, exactly as many as a fresh session's
+// probe.
+func TestViewFollowsRootSplit(t *testing.T) {
+	db := newDB(t)
+	mustExec(t, db, `create r (id = i4, pad = c100)
+	                 append to r (id = 0, pad = "p")
+	                 modify r to btree on id`)
+	tree := db.rels["r"].src.(*conventional).file.(*btree.File)
+	w, rd := db.NewSession("writer"), db.NewSession("reader")
+	for _, c := range []*Conn{w, rd} {
+		mustSess(c, `range of x is r`)
+	}
+	// fetches is the pages a probe for id costs on c: reads plus hits.
+	fetches := func(c *Conn, id int) int64 {
+		t.Helper()
+		before := c.Stats()
+		res, err := c.Exec(fmt.Sprintf(`retrieve (x.id) where x.id = %d`, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].I != int64(id) {
+			t.Fatalf("probe for %d: rows %v", id, res.Rows)
+		}
+		d := c.Stats().Sub(before)
+		return d.Reads + d.Hits
+	}
+	fetches(rd, 0)
+	view := rd.views["r"]
+	start := tree.Height()
+	for id := 1; tree.Height() < start+2; id++ {
+		if id > 10000 {
+			t.Fatalf("root height still %d after %d appends", tree.Height(), id)
+		}
+		mustSess(w, fmt.Sprintf(`append to r (id = %d, pad = "p")`, id))
+		got := fetches(rd, id)
+		if want := int64(tree.Height() + 1); got != want {
+			t.Fatalf("append %d: kept view fetched %d pages, the root handle's tree has %d levels", id, got, want)
+		}
+		fresh := db.NewSession("")
+		mustSess(fresh, `range of x is r`)
+		if want := fetches(fresh, id); got != want {
+			t.Fatalf("append %d (height %d): kept view fetched %d pages, a fresh session %d", id, tree.Height(), got, want)
+		}
+	}
+	if rd.views["r"] != view {
+		t.Fatal("the reader's view was rebuilt")
+	}
 }

@@ -55,15 +55,17 @@ type source interface {
 	Buffers() []*buffer.Buffered
 	// NumPages is the total store size in pages.
 	NumPages() int
-	// withAccount returns a read view of the same store whose page I/O is
-	// charged to a. Views share every page and frame with the original;
-	// only the accounting handle differs.
-	withAccount(a *buffer.Account) source
+	// withAccount returns a view of the same store whose page I/O is
+	// charged to a. Views share every page, frame and access-method root
+	// with the original, and a write through one is a write to all; only
+	// the accounting handle differs.
+	withAccount(a *buffer.Stats) source
 }
 
 // cloneAMFile rebuilds an access-method view over buf (a handle on the
-// same pool). Access methods keep their shape in Meta, so a fresh view is
-// cheap and reads identical pages.
+// same pool). Hash and ISAM files keep their shape in a Meta fixed when
+// they are built, and the heap has none, so a fresh view is cheap and
+// reads identical pages; a B-tree's root moves, so its views share it.
 func cloneAMFile(f am.File, buf *buffer.Buffered) am.File {
 	switch g := f.(type) {
 	case *heapfile.File:
@@ -73,7 +75,7 @@ func cloneAMFile(f am.File, buf *buffer.Buffered) am.File {
 	case *isam.File:
 		return isam.New(buf, g.Meta())
 	case *btree.File:
-		return btree.New(buf, g.Meta())
+		return g.WithBuffer(buf)
 	}
 	return f
 }
@@ -143,7 +145,7 @@ func (c *conventional) Buffers() []*buffer.Buffered { return []*buffer.Buffered{
 
 func (c *conventional) NumPages() int { return c.buf.NumPages() }
 
-func (c *conventional) withAccount(a *buffer.Account) source {
+func (c *conventional) withAccount(a *buffer.Stats) source {
 	buf := c.buf.WithAccount(a)
 	return &conventional{file: cloneAMFile(c.file, buf), buf: buf}
 }
@@ -180,7 +182,7 @@ func (t *twoLevelSource) NumPages() int {
 	return t.primaryBuf.NumPages() + t.historyBuf.NumPages()
 }
 
-func (t *twoLevelSource) withAccount(a *buffer.Account) source {
+func (t *twoLevelSource) withAccount(a *buffer.Stats) source {
 	pbuf := t.primaryBuf.WithAccount(a)
 	hbuf := t.historyBuf.WithAccount(a)
 	return &twoLevelSource{

@@ -87,7 +87,7 @@ func New(cfg Config, curBuf, histBuf *buffer.Buffered) (*Index, error) {
 // WithAccount returns a read view of the same index whose page I/O is
 // charged to a. The hash directory maps are shared by pointer — they are
 // mutated only under the database's exclusive writer lock.
-func (ix *Index) WithAccount(a *buffer.Account) *Index {
+func (ix *Index) WithAccount(a *buffer.Stats) *Index {
 	v := &Index{cfg: ix.cfg}
 	v.cur = ix.cur.withAccount(a)
 	if ix.hist != nil {
@@ -96,7 +96,7 @@ func (ix *Index) WithAccount(a *buffer.Account) *Index {
 	return v
 }
 
-func (f *entryFile) withAccount(a *buffer.Account) *entryFile {
+func (f *entryFile) withAccount(a *buffer.Stats) *entryFile {
 	return &entryFile{buf: f.buf.WithAccount(a), structure: f.structure, dir: f.dir}
 }
 

@@ -36,13 +36,6 @@ type Options struct {
 	// Now sets the initial logical clock. The zero value means the current
 	// wall-clock time.
 	Now time.Time
-	// TwoLevelStore stores versioned relations with current versions in a
-	// primary store and history in a separate history store (the Section 6
-	// enhancement), making non-temporal queries independent of the update
-	// count.
-	TwoLevelStore bool
-	// ClusteredHistory co-locates history versions of the same tuple.
-	ClusteredHistory bool
 	// BufferFrames sets the buffer frames per relation, for the whole
 	// database and every session on it. Zero or one gives the paper's
 	// measurement policy of Section 5.1.
@@ -63,11 +56,9 @@ func Open(opts Options) (*DB, error) {
 		now = time.Now()
 	}
 	inner, err := core.Open(core.Options{
-		Dir:              opts.Dir,
-		Now:              temporal.FromUnix(now.UTC()),
-		TwoLevelStore:    opts.TwoLevelStore,
-		ClusteredHistory: opts.ClusteredHistory,
-		BufferFrames:     opts.BufferFrames,
+		Dir:          opts.Dir,
+		Now:          temporal.FromUnix(now.UTC()),
+		BufferFrames: opts.BufferFrames,
 	})
 	if err != nil {
 		return nil, err
