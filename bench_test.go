@@ -220,8 +220,10 @@ func BenchmarkHashedAccess(b *testing.B) {
 
 // BenchmarkSequentialScan measures the Q07 access path: a full scan with a
 // non-key selection. The 1 024-tuple relation fits in the processor's
-// caches; the scaled variant scans point_read's database, where Q07 reads
-// about 43 500 pages and keeps one of their 184 000 tuples.
+// caches; the scaled variants scan point_read's database, where Q07 reads
+// about 43 500 pages and keeps one of their 184 000 tuples, and Q03, an
+// as-of scan, keeps about 150. A scan walks its file in morsels on up to
+// GOMAXPROCS goroutines; pages/op is the same at any count.
 func BenchmarkSequentialScan(b *testing.B) {
 	b.Run("scaled", benchScaledScan)
 	b.Run("1024", func(b *testing.B) {
@@ -237,32 +239,45 @@ func BenchmarkSequentialScan(b *testing.B) {
 }
 
 // benchScaledScan runs Q07's shape over the hashed relation of point_read's
-// database, each scan selecting the next amount of a fixed stride.
+// database, each scan selecting the next amount of a fixed stride, and
+// Q03 over the same relation.
 func benchScaledScan(b *testing.B) {
 	db, n := buildScaled(b)
-	texts := make([]string, 16)
-	for i := range texts {
-		texts[i] = fmt.Sprintf(`retrieve (h.id, h.seq) where h.amount = %d when h overlap "now"`, (i*7919)%n*100)
+	q07 := make([]string, 16)
+	for i := range q07 {
+		q07[i] = fmt.Sprintf(`retrieve (h.id, h.seq) where h.amount = %d when h overlap "now"`, (i*7919)%n*100)
 	}
-	var pages int64
-	for _, text := range texts { // warm: every amount once
-		res, err := db.Exec(text)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 1 {
-			b.Fatalf("%s returned %d rows, want 1", text, len(res.Rows))
-		}
-		pages = res.InputPages
+	q03 := []string{`retrieve (h.id, h.seq) as of ` + bench.Q03AsOf}
+	for _, q := range []struct {
+		id    string
+		texts []string
+		rows  func(int) bool
+	}{
+		{"Q07", q07, func(rows int) bool { return rows == 1 }},
+		{"Q03", q03, func(rows int) bool { return rows > 0 }},
+	} {
+		b.Run(q.id, func(b *testing.B) {
+			var pages int64
+			for _, text := range q.texts { // warm: every statement once
+				res, err := db.Exec(text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !q.rows(len(res.Rows)) {
+					b.Fatalf("%s returned %d rows", text, len(res.Rows))
+				}
+				pages = res.InputPages
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Exec(q.texts[i%len(q.texts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(pages), "pages/op")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Exec(texts[i%len(texts)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(pages), "pages/op")
 }
 
 // buildChainBench is the paper's update-count-8 database in miniature: a

@@ -27,6 +27,10 @@ type Block struct {
 	// or not Ranges and Qual kept them. Walk paces itself by it, so the
 	// pages a scan fetches do not depend on how selective they are.
 	offered int
+	// ords, on a Tape's block, holds each kept tuple's candidate ordinal:
+	// offered before it was offered.
+	ords     []int32
+	keepOrds bool
 }
 
 // Reset empties the block. Tuples from previous fills stay valid: the
@@ -34,6 +38,7 @@ type Block struct {
 func (b *Block) Reset() {
 	b.RIDs = b.RIDs[:0]
 	b.Tups = b.Tups[:0]
+	b.ords = b.ords[:0]
 	b.offered = 0
 }
 
@@ -60,6 +65,9 @@ func (b *Block) Offer(rid page.RID, tup []byte) error {
 	}
 	b.Tups = append(b.Tups, b.Arena.Copy(tup))
 	b.RIDs = append(b.RIDs, rid)
+	if b.keepOrds {
+		b.ords = append(b.ords, int32(b.offered-1))
+	}
 	return nil
 }
 

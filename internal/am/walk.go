@@ -48,6 +48,10 @@ type Walk struct {
 // NewWalk iterates the tuples m accepts on the pages pw visits.
 func NewWalk(pw PageWalk, m Match) *Walk { return &Walk{pw: pw, m: m} }
 
+// Reset aims w at the pages pw visits and the tuples m accepts, as NewWalk
+// would, so a caller that walks many times reuses one Walk.
+func (w *Walk) Reset(pw PageWalk, m Match) { *w = Walk{pw: pw, m: m} }
+
 // NextBlock implements Iterator.
 func (w *Walk) NextBlock(blk *Block, max int) (bool, error) {
 	blk.Reset()
@@ -123,6 +127,12 @@ type PrimaryScan struct {
 // NewPrimaryScan scans buf's first primaries pages and their chains.
 func NewPrimaryScan(buf PageViewer, primaries int) *PrimaryScan {
 	return &PrimaryScan{buf: buf, primaries: primaries, left: buf.NumPages()}
+}
+
+// PrimaryRange is the part of a primary scan over primary pages lo..hi-1
+// and their chains, visited as the whole scan visits them (Parts.Walk).
+func PrimaryRange(buf PageViewer, lo, hi int) PageWalk {
+	return &PrimaryScan{buf: buf, primary: lo, primaries: hi, left: buf.NumPages()}
 }
 
 // View implements PageWalk.

@@ -440,6 +440,11 @@ func (p *pool) prefetch(pg *page.Page) {
 // only where the run's views are ordered among theirs, which is timing
 // already.
 //
+// A walk split over several goroutines charges its views through one run
+// of its own: the workers view through runs that only lend, never settled,
+// and the owner notes (Note) on its run each view the single walk would
+// have made, in that walk's order, then settles it.
+//
 // One run is used by one goroutine at a time: its views by the goroutine
 // that walks, its Settle by the one that owns the handle.
 type Run struct {
@@ -496,6 +501,26 @@ func (r *Run) View(id page.ID) (*page.Page, error) {
 	return pg, nil
 }
 
+// ViewAhead is View: a run exists only on a pool without readahead, where
+// Buffered.ViewAhead is View exactly. It lets a sequential walk read
+// through a run.
+func (r *Run) ViewAhead(id page.ID, _ int) (*page.Page, error) { return r.View(id) }
+
+// Note counts a view of page id as View does, without lending the page:
+// the view was made through another run on the same pool, which lent it.
+// Settle lends the last noted page again when it must leave it in the
+// frame.
+func (r *Run) Note(id page.ID) {
+	switch {
+	case r.views == 0:
+		r.first = id
+	case id != r.last:
+		r.reads++
+	}
+	r.last, r.lastPg = id, nil
+	r.views++
+}
+
 // NumPages reports the file size in pages, without the pool mutex.
 func (r *Run) NumPages() int { return r.lend.NumPages() }
 
@@ -529,7 +554,17 @@ func (r *Run) Settle() {
 		p.empty(f)
 	case d.Reads > 0:
 		p.empty(f)
-		f.id, f.pg = r.last, r.lastPg
+		pg := r.lastPg
+		if pg == nil {
+			// A noted page was lent to the run that viewed it, under the
+			// same latch, so it lends again; if it did not, the frame
+			// stays empty, as after a failed view.
+			var err error
+			if pg, err = r.lend.Lend(r.last); err != nil {
+				break
+			}
+		}
+		f.id, f.pg = r.last, pg
 	case f.img != nil:
 		// Every view was a hit on a pool-owned image: the handle holds
 		// it, as the last View would.

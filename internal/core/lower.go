@@ -331,7 +331,7 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 			End: end,
 		}, nil
 	default: // plan.OpSeqScan
-		return &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot, Ranges: lq.ranges,
+		s := &exec.BatchScan{Node: n, Att: l.att, Arena: &l.db.arena, Slot: slot, Ranges: lq.ranges,
 			Start: func() (am.Iterator, error) {
 				lq.fill()
 				if qv.currentOnly {
@@ -341,7 +341,41 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 			},
 			Bind: bind,
 			End:  end,
-		}, nil
+		}
+		// A DML candidate scan stays on the calling goroutine: the victim
+		// hook is the statement's, and no benchmark write scans.
+		if victim == nil {
+			s.Parts = func() am.Parts {
+				lq.fill()
+				if c, ok := qv.h.src.(*conventional); ok {
+					return c.scanParts()
+				}
+				return am.Parts{}
+			}
+			s.Run = func() *buffer.Run { return qv.h.src.(*conventional).buf.Run() }
+			s.Block = l.workerBlock(v, lq, bind)
+		}
+		return s, nil
+	}
+}
+
+// workerBlock returns the blocks the workers of v's leaf fill on several
+// goroutines: the leaf's ranges, read-only once filled, and worker w's
+// arena. The calling goroutine's worker 0 qualifies through bind (varQual);
+// every other worker through its own compilation of v's qualification
+// against the relation bindings bind reads, with a private copy of v's.
+// Not against l.binds: once the decomposition prologue is lowered, they
+// bind a detached variable to its temporary's projection.
+func (l *lowering) workerBlock(v string, lq *leafQual, bind func(page.RID, []byte) (bool, error)) func(w int) am.Block {
+	return func(w int) am.Block {
+		blk := am.Block{Ranges: lq.ranges, Qual: bind, Arena: l.db.workerArena(w)}
+		if w > 0 {
+			vars := maps.Clone(l.q.env.vars)
+			b := *vars[v]
+			vars[v] = &b
+			_, blk.Qual = l.q.varQualOver(v, vars)
+		}
+		return blk
 	}
 }
 
@@ -386,25 +420,22 @@ func (l *lowering) lowerBatchSubst(n *plan.Node, outer exec.BatchOperator, bcap 
 			}
 			return nil
 		},
-		Probe: func(key int64, r *buffer.Run) am.Iterator {
-			switch {
-			case r != nil:
-				return qv.h.src.(*conventional).probeRun(r, key)
-			case qv.currentOnly:
-				return qv.h.src.ProbeCurrent(key)
+		Prober: func() func(int64, *buffer.Run) am.Iterator {
+			var aim func(*buffer.Run, int64) am.Iterator // made on the first run
+			return func(key int64, r *buffer.Run) am.Iterator {
+				switch {
+				case r != nil:
+					if aim == nil {
+						aim = qv.h.src.(*conventional).runProber()
+					}
+					return aim(r, key)
+				case qv.currentOnly:
+					return qv.h.src.ProbeCurrent(key)
+				}
+				return qv.h.src.ProbeAll(key)
 			}
-			return qv.h.src.ProbeAll(key)
 		},
-		Block: func(w int) am.Block {
-			blk := am.Block{Ranges: lq.ranges, Qual: bind, Arena: l.db.workerArena(w)}
-			if w > 0 {
-				vars := maps.Clone(l.binds)
-				b := *vars[v]
-				vars[v] = &b
-				_, blk.Qual = q.varQualOver(v, vars)
-			}
-			return blk
-		},
+		Block: l.workerBlock(v, lq, bind),
 	}, nil
 }
 

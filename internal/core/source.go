@@ -100,7 +100,7 @@ func (c *conventional) RangeCurrent(lo, hi int64) am.Iterator {
 // runProber is an access method whose keyed probe can read through a
 // buffer.Run: hash and ISAM files.
 type runProber interface {
-	ProbeRun(r *buffer.Run, key int64) am.Iterator
+	RunProber() func(r *buffer.Run, key int64) am.Iterator
 }
 
 // run returns a run on the store's buffer when its keyed probe can read
@@ -112,9 +112,25 @@ func (c *conventional) run() *buffer.Run {
 	return c.buf.Run()
 }
 
-// probeRun is ProbeAll reading through r, a run from c.run.
-func (c *conventional) probeRun(r *buffer.Run, key int64) am.Iterator {
-	return c.file.(runProber).ProbeRun(r, key)
+// runProber returns ProbeAll reading through a run from c.run, re-aimed at
+// each key (hashfile.File.RunProber).
+func (c *conventional) runProber() func(r *buffer.Run, key int64) am.Iterator {
+	return c.file.(runProber).RunProber()
+}
+
+// partScanner is an access method whose full scan splits into parts a
+// buffer.Run can walk: hash, ISAM and heap files.
+type partScanner interface {
+	ScanParts() am.Parts
+}
+
+// scanParts returns the parts of the store's full scan, or zero Units when
+// it cannot be split.
+func (c *conventional) scanParts() am.Parts {
+	if f, ok := c.file.(partScanner); ok {
+		return f.ScanParts()
+	}
+	return am.Parts{}
 }
 
 func (c *conventional) Keyed() bool   { return c.file.Keyed() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"tdbms/internal/bench"
@@ -117,17 +118,43 @@ func matrixCell(t *testing.T, typ bench.DBType, method string, baseline map[stri
 	// tuple-at-a-time and exercises every batch boundary — must match the
 	// recorded answers like the default configuration above. Each query
 	// runs twice on the session, the second time from its statement cache.
+	// It runs again at one goroutine, where every scan walks its file
+	// serially, and at four, where scans of several morsels walk them on
+	// several.
 	for _, n := range goldenCaps {
-		variant := fmt.Sprintf("session+batch%d", n)
-		c, err := SessionFor(b, variant)
-		if err != nil {
-			t.Fatal(err)
+		for _, procs := range []int{0, 1, 4} {
+			variant := fmt.Sprintf("session+batch%d", n)
+			if procs > 0 {
+				variant += fmt.Sprintf("+procs%d", procs)
+			}
+			c, err := SessionFor(b, variant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetBatchSize(n)
+			withProcs(procs, func() {
+				run(variant, c)
+				run(variant+"+warm", c)
+			})
 		}
-		c.SetBatchSize(n)
-		run(variant, c)
-		run(variant+"+warm", c)
 	}
 	return baseline
+}
+
+// procsMu serializes the runs that set GOMAXPROCS, so each restores the
+// value it found.
+var procsMu sync.Mutex
+
+// withProcs runs fn with GOMAXPROCS set to procs, or as it is for 0.
+func withProcs(procs int, fn func()) {
+	if procs == 0 {
+		fn()
+		return
+	}
+	procsMu.Lock()
+	defer procsMu.Unlock()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
 }
 
 // TestWorkerIndependence pins the bench-worker axis of the matrix: a full

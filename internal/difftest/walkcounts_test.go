@@ -26,14 +26,29 @@ import (
 // two variables of a self-join share the relation's one buffer frame —
 // at the default batch capacity and again at capacity 1, an update round
 // at each of those capacities, a copy-out and an analyze of each relation.
+// The sequence runs as GOMAXPROCS is, and again at one goroutine and at
+// four: the counts must not depend on it.
 func TestWalkCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three benchmark databases")
 	}
-	var got []string
-	for _, cell := range []string{"btree", "twolevel-simple", "twolevel-clustered"} {
-		got = append(got, walkCounts(t, cell)...)
+	for _, procs := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			var got []string
+			withProcs(procs, func() {
+				for _, cell := range []string{"btree", "twolevel-simple", "twolevel-clustered"} {
+					got = append(got, walkCounts(t, cell)...)
+				}
+			})
+			checkWalkCounts(t, got)
+		})
 	}
+}
+
+// checkWalkCounts compares got with the recording, writing it under
+// -update when there is none.
+func checkWalkCounts(t *testing.T, got []string) {
+	t.Helper()
 	const path = "testdata/walkcounts.golden"
 	want, err := os.ReadFile(path)
 	if os.IsNotExist(err) && *update {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"tdbms/internal/am"
+	"tdbms/internal/buffer"
 	"tdbms/internal/page"
 	"tdbms/internal/plan"
 	"tdbms/internal/secindex"
@@ -163,6 +164,11 @@ func closeBatchOp(op BatchOperator, err error) error {
 // the qualifiers in the scan's own slot. One attribution bracket covers a
 // whole fill. Open may be called again after Close; Start then produces a
 // fresh iterator, which is how the inner side of a nested loop rescans.
+//
+// A full scan whose file splits into parts (Parts) and whose buffer gives
+// out runs (Run) walks its file in morsels on up to runtime.GOMAXPROCS(0)
+// goroutines instead of through Start's iterator (morsel.go); its rows,
+// their batches and every count are the ones Start's walk makes.
 type BatchScan struct {
 	Node  *plan.Node
 	Att   *Attribution
@@ -182,23 +188,38 @@ type BatchScan struct {
 	// Arena, when set, backs the qualifying tuples; the owner resets it
 	// once the rows built from them are dead. Nil gives the scan its own.
 	Arena *am.Arena
+	// Parts, when set, returns the parts of the file Start's iterator would
+	// scan in full, or zero Units when it cannot be split; it readies
+	// Ranges as Start does. Run returns a run on the file's buffer, or nil
+	// when the scan must read through Start's iterator. Block returns the
+	// block worker w fills, as BatchSubstJoin.Block does. The scan walks
+	// in morsels only when all three are set.
+	Parts func() am.Parts
+	Run   func() *buffer.Run
+	Block func(w int) am.Block
 
-	it   am.Iterator
-	blk  am.Block
-	done bool
+	it      am.Iterator
+	blk     am.Block
+	done    bool
+	morsels morselWalk
+	par     bool // this execution walks in morsels
 }
 
 // Open implements BatchOperator.
 func (s *BatchScan) Open() error {
 	prev := s.Att.Enter(s.Node)
 	defer s.Att.Leave(prev)
+	s.done = false
+	if s.par = s.morsels.open(s); s.par {
+		s.it = &s.morsels.replay
+		return nil
+	}
 	it, err := s.Start()
 	if err != nil {
 		return err
 	}
 	s.it = it
 	s.blk.Ranges, s.blk.Qual, s.blk.Arena = s.Ranges, s.Bind, s.Arena
-	s.done = false
 	return nil
 }
 
@@ -211,6 +232,11 @@ func (s *BatchScan) NextBatch(b *Batch) (bool, error) {
 	b.Reset()
 	prev := s.Att.Enter(s.Node)
 	defer s.Att.Leave(prev)
+	if s.par {
+		// The views this call replayed are charged before it returns,
+		// where the serial walk would have made them.
+		defer s.morsels.settle()
+	}
 	for !b.Full() {
 		ok, err := s.it.NextBlock(&s.blk, b.Room())
 		if err != nil {

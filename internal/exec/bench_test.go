@@ -217,11 +217,14 @@ func BenchmarkSubstitutionJoin(b *testing.B) {
 				Cap:      exec.DefaultBatchCap,
 				Key:      func() (int64, error) { return outerKey, nil },
 				Run:      inner.Buffer().Run,
-				Probe: func(key int64, r *buffer.Run) am.Iterator {
-					if r != nil {
-						return inner.ProbeRun(r, key)
+				Prober: func() func(int64, *buffer.Run) am.Iterator {
+					aim := inner.RunProber()
+					return func(key int64, r *buffer.Run) am.Iterator {
+						if r != nil {
+							return aim(r, key)
+						}
+						return inner.Probe(key)
 					}
-					return inner.Probe(key)
 				},
 				Block: func(int) am.Block { return am.Block{} },
 			},

@@ -55,9 +55,12 @@ type BatchSubstJoin struct {
 	// Run returns a run on the inner relation's buffer, or nil when the
 	// probes must read through View on the calling goroutine.
 	Run func() *buffer.Run
-	// Probe starts the probe for key, reading pages through r, or through
-	// the inner relation's buffer when r is nil. Any goroutine may call it.
-	Probe func(key int64, r *buffer.Run) am.Iterator
+	// Prober returns a worker's probe, made once per execution: it starts
+	// the probe for key, reading pages through r, or through the inner
+	// relation's buffer when r is nil, and the iterator it returns is valid
+	// until its next call. The calling goroutine calls Prober once per
+	// worker, and that worker alone uses what it returns.
+	Prober func() func(key int64, r *buffer.Run) am.Iterator
 	// Block returns the block worker w probes into: the inner leaf's
 	// ranges, read-only while the join runs, and worker w's own
 	// qualification and arena, whose owner resets it once the rows built
@@ -65,14 +68,15 @@ type BatchSubstJoin struct {
 	// worker, and worker w alone uses what it returns.
 	Block func(w int) am.Block
 
-	workers []am.Block    // one per worker; worker 0 is the calling goroutine
-	runs    []*buffer.Run // runs[i] carries probe i of every outer batch
-	probes  []substProbe  // the current outer batch's probes
-	n       int           // probes[:n] are to be emitted
-	keyErr  error         // the error of row n's key, if any
-	pi, ti  int           // probes[pi] is emitting its row ti
-	settled int           // probes[:settled] are settled
-	obValid bool          // OuterBuf holds the batch the probes belong to
+	workers []am.Block                             // one per worker; worker 0 is the calling goroutine
+	aims    []func(int64, *buffer.Run) am.Iterator // worker w's probe, this execution
+	runs    []*buffer.Run                          // runs[i] carries probe i of every outer batch
+	probes  []substProbe                           // the current outer batch's probes
+	n       int                                    // probes[:n] are to be emitted
+	keyErr  error                                  // the error of row n's key, if any
+	pi, ti  int                                    // probes[pi] is emitting its row ti
+	settled int                                    // probes[:settled] are settled
+	obValid bool                                   // OuterBuf holds the batch the probes belong to
 	done    bool
 }
 
@@ -89,9 +93,12 @@ type substProbe struct {
 // Open implements BatchOperator.
 func (j *BatchSubstJoin) Open() error {
 	j.obValid, j.done = false, false
-	// A run belongs to the handle of the execution that took it.
+	// A run, and a probe, belong to the handle of the execution that
+	// made it.
 	clear(j.runs)
 	j.runs = j.runs[:0]
+	clear(j.aims)
+	j.aims = j.aims[:0]
 	if j.Start != nil {
 		j.Start()
 	}
@@ -174,7 +181,7 @@ func (j *BatchSubstJoin) probeBatch() {
 	}
 	var next atomic.Int64
 	var failed atomic.Bool
-	work := func(blk *am.Block) {
+	work := func(w int) {
 		// Indices are taken in order, so once a probe fails every probe
 		// before it is taken; none after it needs to run.
 		for !failed.Load() {
@@ -182,7 +189,7 @@ func (j *BatchSubstJoin) probeBatch() {
 			if i >= j.n {
 				return
 			}
-			if p := &j.probes[i]; !j.probe(blk, p) {
+			if p := &j.probes[i]; !j.probe(w, p) {
 				failed.Store(true)
 			}
 		}
@@ -190,12 +197,12 @@ func (j *BatchSubstJoin) probeBatch() {
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(blk *am.Block) {
+		go func() {
 			defer wg.Done()
-			work(blk)
-		}(&j.workers[w])
+			work(w)
+		}()
 	}
-	work(&j.workers[0])
+	work(0)
 	wg.Wait()
 }
 
@@ -219,21 +226,25 @@ func (j *BatchSubstJoin) takeRuns() bool {
 	return ok
 }
 
-// worker makes worker w's block on first use.
+// worker makes worker w's block on first use, and its probe on first use
+// in this execution.
 func (j *BatchSubstJoin) worker(w int) {
 	for len(j.workers) <= w {
 		j.workers = append(j.workers, j.Block(len(j.workers)))
 	}
+	for len(j.aims) <= w {
+		j.aims = append(j.aims, j.Prober())
+	}
 }
 
-// probe runs p through blk and reports whether it succeeded. The walk is
+// probe runs p on worker w and reports whether it succeeded. The walk is
 // paced as a leaf scan filling batches of Cap rows paces it, so it views
 // the same pages the same number of times. A failed probe keeps the rows
 // of the batches it filled before the error, which such a scan would have
 // delivered.
-func (j *BatchSubstJoin) probe(blk *am.Block, p *substProbe) bool {
+func (j *BatchSubstJoin) probe(w int, p *substProbe) bool {
 	p.tups, p.err = p.tups[:0], nil
-	it := j.Probe(p.key, p.run)
+	blk, it := &j.workers[w], j.aims[w](p.key, p.run)
 	room, filled := j.Cap, 0
 	for {
 		ok, err := it.NextBlock(blk, room)
@@ -258,7 +269,7 @@ func (j *BatchSubstJoin) settle(p *substProbe) {
 	if p.run != nil {
 		p.run.Settle()
 	} else {
-		j.probe(&j.workers[0], p)
+		j.probe(0, p)
 	}
 	j.Att.Leave(prev)
 	j.Inner.ActRows += int64(len(p.tups))

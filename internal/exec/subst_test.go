@@ -159,11 +159,14 @@ func runSubst(t *testing.T, outer *heapfile.File, inner *hashfile.File, c substC
 				}
 				return nil
 			},
-			Probe: func(k int64, r *buffer.Run) am.Iterator {
-				if r != nil {
-					return inner.ProbeRun(r, k)
+			Prober: func() func(int64, *buffer.Run) am.Iterator {
+				aim := inner.RunProber()
+				return func(k int64, r *buffer.Run) am.Iterator {
+					if r != nil {
+						return aim(r, k)
+					}
+					return inner.Probe(k)
 				}
-				return inner.Probe(k)
 			},
 			Block: func(w int) am.Block {
 				if arenas[w] != nil {

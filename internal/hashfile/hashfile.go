@@ -196,17 +196,41 @@ func (f *File) Delete(rid page.RID) error {
 // Probe implements am.File: hashed access, reading only the bucket's chain.
 func (f *File) Probe(key int64) am.Iterator { return probe(f, f.buf, key) }
 
-// ProbeRun is Probe reading through r, a run on the file's buffer.
-func (f *File) ProbeRun(r *buffer.Run, key int64) am.Iterator { return probe(f, r, key) }
+// RunProber returns Probe reading through a run on the file's buffer, for
+// a goroutine that probes many keys: each call re-aims one walk at its
+// key, so the iterator it returns is valid until the next call.
+func (f *File) RunProber() func(r *buffer.Run, key int64) am.Iterator {
+	var p struct {
+		cw chainWalk[*buffer.Run]
+		w  am.Walk
+	}
+	return func(r *buffer.Run, key int64) am.Iterator {
+		p.cw = newChainWalk(f, r, key)
+		p.w.Reset(&p.cw, am.Equal(f.meta.Key, key))
+		return &p.w
+	}
+}
 
 // probe walks key's chain, reading pages through v.
 func probe[V am.Viewer](f *File, v V, key int64) am.Iterator {
-	return am.NewWalk(&chainWalk[V]{v: v, cur: f.Bucket(key), left: int32(v.NumPages())}, am.Equal(f.meta.Key, key))
+	cw := newChainWalk(f, v, key)
+	return am.NewWalk(&cw, am.Equal(f.meta.Key, key))
+}
+
+// newChainWalk starts the walk of key's chain through v.
+func newChainWalk[V am.Viewer](f *File, v V, key int64) chainWalk[V] {
+	return chainWalk[V]{v: v, cur: f.Bucket(key), left: int32(v.NumPages())}
 }
 
 // Scan implements am.File: every primary page followed by its chain.
 func (f *File) Scan() am.Iterator {
 	return am.NewWalk(am.NewPrimaryScan(f.buf, f.meta.Primary), am.Match{})
+}
+
+// ScanParts splits Scan into its buckets: a primary page and its chain
+// each.
+func (f *File) ScanParts() am.Parts {
+	return am.Parts{Units: f.meta.Primary, Walk: am.PrimaryRange}
 }
 
 // chainWalk visits one overflow chain, reading pages through v.

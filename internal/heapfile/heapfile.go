@@ -8,6 +8,7 @@ package heapfile
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
@@ -136,37 +137,51 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 	if !f.keyed {
 		return am.Empty{}
 	}
-	return am.NewWalk(&scanWalk{f: f}, am.Match{Key: f.key, Filter: true, Lo: lo, Hi: hi})
+	return am.NewWalk(f.walkAll(), am.Match{Key: f.key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Scan implements am.File, visiting pages in file order.
 func (f *File) Scan() am.Iterator {
-	return am.NewWalk(&scanWalk{f: f}, am.Match{})
+	return am.NewWalk(f.walkAll(), am.Match{})
 }
+
+// ScanParts splits Scan into its pages, one unit each.
+func (f *File) ScanParts() am.Parts {
+	return am.Parts{Units: f.buf.NumPages(), Walk: scanPart}
+}
+
+// scanPart walks pages lo..hi-1 through v.
+func scanPart(v am.PageViewer, lo, hi int) am.PageWalk {
+	return &scanWalk{v: v, cur: page.ID(lo), hi: hi}
+}
+
+// walkAll returns the walk over the whole file.
+func (f *File) walkAll() *scanWalk { return &scanWalk{v: f.buf, hi: math.MaxInt} }
 
 // Probe implements am.File as a filtered full scan.
 func (f *File) Probe(key int64) am.Iterator {
 	if !f.keyed {
 		return am.Empty{}
 	}
-	return am.NewWalk(&scanWalk{f: f}, am.Equal(f.key, key))
+	return am.NewWalk(f.walkAll(), am.Equal(f.key, key))
 }
 
-// scanWalk visits the pages in file order, up to whatever the file's last
-// page is when the scan gets there. Heap pages are fully contiguous, so
-// the rest of the file is one run.
+// scanWalk visits the pages in file order, up to page hi-1 or whatever the
+// file's last page is when the scan gets there, whichever comes first.
+// Heap pages are fully contiguous, so the rest of the file is one run.
 type scanWalk struct {
-	f   *File
+	v   am.PageViewer
 	cur page.ID
+	hi  int
 }
 
 // View implements am.PageWalk.
 func (w *scanWalk) View(*am.Match) (*page.Page, page.ID, error) {
-	n := w.f.buf.NumPages()
+	n := min(w.hi, w.v.NumPages())
 	if int(w.cur) >= n {
 		return nil, page.Nil, nil
 	}
-	p, err := w.f.buf.ViewAhead(w.cur, n-int(w.cur)-1)
+	p, err := w.v.ViewAhead(w.cur, n-int(w.cur)-1)
 	return p, w.cur, err
 }
 

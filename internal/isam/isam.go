@@ -337,12 +337,25 @@ func (f *File) Ordered() bool { return true }
 // chain, filtered by key.
 func (f *File) Probe(key int64) am.Iterator { return probe(f, f.buf, key) }
 
-// ProbeRun is Probe reading through r, a run on the file's buffer.
-func (f *File) ProbeRun(r *buffer.Run, key int64) am.Iterator { return probe(f, r, key) }
+// RunProber returns Probe reading through a run on the file's buffer, for
+// a goroutine that probes many keys: each call re-aims one walk at its
+// key, so the iterator it returns is valid until the next call.
+func (f *File) RunProber() func(r *buffer.Run, key int64) am.Iterator {
+	var p struct {
+		pw probeWalk[*buffer.Run]
+		w  am.Walk
+	}
+	return func(r *buffer.Run, key int64) am.Iterator {
+		p.pw = newProbeWalk(f, r)
+		p.w.Reset(&p.pw, am.Equal(f.meta.Key, key))
+		return &p.w
+	}
+}
 
 // probe walks the pages that can hold key, reading them through v.
 func probe[V am.Viewer](f *File, v V, key int64) am.Iterator {
-	return am.NewWalk(newProbeWalk(f, v), am.Equal(f.meta.Key, key))
+	pw := newProbeWalk(f, v)
+	return am.NewWalk(&pw, am.Equal(f.meta.Key, key))
 }
 
 // ProbeRange implements am.File: directory walk to the first covering data
@@ -351,13 +364,20 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 	if lo > hi {
 		return am.Empty{}
 	}
-	return am.NewWalk(newProbeWalk(f, f.buf), am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
+	pw := newProbeWalk(f, f.buf)
+	return am.NewWalk(&pw, am.Match{Key: f.meta.Key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Scan implements am.File: data pages in key order, each followed by its
 // overflow chain; the directory is not read.
 func (f *File) Scan() am.Iterator {
 	return am.NewWalk(am.NewPrimaryScan(f.buf, f.meta.DataPages), am.Match{})
+}
+
+// ScanParts splits Scan into its data pages: one and its overflow chain
+// each.
+func (f *File) ScanParts() am.Parts {
+	return am.Parts{Units: f.meta.DataPages, Walk: am.PrimaryRange}
 }
 
 // probeWalk visits each candidate data page and its overflow chain, from
@@ -373,8 +393,8 @@ type probeWalk[V am.Viewer] struct {
 	left    int32   // pages the walk may still visit (am.Overrun)
 }
 
-func newProbeWalk[V am.Viewer](f *File, v V) *probeWalk[V] {
-	return &probeWalk[V]{v: v, f: f, stop: page.Nil, left: int32(v.NumPages())}
+func newProbeWalk[V am.Viewer](f *File, v V) probeWalk[V] {
+	return probeWalk[V]{v: v, f: f, stop: page.Nil, left: int32(v.NumPages())}
 }
 
 // View implements am.PageWalk. The first call walks the directory.
