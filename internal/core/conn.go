@@ -101,31 +101,41 @@ type Conn struct {
 	// retrieve and each candidate collection resets it and the session's
 	// next statement reuses the memory.
 	arena am.Arena
-	// helpers back the tuples the other goroutines of a substitution
-	// join copy, one arena each (workerArena); they die with the arena.
-	helpers []*am.Arena
+	// helpers back the tuples the helper goroutines of a statement's
+	// parallel scans and joins copy, one arena per operator and helper
+	// (workerArena); they die with the arena.
+	helpers [][]*am.Arena
 
 	// cache holds the session's prepared statements by shape (cache.go).
 	cache stmtCache
 }
 
-// workerArena is the arena of a substitution join's worker w: the session
-// arena for the calling goroutine's worker 0, a helper arena for the rest.
-func (c *Conn) workerArena(w int) *am.Arena {
+// workerArena is the arena of worker w of the statement's parallel scan
+// or join op: the session arena for the calling goroutine's worker 0, a
+// helper arena for the rest. The helpers of one operator may run while
+// those of another do (a nested sequential scan's inner and outer), so
+// each operator's have arenas of their own; statements run one at a time,
+// so the operators of different statements share them.
+func (c *Conn) workerArena(op, w int) *am.Arena {
 	if w == 0 {
 		return &c.arena
 	}
-	for len(c.helpers) < w {
-		c.helpers = append(c.helpers, new(am.Arena))
+	for len(c.helpers) <= op {
+		c.helpers = append(c.helpers, nil)
 	}
-	return c.helpers[w-1]
+	for len(c.helpers[op]) < w {
+		c.helpers[op] = append(c.helpers[op], new(am.Arena))
+	}
+	return c.helpers[op][w-1]
 }
 
 // resetArenas invalidates every tuple the statement's scans copied.
 func (c *Conn) resetArenas() {
 	c.arena.Reset()
-	for _, a := range c.helpers {
-		a.Reset()
+	for _, op := range c.helpers {
+		for _, a := range op {
+			a.Reset()
+		}
 	}
 }
 

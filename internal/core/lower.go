@@ -145,6 +145,9 @@ type lowering struct {
 	// relations' own, and once the prologue is lowered, each detached
 	// variable's temporary projection.
 	binds map[string]*binding
+	// parOps counts the operators lowered to run on several goroutines,
+	// which number their helper arenas (workerBlock).
+	parOps int
 }
 
 // pipelineRoot strips the post-processing wrappers (dedupe, sort, insert)
@@ -361,14 +364,17 @@ func (l *lowering) lowerBatchLeaf(n *plan.Node, victim func(rid page.RID, tup []
 
 // workerBlock returns the blocks the workers of v's leaf fill on several
 // goroutines: the leaf's ranges, read-only once filled, and worker w's
-// arena. The calling goroutine's worker 0 qualifies through bind (varQual);
-// every other worker through its own compilation of v's qualification
-// against the relation bindings bind reads, with a private copy of v's.
+// arena, one of this operator's own (workerArena). The calling
+// goroutine's worker 0 qualifies through bind (varQual); every other
+// worker through its own compilation of v's qualification against the
+// relation bindings bind reads, with a private copy of v's.
 // Not against l.binds: once the decomposition prologue is lowered, they
 // bind a detached variable to its temporary's projection.
 func (l *lowering) workerBlock(v string, lq *leafQual, bind func(page.RID, []byte) (bool, error)) func(w int) am.Block {
+	op := l.parOps
+	l.parOps++
 	return func(w int) am.Block {
-		blk := am.Block{Ranges: lq.ranges, Qual: bind, Arena: l.db.workerArena(w)}
+		blk := am.Block{Ranges: lq.ranges, Qual: bind, Arena: l.db.workerArena(op, w)}
 		if w > 0 {
 			vars := maps.Clone(l.q.env.vars)
 			b := *vars[v]

@@ -26,13 +26,14 @@ import (
 // two variables of a self-join share the relation's one buffer frame —
 // at the default batch capacity and again at capacity 1, an update round
 // at each of those capacities, a copy-out and an analyze of each relation.
-// The sequence runs as GOMAXPROCS is, and again at one goroutine and at
-// four: the counts must not depend on it.
+// The sequence runs as GOMAXPROCS is, and again at one, two and four
+// goroutines: the counts must not depend on it. Two is the benchmark's
+// configuration: one helper beside the calling goroutine.
 func TestWalkCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds three benchmark databases")
 	}
-	for _, procs := range []int{0, 1, 4} {
+	for _, procs := range []int{0, 1, 2, 4} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 			var got []string
 			withProcs(procs, func() {

@@ -53,6 +53,9 @@ func (b *Batch) Len() int { return len(b.sel) }
 // Sel is the selection vector: indices of the selected rows, in order.
 func (b *Batch) Sel() []int { return b.sel }
 
+// Cap is the most rows the batch holds.
+func (b *Batch) Cap() int { return b.cap }
+
 // Full reports whether the batch has no room for another row.
 func (b *Batch) Full() bool { return b.n == b.cap }
 
@@ -168,7 +171,8 @@ func closeBatchOp(op BatchOperator, err error) error {
 // A full scan whose file splits into parts (Parts) and whose buffer gives
 // out runs (Run) walks its file in morsels on up to runtime.GOMAXPROCS(0)
 // goroutines instead of through Start's iterator (morsel.go); its rows,
-// their batches and every count are the ones Start's walk makes.
+// their batches and every count are the ones Start's walk makes. Its
+// helper goroutines run from Open to Close.
 type BatchScan struct {
 	Node  *plan.Node
 	Att   *Attribution
@@ -210,6 +214,7 @@ func (s *BatchScan) Open() error {
 	prev := s.Att.Enter(s.Node)
 	defer s.Att.Leave(prev)
 	s.done = false
+	s.morsels.win.close()
 	if s.par = s.morsels.open(s); s.par {
 		s.it = &s.morsels.replay
 		return nil
@@ -265,6 +270,7 @@ func (s *BatchScan) finish() {
 // Close implements BatchOperator.
 func (s *BatchScan) Close() error {
 	s.it = nil
+	s.morsels.win.close()
 	return nil
 }
 

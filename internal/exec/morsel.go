@@ -2,8 +2,6 @@ package exec
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
@@ -20,13 +18,20 @@ import (
 // run, which NextBatch settles before it returns. So every count, hit and
 // per-operator figure is charged where and when the serial walk charges
 // it, and the frame is left on the page the serial walk leaves it on.
+//
+// The morsels go through a window (window.go) of two rounds: the scan's
+// helpers start at Open and walk the next round while the caller replays
+// this one or is back in its consumer, and stop at Close. A caller whose
+// next tape is not recorded yet walks an unclaimed morsel itself. A
+// morsel walked ahead is charged only when the replay reaches it, so one
+// past a failure, or past the statement's end, is dropped uncharged.
 
 const (
 	// morselUnits is the units one morsel walks: primary pages with their
 	// chains, or heap pages.
 	morselUnits = 16
-	// roundMorsels is the morsels per worker recorded before the caller
-	// replays them: what a scan holds at once beyond its rows.
+	// roundMorsels is the morsels per worker in a round; a scan holds the
+	// tapes of two rounds at once beyond its rows.
 	roundMorsels = 8
 )
 
@@ -35,17 +40,19 @@ type morselWalk struct {
 	parts   am.Parts
 	runs    []*buffer.Run // runs[0] is charged the replay; runs[1+w] lends to worker w
 	blocks  []am.Block    // worker w's block; kept across executions
-	tapes   []am.Tape     // the round's tapes, one per morsel
-	workers int
-	morsels int // morsels in the file
-	next    int // morsels below next have been recorded
-	ti, nt  int // tapes[ti:nt] are recorded and not yet replayed
+	tapes   []am.Tape     // two rounds of tapes: morsel i's is tapes[i%len(tapes)]
+	round   int           // morsels in a round
+	morsels int           // morsels in the file
+	next    int           // the next morsel to replay
+	end     int           // the morsel the replay ends before
+	win     window
 	replay  am.Replay
 }
 
 // open starts s's execution in morsels and reports whether it did: the
 // file splits into two morsels or more, the process has two cores or
-// more, and the buffer gives out runs.
+// more, and the buffer gives out runs. The helpers start walking the
+// first two rounds before open returns.
 func (m *morselWalk) open(s *BatchScan) bool {
 	if s.Parts == nil || s.Run == nil || s.Block == nil {
 		return false
@@ -59,84 +66,60 @@ func (m *morselWalk) open(s *BatchScan) bool {
 	if m.morsels < 2 {
 		return false
 	}
-	m.workers = min(procs, m.morsels)
+	workers := min(procs, m.morsels)
 	// A run belongs to the handle of the execution that took it.
 	clear(m.runs)
 	m.runs = m.runs[:0]
-	for range m.workers + 1 {
+	for range workers + 1 {
 		r := s.Run()
 		if r == nil {
 			return false
 		}
 		m.runs = append(m.runs, r)
 	}
-	for len(m.blocks) < m.workers {
+	for len(m.blocks) < workers {
 		m.blocks = append(m.blocks, s.Block(len(m.blocks)))
 	}
-	m.next, m.ti, m.nt = 0, 0, 0
+	m.round = workers * roundMorsels
+	ring := min(2*m.round, m.morsels)
+	if len(m.tapes) < ring {
+		m.tapes = append(m.tapes, make([]am.Tape, ring-len(m.tapes))...)
+	}
+	m.next, m.end = 0, m.morsels
 	m.replay = am.Replay{V: m.runs[0], Next: m.tape, Left: m.runs[0].NumPages()}
+	m.win.start(workers-1, ring, m.record)
+	m.win.publish(0, ring)
 	return true
 }
 
 // settle charges the views replayed since the last settle.
 func (m *morselWalk) settle() { m.runs[0].Settle() }
 
-// tape returns the next morsel's tape, recording the next round first when
-// every recorded tape has been replayed; nil after the last morsel, or
-// after a morsel whose walk failed.
+// tape returns the next morsel's tape once it is recorded; nil after the
+// last morsel, or after a morsel whose walk failed. Starting a round
+// publishes the round after it, whose tapes are the ones the round before
+// held.
 func (m *morselWalk) tape() *am.Tape {
-	if m.ti == m.nt {
-		if m.next == m.morsels {
-			return nil
-		}
-		m.record()
+	c := m.next
+	if c == m.end {
+		return nil
 	}
-	m.ti++
-	return &m.tapes[m.ti-1]
+	if c > 0 && c%m.round == 0 {
+		m.win.publish(c, min(c+2*m.round, m.morsels))
+	}
+	m.win.await(c)
+	t := &m.tapes[c%len(m.tapes)]
+	if t.Failed() {
+		m.end = c + 1
+	}
+	m.next++
+	return t
 }
 
-// record walks the next round of morsels on the workers, the calling
-// goroutine among them, and returns once every walk has ended. Morsels are
-// taken in order, so once a walk fails every morsel before it has been
-// taken; none after it is walked, and the round ends at it.
-func (m *morselWalk) record() {
-	n := min(m.workers*roundMorsels, m.morsels-m.next)
-	if len(m.tapes) < n {
-		m.tapes = append(m.tapes, make([]am.Tape, n-len(m.tapes))...)
-	}
-	base := m.next
-	var next atomic.Int64
-	var failed atomic.Bool
-	work := func(w int) {
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			lo := (base + i) * morselUnits
-			pw := m.parts.Walk(m.runs[1+w], lo, min(lo+morselUnits, m.parts.Units))
-			if !m.tapes[i].Record(pw, &m.blocks[w]) {
-				failed.Store(true)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < m.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
-	m.next, m.ti, m.nt = base+n, 0, n
-	if failed.Load() {
-		for i := range n {
-			if m.tapes[i].Failed() {
-				m.next, m.nt = m.morsels, i+1
-				break
-			}
-		}
-	}
+// record walks morsel i on worker w onto its tape and reports whether the
+// walk ended without an error.
+func (m *morselWalk) record(w, i int) bool {
+	lo := i * morselUnits
+	pw := m.parts.Walk(m.runs[1+w], lo, min(lo+morselUnits, m.parts.Units))
+	return m.tapes[i%len(m.tapes)].Record(pw, &m.blocks[w])
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
@@ -21,8 +22,8 @@ import (
 // The tests below hold the scan that walks its file in morsels to the
 // serial walk through Start's iterator: the same rows in the same
 // batches, the same error at the same view, the same pages charged to
-// the node, hits included, the frame left on the same page, and no
-// goroutine left behind.
+// the node by every NextBatch, hits included, the frame left on the same
+// page, and no goroutine left behind once the scan is closed.
 
 // scanFile is a file under test: its buffer, its serial scan and its parts.
 type scanFile struct {
@@ -113,11 +114,16 @@ type scanCase struct {
 	residual bool    // the leaf has a residual keeping two versions in three
 	fail     [2]int  // the residual fails at this key and version; key -1 for none
 	then     page.ID // the page viewed first after the scan
+	// slow: the consumer sleeps between NextBatch calls, about once per
+	// 256 rows, so the helpers have walked the morsels ahead of the
+	// replay, as far as the window lets them, before it reaches them.
+	slow bool
 }
 
 // scanOutcome is what a scan run shows.
 type scanOutcome struct {
 	batches []string
+	marks   []string // the node's and the buffer's counts after each NextBatch
 	err     string
 	io      plan.IOStats
 	stats   buffer.Stats
@@ -167,12 +173,16 @@ func runScan(t *testing.T, f scanFile, c scanCase, parallel bool) scanOutcome {
 	}
 	for {
 		ok, err := s.NextBatch(b)
+		out.marks = append(out.marks, fmt.Sprintf("%+v %+v", node.IO, f.buf.Stats()))
 		if err != nil {
 			out.err = err.Error()
 			break
 		}
 		if !ok {
 			break
+		}
+		if c.slow && len(out.batches)%max(1, 256/c.cap) == 0 {
+			time.Sleep(300 * time.Microsecond)
 		}
 		var rows []string
 		for _, i := range b.Sel() {
@@ -213,6 +223,11 @@ func checkScan(t *testing.T, what string, got, want scanOutcome) {
 			t.Fatalf("%s: batch %d\n got %s\nwant %s", what, i, got.batches[i], want.batches[i])
 		}
 	}
+	for i := range got.marks {
+		if got.marks[i] != want.marks[i] {
+			t.Fatalf("%s: after NextBatch %d\n got %s\nwant %s", what, i, got.marks[i], want.marks[i])
+		}
+	}
 	if got.io != want.io || got.stats != want.stats || got.rows != want.rows || got.next != want.next {
 		t.Fatalf("%s: io %+v stats %+v rows %d next %+v\nwant io %+v stats %+v rows %d next %+v", what,
 			got.io, got.stats, got.rows, got.next, want.io, want.stats, want.rows, want.next)
@@ -239,13 +254,19 @@ func unitTuples(t *testing.T, f scanFile) [][][2]int {
 // 1, 2, 7 and 256 rows, with and without a range and a residual, and with a
 // residual that fails at the first candidate of the second morsel, in its
 // middle, and at its last candidate. At two goroutines a round of morsels
-// is shorter than the file, so several rounds run.
+// is shorter than the heap, so several rounds run. A slow consumer lets
+// the helpers finish the morsels ahead of the replay, the last one
+// included, where a residual fails in one case: the replay must still
+// charge each NextBatch what the serial walk charges.
 func TestBatchScanMatchesSerial(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, f := range scanFiles(t) {
 			units := unitTuples(t, f)
 			first, mid, last := units[16][0], units[24][len(units[24])/2], units[31][len(units[31])-1]
+			// In the file's last morsel: in the second round on the heap at
+			// two goroutines.
+			ahead := units[len(units)-2][0]
 			for _, c := range []scanCase{
 				{cap: 256, fail: [2]int{-1}},
 				{cap: 7, ranges: true, fail: [2]int{-1}},
@@ -255,6 +276,10 @@ func TestBatchScanMatchesSerial(t *testing.T) {
 				{cap: 7, fail: mid},
 				{cap: 1, residual: true, fail: last},
 				{cap: 2, fail: last},
+				{cap: 256, residual: true, fail: [2]int{-1}, slow: true},
+				{cap: 7, ranges: true, fail: [2]int{-1}, slow: true},
+				{cap: 1, fail: [2]int{-1}, slow: true},
+				{cap: 7, fail: ahead, slow: true},
 			} {
 				name := fmt.Sprintf("procs=%d/%s/%+v", procs, f.name, c)
 				base := runtime.NumGoroutine()

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
@@ -15,23 +13,29 @@ import (
 // inner row it yields merged with the outer row into the output batch.
 //
 // The probes of one outer batch are independent, so when the inner
-// relation's buffer gives out runs (buffer.Buffered.Run) they run on up to
-// runtime.GOMAXPROCS(0) goroutines, each probe reading its pages through
-// its own run. The calling goroutine then takes the probes in outer-row
-// order: it settles each probe's run inside the inner node's attribution
-// bracket and emits the probe's rows. The views are charged at that
-// point, in that order, so every count, hit and per-operator figure is
-// the one a single goroutine probing row by row through View makes. When
-// the buffer gives out no runs, each probe runs at that point instead, on
-// the calling goroutine, through View. Every run of an outer batch is
-// settled before the next outer batch is fetched, and no goroutine outlives
-// NextBatch.
+// relation's buffer gives out runs (buffer.Buffered.Run) they go through a
+// window (window.go) served by runtime.GOMAXPROCS(0)-1 helper goroutines,
+// started at the first outer batch and stopped at Close, each probe
+// reading its pages through its own run. The calling goroutine takes the
+// probes in outer-row order: it settles each probe's run inside the inner
+// node's attribution bracket and emits the probe's rows, while the helpers
+// run the batch's later probes, and go on running them while the output
+// batch is back with the consumer. A probe that is not done when its row
+// is reached is waited for, the caller running unclaimed probes itself
+// meanwhile. The views are charged at settle, in outer-row order, so every
+// count, hit and per-operator figure is the one a single goroutine probing
+// row by row through View makes. When the buffer gives out no runs, each
+// probe runs at that point instead, on the calling goroutine, through
+// View. The next outer batch is fetched, and its keys computed, only once
+// every probe of the current one is settled and its rows emitted, where
+// the single goroutine fetches it, so a failure charges what that
+// goroutine charges.
 //
 // A failed key ends the batch's probes before its row: the rows before it
 // are probed and emitted, and the error is returned when its row is
 // reached. A failed probe is settled when its row is reached, and its
 // error returned after the rows it delivered; the probes after it are
-// dropped as if they never ran.
+// dropped, uncharged, whether or not a helper ran them.
 type BatchSubstJoin struct {
 	Node     *plan.Node // the join
 	Inner    *plan.Node // the inner probe, which the probes' pages are charged to
@@ -78,6 +82,8 @@ type BatchSubstJoin struct {
 	settled int                                    // probes[:settled] are settled
 	obValid bool                                   // OuterBuf holds the batch the probes belong to
 	done    bool
+	win     window // the probes' window, running from the first batch with runs
+	base    int    // the window item of probes[0]; a multiple of len(probes)
 }
 
 // substProbe is one outer row's probe: its key, the run it reads through
@@ -92,6 +98,7 @@ type substProbe struct {
 
 // Open implements BatchOperator.
 func (j *BatchSubstJoin) Open() error {
+	j.win.close()
 	j.obValid, j.done = false, false
 	// A run, and a probe, belong to the handle of the execution that
 	// made it.
@@ -152,11 +159,12 @@ func (j *BatchSubstJoin) NextBatch(b *Batch) (bool, error) {
 
 // probeBatch computes the keys of the outer batch's rows, in order, up to
 // the first that fails, and, when the inner buffer gives out a run for
-// each, runs their probes in parallel.
+// each, publishes their probes to the window, starting the helpers at the
+// execution's first such batch.
 func (j *BatchSubstJoin) probeBatch() {
 	sel := j.OuterBuf.Sel()
-	if len(j.probes) < len(sel) {
-		j.probes = append(j.probes, make([]substProbe, len(sel)-len(j.probes))...)
+	if len(j.probes) < j.OuterBuf.Cap() {
+		j.probes = make([]substProbe, j.OuterBuf.Cap())
 	}
 	j.n, j.keyErr, j.pi, j.ti, j.settled = len(sel), nil, 0, 0, 0
 	for i, r := range sel {
@@ -175,35 +183,23 @@ func (j *BatchSubstJoin) probeBatch() {
 		j.worker(0) // the probes run at settle time, on this goroutine
 		return
 	}
-	workers := min(runtime.GOMAXPROCS(0), j.n)
-	for w := range workers {
-		j.worker(w)
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	work := func(w int) {
-		// Indices are taken in order, so once a probe fails every probe
-		// before it is taken; none after it needs to run.
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= j.n {
-				return
-			}
-			if p := &j.probes[i]; !j.probe(w, p) {
-				failed.Store(true)
-			}
+	if !j.win.running() {
+		procs := runtime.GOMAXPROCS(0)
+		for w := range procs {
+			j.worker(w)
 		}
+		j.win.start(procs-1, len(j.probes), j.runProbe)
+		j.base = 0
+	} else {
+		j.base += len(j.probes)
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
+	j.win.publish(j.base, j.base+j.n)
+}
+
+// runProbe runs window item i, a probe of the current outer batch, on
+// worker w.
+func (j *BatchSubstJoin) runProbe(w, i int) bool {
+	return j.probe(w, &j.probes[i%len(j.probes)])
 }
 
 // takeRuns gives each of the batch's probes its run and reports whether
@@ -267,6 +263,7 @@ func (j *BatchSubstJoin) probe(w int, p *substProbe) bool {
 func (j *BatchSubstJoin) settle(p *substProbe) {
 	prev := j.Att.Enter(j.Inner)
 	if p.run != nil {
+		j.win.await(j.base + j.settled)
 		p.run.Settle()
 	} else {
 		j.probe(0, p)
@@ -277,4 +274,7 @@ func (j *BatchSubstJoin) settle(p *substProbe) {
 }
 
 // Close implements BatchOperator.
-func (j *BatchSubstJoin) Close() error { return j.Outer.Close() }
+func (j *BatchSubstJoin) Close() error {
+	j.win.close()
+	return j.Outer.Close()
+}

@@ -23,7 +23,8 @@ import (
 // per outer row. The join probing on the calling goroutine through View
 // and the join probing on several goroutines through runs must both emit
 // the reference's rows in its order, end in its error, charge its pages,
-// hits included, to the same nodes, and leave no goroutine behind.
+// hits included, to the same nodes, and leave no goroutine behind once
+// closed; and the two joins must charge every NextBatch alike.
 
 // substKeys is the inner relation's key count; outer keys run past it, so
 // some probes find nothing.
@@ -83,11 +84,16 @@ type substCase struct {
 	outerCap, outCap int
 	residual         bool  // the inner leaf has a residual
 	failKey          int64 // the key that fails to compute; -1 for none
+	// slow: the consumer sleeps between NextBatch calls, about once per
+	// 256 rows, so the helpers have run the outer batch's later probes
+	// before their rows are reached.
+	slow bool
 }
 
 // substOutcome is what a join run shows.
 type substOutcome struct {
 	rows                  []string
+	marks                 []string // the nodes' and buffers' counts after each NextBatch
 	err                   error
 	outerIO, innerIO      plan.IOStats
 	innerStats            buffer.Stats
@@ -183,8 +189,10 @@ func runSubst(t *testing.T, outer *heapfile.File, inner *hashfile.File, c substC
 	if err := join.Open(); err != nil {
 		t.Fatal(err)
 	}
-	for {
+	for calls := 1; ; calls++ {
 		ok, err := join.NextBatch(b)
+		out.marks = append(out.marks, fmt.Sprintf("%+v %+v %+v %+v", outerNode.IO, innerNode.IO,
+			outer.Buffer().Stats(), inner.Buffer().Stats()))
 		if err != nil {
 			out.err = err
 			break
@@ -196,6 +204,9 @@ func runSubst(t *testing.T, outer *heapfile.File, inner *hashfile.File, c substC
 			row := b.Row(i)
 			out.rows = append(out.rows, fmt.Sprintf("%d:%d/%d", benchKey.Extract(row[0]),
 				benchKey.Extract(row[1]), binary.LittleEndian.Uint32(row[1][4:])))
+		}
+		if c.slow && (calls == 1 || calls%max(1, 256/c.outCap) == 0) {
+			time.Sleep(300 * time.Microsecond)
 		}
 	}
 	if err := join.Close(); err != nil {
@@ -224,6 +235,19 @@ func checkSame(t *testing.T, what string, got, want substOutcome) {
 	if want.err == nil && (got.innerRows != want.innerRows || got.joinedRows != want.joinedRows) {
 		t.Fatalf("%s: rows inner %d joined %d, want %d and %d", what,
 			got.innerRows, got.joinedRows, want.innerRows, want.joinedRows)
+	}
+}
+
+// checkMarks requires got to charge each NextBatch what want charges.
+func checkMarks(t *testing.T, what string, got, want substOutcome) {
+	t.Helper()
+	if len(got.marks) != len(want.marks) {
+		t.Fatalf("%s: %d NextBatch calls, want %d", what, len(got.marks), len(want.marks))
+	}
+	for i := range got.marks {
+		if got.marks[i] != want.marks[i] {
+			t.Fatalf("%s: after NextBatch %d\n got %s\nwant %s", what, i, got.marks[i], want.marks[i])
+		}
 	}
 }
 
@@ -257,6 +281,10 @@ func TestSubstJoinMatchesNestedLoop(t *testing.T) {
 				{outerCap: 7, outCap: 256, failKey: -1},
 				{outerCap: 256, outCap: 5, failKey: 30}, // row 80: mid-batch at both capacities
 				{outerCap: 7, outCap: 1, residual: true, failKey: 30},
+				{outerCap: 256, outCap: 256, residual: true, failKey: -1, slow: true},
+				{outerCap: 7, outCap: 5, failKey: -1, slow: true},
+				{outerCap: 1, outCap: 1, failKey: -1, slow: true},
+				{outerCap: 256, outCap: 5, failKey: 30, slow: true},
 			} {
 				name := fmt.Sprintf("buckets=%d/n=%d/%+v", buckets, n, c)
 				base := runtime.NumGoroutine()
@@ -264,8 +292,11 @@ func TestSubstJoinMatchesNestedLoop(t *testing.T) {
 				if n > 80 && c.failKey >= 0 && want.err == nil {
 					t.Fatalf("%s: the reference did not fail", name)
 				}
-				checkSame(t, name+"/serial", runSubst(t, outer, inner, c, serial), want)
-				checkSame(t, name+"/parallel", runSubst(t, outer, inner, c, parallel), want)
+				ser := runSubst(t, outer, inner, c, serial)
+				checkSame(t, name+"/serial", ser, want)
+				par := runSubst(t, outer, inner, c, parallel)
+				checkSame(t, name+"/parallel", par, want)
+				checkMarks(t, name+"/parallel", par, ser)
 				if g := goroutinesAfter(base); g != base {
 					t.Fatalf("%s: %d goroutines after the joins, %d before", name, g, base)
 				}
@@ -277,18 +308,37 @@ func TestSubstJoinMatchesNestedLoop(t *testing.T) {
 // TestSubstJoinLoopedChain loops one of the inner file's chains back on
 // itself. A probe of that chain, made by whichever goroutine takes it,
 // must end in am.Overrun when its row is reached, with every page before it
-// charged as the reference charges it, and no goroutine left behind.
+// charged as the reference charges it, and no goroutine left behind. On
+// the inner file of forty buckets, the looped chain is the one whose
+// first outer row comes latest in the first outer batch, and a slow
+// consumer sleeps after the first output rows: a helper reaches the
+// looped probe while the calling goroutine is away.
 func TestSubstJoinLoopedChain(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	outer := substOuter(t, 500)
 	for _, link := range []struct {
-		name string
-		to   page.ID
-	}{{"self", 0}, {"back", 1}} {
+		name    string
+		buckets int
+		back    bool // link the chain's last page back to its bucket, else to itself
+	}{{"self", 3, false}, {"back", 3, true}, {"ahead", 40, false}} {
 		t.Run(link.name, func(t *testing.T) {
-			inner := substInner(t, 3)
+			inner := substInner(t, link.buckets)
 			buf := inner.Buffer()
-			// Bucket 1's chain: primary page 1, then its overflow pages.
-			id := page.ID(1)
+			bucket := page.ID(1)
+			if link.buckets > 3 {
+				seen, row := map[page.ID]bool{}, 0
+				if err := am.Each(outer.Scan(), func(rid page.RID, tup []byte) error {
+					if b := inner.Bucket(benchKey.Extract(tup)); !seen[b] && row < 256 {
+						seen[b], bucket = true, b
+					}
+					row++
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The bucket's chain: its primary page, then its overflow pages.
+			id := bucket
 			for {
 				p, err := buf.View(id)
 				if err != nil {
@@ -300,8 +350,8 @@ func TestSubstJoinLoopedChain(t *testing.T) {
 				id = p.Next()
 			}
 			to := id
-			if link.name == "back" {
-				to = 1
+			if link.back {
+				to = bucket
 			}
 			p, err := buf.Fetch(id)
 			if err != nil {
@@ -312,18 +362,24 @@ func TestSubstJoinLoopedChain(t *testing.T) {
 			if err := buf.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			outer := substOuter(t, 500)
-			for _, c := range []substCase{
+			cases := []substCase{
 				{outerCap: 256, outCap: 256, failKey: -1},
 				{outerCap: 3, outCap: 2, residual: true, failKey: -1},
-			} {
+			}
+			if link.buckets > 3 {
+				cases = []substCase{{outerCap: 256, outCap: 2, failKey: -1, slow: true}}
+			}
+			for _, c := range cases {
 				base := runtime.NumGoroutine()
 				want := runSubst(t, outer, inner, c, nestedLoop)
 				if !errors.Is(want.err, page.ErrCorrupt) {
 					t.Fatalf("reference over a looped chain: %v, want page.ErrCorrupt", want.err)
 				}
-				checkSame(t, "serial", runSubst(t, outer, inner, c, serial), want)
-				checkSame(t, "parallel", runSubst(t, outer, inner, c, parallel), want)
+				ser := runSubst(t, outer, inner, c, serial)
+				checkSame(t, "serial", ser, want)
+				par := runSubst(t, outer, inner, c, parallel)
+				checkSame(t, "parallel", par, want)
+				checkMarks(t, "parallel", par, ser)
 				if g := goroutinesAfter(base); g != base {
 					t.Fatalf("%d goroutines after the joins, %d before", g, base)
 				}
