@@ -64,6 +64,15 @@ type Iterator interface {
 	NextBlock(blk *Block, max int) (bool, error)
 }
 
+// Marker is a store with state outside its pages — a B-tree's root, a
+// two-level store's version chains — that Mark records and Rewind
+// restores, beside the pages a failed statement's revert puts back
+// (buffer.Buffered.End). A mark belongs to the view that made it.
+type Marker interface {
+	Mark()
+	Rewind()
+}
+
 // File is the access-method interface the executor programs against.
 type File interface {
 	// Insert stores a tuple and returns its address. For keyed methods the

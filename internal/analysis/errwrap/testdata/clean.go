@@ -12,7 +12,7 @@ import (
 
 // wrap preserves the chain with %w.
 func wrap(m *storage.Mem) error {
-	if err := m.Truncate(); err != nil {
+	if err := m.Shrink(0); err != nil {
 		return fmt.Errorf("fixture: truncate: %w", err)
 	}
 	return nil
@@ -20,12 +20,12 @@ func wrap(m *storage.Mem) error {
 
 // verbatim returns the source error untouched.
 func verbatim(m *storage.Mem) error {
-	return m.Truncate()
+	return m.Shrink(0)
 }
 
 // joined keeps both chains via errors.Join.
 func joined(m *storage.Mem) error {
-	if err := m.Truncate(); err != nil {
+	if err := m.Shrink(0); err != nil {
 		return errors.Join(errors.New("fixture: truncate failed"), err)
 	}
 	return nil
@@ -33,7 +33,7 @@ func joined(m *storage.Mem) error {
 
 // doubleWrap carries two source errors in one message, both with %w.
 func doubleWrap(m *storage.Mem) error {
-	e1, e2 := m.Truncate(), m.Close()
+	e1, e2 := m.Shrink(0), m.Close()
 	if e1 != nil || e2 != nil {
 		return fmt.Errorf("fixture: %w (and %w)", e1, e2)
 	}

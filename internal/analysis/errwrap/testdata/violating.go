@@ -13,7 +13,7 @@ import (
 
 // reformat breaks the chain with %v straight off a root source.
 func reformat(m *storage.Mem) error {
-	if err := m.Truncate(); err != nil {
+	if err := m.Shrink(0); err != nil {
 		return fmt.Errorf("fixture: truncate failed: %v", err)
 	}
 	return nil
@@ -21,7 +21,7 @@ func reformat(m *storage.Mem) error {
 
 // stringified loses the chain through .Error().
 func stringified(m *storage.Mem) error {
-	if err := m.Truncate(); err != nil {
+	if err := m.Shrink(0); err != nil {
 		return errors.New("fixture: " + err.Error())
 	}
 	return nil
@@ -38,7 +38,7 @@ func viaHelper(m *storage.Mem) error {
 
 // helper wraps properly — the taint survives the %w.
 func helper(m *storage.Mem) error {
-	if err := m.Truncate(); err != nil {
+	if err := m.Shrink(0); err != nil {
 		return fmt.Errorf("fixture helper: %w", err)
 	}
 	return nil
@@ -51,7 +51,7 @@ func sentinel() error {
 
 // stringifiedVerb hides the .Error() inside a %s operand.
 func stringifiedVerb(m *storage.Mem) error {
-	if err := m.Truncate(); err != nil {
+	if err := m.Shrink(0); err != nil {
 		return fmt.Errorf("fixture: %s", err.Error())
 	}
 	return nil

@@ -70,8 +70,7 @@ var logMutators = map[string]bool{"WriteAt": true, "Truncate": true}
 // field write.
 var statsMutators = map[string]bool{
 	"NoteInsert": true, "NoteRemove": true, "NoteClose": true,
-	"NoteReopen": true, "NoteHistoryInsert": true, "NoteHistoryRemove": true,
-	"NoteReplaceImage": true, "SetIndex": true,
+	"NoteHistoryInsert": true, "NoteReplaceImage": true, "SetIndex": true,
 }
 
 // forbiddenIO lists the file-opening and whole-file I/O functions that

@@ -53,6 +53,7 @@ type Meta struct {
 type File struct {
 	buf  *buffer.Buffered
 	meta *Meta
+	mark Meta // the root and height at Mark
 }
 
 // Build creates an empty B-tree (a single empty leaf as the root) and bulk
@@ -93,6 +94,13 @@ func New(buf *buffer.Buffered, meta Meta) *File {
 func (f *File) WithBuffer(buf *buffer.Buffered) *File {
 	return &File{buf: buf, meta: f.meta}
 }
+
+// Mark implements am.Marker: it records the root and height a split
+// moves, and Rewind restores them.
+func (f *File) Mark() { f.mark = *f.meta }
+
+// Rewind implements am.Marker.
+func (f *File) Rewind() { *f.meta = f.mark }
 
 // Buffer exposes the underlying buffered file.
 func (f *File) Buffer() *buffer.Buffered { return f.buf }

@@ -45,10 +45,14 @@
 // a page turns dirty only under the exclusive latch, a dirty page is served
 // from its frame's private image and never lent, and it is flushed before
 // that image is dropped. Hence no flush writes a page someone holds on loan.
+//
+// A writing statement is all or nothing at this layer: an armed pool keeps
+// the image of each page it dirties until End keeps or reverts its work.
 package buffer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"tdbms/internal/page"
@@ -144,6 +148,22 @@ type pool struct {
 	// on any handle. Callers may mutate it until their next buffer call, so
 	// every pool operation first syncs a dirty pending back into its frame.
 	pending *view
+
+	// The statement revert (Arm): base is the file's size at Arm, shadows
+	// hold the images pages below it had before the statement dirtied
+	// them, and seen[id] is gen, the statement's number, once page id is
+	// among them, so arming clears nothing.
+	armed   bool
+	base    int
+	gen     uint64
+	seen    []uint64
+	shadows []shadow
+}
+
+// shadow is a page's image from before the armed statement dirtied it.
+type shadow struct {
+	id  page.ID
+	img *image
 }
 
 // Buffered is a handle onto a shared frame pool. The zero-account handle
@@ -246,17 +266,6 @@ func (p *pool) own(f *frame) {
 	p.release(f.img)
 	f.img = p.newImage()
 	f.pg = &f.img.pg
-}
-
-// private gives f an image no viewer shares, keeping the content: the step
-// before writing the resident image in place. Caller holds p.mu.
-func (p *pool) private(f *frame) {
-	if f.img != nil && f.img.refs == 1 {
-		return
-	}
-	cur := f.pg // on loan, or shared and therefore not recycled by own
-	p.own(f)
-	f.img.pg = *cur
 }
 
 // empty makes f hold no page. Caller holds p.mu and has flushed f.
@@ -694,31 +703,103 @@ func (b *Buffered) ViewAhead(id page.ID, ahead int) (*page.Page, error) {
 	return b.hold(first), nil
 }
 
-// MarkDirty records that the most recently fetched page was modified; it
-// will be written back on eviction or Flush.
+// MarkDirty records that the page this handle last fetched or allocated
+// was modified; it will be written back on eviction or Flush. A buffer
+// call on the pool in between — on any handle — ends the scratch's
+// lease, and marking it then is a misuse, which panics.
 func (b *Buffered) MarkDirty() {
 	p := b.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if b.v != nil && p.pending == b.v && b.v.id != page.Nil {
-		b.v.dirty = true
+	if b.v == nil || p.pending != b.v || b.v.id == page.Nil {
+		panic(fmt.Sprintf("buffer %q: MarkDirty after another buffer call", p.name))
+	}
+	if p.armed {
+		p.capture(p.lookup(b.v.id))
+	}
+	b.v.dirty = true
+}
+
+// Arm starts a statement that is all or nothing: until End, the first
+// MarkDirty of each page the file held at Arm keeps that page's image as
+// it stood before the statement changed it, reading nothing and moving no
+// counter. The caller holds the relation exclusively from Arm to End.
+func (b *Buffered) Arm() {
+	p := b.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.armed, p.base = true, p.file.NumPages()
+	p.gen++
+}
+
+// capture keeps f's image the first time the armed statement dirties its
+// page; a page allocated since Arm has none to keep. Caller holds p.mu.
+func (p *pool) capture(f *frame) {
+	if f == nil || int(f.id) >= p.base {
 		return
 	}
-	// Not the pending scratch (another handle operated in between): fall
-	// back to dirtying the most recently used frame, as before the split.
-	var mru *frame
-	for i := range p.frames {
-		if p.frames[i].id == page.Nil {
-			continue
+	if len(p.seen) < p.base {
+		p.seen = slices.Grow(p.seen, p.base-len(p.seen))[:p.base]
+	}
+	if p.seen[f.id] == p.gen {
+		return
+	}
+	p.seen[f.id] = p.gen
+	img := p.newImage()
+	img.pg = *f.pg
+	p.shadows = append(p.shadows, shadow{id: f.id, img: img})
+}
+
+// End ends the armed statement; the kept images go back to the pool for
+// the next one. With keep the statement's work stays. Without it End
+// undoes the work, below the counters: each page the statement dirtied
+// gets its kept image back, in its frame, dirty, when the page is
+// resident, else through WritePage (a lent page is rewritten where it
+// lies); the pages it allocated leave the frames unflushed, and the file
+// shrinks back to its size at Arm. Every page is put back even when one
+// fails; the first error is returned. On an unarmed pool End does nothing.
+func (b *Buffered) End(keep bool) error {
+	p := b.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var err error
+	if p.armed && !keep {
+		if p.pending != nil {
+			p.pending.dirty = false
+			p.pending = nil
 		}
-		if mru == nil || p.frames[i].used > mru.used {
-			mru = &p.frames[i]
+		for _, s := range p.shadows {
+			if f := p.lookup(s.id); f != nil {
+				p.own(f)
+				f.img.pg = s.img.pg
+				f.dirty = true
+			} else if werr := p.file.WritePage(s.id, &s.img.pg); werr != nil && err == nil {
+				err = fmt.Errorf("buffer %q: revert page %d: %w", p.name, s.id, werr)
+			}
+		}
+		for i := range p.frames {
+			if f := &p.frames[i]; f.id != page.Nil && int(f.id) >= p.base {
+				p.empty(f)
+			}
+		}
+		if p.file.NumPages() > p.base {
+			if serr := p.file.Shrink(p.base); serr != nil && err == nil {
+				err = fmt.Errorf("buffer %q: revert allocations: %w", p.name, serr)
+			}
 		}
 	}
-	if mru != nil {
-		p.private(mru) // a dirty frame owns its image and is never lent
-		mru.dirty = true
+	for _, s := range p.shadows {
+		p.release(s.img)
 	}
+	clear(p.shadows)
+	p.shadows, p.armed = p.shadows[:0], false
+	// The next statement's captures reuse the images of this one's, up to
+	// 64 of them; a larger statement's go to the collector.
+	if len(p.free) > 64 {
+		clear(p.free[64:])
+		p.free = p.free[:64]
+	}
+	return err
 }
 
 // Allocate extends the file by one page, brings the new (unformatted) page
@@ -824,7 +905,7 @@ func (b *Buffered) Truncate() error {
 		p.empty(&p.frames[i])
 	}
 	p.pending = nil
-	return p.file.Truncate()
+	return p.file.Shrink(0)
 }
 
 // Close flushes and closes the underlying file.

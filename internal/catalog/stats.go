@@ -67,27 +67,12 @@ func (s *Stats) NoteRemove(key int64, keyed bool) {
 // stays stored, so only the current count moves.
 func (s *Stats) NoteClose() { s.Current-- }
 
-// NoteReopen reverses NoteClose (the undo path of a failed replace).
-func (s *Stats) NoteReopen() { s.Current++ }
-
 // NoteHistoryInsert records a history version appended without touching
 // the current count (the temporal delete's valid-to marker).
 func (s *Stats) NoteHistoryInsert(key int64, keyed bool) {
 	s.Versions++
 	if keyed {
 		s.chains[key]++
-	}
-}
-
-// NoteHistoryRemove reverses NoteHistoryInsert.
-func (s *Stats) NoteHistoryRemove(key int64, keyed bool) {
-	s.Versions--
-	if keyed {
-		if s.chains[key] <= 1 {
-			delete(s.chains, key)
-		} else {
-			s.chains[key]--
-		}
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // execAnalyze rebuilds optimizer statistics from a full scan: one relation
 // when named, every relation otherwise. Statistics then stay fresh through
 // the incremental DML hooks (statNote*) until a bulk reorganization
-// (modify, copy from, two-level conversion) discards them.
+// (modify, copy from, two-level conversion) or a failed statement discards
+// them.
 func (db *Conn) execAnalyze(s *tquel.AnalyzeStmt) (*Result, error) {
 	names := []string{s.Rel}
 	if s.Rel == "" {
@@ -136,32 +137,6 @@ func statNoteDelete(h *relHandle, tup []byte) {
 		st.NoteClose()
 		if h.desc.Model == catalog.ModelInterval {
 			st.NoteHistoryInsert(k, keyed)
-		}
-	}
-}
-
-// statNoteUndelete reverses statNoteDelete when a delete's undo runs.
-func statNoteUndelete(h *relHandle, tup []byte) {
-	st := h.desc.Stat
-	if st == nil {
-		return
-	}
-	k, keyed := statKey(h, tup)
-	switch h.desc.Type {
-	case catalog.Static:
-		st.NoteInsert(k, keyed)
-	case catalog.Historical:
-		if h.desc.Model == catalog.ModelEvent {
-			st.NoteInsert(k, keyed)
-		} else {
-			st.NoteReopen()
-		}
-	case catalog.Rollback:
-		st.NoteReopen()
-	case catalog.Temporal:
-		st.NoteReopen()
-		if h.desc.Model == catalog.ModelInterval {
-			st.NoteHistoryRemove(k, keyed)
 		}
 	}
 }

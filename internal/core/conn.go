@@ -359,7 +359,7 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	walOn := db.wal != nil && (locks.ddlExcl || len(locks.write) > 0)
 
 	// Commit durability runs after the relation latches are released
-	// (registered before them, so it unwinds after them): other writers of
+	// (registered before them, so it runs after them): other writers of
 	// the same relations proceed — and join the same group-committed sync —
 	// while this statement waits for its acknowledged tail.
 	if walOn && !locks.ddlExcl {
@@ -386,7 +386,10 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	// root handles and is charged their counters' movement. Every other
 	// statement resolves each relation it latches, shared or exclusive, to
 	// the session's view, so the account sees all of its I/O as it
-	// happens; the views it holds exclusively are what its commit logs.
+	// happens; the views it holds exclusively are what its commit logs, and
+	// what a failure reverts: the statement is all or nothing on them
+	// (relHandle.arm), so no later statement, commit or checkpoint sees
+	// its partial work.
 	var writes []*relHandle
 	if locks.ddlExcl {
 		c.active = db.rels
@@ -407,6 +410,7 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 			active[lr.name] = v
 			if lr.excl {
 				writes = append(writes, v)
+				v.arm()
 			}
 		}
 		c.active = active
@@ -420,6 +424,9 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 
 	before := c.statsFn()
 	res, err = fn()
+	for _, v := range writes {
+		err = v.end(err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -428,10 +435,10 @@ func (c *Conn) run(stmt tquel.Statement, fn func() (*Result, error)) (res *Resul
 	// latches still fence the frames. DDL instead ends in a full
 	// checkpoint — its structural changes (file creation, removal,
 	// rebuild) are not page-grained, so it writes everything back and
-	// empties the log. A failed append fails the
-	// statement: its pages stay parked and unlogged, so the work survives
-	// only if a later commit or checkpoint logs it, and an acknowledged
-	// statement can never be lost.
+	// empties the log. A failed append fails the statement without a
+	// revert, and its outcome is ambiguous: its pages stay parked and
+	// unlogged, so the work survives only if a later commit or checkpoint
+	// logs it, and an acknowledged statement can never be lost.
 	if walOn {
 		if locks.ddlExcl {
 			if werr := db.walCheckpointLocked(true); werr != nil {

@@ -148,7 +148,8 @@ func parseField(a tuple.Attr, field string, now temporal.Time) (tuple.Value, err
 // benchmark to initialize relations with randomized time attributes
 // (Section 5.1). Each row carries either the user attributes (implicit
 // times default like an append at the current clock) or the full stored
-// schema.
+// schema. A load that fails loads nothing: it returns 0 and the error,
+// which names the failing row.
 func (db *Database) Load(rel string, rows [][]tuple.Value) (int, error) {
 	db.ddl.RLock()
 	defer db.ddl.RUnlock()
@@ -163,19 +164,25 @@ func (db *Database) Load(rel string, rows [][]tuple.Value) (int, error) {
 	ls.acquire()
 	defer ls.release()
 	h.desc.Stat = nil // bulk load bypasses the DML stat hooks; ANALYZE rebuilds
-	for i, row := range rows {
-		if err := db.loadRow(h, row); err != nil {
-			return i, fmt.Errorf("core: row %d: %w", i, err)
+	// The load is all or nothing, as a statement is, through a view whose
+	// buffers charge only the pools. It is one WAL transaction: evictions
+	// and the final flush park every page, and one commit logs them all
+	// with the end record — a crash mid-load replays to an empty
+	// (pre-load) relation, never a partial one.
+	v := h.withAccount(nil)
+	v.arm()
+	for i := 0; i < len(rows) && err == nil; i++ {
+		if err = db.loadRow(v, rows[i]); err != nil {
+			err = fmt.Errorf("core: row %d: %w", i, err)
 		}
 	}
-	// The whole load is one WAL transaction: evictions and the final flush
-	// park every page, and one commit logs them all with the end record — a
-	// crash mid-load replays to an empty (pre-load) relation, never a
-	// partial one.
-	for _, b := range h.src.Buffers() {
-		if err := b.Flush(); err != nil {
-			return len(rows), err
+	for _, b := range v.src.Buffers() {
+		if err == nil {
+			err = b.Flush()
 		}
+	}
+	if err := v.end(err); err != nil {
+		return 0, err
 	}
 	if db.wal != nil {
 		if err := db.walLoadCommit(h); err != nil {

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tdbms/internal/am"
 	"tdbms/internal/buffer"
 	"tdbms/internal/catalog"
 	"tdbms/internal/secindex"
@@ -116,6 +117,7 @@ type relHandle struct {
 	desc    *catalog.Relation
 	src     source
 	indexes map[string]*secindex.Index
+	bufs    []*buffer.Buffered // buffers(), on a view: DDL replaces the view
 }
 
 // withAccount clones the handle for a session: the same descriptor,
@@ -130,7 +132,61 @@ func (h *relHandle) withAccount(a *buffer.Stats) *relHandle {
 	for name, ix := range h.indexes {
 		v.indexes[name] = ix.WithAccount(a)
 	}
+	v.bufs = v.buffers()
 	return v
+}
+
+// marker returns the view's store when it keeps state outside its pages,
+// else nil.
+func (h *relHandle) marker() am.Marker {
+	switch s := h.src.(type) {
+	case *conventional:
+		m, _ := s.file.(am.Marker)
+		return m
+	case *twoLevelSource:
+		return s.Store
+	}
+	return nil
+}
+
+// arm starts a statement that writes the relation, through this view and
+// holding it exclusively until end, as all or nothing: every buffer of the
+// relation keeps the images of the pages the statement dirties
+// (buffer.Buffered.Arm), and the store marks its state outside pages.
+func (h *relHandle) arm() {
+	for _, b := range h.bufs {
+		b.Arm()
+	}
+	if m := h.marker(); m != nil {
+		m.Mark()
+	}
+}
+
+// end ends the statement arm started, which returned err. A failed one is
+// undone — pages, root, chains and index directories as arm found them —
+// and the statistics it noted into are dropped for analyze to rebuild, as
+// a bulk load drops them. It returns err and the first page not put back.
+func (h *relHandle) end(err error) error {
+	var rerr error
+	for _, b := range h.bufs {
+		if e := b.End(err == nil); e != nil && rerr == nil {
+			rerr = e
+		}
+	}
+	if err == nil {
+		return nil
+	}
+	if m := h.marker(); m != nil {
+		m.Rewind()
+	}
+	for _, ix := range h.indexes {
+		ix.Rewind()
+	}
+	h.desc.Stat = nil
+	if rerr != nil {
+		return fmt.Errorf("%w (rollback incomplete: %w)", err, rerr)
+	}
+	return err
 }
 
 // Open creates an empty in-memory database or, when opts.Dir names a

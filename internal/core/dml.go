@@ -148,99 +148,6 @@ func (h *relHandle) indexRemove(tup []byte, rid page.RID) error {
 	return nil
 }
 
-// indexMoveBack reverses indexMove: the entry filed under the superseded
-// address returns to the current side at its original RID.
-func (h *relHandle) indexMoveBack(tup []byte, from secTID, to page.RID) error {
-	for _, ix := range h.indexes {
-		key := indexKey(h.desc, ix, tup)
-		if err := ix.Remove(key, secindex.TID{History: from.history, RID: from.rid}); err != nil {
-			return err
-		}
-		if err := ix.Insert(key, secindex.TID{RID: to}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// indexRemoveAt deletes the entries for a version at an arbitrary store
-// address (current or history side).
-func (h *relHandle) indexRemoveAt(tup []byte, tid secTID) error {
-	for _, ix := range h.indexes {
-		if err := ix.Remove(indexKey(h.desc, ix, tup), secindex.TID{History: tid.history, RID: tid.rid}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- statement compensation ---
-//
-// DML statements are multi-step: a replace closes the old version, moves
-// index entries, and inserts the new version, with every step able to fail
-// once fault injection is in play. There is no WAL; instead each version's
-// mutation is compensated — when a later step fails, the earlier steps are
-// reversed in the buffer, so the chain reverts to its pre-statement image
-// and the next flush (injected faults are one-shot) persists a consistent
-// state. The guarantee is per version chain: after a failed statement every
-// chain holds either the old version or the complete new one, never a
-// half-applied mix. Two-level stores are exempt — they move superseded
-// tuples into a separate history store, cannot persist at all, and a failed
-// statement there surfaces the error without compensation.
-
-// undoFn reverses one applied mutation step.
-type undoFn func() error
-
-// unwind reverses completed steps in reverse order after err stopped a
-// multi-step mutation. A failing undo is reported alongside the original
-// error; err stays the wrapped cause so callers can still identify it.
-func unwind(err error, undos []undoFn) error {
-	for i := len(undos) - 1; i >= 0; i-- {
-		if uerr := undos[i](); uerr != nil {
-			if err == nil {
-				return uerr
-			}
-			return fmt.Errorf("%w (rollback incomplete: %v)", err, uerr)
-		}
-	}
-	return err
-}
-
-// locateVersion re-finds the address of a version whose bytes are known,
-// for the compensation steps, the way resolveCandidate does for a candidate.
-func (db *Conn) locateVersion(h *relHandle, tup []byte, rid page.RID) (page.RID, error) {
-	c, err := db.resolveCandidate(h, candidate{rid: rid, tup: tup})
-	if err != nil {
-		return page.NilRID, err
-	}
-	return c.rid, nil
-}
-
-// restoreOpen rewrites a superseded version back to its open image,
-// reversing a Supersede whose statement failed afterwards.
-func (db *Conn) restoreOpen(h *relHandle, closed []byte, tid secTID, open []byte) error {
-	if tid.history {
-		return fmt.Errorf("core: %s: cannot restore a version moved to the history store", h.desc.Name)
-	}
-	rid, err := db.locateVersion(h, closed, tid.rid)
-	if err != nil {
-		return err
-	}
-	return h.src.UpdateCurrent(rid, open)
-}
-
-// removeVersion deletes a version that a failed statement inserted.
-func (db *Conn) removeVersion(h *relHandle, tup []byte, tid secTID) error {
-	if tid.history {
-		return fmt.Errorf("core: %s: cannot remove a version from the history store", h.desc.Name)
-	}
-	rid, err := db.locateVersion(h, tup, tid.rid)
-	if err != nil {
-		return err
-	}
-	return h.src.RemoveCurrent(rid)
-}
-
 // --- append ---
 
 func (db *Conn) execAppend(s *tquel.AppendStmt) (*Result, error) {
@@ -359,9 +266,7 @@ func (db *Conn) insertNew(h *relHandle, tup []byte, valid temporal.Interval) err
 		return err
 	}
 	if err := h.indexInsertCurrent(tup, rid); err != nil {
-		return unwind(err, []undoFn{func() error {
-			return db.removeVersion(h, tup, secTID{rid: rid})
-		}})
+		return err
 	}
 	statNoteInsert(h, tup)
 	return nil
@@ -475,9 +380,7 @@ func (db *Conn) execDelete(s *tquel.DeleteStmt) (*Result, error) {
 	}
 	now := db.now()
 	for _, c := range cands {
-		// The returned undo is dropped: a completed delete is final, and a
-		// failed one has already been compensated internally.
-		if _, err := db.deleteVersion(h, c, now); err != nil {
+		if err := db.deleteVersion(h, c, now); err != nil {
 			return nil, err
 		}
 	}
@@ -510,134 +413,66 @@ func (db *Conn) resolveCandidate(h *relHandle, c candidate) (candidate, error) {
 	return c, err
 }
 
-// deleteVersion applies the type-specific delete of Section 4 to one
-// current version. On success it also returns an undo that reverses the
-// whole delete, for callers (replace) with further steps that may fail;
-// on error, any steps already applied have been compensated. Statistics
-// follow the same discipline: noted only on success, and the returned
-// undo re-notes the reversal so a failed replace leaves them consistent.
-func (db *Conn) deleteVersion(h *relHandle, c candidate, now temporal.Time) (undoFn, error) {
-	undo, err := db.deleteVersionRaw(h, c, now)
-	if err != nil {
-		return nil, err
-	}
-	statNoteDelete(h, c.tup)
-	return func() error {
-		if err := undo(); err != nil {
-			return err
-		}
-		statNoteUndelete(h, c.tup)
-		return nil
-	}, nil
+// inPlace reports whether a delete or replace changes desc's versions
+// where they lie — static semantics, and the error correction of a
+// historical event — rather than closing them into history.
+func inPlace(desc *catalog.Relation) bool {
+	return desc.Type == catalog.Static || desc.Type == catalog.Historical && desc.Model == catalog.ModelEvent
 }
 
-func (db *Conn) deleteVersionRaw(h *relHandle, c candidate, now temporal.Time) (undoFn, error) {
+// deleteVersion applies the type-specific delete of Section 4 to one
+// current version and notes it in the statistics.
+func (db *Conn) deleteVersion(h *relHandle, c candidate, now temporal.Time) error {
 	desc := h.desc
 	c, err := db.resolveCandidate(h, c)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// reinsert puts an outright-removed version back (static semantics).
-	reinsert := func() error {
-		rid, err := h.src.InsertCurrent(c.tup)
+	if inPlace(desc) {
+		// The version is removed outright: an event cannot stop being
+		// valid, so deleting one is error correction.
+		if err := h.src.RemoveCurrent(c.rid); err != nil {
+			return err
+		}
+		if err := h.indexRemove(c.tup, c.rid); err != nil {
+			return err
+		}
+		statNoteDelete(h, c.tup)
+		return nil
+	}
+	// Every other delete closes the version: a historical relation's in
+	// valid time, the others' in transaction time...
+	stop := desc.TE
+	if desc.Type == catalog.Historical {
+		stop = desc.VT
+	}
+	closed := append([]byte(nil), c.tup...)
+	setTime(desc, closed, stop, now)
+	tid, err := h.src.Supersede(c.rid, closed)
+	if err != nil {
+		return err
+	}
+	if err := h.indexMove(closed, c.rid, tid); err != nil {
+		return err
+	}
+	if desc.Type == catalog.Temporal && desc.Model == catalog.ModelInterval {
+		// ... and a temporal interval relation inserts the marker
+		// recording that validity ended now ("a new version with the
+		// updated valid to attribute").
+		marker := append([]byte(nil), c.tup...)
+		setTime(desc, marker, desc.TS, now)
+		setTime(desc, marker, desc.TE, temporal.Forever)
+		setTime(desc, marker, desc.VT, now)
+		mtid, err := h.src.InsertHistory(marker)
 		if err != nil {
 			return err
 		}
-		return h.indexInsertCurrent(c.tup, rid)
+		if err := h.indexInsertHistory(marker, mtid); err != nil {
+			return err
+		}
 	}
-	switch desc.Type {
-	case catalog.Static:
-		if err := h.src.RemoveCurrent(c.rid); err != nil {
-			return nil, err
-		}
-		if err := h.indexRemove(c.tup, c.rid); err != nil {
-			return nil, unwind(err, []undoFn{reinsert})
-		}
-		return reinsert, nil
-
-	case catalog.Rollback:
-		closed := append([]byte(nil), c.tup...)
-		setTime(desc, closed, desc.TE, now)
-		tid, err := h.src.Supersede(c.rid, closed)
-		if err != nil {
-			return nil, err
-		}
-		reopen := func() error { return db.restoreOpen(h, closed, tid, c.tup) }
-		if err := h.indexMove(closed, c.rid, tid); err != nil {
-			return nil, unwind(err, []undoFn{reopen})
-		}
-		return func() error {
-			if err := h.indexMoveBack(closed, tid, c.rid); err != nil {
-				return err
-			}
-			return reopen()
-		}, nil
-
-	case catalog.Historical:
-		if desc.Model == catalog.ModelEvent {
-			// An event cannot stop being valid; deleting it is error
-			// correction and removes it outright.
-			if err := h.src.RemoveCurrent(c.rid); err != nil {
-				return nil, err
-			}
-			if err := h.indexRemove(c.tup, c.rid); err != nil {
-				return nil, unwind(err, []undoFn{reinsert})
-			}
-			return reinsert, nil
-		}
-		closed := append([]byte(nil), c.tup...)
-		setTime(desc, closed, desc.VT, now)
-		tid, err := h.src.Supersede(c.rid, closed)
-		if err != nil {
-			return nil, err
-		}
-		reopen := func() error { return db.restoreOpen(h, closed, tid, c.tup) }
-		if err := h.indexMove(closed, c.rid, tid); err != nil {
-			return nil, unwind(err, []undoFn{reopen})
-		}
-		return func() error {
-			if err := h.indexMoveBack(closed, tid, c.rid); err != nil {
-				return err
-			}
-			return reopen()
-		}, nil
-
-	case catalog.Temporal:
-		// Close the version in transaction time...
-		closed := append([]byte(nil), c.tup...)
-		setTime(desc, closed, desc.TE, now)
-		tid, err := h.src.Supersede(c.rid, closed)
-		if err != nil {
-			return nil, err
-		}
-		reopen := func() error { return db.restoreOpen(h, closed, tid, c.tup) }
-		undos := []undoFn{reopen}
-		if err := h.indexMove(closed, c.rid, tid); err != nil {
-			return nil, unwind(err, undos)
-		}
-		undos = append(undos, func() error { return h.indexMoveBack(closed, tid, c.rid) })
-		if desc.Model == catalog.ModelInterval {
-			// ... and insert the marker recording that validity ended now
-			// ("a new version with the updated valid to attribute").
-			marker := append([]byte(nil), c.tup...)
-			setTime(desc, marker, desc.TS, now)
-			setTime(desc, marker, desc.TE, temporal.Forever)
-			setTime(desc, marker, desc.VT, now)
-			mtid, err := h.src.InsertHistory(marker)
-			if err != nil {
-				return nil, unwind(err, undos)
-			}
-			undos = append(undos, func() error { return db.removeVersion(h, marker, mtid) })
-			if err := h.indexInsertHistory(marker, mtid); err != nil {
-				return nil, unwind(err, undos)
-			}
-			undos = append(undos, func() error { return h.indexRemoveAt(marker, mtid) })
-		}
-		return func() error {
-			return unwind(nil, undos)
-		}, nil
-	}
-	return nil, fmt.Errorf("core: unknown relation type %v", desc.Type)
+	statNoteDelete(h, c.tup)
+	return nil
 }
 
 func (db *Conn) execReplace(s *tquel.ReplaceStmt) (*Result, error) {
@@ -663,43 +498,23 @@ func (db *Conn) execReplace(s *tquel.ReplaceStmt) (*Result, error) {
 			return nil, err
 		}
 
-		switch desc.Type {
-		case catalog.Static:
-			c, err := db.resolveCandidate(h, c)
-			if err != nil {
-				return nil, err
+		if inPlace(desc) {
+			// Error correction of an event may re-date it.
+			if s.Valid != nil && desc.Type == catalog.Historical {
+				iv, err := valid()
+				if err != nil {
+					return nil, err
+				}
+				setTime(desc, newUser, desc.VF, iv.From)
 			}
 			if err := db.replaceInPlace(h, c, newUser); err != nil {
 				return nil, err
 			}
 			continue
-
-		case catalog.Historical:
-			if desc.Model == catalog.ModelEvent {
-				// Error correction in place, optionally re-dating the event.
-				if s.Valid != nil {
-					iv, err := valid()
-					if err != nil {
-						return nil, err
-					}
-					setTime(desc, newUser, desc.VF, iv.From)
-				}
-				c, err := db.resolveCandidate(h, c)
-				if err != nil {
-					return nil, err
-				}
-				if err := db.replaceInPlace(h, c, newUser); err != nil {
-					return nil, err
-				}
-				continue
-			}
 		}
 
 		// Versioned replace: delete the old version, then append the new.
-		// A failure inside insertNew reverses the delete, so the chain keeps
-		// its old version rather than ending half-replaced.
-		undoDelete, err := db.deleteVersion(h, c, now)
-		if err != nil {
+		if err := db.deleteVersion(h, c, now); err != nil {
 			return nil, err
 		}
 		var iv temporal.Interval
@@ -708,14 +523,11 @@ func (db *Conn) execReplace(s *tquel.ReplaceStmt) (*Result, error) {
 			// the valid clause re-dates it.
 			at := temporal.Time(desc.Schema.Int(c.tup, desc.VF))
 			iv = temporal.Interval{From: at, To: at}
-		} else {
-			iv, err = valid()
+		} else if iv, err = valid(); err != nil {
+			return nil, err
 		}
-		if err == nil {
-			err = db.insertNew(h, newUser, iv)
-		}
-		if err != nil {
-			return nil, unwind(err, []undoFn{undoDelete})
+		if err := db.insertNew(h, newUser, iv); err != nil {
+			return nil, err
 		}
 	}
 	b.tup = nil
@@ -723,19 +535,20 @@ func (db *Conn) execReplace(s *tquel.ReplaceStmt) (*Result, error) {
 }
 
 // replaceInPlace overwrites a current version with a new image (static and
-// historical-event semantics), keeping the index entries in step. Each step
-// is compensated so a mid-replace failure leaves the old image in place.
+// historical-event semantics), keeping the index entries in step.
 func (db *Conn) replaceInPlace(h *relHandle, c candidate, newUser []byte) error {
+	c, err := db.resolveCandidate(h, c)
+	if err != nil {
+		return err
+	}
 	if err := h.src.UpdateCurrent(c.rid, newUser); err != nil {
 		return err
 	}
-	undos := []undoFn{func() error { return h.src.UpdateCurrent(c.rid, c.tup) }}
 	if err := h.indexRemove(c.tup, c.rid); err != nil {
-		return unwind(err, undos)
+		return err
 	}
-	undos = append(undos, func() error { return h.indexInsertCurrent(c.tup, c.rid) })
 	if err := h.indexInsertCurrent(newUser, c.rid); err != nil {
-		return unwind(err, undos)
+		return err
 	}
 	statNoteReplaceImage(h, c.tup, newUser)
 	return nil

@@ -33,8 +33,8 @@ type faultScenario struct {
 //   - every failure observed wraps faultfs.ErrInjected — no panics, no
 //     unwrapped I/O errors;
 //   - CheckIntegrity holds on the live database after the fault;
-//   - version chains are per-chain atomic: every current seq is either the
-//     pre-fault value or that value plus one, never a torn in-between;
+//   - each statement is all or nothing: every current seq of a relation is
+//     its pre-fault value, or every one is that value plus one;
 //   - after Close (retried or, for sync faults, abandoned as a crash) and a
 //     clean reopen, CheckIntegrity holds and the twelve benchmark queries
 //     return byte-identical tuples to the pre-close snapshot.
@@ -114,8 +114,8 @@ func runFaultScenario(t *testing.T, sc faultScenario) {
 		t.Fatalf("unknown phase %q", sc.phase)
 	}
 
-	// The live database must be intact and per-chain atomic regardless of
-	// where the fault landed.
+	// The live database must be intact, and each statement all or nothing,
+	// regardless of where the fault landed.
 	integrityRetry(t, db)
 	checkChains(t, "h", seqsRetry(t, db, "h"), baseH)
 	checkChains(t, "i", seqsRetry(t, db, "i"), baseI)
@@ -186,8 +186,8 @@ func runFaultScenario(t *testing.T, sc faultScenario) {
 
 // updateRound mirrors bench.DB.Update on a reopened database: advance an
 // hour, bump every tuple's seq in both relations, advance a minute. It stops
-// at the first error, which is how a failed statement leaves earlier chains
-// committed and the failing chain rolled back.
+// at the first error: the failed statement is reverted whole, and the one
+// before it, if any, stays done.
 func updateRound(db *core.Database) error {
 	db.Clock().Advance(3600)
 	for _, v := range []string{"h", "i"} {
@@ -199,14 +199,15 @@ func updateRound(db *core.Database) error {
 	return nil
 }
 
-// checkChains asserts per-chain atomicity: the faulted update either fully
-// applied or fully rolled back for each key — every current seq is base or
-// base+1, no key vanished, no key appeared.
+// checkChains asserts the faulted update was all or nothing on one
+// relation: every current seq is base, or every one is base+1 — no key
+// vanished, none appeared, and no two moved differently.
 func checkChains(t *testing.T, v string, got, base map[int64]int64) {
 	t.Helper()
 	if len(got) != len(base) {
 		t.Errorf("%s: current-version count changed: %d, was %d", v, len(got), len(base))
 	}
+	moved := map[int64]int{} // chains by how far the update moved them
 	for id, seq := range got {
 		b, ok := base[id]
 		if !ok {
@@ -216,6 +217,10 @@ func checkChains(t *testing.T, v string, got, base map[int64]int64) {
 		if seq != b && seq != b+1 {
 			t.Errorf("%s: id %d has torn seq %d (base %d)", v, id, seq, b)
 		}
+		moved[seq-b]++
+	}
+	if moved[0] > 0 && moved[1] > 0 {
+		t.Errorf("%s: the statement tore: %d chains moved, %d did not", v, moved[1], moved[0])
 	}
 }
 

@@ -213,12 +213,11 @@ func TestWALDirtyFrameLoggedOnce(t *testing.T) {
 }
 
 // TestWALFailedStatement fails a statement mid-way — after its evictions
-// parked pages — with a read fault on the relation it writes. Crashing at
-// once recovers the state before the statement. A checkpoint with the
-// statement's frames still dirty moves no I/O counter, and a crash after
-// it, or after one more committed statement on the relation, recovers
-// exactly the state the process held, the failed statement's partial work
-// included.
+// parked pages — with a read fault on the relation it writes. The failed
+// statement is reverted whole, so a crash at once, a crash after a
+// checkpoint, and a crash after one more committed statement on the
+// relation all recover the state before it (with the committed statement,
+// in the last case). The checkpoint moves no I/O counter.
 func TestWALFailedStatement(t *testing.T) {
 	dir := t.TempDir()
 	b, err := bench.BuildOpts(bench.Temporal, 100, core.Options{Dir: dir, WAL: true})
@@ -296,9 +295,10 @@ func TestWALFailedStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fuzzy checkpoint now writes the dirty frames through and back
-	// without flushing one: no relation's counters and no session account
-	// move, and a crash right after it recovers the state the process held.
+	// The process holds the state before the statement. A fuzzy checkpoint
+	// now writes the dirty frames through and back without flushing one:
+	// no relation's counters and no session account move, and a crash
+	// right after it recovers that state.
 	relStats := func() map[string]buffer.Stats {
 		t.Helper()
 		m := map[string]buffer.Stats{}
@@ -321,22 +321,37 @@ func TestWALFailedStatement(t *testing.T) {
 	if got := db.DefaultSession().Stats(); got != acctBefore {
 		t.Fatalf("the checkpoint moved the session account: %+v, was %+v", got, acctBefore)
 	}
-	held := mustSnap(t, db)
+	sameSnap(t, "after the failed statement", mustSnap(t, db), ref0)
 	recovered, err = ReopenWAL(restoreState(t, dirState(t, run), -1), bench.Temporal, nil, true)
 	if err != nil {
 		t.Fatalf("recovery after the checkpoint: %v", err)
 	}
-	sameSnap(t, "crash after the checkpoint", mustSnap(t, recovered), held)
+	sameSnap(t, "crash after the checkpoint", mustSnap(t, recovered), ref0)
+	if class := bumpedClass(t, "checkpoint", baseH, mustSeqs(t, recovered, "h")); class != "none" {
+		t.Fatalf("crash after a checkpoint recovered %s of the failed statement, want none", class)
+	}
 	if err := recovered.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// One more committed statement on the relation logs the frames the
-	// checkpoint left dirty with its own pages.
-	mustExec(t, db, fmt.Sprintf(`replace h (seq = h.seq + 1) where h.id = %d`, walTouched+1))
-	held = mustSnap(t, db)
+	// checkpoint left dirty with its own pages: the failed statement's
+	// chains keep their base, and only its own chain moves.
+	next := walTouched + 1
+	mustExec(t, db, fmt.Sprintf(`replace h (seq = h.seq + 1) where h.id = %d`, next))
+	held := mustSnap(t, db)
 	heldSeqs := mustSeqs(t, db, "h")
-	heldOK := db.CheckIntegrity() == nil
+	for id, want := range baseH {
+		if id == int64(next) {
+			want++
+		}
+		if heldSeqs[id] != want {
+			t.Fatalf("after the next commit id %d has seq %d, want %d", id, heldSeqs[id], want)
+		}
+	}
+	if err := db.CheckIntegrity(); err != nil {
+		t.Fatalf("integrity after the next commit: %v", err)
+	}
 	recovered, err = ReopenWAL(restoreState(t, dirState(t, run), -1), bench.Temporal, nil, true)
 	if err != nil {
 		t.Fatalf("recovery after the next commit: %v", err)
@@ -346,7 +361,7 @@ func TestWALFailedStatement(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	}()
-	if err := recovered.CheckIntegrity(); heldOK && err != nil {
+	if err := recovered.CheckIntegrity(); err != nil {
 		t.Fatalf("integrity after the next commit: %v", err)
 	}
 	sameSnap(t, "crash after the next commit", mustSnap(t, recovered), held)

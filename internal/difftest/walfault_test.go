@@ -383,6 +383,35 @@ func TestWALFaultMatrix(t *testing.T) {
 		}
 	})
 
+	// A statement that fails part-way, then a commit on the same relation,
+	// then a crash. The commit writes every dirty frame of the relation
+	// through and logs what its files parked, so the failed statement's
+	// partial work would be logged with it were it not reverted: recovery
+	// must land on the full schedule, without it. The failure lands on
+	// every candidate of the statement in turn.
+	t.Run("failed-then-commit", func(t *testing.T) {
+		dir := restoreState(t, img.state, -1)
+		db, err := ReopenWAL(dir, bench.Temporal, nil, true)
+		if err != nil {
+			t.Fatalf("recovery reopen: %v", err)
+		}
+		defer func() {
+			if err := db.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}()
+		for k := 1; k <= walTouched; k++ {
+			mustFail(t, db, divAt("h", k), "division by zero")
+			mustExec(t, db, `replace h (seq = h.seq + 1) where h.id = -1`)
+			label := fmt.Sprintf("failed at chain %d, then a commit", k)
+			state := img.checkRecovered(t, label, restoreState(t, dirState(t, dir), -1))
+			if state != "h=all,i=all" {
+				t.Fatalf("%s: recovered to %s, want the full schedule", label, state)
+			}
+			matrix.add(walMatrixRow{Scenario: label, State: state})
+		}
+	})
+
 	// Crash again immediately after a successful recovery: the second open
 	// must land on the same state — recovery leaves the directory as good as
 	// a clean checkpoint.

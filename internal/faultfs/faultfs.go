@@ -397,8 +397,8 @@ func (f *File) Allocate() (page.ID, error) {
 // NumPages implements storage.File.
 func (f *File) NumPages() int { return f.inner.NumPages() }
 
-// Truncate implements storage.File.
-func (f *File) Truncate() error { return f.inner.Truncate() }
+// Shrink implements storage.File.
+func (f *File) Shrink(n int) error { return f.inner.Shrink(n) }
 
 // Close implements storage.File. A sync fault fails the close without
 // closing the inner file, so a retry can succeed (the fault is one-shot).

@@ -99,7 +99,9 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 // Insert implements am.File: the tuple goes to the first page of its
 // bucket's chain with room, extending the chain if necessary. The walk from
 // the primary page is what makes repeated updates of one tuple cost O(n^2)
-// pages in total (Section 5.4).
+// pages in total (Section 5.4). A failed allocation leaves the chain's tail
+// linked to the page it would have been, for the writer's revert to put
+// back (buffer.Buffered.End); a rebuild that fails abandons its file.
 func (f *File) Insert(tup []byte) (page.RID, error) {
 	if len(tup) != f.meta.Width {
 		return page.NilRID, fmt.Errorf("hashfile: tuple width %d, want %d", len(tup), f.meta.Width)
@@ -130,14 +132,6 @@ func (f *File) Insert(tup []byte) (page.RID, error) {
 			f.buf.MarkDirty()
 			gotID, np, err := f.buf.Allocate()
 			if err != nil {
-				// Undo the optimistic chain link: the tail page is still
-				// resident (Allocate only evicts after the file extends),
-				// and leaving the link dirty would let a later flush
-				// persist a pointer to a page that does not exist.
-				if tail, ferr := f.buf.Fetch(id); ferr == nil {
-					tail.SetNext(page.Nil)
-					f.buf.MarkDirty()
-				}
 				return page.NilRID, err
 			}
 			if gotID != newID {

@@ -237,7 +237,7 @@ func probeRange[V am.Viewer](f *File, v V, lo, hi int64) (start, stop page.ID, e
 }
 
 // Insert implements am.File: the tuple goes to the data page covering its
-// key, or to that page's overflow chain.
+// key, or to that page's overflow chain, as hashfile.File.Insert does.
 func (f *File) Insert(tup []byte) (page.RID, error) {
 	if len(tup) != f.meta.Width {
 		return page.NilRID, fmt.Errorf("isam: tuple width %d, want %d", len(tup), f.meta.Width)
@@ -269,12 +269,6 @@ func (f *File) Insert(tup []byte) (page.RID, error) {
 			f.buf.MarkDirty()
 			gotID, np, err := f.buf.Allocate()
 			if err != nil {
-				// Undo the optimistic chain link so no later flush can
-				// persist a pointer to a page that was never allocated.
-				if tail, ferr := f.buf.Fetch(id); ferr == nil {
-					tail.SetNext(page.Nil)
-					f.buf.MarkDirty()
-				}
 				return page.NilRID, err
 			}
 			if gotID != newID {

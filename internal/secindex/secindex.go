@@ -15,6 +15,7 @@ package secindex
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
@@ -98,6 +99,18 @@ func (ix *Index) WithAccount(a *buffer.Stats) *Index {
 
 func (f *entryFile) withAccount(a *buffer.Stats) *entryFile {
 	return &entryFile{buf: f.buf.WithAccount(a), structure: f.structure, dir: f.dir}
+}
+
+// Rewind drops the hash directory's buckets past the end of their file,
+// once a failed statement's revert has shrunk it (buffer.Buffered.End):
+// a bucket is only ever added on a page allocated for it.
+func (ix *Index) Rewind() {
+	for _, f := range []*entryFile{ix.cur, ix.hist} {
+		if f != nil {
+			n := page.ID(f.buf.NumPages())
+			maps.DeleteFunc(f.dir, func(_ int64, id page.ID) bool { return id >= n })
+		}
+	}
 }
 
 // Config returns the index description.

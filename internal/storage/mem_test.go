@@ -139,7 +139,7 @@ func TestMemTruncateEndsLoans(t *testing.T) {
 		t.Fatal(err)
 	}
 	old[0] = 1
-	if err := m.Truncate(); err != nil {
+	if err := m.Shrink(0); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []page.ID{0, 65} {
@@ -209,5 +209,51 @@ func TestMemConcurrentLend(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestMemShrinkKeepsAddresses shrinks a file to the middle of a chunk and
+// of the chunk list: the pages below keep their content and addresses, and
+// the file grows again with zeroed pages, in the layout locate reads.
+func TestMemShrinkKeepsAddresses(t *testing.T) {
+	m := NewMem()
+	const n, keep = 3 * memChunk, memChunk + 5
+	growMem(t, m, n)
+	addrs := make([]*page.Page, n)
+	for id := range addrs {
+		p := page.Page{}
+		p.SetNext(page.ID(id))
+		if err := m.WritePage(page.ID(id), &p); err != nil {
+			t.Fatal(err)
+		}
+		addrs[id], _ = m.Lend(page.ID(id))
+	}
+	for _, k := range []int{keep, 1} {
+		if err := m.Shrink(k); err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < k; id++ {
+			p, err := m.Lend(page.ID(id))
+			if err != nil || p != addrs[id] || p.Next() != page.ID(id) {
+				t.Fatalf("shrunk to %d: page %d moved or changed (%v)", k, id, err)
+			}
+		}
+		growMem(t, m, n)
+		for id := k; id < n; id++ {
+			p, err := m.Lend(page.ID(id))
+			if err != nil || *p != (page.Page{}) {
+				t.Fatalf("shrunk to %d and grown: page %d is not a fresh page (%v)", k, id, err)
+			}
+			c, i := locate(id)
+			if d := m.load(); p != &d.chunks[c][i] {
+				t.Fatalf("shrunk to %d and grown: page %d is not where locate puts it", k, id)
+			}
+			q := page.Page{}
+			q.SetNext(page.ID(id))
+			if err := m.WritePage(page.ID(id), &q); err != nil {
+				t.Fatal(err)
+			}
+			addrs[id] = p
+		}
 	}
 }

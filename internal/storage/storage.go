@@ -34,8 +34,10 @@ type File interface {
 	Allocate() (page.ID, error)
 	// NumPages reports the current number of pages.
 	NumPages() int
-	// Truncate discards all pages.
-	Truncate() error
+	// Shrink discards the pages from n on, n <= NumPages(): the file is
+	// as it was before its last NumPages()-n allocations. Shrink(0)
+	// discards all pages.
+	Shrink(n int) error
 	// Close releases underlying resources.
 	Close() error
 }
@@ -51,16 +53,16 @@ func checkBounds(id page.ID, n int) error {
 //
 // Pages live in chunks of contiguous pages that are never moved or
 // resized, so the address Lend hands out stays that page's address until
-// Truncate, and a walk over neighbouring pages stays in neighbouring
-// memory. A page's address is found from a small chunk directory by shift
-// and mask, with no per-page pointer to chase. Files grow by doubling up
-// to memChunk pages (chunks of 1, 1, 2, 4, …, 32 pages hold the first
-// memChunk), and by whole memChunk-page chunks after that: a one-page
-// temporary holds 1 KiB, not a 64 KiB chunk.
+// Shrink gives the page back, and a walk over neighbouring pages stays in
+// neighbouring memory. A page's address is found from a small chunk
+// directory by shift and mask, with no per-page pointer to chase. Files
+// grow by doubling up to memChunk pages (chunks of 1, 1, 2, 4, …, 32
+// pages hold the first memChunk), and by whole memChunk-page chunks after
+// that: a one-page temporary holds 1 KiB, not a 64 KiB chunk.
 //
 // The directory is immutable once published through an atomic pointer,
 // so Lend and NumPages take no lock. Writers of the directory (Allocate,
-// Truncate) and of page contents (WritePage) hold the mutex exclusively;
+// Shrink) and of page contents (WritePage) hold the mutex exclusively;
 // ReadPage and ReadPages hold it shared, so a copy is never torn.
 type Mem struct {
 	mu  sync.RWMutex
@@ -190,12 +192,25 @@ func (m *Mem) Allocate() (page.ID, error) {
 // NumPages implements File. It takes no lock.
 func (m *Mem) NumPages() int { return m.load().n }
 
-// Truncate implements File. The chunks are dropped, not reused: a page in
-// one may still be on loan.
-func (m *Mem) Truncate() error {
+// Shrink implements File. The chunk holding page n-1 is kept with its
+// pages from n on zeroed, so Allocate hands them out as never-written
+// pages again, and no page below n moves; the chunks past it are dropped,
+// not reused, since a page in one may still be on loan.
+func (m *Mem) Shrink(n int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.dir.Store(emptyDir)
+	d := m.load()
+	if n < 0 || n > d.n {
+		return fmt.Errorf("storage: shrink to %d pages of %d", n, d.n)
+	}
+	if n == 0 {
+		m.dir.Store(emptyDir)
+		return nil
+	}
+	c, i := locate(n - 1)
+	kept := d.chunks[: c+1 : c+1]
+	clear(kept[c][i+1:])
+	m.dir.Store(&memDir{n: n, chunks: kept})
 	return nil
 }
 
@@ -208,7 +223,7 @@ func (m *Mem) Close() error { return nil }
 // the unified page cache makes visible through the mapping at once. Nothing
 // is written through the mapping, so durability and write ordering are the
 // file's alone. The latch guards the page count and the mapping: reads and
-// page writes share it, Allocate (which may remap), Truncate and Close take
+// page writes share it, Allocate (which may remap), Shrink and Close take
 // it exclusively.
 //
 // The mapping only replaces the read syscall. Which pages are read, and how
@@ -320,15 +335,19 @@ func (d *Disk) NumPages() int {
 	return d.n
 }
 
-// Truncate implements File. The mapping keeps its size: no page past the
+// Shrink implements File. The mapping keeps its size: no page past the
 // new end is read, and Allocate refills it through the file.
-func (d *Disk) Truncate() error {
+func (d *Disk) Shrink(n int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.f.Truncate(0); err != nil {
-		return fmt.Errorf("storage: truncate %s: %w", filepath.Base(d.path), err)
+	if n < 0 || n > d.n {
+		return fmt.Errorf("storage: shrink %s to %d pages of %d", filepath.Base(d.path), n, d.n)
 	}
-	d.n = 0
+	//tdbvet:ignore latchorder under a statement's latch only a failed statement shrinks a file, giving back what it allocated
+	if err := d.f.Truncate(int64(n) * page.Size); err != nil {
+		return fmt.Errorf("storage: shrink %s: %w", filepath.Base(d.path), err)
+	}
+	d.n = n
 	return nil
 }
 

@@ -82,7 +82,31 @@ func exercise(t *testing.T, f File) {
 		t.Error("ReadPage past end succeeded")
 	}
 
-	if err := f.Truncate(); err != nil {
+	// Shrink gives back the last pages and keeps the others; a page
+	// allocated again reads back zeroed.
+	if err := f.Shrink(3); err == nil {
+		t.Error("Shrink past the end succeeded")
+	}
+	if err := f.Shrink(1); err != nil {
+		t.Fatal(err)
+	}
+	if f.NumPages() != 1 {
+		t.Fatalf("NumPages after Shrink(1) = %d", f.NumPages())
+	}
+	if err := f.ReadPage(id1, &q); err == nil {
+		t.Error("ReadPage of a page given back succeeded")
+	}
+	if id, err := f.Allocate(); err != nil || id != id1 {
+		t.Fatalf("Allocate after Shrink = %d, %v; want %d", id, err, id1)
+	}
+	if err := f.ReadPage(id1, &q); err != nil {
+		t.Fatal(err)
+	}
+	if q != (page.Page{}) {
+		t.Error("page allocated after Shrink is not zeroed")
+	}
+
+	if err := f.Shrink(0); err != nil {
 		t.Fatal(err)
 	}
 	if f.NumPages() != 0 {

@@ -50,6 +50,10 @@ type Store struct {
 	// themselves; traversing them reads exactly the pages recorded here, so
 	// the I/O counts are identical.
 	chains map[int64][]page.RID
+	// grown lists, while marked, the key of every version appended to
+	// chains since Mark, so Rewind can take them off again.
+	grown  []int64
+	marked bool
 }
 
 // Config parameterizes New.
@@ -151,8 +155,37 @@ func (s *Store) InsertHistory(tup []byte) (page.RID, error) {
 	if s.mode == Simple {
 		k := s.key.Extract(tup)
 		s.chains[k] = append(s.chains[k], rid)
+		if s.marked {
+			s.grown = append(s.grown, k)
+		}
 	}
 	return rid, nil
+}
+
+// Mark implements am.Marker: the version chains record what they grow by,
+// and a B-tree primary its root.
+func (s *Store) Mark() {
+	s.grown, s.marked = s.grown[:0], true
+	if m, ok := s.primary.(am.Marker); ok {
+		m.Mark()
+	}
+}
+
+// Rewind takes the versions appended since Mark off their chains, newest
+// first, and restores a B-tree primary's root.
+func (s *Store) Rewind() {
+	for i := len(s.grown) - 1; i >= 0; i-- {
+		k := s.grown[i]
+		if c := s.chains[k]; len(c) > 1 {
+			s.chains[k] = c[:len(c)-1]
+		} else {
+			delete(s.chains, k)
+		}
+	}
+	s.grown = s.grown[:0]
+	if m, ok := s.primary.(am.Marker); ok {
+		m.Rewind()
+	}
 }
 
 // Supersede replaces the current version at rid with its closed form

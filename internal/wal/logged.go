@@ -84,7 +84,7 @@ func (l *LoggedFile) lookup(id page.ID) *parked {
 // none. l.mu held.
 func (l *LoggedFile) park(id page.ID) *parked {
 	if n := int(id) + 1; n > len(l.parked) {
-		// Entries past len are nil: fresh, or cleared by dropLocked.
+		// Entries past len are nil: fresh, or cleared by dropFrom.
 		l.parked = slices.Grow(l.parked, n-len(l.parked))[:n]
 	}
 	e := l.parked[id]
@@ -180,7 +180,7 @@ func (l *LoggedFile) writeBack() error {
 			return err
 		}
 	}
-	l.dropLocked()
+	l.dropFrom(0)
 	return nil
 }
 
@@ -191,12 +191,18 @@ func (l *LoggedFile) Allocate() (page.ID, error) { return l.inner.Allocate() }
 // NumPages implements storage.File.
 func (l *LoggedFile) NumPages() int { return l.inner.NumPages() }
 
-// Truncate implements storage.File, dropping the parked pages with the
-// file's. Truncation happens only on DDL paths, which end in a full
+// Shrink implements storage.File, dropping the parked pages from n on with
+// the file's. A failed statement shrinks a file to give back the pages it
+// allocated, which no commit logged; DDL empties one, and ends in a full
 // checkpoint that empties the log — nothing to redo.
-func (l *LoggedFile) Truncate() error {
-	l.drop()
-	return l.inner.Truncate()
+func (l *LoggedFile) Shrink(n int) error {
+	if err := l.inner.Shrink(n); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.dropFrom(n)
+	return nil
 }
 
 // Close implements storage.File. A closed file leaves commits and
@@ -204,21 +210,20 @@ func (l *LoggedFile) Truncate() error {
 // writes them back first, destroy and modify discard the file).
 func (l *LoggedFile) Close() error {
 	l.m.forget(l)
-	l.drop()
+	l.mu.Lock()
+	l.dropFrom(0)
+	l.mu.Unlock()
 	return l.inner.Close()
 }
 
-// drop discards every parked page.
-func (l *LoggedFile) drop() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dropLocked()
-}
-
-// dropLocked is drop with l.mu held.
-func (l *LoggedFile) dropLocked() {
-	clear(l.parked)
-	l.parked = l.parked[:0]
-	l.n = 0
-	l.unlogged = l.unlogged[:0]
+// dropFrom discards the parked pages from n on. l.mu held.
+func (l *LoggedFile) dropFrom(n int) {
+	for id := n; id < len(l.parked); id++ {
+		if l.parked[id] != nil {
+			l.parked[id] = nil // park reads entries past len as nil
+			l.n--
+		}
+	}
+	l.parked = l.parked[:min(n, len(l.parked))]
+	l.unlogged = slices.DeleteFunc(l.unlogged, func(id page.ID) bool { return int(id) >= n })
 }

@@ -668,7 +668,7 @@ func TestLoggedFileBounds(t *testing.T) {
 		t.Fatalf("write past the end parked")
 	}
 	park(t, f, 0, testPage(1))
-	if err := f.Truncate(); err != nil {
+	if err := f.Shrink(0); err != nil {
 		t.Fatal(err)
 	}
 	if f.n != 0 || len(f.unlogged) != 0 {
@@ -679,6 +679,35 @@ func TestLoggedFileBounds(t *testing.T) {
 	}
 	if _, err := m.Commit([]string{"r"}, nil); err == nil {
 		t.Fatalf("commit of a closed file succeeded")
+	}
+}
+
+// TestLoggedFileShrink: shrinking a file drops the pages parked past its
+// new end, so the next commit logs only the pages below it, and a page
+// allocated again is not served from an old parked image.
+func TestLoggedFileShrink(t *testing.T) {
+	m := NewManager(storage.NewMemLog())
+	f := newFile(t, m, "r", 2)
+	park(t, f, 1, testPage(1))
+	if _, err := f.Allocate(); err != nil {
+		t.Fatal(err)
+	}
+	park(t, f, 2, testPage(2))
+	if err := f.Shrink(2); err != nil {
+		t.Fatal(err)
+	}
+	if f.NumPages() != 2 || f.n != 1 || !slices.Equal(f.unlogged, []page.ID{1}) {
+		t.Fatalf("after Shrink(2): %d pages, %d parked, unlogged %v; want 2, 1, [1]", f.NumPages(), f.n, f.unlogged)
+	}
+	if _, err := f.Allocate(); err != nil {
+		t.Fatal(err)
+	}
+	var got page.Page
+	if err := f.ReadPage(2, &got); err != nil || got != (page.Page{}) {
+		t.Fatalf("page 2 allocated again: %v, zeroed %v", err, got == (page.Page{}))
+	}
+	if err := f.Shrink(-1); err == nil {
+		t.Fatal("Shrink(-1) succeeded")
 	}
 }
 
