@@ -385,6 +385,26 @@ func (l *lowering) workerBlock(v string, lq *leafQual, bind func(page.RID, []byt
 	}
 }
 
+// onlyVar reports whether v's leaf qualification, its ranges and its
+// residual, reads no variable but v.
+func (q *query) onlyVar(v string) bool {
+	for _, c := range q.qv[v].sel {
+		m := map[string]bool{}
+		varsInExpr(c, m)
+		if len(m) != 1 || !m[v] {
+			return false
+		}
+	}
+	for _, c := range q.qv[v].tsel {
+		m := map[string]bool{}
+		varsInTExpr(c, m)
+		if len(m) != 1 || !m[v] {
+			return false
+		}
+	}
+	return true
+}
+
 // lowerBatchSubst lowers a tuple-substitution join over its lowered outer
 // side: the inner side is a keyed probe whose key is computed from each
 // outer row. The leaf's ranges are filled once per execution, as the join
@@ -407,7 +427,7 @@ func (l *lowering) lowerBatchSubst(n *plan.Node, outer exec.BatchOperator, bcap 
 	}
 	key := (&compiler{e: q.env, vars: l.binds}).expr(keyExpr)
 	lq, bind := q.varQual(v)
-	return &exec.BatchSubstJoin{Node: n, Inner: in, Att: l.att, Outer: outer,
+	j := &exec.BatchSubstJoin{Node: n, Inner: in, Att: l.att, Outer: outer,
 		OuterBuf: exec.NewBatch(len(q.vars), bcap), Rebind: rebind, Slot: slot, Cap: bcap,
 		Start: lq.fill,
 		Key: func() (int64, error) {
@@ -420,29 +440,27 @@ func (l *lowering) lowerBatchSubst(n *plan.Node, outer exec.BatchOperator, bcap 
 			}
 			return keyVal.AsInt(), nil
 		},
-		Run: func() *buffer.Run {
+		Probe: func(key int64) am.Iterator {
+			if qv.currentOnly {
+				return qv.h.src.ProbeCurrent(key)
+			}
+			return qv.h.src.ProbeAll(key)
+		},
+		Block: l.workerBlock(v, lq, bind),
+	}
+	// The probes share their chain walks only when the leaf's ranges and
+	// qualification read the inner variable alone: a tape records no
+	// outer row's bindings.
+	if q.onlyVar(v) {
+		j.Run = func() *buffer.Run {
 			if c, ok := qv.h.src.(*conventional); ok {
 				return c.run()
 			}
 			return nil
-		},
-		Prober: func() func(int64, *buffer.Run) am.Iterator {
-			var aim func(*buffer.Run, int64) am.Iterator // made on the first run
-			return func(key int64, r *buffer.Run) am.Iterator {
-				switch {
-				case r != nil:
-					if aim == nil {
-						aim = qv.h.src.(*conventional).runProber()
-					}
-					return aim(r, key)
-				case qv.currentOnly:
-					return qv.h.src.ProbeCurrent(key)
-				}
-				return qv.h.src.ProbeAll(key)
-			}
-		},
-		Block: l.workerBlock(v, lq, bind),
-	}, nil
+		}
+		j.Chains = func() am.Chains { return qv.h.src.(*conventional).chains() }
+	}
+	return j, nil
 }
 
 // detach is one step of a prepared retrieve's decomposition prologue:

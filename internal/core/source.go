@@ -97,25 +97,26 @@ func (c *conventional) RangeCurrent(lo, hi int64) am.Iterator {
 	return c.file.ProbeRange(lo, hi)
 }
 
-// runProber is an access method whose keyed probe can read through a
-// buffer.Run: hash and ISAM files.
-type runProber interface {
-	RunProber() func(r *buffer.Run, key int64) am.Iterator
+// chainSplitter is an access method whose keyed probe splits into its
+// key's part and chains that probes share (am.Chains): hash and ISAM
+// files.
+type chainSplitter interface {
+	Chains() am.Chains
 }
 
-// run returns a run on the store's buffer when its keyed probe can read
-// through one (buffer.Buffered.Run), else nil.
+// run returns a run on the store's buffer when its keyed probe splits into
+// chains (buffer.Buffered.Run), else nil.
 func (c *conventional) run() *buffer.Run {
-	if _, ok := c.file.(runProber); !ok {
+	if _, ok := c.file.(chainSplitter); !ok {
 		return nil
 	}
 	return c.buf.Run()
 }
 
-// runProber returns ProbeAll reading through a run from c.run, re-aimed at
-// each key (hashfile.File.RunProber).
-func (c *conventional) runProber() func(r *buffer.Run, key int64) am.Iterator {
-	return c.file.(runProber).RunProber()
+// chains returns the split of the store's keyed probe; c.run gave out a
+// run, so there is one.
+func (c *conventional) chains() am.Chains {
+	return c.file.(chainSplitter).Chains()
 }
 
 // partScanner is an access method whose full scan splits into parts a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -97,8 +98,8 @@ var substStatements = []string{
 }
 
 // TestSubstitutionJoinPaths runs each statement at outer batches of 1 and
-// 256 rows on the wrapped database and on lending ones at one and at four
-// goroutines.
+// 256 rows on the wrapped database and on lending ones at one, two and
+// four goroutines.
 func TestSubstitutionJoinPaths(t *testing.T) {
 	want := substDB(t, true)
 	got := substDB(t, false)
@@ -106,7 +107,7 @@ func TestSubstitutionJoinPaths(t *testing.T) {
 		want.DefaultSession().SetBatchSize(rows)
 		got.DefaultSession().SetBatchSize(rows)
 		for _, text := range substStatements {
-			for _, procs := range []int{1, 4} {
+			for _, procs := range []int{1, 2, 4} {
 				// Both databases run every statement equally often: the
 				// first reader of a relation a writer left dirty flushes it.
 				w := substAnswer(want, text)
@@ -175,5 +176,66 @@ func TestSubstitutionJoinLoopedChain(t *testing.T) {
 	}
 	if msgs[0] != msgs[1] {
 		t.Fatalf("lending database: %q\nwrapped database: %q", msgs[1], msgs[0])
+	}
+}
+
+// TestSubstitutionJoinThenWriter runs a join over the hashed and over the
+// ISAM inner relation on a session of its own, then, on another session, a
+// writer of that relation, which must run at once: the tapes of the join's
+// shared walks, and the pages they hold on loan, end with its statement.
+// The session's cached join, run twice more, must show the write, with the
+// wrapped database's rows and counts, at one, two and four goroutines: the
+// first run after the writer flushes the frame the writer left dirty and
+// probes without runs, the second shares its walks again.
+func TestSubstitutionJoinThenWriter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		var answers [2][]string
+		for k, wrap := range []bool{true, false} {
+			db := substDB(t, wrap)
+			runtime.GOMAXPROCS(procs)
+			for _, rel := range []string{"d", "e"} {
+				c := db.NewSession("reader")
+				text := fmt.Sprintf(`retrieve (o.a, %[1]s.id, %[1]s.val) where o.k = %[1]s.id`, rel)
+				if _, err := c.Exec("range of o is o\nrange of " + rel + " is " + rel); err != nil {
+					t.Fatal(err)
+				}
+				run := func() string {
+					res, err := c.Exec(text)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return fmt.Sprintf("%v\ninput=%d %+v", res.Rows, res.Input, db.rels[rel].src.Buffers()[0].Stats())
+				}
+				before := run()
+				wrote := make(chan error, 1)
+				go func() {
+					_, err := db.NewSession("writer").Exec(fmt.Sprintf(`range of x is %s
+					replace x (val = x.val + 100) where x.id = 7`, rel))
+					wrote <- err
+				}()
+				select {
+				case err := <-wrote:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("procs %d: the writer of %s did not run within 10 s of the join", procs, rel)
+				}
+				after, again := run(), run()
+				if after == before {
+					t.Fatalf("procs %d: the join over %s does not show the write", procs, rel)
+				}
+				if walks := SubstWalks(c); !wrap && !slices.ContainsFunc(walks, func(w [2]int64) bool { return w[0] > 0 }) {
+					t.Fatalf("procs %d: the join over %s shared no walk: %v", procs, rel, walks)
+				}
+				answers[k] = append(answers[k], before, after, again)
+			}
+		}
+		for i, w := range answers[0] {
+			if g := answers[1][i]; g != w {
+				t.Errorf("procs %d: lending database:\n%s\nwrapped database:\n%s", procs, g, w)
+			}
+		}
 	}
 }

@@ -543,3 +543,68 @@ type ioMark struct {
 	reads int64
 	pages int
 }
+
+// TestRevertWriteFails fails a replace of each relation of a temporal disk
+// database without the log at its second page write, then fails the first
+// write of the revert that follows, which puts back the page the statement
+// had already written (buffer.Buffered.End): the statement's error must be
+// the injected fault and say the rollback is incomplete, and the database,
+// closed and opened again, must pass CheckIntegrity.
+func TestRevertWriteFails(t *testing.T) {
+	typ := bench.Temporal
+	for _, v := range []string{"h", "i"} {
+		t.Run(v, func(t *testing.T) {
+			dir := t.TempDir()
+			b, err := BuildMethod(typ, "paper", 1, core.Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if err := b.Inner.Close(); err != nil {
+				t.Fatalf("close after build: %v", err)
+			}
+			var sched *faultfs.Schedule // armed for the failing statement only
+			db, err := core.Open(core.Options{Dir: dir, WrapFile: func(name string, f storage.File) storage.File {
+				return relay{File: f, name: name, sched: &sched}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, db, fmt.Sprintf("range of h is %[1]s_h\nrange of i is %[1]s_i", typ))
+			if err := db.InvalidateBuffers(); err != nil {
+				t.Fatal(err)
+			}
+			rel := fmt.Sprintf("%s_%s", typ, v)
+			sched = faultfs.MustParse(fmt.Sprintf("%[1]s:write@2:fail;%[1]s:write@3:fail", rel))
+			_, err = db.Exec(bumpAll(v))
+			fired := sched.String()
+			sched = nil
+			t.Logf("%s under %s: %v", bumpAll(v), fired, err)
+			if !faultfs.IsInjected(err) || !strings.Contains(err.Error(), "rollback incomplete") {
+				t.Fatalf("%s: %v, want the injected fault and an incomplete rollback", bumpAll(v), err)
+			}
+			if err := db.Close(); err != nil {
+				t.Logf("close after the incomplete rollback: %v", err)
+			}
+			reopened, err := Reopen(dir, typ, nil)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer func() { _ = reopened.Close() }() // only inspected
+			if err := reopened.CheckIntegrity(); err != nil {
+				t.Fatalf("integrity after reopen: %v", err)
+			}
+			// Without the log nothing puts back the page the revert could
+			// not write: what the reopened relation shows of the chains
+			// the statement touched is logged, not required.
+			seqs, err := CurrentSeqs(reopened, typ, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := int64(1); id <= walTouched; id++ {
+				if _, ok := seqs[id]; !ok {
+					t.Logf("%s: id %d has no current version after the reopen", rel, id)
+				}
+			}
+		})
+	}
+}

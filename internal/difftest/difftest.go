@@ -58,8 +58,36 @@ func Canon(rows [][]tuple.Value) string {
 // quadratic-cost cells of an unindexed (heap) configuration.
 var JoinQueries = map[string]bool{"Q09": true, "Q10": true, "Q11": true, "Q12": true}
 
-// Snapshot runs every applicable benchmark query for type t on x and
-// returns the canonical results keyed by query ID.
+// walTouched is how many chains each schedule statement of the fault and
+// WAL matrices updates; the ids 1..walTouched of each relation must move
+// together or not at all.
+const walTouched = 8
+
+// SeqQuery is the query a snapshot runs beside Figure 4's: the current seq
+// of the chains of ids 1..walTouched in both relations. The fault and WAL
+// matrices' statements update exactly those, and no Figure 4 query reads
+// their seq, so without it a snapshot cannot see a half-applied replace.
+func SeqQuery(t bench.DBType) bench.Query {
+	cur := ""
+	switch t {
+	case bench.Static:
+	case bench.Rollback:
+		cur = ` as of "now"`
+	default:
+		cur = ` when h overlap "now" and i overlap "now"`
+	}
+	return bench.Query{ID: "SEQ",
+		Text: fmt.Sprintf(`retrieve (h.id, h.seq, i.seq) where h.id = i.id and h.id <= %d%s`, walTouched, cur)}
+}
+
+// snapshotQueries are the queries a snapshot of type t runs: Figure 4's,
+// then SeqQuery.
+func snapshotQueries(t bench.DBType) []bench.Query {
+	return append(bench.Queries(t), SeqQuery(t))
+}
+
+// Snapshot runs every applicable benchmark query for type t on x, and
+// SeqQuery, and returns the canonical results keyed by query ID.
 func Snapshot(x Execer, t bench.DBType) (map[string]string, error) {
 	return SnapshotFiltered(x, t, nil)
 }
@@ -68,7 +96,7 @@ func Snapshot(x Execer, t bench.DBType) (map[string]string, error) {
 // false (nil skips nothing).
 func SnapshotFiltered(x Execer, t bench.DBType, skip func(id string) bool) (map[string]string, error) {
 	out := make(map[string]string)
-	for _, q := range bench.Queries(t) {
+	for _, q := range snapshotQueries(t) {
 		if q.Text == "" || (skip != nil && skip(q.ID)) {
 			continue
 		}
@@ -88,7 +116,7 @@ func SnapshotFiltered(x Execer, t bench.DBType, skip func(id string) bool) (map[
 func SnapshotRetry(x Execer, t bench.DBType, maxFaults int) (map[string]string, int, error) {
 	out := make(map[string]string)
 	absorbed := 0
-	for _, q := range bench.Queries(t) {
+	for _, q := range snapshotQueries(t) {
 		if q.Text == "" {
 			continue
 		}

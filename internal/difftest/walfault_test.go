@@ -27,10 +27,6 @@ import (
 // chains at base+1 or all at base — never split), and the twelve-query
 // snapshot is byte-identical to the matching no-fault reference state.
 
-// walTouched is how many chains each schedule statement updates; the ids
-// 1..walTouched of each relation must move together or not at all.
-const walTouched = 8
-
 // walMatrixRow is one recovery outcome, serialized to WAL_MATRIX_OUT for
 // the CI artifact.
 type walMatrixRow struct {

@@ -217,16 +217,9 @@ func BenchmarkSubstitutionJoin(b *testing.B) {
 				Cap:      exec.DefaultBatchCap,
 				Key:      func() (int64, error) { return outerKey, nil },
 				Run:      inner.Buffer().Run,
-				Prober: func() func(int64, *buffer.Run) am.Iterator {
-					aim := inner.RunProber()
-					return func(key int64, r *buffer.Run) am.Iterator {
-						if r != nil {
-							return aim(r, key)
-						}
-						return inner.Probe(key)
-					}
-				},
-				Block: func(int) am.Block { return am.Block{} },
+				Probe:    inner.Probe,
+				Chains:   inner.Chains,
+				Block:    func(int) am.Block { return am.Block{} },
 			},
 			Rebind: func([][]byte) {},
 			Emit:   func() error { rows++; return nil },

@@ -2,9 +2,11 @@ package exec
 
 import (
 	"runtime"
+	"sync/atomic"
 
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
+	"tdbms/internal/page"
 	"tdbms/internal/plan"
 )
 
@@ -26,10 +28,20 @@ import (
 // count, hit and per-operator figure is the one a single goroutine probing
 // row by row through View makes. When the buffer gives out no runs, each
 // probe runs at that point instead, on the calling goroutine, through
-// View. The next outer batch is fetched, and its keys computed, only once
+// Probe. The next outer batch is fetched, and its keys computed, only once
 // every probe of the current one is settled and its rows emitted, where
 // the single goroutine fetches it, so a failure charges what that
 // goroutine charges.
+//
+// The probes through runs share their chain walks (am.Chains): each chain
+// a probe of the execution reaches is walked once, by the first worker
+// that needs it, onto a tape (am.ChainTape) kept in the execution's table
+// of chains, and every probe that reaches it, in this outer batch or a
+// later one, replays the tape for its own key (am.ChainReplay), noting on
+// its own run the views its own walk makes. A probe whose chain another
+// worker is still recording walks the chain alone. The tapes hold pages
+// lent under the inner relation's latch, held for the whole join, and are
+// dropped at Close.
 //
 // A failed key ends the batch's probes before its row: the rows before it
 // are probed and emitted, and the error is returned when its row is
@@ -59,12 +71,13 @@ type BatchSubstJoin struct {
 	// Run returns a run on the inner relation's buffer, or nil when the
 	// probes must read through View on the calling goroutine.
 	Run func() *buffer.Run
-	// Prober returns a worker's probe, made once per execution: it starts
-	// the probe for key, reading pages through r, or through the inner
-	// relation's buffer when r is nil, and the iterator it returns is valid
-	// until its next call. The calling goroutine calls Prober once per
-	// worker, and that worker alone uses what it returns.
-	Prober func() func(key int64, r *buffer.Run) am.Iterator
+	// Probe starts the probe for key on the calling goroutine, reading
+	// through the inner relation's buffer: the probe made without runs.
+	Probe func(key int64) am.Iterator
+	// Chains returns the inner relation's probe split into its key's part
+	// and its chains (am.Chains), which the probes made through runs
+	// share. It is called once per execution that has runs.
+	Chains func() am.Chains
 	// Block returns the block worker w probes into: the inner leaf's
 	// ranges, read-only while the join runs, and worker w's own
 	// qualification and arena, whose owner resets it once the rows built
@@ -72,19 +85,39 @@ type BatchSubstJoin struct {
 	// worker, and worker w alone uses what it returns.
 	Block func(w int) am.Block
 
-	workers []am.Block                             // one per worker; worker 0 is the calling goroutine
-	aims    []func(int64, *buffer.Run) am.Iterator // worker w's probe, this execution
-	runs    []*buffer.Run                          // runs[i] carries probe i of every outer batch
-	probes  []substProbe                           // the current outer batch's probes
-	n       int                                    // probes[:n] are to be emitted
-	keyErr  error                                  // the error of row n's key, if any
-	pi, ti  int                                    // probes[pi] is emitting its row ti
-	settled int                                    // probes[:settled] are settled
-	obValid bool                                   // OuterBuf holds the batch the probes belong to
+	workers []am.Block    // one per worker; worker 0 is the calling goroutine
+	runs    []*buffer.Run // runs[i] carries probe i of every outer batch
+	probes  []substProbe  // the current outer batch's probes
+	n       int           // probes[:n] are to be emitted
+	keyErr  error         // the error of row n's key, if any
+	pi, ti  int           // probes[pi] is emitting its row ti
+	settled int           // probes[:settled] are settled
+	obValid bool          // OuterBuf holds the batch the probes belong to
 	done    bool
 	win     window // the probes' window, running from the first batch with runs
 	base    int    // the window item of probes[0]; a multiple of len(probes)
+
+	// The shared walks of the execution's probes through runs.
+	chains   am.Chains
+	tapes    []atomic.Pointer[am.ChainTape] // tapes[h]: chain h's tape, recording or nil
+	walks    []chainWorker                  // worker w's
+	recorded atomic.Int64                   // tapes recorded this execution, shared
+	alone    atomic.Int64                   // chains walked alone this execution
 }
+
+// chainWorker is worker w's side of the shared walks: its probe, which
+// replays tapes through the probe's run, the run its recordings view
+// through, which only lends, the tape it records onto, and the copies it
+// keeps of those it shares.
+type chainWorker struct {
+	replay am.ChainReplay
+	lend   *buffer.Run
+	own    am.ChainTape
+	kept   am.TapeArena // the tapes it recorded for every worker
+}
+
+// recording is the tape of a chain another worker is recording.
+var recording = new(am.ChainTape)
 
 // substProbe is one outer row's probe: its key, the run it reads through
 // (nil for a probe made at settle time), its accepted inner tuples and its
@@ -98,14 +131,10 @@ type substProbe struct {
 
 // Open implements BatchOperator.
 func (j *BatchSubstJoin) Open() error {
-	j.win.close()
+	j.closeWalks()
 	j.obValid, j.done = false, false
-	// A run, and a probe, belong to the handle of the execution that
-	// made it.
-	clear(j.runs)
-	j.runs = j.runs[:0]
-	clear(j.aims)
-	j.aims = j.aims[:0]
+	j.recorded.Store(0)
+	j.alone.Store(0)
 	if j.Start != nil {
 		j.Start()
 	}
@@ -131,24 +160,8 @@ func (j *BatchSubstJoin) NextBatch(b *Batch) (bool, error) {
 			j.obValid = true
 			j.probeBatch()
 		}
-		for ; j.pi < j.n; j.pi, j.ti = j.pi+1, 0 {
-			p := &j.probes[j.pi]
-			if j.settled == j.pi {
-				j.settle(p)
-			}
-			orow := j.OuterBuf.Row(j.OuterBuf.Sel()[j.pi])
-			for ; j.ti < len(p.tups); j.ti++ {
-				if b.Full() {
-					return true, nil
-				}
-				row := b.AddRow()
-				copy(row, orow)
-				row[j.Slot] = p.tups[j.ti]
-				j.Node.ActRows++
-			}
-			if p.err != nil {
-				return false, p.err
-			}
+		if full, err := j.emit(b); full || err != nil {
+			return full, err
 		}
 		if j.keyErr != nil {
 			return false, j.keyErr
@@ -157,10 +170,39 @@ func (j *BatchSubstJoin) NextBatch(b *Batch) (bool, error) {
 	}
 }
 
+// emit settles the outer batch's probes in order and emits their rows
+// into b, and reports whether b filled up first, or the error of a probe
+// that failed. The settles charge the inner node; emitting rows reads no
+// page.
+func (j *BatchSubstJoin) emit(b *Batch) (bool, error) {
+	prev := j.Att.Enter(j.Inner)
+	defer j.Att.Leave(prev)
+	for ; j.pi < j.n; j.pi, j.ti = j.pi+1, 0 {
+		p := &j.probes[j.pi]
+		if j.settled == j.pi {
+			j.settle(p)
+		}
+		orow := j.OuterBuf.Row(j.OuterBuf.Sel()[j.pi])
+		for ; j.ti < len(p.tups); j.ti++ {
+			if b.Full() {
+				return true, nil
+			}
+			row := b.AddRow()
+			copy(row, orow)
+			row[j.Slot] = p.tups[j.ti]
+			j.Node.ActRows++
+		}
+		if p.err != nil {
+			return false, p.err
+		}
+	}
+	return false, nil
+}
+
 // probeBatch computes the keys of the outer batch's rows, in order, up to
 // the first that fails, and, when the inner buffer gives out a run for
-// each, publishes their probes to the window, starting the helpers at the
-// execution's first such batch.
+// each, publishes their probes to the window, starting the helpers, and
+// the shared walks, at the execution's first such batch.
 func (j *BatchSubstJoin) probeBatch() {
 	sel := j.OuterBuf.Sel()
 	if len(j.probes) < j.OuterBuf.Cap() {
@@ -180,13 +222,13 @@ func (j *BatchSubstJoin) probeBatch() {
 		return
 	}
 	if !j.takeRuns() {
-		j.worker(0) // the probes run at settle time, on this goroutine
+		j.block(0) // the probes run at settle time, on this goroutine
 		return
 	}
 	if !j.win.running() {
-		procs := runtime.GOMAXPROCS(0)
+		procs := len(j.walks)
 		for w := range procs {
-			j.worker(w)
+			j.block(w)
 		}
 		j.win.start(procs-1, len(j.probes), j.runProbe)
 		j.base = 0
@@ -203,16 +245,18 @@ func (j *BatchSubstJoin) runProbe(w, i int) bool {
 }
 
 // takeRuns gives each of the batch's probes its run and reports whether
-// the inner buffer gave out enough; if not, no probe has one.
+// the inner buffer gave out enough, and the shared walks are ready; if
+// not, no probe has one.
 func (j *BatchSubstJoin) takeRuns() bool {
-	for len(j.runs) < j.n && j.Run != nil {
+	ok := j.Run != nil && j.readyWalks()
+	for ok && len(j.runs) < j.n {
 		r := j.Run()
 		if r == nil {
 			break
 		}
 		j.runs = append(j.runs, r)
 	}
-	ok := len(j.runs) >= j.n
+	ok = ok && len(j.runs) >= j.n
 	for i := range j.n {
 		j.probes[i].run = nil
 		if ok {
@@ -222,25 +266,89 @@ func (j *BatchSubstJoin) takeRuns() bool {
 	return ok
 }
 
-// worker makes worker w's block on first use, and its probe on first use
-// in this execution.
-func (j *BatchSubstJoin) worker(w int) {
+// readyWalks readies the execution's shared walks, the first time it is
+// called in an execution, and reports whether they are ready: each worker
+// has a run for its recordings, and each chain an empty tape.
+func (j *BatchSubstJoin) readyWalks() bool {
+	if len(j.walks) > 0 {
+		return true
+	}
+	walks := make([]chainWorker, runtime.GOMAXPROCS(0))
+	for w := range walks {
+		if walks[w].lend = j.Run(); walks[w].lend == nil {
+			return false
+		}
+	}
+	j.walks = walks
+	j.chains = j.Chains()
+	if cap(j.tapes) < j.chains.Heads {
+		j.tapes = make([]atomic.Pointer[am.ChainTape], j.chains.Heads)
+	}
+	j.tapes = j.tapes[:j.chains.Heads]
+	for w := range walks {
+		walks[w].replay = am.ChainReplay{C: &j.chains,
+			Tape: func(head page.ID) *am.ChainTape { return j.tape(w, head) }}
+	}
+	return true
+}
+
+// tape returns, for worker w, the tape of the chain headed by head. The
+// first worker to need a chain records its tape for every later probe
+// that reaches it; a worker that finds the tape still being recorded, or
+// a chain outside the table, walks the chain alone, onto its own tape.
+func (j *BatchSubstJoin) tape(w int, head page.ID) *am.ChainTape {
+	cw := &j.walks[w]
+	if head >= 0 && int(head) < len(j.tapes) {
+		slot := &j.tapes[head]
+		t := slot.Load()
+		if t == nil && slot.CompareAndSwap(nil, recording) {
+			cw.own.Record(cw.lend, head, j.chains.Key)
+			t = cw.kept.Keep(&cw.own)
+			slot.Store(t)
+			j.recorded.Add(1)
+			return t
+		}
+		if t = slot.Load(); t != recording {
+			return t
+		}
+	}
+	cw.own.Record(cw.lend, head, j.chains.Key)
+	j.alone.Add(1)
+	return &cw.own
+}
+
+// Walks reports the chain walks the last execution made: the tapes it
+// recorded and shared, and the chains a probe walked alone because
+// another goroutine was recording them.
+func (j *BatchSubstJoin) Walks() (recorded, alone int64) {
+	return j.recorded.Load(), j.alone.Load()
+}
+
+// block makes worker w's block on first use.
+func (j *BatchSubstJoin) block(w int) {
 	for len(j.workers) <= w {
 		j.workers = append(j.workers, j.Block(len(j.workers)))
 	}
-	for len(j.aims) <= w {
-		j.aims = append(j.aims, j.Prober())
-	}
 }
 
-// probe runs p on worker w and reports whether it succeeded. The walk is
-// paced as a leaf scan filling batches of Cap rows paces it, so it views
-// the same pages the same number of times. A failed probe keeps the rows
-// of the batches it filled before the error, which such a scan would have
-// delivered.
+// probe runs p on worker w and reports whether it succeeded: with a run,
+// by replaying the tapes of the chains it reaches, else through Probe.
+// The walk is paced as a leaf scan filling batches of Cap rows paces it,
+// so it views the same pages the same number of times. A failed probe
+// keeps the rows of the batches it filled before the error, which such a
+// scan would have delivered.
 func (j *BatchSubstJoin) probe(w int, p *substProbe) bool {
 	p.tups, p.err = p.tups[:0], nil
-	blk, it := &j.workers[w], j.aims[w](p.key, p.run)
+	var it am.Iterator
+	if p.run != nil {
+		rp := &j.walks[w].replay
+		rp.V = p.run
+		rp.Reset(p.key)
+		it = rp
+	} else {
+		it = j.Probe(p.key)
+	}
+	blk := &j.workers[w]
 	room, filled := j.Cap, 0
 	for {
 		ok, err := it.NextBlock(blk, room)
@@ -258,23 +366,33 @@ func (j *BatchSubstJoin) probe(w int, p *substProbe) bool {
 	}
 }
 
-// settle charges probe p's pages to the inner node: its run's views, or,
-// without a run, the probe itself, made now.
+// settle charges probe p's pages, inside emit's bracket of the inner
+// node: its run's views, or, without a run, the probe itself, made now.
 func (j *BatchSubstJoin) settle(p *substProbe) {
-	prev := j.Att.Enter(j.Inner)
 	if p.run != nil {
 		j.win.await(j.base + j.settled)
 		p.run.Settle()
 	} else {
 		j.probe(0, p)
 	}
-	j.Att.Leave(prev)
 	j.Inner.ActRows += int64(len(p.tups))
 	j.settled++
 }
 
 // Close implements BatchOperator.
 func (j *BatchSubstJoin) Close() error {
-	j.win.close()
+	j.closeWalks()
 	return j.Outer.Close()
+}
+
+// closeWalks stops the helpers and drops what the execution's probes
+// held: the runs, which belong to its handle, and the tapes, whose pages
+// were lent under its latch.
+func (j *BatchSubstJoin) closeWalks() {
+	j.win.close()
+	clear(j.runs)
+	j.runs = j.runs[:0]
+	clear(j.tapes)
+	j.tapes = j.tapes[:0]
+	j.walks = nil
 }

@@ -13,6 +13,7 @@ import (
 	"tdbms/internal/exec"
 	"tdbms/internal/hashfile"
 	"tdbms/internal/heapfile"
+	"tdbms/internal/isam"
 	"tdbms/internal/page"
 	"tdbms/internal/plan"
 	"tdbms/internal/storage"
@@ -84,10 +85,17 @@ type substCase struct {
 	outerCap, outCap int
 	residual         bool  // the inner leaf has a residual
 	failKey          int64 // the key that fails to compute; -1 for none
+	// qualErr is the inner key whose version 3 the inner leaf's
+	// qualification fails on; -1 for none.
+	qualErr int64
 	// slow: the consumer sleeps between NextBatch calls, about once per
 	// 256 rows, so the helpers have run the outer batch's later probes
 	// before their rows are reached.
 	slow bool
+	// again: the join is opened and run a second time, and in that
+	// execution the inner buffer refuses the first run asked of it, so
+	// the first outer batch probes without runs.
+	again bool
 }
 
 // substOutcome is what a join run shows.
@@ -98,6 +106,14 @@ type substOutcome struct {
 	outerIO, innerIO      plan.IOStats
 	innerStats            buffer.Stats
 	innerRows, joinedRows int64
+	recorded, alone       int64 // the shared walks (BatchSubstJoin.Walks)
+}
+
+// keyedFile is an inner relation: a hash or ISAM file.
+type keyedFile interface {
+	Probe(key int64) am.Iterator
+	Chains() am.Chains
+	Buffer() *buffer.Buffered
 }
 
 // substMode picks the join under test.
@@ -109,7 +125,7 @@ const (
 	parallel                    // BatchSubstJoin with runs
 )
 
-func runSubst(t *testing.T, outer *heapfile.File, inner *hashfile.File, c substCase, mode substMode) substOutcome {
+func runSubst(t *testing.T, outer *heapfile.File, inner keyedFile, c substCase, mode substMode) substOutcome {
 	t.Helper()
 	for _, bf := range []*buffer.Buffered{outer.Buffer(), inner.Buffer()} {
 		if err := bf.Invalidate(); err != nil {
@@ -133,16 +149,22 @@ func runSubst(t *testing.T, outer *heapfile.File, inner *hashfile.File, c substC
 	}
 	ranges := []am.Range{{Key: am.Key{Offset: 4, Width: 4}, Lo: 1, Hi: 6}}
 	qual := func(int) func(page.RID, []byte) (bool, error) {
-		if !c.residual {
+		if !c.residual && c.qualErr < 0 {
 			return nil
 		}
 		return func(_ page.RID, tup []byte) (bool, error) {
-			return binary.LittleEndian.Uint32(tup[4:])%3 != 0, nil
+			v := binary.LittleEndian.Uint32(tup[4:])
+			if benchKey.Extract(tup) == c.qualErr && v == 3 {
+				return false, fmt.Errorf("qual fails on key %d version %d", c.qualErr, v)
+			}
+			return !c.residual || v%3 != 0, nil
 		}
 	}
 	outerScan := &exec.BatchScan{Node: outerNode, Att: att, Slot: 0,
 		Start: func() (am.Iterator, error) { return outer.Scan(), nil }}
 	var join exec.BatchOperator
+	var subst *exec.BatchSubstJoin
+	refuse := false // the next run asked of the inner buffer is refused
 	if mode == nestedLoop {
 		join = &exec.BatchNestedLoop{Node: joinNode, Outer: outerScan, Rebind: rebind,
 			Inner: &exec.BatchScan{Node: innerNode, Att: att, Slot: 1, Ranges: ranges, Bind: qual(0),
@@ -156,24 +178,18 @@ func runSubst(t *testing.T, outer *heapfile.File, inner *hashfile.File, c substC
 			OuterBuf: exec.NewBatch(2, c.outerCap), InnerBuf: exec.NewBatch(2, c.outerCap)}
 	} else {
 		arenas := map[int]*am.Arena{}
-		join = &exec.BatchSubstJoin{Node: joinNode, Inner: innerNode, Att: att, Outer: outerScan,
+		subst = &exec.BatchSubstJoin{Node: joinNode, Inner: innerNode, Att: att, Outer: outerScan,
 			OuterBuf: exec.NewBatch(2, c.outerCap), Rebind: rebind, Slot: 1, Cap: c.outerCap,
 			Key: key,
 			Run: func() *buffer.Run {
-				if mode == parallel {
-					return inner.Buffer().Run()
+				if mode != parallel || refuse {
+					refuse = false
+					return nil
 				}
-				return nil
+				return inner.Buffer().Run()
 			},
-			Prober: func() func(int64, *buffer.Run) am.Iterator {
-				aim := inner.RunProber()
-				return func(k int64, r *buffer.Run) am.Iterator {
-					if r != nil {
-						return aim(r, k)
-					}
-					return inner.Probe(k)
-				}
-			},
+			Probe:  inner.Probe,
+			Chains: inner.Chains,
 			Block: func(w int) am.Block {
 				if arenas[w] != nil {
 					t.Errorf("worker %d's block asked for twice", w)
@@ -182,41 +198,56 @@ func runSubst(t *testing.T, outer *heapfile.File, inner *hashfile.File, c substC
 				return am.Block{Ranges: ranges, Qual: qual(w), Arena: arenas[w]}
 			},
 		}
+		join = subst
 	}
 
 	var out substOutcome
 	b := exec.NewBatch(2, c.outCap)
-	if err := join.Open(); err != nil {
-		t.Fatal(err)
-	}
-	for calls := 1; ; calls++ {
-		ok, err := join.NextBatch(b)
-		out.marks = append(out.marks, fmt.Sprintf("%+v %+v %+v %+v", outerNode.IO, innerNode.IO,
-			outer.Buffer().Stats(), inner.Buffer().Stats()))
-		if err != nil {
-			out.err = err
-			break
+	for exec := range 1 + btoi(c.again) {
+		refuse = exec > 0
+		if err := join.Open(); err != nil {
+			t.Fatal(err)
 		}
-		if !ok {
-			break
+		for calls := 1; ; calls++ {
+			ok, err := join.NextBatch(b)
+			out.marks = append(out.marks, fmt.Sprintf("%+v %+v %+v %+v", outerNode.IO, innerNode.IO,
+				outer.Buffer().Stats(), inner.Buffer().Stats()))
+			if err != nil {
+				out.err = err
+				break
+			}
+			if !ok {
+				break
+			}
+			for _, i := range b.Sel() {
+				row := b.Row(i)
+				out.rows = append(out.rows, fmt.Sprintf("%d:%d/%d", benchKey.Extract(row[0]),
+					benchKey.Extract(row[1]), binary.LittleEndian.Uint32(row[1][4:])))
+			}
+			if c.slow && (calls == 1 || calls%max(1, 256/c.outCap) == 0) {
+				time.Sleep(300 * time.Microsecond)
+			}
 		}
-		for _, i := range b.Sel() {
-			row := b.Row(i)
-			out.rows = append(out.rows, fmt.Sprintf("%d:%d/%d", benchKey.Extract(row[0]),
-				benchKey.Extract(row[1]), binary.LittleEndian.Uint32(row[1][4:])))
+		if err := join.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if c.slow && (calls == 1 || calls%max(1, 256/c.outCap) == 0) {
-			time.Sleep(300 * time.Microsecond)
-		}
-	}
-	if err := join.Close(); err != nil {
-		t.Fatal(err)
 	}
 	att.Finish(joinNode)
 	out.outerIO, out.innerIO = outerNode.IO, innerNode.IO
 	out.innerStats = inner.Buffer().Stats()
 	out.innerRows, out.joinedRows = innerNode.ActRows, joinNode.ActRows
+	if subst != nil {
+		out.recorded, out.alone = subst.Walks()
+	}
 	return out
+}
+
+// btoi is 1 for true, 0 for false.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // checkSame requires got to be want, error text included.
@@ -275,16 +306,16 @@ func TestSubstJoinMatchesNestedLoop(t *testing.T) {
 		for _, n := range []int{0, 1, 300, 700} {
 			outer := substOuter(t, n)
 			for _, c := range []substCase{
-				{outerCap: 256, outCap: 256, failKey: -1},
-				{outerCap: 256, outCap: 5, residual: true, failKey: -1},
-				{outerCap: 1, outCap: 1, residual: true, failKey: -1},
-				{outerCap: 7, outCap: 256, failKey: -1},
-				{outerCap: 256, outCap: 5, failKey: 30}, // row 80: mid-batch at both capacities
-				{outerCap: 7, outCap: 1, residual: true, failKey: 30},
-				{outerCap: 256, outCap: 256, residual: true, failKey: -1, slow: true},
-				{outerCap: 7, outCap: 5, failKey: -1, slow: true},
-				{outerCap: 1, outCap: 1, failKey: -1, slow: true},
-				{outerCap: 256, outCap: 5, failKey: 30, slow: true},
+				{outerCap: 256, outCap: 256, failKey: -1, qualErr: -1},
+				{outerCap: 256, outCap: 5, residual: true, failKey: -1, qualErr: -1},
+				{outerCap: 1, outCap: 1, residual: true, failKey: -1, qualErr: -1},
+				{outerCap: 7, outCap: 256, failKey: -1, qualErr: -1},
+				{outerCap: 256, outCap: 5, failKey: 30, qualErr: -1}, // row 80: mid-batch at both capacities
+				{outerCap: 7, outCap: 1, residual: true, failKey: 30, qualErr: -1},
+				{outerCap: 256, outCap: 256, residual: true, failKey: -1, qualErr: -1, slow: true},
+				{outerCap: 7, outCap: 5, failKey: -1, qualErr: -1, slow: true},
+				{outerCap: 1, outCap: 1, failKey: -1, qualErr: -1, slow: true},
+				{outerCap: 256, outCap: 5, failKey: 30, qualErr: -1, slow: true},
 			} {
 				name := fmt.Sprintf("buckets=%d/n=%d/%+v", buckets, n, c)
 				base := runtime.NumGoroutine()
@@ -363,11 +394,11 @@ func TestSubstJoinLoopedChain(t *testing.T) {
 				t.Fatal(err)
 			}
 			cases := []substCase{
-				{outerCap: 256, outCap: 256, failKey: -1},
-				{outerCap: 3, outCap: 2, residual: true, failKey: -1},
+				{outerCap: 256, outCap: 256, failKey: -1, qualErr: -1},
+				{outerCap: 3, outCap: 2, residual: true, failKey: -1, qualErr: -1},
 			}
 			if link.buckets > 3 {
-				cases = []substCase{{outerCap: 256, outCap: 2, failKey: -1, slow: true}}
+				cases = []substCase{{outerCap: 256, outCap: 2, failKey: -1, qualErr: -1, slow: true}}
 			}
 			for _, c := range cases {
 				base := runtime.NumGoroutine()
@@ -385,5 +416,124 @@ func TestSubstJoinLoopedChain(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// substISAM is an ISAM file of substKeys keys, built one version each at
+// half loading, then given seven more versions each, which go to the data
+// pages' overflow chains: every probe walks a chain of several pages, and
+// outer keys past the largest all land on the last data page's chain, as
+// Q10's do.
+func substISAM(t *testing.T) *isam.File {
+	t.Helper()
+	var built [][]byte
+	for k := 0; k < substKeys; k++ {
+		built = append(built, innerTuple(k, 0))
+	}
+	f, err := isam.Build(buffer.New("subst_isam", storage.NewMem()), benchWidth, benchKey, 50, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v < 8; v++ {
+		for k := 0; k < substKeys; k++ {
+			if _, err := f.Insert(innerTuple(k, v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := f.Buffer().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// chainsReached is how many chains the probes of keys can reach: the
+// distinct chain heads between each key's first and last.
+func chainsReached(t *testing.T, inner keyedFile, keys []int64) int {
+	t.Helper()
+	c, heads := inner.Chains(), map[page.ID]bool{}
+	for _, k := range keys {
+		first, last, err := c.Locate(inner.Buffer(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := first; h <= last; h++ {
+			heads[h] = true
+		}
+	}
+	return len(heads)
+}
+
+// TestSubstJoinSharedWalks runs the join whose probes share their chain
+// walks against the nested loop and, NextBatch by NextBatch, against the
+// join probing without runs, over hash chains of many pages and of one and
+// over ISAM data pages with long overflow chains. The outer keys repeat
+// within each outer batch and across batches, so most probes replay a
+// tape another probe recorded; outer batches of 7 and 1 rows pace the
+// probes at fewer candidates than a key's eight versions, so a probe stops
+// mid-page and views it again; the inner qualification fails on one
+// candidate of a chain many keys share, which only key 30's probes offer;
+// and key 30 fails to compute. It runs at one, two and four goroutines.
+// Each execution records one tape per chain its probes reach: exactly one
+// per bucket, and for ISAM no more than the data pages in the probes'
+// ranges, fewer where a probe stops at a greater key.
+func TestSubstJoinSharedWalks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	outer := substOuter(t, 700)
+	var keys []int64
+	if err := am.Each(outer.Scan(), func(_ page.RID, tup []byte) error {
+		keys = append(keys, benchKey.Extract(tup))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name  string
+		inner keyedFile
+		exact bool // every chain the keys can reach is walked
+	}{
+		{"hash/3", substInner(t, 3), true},
+		{"hash/40", substInner(t, 40), true},
+		{"isam", substISAM(t), false},
+	} {
+		reached := chainsReached(t, in.inner, keys)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, c := range []substCase{
+				{outerCap: 256, outCap: 256, failKey: -1, qualErr: -1},
+				{outerCap: 7, outCap: 5, residual: true, failKey: -1, qualErr: -1},
+				{outerCap: 1, outCap: 1, failKey: -1, qualErr: -1},
+				{outerCap: 256, outCap: 5, failKey: -1, qualErr: 30},
+				{outerCap: 7, outCap: 256, residual: true, failKey: -1, qualErr: 30, slow: true},
+				{outerCap: 256, outCap: 5, failKey: 30, qualErr: -1, slow: true},
+				{outerCap: 256, outCap: 256, failKey: -1, qualErr: -1, again: true},
+				{outerCap: 7, outCap: 5, failKey: -1, qualErr: -1, again: true},
+			} {
+				name := fmt.Sprintf("%s/procs=%d/%+v", in.name, procs, c)
+				base := runtime.NumGoroutine()
+				want := runSubst(t, outer, in.inner, c, nestedLoop)
+				if c.qualErr >= 0 && want.err == nil {
+					t.Fatalf("%s: the reference did not fail", name)
+				}
+				ser := runSubst(t, outer, in.inner, c, serial)
+				checkSame(t, name+"/serial", ser, want)
+				par := runSubst(t, outer, in.inner, c, parallel)
+				checkSame(t, name+"/parallel", par, want)
+				checkMarks(t, name+"/parallel", par, ser)
+				if g := goroutinesAfter(base); g != base {
+					t.Fatalf("%s: %d goroutines after the joins, %d before", name, g, base)
+				}
+				if ser.recorded != 0 || ser.alone != 0 {
+					t.Fatalf("%s: the join without runs recorded %d tapes", name, ser.recorded+ser.alone)
+				}
+				if par.recorded > int64(reached) || want.err == nil && in.exact && par.recorded != int64(reached) {
+					t.Fatalf("%s: %d tapes recorded, %d chains reachable", name, par.recorded, reached)
+				}
+				if c.outerCap == 256 && c.outCap == 256 {
+					t.Logf("%s: %d tapes recorded and %d chains walked alone for %d probes over %d reachable chains",
+						name, par.recorded, par.alone, len(keys), reached)
+				}
+			}
+		}
 	}
 }

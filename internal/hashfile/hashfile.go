@@ -190,19 +190,14 @@ func (f *File) Delete(rid page.RID) error {
 // Probe implements am.File: hashed access, reading only the bucket's chain.
 func (f *File) Probe(key int64) am.Iterator { return probe(f, f.buf, key) }
 
-// RunProber returns Probe reading through a run on the file's buffer, for
-// a goroutine that probes many keys: each call re-aims one walk at its
-// key, so the iterator it returns is valid until the next call.
-func (f *File) RunProber() func(r *buffer.Run, key int64) am.Iterator {
-	var p struct {
-		cw chainWalk[*buffer.Run]
-		w  am.Walk
-	}
-	return func(r *buffer.Run, key int64) am.Iterator {
-		p.cw = newChainWalk(f, r, key)
-		p.w.Reset(&p.cw, am.Equal(f.meta.Key, key))
-		return &p.w
-	}
+// Chains splits Probe into the key's bucket, which reads nothing, and the
+// bucket's chain (am.Chains).
+func (f *File) Chains() am.Chains {
+	return am.Chains{Key: f.meta.Key, Heads: f.meta.Primary,
+		Locate: func(_ am.Viewer, key int64) (page.ID, page.ID, error) {
+			b := f.Bucket(key)
+			return b, b, nil
+		}}
 }
 
 // probe walks key's chain, reading pages through v.

@@ -331,19 +331,14 @@ func (f *File) Ordered() bool { return true }
 // chain, filtered by key.
 func (f *File) Probe(key int64) am.Iterator { return probe(f, f.buf, key) }
 
-// RunProber returns Probe reading through a run on the file's buffer, for
-// a goroutine that probes many keys: each call re-aims one walk at its
-// key, so the iterator it returns is valid until the next call.
-func (f *File) RunProber() func(r *buffer.Run, key int64) am.Iterator {
-	var p struct {
-		pw probeWalk[*buffer.Run]
-		w  am.Walk
-	}
-	return func(r *buffer.Run, key int64) am.Iterator {
-		p.pw = newProbeWalk(f, r)
-		p.w.Reset(&p.pw, am.Equal(f.meta.Key, key))
-		return &p.w
-	}
+// Chains splits Probe into the key's directory descent, which reads the
+// directory through the probe's viewer, and the chains of the data pages
+// it finds (am.Chains).
+func (f *File) Chains() am.Chains {
+	return am.Chains{Key: f.meta.Key, Heads: f.meta.DataPages,
+		Locate: func(v am.Viewer, key int64) (page.ID, page.ID, error) {
+			return probeRange(f, v, key, key)
+		}}
 }
 
 // probe walks the pages that can hold key, reading them through v.
