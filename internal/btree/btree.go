@@ -458,7 +458,7 @@ func (w *leafWalk) View(m *am.Match) (*page.Page, page.ID, error) {
 		return nil, page.Nil, nil
 	}
 	if w.left <= 0 {
-		return nil, page.Nil, am.Overrun(w.f.buf.Name(), w.cur)
+		return nil, w.cur, am.Overrun(w.f.buf.Name(), w.cur)
 	}
 	p, err := w.f.buf.View(w.cur)
 	return p, w.cur, err

@@ -158,6 +158,10 @@ type pool struct {
 	gen     uint64
 	seen    []uint64
 	shadows []shadow
+	// unwritten holds the images a revert could not write back: each
+	// serves its page's next load, as a dirty frame, and Flush retries
+	// the write of those still here.
+	unwritten []shadow
 }
 
 // shadow is a page's image from before the armed statement dirtied it.
@@ -326,11 +330,15 @@ func (b *Buffered) begin() {
 	p.tick++
 }
 
-// load makes the flushed frame f hold page id: on loan when the store
+// load makes the flushed frame f hold page id: the image a revert could
+// not write back, dirty, when there is one, else on loan when the store
 // lends, else read into an image of the pool's. Caller holds p.mu.
 func (p *pool) load(f *frame, id page.ID) error {
 	p.empty(f)
-	if p.lend != nil {
+	if i := slices.IndexFunc(p.unwritten, func(s shadow) bool { return s.id == id }); i >= 0 {
+		f.img, f.pg, f.dirty = p.unwritten[i].img, &p.unwritten[i].img.pg, true
+		p.unwritten = slices.Delete(p.unwritten, i, i+1)
+	} else if p.lend != nil {
 		pg, err := p.lend.Lend(id)
 		if err != nil {
 			return err
@@ -474,7 +482,7 @@ type Run struct {
 // Run returns a run on this handle, or nil when deferred views could
 // count differently from View: when the store does not lend, when the
 // pool has more than one frame, or when a frame is dirty (a dirty pending
-// scratch is synced into its frame first).
+// scratch is synced into its frame first) or an image is unwritten.
 func (b *Buffered) Run() *Run {
 	p := b.p
 	if p.lend == nil || len(p.frames) != 1 {
@@ -483,7 +491,7 @@ func (b *Buffered) Run() *Run {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.sync()
-	if p.frames[0].dirty {
+	if p.frames[0].dirty || len(p.unwritten) > 0 {
 		return nil
 	}
 	return &Run{b: b, lend: p.lend}
@@ -645,6 +653,14 @@ func (b *Buffered) ViewAhead(id page.ID, ahead int) (*page.Page, error) {
 		f.used = p.tick
 		return b.hold(f), nil
 	}
+	if len(p.unwritten) > 0 {
+		// A page a revert could not write back is read through load.
+		f, err := b.resident(id)
+		if err != nil {
+			return nil, err
+		}
+		return b.hold(f), nil
+	}
 	// Size the batch: the requested page plus in-range, non-resident
 	// successors. Stopping at the first resident page keeps every page of
 	// the run read exactly once and guarantees no two frames ever hold the
@@ -757,7 +773,9 @@ func (p *pool) capture(f *frame) {
 // resident, else through WritePage (a lent page is rewritten where it
 // lies); the pages it allocated leave the frames unflushed, and the file
 // shrinks back to its size at Arm. Every page is put back even when one
-// fails; the first error is returned. On an unarmed pool End does nothing.
+// fails; the first error is returned. An image whose write fails is kept
+// (pool.unwritten): the page's next load takes it, and Flush and Close
+// retry its write. On an unarmed pool End does nothing.
 func (b *Buffered) End(keep bool) error {
 	p := b.p
 	p.mu.Lock()
@@ -768,13 +786,17 @@ func (b *Buffered) End(keep bool) error {
 			p.pending.dirty = false
 			p.pending = nil
 		}
-		for _, s := range p.shadows {
+		for i, s := range p.shadows {
 			if f := p.lookup(s.id); f != nil {
 				p.own(f)
 				f.img.pg = s.img.pg
 				f.dirty = true
-			} else if werr := p.file.WritePage(s.id, &s.img.pg); werr != nil && err == nil {
-				err = fmt.Errorf("buffer %q: revert page %d: %w", p.name, s.id, werr)
+			} else if werr := p.file.WritePage(s.id, &s.img.pg); werr != nil {
+				p.unwritten = append(p.unwritten, s)
+				p.shadows[i].img = nil
+				if err == nil {
+					err = fmt.Errorf("buffer %q: revert page %d: %w", p.name, s.id, werr)
+				}
 			}
 		}
 		for i := range p.frames {
@@ -848,6 +870,15 @@ func (b *Buffered) Flush() error {
 func (b *Buffered) flushLocked() error {
 	p := b.p
 	p.sync()
+	for len(p.unwritten) > 0 {
+		s := p.unwritten[0]
+		if err := p.file.WritePage(s.id, &s.img.pg); err != nil {
+			return fmt.Errorf("buffer %q: revert page %d: %w", p.name, s.id, err)
+		}
+		b.charge(Stats{Writes: 1})
+		p.release(s.img)
+		p.unwritten = p.unwritten[1:]
+	}
 	for i := range p.frames {
 		if err := b.flushFrame(&p.frames[i]); err != nil {
 			return err
@@ -904,7 +935,10 @@ func (b *Buffered) Truncate() error {
 	for i := range p.frames {
 		p.empty(&p.frames[i])
 	}
-	p.pending = nil
+	for _, s := range p.unwritten {
+		p.release(s.img)
+	}
+	p.unwritten, p.pending = nil, nil
 	return p.file.Shrink(0)
 }
 

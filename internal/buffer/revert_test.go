@@ -146,7 +146,9 @@ func TestEndKeepsWork(t *testing.T) {
 
 // TestRevertReportsFailedWrite: a page evicted during the statement goes
 // back through the store, and when the store refuses the write the revert
-// says so, having put back every page it could.
+// says so, having put back every page it could. The image it could not
+// write is kept: Close fails while the store refuses its write, the
+// page's next view shows it, and a flush then writes it.
 func TestRevertReportsFailedWrite(t *testing.T) {
 	m := storage.NewMem()
 	for i := 0; i < 2; i++ {
@@ -169,6 +171,29 @@ func TestRevertReportsFailedWrite(t *testing.T) {
 	}
 	if s, _ := stamped(p); s != 0 {
 		t.Fatalf("resident page 1 has stamp %d after the revert, want its old image", s)
+	}
+	if b.Run() != nil {
+		t.Fatal("a run was given out with an image unwritten")
+	}
+	if err := b.Close(); err == nil {
+		t.Fatal("Close succeeded with the revert's write still refused")
+	}
+	f.fail = false
+	if p, err = b.View(0); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := stamped(p); s != 0 {
+		t.Fatalf("page 0 has stamp %d after the revert, want its old image", s)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var disk page.Page
+	if err := m.ReadPage(0, &disk); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := stamped(&disk); s != 0 {
+		t.Fatalf("page 0 has stamp %d in the store after the flush, want its old image", s)
 	}
 }
 

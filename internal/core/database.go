@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tdbms/internal/am"
 	"tdbms/internal/buffer"
@@ -55,11 +54,6 @@ type Options struct {
 	// reattaching relations. Logging sits below the buffer manager's I/O
 	// counters, so the paper's page accounting is unchanged.
 	WAL bool
-	// WALGroupWindow is the group-commit gathering delay: how long an
-	// elected sync leader waits before issuing the shared sync, letting
-	// concurrent committers land under the same barrier. Zero syncs
-	// immediately (concurrent waiters still share a sync).
-	WALGroupWindow time.Duration
 	// WrapLog, when non-nil, wraps the write-ahead log file (named "wal").
 	// The fault-injection tests use it to tear the log tail and count
 	// syncs; production code leaves it nil.
@@ -209,9 +203,6 @@ func Open(opts Options) (*Database, error) {
 			lg = opts.WrapLog("wal", lg)
 		}
 		db.wal = wal.NewManager(lg)
-		if opts.WALGroupWindow > 0 {
-			db.wal.SetWindow(opts.WALGroupWindow)
-		}
 	}
 	if err := db.loadCatalog(); err != nil {
 		// Release whatever files a partial load opened, so a failed Open

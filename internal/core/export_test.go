@@ -77,5 +77,5 @@ func substJoins(op exec.BatchOperator, js []*exec.BatchSubstJoin) []*exec.BatchS
 // (am.Chains) and the buffer its Locate reads.
 func ProbeChains(db *Database, rel string) (am.Chains, am.Viewer) {
 	c := db.rels[rel].src.(*conventional)
-	return c.chains(), c.buf
+	return c.parts().Chains, c.buf
 }

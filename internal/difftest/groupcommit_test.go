@@ -42,7 +42,7 @@ func TestGroupCommitDurability(t *testing.T) {
 	open := func() *core.Database {
 		t.Helper()
 		db, err := core.Open(core.Options{
-			Dir: dir, WAL: true, WALGroupWindow: 2 * time.Millisecond,
+			Dir: dir, WAL: true,
 			WrapLog: func(_ string, l storage.Log) storage.Log {
 				return &syncCountLog{Log: l, syncs: &syncs, delay: time.Millisecond}
 			},

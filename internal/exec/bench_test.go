@@ -218,7 +218,7 @@ func BenchmarkSubstitutionJoin(b *testing.B) {
 				Key:      func() (int64, error) { return outerKey, nil },
 				Run:      inner.Buffer().Run,
 				Probe:    inner.Probe,
-				Chains:   inner.Chains,
+				Parts:    inner.Parts,
 				Block:    func(int) am.Block { return am.Block{} },
 			},
 			Rebind: func([][]byte) {},

@@ -12,7 +12,7 @@ import (
 // morsels of morselUnits units (am.Parts); workers walk whole morsels
 // through runs that only lend pages, each recording what it saw on an
 // am.Tape, and the calling goroutine plays the tapes back in the file's
-// order through an am.Replay. The replay delivers the blocks the serial
+// order through am.Replay.Scan. The replay delivers the blocks the serial
 // walk would have delivered for the same batch room, and notes each view
 // the serial walk would have made, re-views included, on the caller's own
 // run, which NextBatch settles before it returns. So every count, hit and
@@ -43,8 +43,6 @@ type morselWalk struct {
 	tapes   []am.Tape     // two rounds of tapes: morsel i's is tapes[i%len(tapes)]
 	round   int           // morsels in a round
 	morsels int           // morsels in the file
-	next    int           // the next morsel to replay
-	end     int           // the morsel the replay ends before
 	win     window
 	replay  am.Replay
 }
@@ -85,8 +83,8 @@ func (m *morselWalk) open(s *BatchScan) bool {
 	if len(m.tapes) < ring {
 		m.tapes = append(m.tapes, make([]am.Tape, ring-len(m.tapes))...)
 	}
-	m.next, m.end = 0, m.morsels
-	m.replay = am.Replay{V: m.runs[0], Next: m.tape, Left: m.runs[0].NumPages()}
+	m.replay = am.Replay{V: m.runs[0], Tape: m.tape}
+	m.replay.Scan(0, m.morsels)
 	m.win.start(workers-1, ring, m.record)
 	m.win.publish(0, ring)
 	return true
@@ -95,25 +93,16 @@ func (m *morselWalk) open(s *BatchScan) bool {
 // settle charges the views replayed since the last settle.
 func (m *morselWalk) settle() { m.runs[0].Settle() }
 
-// tape returns the next morsel's tape once it is recorded; nil after the
-// last morsel, or after a morsel whose walk failed. Starting a round
-// publishes the round after it, whose tapes are the ones the round before
-// held.
-func (m *morselWalk) tape() *am.Tape {
-	c := m.next
-	if c == m.end {
-		return nil
+// tape returns morsel i's tape once it is recorded; the replay asks for
+// the morsels in order, and for none past one whose walk failed. Starting
+// a round publishes the round after it, whose tapes are the ones the round
+// before held.
+func (m *morselWalk) tape(i int) *am.Tape {
+	if i > 0 && i%m.round == 0 {
+		m.win.publish(i, min(i+2*m.round, m.morsels))
 	}
-	if c > 0 && c%m.round == 0 {
-		m.win.publish(c, min(c+2*m.round, m.morsels))
-	}
-	m.win.await(c)
-	t := &m.tapes[c%len(m.tapes)]
-	if t.Failed() {
-		m.end = c + 1
-	}
-	m.next++
-	return t
+	m.win.await(i)
+	return &m.tapes[i%len(m.tapes)]
 }
 
 // record walks morsel i on worker w onto its tape and reports whether the
@@ -121,5 +110,5 @@ func (m *morselWalk) tape() *am.Tape {
 func (m *morselWalk) record(w, i int) bool {
 	lo := i * morselUnits
 	pw := m.parts.Walk(m.runs[1+w], lo, min(lo+morselUnits, m.parts.Units))
-	return m.tapes[i%len(m.tapes)].Record(pw, &m.blocks[w])
+	return m.tapes[i%len(m.tapes)].Record(pw, am.Key{}, &m.blocks[w])
 }

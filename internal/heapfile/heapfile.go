@@ -137,16 +137,16 @@ func (f *File) ProbeRange(lo, hi int64) am.Iterator {
 	if !f.keyed {
 		return am.Empty{}
 	}
-	return am.NewWalk(f.walkAll(), am.Match{Key: f.key, Filter: true, Lo: lo, Hi: hi})
+	return am.NewWalk(scanPart(f.buf, 0, math.MaxInt), am.Match{Key: f.key, Filter: true, Lo: lo, Hi: hi})
 }
 
 // Scan implements am.File, visiting pages in file order.
 func (f *File) Scan() am.Iterator {
-	return am.NewWalk(f.walkAll(), am.Match{})
+	return am.NewWalk(scanPart(f.buf, 0, math.MaxInt), am.Match{})
 }
 
-// ScanParts splits Scan into its pages, one unit each.
-func (f *File) ScanParts() am.Parts {
+// Parts splits Scan into its pages, one unit each.
+func (f *File) Parts() am.Parts {
 	return am.Parts{Units: f.buf.NumPages(), Walk: scanPart}
 }
 
@@ -155,15 +155,12 @@ func scanPart(v am.PageViewer, lo, hi int) am.PageWalk {
 	return &scanWalk{v: v, cur: page.ID(lo), hi: hi}
 }
 
-// walkAll returns the walk over the whole file.
-func (f *File) walkAll() *scanWalk { return &scanWalk{v: f.buf, hi: math.MaxInt} }
-
 // Probe implements am.File as a filtered full scan.
 func (f *File) Probe(key int64) am.Iterator {
 	if !f.keyed {
 		return am.Empty{}
 	}
-	return am.NewWalk(f.walkAll(), am.Equal(f.key, key))
+	return am.NewWalk(scanPart(f.buf, 0, math.MaxInt), am.Equal(f.key, key))
 }
 
 // scanWalk visits the pages in file order, up to page hi-1 or whatever the

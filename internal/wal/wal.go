@@ -45,7 +45,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tdbms/internal/page"
 	"tdbms/internal/storage"
@@ -106,8 +105,7 @@ type Manager struct {
 
 	recovering atomic.Bool // replay in progress: LoggedFile writes pass through
 
-	syncMu sync.Mutex    // group-commit leader latch
-	window time.Duration // leader's gathering delay before the shared sync
+	syncMu sync.Mutex // group-commit leader latch
 }
 
 // NewManager returns a manager over the given log. The caller must either
@@ -119,16 +117,6 @@ func NewManager(l storage.Log) *Manager {
 // SetRecovering flips replay mode: while set, LoggedFile writes go straight
 // to the data files (replay must not re-log or park what it redoes).
 func (m *Manager) SetRecovering(on bool) { m.recovering.Store(on) }
-
-// SetWindow sets the group-commit gathering delay: how long an elected
-// leader waits before issuing the shared sync, letting concurrent
-// committers land their end records under the same barrier. Zero (the
-// default) syncs immediately.
-func (m *Manager) SetWindow(d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.window = d
-}
 
 // Tail reports the logical end of the log.
 func (m *Manager) Tail() int64 {
@@ -323,13 +311,9 @@ func (m *Manager) WaitDurable(lsn int64) error {
 	defer m.syncMu.Unlock()
 	m.mu.Lock()
 	covered = m.synced >= lsn
-	window := m.window
 	m.mu.Unlock()
 	if covered {
 		return nil
-	}
-	if window > 0 {
-		time.Sleep(window)
 	}
 	m.mu.Lock()
 	tail := m.tail
