@@ -44,7 +44,8 @@ func TestSubstitutionJoinWalkCounts(t *testing.T) {
 		chains, v := core.ProbeChains(db, j.inner)
 		ranges := map[[2]page.ID]bool{}
 		for _, row := range keys.Rows {
-			first, last, err := chains.Locate(v, row[0].AsInt())
+			k := row[0].AsInt()
+			first, last, err := chains.Locate(v, k, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -271,6 +271,9 @@ func (s *BatchScan) finish() {
 func (s *BatchScan) Close() error {
 	s.it = nil
 	s.morsels.win.close()
+	for i := range s.morsels.tapes { // lent under the execution's latch
+		s.morsels.tapes[i].Release()
+	}
 	return nil
 }
 
