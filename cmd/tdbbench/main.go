@@ -8,9 +8,9 @@
 //	tdbbench [-figure all|5|6|7|8|9|10|5.4] [-maxuc N] [-maxavg N] [-workers N] [-wal] [-q]
 //
 // The eight databases behind Figures 5-9 are built and measured
-// concurrently by a bounded worker pool; -workers (or the
-// TDBBENCH_WORKERS environment variable) overrides the default of one
-// worker per CPU. The output is byte-identical at any worker count.
+// concurrently by a bounded worker pool; -workers overrides the default
+// of one worker per CPU. The output is byte-identical at any worker
+// count.
 package main
 
 import (
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"tdbms/internal/bench"
@@ -29,24 +28,12 @@ func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate: all, 5, 6, 7, 8, 9, 10, 5.4, or ablations")
 	maxUC := flag.Int("maxuc", 15, "maximum update count for Figures 5-9")
 	maxAvg := flag.Int("maxavg", 4, "maximum average update count for the Section 5.4 experiment")
-	workers := flag.Int("workers", 0, "benchmark databases to build and measure concurrently (0 = one per CPU; also TDBBENCH_WORKERS)")
+	workers := flag.Int("workers", 0, "benchmark databases to build and measure concurrently (0 = one per CPU)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	wal := flag.Bool("wal", false, "build the Figure 5-9 databases disk-backed with write-ahead logging (figures must stay byte-identical: the log is below the counted I/O path)")
 	flag.Parse()
 
-	w := *workers
-	if w == 0 {
-		if env := os.Getenv("TDBBENCH_WORKERS"); env != "" {
-			n, err := strconv.Atoi(env)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tdbbench: TDBBENCH_WORKERS=%q is not a number\n", env)
-				os.Exit(1)
-			}
-			w = n
-		}
-	}
-
-	if err := run(os.Stdout, *figure, *maxUC, *maxAvg, w, *wal, *quiet); err != nil {
+	if err := run(os.Stdout, *figure, *maxUC, *maxAvg, *workers, *wal, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "tdbbench:", err)
 		os.Exit(1)
 	}
@@ -80,7 +67,7 @@ func run(out io.Writer, figure string, maxUC, maxAvg, workers int, wal, quiet bo
 			note("building and evolving the eight benchmark databases (update counts 0..%d)...", maxUC)
 		}
 		var err error
-		series, err = bench.AllSeriesWorkersOpts(maxUC, workers, opts, func(k bench.Key, uc int) {
+		series, err = bench.AllSeries(maxUC, workers, opts, func(k bench.Key, uc int) {
 			if uc == maxUC {
 				note("  %s/%d%%: done", k.T, k.L)
 			}

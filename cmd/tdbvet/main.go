@@ -16,23 +16,23 @@
 //	pagecopy     no by-value copies of page.Page outside internal/page,
 //	             internal/storage and internal/buffer: the read path is
 //	             copy-free
-//	lockscope    every Lock/RLock released on every return path of the
-//	             acquiring function, modulo defer
-//	latchorder   no lock-order cycles among engine latches; no blocking
-//	             I/O under the statement lock outside designated
-//	             //tdbvet:flushpath functions
-//	errwrap      storage/faultfs errors keep their %w chain so errors.Is
-//	             and faultfs.IsInjected stay sound
+//	latchorder   every Lock/RLock released on every return path of the
+//	             acquiring function, modulo defer, outside designated
+//	             //tdbvet:latchpoint hand-offs; no lock-order cycles among
+//	             engine latches; no blocking I/O under the statement lock
+//	             outside designated //tdbvet:flushpath functions
+//	errwrap      fmt.Errorf formats every error operand with %w, and no
+//	             .Error() text feeds fmt.Errorf or errors.New, so
+//	             errors.Is and faultfs.IsInjected stay sound
 //
 // Usage:
 //
-//	tdbvet [-checks layering,errcheck] [-json] [-workers N] [packages]
+//	tdbvet [-checks layering,errcheck] [-json] [packages]
 //
-// Packages default to ./... (the whole module). Packages are analyzed in
-// parallel (dependency order, -workers goroutines, default GOMAXPROCS);
-// the output is deterministic at any worker count. -json emits one JSON
-// object per diagnostic line instead of text. Exit code 0 means clean,
-// 1 means diagnostics were reported, 2 means the analysis itself failed.
+// Packages default to ./... (the whole module). Diagnostics are sorted by
+// file:line:col. -json emits one JSON object per diagnostic line instead
+// of text. Exit code 0 means clean, 1 means diagnostics were reported, 2
+// means the analysis itself failed.
 // Intentional exceptions are annotated in source as
 // "//tdbvet:ignore <check> <reason>".
 package main
@@ -58,7 +58,6 @@ func run(out, errOut io.Writer, args []string) int {
 	fs.SetOutput(errOut)
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit one JSON object per diagnostic instead of text")
-	workers := fs.Int("workers", 0, "package-parallel workers (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -72,7 +71,7 @@ func run(out, errOut io.Writer, args []string) int {
 		fmt.Fprintln(errOut, "tdbvet:", err)
 		return 2
 	}
-	diags, err := suite.RunChecksParallel(root, fs.Args(), selected, *workers)
+	diags, err := suite.RunChecks(root, fs.Args(), selected)
 	if err != nil {
 		fmt.Fprintln(errOut, "tdbvet:", err)
 		return 2

@@ -96,7 +96,7 @@ func Drop(path string) {
 
 // TestExitLoadFailure: analysis failure (unloadable packages) is exit 2,
 // distinct from "violations found" (exit 1), and every failing package is
-// named on stderr — not just the first one the worker pool hit.
+// named on stderr — not just the first one.
 func TestExitLoadFailure(t *testing.T) {
 	writeModule(t, map[string]string{
 		"go.mod":                "module fixturemod\n\ngo 1.22\n",
@@ -137,26 +137,6 @@ func TestJSONOutput(t *testing.T) {
 	}
 	if !strings.HasSuffix(d.File, "blob.go") {
 		t.Errorf("file = %q, want ...blob.go", d.File)
-	}
-}
-
-// TestWorkersFlag: any worker count yields byte-identical output.
-func TestWorkersFlag(t *testing.T) {
-	writeModule(t, map[string]string{
-		"go.mod":                "module fixturemod\n\ngo 1.22\n",
-		"internal/blob/blob.go": violating,
-	})
-	var want string
-	for _, w := range []string{"1", "2", "8"} {
-		var out, errOut bytes.Buffer
-		if code := run(&out, &errOut, []string{"-workers", w}); code != 1 {
-			t.Fatalf("workers=%s: exit = %d, want 1; stderr:\n%s", w, code, errOut.String())
-		}
-		if want == "" {
-			want = out.String()
-		} else if out.String() != want {
-			t.Errorf("workers=%s output differs:\n%s\nvs\n%s", w, out.String(), want)
-		}
 	}
 }
 

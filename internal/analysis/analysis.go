@@ -44,8 +44,8 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Facts is the shared cross-package fact store (nil outside the
-	// driver; ExportFact/ImportFact degrade to no-ops).
+	// Facts carries this analyzer's summaries to its Finish pass (nil:
+	// ExportFact is a no-op).
 	Facts *Facts
 
 	analyzer *Analyzer
@@ -76,7 +76,6 @@ func (d Diagnostic) String() string {
 
 // RunAnalyzer applies one analyzer to a loaded package and returns its
 // diagnostics sorted by position, with //tdbvet:ignore directives applied.
-// facts may be nil for single-package runs (fixture tests).
 func RunAnalyzer(a *Analyzer, pkg *Package, facts *Facts) []Diagnostic {
 	var diags []Diagnostic
 	pass := &Pass{

@@ -1,5 +1,5 @@
 // Package callgraph builds the approximate whole-module call graph the
-// interprocedural checks (latchorder, errwrap) reason over. It is a
+// interprocedural check (latchorder) reasons over. It is a
 // syntactic/type-based approximation, stdlib-only like the rest of the
 // analysis framework:
 //
@@ -14,7 +14,7 @@
 //     funclit-at-callsite approximation.
 //
 // Nodes are identified by analysis.ObjectKey strings, so edges survive
-// the package-parallel driver and the fact store round-trip.
+// the fact store round-trip.
 package callgraph
 
 import (

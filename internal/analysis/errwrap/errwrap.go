@@ -1,37 +1,26 @@
-// Package errwrap checks that errors originating in internal/storage or
-// internal/faultfs keep their wrap chain intact on the way up. The fault
+// Package errwrap keeps error wrap chains intact on the way up. The fault
 // harness decides "was this failure injected?" with errors.Is(err,
 // faultfs.ErrInjected), and the buffer pool classifies I/O failures the
 // same way — one fmt.Errorf("%v") on the path quietly turns an injected
 // fault into an unrecognized error and the differential oracle
 // misclassifies the run.
 //
-// The analysis is interprocedural over the fact store. A function's
-// error results are "tainted" when they may carry a storage/faultfs
-// error: functions declared in those packages are root sources
-// (interface methods included — a call through storage.File taints the
-// same way), and every other function's taint vector is computed from
-// its body and exported as a fact. The driver analyzes packages in
-// dependency order, so callee facts are always present; within a
-// package, functions iterate to a fixpoint.
+// The rule is local to each call: any error may carry a storage/faultfs
+// error, so every error is held to it. Flagged, at the offending operand:
 //
-// Flagged, at the offending call:
-//
-//   - fmt.Errorf formatting a tainted error with any verb but %w;
-//   - a tainted error stringified via .Error() feeding fmt.Errorf or
-//     errors.New.
+//   - fmt.Errorf formatting an operand whose static type implements
+//     error with any verb but %w;
+//   - the .Error() text of an error feeding fmt.Errorf or errors.New.
 //
 // Returning the error verbatim, wrapping with %w (multiple %w included),
-// and errors.Join all preserve the chain and pass. The analysis is an
-// approximation: taint is per-variable and flow-insensitive, and a
-// tainted error silently replaced by a fresh errors.New is out of scope.
+// and errors.Join all preserve the chain and pass. A call with a
+// non-constant format string is not classified.
 package errwrap
 
 import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strconv"
 	"strings"
 
 	"tdbms/internal/analysis"
@@ -41,391 +30,82 @@ import (
 // Analyzer is the error-wrap-chain check.
 var Analyzer = &analysis.Analyzer{
 	Name: "errwrap",
-	Doc:  "storage/faultfs errors keep their %w chain so errors.Is and faultfs.IsInjected stay sound",
+	Doc:  "errors keep their %w chain so errors.Is and faultfs.IsInjected stay sound",
 	Run:  run,
 }
 
-// Fact is the per-function taint vector: Tainted[i] is true when result
-// i may carry a storage/faultfs-originated error.
-type Fact struct {
-	Tainted []bool
-}
-
-// isSourcePkg reports whether path declares root-source errors.
-func isSourcePkg(path string) bool {
-	return strings.HasSuffix(path, "internal/storage") || strings.HasSuffix(path, "internal/faultfs")
-}
+const (
+	lostVerb    = "storage/faultfs error formatted without %w; errors.Is and faultfs.IsInjected will stop matching — wrap it (%w) or return it verbatim"
+	lostText    = "storage/faultfs error stringified with .Error() into a new error; the wrap chain is lost — use %w"
+	lostTextNew = "storage/faultfs error stringified with .Error() into a new error; the wrap chain is lost — use fmt.Errorf with %w"
+)
 
 func run(pass *analysis.Pass) {
-	fns := callgraph.Functions(pass.Files, pass.Info)
-	// Facts first, iterated to a fixpoint so intra-package call chains
-	// resolve regardless of declaration order; reporting runs once after.
-	for round := 0; round <= len(fns); round++ {
-		changed := false
-		for _, fn := range fns {
-			if fn.Decl == nil {
-				continue
-			}
-			if a := newAnalysis(pass, fn); a != nil && a.exportFact() {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
+	isError := func(e ast.Expr) bool {
+		tv, ok := pass.Info.Types[e]
+		return ok && tv.Type != nil && types.Implements(tv.Type, errorType)
 	}
-	for _, fn := range fns {
-		if a := newAnalysis(pass, fn); a != nil {
-			a.report()
-		}
-	}
-}
-
-// fnAnalysis is the per-function (or per-literal) taint state.
-type fnAnalysis struct {
-	pass    *analysis.Pass
-	fn      callgraph.Func
-	obj     types.Object // nil for literals
-	sig     *types.Signature
-	tainted map[types.Object]bool // local vars that may carry source errors
-}
-
-func newAnalysis(pass *analysis.Pass, fn callgraph.Func) *fnAnalysis {
-	a := &fnAnalysis{pass: pass, fn: fn, tainted: map[types.Object]bool{}}
-	if fn.Decl != nil {
-		a.obj = pass.Info.Defs[fn.Decl.Name]
-		if a.obj == nil {
-			return nil
-		}
-		a.sig, _ = a.obj.Type().(*types.Signature)
-	} else if tv, ok := pass.Info.Types[fn.Lit]; ok {
-		a.sig, _ = tv.Type.(*types.Signature)
-	}
-	a.propagateVars()
-	return a
-}
-
-// propagateVars computes the flow-insensitive variable taint: a variable
-// is tainted once any assignment (or range/definition) gives it a value
-// that may carry a source error. Iterates until stable.
-func (a *fnAnalysis) propagateVars() {
-	for {
-		changed := false
-		ast.Inspect(a.fn.Body, func(node ast.Node) bool {
-			if vs, ok := node.(*ast.ValueSpec); ok {
-				// var err = f() inside a declaration statement.
-				for i, nm := range vs.Names {
-					if i < len(vs.Values) && a.exprTainted(vs.Values[i]) && a.markVar(nm) {
-						changed = true
-					}
-				}
-				return true
+	// stringified reports whether e contains x.Error() with x an error.
+	stringified := func(e ast.Expr) (found bool) {
+		ast.Inspect(e, func(node ast.Node) bool {
+			if call, ok := node.(*ast.CallExpr); ok && !found {
+				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				found = ok && sel.Sel.Name == "Error" && len(call.Args) == 0 && isError(sel.X)
 			}
-			asg, ok := node.(*ast.AssignStmt)
+			return !found
+		})
+		return found
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(node ast.Node) bool {
+			call, ok := node.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if len(asg.Rhs) == 1 && len(asg.Lhs) > 1 {
-				// v, err := f(): map callee result taint positionally.
-				taints := a.callTaints(asg.Rhs[0])
-				for i, lhs := range asg.Lhs {
-					if i < len(taints) && taints[i] && a.markVar(lhs) {
-						changed = true
-					}
-				}
+			callee := callgraph.Callee(pass.Info, call)
+			if callee == nil {
 				return true
 			}
-			for i, lhs := range asg.Lhs {
-				if i < len(asg.Rhs) && a.exprTainted(asg.Rhs[i]) && a.markVar(lhs) {
-					changed = true
+			switch analysis.ObjectKey(callee) {
+			case "fmt.Errorf":
+				for i, v := range formatVerbs(pass.Info, call) {
+					if 1+i >= len(call.Args) {
+						break
+					}
+					arg := call.Args[1+i]
+					if v != 'w' && isError(arg) {
+						pass.Report(arg.Pos(), "%s", lostVerb)
+					}
+					if stringified(arg) {
+						pass.Report(arg.Pos(), "%s", lostText)
+					}
+				}
+			case "errors.New":
+				for _, arg := range call.Args {
+					if stringified(arg) {
+						pass.Report(arg.Pos(), "%s", lostTextNew)
+					}
 				}
 			}
 			return true
 		})
-		if !changed {
-			return
-		}
 	}
 }
 
-// markVar taints the variable behind an assignment target.
-func (a *fnAnalysis) markVar(lhs ast.Expr) bool {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	obj := a.pass.Info.Defs[id]
-	if obj == nil {
-		obj = a.pass.Info.Uses[id]
-	}
-	if obj == nil || a.tainted[obj] {
-		return false
-	}
-	if !isErrorType(obj.Type()) {
-		return false
-	}
-	a.tainted[obj] = true
-	return true
-}
+var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-// callTaints returns the per-result taint vector of a call expression,
-// or nil when the callee is unresolvable.
-func (a *fnAnalysis) callTaints(e ast.Expr) []bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	callee := callgraph.Callee(a.pass.Info, call)
-	if callee == nil {
-		return nil
-	}
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	n := sig.Results().Len()
-	if callee.Pkg() != nil && isSourcePkg(callee.Pkg().Path()) {
-		// Root source: every error result is tainted by definition.
-		out := make([]bool, n)
-		for i := 0; i < n; i++ {
-			out[i] = isErrorType(sig.Results().At(i).Type())
-		}
-		return out
-	}
-	if v, ok := a.pass.ImportFact(callee); ok {
-		if f, ok := v.(*Fact); ok {
-			return f.Tainted
-		}
-	}
-	// fmt.Errorf with a %w-wrapped tainted operand stays tainted;
-	// errors.Join of any tainted operand stays tainted.
-	key := analysis.ObjectKey(callee)
-	switch key {
-	case "fmt.Errorf":
-		if wrapped, _ := a.errorfOperands(call); anyTainted(a, wrapped) {
-			return []bool{true}
-		}
-	case "errors.Join":
-		for _, arg := range call.Args {
-			if a.exprTainted(arg) {
-				return []bool{true}
-			}
-		}
-	}
-	return make([]bool, n)
-}
-
-func anyTainted(a *fnAnalysis, exprs []ast.Expr) bool {
-	for _, e := range exprs {
-		if a.exprTainted(e) {
-			return true
-		}
-	}
-	return false
-}
-
-// exprTainted reports whether a single-valued expression may carry a
-// source error.
-func (a *fnAnalysis) exprTainted(e ast.Expr) bool {
-	e = ast.Unparen(e)
-	switch e := e.(type) {
-	case *ast.Ident:
-		obj := a.pass.Info.Uses[e]
-		if obj == nil {
-			return false
-		}
-		if a.tainted[obj] {
-			return true
-		}
-		// Package-level error values of the source packages —
-		// faultfs.ErrInjected above all.
-		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil &&
-			isSourcePkg(v.Pkg().Path()) && isErrorType(v.Type()) && v.Parent() == v.Pkg().Scope() {
-			return true
-		}
-		return false
-	case *ast.SelectorExpr:
-		return a.exprTainted(ast.Expr(e.Sel))
-	case *ast.CallExpr:
-		taints := a.callTaints(e)
-		return len(taints) == 1 && taints[0]
-	}
-	return false
-}
-
-// exportFact recomputes this declared function's taint vector from its
-// return statements (literal returns belong to the literal, not the
-// declaration) and exports it; reports whether the fact changed.
-func (a *fnAnalysis) exportFact() bool {
-	if a.obj == nil || a.sig == nil || a.sig.Results().Len() == 0 {
-		return false
-	}
-	n := a.sig.Results().Len()
-	vec := make([]bool, n)
-	a.eachOwnReturn(func(ret *ast.ReturnStmt) {
-		if len(ret.Results) == 1 && n > 1 {
-			for i, t := range a.callTaints(ret.Results[0]) {
-				if i < n && t {
-					vec[i] = true
-				}
-			}
-			return
-		}
-		for i, r := range ret.Results {
-			if i < n && isErrorType(a.sig.Results().At(i).Type()) && a.exprTainted(r) {
-				vec[i] = true
-			}
-		}
-	})
-	if !vec[n-1] && namedResultTainted(a) {
-		vec[n-1] = true
-	}
-	old, had := a.pass.ImportFact(a.obj)
-	if had {
-		if of, ok := old.(*Fact); ok && equalVec(of.Tainted, vec) {
-			return false
-		}
-	}
-	a.pass.ExportFact(a.obj, &Fact{Tainted: vec})
-	return true
-}
-
-// namedResultTainted catches the named-result idiom: "func f() (err
-// error)" where err is assigned a tainted value and returned bare.
-func namedResultTainted(a *fnAnalysis) bool {
-	if a.fn.Decl == nil || a.fn.Decl.Type.Results == nil {
-		return false
-	}
-	for _, field := range a.fn.Decl.Type.Results.List {
-		for _, nm := range field.Names {
-			if obj := a.pass.Info.Defs[nm]; obj != nil && a.tainted[obj] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func equalVec(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// eachOwnReturn visits the return statements of this body, skipping
-// nested function literals (their returns are their own).
-func (a *fnAnalysis) eachOwnReturn(f func(*ast.ReturnStmt)) {
-	ast.Inspect(a.fn.Body, func(node ast.Node) bool {
-		if lit, ok := node.(*ast.FuncLit); ok && lit != a.fn.Lit {
-			return false
-		}
-		if ret, ok := node.(*ast.ReturnStmt); ok {
-			f(ret)
-		}
-		return true
-	})
-}
-
-// report walks this body once and flags chain-breaking constructs.
-func (a *fnAnalysis) report() {
-	ast.Inspect(a.fn.Body, func(node ast.Node) bool {
-		if lit, ok := node.(*ast.FuncLit); ok && lit != a.fn.Lit {
-			return false // the literal is its own analysis unit
-		}
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := callgraph.Callee(a.pass.Info, call)
-		if callee == nil {
-			return true
-		}
-		switch analysis.ObjectKey(callee) {
-		case "fmt.Errorf":
-			wrapped, broken := a.errorfOperands(call)
-			for _, arg := range broken {
-				if a.exprTainted(arg) {
-					a.pass.Report(arg.Pos(), "storage/faultfs error formatted without %%w; errors.Is and faultfs.IsInjected will stop matching — wrap it (%%w) or return it verbatim")
-				}
-				if a.stringifiedTaint(arg) {
-					a.pass.Report(arg.Pos(), "storage/faultfs error stringified with .Error() into a new error; the wrap chain is lost — use %%w")
-				}
-			}
-			for _, arg := range wrapped {
-				if a.stringifiedTaint(arg) {
-					a.pass.Report(arg.Pos(), "storage/faultfs error stringified with .Error() into a new error; the wrap chain is lost — use %%w")
-				}
-			}
-		case "errors.New":
-			for _, arg := range call.Args {
-				if a.stringifiedTaint(arg) {
-					a.pass.Report(arg.Pos(), "storage/faultfs error stringified with .Error() into a new error; the wrap chain is lost — use fmt.Errorf with %%w")
-				}
-			}
-		}
-		return true
-	})
-}
-
-// stringifiedTaint reports whether e contains x.Error() with x tainted.
-func (a *fnAnalysis) stringifiedTaint(e ast.Expr) (found bool) {
-	ast.Inspect(e, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Error" || len(call.Args) != 0 {
-			return true
-		}
-		if a.exprTainted(sel.X) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// errorfOperands splits a fmt.Errorf call's verb-consuming arguments
-// into those formatted with %w (chain preserved) and the rest. A
-// non-constant format string yields no classification.
-func (a *fnAnalysis) errorfOperands(call *ast.CallExpr) (wrapped, other []ast.Expr) {
+// formatVerbs extracts the verb letters of a fmt.Errorf call's constant
+// format string in argument order, skipping %%; none for a format that is
+// not a constant.
+func formatVerbs(info *types.Info, call *ast.CallExpr) []byte {
 	if len(call.Args) < 2 {
-		return nil, nil
+		return nil
 	}
-	tv, ok := a.pass.Info.Types[call.Args[0]]
+	tv, ok := info.Types[call.Args[0]]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return nil, nil
+		return nil
 	}
-	format, err := strconv.Unquote(tv.Value.ExactString())
-	if err != nil {
-		format = constant.StringVal(tv.Value)
-	}
-	verbs := parseVerbs(format)
-	for i, v := range verbs {
-		argIdx := 1 + i
-		if argIdx >= len(call.Args) {
-			break
-		}
-		if v == 'w' {
-			wrapped = append(wrapped, call.Args[argIdx])
-		} else {
-			other = append(other, call.Args[argIdx])
-		}
-	}
-	return wrapped, other
-}
-
-// parseVerbs extracts the verb letters of a format string in argument
-// order, skipping %%.
-func parseVerbs(format string) []byte {
+	format := constant.StringVal(tv.Value)
 	var out []byte
 	for i := 0; i < len(format); i++ {
 		if format[i] != '%' {
@@ -442,13 +122,4 @@ func parseVerbs(format string) []byte {
 		out = append(out, format[i])
 	}
 	return out
-}
-
-// isErrorType reports whether t is (or implements) the error interface.
-func isErrorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	errType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-	return types.Implements(t, errType)
 }

@@ -1,6 +1,5 @@
-// Clean fixture for the errwrap check: every storage/faultfs error is
-// either wrapped with %w, joined, or returned verbatim, and errors with
-// no storage origin may be formatted freely.
+// Clean fixture for the errwrap check: every error is either wrapped
+// with %w, joined, or returned verbatim; other operands may use any verb.
 package fixture
 
 import (
@@ -40,10 +39,9 @@ func doubleWrap(m *storage.Mem) error {
 	return nil
 }
 
-// unrelated errors may use any verb: no storage origin, no constraint.
-func unrelated(name string) error {
-	err := errors.New("parse failure")
-	return fmt.Errorf("fixture: %s: %v", name, err)
+// message formats a plain value with %v and an error with %w.
+func message(name string, m *storage.Mem) error {
+	return fmt.Errorf("fixture: %v: %w", name, m.Shrink(0))
 }
 
 // rewrapped formats an already-%w-wrapped error again, still with %w.

@@ -1,6 +1,6 @@
 // Violating fixture for the errwrap check: storage/faultfs errors
-// reformatted without %w, stringified into new errors, and taint carried
-// through local helpers before being broken.
+// reformatted without %w, stringified into new errors, and errors of any
+// origin formatted with another verb.
 package fixture
 
 import (
@@ -27,8 +27,8 @@ func stringified(m *storage.Mem) error {
 	return nil
 }
 
-// viaHelper returns a storage error through a local helper; the helper's
-// fact carries the taint to the breaking Errorf here.
+// viaHelper breaks the chain of a helper's error: the rule holds for an
+// error wherever it came from.
 func viaHelper(m *storage.Mem) error {
 	if err := helper(m); err != nil {
 		return fmt.Errorf("fixture: helper: %v", err)
@@ -36,7 +36,7 @@ func viaHelper(m *storage.Mem) error {
 	return nil
 }
 
-// helper wraps properly — the taint survives the %w.
+// helper wraps properly — the chain survives the %w.
 func helper(m *storage.Mem) error {
 	if err := m.Shrink(0); err != nil {
 		return fmt.Errorf("fixture helper: %w", err)
@@ -55,4 +55,16 @@ func stringifiedVerb(m *storage.Mem) error {
 		return fmt.Errorf("fixture: %s", err.Error())
 	}
 	return nil
+}
+
+// unrelated errors are held to the same rule: any error may carry a
+// storage/faultfs error further down its chain.
+func unrelated(name string) error {
+	err := errors.New("parse failure")
+	return fmt.Errorf("fixture: %s: %v", name, err)
+}
+
+// unrelatedText stringifies an error of any origin.
+func unrelatedText(err error) error {
+	return errors.New("fixture: " + err.Error())
 }

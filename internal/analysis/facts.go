@@ -3,26 +3,19 @@ package analysis
 import (
 	"go/types"
 	"sort"
-	"sync"
 )
 
-// Facts is the cross-package fact store: the stdlib-only analogue of
-// go/analysis facts. An analyzer running on one package exports typed
-// facts about that package's functions; when a downstream package is
-// analyzed later (the driver schedules packages in dependency order),
-// the same analyzer imports those facts to reason interprocedurally —
-// errwrap propagates "this function's error result may originate in
-// internal/storage" this way, and latchorder publishes per-function
-// lock summaries that its Finish pass folds into the global lock-order
-// graph.
+// Facts is the store through which an analyzer's Run passes hand
+// per-package summaries to its Finish pass: latchorder exports one
+// summary per function, and its Finish pass folds them into the
+// whole-module lock-order graph. No Run pass reads facts, so the driver
+// may visit packages in any order.
 //
-// Facts are namespaced by analyzer name and keyed by ObjectKey, so two
-// analyzers can attach unrelated facts to the same function. The store
-// is safe for concurrent use: the package-parallel driver runs
-// independent packages on separate goroutines.
+// Facts are namespaced by analyzer name and keyed by an analyzer-chosen
+// string (latchorder uses "fn:" + ObjectKey), so two analyzers can attach
+// unrelated facts to the same function.
 type Facts struct {
-	mu sync.RWMutex
-	m  map[factKey]any
+	m map[factKey]any
 }
 
 type factKey struct {
@@ -36,23 +29,12 @@ func NewFacts() *Facts {
 }
 
 func (f *Facts) export(analyzer, object string, fact any) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.m[factKey{analyzer, object}] = fact
-}
-
-func (f *Facts) lookup(analyzer, object string) (any, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	v, ok := f.m[factKey{analyzer, object}]
-	return v, ok
 }
 
 // Keys returns every object key holding a fact for the analyzer, sorted,
 // so Finish passes can iterate deterministically.
 func (f *Facts) Keys(analyzer string) []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	var out []string
 	for k := range f.m {
 		if k.analyzer == analyzer {
@@ -65,14 +47,15 @@ func (f *Facts) Keys(analyzer string) []string {
 
 // Get returns the fact stored for (analyzer, object key), if any.
 func (f *Facts) Get(analyzer, object string) (any, bool) {
-	return f.lookup(analyzer, object)
+	v, ok := f.m[factKey{analyzer, object}]
+	return v, ok
 }
 
 // ObjectKey canonicalizes a function or method to a stable,
 // loader-independent string: "pkgpath.Name" for package-level functions,
 // "pkgpath.(Type).Name" for methods. Pointer receivers collapse onto the
 // value type, and an interface method keys on the interface type, so a
-// call site resolved through either form finds the same facts.
+// call site resolved through either form names the same node.
 func ObjectKey(obj types.Object) string {
 	if obj == nil {
 		return ""
@@ -105,37 +88,11 @@ func ObjectKey(obj types.Object) string {
 	return pkg + ".(" + types.TypeString(t, nil) + ")." + f.Name()
 }
 
-// ExportFact records a fact about obj in this analyzer's namespace.
-func (p *Pass) ExportFact(obj types.Object, fact any) {
-	if p.Facts == nil {
-		return
-	}
-	p.Facts.export(p.analyzer.Name, ObjectKey(obj), fact)
-}
-
-// ImportFact retrieves the fact this analyzer exported about obj while
-// analyzing an upstream package (or earlier in this one).
-func (p *Pass) ImportFact(obj types.Object) (any, bool) {
-	if p.Facts == nil {
-		return nil, false
-	}
-	return p.Facts.lookup(p.analyzer.Name, ObjectKey(obj))
-}
-
-// ExportFactKey records a fact under an analyzer-shaped string key — for
-// facts about nodes go/types has no object for (function literals) or
-// sub-namespaces the analyzer carves out itself ("iface:" + key).
-func (p *Pass) ExportFactKey(key string, fact any) {
+// ExportFact records a fact under key in this analyzer's namespace. It
+// is a no-op when the pass has no store.
+func (p *Pass) ExportFact(key string, fact any) {
 	if p.Facts == nil {
 		return
 	}
 	p.Facts.export(p.analyzer.Name, key, fact)
-}
-
-// ImportFactKey retrieves a fact stored under a string key.
-func (p *Pass) ImportFactKey(key string) (any, bool) {
-	if p.Facts == nil {
-		return nil, false
-	}
-	return p.Facts.lookup(p.analyzer.Name, key)
 }

@@ -1,21 +1,19 @@
 package analysis
 
 import (
-	"fmt"
 	"go/token"
 	"go/types"
-	"sync"
 	"testing"
 )
 
-// TestFactsRoundTrip: what one package's pass exports, a later pass (any
-// goroutine) imports unchanged, namespaced per analyzer.
+// TestFactsRoundTrip: what one package's pass exports, the Finish pass
+// reads unchanged, namespaced per analyzer.
 func TestFactsRoundTrip(t *testing.T) {
 	f := NewFacts()
-	f.export("errwrap", "pkg.Fn", []bool{true, false})
-	f.export("latchorder", "pkg.Fn", "unrelated")
+	f.export("latchorder", "pkg.Fn", []bool{true, false})
+	f.export("other", "pkg.Fn", "unrelated")
 
-	v, ok := f.Get("errwrap", "pkg.Fn")
+	v, ok := f.Get("latchorder", "pkg.Fn")
 	if !ok {
 		t.Fatal("fact lost")
 	}
@@ -23,10 +21,10 @@ func TestFactsRoundTrip(t *testing.T) {
 	if !ok || len(tainted) != 2 || !tainted[0] || tainted[1] {
 		t.Fatalf("fact mutated in the store: %#v", v)
 	}
-	if v, _ := f.Get("latchorder", "pkg.Fn"); v != "unrelated" {
+	if v, _ := f.Get("other", "pkg.Fn"); v != "unrelated" {
 		t.Fatalf("analyzer namespaces collided: %#v", v)
 	}
-	if _, ok := f.Get("errwrap", "pkg.Other"); ok {
+	if _, ok := f.Get("latchorder", "pkg.Other"); ok {
 		t.Fatal("lookup of an absent key succeeded")
 	}
 }
@@ -42,32 +40,6 @@ func TestFactsKeysSorted(t *testing.T) {
 	keys := f.Keys("a")
 	if len(keys) != 3 || keys[0] != "b" || keys[1] != "m" || keys[2] != "z" {
 		t.Fatalf("Keys = %v, want [b m z]", keys)
-	}
-}
-
-// TestFactsConcurrent: the package-parallel driver exports facts from
-// many goroutines at once; run under -race this is the store's safety
-// proof.
-func TestFactsConcurrent(t *testing.T) {
-	f := NewFacts()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				key := fmt.Sprintf("pkg%d.fn%d", g, i)
-				f.export("check", key, i)
-				if v, ok := f.Get("check", key); !ok || v != i {
-					t.Errorf("lost own write for %s", key)
-				}
-				f.Keys("check")
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := len(f.Keys("check")); got != 800 {
-		t.Fatalf("got %d keys, want 800", got)
 	}
 }
 
@@ -99,13 +71,17 @@ func TestObjectKeyShapes(t *testing.T) {
 	}
 }
 
-// TestPassFactNilStore: analyzers run fine without a store (the
-// single-fixture analysistest path predates facts) — exports are no-ops
-// and imports miss.
+// TestPassFactNilStore: analyzers run fine without a store — exports
+// are no-ops, and a store attached later holds nothing from before.
 func TestPassFactNilStore(t *testing.T) {
 	p := &Pass{analyzer: &Analyzer{Name: "x"}}
-	p.ExportFactKey("k", 1)
-	if _, ok := p.ImportFactKey("k"); ok {
-		t.Fatal("nil store returned a fact")
+	p.ExportFact("k", 1)
+	p.Facts = NewFacts()
+	if _, ok := p.Facts.Get("x", "k"); ok {
+		t.Fatal("an export without a store reached a store")
+	}
+	p.ExportFact("k", 1)
+	if v, ok := p.Facts.Get("x", "k"); !ok || v != 1 {
+		t.Fatalf("export lost: %v %v", v, ok)
 	}
 }

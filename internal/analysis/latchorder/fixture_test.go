@@ -22,3 +22,11 @@ func TestLatchpointViolating(t *testing.T) {
 func TestLatchpointClean(t *testing.T) {
 	analysistest.Run(t, latchorder.Analyzer, "testdata/latchpoint_clean.go")
 }
+
+func TestPairingViolating(t *testing.T) {
+	analysistest.Run(t, latchorder.Analyzer, "testdata/pairing/violating.go")
+}
+
+func TestPairingClean(t *testing.T) {
+	analysistest.Run(t, latchorder.Analyzer, "testdata/pairing/clean.go")
+}

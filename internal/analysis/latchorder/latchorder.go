@@ -1,11 +1,28 @@
-// Package latchorder is the interprocedural latch-discipline check: it
-// computes, for every function in the module, which of the engine's
-// latches are held at each call site, propagates those sets through the
-// approximate call graph, and rejects
+// Package latchorder is the lock-discipline check. One lockflow walk per
+// function body (declared or literal) serves two rules.
+//
+// Pairing, local to the body: every guard whose type carries niladic
+// Lock/Unlock (sync.Mutex, sync.RWMutex, any embedder) is released on
+// every return path, explicitly or by defer. Under fault injection every
+// error is a live return path, so a lock released only on the happy path
+// is a deadlock waiting for the first injected fault. Flagged:
+//
+//   - a return (or the fall-off end of the body) reached with a guard
+//     still held and no deferred release covering it;
+//   - an Unlock/RUnlock with no matching acquisition in the same body
+//     (including an RUnlock paired with a Lock, and vice versa);
+//   - branches that disagree about whether a guard is held.
+//
+// A function literal is its own body: a literal that unlocks its
+// enclosing function's lock is flagged in the literal.
+//
+// Ordering, across the module: for every function, which of the engine's
+// latches are held at each call site, propagated through the approximate
+// call graph. Rejected:
 //
 //  1. cycles in the resulting lock-order graph — two code paths that
 //     acquire the same pair of latches in opposite orders can deadlock
-//     the moment the multi-writer MVCC work makes them concurrent; and
+//     as soon as they run concurrently; and
 //  2. blocking I/O (file opens, fsync-class operations, file removal)
 //     reachable while the session statement lock is held, outside the
 //     designated flush paths.
@@ -27,13 +44,14 @@
 //	              under the leader latch and the buffer-pool latch)
 //
 // Per-package, the Run pass walks each function with the lockflow
-// simulator and exports a fact: direct acquisitions (with the classes
-// held at that moment), resolvable call sites (with held classes),
-// direct blocking operations, and function literals passed as call
-// arguments. The Finish pass runs once after every package: it links
-// interface-method calls to their concrete implementations by method-set
-// matching, propagates held-latch sets to a fixpoint, derives the global
-// lock-order graph, and reports cycles and statement-lock blocking.
+// simulator, reports the pairing rules, and exports a fact: direct
+// acquisitions (with the classes held at that moment), resolvable call
+// sites (with held classes), direct blocking operations, and function
+// literals passed as call arguments. The Finish pass runs once after
+// every package: it links interface-method calls to their concrete
+// implementations by method-set matching, propagates held-latch sets to
+// a fixpoint, derives the global lock-order graph, and reports cycles
+// and statement-lock blocking.
 //
 // A function that legitimately performs blocking I/O under the statement
 // lock — DDL creating relation files, checkpoint/close flushing and
@@ -53,27 +71,28 @@
 // fn itself is dynamic.
 //
 // Relation latches are handed across function boundaries: relLatch.lock
-// returns holding the latch, and latchSet.release unlocks latches it
-// never acquired. A second directive designates the sanctioned
-// hand-off point:
+// returns holding the latch, and relLatch.unlock releases a latch it
+// never acquired. A second directive designates each hand-off function:
 //
 //	//tdbvet:latchpoint <reason>
 //
-// A latchpoint transfers its direct acquisitions to its caller; the
-// Finish pass propagates transfers through the call graph (a call to
-// latchSet.acquire leaves the caller holding rel.latch until a call
-// whose chain releases it, so sites between acquire and release are
-// analyzed under the latch), subtracts releasing chains so a statement
-// that acquires and defers the release transfers nothing to ITS caller,
-// and rejects any direct acquisition of a latchpoint-owned class
-// outside a latchpoint — the sorted-order argument for deadlock freedom
-// rests on every relation latch passing through latchSet.acquire.
+// A latchpoint is exempt from the pairing rules and transfers its direct
+// acquisitions to its caller. The Finish pass propagates transfers
+// through the call graph (a call to latchSet.acquire leaves the caller
+// holding rel.latch until a call whose chain releases it, so sites
+// between acquire and release are analyzed under the latch), subtracts
+// releasing chains so a statement that acquires and defers the release
+// transfers nothing to ITS caller, and rejects any direct acquisition of
+// a latchpoint-owned class outside a latchpoint — the sorted-order
+// argument for deadlock freedom rests on every relation latch passing
+// through latchSet.acquire.
 package latchorder
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -201,10 +220,21 @@ func run(pass *analysis.Pass) {
 		}
 	}
 	for _, fn := range fns {
-		fact := &FnFact{
-			Key:        fn.Key,
-			Designated: designated(pass, fn.Decl),
-			Latchpoint: latchpointed(pass, fn.Decl),
+		handoff, latchpoint := directive(pass, fn.Decl, latchDirective, latchReason)
+		_, flushpath := directive(pass, fn.Decl, flushDirective, flushReason)
+		fact := &FnFact{Key: fn.Key, Designated: flushpath, Latchpoint: latchpoint}
+		classOf := map[string]string{} // tracked guard expression -> latch class
+		classes := func(held []lockflow.Held) []string {
+			seen := map[string]bool{}
+			var out []string
+			for _, h := range held {
+				if c, ok := classOf[h.Name]; ok && !seen[c] {
+					seen[c] = true
+					out = append(out, c)
+				}
+			}
+			sort.Strings(out)
+			return out
 		}
 		transfers := map[string]bool{}
 		releases := map[string]bool{}
@@ -214,13 +244,13 @@ func run(pass *analysis.Pass) {
 				return
 			}
 			key := analysis.ObjectKey(callee)
-			hs := classSet(held)
+			hs := classes(held)
 			fact.Calls = append(fact.Calls, Site{Op: key, Pos: call.Pos(), Held: hs, Deferred: deferred})
 			if blockingOps[key] {
 				fact.Blocks = append(fact.Blocks, Site{Op: key, Pos: call.Pos(), Held: hs})
 			}
 			if interfaceOf(callee) != nil {
-				pass.ExportFactKey("iface:"+key, ifaceFact{callee})
+				pass.ExportFact("iface:"+key, ifaceFact{callee})
 			}
 			for _, arg := range call.Args {
 				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
@@ -230,14 +260,25 @@ func run(pass *analysis.Pass) {
 				}
 			}
 		}
+		// One walk per body serves both rules. Every sync guard is paired
+		// (a latchpoint hands its latch across the function boundary by
+		// design, so it is exempt); only the latch classes feed the fact.
 		lockflow.Walk(fn.Body, &lockflow.Callbacks{
 			LockName: func(recv ast.Expr) (string, bool) {
-				return classFor(pass.Info, recv)
+				class, isClass := classFor(pass.Info, recv)
+				if !isClass && !isSyncGuard(pass.Info, recv) {
+					return "", false
+				}
+				name := lockflow.ExprString(recv)
+				if isClass {
+					classOf[name] = class
+				}
+				return name, true
 			},
 			OnAcquire: func(name string, mode lockflow.Mode, pos token.Pos, heldBefore []lockflow.Held) {
-				fact.Acquires = append(fact.Acquires, Acquire{
-					Class: name, Pos: pos, Held: classSet(heldBefore),
-				})
+				if class, ok := classOf[name]; ok {
+					fact.Acquires = append(fact.Acquires, Acquire{Class: class, Pos: pos, Held: classes(heldBefore)})
+				}
 			},
 			OnCall: func(call *ast.CallExpr, held []lockflow.Held) {
 				site(call, held, false)
@@ -248,15 +289,36 @@ func run(pass *analysis.Pass) {
 			// A class still held at a return transfers to the caller; a
 			// release with no matching local acquisition releases on the
 			// caller's behalf. Both feed the Finish pass's carried-set
-			// propagation (lockscope reports them as bugs outside the
-			// designated latchpoint/release pairs).
+			// propagation.
 			OnReturnHeld: func(pos token.Pos, held []lockflow.Held) {
 				for _, h := range held {
-					transfers[h.Name] = true
+					if class, ok := classOf[h.Name]; ok {
+						transfers[class] = true
+					}
+					if !handoff {
+						p := pass.Fset.Position(h.Pos)
+						pass.Report(pos, "returns with %s still locked (acquired at %s:%d); release on every path or use defer",
+							h, filepath.Base(p.Filename), p.Line)
+					}
 				}
 			},
 			OnUnlockUnheld: func(pos token.Pos, name string, mode lockflow.Mode) {
-				releases[name] = true
+				if class, ok := classOf[name]; ok {
+					releases[class] = true
+				}
+				if !handoff {
+					op, want := "Unlock", "Lock"
+					if mode == lockflow.Read {
+						op, want = "RUnlock", "RLock"
+					}
+					pass.Report(pos, "%s of %s without a matching %s in this function (lock ownership must not cross function boundaries)",
+						op, name, want)
+				}
+			},
+			OnDiverge: func(pos token.Pos, name string, mode lockflow.Mode) {
+				if !handoff {
+					pass.Report(pos, "%s is held on some but not all paths through this statement", lockflow.Held{Name: name, Mode: mode})
+				}
 			},
 		})
 		// The mode-conditional latchpoint idiom (Lock one branch, RLock the
@@ -269,7 +331,7 @@ func run(pass *analysis.Pass) {
 		}
 		fact.Transfers = sortedKeys(transfers)
 		fact.Releases = sortedKeys(releases)
-		pass.ExportFactKey("fn:"+fn.Key, fact)
+		pass.ExportFact("fn:"+fn.Key, fact)
 	}
 }
 
@@ -286,40 +348,56 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// latchpointed reports whether the declaration carries a well-formed
-// latchpoint directive. A reasonless directive is reported and ignored.
-func latchpointed(pass *analysis.Pass, decl *ast.FuncDecl) bool {
+// Reasons demanded of a reasonless directive.
+const (
+	latchReason = "latchpoint directive needs a reason: \"//tdbvet:latchpoint <why this function hands its latch to the caller>\""
+	flushReason = "flushpath directive needs a reason: \"//tdbvet:flushpath <why this path may block under the statement lock>\""
+)
+
+// directive reports whether the declaration's doc carries the directive
+// and whether it is well formed. A reasonless directive is reported and
+// does not designate.
+func directive(pass *analysis.Pass, decl *ast.FuncDecl, prefix, reasonless string) (present, designates bool) {
 	if decl == nil || decl.Doc == nil {
-		return false
+		return false, false
 	}
 	for _, c := range decl.Doc.List {
-		if !strings.HasPrefix(c.Text, latchDirective) {
+		if !strings.HasPrefix(c.Text, prefix) {
 			continue
 		}
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, latchDirective)) == "" {
-			pass.Report(c.Pos(), "latchpoint directive needs a reason: \"//tdbvet:latchpoint <why this function hands its latch to the caller>\"")
-			return false
+		if strings.TrimSpace(strings.TrimPrefix(c.Text, prefix)) == "" {
+			pass.Report(c.Pos(), "%s", reasonless)
+			return true, false
 		}
-		return true
+		return true, true
 	}
-	return false
+	return false, false
 }
 
-// designated reports whether the declaration carries a well-formed
-// flushpath directive. A reasonless directive is reported and ignored.
-func designated(pass *analysis.Pass, decl *ast.FuncDecl) bool {
-	if decl == nil || decl.Doc == nil {
+// isSyncGuard reports whether recv's type is a lockable guard: its
+// pointer method set has niladic Lock and Unlock — sync.Mutex,
+// sync.RWMutex, or anything embedding one.
+func isSyncGuard(info *types.Info, recv ast.Expr) bool {
+	tv, ok := info.Types[recv]
+	if !ok || tv.Type == nil {
 		return false
 	}
-	for _, c := range decl.Doc.List {
-		if !strings.HasPrefix(c.Text, flushDirective) {
+	t := tv.Type
+	if _, isPtr := t.(*types.Pointer); !isPtr {
+		t = types.NewPointer(t)
+	}
+	return hasNiladic(t, "Lock") && hasNiladic(t, "Unlock")
+}
+
+func hasNiladic(t types.Type, name string) bool {
+	ms := types.NewMethodSet(t)
+	for i := 0; i < ms.Len(); i++ {
+		f := ms.At(i).Obj()
+		if f.Name() != name {
 			continue
 		}
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, flushDirective)) == "" {
-			pass.Report(c.Pos(), "flushpath directive needs a reason: \"//tdbvet:flushpath <why this path may block under the statement lock>\"")
-			return false
-		}
-		return true
+		sig, ok := f.Type().(*types.Signature)
+		return ok && sig.Params().Len() == 0 && sig.Results().Len() == 0
 	}
 	return false
 }
@@ -350,20 +428,6 @@ func classFor(info *types.Info, recv ast.Expr) (string, bool) {
 	}
 	class, ok := classes[named.Obj().Name()+"."+sel.Sel.Name]
 	return class, ok
-}
-
-// classSet extracts the sorted, deduplicated class names of a held set.
-func classSet(held []lockflow.Held) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, h := range held {
-		if !seen[h.Name] {
-			seen[h.Name] = true
-			out = append(out, h.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 func interfaceOf(f *types.Func) *types.Interface {

@@ -57,7 +57,7 @@ func (l *relLatch) lock(excl bool) {
 	}
 }
 
-// unlock releases a latch taken by lock.
+//tdbvet:latchpoint releases the latch lock handed to the statement
 func (l *relLatch) unlock(excl bool) {
 	if excl {
 		l.mu.Unlock()

@@ -25,7 +25,7 @@ func (l *relLatch) lock() {
 	l.mu.Lock()
 }
 
-// unlock releases the caller's latch.
+//tdbvet:latchpoint releases the latch lock handed to the caller
 func (l *relLatch) unlock() {
 	l.mu.Unlock()
 }

@@ -11,9 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 )
 
 // Package is one parsed and type-checked package.
@@ -26,9 +24,7 @@ type Package struct {
 	Info  *types.Info
 
 	// usedDirectives records which ignore directives suppressed a
-	// diagnostic (keyed like coverKey); see UnusedDirectives. The
-	// driver runs all analyzers of one package on one goroutine, so no
-	// lock is needed.
+	// diagnostic (keyed like coverKey); see UnusedDirectives.
 	usedDirectives map[string]bool
 }
 
@@ -36,23 +32,14 @@ type Package struct {
 // external dependencies: module-internal import paths are resolved against
 // the module root, everything else (the standard library) is delegated to
 // the go/importer source importer, which type-checks GOROOT/src directly
-// so no pre-compiled export data is required.
-//
-// The loader is safe for concurrent Load calls from the package-parallel
-// driver, under the driver's scheduling contract: a package is only
-// scheduled once all of its module-internal dependencies are already
-// loaded, so the recursive imports issued by the type checker always hit
-// the memo. Standard-library imports are serialized on stdMu because the
-// go/importer source importer keeps unsynchronized internal caches.
+// so no pre-compiled export data is required. A Loader is used from one
+// goroutine.
 type Loader struct {
 	Fset    *token.FileSet
 	ModRoot string // absolute module root (directory holding go.mod)
 	ModPath string // module path from go.mod
 
-	std   types.Importer
-	stdMu sync.Mutex
-
-	mu      sync.Mutex // guards pkgs and loading
+	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool
 }
@@ -139,8 +126,6 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		}
 		return pkg.Types, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	if from, ok := l.std.(types.ImporterFrom); ok {
 		return from.ImportFrom(path, dir, mode)
 	}
@@ -149,22 +134,14 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 
 // Load parses and type-checks the module package named by path (memoized).
 func (l *Loader) Load(path string) (*Package, error) {
-	l.mu.Lock()
 	if pkg, ok := l.pkgs[path]; ok {
-		l.mu.Unlock()
 		return pkg, nil
 	}
 	if l.loading[path] {
-		l.mu.Unlock()
 		return nil, fmt.Errorf("import cycle through %s", path)
 	}
 	l.loading[path] = true
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		delete(l.loading, path)
-		l.mu.Unlock()
-	}()
+	defer delete(l.loading, path)
 
 	dir := l.dirFor(path)
 	names, err := goFilesIn(dir)
@@ -182,56 +159,19 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
 	l.pkgs[path] = pkg
-	l.mu.Unlock()
 	return pkg, nil
 }
 
 // Loaded returns every module package loaded so far, sorted by import
-// path — the deterministic input to analyzer Finish passes.
+// path — the requested packages and the module packages they import.
 func (l *Loader) Loaded() []*Package {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	out := make([]*Package, 0, len(l.pkgs))
 	for _, pkg := range l.pkgs {
 		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
-}
-
-// Deps returns the module-internal import paths of the package named by
-// path, from a syntax-only parse (no type checking). The parallel driver
-// uses this to schedule packages in dependency order before any
-// type-checking starts.
-func (l *Loader) Deps(path string) ([]string, error) {
-	dir := l.dirFor(path)
-	names, err := goFilesIn(dir)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var out []string
-	fset := token.NewFileSet() // throwaway: positions are never reported
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, err
-		}
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if l.inModule(p) && !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // LoadFiles parses and type-checks an explicit list of files as one

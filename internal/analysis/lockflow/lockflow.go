@@ -1,9 +1,10 @@
 // Package lockflow simulates lock state along the statement structure of
 // one function body: which guards are held at each point, which are
 // released by defer, and which are still held when a return is reached.
-// It is the shared engine beneath two analyzers — lockscope (every
-// acquisition released on every return path) and latchorder (the set of
-// latches held at every call site, feeding the lock-order graph).
+// It is the engine beneath latchorder's one walk per body, which serves
+// both of its rules: every acquisition released on every return path,
+// and the set of latches held at every call site, feeding the lock-order
+// graph.
 //
 // The simulation is an abstract interpretation over the AST, not a real
 // CFG: if/else and switch branches are walked independently and merged,

@@ -4,13 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"tdbms/internal/analysis"
 	"tdbms/internal/analysis/suite"
 )
 
 // violatingModule lays out a module with diagnostics in several packages
-// and a cross-package errwrap chain, exercising the parallel driver's
-// scheduling, fact flow, and output ordering all at once.
+// and a lock-order cycle whose two halves sit in two packages.
 func violatingModule(t *testing.T) string {
 	t.Helper()
 	return writeModule(t, map[string]string{
@@ -20,12 +18,6 @@ func violatingModule(t *testing.T) string {
 import "os"
 
 func A() { os.Remove("x") }
-`,
-		"internal/b/b.go": `package b
-
-import "os"
-
-func B() { os.Remove("y") }
 `,
 		"internal/c/c.go": `package c
 
@@ -41,24 +33,52 @@ func (s *S) Bad(x bool) {
 	s.mu.Unlock()
 }
 `,
-		"internal/storage/s.go": `package storage
+		"internal/lock/lock.go": `package lock
 
-import "errors"
+import (
+	"os"
+	"sync"
+)
 
-var ErrBroken = errors.New("storage: broken")
+type Conn struct{ mu sync.Mutex }
 
-func Fail() error { return ErrBroken }
+type Database struct{ rw sync.RWMutex }
+
+// Backward takes db.rw before conn.mu.
+func Backward(c *Conn, db *Database) {
+	db.rw.Lock()
+	defer db.rw.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+}
+
+func Drop() { os.Remove("z") }
 `,
 		"internal/app/app.go": `package app
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
-	"fixturemod/internal/storage"
+	"fixturemod/internal/lock"
 )
 
+type Conn struct{ mu sync.Mutex }
+
+type Database struct{ rw sync.RWMutex }
+
+// Forward takes conn.mu before db.rw, the inverse of lock.Backward.
+func Forward(c *Conn, db *Database) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	db.rw.Lock()
+	defer db.rw.Unlock()
+	lock.Backward(nil, nil)
+}
+
 func Wrap() error {
-	if err := storage.Fail(); err != nil {
+	if err := errors.New("broken"); err != nil {
 		return fmt.Errorf("app: %v", err)
 	}
 	return nil
@@ -67,63 +87,43 @@ func Wrap() error {
 	})
 }
 
-func render(diags []analysis.Diagnostic) string {
-	var sb strings.Builder
-	for _, d := range diags {
-		sb.WriteString(d.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// TestParallelDeterminism requires byte-identical output at every worker
-// count, including repeated runs at the same count: the scheduler must
-// not let goroutine interleaving reorder (or drop) diagnostics.
-func TestParallelDeterminism(t *testing.T) {
-	dir := violatingModule(t)
-	var want string
-	for _, workers := range []int{1, 1, 2, 4, 8, 16} {
-		diags, err := suite.RunChecksParallel(dir, nil, suite.Checks, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := render(diags)
-		if want == "" {
-			want = got
-			if len(diags) < 4 {
-				t.Fatalf("fixture too weak: only %d diagnostics:\n%s", len(diags), got)
-			}
-			continue
-		}
-		if got != want {
-			t.Errorf("workers=%d output differs:\n got:\n%s\nwant:\n%s", workers, got, want)
-		}
-	}
-}
-
-// TestCrossPackageFacts proves fact flow through the driver: errwrap's
-// taint for fixturemod/internal/storage.Fail must survive the store and
-// reach the dependent package, even when the target pattern excludes the
-// storage package itself (it is still analyzed for facts).
+// TestCrossPackageFacts: a restricted pattern still analyzes the module
+// packages its targets import, so the lock-order graph holds the facts of
+// both halves of a cycle; but only targets contribute Run diagnostics
+// (lock.go's discarded error and c.go's leaked lock stay silent).
 func TestCrossPackageFacts(t *testing.T) {
 	dir := violatingModule(t)
-	diags, err := suite.RunChecksParallel(dir, []string{"./internal/app"}, suite.Checks, 4)
+	diags, err := suite.Run(dir, []string{"./internal/app"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly the errwrap one: %v", len(diags), diags)
+	var cycles, wraps int
+	for _, d := range diags {
+		switch {
+		case d.Check == "latchorder" && strings.Contains(d.Message, "latch order cycle"):
+			cycles++
+		case d.Check == "errwrap" && strings.HasSuffix(d.Position.Filename, "app.go"):
+			wraps++
+		default:
+			t.Errorf("unexpected diagnostic outside the target's rules: %s", d)
+		}
 	}
-	if diags[0].Check != "errwrap" {
-		t.Errorf("check = %q, want errwrap", diags[0].Check)
+	if cycles != 2 || wraps != 1 {
+		t.Errorf("got %d cycle and %d errwrap diagnostics, want 2 and 1:\n%v", cycles, wraps, diags)
 	}
-	if !strings.Contains(diags[0].Position.Filename, "app.go") {
-		t.Errorf("diagnostic should land in the dependent package, got %s", diags[0])
+
+	// The whole module adds the other packages' Run diagnostics.
+	all, err := suite.Run(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(diags)+3 {
+		t.Errorf("whole-module run: got %d diagnostics, want %d:\n%v", len(all), len(diags)+3, all)
 	}
 }
 
 // TestMultipleFailingPackages: every unloadable package is reported, one
-// line each, sorted by path — not just the first failure the pool hit.
+// line each, sorted by path — not just the first failure.
 func TestMultipleFailingPackages(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": gomod,
@@ -140,7 +140,7 @@ var x int = "not an int"
 func Fine() {}
 `,
 	})
-	_, err := suite.RunChecksParallel(dir, nil, suite.Checks, 4)
+	_, err := suite.Run(dir, nil)
 	if err == nil {
 		t.Fatal("want a load error, got none")
 	}
@@ -155,20 +155,5 @@ func Fine() {}
 	}
 	if got := len(strings.Split(strings.TrimSpace(msg), "\n")); got < 2 {
 		t.Errorf("want one line per failing package, got %d line(s):\n%s", got, msg)
-	}
-}
-
-// TestWorkerCountClamp: degenerate worker counts (0, negative) fall back
-// to a sane default instead of deadlocking the pool.
-func TestWorkerCountClamp(t *testing.T) {
-	dir := violatingModule(t)
-	for _, workers := range []int{0, -3} {
-		diags, err := suite.RunChecksParallel(dir, nil, suite.Checks, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(diags) == 0 {
-			t.Errorf("workers=%d: lost all diagnostics", workers)
-		}
 	}
 }

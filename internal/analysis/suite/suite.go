@@ -1,19 +1,14 @@
 // Package suite wires the repo's invariant checks to the packages they
-// govern and schedules them across the module. The analyzers themselves
+// govern and runs them over the module. The analyzers themselves
 // (internal/analysis/*) are scope-free; this package encodes the repo
-// policy — which layers each invariant binds — and runs the checks
-// package-parallel in dependency order, so interprocedural analyzers
-// always see their upstream facts before a downstream package is
-// analyzed.
+// policy — which layers each invariant binds.
 package suite
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"tdbms/internal/analysis"
 	"tdbms/internal/analysis/copylocks"
@@ -22,7 +17,6 @@ import (
 	"tdbms/internal/analysis/errwrap"
 	"tdbms/internal/analysis/latchorder"
 	"tdbms/internal/analysis/layering"
-	"tdbms/internal/analysis/lockscope"
 )
 
 // Scoped pairs an analyzer with the set of packages it applies to.
@@ -51,13 +45,14 @@ func everywhere(modPath, pkgPath string) bool { return true }
 //   - pagecopy keeps page.Page behind pointers everywhere but the three
 //     packages that own page memory (internal/page, internal/storage,
 //     internal/buffer), so the read path stays copy-free;
-//   - lockscope (module-wide) requires every Lock/RLock released on every
-//     return path of the acquiring function, modulo defer;
-//   - latchorder (module-wide) builds per-function held-latch sets,
-//     propagates them over the call graph, and rejects lock-order cycles
-//     and blocking I/O under the statement lock outside flush paths;
-//   - errwrap (module-wide) keeps the %w chain of storage/faultfs errors
-//     intact so errors.Is and faultfs.IsInjected stay sound.
+//   - latchorder (module-wide) requires every Lock/RLock released on
+//     every return path of the acquiring function, modulo defer; builds
+//     per-function held-latch sets from the same walk, propagates them
+//     over the call graph, and rejects lock-order cycles and blocking I/O
+//     under the statement lock outside flush paths;
+//   - errwrap (module-wide) requires fmt.Errorf to format every error
+//     operand with %w and forbids .Error() text feeding fmt.Errorf or
+//     errors.New, so errors.Is and faultfs.IsInjected stay sound.
 var Checks = []Scoped{
 	{layering.Analyzer, everywhere},
 	{determinism.Analyzer, func(modPath, pkgPath string) bool {
@@ -72,7 +67,6 @@ var Checks = []Scoped{
 		}
 		return true
 	}},
-	{lockscope.Analyzer, everywhere},
 	{latchorder.Analyzer, everywhere},
 	{errwrap.Analyzer, everywhere},
 }
@@ -86,36 +80,24 @@ func KnownChecks() map[string]bool {
 	return out
 }
 
-// Run applies the full suite package-parallel; see RunChecksParallel.
+// Run applies the full suite; see RunChecks.
 func Run(modRoot string, patterns []string) ([]analysis.Diagnostic, error) {
-	return RunChecksParallel(modRoot, patterns, Checks, 0)
+	return RunChecks(modRoot, patterns, Checks)
 }
 
-// RunChecks applies the given checks with the default worker count.
-func RunChecks(modRoot string, patterns []string, checks []Scoped) ([]analysis.Diagnostic, error) {
-	return RunChecksParallel(modRoot, patterns, checks, 0)
-}
-
-// RunChecksParallel loads the requested packages of the module rooted at
-// modRoot and applies every in-scope analyzer from checks, scheduling
-// packages across workers goroutines (workers <= 0 means GOMAXPROCS) in
-// dependency order: a package starts only after all of its
-// module-internal imports have been loaded AND analyzed, so fact
-// importers always see complete upstream facts, and the type checker's
-// recursive imports always hit the loader's memo.
+// RunChecks loads the requested packages of the module rooted at modRoot
+// and applies every in-scope analyzer from checks to each loaded package
+// in import-path order, then runs the Finish passes and the sweep for
+// stale directives.
 //
 // Patterns follow the go tool's shape: "./..." for the whole module,
 // "dir/..." for a subtree, or a plain module-relative directory. When a
-// pattern restricts the target set, dependency packages outside it are
-// still analyzed for their facts, but only targets contribute
-// diagnostics. Diagnostics come back globally sorted by position, so the
-// output is byte-identical at any worker count. Packages that fail to
-// load are collected and reported together, one line each, in path
-// order.
-func RunChecksParallel(modRoot string, patterns []string, checks []Scoped, workers int) ([]analysis.Diagnostic, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// pattern restricts the target set, the module packages the targets
+// import are still analyzed, so the Finish passes see their facts, but
+// only targets contribute Run diagnostics. Diagnostics come back sorted
+// by position. Packages that fail to load are reported together, one
+// line each, in path order.
+func RunChecks(modRoot string, patterns []string, checks []Scoped) ([]analysis.Diagnostic, error) {
 	loader, err := analysis.NewLoader(modRoot)
 	if err != nil {
 		return nil, err
@@ -124,180 +106,48 @@ func RunChecksParallel(modRoot string, patterns []string, checks []Scoped, worke
 	if err != nil {
 		return nil, err
 	}
-	targetSet := map[string]bool{}
+	ran := map[string]map[string]bool{} // target -> checks applied to it
+	var loadErrs []string
 	for _, t := range targets {
-		targetSet[t] = true
-	}
-
-	// Dependency closure from a syntax-only parse: targets plus every
-	// module package they transitively import.
-	deps := map[string][]string{}
-	var order []string
-	var visit func(p string)
-	visit = func(p string) {
-		if _, ok := deps[p]; ok {
-			return
-		}
-		deps[p] = nil
-		ds, derr := loader.Deps(p)
-		if derr != nil {
-			ds = nil // Load will surface the real error with positions
-		}
-		deps[p] = ds
-		order = append(order, p)
-		for _, d := range ds {
-			visit(d)
-		}
-	}
-	for _, t := range targets {
-		visit(t)
-	}
-	sort.Strings(order)
-
-	waiting := map[string]int{}
-	dependents := map[string][]string{}
-	for _, p := range order {
-		for _, d := range deps[p] {
-			if d == p {
-				continue
-			}
-			waiting[p]++
-			dependents[d] = append(dependents[d], p)
-		}
-	}
-	var ready []string
-	for _, p := range order {
-		if waiting[p] == 0 {
-			ready = append(ready, p)
-		}
-	}
-
-	var (
-		mu      sync.Mutex // guards ready/waiting/running (scheduler state)
-		running = 0
-		cond    = sync.NewCond(&mu)
-
-		resMu    sync.Mutex // guards the result maps
-		results  = map[string][]analysis.Diagnostic{}
-		applied  = map[string]map[string]bool{}
-		loadErrs = map[string]error{}
-		started  = map[string]bool{}
-	)
-	known := KnownChecks()
-	facts := analysis.NewFacts()
-
-	process := func(path string) {
-		pkg, lerr := loader.Load(path)
-		if lerr != nil {
-			resMu.Lock()
-			loadErrs[path] = lerr
-			resMu.Unlock()
-			return
-		}
-		var diags []analysis.Diagnostic
-		if targetSet[path] {
-			diags = append(diags, analysis.CheckDirectives(pkg, known)...)
-		}
-		ran := map[string]bool{}
-		for _, c := range checks {
-			if !c.Applies(loader.ModPath, path) {
-				continue
-			}
-			ran[c.Analyzer.Name] = true
-			ds := analysis.RunAnalyzer(c.Analyzer, pkg, facts)
-			if targetSet[path] {
-				diags = append(diags, ds...)
-			}
-		}
-		if targetSet[path] {
-			resMu.Lock()
-			results[path] = diags
-			applied[path] = ran
-			resMu.Unlock()
-		}
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && running > 0 {
-					cond.Wait()
-				}
-				if len(ready) == 0 {
-					// running == 0: all done, or a cycle left packages
-					// blocked forever (reported after the pool drains).
-					mu.Unlock()
-					return
-				}
-				path := ready[0]
-				ready = ready[1:]
-				started[path] = true
-				running++
-				mu.Unlock()
-
-				process(path)
-
-				mu.Lock()
-				running--
-				for _, dep := range dependents[path] {
-					waiting[dep]--
-					if waiting[dep] == 0 {
-						ready = append(ready, dep)
-					}
-				}
-				sort.Strings(ready)
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	for _, p := range order {
-		if !started[p] {
-			loadErrs[p] = fmt.Errorf("%s: not schedulable (import cycle in module packages)", p)
+		ran[t] = map[string]bool{}
+		if _, err := loader.Load(t); err != nil {
+			loadErrs = append(loadErrs, err.Error())
 		}
 	}
 	if len(loadErrs) > 0 {
-		paths := make([]string, 0, len(loadErrs))
-		for p := range loadErrs {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		msgs := make([]string, len(paths))
-		for i, p := range paths {
-			msgs[i] = loadErrs[p].Error()
-		}
-		return nil, errors.New(strings.Join(msgs, "\n"))
+		return nil, errors.New(strings.Join(loadErrs, "\n"))
 	}
 
+	known := KnownChecks()
+	facts := analysis.NewFacts()
+	pkgs := loader.Loaded()
 	var all []analysis.Diagnostic
-	resPaths := make([]string, 0, len(results))
-	for p := range results {
-		resPaths = append(resPaths, p)
-	}
-	sort.Strings(resPaths)
-	for _, p := range resPaths {
-		all = append(all, results[p]...)
+	for _, pkg := range pkgs {
+		applied, isTarget := ran[pkg.Path]
+		if isTarget {
+			all = append(all, analysis.CheckDirectives(pkg, known)...)
+		}
+		for _, c := range checks {
+			if !c.Applies(loader.ModPath, pkg.Path) {
+				continue
+			}
+			ds := analysis.RunAnalyzer(c.Analyzer, pkg, facts)
+			if isTarget {
+				applied[c.Analyzer.Name] = true
+				all = append(all, ds...)
+			}
+		}
 	}
 	// Whole-module Finish passes (the latchorder lock-order graph), then
 	// the stale-exception sweep — after Finish, so directives that
 	// suppress Finish diagnostics count as used.
 	for _, c := range checks {
-		if c.Analyzer.Finish != nil {
-			all = append(all, analysis.RunFinish(c.Analyzer, loader.Fset, loader.Loaded(), facts)...)
-		}
+		all = append(all, analysis.RunFinish(c.Analyzer, loader.Fset, pkgs, facts)...)
 	}
-	for _, p := range targets {
-		pkg, lerr := loader.Load(p) // memo hit
-		if lerr != nil {
-			continue
+	for _, pkg := range pkgs {
+		if applied, isTarget := ran[pkg.Path]; isTarget {
+			all = append(all, analysis.UnusedDirectives(pkg, applied)...)
 		}
-		all = append(all, analysis.UnusedDirectives(pkg, applied[p])...)
 	}
 	analysis.SortDiagnostics(all)
 	return all, nil

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tdbms/internal/core"
 	"tdbms/internal/temporal"
 )
 
@@ -262,7 +263,7 @@ func TestHistoricalMatchesRollback(t *testing.T) {
 
 func TestFigureFormatting(t *testing.T) {
 	// Small-scale smoke test of every formatter.
-	series, err := AllSeries(2, nil)
+	series, err := AllSeries(2, 0, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,29 +33,20 @@ func AllKeys() []Key {
 // CPU, capped by the number of benchmark databases.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// AllSeries measures all eight benchmark databases through maxUC, using
-// the default worker count. The result is identical to a sequential run:
-// each database is built and measured in its own isolated engine, so the
-// page counters cannot observe each other.
-func AllSeries(maxUC int, progress func(k Key, uc int)) (map[Key]*Series, error) {
-	return AllSeriesWorkers(maxUC, 0, progress)
-}
-
-// AllSeriesWorkers is AllSeries with an explicit worker count (<1 means
-// DefaultWorkers). Databases are dealt to the pool in the paper's column
-// order and merged back in that order, progress callbacks are serialized,
-// and on failure the error of the earliest database in column order wins —
-// so every observable output is independent of scheduling.
-func AllSeriesWorkers(maxUC, workers int, progress func(k Key, uc int)) (map[Key]*Series, error) {
-	return AllSeriesWorkersOpts(maxUC, workers, core.Options{}, progress)
-}
-
-// AllSeriesWorkersOpts is AllSeriesWorkers with explicit core options for
-// every database (see BuildOpts) — the pooled-policy and WAL golden
-// figures run through it. When opts.Dir is set, each of the eight
+// AllSeries measures all eight benchmark databases through maxUC on a
+// pool of workers (<1 means DefaultWorkers). The result is identical to
+// a sequential run: each database is built and measured in its own
+// isolated engine, so the page counters cannot observe each other.
+// Databases are dealt to the pool in the paper's column order and merged
+// back in that order, progress callbacks are serialized, and on failure
+// the error of the earliest database in column order wins — so every
+// observable output is independent of scheduling.
+//
+// opts apply to every database (see BuildOpts) — the pooled-policy and
+// WAL golden figures set them. When opts.Dir is set, each of the eight
 // databases gets its own subdirectory: the two loadings of one type share
 // relation names, so they cannot share a catalog.
-func AllSeriesWorkersOpts(maxUC, workers int, opts core.Options, progress func(k Key, uc int)) (map[Key]*Series, error) {
+func AllSeries(maxUC, workers int, opts core.Options, progress func(k Key, uc int)) (map[Key]*Series, error) {
 	keys := AllKeys()
 	if workers < 1 {
 		workers = DefaultWorkers()

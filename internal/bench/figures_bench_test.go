@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"tdbms/internal/core"
 )
 
 // The benchmarks below time fast-mode figure regeneration at several
@@ -36,7 +38,7 @@ var (
 func benchFigures(b *testing.B, workers int) {
 	var pages, rows int64
 	for i := 0; i < b.N; i++ {
-		series, err := AllSeriesWorkers(figuresBenchUC, workers, nil)
+		series, err := AllSeries(figuresBenchUC, workers, core.Options{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,11 +27,11 @@ func TestGoldenFiguresPooled(t *testing.T) {
 // one query must differ in read operations, proving the pool actually
 // engaged.
 func TestPooledRowsMatchDefault(t *testing.T) {
-	def, err := AllSeriesWorkers(goldenUC, 0, nil)
+	def, err := AllSeries(goldenUC, 0, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := AllSeriesWorkersOpts(goldenUC, 0, poolGoldenOpts, nil)
+	pooled, err := AllSeries(goldenUC, 0, poolGoldenOpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,9 @@ func renderFiguresAt(t *testing.T, workers int) string {
 // pooled-policy golden runs through it.
 func renderFiguresOpts(t *testing.T, workers int, opts core.Options) string {
 	t.Helper()
-	series, err := AllSeriesWorkersOpts(goldenUC, workers, opts, nil)
+	series, err := AllSeries(goldenUC, workers, opts, nil)
 	if err != nil {
-		t.Fatalf("AllSeriesWorkers(%d, %d): %v", goldenUC, workers, err)
+		t.Fatalf("AllSeries(%d, %d): %v", goldenUC, workers, err)
 	}
 	f10, err := RunFigure10Opts(goldenF10UC, opts, nil)
 	if err != nil {

@@ -19,9 +19,9 @@ import (
 // as in the default run — which also keeps the fixture shared.
 func TestGoldenFiguresWAL(t *testing.T) {
 	walOpts := core.Options{Dir: t.TempDir(), WAL: true}
-	series, err := AllSeriesWorkersOpts(goldenUC, 0, walOpts, nil)
+	series, err := AllSeries(goldenUC, 0, walOpts, nil)
 	if err != nil {
-		t.Fatalf("AllSeriesWorkersOpts(WAL): %v", err)
+		t.Fatalf("AllSeries(WAL): %v", err)
 	}
 	f10, err := RunFigure10Opts(goldenF10UC, core.Options{}, nil)
 	if err != nil {

@@ -103,7 +103,7 @@ func (db *Conn) copyIn(s *tquel.CopyStmt) (*Result, error) {
 		for i, field := range fields {
 			v, err := parseField(desc.Schema.Attr(i), field, db.now())
 			if err != nil {
-				return nil, fmt.Errorf("core: %s line %d: %v", s.File, lineNo, err)
+				return nil, fmt.Errorf("core: %s line %d: %w", s.File, lineNo, err)
 			}
 			row[i] = v
 		}

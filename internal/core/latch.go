@@ -30,9 +30,8 @@ type relLatch struct {
 // place a relation latch is taken — everything else goes through latchSet,
 // whose sorted acquisition order the latchorder check enforces.
 //
-//tdbvet:latchpoint relation latches are acquired only here, in latchSet order
+//tdbvet:latchpoint relation latches are acquired only here, in latchSet order, and released by latchSet.release
 func (l *relLatch) lock(excl bool) {
-	//tdbvet:ignore lockscope the latch is handed to the statement and released by latchSet.release
 	if excl {
 		l.mu.Lock()
 	} else {
@@ -41,12 +40,12 @@ func (l *relLatch) lock(excl bool) {
 }
 
 // unlock releases a latch taken by lock.
+//
+//tdbvet:latchpoint releases the statement latch relLatch.lock handed to latchSet
 func (l *relLatch) unlock(excl bool) {
 	if excl {
-		//tdbvet:ignore lockscope releases the statement latch acquired by relLatch.lock
 		l.mu.Unlock()
 	} else {
-		//tdbvet:ignore lockscope releases the statement latch acquired by relLatch.lock
 		l.mu.RUnlock()
 	}
 }

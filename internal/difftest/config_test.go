@@ -161,11 +161,11 @@ func withProcs(procs int, fn func()) {
 // series sweep with one worker and with GOMAXPROCS workers must agree on
 // every measurement — result rows and page counts alike.
 func TestWorkerIndependence(t *testing.T) {
-	one, err := bench.AllSeriesWorkers(1, 1, nil)
+	one, err := bench.AllSeries(1, 1, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := bench.AllSeriesWorkers(1, runtime.GOMAXPROCS(0), nil)
+	many, err := bench.AllSeries(1, runtime.GOMAXPROCS(0), core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

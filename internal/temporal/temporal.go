@@ -82,8 +82,8 @@ func Format(t Time, res Resolution) string {
 func (t Time) String() string { return Format(t, Second) }
 
 // parseLayouts are the accepted input formats ("various formats of date and
-// time are accepted for input", Section 4). Two-digit years 70-99 are taken
-// as 19xx, matching the benchmark's "1/1/80" constants.
+// time are accepted for input", Section 4). Two-digit years follow Go:
+// 69-99 are 19xx (the benchmark's "1/1/80" constants), 00-68 are 20xx.
 var parseLayouts = []string{
 	"15:04:05 1/2/2006",
 	"15:04 1/2/2006",
@@ -100,8 +100,14 @@ var parseLayouts = []string{
 	"2006",
 }
 
+// Earliest is the earliest instant a version can store: the smallest
+// value of the 32-bit representation.
+const Earliest Time = math.MinInt32
+
 // Parse interprets a TQuel time constant. The strings "now" and "forever"
-// resolve to the supplied current time and to Forever respectively.
+// resolve to the supplied current time and to Forever respectively. A
+// calendar constant outside [Earliest, Forever] is an error: stored in 32
+// bits it would wrap to another time.
 func Parse(s string, now Time) (Time, error) {
 	trimmed := strings.TrimSpace(s)
 	switch strings.ToLower(trimmed) {
@@ -114,14 +120,15 @@ func Parse(s string, now Time) (Time, error) {
 	}
 	for _, layout := range parseLayouts {
 		if u, err := time.Parse(layout, trimmed); err == nil {
-			y := u.Year()
-			// time.Parse maps 2-digit years to 20xx for 00-68; the
-			// benchmark era is the 1980s, so 70-99 become 19xx (Go already
-			// does 69-99 -> 19xx; keep as parsed).
-			if y < 100 {
+			// A four-digit year below 100 ("0080") is taken as 19xx.
+			if u.Year() < 100 {
 				u = u.AddDate(1900, 0, 0)
 			}
-			return FromUnix(u), nil
+			t := FromUnix(u)
+			if t < Earliest || t > Forever {
+				return 0, fmt.Errorf("temporal: time constant %q is outside the storable range %s to forever", s, Earliest)
+			}
+			return t, nil
 		}
 	}
 	return 0, fmt.Errorf("temporal: cannot parse time constant %q", s)

@@ -44,6 +44,31 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParseStorableRange: a calendar constant outside the 32-bit range a
+// version stores is an error; the range's ends parse exactly.
+func TestParseStorableRange(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Time
+	}{
+		{"20:45:52 12/13/1901", Earliest},
+		{"03:14:07 1/19/2038", Forever},
+		{"1/1/2035", Date(2035, 1, 1, 0, 0, 0)},
+		{"1/1/69", Date(1969, 1, 1, 0, 0, 0)},
+		{"1/1/37", Date(2037, 1, 1, 0, 0, 0)},
+		{"0080", Date(1980, 1, 1, 0, 0, 0)},
+	} {
+		if got, err := Parse(c.in, 0); err != nil || got != c.want {
+			t.Errorf("Parse(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	for _, s := range []string{"20:45:51 12/13/1901", "03:14:08 1/19/2038", "1/1/2050", "1/1/50", "1900", "9999"} {
+		if got, err := Parse(s, 0); err == nil {
+			t.Errorf("Parse(%q) = %d (%s), want an out-of-range error", s, got, got)
+		}
+	}
+}
+
 func TestFormatResolutions(t *testing.T) {
 	at := Date(1980, 2, 15, 8, 30, 45)
 	cases := []struct {
@@ -252,4 +277,35 @@ func TestIntervalAlgebraProperties(t *testing.T) {
 	if err := quick.Check(refl, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzTemporalParse: Parse never panics, every constant it accepts lies
+// in the storable range, and an accepted constant's String() parses back
+// to the same Time.
+func FuzzTemporalParse(f *testing.F) {
+	for _, layout := range parseLayouts {
+		f.Add(Date(1983, 7, 4, 23, 59, 59).Unix().Format(layout))
+	}
+	for _, s := range []string{
+		"now", "forever", "beginning", "1/1/80", "0080",
+		"20:45:52 12/13/1901", "20:45:51 12/13/1901",
+		"03:14:07 1/19/2038", "03:14:08 1/19/2038",
+		"1/1/2035", "1/1/2050", "1/1/50", "13:99 1/1/80", "",
+	} {
+		f.Add(s)
+	}
+	now := Date(1980, 1, 1, 0, 0, 0)
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := Parse(s, now)
+		if err != nil {
+			return
+		}
+		if got < Earliest || got > Forever {
+			t.Fatalf("Parse(%q) = %d, outside [%d, %d]", s, got, Earliest, Forever)
+		}
+		again, err := Parse(got.String(), now)
+		if err != nil || again != got {
+			t.Fatalf("Parse(%q) = %d; its String %q parses to %d, %v", s, got, got.String(), again, err)
+		}
+	})
 }

@@ -185,6 +185,48 @@ func TestSetValueCoercion(t *testing.T) {
 	}
 }
 
+// TestSetValueRange: an integer outside its attribute's width is an
+// error, not a wrapped store; each width's extremes store exactly.
+func TestSetValueRange(t *testing.T) {
+	s := NewSchema(Attr{Name: "b", Kind: I1}, Attr{Name: "h", Kind: I2},
+		Attr{Name: "w", Kind: I4}, Attr{Name: "t", Kind: Temporal})
+	tup := s.NewTuple()
+	for _, c := range []struct {
+		attr   int
+		lo, hi int64
+	}{
+		{0, -1 << 7, 1<<7 - 1},
+		{1, -1 << 15, 1<<15 - 1},
+		{2, -1 << 31, 1<<31 - 1},
+		{3, -1 << 31, 1<<31 - 1},
+	} {
+		for _, v := range []int64{c.lo, c.hi} {
+			if err := s.SetValue(tup, c.attr, IntValue(v)); err != nil {
+				t.Errorf("attr %d: %d: %v", c.attr, v, err)
+			} else if got := s.Int(tup, c.attr); got != v {
+				t.Errorf("attr %d: stored %d as %d", c.attr, v, got)
+			}
+		}
+		before := s.Int(tup, c.attr)
+		for _, v := range []Value{IntValue(c.lo - 1), IntValue(c.hi + 1), IntValue(3000000000),
+			FloatValue(float64(c.hi) + 1), FloatValue(math.NaN()), FloatValue(math.Inf(-1))} {
+			if v.AsFloat() >= float64(c.lo) && v.AsFloat() <= float64(c.hi) {
+				continue
+			}
+			if err := s.SetValue(tup, c.attr, v); err == nil {
+				t.Errorf("attr %d: stored %v, which is out of range", c.attr, v)
+			}
+			if got := s.Int(tup, c.attr); got != before {
+				t.Errorf("attr %d: failed store of %v changed the tuple to %d", c.attr, v, got)
+			}
+		}
+	}
+	// A float is truncated toward zero before the check, as it is stored.
+	if err := s.SetValue(tup, 1, FloatValue(32767.9)); err != nil || s.Int(tup, 1) != 32767 {
+		t.Errorf("32767.9 into i2: %v, stored %d", err, s.Int(tup, 1))
+	}
+}
+
 // Property: Value/SetValue round-trips for every kind.
 func TestValueRoundTripProperty(t *testing.T) {
 	s := benchSchema()

@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"tdbms/internal/temporal"
@@ -113,7 +114,25 @@ func (s *Schema) SetValue(tup []byte, i int, v Value) error {
 		if !v.IsNumeric() {
 			return fmt.Errorf("tuple: cannot store %s into %s attribute %q", v.Kind, a.Kind, a.Name)
 		}
+		if !fits(a.Kind, v) {
+			return fmt.Errorf("tuple: %s is out of range for %s attribute %q", v, a.Kind, a.Name)
+		}
 		s.SetInt(tup, i, v.AsInt())
 	}
 	return nil
+}
+
+// fits reports whether a numeric value, truncated toward zero, lies in
+// the range of an integer kind's width (Temporal is stored as I4).
+func fits(k Kind, v Value) bool {
+	bits := 32
+	switch k {
+	case I1:
+		bits = 8
+	case I2:
+		bits = 16
+	}
+	limit := math.Ldexp(1, bits-1)
+	f := math.Trunc(v.AsFloat())
+	return f >= -limit && f < limit
 }

@@ -1,6 +1,7 @@
 package tdbms
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -197,5 +198,83 @@ func TestValueKinds(t *testing.T) {
 	}
 	if row[0].Float() != 7 || row[1].Int() != 2 {
 		t.Errorf("conversions: %v %v", row[0].Float(), row[1].Int())
+	}
+}
+
+// TestOutOfRangeValuesRejected: a value its attribute cannot store, or a
+// time constant outside the 32-bit range a version stores, fails its
+// statement and leaves the relation as it was — it is not stored wrapped.
+func TestOutOfRangeValuesRejected(t *testing.T) {
+	db := MustOpen(Options{Now: jan1980()})
+	for _, s := range []string{
+		`create persistent interval r (id = i4, n = i2)`,
+		`append to r (id = 1, n = 1)`,
+		`range of x is r`,
+	} {
+		if _, err := db.Exec(s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+	}
+	state := func() ([]string, int) {
+		t.Helper()
+		res, err := db.Exec(`retrieve (x.id, x.n, x.valid_from, x.valid_to) as of "1/1/2035"`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, r := range res.Rows {
+			var row string
+			for _, v := range r {
+				row += v.String() + " "
+			}
+			rows = append(rows, row)
+		}
+		pages, err := db.RelationPages("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, pages
+	}
+	rows, pages := state()
+	if len(rows) != 1 {
+		t.Fatalf("as of 2035 sees %d rows, want the current one: %v", len(rows), rows)
+	}
+	for _, s := range []string{
+		`append to r (id = 3000000000, n = 2)`,
+		`append to r (id = 2, n = 70000)`,
+		`append to r (id = -2147483649, n = 2)`,
+		`append to r (id = 2, n = -32769)`,
+		`append to r (id = 2, n = 2) valid from "1/1/1980" to "1/1/2050"`,
+		`replace x (n = x.n + 40000)`,
+		`retrieve (x.id) as of "1/1/2050"`,
+		`retrieve (x.id) where x.valid_from < "1/1/1900"`,
+	} {
+		if _, err := db.Exec(s); err == nil {
+			t.Errorf("%s: accepted a value its attribute cannot hold", s)
+		}
+		if r, p := state(); !reflect.DeepEqual(r, rows) || p != pages {
+			t.Fatalf("%s: left %v on %d pages, want %v on %d", s, r, p, rows, pages)
+		}
+	}
+	// The extremes of each width still store exactly.
+	for _, s := range []string{
+		`append to r (id = 2147483647, n = 32767)`,
+		`append to r (id = -2147483648, n = -32768)`,
+	} {
+		if _, err := db.Exec(s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+	}
+	res, err := db.Exec(`retrieve (x.id, x.n) where x.id != 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int64]int64{}
+	for _, r := range res.Rows {
+		got[r[0].Int()] = r[1].Int()
+	}
+	want := map[int64]int64{2147483647: 32767, -2147483648: -32768}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("extremes stored as %v, want %v", got, want)
 	}
 }
